@@ -111,4 +111,15 @@ timeout 300 cargo test -q -p offloadnn-plancache --features offloadnn-telemetry/
 echo "==> cargo bench smoke (criterion --test mode)"
 cargo bench --workspace -- --test >/dev/null
 
+echo "==> benchmark package gate: perfbench sits outside the workspace, so build, test and smoke it here"
+# An API break against perfbench/ would otherwise surface only in the
+# benchmark pipeline. --smoke is ~15 s with every output check on.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke >/dev/null
+
+echo "==> LOC trajectory (ROADMAP north-star 2: line count tracked beside the perf numbers)"
+for crate in net serve gateway; do
+    printf '    crates/%s/src  %s lines\n' "$crate" "$(find "crates/$crate/src" -name '*.rs' -exec cat {} + | wc -l)"
+done
+
 echo "CI green."

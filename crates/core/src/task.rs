@@ -66,23 +66,30 @@ impl Task {
     ///
     /// Returns a human-readable description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
+        // Every check is phrased so that NaN fails it (`NaN <= 0.0` is
+        // false; `!(NaN > 0.0)` is true), and infinities are refused too:
+        // these fields feed the allocator's arithmetic unguarded.
+        let positive = |v: f64| v > 0.0 && v.is_finite();
         if !(0.0..=1.0).contains(&self.priority) {
             return Err(format!("{}: priority {} outside [0,1]", self.id, self.priority));
         }
-        if self.request_rate <= 0.0 {
+        if !positive(self.request_rate) {
             return Err(format!("{}: request rate must be positive", self.id));
         }
         if !(0.0..=1.0).contains(&self.min_accuracy) {
             return Err(format!("{}: accuracy bound {} outside [0,1]", self.id, self.min_accuracy));
         }
-        if self.max_latency <= 0.0 {
+        if !positive(self.max_latency) {
             return Err(format!("{}: latency bound must be positive", self.id));
+        }
+        if !(self.snr.0.is_finite() && self.difficulty.is_finite()) {
+            return Err(format!("{}: SNR and difficulty must be finite", self.id));
         }
         if self.qualities.is_empty() {
             return Err(format!("{}: task needs at least one quality level", self.id));
         }
         for q in &self.qualities {
-            if !(q.quality > 0.0 && q.quality <= 1.0) || q.bits <= 0.0 {
+            if !(q.quality > 0.0 && q.quality <= 1.0 && positive(q.bits)) {
                 return Err(format!("{}: malformed quality level", self.id));
             }
         }
@@ -139,6 +146,28 @@ mod tests {
         let mut t = task();
         t.qualities[0].quality = 0.0;
         assert!(t.validate().unwrap_err().contains("quality"));
+    }
+
+    #[test]
+    fn non_finite_fields_rejected() {
+        // NaN compares false against everything, so each bound must be
+        // phrased to fail on it rather than to let it through.
+        type Set = fn(&mut Task, f64);
+        let cases: [(Set, &str); 6] = [
+            (|t, v| t.priority = v, "priority"),
+            (|t, v| t.request_rate = v, "request rate"),
+            (|t, v| t.min_accuracy = v, "accuracy"),
+            (|t, v| t.max_latency = v, "latency"),
+            (|t, v| t.snr = SnrDb(v), "SNR"),
+            (|t, v| t.qualities[0].bits = v, "quality"),
+        ];
+        for (set, what) in cases {
+            for v in [f64::NAN, f64::INFINITY] {
+                let mut t = task();
+                set(&mut t, v);
+                assert!(t.validate().unwrap_err().contains(what), "{what} = {v} must be refused");
+            }
+        }
     }
 
     #[test]

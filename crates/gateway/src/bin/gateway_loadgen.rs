@@ -6,13 +6,13 @@
 //! drives it with a fleet of [`Client`] connections pipelining
 //! admission submits. Optionally kills one backend node mid-run so the
 //! gateway's ejection + failover path carries live traffic, hot-joins a
-//! brand-new node over the wire (`--join-node-at`, a v3 Announce frame
+//! brand-new node over the wire (`--join-node-at`, an Announce frame
 //! followed by probation), gracefully departs a node
-//! (`--leave-node-at`, a v3 Leave frame) while its in-flight verdicts
+//! (`--leave-node-at`, a Leave frame) while its in-flight verdicts
 //! drain, or federates the gateway with a second full cluster
 //! (`--peer`): the primary cluster is deliberately starved
 //! (`--queue-capacity`) so its would-be `Shed` overflow forwards over
-//! protocol-v4 `Forward` frames to the peer, and the run requires that
+//! `Forward` frames to the peer, and the run requires that
 //! overflow to actually land there.
 //!
 //! The run is conservation-gated: every offered request must resolve
@@ -73,18 +73,18 @@ OPTIONS (all optional; defaults in brackets):
   --kill-node IDX     which node --kill-node-at shuts down  [1]
   --join-node-at N    hot-join one extra backend node once N
                       submits have been offered: it starts,
-                      announces itself over the wire (v3
+                      announces itself over the wire (an
                       Announce frame) and serves traffic
                       after probation (0 = never)           [0]
   --leave-node-at N   gracefully leave one backend node once
-                      N submits have been offered (a v3
+                      N submits have been offered (a
                       Leave frame; the server stays up to
                       flush in-flight verdicts) (0 = never) [0]
   --leave-node IDX    which node --leave-node-at departs    [0]
   --hedge             enable deadline-aware hedging         [off]
   --peer              federate with a second cluster: the
                       primary gateway forwards its would-be
-                      Shed overflow to it over protocol-v4
+                      Shed overflow to it over
                       Forward frames; the run fails unless
                       overflow actually lands there         [off]
   --peer-nodes N      backend nodes in the peer cluster     [2]
@@ -428,7 +428,7 @@ fn main() -> ExitCode {
             })
         });
         // The joiner starts a brand-new backend node mid-run and
-        // announces it to the gateway *over the wire* — the v3 Announce
+        // announces it to the gateway *over the wire* — the Announce
         // frame travels through the TCP frontend, the node sits out its
         // probation, and only then starts absorbing traffic.
         let joiner = (extra.join_node_at > 0).then(|| {

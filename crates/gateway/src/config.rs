@@ -24,7 +24,7 @@ impl Default for HedgeConfig {
     }
 }
 
-/// Cross-gateway federation knobs (protocol v4).
+/// Cross-gateway federation knobs.
 ///
 /// A federated gateway exchanges periodic load digests with its peers
 /// (`PeerHello` → `PeerLoad` frames) and, when its *own* cluster would

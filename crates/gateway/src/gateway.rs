@@ -918,7 +918,7 @@ impl Gateway {
         self.inner.membership.version()
     }
 
-    /// Applies a node's announce (protocol v3 `Announce` frame, or
+    /// Applies a node's announce (an `Announce` frame, or
     /// called directly in-process). A new address joins in `Probing` —
     /// invisible to routing until a health probe succeeds; a strictly
     /// newer incarnation of a known address re-enters `Probing`;
@@ -941,7 +941,7 @@ impl Gateway {
         MembershipAck { decision, members: self.inner.membership.members() }
     }
 
-    /// Applies a node's graceful leave (protocol v3 `Leave` frame, or
+    /// Applies a node's graceful leave (a `Leave` frame, or
     /// called directly in-process). The node departs iff the incarnation
     /// is at least its registered stamp; in-flight tickets against it
     /// fail over to survivors with their remaining deadline budget, and
@@ -989,7 +989,7 @@ impl Gateway {
     }
 
     /// The one submit path, for both local submits (`forwarded` `None`)
-    /// and tasks arriving via a protocol-v4 `Forward` frame (`forwarded`
+    /// and tasks arriving via a `Forward` frame (`forwarded`
     /// carries the origin identity, remaining hops and tried-set).
     fn submit_inner(
         &self,
@@ -1004,6 +1004,9 @@ impl Gateway {
         if options.is_empty() {
             return Err(SubmitError::NoOptions);
         }
+        // Refused here, not on a node: a node's refusal reads as "retry
+        // elsewhere", which would walk one hostile request over the fleet.
+        offloadnn_serve::validate_request(&task, &options)?;
         // A client can tighten its admission window but never extend it
         // past the gateway policy — the same rule serve applies. A
         // forwarded task's budget is the *remaining* budget its origin

@@ -2,12 +2,11 @@
 //!
 //! One `offloadnn-serve` node admits tasks against *its own* capacity.
 //! This crate scales the admission service out: a [`Gateway`] owns a
-//! pool of backend serve nodes (each an `offloadnn-net` endpoint
-//! speaking the v3 wire protocol) and presents the whole cluster as a
-//! single admission backend — including over the network, since
-//! [`Gateway`] implements [`offloadnn_net::Backend`] and therefore
-//! slots behind either TCP frontend via
-//! [`offloadnn_net::AnyServer::start_with_backend`].
+//! pool of backend serve nodes (each an `offloadnn-net` endpoint) and
+//! presents the whole cluster as a single admission backend — including
+//! over the network, since [`Gateway`] implements
+//! [`offloadnn_net::Backend`] and therefore slots behind either TCP
+//! frontend via [`offloadnn_net::AnyServer::start_with_backend`].
 //!
 //! Five mechanisms, one per module:
 //!
@@ -33,7 +32,7 @@
 //!   loser is reaped (departed iff it was admitted), so no verdict is
 //!   double-counted and no backend capacity leaks.
 //! * **Discovery** ([`membership`]) — the pool is dynamic. A node
-//!   announces itself (protocol v3 `Announce` frame, or
+//!   announces itself (an `Announce` frame, or
 //!   [`Gateway::announce`] in-process) under a per-process incarnation
 //!   stamp and joins in `Probing`: visible in membership views, probed
 //!   by the monitor, but unroutable until a probe succeeds

@@ -3,7 +3,7 @@
 //!
 //! A federated gateway ([`crate::FederationConfig`]) keeps one [`Peer`]
 //! per configured peer gateway. A dedicated digest thread sweeps the
-//! peer set every `digest_interval`, sending a protocol-v4 `PeerHello`
+//! peer set every `digest_interval`, sending a `PeerHello`
 //! and recording the `PeerLoad` answer: healthy-node count, aggregate
 //! remaining budget, solver-round p50 and the peer's membership epoch.
 //! The digest is what makes overflow forwarding *informed* — when the

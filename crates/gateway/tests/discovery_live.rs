@@ -1,7 +1,7 @@
 //! Live loopback discovery: the gateway mounted behind a real TCP
 //! frontend, driven by a wire client, while the cluster changes shape
 //! under it — a third node hot-joins by announcing itself *over the
-//! wire* (the v3 Announce frame a remote edge node would send), sits
+//! wire* (the Announce frame a remote edge node would send), sits
 //! out its probation, then absorbs traffic; a seed node gracefully
 //! departs via a wire Leave frame with verdicts still in flight; and
 //! the joiner's own `shutdown()` deregisters it with an automatic

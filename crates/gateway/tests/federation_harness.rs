@@ -3,7 +3,7 @@
 //! (one shard, a tiny ingress queue, a slowed solver) so the cluster
 //! sheds under any seed. A federates with cluster B — a healthy gateway
 //! over fresh nodes behind its own TCP frontend — so every would-be
-//! `Shed` forwards over a protocol-v4 `Forward` frame instead, carrying
+//! `Shed` forwards over a `Forward` frame instead, carrying
 //! the remaining deadline budget and the already-tried set. Mid-run,
 //! cluster B's frontend is killed with forwards still in flight; the
 //! harness must lose **zero verdicts**:

@@ -20,17 +20,18 @@
 //!    capped backoff)      └─ ...
 //!
 //! event loop: epoll_wait → read nonblocking sockets → decode frames →
-//!             submit to Service → queue CompletionMsg → write replies
-//!             (partial-write resumption via EPOLLOUT)
-//! completion: blocks redeeming Tickets in FIFO order, encodes response
-//!             frames, hands them back to its loop via the done queue +
-//!             waker
+//!             shared dispatcher → queue (token, Action) → write
+//!             replies (partial-write resumption via EPOLLOUT)
+//! completion: redeems Actions in FIFO order (blocking on Tickets,
+//!             running reshards), encodes response frames, hands them
+//!             back to its loop via the done queue + waker
 //! ```
 //!
-//! The completion thread exists because [`PendingOutcome`] redemption
-//! blocks and an event loop must never block. Routing **every** reply of a
-//! connection through its loop's FIFO completion channel reproduces the
-//! threaded frontend's per-connection writer-queue ordering exactly:
+//! The completion thread exists because [`crate::PendingOutcome`]
+//! redemption blocks and an event loop must never block. Routing
+//! **every** reply of a connection through its loop's FIFO completion
+//! channel reproduces the threaded frontend's per-connection
+//! writer-queue ordering exactly:
 //! verdicts flush in submit order, a drain's final metrics snapshot is
 //! taken after the connection's earlier verdicts resolved, and the error
 //! frame that closes a misbehaving connection trails everything the
@@ -45,15 +46,17 @@
 //! like the threaded server's bounded writer channel. Deadline
 //! propagation, drain-flush, live `Scale` frames and the
 //! incomplete-vs-malformed codec distinction are all inherited from the
-//! same [`Backend`] + [`codec`] layers; the loopback suite runs the same
+//! same [`Backend`] + [`codec`] layers and the same crate-private
+//! dispatcher (`dispatch.rs`); the loopback suite runs the same
 //! assertions against either frontend.
 
-use crate::backend::{Backend, PendingOutcome};
+use crate::backend::Backend;
 use crate::backoff::AcceptBackoff;
-use crate::codec::{self, ErrorCode, ErrorResponse, Frame, MetricsResponse, OutcomeResponse, ScaleResponse};
+use crate::codec::{self, Frame};
+use crate::dispatch::{dispatch, Action};
 use crate::error::NetError;
-use crate::instruments::NetInstruments;
 use crate::server::{reject_over_limit, NetConfig};
+use crate::shared::Shared;
 use crossbeam::channel::{self, Receiver, Sender};
 use offloadnn_core::instance::DotInstance;
 use offloadnn_reactor::{Epoll, Event, Events, Interest, Waker};
@@ -62,7 +65,6 @@ use offloadnn_telemetry::{event, Severity};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -118,41 +120,16 @@ impl ReactorConfig {
     }
 }
 
-/// What an event loop hands its completion thread. FIFO per loop, which
-/// gives each connection the threaded frontend's writer-queue ordering.
-#[allow(clippy::large_enum_variant)] // transient, window-bounded queue
-enum CompletionMsg<P: PendingOutcome> {
-    /// Redeem the ticket (blocking) and reply with the outcome.
-    Verdict { token: u64, request_id: u64, ticket: P },
-    /// Encode an already-built frame.
-    Reply { token: u64, frame: Frame },
-    /// Snapshot the service *at completion time* — i.e. after every
-    /// earlier verdict of this connection resolved — and reply with the
-    /// final metrics frame (the drain acknowledgement).
-    FinalMetrics { token: u64, request_id: u64 },
-    /// Run the (milliseconds-long) reshard off the event loop and reply
-    /// with its result.
-    Scale { token: u64, request_id: u64, shards: u32 },
-}
+/// What an event loop hands its completion thread: the connection's
+/// token and the dispatcher's [`Action`] for one frame. FIFO per loop,
+/// which gives each connection the threaded frontend's writer-queue
+/// ordering.
+type Completion<P> = (u64, Action<P>);
 
 /// One encoded reply coming back from a completion thread.
 struct Done {
     token: u64,
     bytes: Vec<u8>,
-}
-
-/// State shared by the acceptor, the event loops, the completion threads
-/// and the [`AsyncServer`] handle.
-struct AsyncShared<B: Backend> {
-    service: B,
-    net: NetConfig,
-    reactor: ReactorConfig,
-    shutdown: AtomicBool,
-    active: AtomicUsize,
-    instruments: Option<NetInstruments>,
-    /// Armed by [`AsyncServer::announce_to`]; fired (once) when the
-    /// node drains or shuts down, so the gateway deregisters it.
-    leave_notice: Mutex<Option<Arc<crate::backend::LeaveNotice>>>,
 }
 
 /// The acceptor's handle to one event loop.
@@ -168,7 +145,7 @@ struct LoopHandle {
 /// final [`DrainReport`].
 pub struct AsyncServer<B: Backend = Service> {
     local_addr: SocketAddr,
-    shared: Arc<AsyncShared<B>>,
+    shared: Arc<Shared<B>>,
     wakers: Vec<Arc<Waker>>,
     acceptor: Option<JoinHandle<()>>,
     loops: Vec<JoinHandle<()>>,
@@ -199,12 +176,7 @@ impl AsyncServer<Service> {
         service_config: ServiceConfig,
         template: &DotInstance,
     ) -> Result<Self, NetError> {
-        let service = Service::start(service_config, template).map_err(|e| {
-            NetError::InvalidConfig(match e {
-                offloadnn_serve::ServeError::InvalidConfig(what) => what,
-                offloadnn_serve::ServeError::Draining => "service is draining",
-            })
-        })?;
+        let service = crate::backend::start_service(service_config, template)?;
         Self::start_with_backend(addr, net, reactor, service)
     }
 }
@@ -228,15 +200,7 @@ impl<B: Backend> AsyncServer<B> {
         reactor.validate()?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(AsyncShared {
-            service: backend,
-            net,
-            reactor,
-            shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            instruments: NetInstruments::new(),
-            leave_notice: Mutex::new(None),
-        });
+        let shared = Shared::new(backend, net);
 
         let mut handles = Vec::with_capacity(reactor.event_loops);
         let mut wakers = Vec::with_capacity(reactor.event_loops);
@@ -247,7 +211,7 @@ impl<B: Backend> AsyncServer<B> {
             let waker = Arc::new(Waker::new()?);
             epoll.add(waker.fd(), WAKE_TOKEN, Interest::READABLE)?;
             let (incoming_tx, incoming_rx) = channel::unbounded::<TcpStream>();
-            let (comp_tx, comp_rx) = channel::unbounded::<CompletionMsg<B::Pending>>();
+            let (comp_tx, comp_rx) = channel::unbounded::<Completion<B::Pending>>();
             let done = Arc::new(Mutex::new(Vec::<Done>::new()));
 
             completions.push({
@@ -262,6 +226,7 @@ impl<B: Backend> AsyncServer<B> {
             loops.push({
                 let mut event_loop = EventLoop {
                     loop_id,
+                    reactor,
                     shared: Arc::clone(&shared),
                     epoll,
                     waker: Arc::clone(&waker),
@@ -317,7 +282,7 @@ impl<B: Backend> AsyncServer<B> {
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
+        self.shared.active()
     }
 
     /// Reshapes the underlying backend at runtime; traffic keeps flowing
@@ -343,11 +308,7 @@ impl<B: Backend> AsyncServer<B> {
     /// Transport errors when the gateway cannot be reached or does not
     /// answer; the announce can simply be retried.
     pub fn announce_to(&self, gateway: SocketAddr) -> Result<codec::MembershipResponse, NetError> {
-        let incarnation = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(1, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-            .max(1);
-        self.announce_to_as(gateway, incarnation)
+        self.announce_to_as(gateway, crate::backend::fresh_incarnation())
     }
 
     /// [`AsyncServer::announce_to`] with an explicit incarnation stamp.
@@ -360,16 +321,7 @@ impl<B: Backend> AsyncServer<B> {
         gateway: SocketAddr,
         incarnation: u64,
     ) -> Result<codec::MembershipResponse, NetError> {
-        let config = crate::backend::membership_client_config();
-        let timeout = crate::backend::MEMBERSHIP_RPC_TIMEOUT;
-        let client = crate::client::Client::connect(gateway, config)?;
-        let addr = self.local_addr.to_string();
-        let reply = client.announce(&addr, incarnation, timeout)?;
-        let notice = Arc::new(crate::backend::LeaveNotice::new(gateway, addr, incarnation, config, timeout));
-        let hook_notice = Arc::clone(&notice);
-        let _ = self.shared.service.on_drain(Box::new(move || hook_notice.fire()));
-        *self.shared.leave_notice.lock().expect("leave notice lock") = Some(notice);
-        Ok(reply)
+        self.shared.announce(self.local_addr, gateway, incarnation)
     }
 
     /// Gracefully stops the frontend: fences the ingress, stops the
@@ -377,16 +329,7 @@ impl<B: Backend> AsyncServer<B> {
     /// its client, joins the fixed thread pool, then drains the
     /// underlying service and returns its final report.
     pub fn shutdown(mut self) -> DrainReport {
-        // Deregister from the gateway (if announced) before fencing, so
-        // the cluster stops routing to this node while its in-flight
-        // work can still resolve.
-        if let Some(notice) = self.shared.leave_notice.lock().expect("leave notice lock").take() {
-            notice.fire();
-        }
-        self.shared.service.begin_drain();
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the acceptor out of its blocking accept().
-        let _ = TcpStream::connect(self.local_addr);
+        self.shared.begin_shutdown(self.local_addr);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
@@ -404,21 +347,16 @@ impl<B: Backend> AsyncServer<B> {
         }
         event!(Severity::Info, "net.async", "frontend stopped on {}", self.local_addr);
         self.wakers.clear();
-        let shared = Arc::try_unwrap(self.shared)
-            .unwrap_or_else(|_| panic!("all reactor threads joined, no AsyncShared clones remain"));
-        shared.service.drain()
+        self.shared.finish_shutdown()
     }
 }
 
 /// Blocking accept with capped backoff; dispatches connections to the
 /// event loops round-robin.
-fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<AsyncShared<B>>, handles: &[LoopHandle]) {
+fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, handles: &[LoopHandle]) {
     let mut backoff = AcceptBackoff::new();
     let mut next_loop = 0usize;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
+    while !shared.is_shutting_down() {
         let stream = match listener.accept() {
             Ok((s, _)) => {
                 backoff.on_success();
@@ -432,80 +370,38 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<AsyncShared<B>>,
                 continue;
             }
         };
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.is_shutting_down() {
             break; // the shutdown self-connect
         }
-        if shared.active.load(Ordering::Acquire) >= shared.net.max_connections {
+        if shared.active() >= shared.net.max_connections {
             event!(Severity::Warn, "net.async", "rejecting connection: limit reached");
             reject_over_limit(stream, shared.net.write_timeout);
             continue;
         }
-        shared.active.fetch_add(1, Ordering::AcqRel);
-        if let Some(instruments) = &shared.instruments {
-            instruments.conns.add(1);
-        }
+        shared.conn_opened();
         let handle = &handles[next_loop % handles.len()];
         next_loop = next_loop.wrapping_add(1);
         if handle.incoming.send(stream).is_err() {
             // The loop is gone (fatal epoll error); undo the accounting.
-            shared.active.fetch_sub(1, Ordering::AcqRel);
-            if let Some(instruments) = &shared.instruments {
-                instruments.conns.sub(1);
-            }
+            shared.conn_closed();
             continue;
         }
         handle.waker.wake();
     }
 }
 
-/// Redeems tickets and encodes replies off the event loop, FIFO.
+/// Redeems actions — blocking on verdicts, running reshards — and
+/// encodes the replies off the event loop, FIFO.
 fn completion_loop<B: Backend>(
-    rx: &Receiver<CompletionMsg<B::Pending>>,
-    shared: &Arc<AsyncShared<B>>,
+    rx: &Receiver<Completion<B::Pending>>,
+    shared: &Arc<Shared<B>>,
     done: &Mutex<Vec<Done>>,
     waker: &Waker,
 ) {
-    while let Ok(msg) = rx.recv() {
-        let (token, frame) = match msg {
-            CompletionMsg::Verdict { token, request_id, ticket } => {
-                let frame = match ticket.try_wait().or_else(|| ticket.wait()) {
-                    Some(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
-                    None => Frame::Error(ErrorResponse {
-                        request_id,
-                        code: ErrorCode::Internal,
-                        message: "worker exited before resolving the request".to_owned(),
-                    }),
-                };
-                (token, frame)
-            }
-            CompletionMsg::Reply { token, frame } => (token, frame),
-            CompletionMsg::FinalMetrics { token, request_id } => (
-                token,
-                Frame::Metrics(MetricsResponse {
-                    request_id,
-                    is_final: true,
-                    metrics: shared.service.metrics(),
-                }),
-            ),
-            CompletionMsg::Scale { token, request_id, shards } => {
-                let frame = match shared.service.scale_to(shards as usize) {
-                    Ok(r) => Frame::Scaled(ScaleResponse {
-                        request_id,
-                        from_shards: r.from_shards as u32,
-                        to_shards: r.to_shards as u32,
-                        migrated: r.migrated,
-                        generation: r.generation,
-                    }),
-                    Err(e) => Frame::Error(ErrorResponse {
-                        request_id,
-                        code: ErrorCode::InvalidScale,
-                        message: e.to_string(),
-                    }),
-                };
-                (token, frame)
-            }
-        };
-        let bytes = codec::encode(&frame);
+    while let Ok((token, action)) = rx.recv() {
+        // Every queued action bumped its connection's pending count, so
+        // every one reports back — with no bytes if it owes no reply.
+        let bytes = action.redeem(&shared.service, || {}).map_or_else(Vec::new, |f| codec::encode(&f));
         done.lock().expect("done lock").push(Done { token, bytes });
         waker.wake();
     }
@@ -559,11 +455,12 @@ fn token_of(gen: u32, idx: usize) -> u64 {
 
 struct EventLoop<B: Backend> {
     loop_id: usize,
-    shared: Arc<AsyncShared<B>>,
+    reactor: ReactorConfig,
+    shared: Arc<Shared<B>>,
     epoll: Epoll,
     waker: Arc<Waker>,
     incoming: Receiver<TcpStream>,
-    comp_tx: Sender<CompletionMsg<B::Pending>>,
+    comp_tx: Sender<Completion<B::Pending>>,
     done: Arc<Mutex<Vec<Done>>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -572,9 +469,9 @@ struct EventLoop<B: Backend> {
 
 impl<B: Backend> EventLoop<B> {
     fn run(&mut self) {
-        let mut events = Events::with_capacity(self.shared.reactor.max_events);
-        let mut ready: Vec<Event> = Vec::with_capacity(self.shared.reactor.max_events);
-        let wait = Some(self.shared.reactor.wait_timeout);
+        let mut events = Events::with_capacity(self.reactor.max_events);
+        let mut ready: Vec<Event> = Vec::with_capacity(self.reactor.max_events);
+        let wait = Some(self.reactor.wait_timeout);
         loop {
             match self.epoll.wait(&mut events, wait) {
                 Ok(_) => {}
@@ -609,7 +506,7 @@ impl<B: Backend> EventLoop<B> {
             for done in batch {
                 self.apply_done(done);
             }
-            let shutting_down = self.shared.shutdown.load(Ordering::Acquire);
+            let shutting_down = self.shared.is_shutting_down();
             self.sweep(shutting_down);
             if shutting_down && self.live == 0 {
                 break;
@@ -657,10 +554,7 @@ impl<B: Backend> EventLoop<B> {
     fn discard_unregistered(&self, stream: TcpStream) {
         let _ = stream.shutdown(Shutdown::Both);
         drop(stream);
-        self.shared.active.fetch_sub(1, Ordering::AcqRel);
-        if let Some(instruments) = &self.shared.instruments {
-            instruments.conns.sub(1);
-        }
+        self.shared.conn_closed();
     }
 
     /// Resolves a token to its slot index, ignoring stale generations.
@@ -748,28 +642,25 @@ impl<B: Backend> EventLoop<B> {
                 Ok(None) => return, // incomplete: wait for more bytes
                 Err(e) => {
                     event!(Severity::Warn, "net.async", "protocol error, closing: {e}");
-                    let token = token_of(self.slots[idx].gen, idx);
-                    let frame = Frame::Error(ErrorResponse {
-                        request_id: 0,
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    });
-                    self.send_completion(idx, CompletionMsg::Reply { token, frame });
-                    let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-                    conn.aborted = true;
-                    conn.rbuf.clear();
+                    self.send_completion(idx, Action::protocol_error(e));
                     return;
                 }
             }
         }
     }
 
-    /// Queues a reply on the completion channel, bumping the
-    /// connection's pending count.
-    fn send_completion(&mut self, idx: usize, msg: CompletionMsg<B::Pending>) {
+    /// Queues an action on the completion channel, bumping the
+    /// connection's pending count; a closing action also stops the
+    /// connection's parsing for good.
+    fn send_completion(&mut self, idx: usize, action: Action<B::Pending>) {
+        let token = token_of(self.slots[idx].gen, idx);
         let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
+        if matches!(action, Action::ReplyThenClose(_)) {
+            conn.aborted = true;
+            conn.rbuf.clear();
+        }
         conn.pending += 1;
-        if self.comp_tx.send(msg).is_err() {
+        if self.comp_tx.send((token, action)).is_err() {
             // Unreachable while the completion thread lives (it outlives
             // the loop); keep accounting sane anyway.
             let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
@@ -778,141 +669,14 @@ impl<B: Backend> EventLoop<B> {
         }
     }
 
-    /// Dispatches one decoded request, mirroring the threaded
-    /// `handle_frame` exactly.
+    /// Runs one decoded request through the shared dispatcher. Every
+    /// reply — and the reshard of a `Scale`, which takes milliseconds and
+    /// must not stall the connections this loop multiplexes — goes
+    /// through the completion thread.
     fn dispatch(&mut self, idx: usize, frame: Frame) {
-        let token = token_of(self.slots[idx].gen, idx);
-        match frame {
-            Frame::Submit(req) => {
-                // deadline_us == 0 is the wire encoding of "no client
-                // deadline": the backend applies its own policy default.
-                let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-                let msg = match self.shared.service.submit(req.task, req.options, budget) {
-                    Ok(ticket) => CompletionMsg::Verdict { token, request_id: req.request_id, ticket },
-                    Err(e) => CompletionMsg::Reply {
-                        token,
-                        frame: Frame::Error(ErrorResponse {
-                            request_id: req.request_id,
-                            code: e.into(),
-                            message: e.to_string(),
-                        }),
-                    },
-                };
-                self.send_completion(idx, msg);
-            }
-            Frame::Depart(req) => {
-                // Fire-and-forget, same as the threaded reader thread.
-                self.shared.service.depart(req.task);
-            }
-            Frame::Snapshot(req) => {
-                // The snapshot is taken at dispatch time (threaded
-                // parity); the completion channel only sequences it
-                // behind this connection's earlier replies.
-                let frame = Frame::Metrics(MetricsResponse {
-                    request_id: req.request_id,
-                    is_final: false,
-                    metrics: self.shared.service.metrics(),
-                });
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::Drain(req) => {
-                event!(Severity::Info, "net.async", "drain requested (request {})", req.request_id);
-                self.shared.service.begin_drain();
-                self.send_completion(idx, CompletionMsg::FinalMetrics { token, request_id: req.request_id });
-            }
-            Frame::Scale(req) => {
-                event!(
-                    Severity::Info,
-                    "net.async",
-                    "scale to {} shard(s) requested (request {})",
-                    req.shards,
-                    req.request_id
-                );
-                // Runs on the completion thread: a reshard takes
-                // milliseconds and must not stall every connection this
-                // loop is multiplexing.
-                self.send_completion(
-                    idx,
-                    CompletionMsg::Scale { token, request_id: req.request_id, shards: req.shards },
-                );
-            }
-            Frame::Announce(req) => {
-                // Membership bookkeeping is a map update, not a reshard:
-                // cheap enough to run inline like a snapshot.
-                let frame = crate::backend::membership_frame(
-                    &self.shared.service,
-                    req.request_id,
-                    &req.addr,
-                    req.incarnation,
-                    false,
-                );
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::Leave(req) => {
-                let frame = crate::backend::membership_frame(
-                    &self.shared.service,
-                    req.request_id,
-                    &req.addr,
-                    req.incarnation,
-                    true,
-                );
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::PeerHello(req) => {
-                // A load digest is a couple of atomic reads: cheap enough
-                // to answer inline like a snapshot.
-                let frame = match self.shared.service.peer_load(&req.addr, req.incarnation) {
-                    Some(d) => Frame::PeerLoad(crate::codec::PeerLoadResponse {
-                        request_id: req.request_id,
-                        healthy_nodes: d.healthy_nodes,
-                        remaining_budget: d.remaining_budget,
-                        round_ms_p50: d.round_ms_p50,
-                        epoch: d.epoch,
-                    }),
-                    None => Frame::Error(ErrorResponse {
-                        request_id: req.request_id,
-                        code: ErrorCode::Internal,
-                        message: "backend is not a federation gateway".to_owned(),
-                    }),
-                };
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-            }
-            Frame::Forward(req) => {
-                // Submit parity, carrying the origin's *remaining*
-                // deadline and the loop-freedom metadata.
-                let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-                let info =
-                    crate::backend::ForwardInfo { origin: req.origin, tried: req.tried, hops: req.hops };
-                let msg = match self.shared.service.forward(req.task, req.options, budget, info) {
-                    Ok(ticket) => CompletionMsg::Verdict { token, request_id: req.request_id, ticket },
-                    Err(e) => CompletionMsg::Reply {
-                        token,
-                        frame: Frame::Error(ErrorResponse {
-                            request_id: req.request_id,
-                            code: e.into(),
-                            message: e.to_string(),
-                        }),
-                    },
-                };
-                self.send_completion(idx, msg);
-            }
-            // A client must not send response frames.
-            Frame::Outcome(_)
-            | Frame::Metrics(_)
-            | Frame::Scaled(_)
-            | Frame::Membership(_)
-            | Frame::PeerLoad(_)
-            | Frame::Error(_) => {
-                let frame = Frame::Error(ErrorResponse {
-                    request_id: frame.request_id(),
-                    code: ErrorCode::Malformed,
-                    message: format!("unexpected {} frame from client", frame.type_name()),
-                });
-                self.send_completion(idx, CompletionMsg::Reply { token, frame });
-                let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-                conn.aborted = true;
-                conn.rbuf.clear();
-            }
+        match dispatch(&self.shared.service, frame) {
+            Action::Nothing => {}
+            action => self.send_completion(idx, action),
         }
     }
 
@@ -1012,10 +776,7 @@ impl<B: Backend> EventLoop<B> {
         self.slots[idx].gen = self.slots[idx].gen.wrapping_add(1);
         self.free.push(idx);
         self.live -= 1;
-        self.shared.active.fetch_sub(1, Ordering::AcqRel);
-        if let Some(instruments) = &self.shared.instruments {
-            instruments.conns.sub(1);
-        }
+        self.shared.conn_closed();
     }
 
     /// Periodic maintenance over live connections: write-deadline

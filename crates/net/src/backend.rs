@@ -22,13 +22,17 @@
 //! the exact former behaviour: `None` means its configured admission
 //! deadline, and an explicit budget is clamped to never exceed it.
 
-use crate::codec::{MemberInfo, MembershipDecision};
-use offloadnn_core::instance::PathOption;
+use crate::client::{Client, ClientConfig};
+use crate::codec::{MemberInfo, MembershipDecision, MembershipResponse};
+use crate::error::NetError;
+use offloadnn_core::instance::{DotInstance, PathOption};
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_serve::{
-    DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, Service, SubmitError, Ticket,
+    DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, Service, ServiceConfig, SubmitError,
+    Ticket,
 };
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// The answer to a membership request ([`Backend::announce`] /
@@ -106,9 +110,9 @@ impl PendingOutcome for Ticket {
 
 /// What a TCP frontend needs from the runtime it fronts.
 ///
-/// The methods mirror the wire protocol one-to-one: Submit / Depart /
-/// Snapshot / Drain / Scale frames each dispatch to exactly one of
-/// them. Implementations must be callable from many connection threads
+/// The methods mirror the wire protocol's request frames one-to-one;
+/// `crate::dispatch` is the single place that maps one onto the other.
+/// Implementations must be callable from many connection threads
 /// concurrently (`Sync`), and [`Backend::drain`] is called exactly once
 /// after every connection has flushed.
 pub trait Backend: Send + Sync + Sized + 'static {
@@ -151,7 +155,7 @@ pub trait Backend: Send + Sync + Sized + 'static {
     /// draining, no healthy capacity).
     fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError>;
 
-    /// A node registering itself (protocol v3 [`crate::Frame::Announce`]).
+    /// A node registering itself ([`crate::Frame::Announce`]).
     /// Backends that manage no cluster membership — a plain serve node —
     /// keep the default, which answers `Unsupported`.
     fn announce(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
@@ -159,15 +163,15 @@ pub trait Backend: Send + Sync + Sized + 'static {
         MembershipAck::unsupported()
     }
 
-    /// A node deregistering ahead of a graceful drain (protocol v3
-    /// [`crate::Frame::Leave`]). Same default as [`Backend::announce`].
+    /// A node deregistering ahead of a graceful drain
+    /// ([`crate::Frame::Leave`]). Same default as [`Backend::announce`].
     fn leave(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
         let _ = (addr, incarnation);
         MembershipAck::unsupported()
     }
 
-    /// An overflow admission forwarded from a peer gateway (protocol v4
-    /// [`crate::Frame::Forward`]). The default treats it as an ordinary
+    /// An overflow admission forwarded from a peer gateway
+    /// ([`crate::Frame::Forward`]). The default treats it as an ordinary
     /// submit: a backend that manages no federation ignores the hop and
     /// tried-set metadata and decides locally, which is exactly the
     /// hop-budget-exhausted behaviour a federated gateway also falls
@@ -189,8 +193,8 @@ pub trait Backend: Send + Sync + Sized + 'static {
         self.submit(task, options, budget)
     }
 
-    /// A peer gateway asking for this backend's load digest (protocol
-    /// v4 [`crate::Frame::PeerHello`]). `None` — the default — means the
+    /// A peer gateway asking for this backend's load digest
+    /// ([`crate::Frame::PeerHello`]). `None` — the default — means the
     /// backend is not a federation member (e.g. a plain serve node was
     /// addressed); the frontend answers an error frame and the asking
     /// peer marks the address unusable as a forwarding target.
@@ -225,77 +229,71 @@ pub struct LeaveNotice {
     gateway: SocketAddr,
     addr: String,
     incarnation: u64,
-    config: crate::client::ClientConfig,
-    timeout: Duration,
-    fired: std::sync::atomic::AtomicBool,
+    fired: AtomicBool,
 }
 
 impl LeaveNotice {
-    pub(crate) fn new(
+    /// Announces the node listening on `local_addr` to `gateway` and
+    /// returns the gateway's answer with the matching, still unfired
+    /// leave.
+    pub(crate) fn announce(
+        local_addr: SocketAddr,
         gateway: SocketAddr,
-        addr: String,
         incarnation: u64,
-        config: crate::client::ClientConfig,
-        timeout: Duration,
-    ) -> Self {
-        Self { gateway, addr, incarnation, config, timeout, fired: std::sync::atomic::AtomicBool::new(false) }
+    ) -> Result<(MembershipResponse, Self), NetError> {
+        let client = Client::connect(gateway, membership_client_config())?;
+        let addr = local_addr.to_string();
+        let reply = client.announce(&addr, incarnation, MEMBERSHIP_RPC_TIMEOUT)?;
+        Ok((reply, Self { gateway, addr, incarnation, fired: AtomicBool::new(false) }))
     }
 
     /// Sends the leave, best-effort, exactly once across every caller.
     pub fn fire(&self) {
-        if self.fired.swap(true, std::sync::atomic::Ordering::AcqRel) {
+        if self.fired.swap(true, Ordering::AcqRel) {
             return;
         }
-        if let Ok(client) = crate::client::Client::connect(self.gateway, self.config) {
-            let _ = client.leave(&self.addr, self.incarnation, self.timeout);
+        if let Ok(client) = Client::connect(self.gateway, membership_client_config()) {
+            let _ = client.leave(&self.addr, self.incarnation, MEMBERSHIP_RPC_TIMEOUT);
         }
     }
 }
 
 /// How long a frontend waits for the gateway's answer to an announce or
 /// leave before giving up (best-effort either way).
-pub(crate) const MEMBERSHIP_RPC_TIMEOUT: Duration = Duration::from_secs(2);
+const MEMBERSHIP_RPC_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The fail-fast dialing profile for membership traffic: a gateway that
 /// cannot be reached promptly is treated as unreachable, not retried
 /// into — registration is re-attemptable and deregistration is
 /// best-effort.
-pub(crate) fn membership_client_config() -> crate::client::ClientConfig {
-    crate::client::ClientConfig {
+fn membership_client_config() -> ClientConfig {
+    ClientConfig {
         connect_attempts: 1,
         connect_timeout: Duration::from_millis(500),
-        ..crate::client::ClientConfig::default()
+        ..ClientConfig::default()
     }
 }
 
-/// Shared frontend dispatch for the membership frames: parses the
-/// address, consults the backend, and builds the reply frame. An
-/// unparseable address answers a `Malformed` error frame (the
-/// connection stays open — the envelope itself was valid).
-pub(crate) fn membership_frame<B: Backend>(
-    backend: &B,
-    request_id: u64,
-    addr: &str,
-    incarnation: u64,
-    is_leave: bool,
-) -> crate::Frame {
-    let parsed: Result<SocketAddr, _> = addr.parse();
-    match parsed {
-        Ok(sock) => {
-            let ack =
-                if is_leave { backend.leave(sock, incarnation) } else { backend.announce(sock, incarnation) };
-            crate::Frame::Membership(crate::codec::MembershipResponse {
-                request_id,
-                decision: ack.decision,
-                members: ack.members,
-            })
-        }
-        Err(_) => crate::Frame::Error(crate::codec::ErrorResponse {
-            request_id,
-            code: crate::ErrorCode::Malformed,
-            message: format!("unparseable member address {addr:?}"),
-        }),
-    }
+/// Starts the in-process shard fleet both frontends' `start` serve by
+/// default, folding its config errors into [`NetError`].
+pub(crate) fn start_service(config: ServiceConfig, template: &DotInstance) -> Result<Service, NetError> {
+    Service::start(config, template).map_err(|e| {
+        NetError::InvalidConfig(match e {
+            ServeError::InvalidConfig(what) => what,
+            // Unreachable at start, but keep the mapping total.
+            ServeError::Draining => "service is draining",
+        })
+    })
+}
+
+/// A fresh incarnation stamp: startup wall-clock nanoseconds, monotonic
+/// across restarts of the same node (modulo clock regression), which is
+/// all the incarnation ordering needs.
+pub(crate) fn fresh_incarnation() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(1, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
+        .max(1)
 }
 
 impl Backend for Service {

@@ -469,7 +469,7 @@ impl Client {
         Ok(PendingVerdict { rx, sent_at, task: task_id, request_id })
     }
 
-    /// Forwards an overflow admission to a peer gateway (protocol v4).
+    /// Forwards an overflow admission to a peer gateway.
     /// Pipelined exactly like [`Client::submit`] — the peer answers with
     /// an ordinary outcome frame. `remaining` is the deadline budget
     /// left on the origin gateway (`None` = the task never had one),
@@ -506,7 +506,7 @@ impl Client {
         Ok(PendingVerdict { rx, sent_at, task: task_id, request_id })
     }
 
-    /// Asks a peer gateway for its load digest (protocol v4), blocking
+    /// Asks a peer gateway for its load digest, blocking
     /// up to `timeout` — the shape the federation digest loop needs: a
     /// peer that cannot answer within the timeout counts as a missed
     /// digest instead of wedging the loop. `addr` / `incarnation`
@@ -523,23 +523,13 @@ impl Client {
         incarnation: u64,
         timeout: Duration,
     ) -> Result<PeerLoadResponse, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::PeerHello(PeerHelloRequest { request_id, addr: addr.to_owned(), incarnation });
-        let rx = self.send(request_id, &codec::encode(&frame), true)?.expect("reply slot requested");
-        match rx.recv_timeout(timeout) {
-            Ok(Frame::PeerLoad(d)) => Ok(d),
-            Ok(Frame::Error(e)) => Err(NetError::Server(e)),
-            Ok(other) => Err(NetError::Disconnected(format!(
-                "unexpected {} frame in place of a load digest",
-                other.type_name()
-            ))),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(NetError::Disconnected("no load digest within the timeout".into()))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(NetError::Disconnected("connection died before the load digest arrived".into()))
-            }
-        }
+        let rx = self.request(|request_id| {
+            Frame::PeerHello(PeerHelloRequest { request_id, addr: addr.to_owned(), incarnation })
+        })?;
+        Self::reply(&rx, Some(timeout), "a load digest", |f| match f {
+            Frame::PeerLoad(d) => Some(d),
+            _ => None,
+        })
     }
 
     /// Sends a departure notice for an admitted task. Fire-and-forget:
@@ -563,10 +553,8 @@ impl Client {
     /// Transport errors as for [`Client::submit`];
     /// [`NetError::Disconnected`] if the connection dies first.
     pub fn snapshot(&self) -> Result<MetricsSnapshot, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Snapshot(SnapshotRequest { request_id });
-        let rx = self.send(request_id, &codec::encode(&frame), true)?.expect("reply slot requested");
-        Self::wait_metrics(&rx).map(|(m, _)| m)
+        let rx = self.request(|request_id| Frame::Snapshot(SnapshotRequest { request_id }))?;
+        Self::metrics_reply(&rx, None)
     }
 
     /// Like [`Client::snapshot`] with a bound on the blocking time — the
@@ -580,23 +568,8 @@ impl Client {
     /// timeout elapses first (the response is discarded by the reader if
     /// it arrives later).
     pub fn snapshot_timeout(&self, timeout: Duration) -> Result<MetricsSnapshot, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Snapshot(SnapshotRequest { request_id });
-        let rx = self.send(request_id, &codec::encode(&frame), true)?.expect("reply slot requested");
-        match rx.recv_timeout(timeout) {
-            Ok(Frame::Metrics(m)) => Ok(m.metrics),
-            Ok(Frame::Error(e)) => Err(NetError::Server(e)),
-            Ok(other) => Err(NetError::Disconnected(format!(
-                "unexpected {} frame in place of metrics",
-                other.type_name()
-            ))),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(NetError::Disconnected("no metrics within the timeout".into()))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(NetError::Disconnected("connection died before the metrics arrived".into()))
-            }
-        }
+        let rx = self.request(|request_id| Frame::Snapshot(SnapshotRequest { request_id }))?;
+        Self::metrics_reply(&rx, Some(timeout))
     }
 
     /// Asks the server to drain gracefully and blocks for the final
@@ -607,10 +580,8 @@ impl Client {
     ///
     /// Transport errors as for [`Client::submit`].
     pub fn drain(&self) -> Result<MetricsSnapshot, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Drain(DrainRequest { request_id });
-        let rx = self.send(request_id, &codec::encode(&frame), true)?.expect("reply slot requested");
-        Self::wait_metrics(&rx).map(|(m, _)| m)
+        let rx = self.request(|request_id| Frame::Drain(DrainRequest { request_id }))?;
+        Self::metrics_reply(&rx, None)
     }
 
     /// Asks the server to reshape its shard fleet to `shards` workers
@@ -624,23 +595,16 @@ impl Client {
     /// if the server refused (zero shards, draining); transport errors as
     /// for [`Client::submit`].
     pub fn scale_to(&self, shards: u32) -> Result<ScaleResponse, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Scale(ScaleRequest { request_id, shards });
-        let rx = self.send(request_id, &codec::encode(&frame), true)?.expect("reply slot requested");
-        match rx.recv() {
-            Ok(Frame::Scaled(r)) => Ok(r),
-            Ok(Frame::Error(e)) => Err(NetError::Server(e)),
-            Ok(other) => Err(NetError::Disconnected(format!(
-                "unexpected {} frame in place of a scale response",
-                other.type_name()
-            ))),
-            Err(_) => Err(NetError::Disconnected("connection died before the scale response arrived".into())),
-        }
+        let rx = self.request(|request_id| Frame::Scale(ScaleRequest { request_id, shards }))?;
+        Self::reply(&rx, None, "a scale response", |f| match f {
+            Frame::Scaled(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Announces a serve node to a gateway: "`addr` is alive under
-    /// `incarnation`, dial it". Blocks for the [`MembershipResponse`]
-    /// (protocol v3). The caller is typically the node's own frontend
+    /// `incarnation`, dial it". Blocks for the [`MembershipResponse`].
+    /// The caller is typically the node's own frontend
     /// ([`crate::server::NetServer::announce_to`]) rather than an
     /// admission client.
     ///
@@ -655,16 +619,15 @@ impl Client {
         incarnation: u64,
         timeout: Duration,
     ) -> Result<MembershipResponse, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Announce(AnnounceRequest { request_id, addr: addr.to_owned(), incarnation });
-        let rx = self.send(request_id, &codec::encode(&frame), true)?.expect("reply slot requested");
-        Self::wait_membership(&rx, timeout, "announce")
+        let rx = self.request(|request_id| {
+            Frame::Announce(AnnounceRequest { request_id, addr: addr.to_owned(), incarnation })
+        })?;
+        Self::membership_reply(&rx, timeout)
     }
 
     /// Deregisters a serve node from a gateway ahead of a graceful
     /// drain. Blocks for the [`MembershipResponse`], which the gateway
-    /// sends once it has stopped routing new work to the node (protocol
-    /// v3).
+    /// sends once it has stopped routing new work to the node.
     ///
     /// # Errors
     ///
@@ -675,43 +638,62 @@ impl Client {
         incarnation: u64,
         timeout: Duration,
     ) -> Result<MembershipResponse, NetError> {
+        let rx = self.request(|request_id| {
+            Frame::Leave(LeaveRequest { request_id, addr: addr.to_owned(), incarnation })
+        })?;
+        Self::membership_reply(&rx, timeout)
+    }
+
+    /// Sends the request `build` makes of a fresh correlation id and
+    /// returns the channel its reply will arrive on.
+    fn request(&self, build: impl FnOnce(u64) -> Frame) -> Result<Receiver<Frame>, NetError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Leave(LeaveRequest { request_id, addr: addr.to_owned(), incarnation });
-        let rx = self.send(request_id, &codec::encode(&frame), true)?.expect("reply slot requested");
-        Self::wait_membership(&rx, timeout, "leave")
+        let bytes = codec::encode(&build(request_id));
+        Ok(self.send(request_id, &bytes, true)?.expect("reply slot requested"))
     }
 
-    fn wait_membership(
+    /// Blocks (up to `timeout`, if any) for the reply on `rx` and unwraps
+    /// the frame kind `pick` accepts. An error frame surfaces as
+    /// [`NetError::Server`]; any other frame, a timeout or a dead
+    /// connection as [`NetError::Disconnected`] (a late reply is
+    /// discarded by the reader).
+    fn reply<T>(
         rx: &Receiver<Frame>,
-        timeout: Duration,
+        timeout: Option<Duration>,
         what: &str,
-    ) -> Result<MembershipResponse, NetError> {
-        match rx.recv_timeout(timeout) {
-            Ok(Frame::Membership(m)) => Ok(m),
-            Ok(Frame::Error(e)) => Err(NetError::Server(e)),
-            Ok(other) => Err(NetError::Disconnected(format!(
-                "unexpected {} frame in place of a {what} response",
-                other.type_name()
-            ))),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(NetError::Disconnected(format!("no {what} response within the timeout")))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(NetError::Disconnected(format!("connection died before the {what} response arrived")))
+        pick: impl FnOnce(Frame) -> Option<T>,
+    ) -> Result<T, NetError> {
+        let died = || NetError::Disconnected(format!("connection died waiting for {what}"));
+        let frame = match timeout {
+            None => rx.recv().map_err(|_| died())?,
+            Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => NetError::Disconnected(format!("timed out waiting for {what}")),
+                RecvTimeoutError::Disconnected => died(),
+            })?,
+        };
+        match frame {
+            Frame::Error(e) => Err(NetError::Server(e)),
+            other => {
+                let got = other.type_name();
+                pick(other).ok_or_else(|| {
+                    NetError::Disconnected(format!("unexpected {got} frame in place of {what}"))
+                })
             }
         }
     }
 
-    fn wait_metrics(rx: &Receiver<Frame>) -> Result<(MetricsSnapshot, bool), NetError> {
-        match rx.recv() {
-            Ok(Frame::Metrics(m)) => Ok((m.metrics, m.is_final)),
-            Ok(Frame::Error(e)) => Err(NetError::Server(e)),
-            Ok(other) => Err(NetError::Disconnected(format!(
-                "unexpected {} frame in place of metrics",
-                other.type_name()
-            ))),
-            Err(_) => Err(NetError::Disconnected("connection died before the metrics arrived".into())),
-        }
+    fn metrics_reply(rx: &Receiver<Frame>, timeout: Option<Duration>) -> Result<MetricsSnapshot, NetError> {
+        Self::reply(rx, timeout, "metrics", |f| match f {
+            Frame::Metrics(m) => Some(m.metrics),
+            _ => None,
+        })
+    }
+
+    fn membership_reply(rx: &Receiver<Frame>, timeout: Duration) -> Result<MembershipResponse, NetError> {
+        Self::reply(rx, Some(timeout), "a membership response", |f| match f {
+            Frame::Membership(m) => Some(m),
+            _ => None,
+        })
     }
 
     /// Closes the connection and joins the reader thread. Pending

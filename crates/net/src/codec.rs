@@ -1,11 +1,11 @@
-//! The versioned, length-prefixed binary frame codec.
+//! The length-prefixed binary frame codec.
 //!
 //! ## Frame layout
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "ODNN"
-//! 4       1     protocol version (1 through 4)
+//! 4       1     protocol version (must equal VERSION)
 //! 5       1     frame type
 //! 6       2     reserved (must be zero)
 //! 8       4     payload length N, little-endian (<= MAX_PAYLOAD)
@@ -15,39 +15,28 @@
 //!
 //! Requests ([`Frame::Submit`], [`Frame::Depart`], [`Frame::Snapshot`],
 //! [`Frame::Drain`], [`Frame::Scale`], [`Frame::Announce`],
-//! [`Frame::Leave`]) and responses ([`Frame::Outcome`],
-//! [`Frame::Metrics`], [`Frame::Scaled`], [`Frame::Membership`],
-//! [`Frame::Error`]) all start their payload with a `u64` correlation id
-//! chosen by the client, so requests can be pipelined and responses
-//! arrive in any order.
+//! [`Frame::Leave`], [`Frame::PeerHello`], [`Frame::Forward`]) and
+//! responses ([`Frame::Outcome`], [`Frame::Metrics`], [`Frame::Scaled`],
+//! [`Frame::Membership`], [`Frame::PeerLoad`], [`Frame::Error`]) all
+//! start their payload with a `u64` correlation id chosen by the client,
+//! so requests can be pipelined and responses arrive in any order.
 //!
-//! ## Version history
+//! ## Version policy
 //!
-//! * **v1** — initial protocol.
-//! * **v2** — adds the elastic-resharding frames [`Frame::Scale`] /
-//!   [`Frame::Scaled`] and appends `reshards` / `migrated` /
-//!   `generation` to the metrics payload. The decoder still accepts v1
-//!   frames (the new metrics fields read as zero).
-//! * **v3** — adds the cluster auto-discovery frames
-//!   [`Frame::Announce`] / [`Frame::Leave`] / [`Frame::Membership`], by
-//!   which serve nodes register with (and deregister from) a gateway.
-//! * **v4** — adds the cross-gateway federation frames
-//!   [`Frame::PeerHello`] / [`Frame::PeerLoad`] / [`Frame::Forward`]:
-//!   gateways exchange periodic load digests and forward overflow
-//!   admissions to the least-loaded peer, carrying the remaining
-//!   deadline budget, a hop budget and the set of gateways already
-//!   tried (loop freedom).
+//! There is one protocol revision, [`VERSION`], and every frame is
+//! stamped with it. A frame carrying any other version byte is refused
+//! with [`DecodeError::UnsupportedVersion`] as soon as that byte has
+//! arrived — never parsed, never skipped — so a mismatched peer gets an
+//! error frame and a closed connection instead of silence. Any change to
+//! the envelope or to a payload layout bumps [`VERSION`].
 //!
-//! Each frame is stamped with the *lowest* protocol version that can
-//! express it (see [`frame_min_version`]): a Submit still travels as v1
-//! and a Metrics frame as v2, so a peer built against an older revision
-//! keeps decoding every frame type it knows. The decoder, for its part,
-//! **skips** well-formed frames stamped with a version newer than its
-//! cap — the envelope layout (magic / length / trailing checksum) is
-//! fixed across versions, so an old peer can verify the checksum and
-//! step over a frame type it cannot parse without desyncing the stream
-//! ([`decode_capped`] pins this; a bad checksum on such a frame is still
-//! fatal, since nothing else about it can be trusted).
+//! ## One frame table
+//!
+//! Everything that depends only on a frame's *type* — wire tag, short
+//! name, correlation-id accessor, `net.tx.*` / `net.rx.*` counters — is
+//! generated from the single `frame_table!` list below. Adding a frame
+//! type is one row there, one payload arm each in `encode_payload` /
+//! `decode_payload`, and one arm in the crate's request dispatcher.
 //!
 //! The decoder never panics on malformed input: truncation, bad magic,
 //! version skew, unknown types, oversized length prefixes (outer and
@@ -72,13 +61,11 @@ use serde::{Deserialize, Serialize};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"ODNN";
 
-/// The newest protocol revision this build understands. Individual
-/// frames are emitted at their own minimum version (see
-/// [`frame_min_version`]), never above this.
-pub const VERSION: u8 = 4;
-
-/// Oldest protocol revision this build still decodes.
-pub const MIN_VERSION: u8 = 1;
+/// The one protocol revision this build speaks: stamped on every frame
+/// it encodes, required on every frame it decodes. It is 5 because
+/// earlier builds stamped their frames 1 through 4, frame type by frame
+/// type: every one of those is refused, not half-accepted.
+pub const VERSION: u8 = 5;
 
 /// Envelope bytes before the payload.
 pub const HEADER_LEN: usize = 12;
@@ -102,15 +89,15 @@ pub mod frame_type {
     pub const SNAPSHOT: u8 = 0x03;
     /// Graceful-drain request.
     pub const DRAIN: u8 = 0x04;
-    /// Elastic-reshard request (protocol v2).
+    /// Elastic-reshard request.
     pub const SCALE: u8 = 0x05;
-    /// Node self-registration with a gateway (protocol v3).
+    /// Node self-registration with a gateway.
     pub const ANNOUNCE: u8 = 0x06;
-    /// Node deregistration ahead of a graceful drain (protocol v3).
+    /// Node deregistration ahead of a graceful drain.
     pub const LEAVE: u8 = 0x07;
-    /// Gateway-to-gateway load-digest request (protocol v4).
+    /// Gateway-to-gateway load-digest request.
     pub const PEER_HELLO: u8 = 0x08;
-    /// Gateway-to-gateway overflow forward (protocol v4).
+    /// Gateway-to-gateway overflow forward.
     pub const FORWARD: u8 = 0x09;
     /// Admission verdict response.
     pub const OUTCOME: u8 = 0x41;
@@ -118,12 +105,32 @@ pub mod frame_type {
     pub const METRICS: u8 = 0x42;
     /// Error response.
     pub const ERROR: u8 = 0x43;
-    /// Elastic-reshard response (protocol v2).
+    /// Elastic-reshard response.
     pub const SCALED: u8 = 0x44;
-    /// Membership decision + cluster view response (protocol v3).
+    /// Membership decision + cluster view response.
     pub const MEMBERSHIP: u8 = 0x45;
-    /// Gateway load-digest response (protocol v4).
+    /// Gateway load-digest response.
     pub const PEER_LOAD: u8 = 0x46;
+}
+
+/// Generates a wire enum's `tag()` / `from_tag()` pair from one
+/// `Variant = tag` list, so the two directions cannot drift apart. The
+/// tags are part of the protocol.
+macro_rules! wire_tags {
+    ($ty:ident, $what:literal, $($variant:ident = $tag:literal),*) => {
+        impl $ty {
+            fn tag(self) -> u8 {
+                match self { $($ty::$variant => $tag,)* }
+            }
+
+            fn from_tag(tag: u8) -> Result<Self, DecodeError> {
+                match tag {
+                    $($tag => Ok($ty::$variant),)*
+                    got => Err(DecodeError::BadEnumTag { what: $what, got }),
+                }
+            }
+        }
+    };
 }
 
 /// An admission request: a full task description plus its candidate
@@ -173,7 +180,7 @@ pub struct DrainRequest {
 /// Asks the server to reshape its shard fleet to `shards` workers at
 /// runtime ([`offloadnn_serve::Service::scale_to`]); answered by
 /// [`Frame::Scaled`] (or [`Frame::Error`] with
-/// [`ErrorCode::InvalidScale`]). Protocol v2.
+/// [`ErrorCode::InvalidScale`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScaleRequest {
     /// Client-chosen correlation id echoed on the response.
@@ -182,7 +189,7 @@ pub struct ScaleRequest {
     pub shards: u32,
 }
 
-/// The result of a completed reshard. Protocol v2.
+/// The result of a completed reshard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScaleResponse {
     /// Correlation id of the scale request this answers.
@@ -198,7 +205,7 @@ pub struct ScaleResponse {
 }
 
 /// Lifecycle state of one cluster member, as the gateway's membership
-/// engine tracks it (protocol v3). The wire tags are part of the
+/// engine tracks it. The wire tags are part of the
 /// protocol; the state machine itself lives in `offloadnn-gateway`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MemberState {
@@ -215,29 +222,9 @@ pub enum MemberState {
     Departed,
 }
 
-impl MemberState {
-    fn tag(self) -> u8 {
-        match self {
-            MemberState::Probing => 0,
-            MemberState::Healthy => 1,
-            MemberState::Ejected => 2,
-            MemberState::Departed => 3,
-        }
-    }
+wire_tags!(MemberState, "member state", Probing = 0, Healthy = 1, Ejected = 2, Departed = 3);
 
-    fn from_tag(tag: u8) -> Result<Self, DecodeError> {
-        Ok(match tag {
-            0 => MemberState::Probing,
-            1 => MemberState::Healthy,
-            2 => MemberState::Ejected,
-            3 => MemberState::Departed,
-            got => return Err(DecodeError::BadEnumTag { what: "member state", got }),
-        })
-    }
-}
-
-/// How the gateway judged an [`AnnounceRequest`] or [`LeaveRequest`]
-/// (protocol v3).
+/// How the gateway judged an [`AnnounceRequest`] or [`LeaveRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MembershipDecision {
     /// The request was applied (a join, restart or departure took
@@ -254,28 +241,16 @@ pub enum MembershipDecision {
     Unsupported,
 }
 
-impl MembershipDecision {
-    fn tag(self) -> u8 {
-        match self {
-            MembershipDecision::Accepted => 0,
-            MembershipDecision::Duplicate => 1,
-            MembershipDecision::Stale => 2,
-            MembershipDecision::Unsupported => 3,
-        }
-    }
+wire_tags!(
+    MembershipDecision,
+    "membership decision",
+    Accepted = 0,
+    Duplicate = 1,
+    Stale = 2,
+    Unsupported = 3
+);
 
-    fn from_tag(tag: u8) -> Result<Self, DecodeError> {
-        Ok(match tag {
-            0 => MembershipDecision::Accepted,
-            1 => MembershipDecision::Duplicate,
-            2 => MembershipDecision::Stale,
-            3 => MembershipDecision::Unsupported,
-            got => return Err(DecodeError::BadEnumTag { what: "membership decision", got }),
-        })
-    }
-}
-
-/// One member in a [`MembershipResponse`] cluster view (protocol v3).
+/// One member in a [`MembershipResponse`] cluster view.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemberInfo {
     /// The member's `offloadnn-net` frontend address.
@@ -286,7 +261,7 @@ pub struct MemberInfo {
     pub state: MemberState,
 }
 
-/// A serve node registering itself with a gateway (protocol v3). The
+/// A serve node registering itself with a gateway. The
 /// incarnation is a per-process monotonic stamp (e.g. startup time in
 /// nanoseconds): announces carrying an incarnation older than the one
 /// on record are ignored, so a delayed or replayed announce can never
@@ -302,7 +277,7 @@ pub struct AnnounceRequest {
     pub incarnation: u64,
 }
 
-/// A serve node deregistering ahead of a graceful drain (protocol v3).
+/// A serve node deregistering ahead of a graceful drain.
 /// Answered by [`Frame::Membership`] once the gateway has stopped
 /// routing new work to the node; in-flight tickets fail over to the
 /// survivors with their remaining deadline budget.
@@ -318,7 +293,7 @@ pub struct LeaveRequest {
 }
 
 /// One gateway introducing itself to a peer gateway and asking for its
-/// load digest (protocol v4). Sent periodically by the federation
+/// load digest. Sent periodically by the federation
 /// digest loop; answered by [`Frame::PeerLoad`]. The incarnation is the
 /// sender's per-process monotonic stamp, so a peer can tell a restart
 /// from a replay.
@@ -333,7 +308,7 @@ pub struct PeerHelloRequest {
     pub incarnation: u64,
 }
 
-/// A gateway's load digest (protocol v4): the three signals a peer needs
+/// A gateway's load digest: the three signals a peer needs
 /// to rank forwarding targets without dialing every node itself.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PeerLoadResponse {
@@ -352,11 +327,11 @@ pub struct PeerLoadResponse {
     pub epoch: u64,
 }
 
-/// An overflow admission forwarded from a saturated gateway to a peer
-/// (protocol v4). Carries the *remaining* deadline budget (never the
-/// origin's policy default), a hop budget, and every gateway already
-/// visited, so a task can neither loop nor revisit a peer. Answered by
-/// an ordinary [`Frame::Outcome`] (or [`Frame::Error`]).
+/// An overflow admission forwarded from a saturated gateway to a peer.
+/// Carries the *remaining* deadline budget (never the origin's policy
+/// default), a hop budget, and every gateway already visited, so a task
+/// can neither loop nor revisit a peer. Answered by an ordinary
+/// [`Frame::Outcome`] (or [`Frame::Error`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ForwardRequest {
     /// Client-chosen correlation id echoed on the response.
@@ -380,7 +355,7 @@ pub struct ForwardRequest {
 }
 
 /// The gateway's answer to an announce or leave: the decision plus a
-/// point-in-time view of the whole cluster (protocol v3).
+/// point-in-time view of the whole cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MembershipResponse {
     /// Correlation id of the request this answers.
@@ -421,7 +396,9 @@ pub enum ErrorCode {
     /// The submit carried no candidate path options.
     NoOptions,
     /// The peer sent bytes the codec rejected (connection closes after
-    /// this frame).
+    /// this frame), or a well-formed request whose contents were refused
+    /// — an unparseable member address, non-finite or out-of-range
+    /// submit fields (the connection stays open).
     Malformed,
     /// The server is at its connection limit (connection closes after
     /// this frame).
@@ -429,34 +406,20 @@ pub enum ErrorCode {
     /// An internal server failure (e.g. a worker died mid-request).
     Internal,
     /// A [`Frame::Scale`] was rejected (zero shards, or the service is
-    /// draining). Protocol v2.
+    /// draining).
     InvalidScale,
 }
 
-impl ErrorCode {
-    fn tag(self) -> u8 {
-        match self {
-            ErrorCode::Draining => 0,
-            ErrorCode::NoOptions => 1,
-            ErrorCode::Malformed => 2,
-            ErrorCode::TooManyConnections => 3,
-            ErrorCode::Internal => 4,
-            ErrorCode::InvalidScale => 5,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, DecodeError> {
-        Ok(match tag {
-            0 => ErrorCode::Draining,
-            1 => ErrorCode::NoOptions,
-            2 => ErrorCode::Malformed,
-            3 => ErrorCode::TooManyConnections,
-            4 => ErrorCode::Internal,
-            5 => ErrorCode::InvalidScale,
-            got => return Err(DecodeError::BadEnumTag { what: "error code", got }),
-        })
-    }
-}
+wire_tags!(
+    ErrorCode,
+    "error code",
+    Draining = 0,
+    NoOptions = 1,
+    Malformed = 2,
+    TooManyConnections = 3,
+    Internal = 4,
+    InvalidScale = 5
+);
 
 impl From<SubmitError> for ErrorCode {
     fn from(e: SubmitError) -> Self {
@@ -467,6 +430,8 @@ impl From<SubmitError> for ErrorCode {
             // an internal failure; the variant exists for client-side
             // Admitter impls and normally never crosses the wire.
             SubmitError::Unavailable => ErrorCode::Internal,
+            // The envelope decoded, but the numbers inside are hostile.
+            SubmitError::Invalid => ErrorCode::Malformed,
         }
     }
 }
@@ -499,93 +464,85 @@ pub enum Frame {
     Snapshot(SnapshotRequest),
     /// Graceful-drain request.
     Drain(DrainRequest),
-    /// Elastic-reshard request (protocol v2).
+    /// Elastic-reshard request.
     Scale(ScaleRequest),
-    /// Node self-registration with a gateway (protocol v3).
+    /// Node self-registration with a gateway.
     Announce(AnnounceRequest),
-    /// Node deregistration ahead of a graceful drain (protocol v3).
+    /// Node deregistration ahead of a graceful drain.
     Leave(LeaveRequest),
-    /// Gateway-to-gateway load-digest request (protocol v4).
+    /// Gateway-to-gateway load-digest request.
     PeerHello(PeerHelloRequest),
-    /// Overflow admission forwarded between gateways (protocol v4).
+    /// Overflow admission forwarded between gateways.
     Forward(ForwardRequest),
     /// Admission verdict.
     Outcome(OutcomeResponse),
     /// Metrics snapshot.
     Metrics(MetricsResponse),
-    /// Elastic-reshard response (protocol v2).
+    /// Elastic-reshard response.
     Scaled(ScaleResponse),
-    /// Membership decision + cluster view (protocol v3).
+    /// Membership decision + cluster view.
     Membership(MembershipResponse),
-    /// Gateway load digest (protocol v4).
+    /// Gateway load digest.
     PeerLoad(PeerLoadResponse),
     /// Request- or connection-level error.
     Error(ErrorResponse),
 }
 
-impl Frame {
-    /// The wire tag of this frame's type.
-    pub fn frame_type(&self) -> u8 {
-        match self {
-            Frame::Submit(_) => frame_type::SUBMIT,
-            Frame::Depart(_) => frame_type::DEPART,
-            Frame::Snapshot(_) => frame_type::SNAPSHOT,
-            Frame::Drain(_) => frame_type::DRAIN,
-            Frame::Scale(_) => frame_type::SCALE,
-            Frame::Announce(_) => frame_type::ANNOUNCE,
-            Frame::Leave(_) => frame_type::LEAVE,
-            Frame::PeerHello(_) => frame_type::PEER_HELLO,
-            Frame::Forward(_) => frame_type::FORWARD,
-            Frame::Outcome(_) => frame_type::OUTCOME,
-            Frame::Metrics(_) => frame_type::METRICS,
-            Frame::Scaled(_) => frame_type::SCALED,
-            Frame::Membership(_) => frame_type::MEMBERSHIP,
-            Frame::PeerLoad(_) => frame_type::PEER_LOAD,
-            Frame::Error(_) => frame_type::ERROR,
-        }
-    }
+/// The frame table: one row per wire frame — variant, wire tag, short
+/// name, and the `net.tx.*` / `net.rx.*` counter names (spelled out
+/// because `count!` takes literals). Every per-type accessor and counter
+/// is generated from these rows, so the fifteen frames are enumerated
+/// here once instead of in one hand-kept match per accessor.
+macro_rules! frame_table {
+    ($($variant:ident, $tag:ident, $name:literal, $tx:literal, $rx:literal;)*) => {
+        impl Frame {
+            /// `(wire tag, short name)` of every frame type, in table order.
+            pub const TABLE: &'static [(u8, &'static str)] = &[$((frame_type::$tag, $name)),*];
 
-    /// Short name of the frame type (telemetry labels, log lines).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Frame::Submit(_) => "submit",
-            Frame::Depart(_) => "depart",
-            Frame::Snapshot(_) => "snapshot",
-            Frame::Drain(_) => "drain",
-            Frame::Scale(_) => "scale",
-            Frame::Announce(_) => "announce",
-            Frame::Leave(_) => "leave",
-            Frame::PeerHello(_) => "peer_hello",
-            Frame::Forward(_) => "forward",
-            Frame::Outcome(_) => "outcome",
-            Frame::Metrics(_) => "metrics",
-            Frame::Scaled(_) => "scaled",
-            Frame::Membership(_) => "membership",
-            Frame::PeerLoad(_) => "peer_load",
-            Frame::Error(_) => "error",
-        }
-    }
+            /// The wire tag of this frame's type.
+            pub fn frame_type(&self) -> u8 {
+                match self { $(Frame::$variant(_) => frame_type::$tag,)* }
+            }
 
-    /// The correlation id carried in the payload.
-    pub fn request_id(&self) -> u64 {
-        match self {
-            Frame::Submit(f) => f.request_id,
-            Frame::Depart(f) => f.request_id,
-            Frame::Snapshot(f) => f.request_id,
-            Frame::Drain(f) => f.request_id,
-            Frame::Scale(f) => f.request_id,
-            Frame::Announce(f) => f.request_id,
-            Frame::Leave(f) => f.request_id,
-            Frame::PeerHello(f) => f.request_id,
-            Frame::Forward(f) => f.request_id,
-            Frame::Outcome(f) => f.request_id,
-            Frame::Metrics(f) => f.request_id,
-            Frame::Scaled(f) => f.request_id,
-            Frame::Membership(f) => f.request_id,
-            Frame::PeerLoad(f) => f.request_id,
-            Frame::Error(f) => f.request_id,
+            /// Short name of the frame type (telemetry labels, log lines).
+            pub fn type_name(&self) -> &'static str {
+                match self { $(Frame::$variant(_) => $name,)* }
+            }
+
+            /// The correlation id carried in the payload.
+            pub fn request_id(&self) -> u64 {
+                match self { $(Frame::$variant(f) => f.request_id,)* }
+            }
         }
-    }
+
+        /// Per-frame-type transmit counters (`net.tx.<type>`).
+        fn count_tx(frame: &Frame) {
+            match frame { $(Frame::$variant(_) => count!($tx),)* }
+        }
+
+        /// Per-frame-type receive counters (`net.rx.<type>`).
+        fn count_rx(frame: &Frame) {
+            match frame { $(Frame::$variant(_) => count!($rx),)* }
+        }
+    };
+}
+
+frame_table! {
+    Submit,     SUBMIT,     "submit",     "net.tx.submit",     "net.rx.submit";
+    Depart,     DEPART,     "depart",     "net.tx.depart",     "net.rx.depart";
+    Snapshot,   SNAPSHOT,   "snapshot",   "net.tx.snapshot",   "net.rx.snapshot";
+    Drain,      DRAIN,      "drain",      "net.tx.drain",      "net.rx.drain";
+    Scale,      SCALE,      "scale",      "net.tx.scale",      "net.rx.scale";
+    Announce,   ANNOUNCE,   "announce",   "net.tx.announce",   "net.rx.announce";
+    Leave,      LEAVE,      "leave",      "net.tx.leave",      "net.rx.leave";
+    PeerHello,  PEER_HELLO, "peer_hello", "net.tx.peer_hello", "net.rx.peer_hello";
+    Forward,    FORWARD,    "forward",    "net.tx.forward",    "net.rx.forward";
+    Outcome,    OUTCOME,    "outcome",    "net.tx.outcome",    "net.rx.outcome";
+    Metrics,    METRICS,    "metrics",    "net.tx.metrics",    "net.rx.metrics";
+    Scaled,     SCALED,     "scaled",     "net.tx.scaled",     "net.rx.scaled";
+    Membership, MEMBERSHIP, "membership", "net.tx.membership", "net.rx.membership";
+    PeerLoad,   PEER_LOAD,  "peer_load",  "net.tx.peer_load",  "net.rx.peer_load";
+    Error,      ERROR,      "error",      "net.tx.error",      "net.rx.error";
 }
 
 // ---------------------------------------------------------------- payloads
@@ -706,6 +663,22 @@ fn get_option(r: &mut Reader<'_>) -> Result<PathOption, DecodeError> {
     Ok(PathOption { path, quality, accuracy, proc_seconds, training_seconds, label })
 }
 
+fn put_options(w: &mut Writer, options: &[PathOption]) {
+    w.put_seq_len(options.len());
+    for o in options {
+        put_option(w, o);
+    }
+}
+
+fn get_options(r: &mut Reader<'_>) -> Result<Vec<PathOption>, DecodeError> {
+    let n = r.seq_len(32, "options")?;
+    let mut options = Vec::with_capacity(n);
+    for _ in 0..n {
+        options.push(get_option(r)?);
+    }
+    Ok(options)
+}
+
 fn put_outcome(w: &mut Writer, o: &Outcome) {
     match o {
         Outcome::Admitted { admission, rbs, shard } => {
@@ -782,7 +755,6 @@ fn put_metrics(w: &mut Writer, m: &MetricsSnapshot) {
     w.put_u64(m.solver_errors);
     w.put_u64(m.peak_queue_depth);
     w.put_u64(m.peak_batch);
-    // v2 additions sit between the v1 counters and the histograms.
     w.put_u64(m.reshards);
     w.put_u64(m.migrated);
     w.put_u64(m.generation);
@@ -790,7 +762,7 @@ fn put_metrics(w: &mut Writer, m: &MetricsSnapshot) {
     put_histogram(w, &m.round_time);
 }
 
-fn get_metrics(r: &mut Reader<'_>, version: u8) -> Result<MetricsSnapshot, DecodeError> {
+fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, DecodeError> {
     let submitted = r.u64("metrics.submitted")?;
     let admitted = r.u64("metrics.admitted")?;
     let rejected = r.u64("metrics.rejected")?;
@@ -801,13 +773,9 @@ fn get_metrics(r: &mut Reader<'_>, version: u8) -> Result<MetricsSnapshot, Decod
     let solver_errors = r.u64("metrics.solver_errors")?;
     let peak_queue_depth = r.u64("metrics.peak_queue_depth")?;
     let peak_batch = r.u64("metrics.peak_batch")?;
-    // A v1 peer predates elastic resharding: its payload has no reshard
-    // counters, which therefore read as zero.
-    let (reshards, migrated, generation) = if version >= 2 {
-        (r.u64("metrics.reshards")?, r.u64("metrics.migrated")?, r.u64("metrics.generation")?)
-    } else {
-        (0, 0, 0)
-    };
+    let reshards = r.u64("metrics.reshards")?;
+    let migrated = r.u64("metrics.migrated")?;
+    let generation = r.u64("metrics.generation")?;
     Ok(MetricsSnapshot {
         submitted,
         admitted,
@@ -847,25 +815,18 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
         Frame::Submit(f) => {
             w.put_u64(f.deadline_us);
             put_task(&mut w, &f.task);
-            w.put_seq_len(f.options.len());
-            for o in &f.options {
-                put_option(&mut w, o);
-            }
+            put_options(&mut w, &f.options);
         }
         Frame::Depart(f) => w.put_u32(f.task.0),
         Frame::Snapshot(_) | Frame::Drain(_) => {}
         Frame::Scale(f) => w.put_u32(f.shards),
-        Frame::Announce(f) => {
-            w.put_str(&f.addr);
-            w.put_u64(f.incarnation);
-        }
-        Frame::Leave(f) => {
-            w.put_str(&f.addr);
-            w.put_u64(f.incarnation);
-        }
-        Frame::PeerHello(f) => {
-            w.put_str(&f.addr);
-            w.put_u64(f.incarnation);
+        // The three "this address, under this incarnation" requests
+        // share one payload layout.
+        Frame::Announce(AnnounceRequest { addr, incarnation, .. })
+        | Frame::Leave(LeaveRequest { addr, incarnation, .. })
+        | Frame::PeerHello(PeerHelloRequest { addr, incarnation, .. }) => {
+            w.put_str(addr);
+            w.put_u64(*incarnation);
         }
         Frame::Forward(f) => {
             w.put_u64(f.deadline_us);
@@ -876,10 +837,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
                 w.put_str(t);
             }
             put_task(&mut w, &f.task);
-            w.put_seq_len(f.options.len());
-            for o in &f.options {
-                put_option(&mut w, o);
-            }
+            put_options(&mut w, &f.options);
         }
         Frame::PeerLoad(f) => {
             w.put_u32(f.healthy_nodes);
@@ -913,18 +871,14 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
+fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
     let mut r = Reader::new(payload);
     let request_id = r.u64("request_id")?;
     let frame = match frame_type {
         frame_type::SUBMIT => {
             let deadline_us = r.u64("submit.deadline_us")?;
             let task = get_task(&mut r)?;
-            let n = r.seq_len(32, "submit.options")?;
-            let mut options = Vec::with_capacity(n);
-            for _ in 0..n {
-                options.push(get_option(&mut r)?);
-            }
+            let options = get_options(&mut r)?;
             Frame::Submit(SubmitRequest { request_id, deadline_us, task, options })
         }
         frame_type::DEPART => {
@@ -932,36 +886,30 @@ fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Frame, 
         }
         frame_type::SNAPSHOT => Frame::Snapshot(SnapshotRequest { request_id }),
         frame_type::DRAIN => Frame::Drain(DrainRequest { request_id }),
-        // The reshard frames did not exist in v1; a v1 frame claiming
-        // one of their tags is garbage, not forward compatibility.
-        frame_type::SCALE if version >= 2 => {
-            Frame::Scale(ScaleRequest { request_id, shards: r.u32("scale.shards")? })
-        }
-        frame_type::SCALED if version >= 2 => Frame::Scaled(ScaleResponse {
+        frame_type::SCALE => Frame::Scale(ScaleRequest { request_id, shards: r.u32("scale.shards")? }),
+        frame_type::SCALED => Frame::Scaled(ScaleResponse {
             request_id,
             from_shards: r.u32("scaled.from_shards")?,
             to_shards: r.u32("scaled.to_shards")?,
             migrated: r.u64("scaled.migrated")?,
             generation: r.u64("scaled.generation")?,
         }),
-        // Likewise the discovery frames did not exist before v3.
-        frame_type::ANNOUNCE if version >= 3 => Frame::Announce(AnnounceRequest {
+        frame_type::ANNOUNCE => Frame::Announce(AnnounceRequest {
             request_id,
             addr: r.string("announce.addr")?,
             incarnation: r.u64("announce.incarnation")?,
         }),
-        frame_type::LEAVE if version >= 3 => Frame::Leave(LeaveRequest {
+        frame_type::LEAVE => Frame::Leave(LeaveRequest {
             request_id,
             addr: r.string("leave.addr")?,
             incarnation: r.u64("leave.incarnation")?,
         }),
-        // And the federation frames did not exist before v4.
-        frame_type::PEER_HELLO if version >= 4 => Frame::PeerHello(PeerHelloRequest {
+        frame_type::PEER_HELLO => Frame::PeerHello(PeerHelloRequest {
             request_id,
             addr: r.string("peer_hello.addr")?,
             incarnation: r.u64("peer_hello.incarnation")?,
         }),
-        frame_type::FORWARD if version >= 4 => {
+        frame_type::FORWARD => {
             let deadline_us = r.u64("forward.deadline_us")?;
             let hops = r.u8("forward.hops")?;
             let origin = r.string("forward.origin")?;
@@ -971,21 +919,17 @@ fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Frame, 
                 tried.push(r.string("forward.tried_addr")?);
             }
             let task = get_task(&mut r)?;
-            let n = r.seq_len(32, "forward.options")?;
-            let mut options = Vec::with_capacity(n);
-            for _ in 0..n {
-                options.push(get_option(&mut r)?);
-            }
+            let options = get_options(&mut r)?;
             Frame::Forward(ForwardRequest { request_id, deadline_us, hops, origin, tried, task, options })
         }
-        frame_type::PEER_LOAD if version >= 4 => Frame::PeerLoad(PeerLoadResponse {
+        frame_type::PEER_LOAD => Frame::PeerLoad(PeerLoadResponse {
             request_id,
             healthy_nodes: r.u32("peer_load.healthy_nodes")?,
             remaining_budget: r.f64("peer_load.remaining_budget")?,
             round_ms_p50: r.f64("peer_load.round_ms_p50")?,
             epoch: r.u64("peer_load.epoch")?,
         }),
-        frame_type::MEMBERSHIP if version >= 3 => {
+        frame_type::MEMBERSHIP => {
             let decision = MembershipDecision::from_tag(r.u8("membership.decision")?)?;
             // addr length prefix (4) + incarnation (8) + state tag (1).
             let n = r.seq_len(13, "membership.members")?;
@@ -1002,7 +946,7 @@ fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Frame, 
                 1 => true,
                 got => return Err(DecodeError::BadEnumTag { what: "metrics final flag", got }),
             };
-            Frame::Metrics(MetricsResponse { request_id, is_final, metrics: get_metrics(&mut r, version)? })
+            Frame::Metrics(MetricsResponse { request_id, is_final, metrics: get_metrics(&mut r)? })
         }
         frame_type::ERROR => {
             let code = ErrorCode::from_tag(r.u8("error.code")?)?;
@@ -1018,20 +962,12 @@ fn decode_payload(version: u8, frame_type: u8, payload: &[u8]) -> Result<Frame, 
 // ---------------------------------------------------------------- envelope
 
 /// Wraps an already-encoded payload in the envelope (header + checksum)
-/// at the current [`VERSION`]. Exposed so tests can frame hand-crafted
-/// hostile payloads with a valid checksum; production code uses
-/// [`encode`].
+/// at [`VERSION`]. Exposed so tests can frame hand-crafted hostile
+/// payloads with a valid checksum; production code uses [`encode`].
 pub fn encode_raw(frame_type: u8, payload: &[u8]) -> Vec<u8> {
-    encode_raw_versioned(VERSION, frame_type, payload)
-}
-
-/// Like [`encode_raw`] but with an explicit protocol version byte, so
-/// compatibility tests can frame payloads as an older (or bogus) peer
-/// would.
-pub fn encode_raw_versioned(version: u8, frame_type: u8, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     buf.extend_from_slice(&MAGIC);
-    buf.push(version);
+    buf.push(VERSION);
     buf.push(frame_type);
     buf.extend_from_slice(&[0, 0]); // reserved
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -1041,78 +977,20 @@ pub fn encode_raw_versioned(version: u8, frame_type: u8, payload: &[u8]) -> Vec<
     buf
 }
 
-/// Per-frame-type transmit counters (`net.tx.<type>`). The `count!`
-/// macro needs literal names, hence the match.
-fn count_tx(frame: &Frame) {
-    match frame {
-        Frame::Submit(_) => count!("net.tx.submit"),
-        Frame::Depart(_) => count!("net.tx.depart"),
-        Frame::Snapshot(_) => count!("net.tx.snapshot"),
-        Frame::Drain(_) => count!("net.tx.drain"),
-        Frame::Scale(_) => count!("net.tx.scale"),
-        Frame::Announce(_) => count!("net.tx.announce"),
-        Frame::Leave(_) => count!("net.tx.leave"),
-        Frame::PeerHello(_) => count!("net.tx.peer_hello"),
-        Frame::Forward(_) => count!("net.tx.forward"),
-        Frame::Outcome(_) => count!("net.tx.outcome"),
-        Frame::Metrics(_) => count!("net.tx.metrics"),
-        Frame::Scaled(_) => count!("net.tx.scaled"),
-        Frame::Membership(_) => count!("net.tx.membership"),
-        Frame::PeerLoad(_) => count!("net.tx.peer_load"),
-        Frame::Error(_) => count!("net.tx.error"),
-    }
-}
-
-/// Per-frame-type receive counters (`net.rx.<type>`).
-fn count_rx(frame: &Frame) {
-    match frame {
-        Frame::Submit(_) => count!("net.rx.submit"),
-        Frame::Depart(_) => count!("net.rx.depart"),
-        Frame::Snapshot(_) => count!("net.rx.snapshot"),
-        Frame::Drain(_) => count!("net.rx.drain"),
-        Frame::Scale(_) => count!("net.rx.scale"),
-        Frame::Announce(_) => count!("net.rx.announce"),
-        Frame::Leave(_) => count!("net.rx.leave"),
-        Frame::PeerHello(_) => count!("net.rx.peer_hello"),
-        Frame::Forward(_) => count!("net.rx.forward"),
-        Frame::Outcome(_) => count!("net.rx.outcome"),
-        Frame::Metrics(_) => count!("net.rx.metrics"),
-        Frame::Scaled(_) => count!("net.rx.scaled"),
-        Frame::Membership(_) => count!("net.rx.membership"),
-        Frame::PeerLoad(_) => count!("net.rx.peer_load"),
-        Frame::Error(_) => count!("net.rx.error"),
-    }
-}
-
-/// The lowest protocol version able to express `frame` — the version its
-/// envelope is stamped with, so a peer built against an older revision
-/// keeps understanding every frame type it knows.
-pub fn frame_min_version(frame: &Frame) -> u8 {
-    match frame {
-        Frame::Submit(_) | Frame::Depart(_) | Frame::Snapshot(_) | Frame::Drain(_) => 1,
-        Frame::Outcome(_) | Frame::Error(_) => 1,
-        // Metrics grew the reshard fields in v2 and this build always
-        // writes them, so the frame must be stamped v2.
-        Frame::Scale(_) | Frame::Scaled(_) | Frame::Metrics(_) => 2,
-        Frame::Announce(_) | Frame::Leave(_) | Frame::Membership(_) => 3,
-        Frame::PeerHello(_) | Frame::Forward(_) | Frame::PeerLoad(_) => 4,
-    }
-}
-
-/// Encodes one frame into its wire bytes, stamped with the lowest
-/// protocol version that can express it (see [`frame_min_version`]).
+/// Encodes one frame into its wire bytes.
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let _span = span!("net.encode");
     count_tx(frame);
-    encode_raw_versioned(frame_min_version(frame), frame.frame_type(), &encode_payload(frame))
+    encode_raw(frame.frame_type(), &encode_payload(frame))
 }
 
 /// Streaming decode: parses one frame off the front of `buf`.
 ///
 /// * `Ok(None)` — the buffer does not yet hold a complete frame (read
 ///   more bytes and retry). Header fields that have already arrived are
-///   still validated, so garbage fails fast without waiting for a bogus
-///   payload length to "complete".
+///   still validated, so garbage — or a peer speaking another protocol
+///   revision — fails fast without waiting for a bogus payload length to
+///   "complete".
 /// * `Ok(Some((frame, consumed)))` — one frame, and how many bytes of
 ///   `buf` it used.
 /// * `Err(_)` — the bytes are not a valid frame; the stream cannot be
@@ -1122,80 +1000,42 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 ///
 /// Any [`DecodeError`]; never panics, whatever the input.
 pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
-    decode_capped(buf, VERSION)
-}
-
-/// [`decode`] with an explicit version cap: behaves exactly like a peer
-/// built when `cap` was the newest protocol revision.
-///
-/// A well-formed frame stamped with a version above `cap` is **skipped**
-/// — its envelope (magic / length / trailing checksum) is laid out
-/// identically in every version, so the checksum can be verified and the
-/// frame stepped over without desyncing the stream; `consumed` then
-/// covers the skipped bytes too. A frame above `cap` whose checksum does
-/// not verify is fatal ([`DecodeError::UnsupportedVersion`]): nothing
-/// about it can be trusted, not even its length. This is how v1/v2
-/// clients survive a v3 peer's discovery frames.
-///
-/// # Errors
-///
-/// Any [`DecodeError`]; never panics, whatever the input.
-pub fn decode_capped(buf: &[u8], cap: u8) -> Result<Option<(Frame, usize)>, DecodeError> {
     let _span = span!("net.decode");
-    let mut offset = 0;
-    loop {
-        let rest = &buf[offset..];
-        if rest.len() < HEADER_LEN {
-            // Validate the prefix that *has* arrived so garbage fails fast.
-            if !rest.is_empty() && rest[..rest.len().min(4)] != MAGIC[..rest.len().min(4)] {
-                let mut got = [0u8; 4];
-                got[..rest.len().min(4)].copy_from_slice(&rest[..rest.len().min(4)]);
-                return Err(DecodeError::BadMagic { got });
-            }
-            return Ok(None);
-        }
-        if rest[..4] != MAGIC {
-            return Err(DecodeError::BadMagic { got: [rest[0], rest[1], rest[2], rest[3]] });
-        }
-        let version = rest[4];
-        if version < MIN_VERSION {
-            return Err(DecodeError::UnsupportedVersion { got: version });
-        }
-        if rest[6] != 0 || rest[7] != 0 {
-            return Err(DecodeError::NonZeroReserved);
-        }
-        let len = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]);
-        if len > MAX_PAYLOAD {
-            return Err(DecodeError::OversizedPayload { len });
-        }
-        let total = HEADER_LEN + len as usize + TRAILER_LEN;
-        if rest.len() < total {
-            return Ok(None);
-        }
-        let body_end = HEADER_LEN + len as usize;
-        let expected = fnv1a32(&rest[..body_end]);
-        let got =
-            u32::from_le_bytes([rest[body_end], rest[body_end + 1], rest[body_end + 2], rest[body_end + 3]]);
-        if version > cap {
-            // A frame from the future. Its envelope checksummed out ⇒ the
-            // length was honest and the stream stays in sync: step over
-            // it. A checksum mismatch means the envelope itself cannot be
-            // trusted (the "length" may be noise), so the only safe move
-            // is to drop the connection.
-            if expected != got {
-                return Err(DecodeError::UnsupportedVersion { got: version });
-            }
-            count!("net.rx.skipped");
-            offset += total;
-            continue;
-        }
-        if expected != got {
-            return Err(DecodeError::BadChecksum { expected, got });
-        }
-        let frame = decode_payload(version, rest[5], &rest[HEADER_LEN..body_end])?;
-        count_rx(&frame);
-        return Ok(Some((frame, offset + total)));
+    // Validate the prefix that *has* arrived so garbage fails fast.
+    let seen = buf.len().min(MAGIC.len());
+    if buf[..seen] != MAGIC[..seen] {
+        let mut got = [0u8; 4];
+        got[..seen].copy_from_slice(&buf[..seen]);
+        return Err(DecodeError::BadMagic { got });
     }
+    if let Some(&got) = buf.get(4) {
+        if got != VERSION {
+            return Err(DecodeError::UnsupportedVersion { got });
+        }
+    }
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    if buf[6] != 0 || buf[7] != 0 {
+        return Err(DecodeError::NonZeroReserved);
+    }
+    let len = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
+    if len > MAX_PAYLOAD {
+        return Err(DecodeError::OversizedPayload { len });
+    }
+    let body_end = HEADER_LEN + len as usize;
+    let total = body_end + TRAILER_LEN;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let expected = fnv1a32(&buf[..body_end]);
+    let got = u32::from_le_bytes([buf[body_end], buf[body_end + 1], buf[body_end + 2], buf[body_end + 3]]);
+    if expected != got {
+        return Err(DecodeError::BadChecksum { expected, got });
+    }
+    let frame = decode_payload(buf[5], &buf[HEADER_LEN..body_end])?;
+    count_rx(&frame);
+    Ok(Some((frame, total)))
 }
 
 /// Decodes a buffer expected to hold exactly one whole frame.
@@ -1214,11 +1054,11 @@ pub fn decode_exact(buf: &[u8]) -> Result<Frame, DecodeError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use offloadnn_core::scenario::small_scenario;
 
-    pub(crate) fn sample_submit() -> Frame {
+    fn sample_submit() -> Frame {
         let s = small_scenario(3);
         Frame::Submit(SubmitRequest {
             request_id: 42,
@@ -1228,7 +1068,7 @@ mod tests {
         })
     }
 
-    pub(crate) fn sample_forward() -> Frame {
+    fn sample_forward() -> Frame {
         let s = small_scenario(3);
         Frame::Forward(ForwardRequest {
             request_id: 14,
@@ -1265,6 +1105,8 @@ mod tests {
         }
     }
 
+    /// At least one frame of every type in [`Frame::TABLE`] (shared with
+    /// the dispatcher's unit test).
     pub(crate) fn sample_frames() -> Vec<Frame> {
         vec![
             sample_submit(),
@@ -1342,25 +1184,41 @@ mod tests {
         ]
     }
 
+    /// The one codec property test, driven by the frame table: for every
+    /// tag, `decode(encode(f)) == f`; every single-bit flip is an error or
+    /// "incomplete" (when the flipped length now claims more bytes than
+    /// present), never a frame and never a panic; and every strict prefix
+    /// is "incomplete", never an error.
     #[test]
-    fn every_frame_type_round_trips() {
-        for frame in sample_frames() {
-            let bytes = encode(&frame);
-            let decoded = decode_exact(&bytes).expect("round trip");
-            assert_eq!(decoded, frame);
-            // Streaming decode agrees on the byte count.
-            let (streamed, consumed) = decode(&bytes).unwrap().expect("complete");
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(streamed, frame);
-        }
-    }
-
-    #[test]
-    fn streaming_decode_waits_for_a_whole_frame() {
-        let bytes = encode(&sample_submit());
-        for cut in 0..bytes.len() {
-            let r = decode(&bytes[..cut]);
-            assert_eq!(r, Ok(None), "prefix of {cut} bytes must be incomplete, not an error");
+    fn every_tag_round_trips_and_rejects_bit_flips_and_prefixes() {
+        let frames = sample_frames();
+        assert_eq!(Frame::TABLE.len(), 15);
+        for &(tag, name) in Frame::TABLE {
+            let of_tag: Vec<_> = frames.iter().filter(|f| f.frame_type() == tag).collect();
+            assert!(!of_tag.is_empty(), "no sample frame for {name} ({tag:#04x})");
+            for frame in of_tag {
+                assert_eq!(frame.type_name(), name);
+                let bytes = encode(frame);
+                assert_eq!(bytes[4], VERSION, "{name} must be stamped with the one protocol revision");
+                assert_eq!(decode_exact(&bytes).as_ref(), Ok(frame), "{name} round trip");
+                assert_eq!(decode(&bytes), Ok(Some((frame.clone(), bytes.len()))), "{name} streamed");
+                for bit in 0..bytes.len() * 8 {
+                    let mut corrupt = bytes.clone();
+                    corrupt[bit / 8] ^= 1 << (bit % 8);
+                    assert!(
+                        matches!(decode(&corrupt), Err(_) | Ok(None)),
+                        "{name}: flipping bit {bit} must not yield a valid frame"
+                    );
+                    let _ = decode_exact(&corrupt); // must not panic either
+                }
+                for cut in 0..bytes.len() {
+                    assert_eq!(decode(&bytes[..cut]), Ok(None), "{name}: {cut}-byte prefix is incomplete");
+                }
+                assert_eq!(
+                    decode_exact(&bytes[..bytes.len() - 1]),
+                    Err(DecodeError::Truncated { field: "frame" })
+                );
+            }
         }
     }
 
@@ -1383,7 +1241,7 @@ mod tests {
         w.put_u64(5); // request id
         w.put_u8(0); // not final
         for _ in 0..13 {
-            w.put_u64(1); // the 13 v2 counter fields
+            w.put_u64(1); // the 13 counter fields
         }
         w.put_seq_len(4); // wrong bucket count
         for _ in 0..4 {
@@ -1398,299 +1256,5 @@ mod tests {
             decode_exact(&bytes),
             Err(DecodeError::WrongLength { what: "histogram.buckets", .. })
         ));
-    }
-
-    /// Encodes `m` the way a v1 peer would: the ten original counters,
-    /// no reshard fields.
-    fn encode_v1_metrics_payload(request_id: u64, is_final: bool, m: &MetricsSnapshot) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(request_id);
-        w.put_u8(u8::from(is_final));
-        for v in [
-            m.submitted,
-            m.admitted,
-            m.rejected,
-            m.shed,
-            m.expired,
-            m.departed,
-            m.solver_rounds,
-            m.solver_errors,
-            m.peak_queue_depth,
-            m.peak_batch,
-        ] {
-            w.put_u64(v);
-        }
-        put_histogram(&mut w, &m.latency);
-        put_histogram(&mut w, &m.round_time);
-        w.into_bytes()
-    }
-
-    #[test]
-    fn v1_metrics_frames_still_decode_with_zero_reshard_fields() {
-        let m = sample_metrics();
-        let payload = encode_v1_metrics_payload(8, true, &m);
-        let bytes = encode_raw_versioned(1, frame_type::METRICS, &payload);
-        let decoded = decode_exact(&bytes).expect("v1 metrics decode");
-        let Frame::Metrics(resp) = decoded else { panic!("expected metrics, got {decoded:?}") };
-        assert_eq!(resp.request_id, 8);
-        assert!(resp.is_final);
-        assert_eq!(resp.metrics.submitted, m.submitted);
-        assert_eq!(resp.metrics.peak_batch, m.peak_batch);
-        assert_eq!(resp.metrics.latency, m.latency);
-        assert_eq!(resp.metrics.reshards, 0, "v1 has no reshard counters");
-        assert_eq!(resp.metrics.migrated, 0);
-        assert_eq!(resp.metrics.generation, 0);
-    }
-
-    #[test]
-    fn v1_request_frames_still_decode() {
-        // Request payloads are unchanged between v1 and v2; only the
-        // envelope version differs.
-        for frame in [
-            Frame::Snapshot(SnapshotRequest { request_id: 3 }),
-            Frame::Drain(DrainRequest { request_id: 4 }),
-            Frame::Depart(DepartRequest { request_id: 5, task: TaskId(12) }),
-        ] {
-            let bytes = encode_raw_versioned(1, frame.frame_type(), &encode_payload(&frame));
-            assert_eq!(decode_exact(&bytes).expect("v1 decode"), frame);
-        }
-    }
-
-    #[test]
-    fn scale_frames_are_not_valid_in_v1() {
-        let frame = Frame::Scale(ScaleRequest { request_id: 1, shards: 4 });
-        let bytes = encode_raw_versioned(1, frame.frame_type(), &encode_payload(&frame));
-        assert!(matches!(
-            decode_exact(&bytes),
-            Err(DecodeError::UnknownFrameType { got: frame_type::SCALE })
-        ));
-    }
-
-    #[test]
-    fn membership_frames_are_not_valid_before_v3() {
-        for (frame, tag) in [
-            (
-                Frame::Announce(AnnounceRequest {
-                    request_id: 1,
-                    addr: "127.0.0.1:9000".to_owned(),
-                    incarnation: 5,
-                }),
-                frame_type::ANNOUNCE,
-            ),
-            (
-                Frame::Leave(LeaveRequest {
-                    request_id: 2,
-                    addr: "127.0.0.1:9000".to_owned(),
-                    incarnation: 5,
-                }),
-                frame_type::LEAVE,
-            ),
-            (
-                Frame::Membership(MembershipResponse {
-                    request_id: 3,
-                    decision: MembershipDecision::Accepted,
-                    members: vec![],
-                }),
-                frame_type::MEMBERSHIP,
-            ),
-        ] {
-            for version in [1, 2] {
-                let bytes = encode_raw_versioned(version, tag, &encode_payload(&frame));
-                assert!(
-                    matches!(decode_exact(&bytes), Err(DecodeError::UnknownFrameType { got }) if got == tag),
-                    "a v{version} envelope must not carry frame type {tag:#04x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn frames_are_stamped_with_their_minimum_version() {
-        for frame in sample_frames() {
-            let bytes = encode(&frame);
-            assert_eq!(
-                bytes[4],
-                frame_min_version(&frame),
-                "{} must travel at its minimum version",
-                frame.type_name()
-            );
-            assert!(frame_min_version(&frame) <= VERSION);
-        }
-    }
-
-    /// The forward-compatibility contract the v3 frames rely on: a peer
-    /// capped at v1/v2 steps over well-formed frames from the future and
-    /// keeps decoding the stream behind them.
-    #[test]
-    fn capped_decoders_skip_future_frames_without_desync() {
-        let announce = Frame::Announce(AnnounceRequest {
-            request_id: 1,
-            addr: "127.0.0.1:9000".to_owned(),
-            incarnation: 7,
-        });
-        let snapshot = Frame::Snapshot(SnapshotRequest { request_id: 2 });
-        let mut bytes = encode(&announce);
-        let skipped = bytes.len();
-        bytes.extend_from_slice(&encode(&snapshot));
-        for cap in [1, 2] {
-            let (frame, consumed) = decode_capped(&bytes, cap)
-                .expect("future frame must be skipped, not fatal")
-                .expect("the known frame behind it must decode");
-            assert_eq!(frame, snapshot, "cap {cap}");
-            assert_eq!(consumed, bytes.len(), "consumed must cover the skipped frame too");
-        }
-        // An uncapped decoder sees both frames in order.
-        let (first, used) = decode(&bytes).unwrap().unwrap();
-        assert_eq!(first, announce);
-        assert_eq!(used, skipped);
-    }
-
-    #[test]
-    fn a_lone_future_frame_is_incomplete_not_an_error() {
-        let announce = Frame::Announce(AnnounceRequest {
-            request_id: 1,
-            addr: "127.0.0.1:9000".to_owned(),
-            incarnation: 7,
-        });
-        let bytes = encode(&announce);
-        // Nothing decodable yet — more bytes may follow.
-        assert_eq!(decode_capped(&bytes, 2), Ok(None));
-        // Same for every truncation of the future frame.
-        for cut in 0..bytes.len() {
-            assert_eq!(decode_capped(&bytes[..cut], 2), Ok(None), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn a_corrupt_future_frame_is_fatal() {
-        let announce = Frame::Announce(AnnounceRequest {
-            request_id: 1,
-            addr: "127.0.0.1:9000".to_owned(),
-            incarnation: 7,
-        });
-        let mut bytes = encode(&announce);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01; // break the checksum
-        assert!(matches!(decode_capped(&bytes, 2), Err(DecodeError::UnsupportedVersion { got: 3 })));
-    }
-
-    /// Every v4 federation frame used by the compatibility tests below.
-    fn v4_frames() -> Vec<Frame> {
-        vec![
-            Frame::PeerHello(PeerHelloRequest {
-                request_id: 1,
-                addr: "127.0.0.1:7000".to_owned(),
-                incarnation: 7,
-            }),
-            Frame::PeerLoad(PeerLoadResponse {
-                request_id: 1,
-                healthy_nodes: 2,
-                remaining_budget: 10.0,
-                round_ms_p50: 1.5,
-                epoch: 4,
-            }),
-            sample_forward(),
-        ]
-    }
-
-    #[test]
-    fn federation_frames_are_not_valid_before_v4() {
-        for frame in v4_frames() {
-            let tag = frame.frame_type();
-            for version in [1, 2, 3] {
-                let bytes = encode_raw_versioned(version, tag, &encode_payload(&frame));
-                assert!(
-                    matches!(decode_exact(&bytes), Err(DecodeError::UnknownFrameType { got }) if got == tag),
-                    "a v{version} envelope must not carry frame type {tag:#04x}"
-                );
-            }
-        }
-    }
-
-    /// The contract the tentpole rides on: v1–v3 peers step over every
-    /// well-formed v4 federation frame checksum-safely and keep decoding
-    /// the stream behind it.
-    #[test]
-    fn v1_to_v3_clients_skip_every_v4_frame_without_desync() {
-        let snapshot = Frame::Snapshot(SnapshotRequest { request_id: 99 });
-        for future in v4_frames() {
-            let mut bytes = encode(&future);
-            bytes.extend_from_slice(&encode(&snapshot));
-            for cap in [1, 2, 3] {
-                let (frame, consumed) = decode_capped(&bytes, cap)
-                    .unwrap_or_else(|e| panic!("{} at cap {cap} must skip, got {e:?}", future.type_name()))
-                    .expect("the known frame behind it must decode");
-                assert_eq!(frame, snapshot, "{} at cap {cap}", future.type_name());
-                assert_eq!(consumed, bytes.len(), "consumed must cover the skipped {}", future.type_name());
-            }
-        }
-    }
-
-    /// Any single-bit corruption of a v4 frame must never let a capped
-    /// decoder skip it: with the envelope unverifiable the connection
-    /// must drop (UnsupportedVersion), or — when the flip lands in the
-    /// magic/version/reserved prefix — fail with that prefix's own error.
-    /// What it must never do is decode or silently skip garbage.
-    #[test]
-    fn a_bit_flipped_v4_frame_is_never_silently_skipped() {
-        for future in v4_frames() {
-            let bytes = encode(&future);
-            for bit in 0..bytes.len() * 8 {
-                let mut corrupt = bytes.clone();
-                corrupt[bit / 8] ^= 1 << (bit % 8);
-                match decode_capped(&corrupt, 3) {
-                    Err(_) => {}
-                    Ok(None) => {
-                        // A flip in the length prefix can make the frame
-                        // look longer than the buffer: legitimately
-                        // incomplete, never wrongly decoded.
-                        let len = u32::from_le_bytes([corrupt[8], corrupt[9], corrupt[10], corrupt[11]]);
-                        assert!(
-                            HEADER_LEN + len as usize + TRAILER_LEN > corrupt.len(),
-                            "{}: bit {bit} flipped but frame still complete and not an error",
-                            future.type_name()
-                        );
-                    }
-                    Ok(Some((frame, _))) => panic!(
-                        "{}: bit {bit} corruption decoded as {}",
-                        future.type_name(),
-                        frame.type_name()
-                    ),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_v4_frames_are_incomplete_not_fatal_at_every_cap() {
-        for future in v4_frames() {
-            let bytes = encode(&future);
-            for cut in 0..bytes.len() {
-                for cap in [1, 2, 3, VERSION] {
-                    assert_eq!(
-                        decode_capped(&bytes[..cut], cap),
-                        Ok(None),
-                        "{} cut at {cut}, cap {cap}",
-                        future.type_name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_corrupt_v4_frame_is_fatal_for_capped_decoders() {
-        for future in v4_frames() {
-            let mut bytes = encode(&future);
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x01; // break the checksum
-            for cap in [1, 2, 3] {
-                assert!(
-                    matches!(decode_capped(&bytes, cap), Err(DecodeError::UnsupportedVersion { got: 4 })),
-                    "{} at cap {cap}",
-                    future.type_name()
-                );
-            }
-        }
     }
 }

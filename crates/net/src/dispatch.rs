@@ -1,0 +1,356 @@
+//! The one request dispatcher shared by both frontends.
+//!
+//! [`dispatch`] maps a decoded frame onto the [`Backend`] and says what
+//! the connection owes in return as an [`Action`]; [`Action::redeem`]
+//! turns an action into the reply frame. The frontends own only *where*
+//! each step runs: the threaded server queues actions from its reader
+//! to its writer thread, the reactor from its event loop to its
+//! completion thread (paired with the connection token). The next frame
+//! type is one arm here, not one in every frontend.
+
+use crate::backend::{Backend, ForwardInfo, PendingOutcome};
+use crate::codec::{
+    ErrorCode, ErrorResponse, Frame, MembershipResponse, MetricsResponse, OutcomeResponse, PeerLoadResponse,
+    ScaleResponse,
+};
+use crate::error::DecodeError;
+use offloadnn_serve::SubmitError;
+use offloadnn_telemetry::{event, Severity};
+use std::net::SocketAddr;
+use std::time::Duration;
+
+/// What a connection owes after one decoded frame. Also the message both
+/// frontends queue towards the thread that builds and sends replies, so
+/// per-connection FIFO order of the queue is the order of the replies.
+#[allow(clippy::large_enum_variant)] // transient, window-bounded queue; see Frame
+pub(crate) enum Action<P> {
+    /// A submitted request: redeem the ticket (may block), reply with
+    /// the outcome.
+    Verdict { request_id: u64, ticket: P },
+    /// An already-built response frame.
+    Reply(Frame),
+    /// Snapshot the backend *when redeemed* — i.e. after every earlier
+    /// verdict of this connection flushed — and reply with the final
+    /// metrics frame (the drain acknowledgement).
+    FinalMetrics { request_id: u64 },
+    /// Reshard the backend (milliseconds) and reply with the result. The
+    /// frontend picks the thread: never one that multiplexes connections.
+    Scale { request_id: u64, shards: u32 },
+    /// Nothing to send (a departure is fire-and-forget).
+    Nothing,
+    /// Protocol abuse: send this error frame behind everything the
+    /// client is still owed, then close the connection.
+    ReplyThenClose(Frame),
+}
+
+/// Dispatches one decoded frame to the backend. Never blocks on a
+/// verdict and never reshards — both are deferred into the [`Action`].
+pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action<B::Pending> {
+    match frame {
+        Frame::Submit(req) => {
+            admission(req.request_id, backend.submit(req.task, req.options, budget(req.deadline_us)))
+        }
+        Frame::Forward(req) => {
+            // Same shape as Submit, but the budget is the *remaining*
+            // deadline carried from the origin gateway, and the backend
+            // sees the hop/tried metadata for loop-free re-forwarding.
+            let info = ForwardInfo { origin: req.origin, tried: req.tried, hops: req.hops };
+            admission(req.request_id, backend.forward(req.task, req.options, budget(req.deadline_us), info))
+        }
+        Frame::Depart(req) => {
+            backend.depart(req.task);
+            Action::Nothing
+        }
+        // The snapshot is taken now; the queue only sequences it behind
+        // this connection's earlier replies.
+        Frame::Snapshot(req) => Action::Reply(Frame::Metrics(MetricsResponse {
+            request_id: req.request_id,
+            is_final: false,
+            metrics: backend.metrics(),
+        })),
+        Frame::Drain(req) => {
+            event!(Severity::Info, "net.dispatch", "drain requested (request {})", req.request_id);
+            backend.begin_drain();
+            Action::FinalMetrics { request_id: req.request_id }
+        }
+        Frame::Scale(req) => {
+            event!(
+                Severity::Info,
+                "net.dispatch",
+                "scale to {} shard(s) requested (request {})",
+                req.shards,
+                req.request_id
+            );
+            Action::Scale { request_id: req.request_id, shards: req.shards }
+        }
+        // Membership bookkeeping and a load digest are map updates and a
+        // couple of atomic reads: cheap enough to answer inline.
+        Frame::Announce(req) => Action::Reply(membership(req.request_id, &req.addr, |addr| {
+            backend.announce(addr, req.incarnation)
+        })),
+        Frame::Leave(req) => {
+            Action::Reply(membership(req.request_id, &req.addr, |addr| backend.leave(addr, req.incarnation)))
+        }
+        Frame::PeerHello(req) => Action::Reply(match backend.peer_load(&req.addr, req.incarnation) {
+            Some(d) => Frame::PeerLoad(PeerLoadResponse {
+                request_id: req.request_id,
+                healthy_nodes: d.healthy_nodes,
+                remaining_budget: d.remaining_budget,
+                round_ms_p50: d.round_ms_p50,
+                epoch: d.epoch,
+            }),
+            None => error_frame(req.request_id, ErrorCode::Internal, "backend is not a federation gateway"),
+        }),
+        // A client must not send response frames; treat as protocol abuse.
+        Frame::Outcome(_)
+        | Frame::Metrics(_)
+        | Frame::Scaled(_)
+        | Frame::Membership(_)
+        | Frame::PeerLoad(_)
+        | Frame::Error(_) => Action::ReplyThenClose(error_frame(
+            frame.request_id(),
+            ErrorCode::Malformed,
+            format!("unexpected {} frame from client", frame.type_name()),
+        )),
+    }
+}
+
+impl<P: PendingOutcome> Action<P> {
+    /// The action closing a connection whose byte stream failed to
+    /// decode: a connection-level (`request_id` 0) `Malformed` error.
+    pub(crate) fn protocol_error(e: DecodeError) -> Self {
+        Action::ReplyThenClose(error_frame(0, ErrorCode::Malformed, e.to_string()))
+    }
+
+    /// Builds the reply this action owes, blocking on the verdict if it
+    /// has not resolved yet (`before_block` runs first in that case, so
+    /// a writer can flush what earlier requests are owed). `None` only
+    /// for [`Action::Nothing`].
+    pub(crate) fn redeem<B: Backend<Pending = P>>(
+        self,
+        backend: &B,
+        before_block: impl FnOnce(),
+    ) -> Option<Frame> {
+        Some(match self {
+            Action::Verdict { request_id, ticket } => {
+                let outcome = ticket.try_wait().or_else(|| {
+                    before_block();
+                    ticket.wait()
+                });
+                match outcome {
+                    Some(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
+                    None => error_frame(
+                        request_id,
+                        ErrorCode::Internal,
+                        "worker exited before resolving the request",
+                    ),
+                }
+            }
+            Action::Reply(frame) | Action::ReplyThenClose(frame) => frame,
+            Action::FinalMetrics { request_id } => {
+                Frame::Metrics(MetricsResponse { request_id, is_final: true, metrics: backend.metrics() })
+            }
+            Action::Scale { request_id, shards } => match backend.scale_to(shards as usize) {
+                Ok(r) => Frame::Scaled(ScaleResponse {
+                    request_id,
+                    from_shards: r.from_shards as u32,
+                    to_shards: r.to_shards as u32,
+                    migrated: r.migrated,
+                    generation: r.generation,
+                }),
+                Err(e) => error_frame(request_id, ErrorCode::InvalidScale, e.to_string()),
+            },
+            Action::Nothing => return None,
+        })
+    }
+}
+
+/// An error response frame.
+pub(crate) fn error_frame(request_id: u64, code: ErrorCode, message: impl Into<String>) -> Frame {
+    Frame::Error(ErrorResponse { request_id, code, message: message.into() })
+}
+
+/// `deadline_us == 0` is the wire encoding of "no client deadline": the
+/// backend applies its own policy default.
+fn budget(deadline_us: u64) -> Option<Duration> {
+    (deadline_us != 0).then(|| Duration::from_micros(deadline_us))
+}
+
+/// An accepted submit owes a verdict; an ingress refusal is answered
+/// with an error frame right away (the connection stays open).
+fn admission<P>(request_id: u64, submitted: Result<P, SubmitError>) -> Action<P> {
+    match submitted {
+        Ok(ticket) => Action::Verdict { request_id, ticket },
+        Err(e) => Action::Reply(error_frame(request_id, e.into(), e.to_string())),
+    }
+}
+
+/// The reply to an announce or leave: parses the member address and
+/// consults the backend. An unparseable address answers a `Malformed`
+/// error frame (the connection stays open — the envelope was valid).
+fn membership(
+    request_id: u64,
+    addr: &str,
+    apply: impl FnOnce(SocketAddr) -> crate::backend::MembershipAck,
+) -> Frame {
+    match addr.parse() {
+        Ok(sock) => {
+            let ack = apply(sock);
+            Frame::Membership(MembershipResponse { request_id, decision: ack.decision, members: ack.members })
+        }
+        Err(_) => {
+            error_frame(request_id, ErrorCode::Malformed, format!("unparseable member address {addr:?}"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{MembershipAck, PeerDigest};
+    use crate::codec::tests::sample_frames;
+    use offloadnn_core::instance::PathOption;
+    use offloadnn_core::task::{Task, TaskId};
+    use offloadnn_serve::{DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError};
+    use std::sync::Mutex;
+
+    /// A pending verdict that is already resolved.
+    struct Ready;
+
+    impl PendingOutcome for Ready {
+        fn try_wait(&self) -> Option<Outcome> {
+            Some(Outcome::Rejected { shard: 7 })
+        }
+
+        fn wait(&self) -> Option<Outcome> {
+            unreachable!("try_wait already resolved")
+        }
+    }
+
+    /// A scripted backend: records every call the dispatcher makes.
+    #[derive(Default)]
+    struct Script(Mutex<Vec<String>>);
+
+    impl Script {
+        fn log(&self, call: String) {
+            self.0.lock().unwrap().push(call);
+        }
+    }
+
+    impl Backend for Script {
+        type Pending = Ready;
+
+        fn submit(
+            &self,
+            task: Task,
+            _: Vec<PathOption>,
+            budget: Option<Duration>,
+        ) -> Result<Ready, SubmitError> {
+            self.log(format!("submit {} {budget:?}", task.id));
+            Ok(Ready)
+        }
+
+        fn forward(
+            &self,
+            task: Task,
+            _: Vec<PathOption>,
+            budget: Option<Duration>,
+            info: ForwardInfo,
+        ) -> Result<Ready, SubmitError> {
+            self.log(format!("forward {} {budget:?} hops={} tried={}", task.id, info.hops, info.tried.len()));
+            Err(SubmitError::Draining)
+        }
+
+        fn depart(&self, task: TaskId) {
+            self.log(format!("depart {task}"));
+        }
+
+        fn metrics(&self) -> MetricsSnapshot {
+            self.log("metrics".into());
+            offloadnn_serve::ServiceMetrics::new().snapshot()
+        }
+
+        fn begin_drain(&self) {
+            self.log("begin_drain".into());
+        }
+
+        fn is_draining(&self) -> bool {
+            false
+        }
+
+        fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+            self.log(format!("scale_to {shards}"));
+            Err(ServeError::Draining)
+        }
+
+        fn announce(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
+            self.log(format!("announce {addr} {incarnation}"));
+            MembershipAck::unsupported()
+        }
+
+        fn leave(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
+            self.log(format!("leave {addr} {incarnation}"));
+            MembershipAck::unsupported()
+        }
+
+        fn peer_load(&self, peer_addr: &str, _: u64) -> Option<PeerDigest> {
+            self.log(format!("peer_load {peer_addr}"));
+            Some(PeerDigest { healthy_nodes: 2, remaining_budget: 1.0, round_ms_p50: 0.5, epoch: 3 })
+        }
+
+        fn drain(self) -> DrainReport {
+            unreachable!("the dispatcher never drains")
+        }
+    }
+
+    /// One line per action: its kind, plus the reply frame's type and
+    /// correlation id where it carries one.
+    fn describe(action: &Action<Ready>) -> String {
+        let reply = |f: &Frame| match f {
+            Frame::Error(e) => format!("error {:?} #{}", e.code, e.request_id),
+            f => format!("{} #{}", f.type_name(), f.request_id()),
+        };
+        match action {
+            Action::Verdict { request_id, .. } => format!("verdict #{request_id}"),
+            Action::Reply(f) => format!("reply {}", reply(f)),
+            Action::FinalMetrics { request_id } => format!("final-metrics #{request_id}"),
+            Action::Scale { request_id, shards } => format!("scale #{request_id} to {shards}"),
+            Action::Nothing => "nothing".to_owned(),
+            Action::ReplyThenClose(f) => format!("close after {}", reply(f)),
+        }
+    }
+
+    /// The frontend-parity contract as one assertion list: what each of
+    /// the nine request frames asks of the backend and owes the client,
+    /// and that each of the six response frames is protocol abuse.
+    #[test]
+    fn every_frame_type_maps_to_its_action() {
+        let expected: &[(&str, &str, &[&str])] = &[
+            ("submit", "verdict #42", &["submit t1 Some(1.5s)"]),
+            ("depart", "nothing", &["depart t99"]),
+            ("snapshot", "reply metrics #8", &["metrics"]),
+            ("drain", "final-metrics #9", &["begin_drain"]),
+            // Deferred: the frontend chooses the thread that reshards.
+            ("scale", "scale #10 to 6", &[]),
+            ("announce", "reply membership #11", &["announce 127.0.0.1:9000 170000000123"]),
+            ("leave", "reply membership #12", &["leave 127.0.0.1:9000 170000000123"]),
+            ("peer_hello", "reply peer_load #13", &["peer_load 127.0.0.1:7000"]),
+            // An ingress refusal is an error reply, not a close.
+            ("forward", "reply error Draining #14", &["forward t2 Some(850ms) hops=1 tried=2"]),
+            ("outcome", "close after error Malformed #42", &[]),
+            ("metrics", "close after error Malformed #8", &[]),
+            ("scaled", "close after error Malformed #10", &[]),
+            ("membership", "close after error Malformed #11", &[]),
+            ("peer_load", "close after error Malformed #13", &[]),
+            ("error", "close after error Malformed #44", &[]),
+        ];
+        assert_eq!(expected.len(), Frame::TABLE.len(), "one expectation per frame type");
+        let frames = sample_frames();
+        for (name, action, calls) in expected {
+            let frame = frames.iter().find(|f| f.type_name() == *name).expect("sample frame").clone();
+            let backend = Script::default();
+            assert_eq!(describe(&dispatch(&backend, frame)), *action, "{name}");
+            assert_eq!(*backend.0.lock().unwrap(), *calls, "{name}: backend calls");
+        }
+    }
+}

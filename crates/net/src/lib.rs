@@ -4,24 +4,26 @@
 //! its address space can submit a DOT admission request. This crate puts
 //! it on the network — std-only, no external runtime — in three layers:
 //!
-//! * **Codec** ([`codec`]) — a versioned, length-prefixed binary frame
-//!   format (`magic + version + type + length + payload + FNV-1a/32
-//!   checksum`) carrying Submit / Depart / Snapshot / Drain requests and
-//!   Outcome / Metrics / Error responses. Decoding is streaming and
-//!   never panics on malformed input: truncation, bad magic, version
-//!   skew, hostile length prefixes and corrupted checksums all surface
-//!   as typed [`DecodeError`]s.
+//! * **Codec** ([`codec`]) — a length-prefixed binary frame format
+//!   (`magic + version + type + length + payload + FNV-1a/32 checksum`)
+//!   carrying nine request and six response frame types, all described
+//!   by one frame table. There is one protocol revision: a frame stamped
+//!   with any other version is refused from the header. Decoding is
+//!   streaming and never panics on malformed input: truncation, bad
+//!   magic, version skew, hostile length prefixes and corrupted
+//!   checksums all surface as typed [`DecodeError`]s.
 //! * **Server** — two interchangeable TCP frontends behind the
 //!   [`Frontend`] switch (or directly), with identical wire behaviour:
 //!   the threaded [`server::NetServer`] (one acceptor, a reader +
 //!   writer thread per connection) and the epoll-based
 //!   [`async_server::AsyncServer`] (a fixed pool of event loops built
 //!   on `offloadnn-reactor`, multiplexing hundreds of connections onto
-//!   a handful of threads). Both enforce a bounded per-connection
-//!   in-flight window (backpressure propagates through the TCP receive
-//!   buffer, not server memory), a connection-count limit, capped
-//!   backoff on accept errors, and graceful drain that flushes every
-//!   in-flight verdict to its client before closing.
+//!   a handful of threads). Both run every decoded request through
+//!   the same crate-private dispatcher, and both enforce a bounded
+//!   per-connection in-flight window (backpressure propagates through
+//!   the TCP receive buffer, not server memory), a connection-count
+//!   limit, capped backoff on accept errors, and graceful drain that
+//!   flushes every in-flight verdict to its client before closing.
 //! * **Client** ([`client`]) — a pipelining client library with
 //!   per-request deadline propagation (the client's budget travels in
 //!   the frame; the server enforces the *tighter* of it and its own
@@ -67,17 +69,19 @@ pub mod backend;
 mod backoff;
 pub mod client;
 pub mod codec;
+mod dispatch;
 pub mod error;
 pub mod frontend;
 mod instruments;
 pub mod server;
+mod shared;
 pub mod wire;
 
 pub use async_server::{AsyncServer, ReactorConfig};
 pub use backend::{Backend, ForwardInfo, MembershipAck, PeerDigest, PendingOutcome};
 pub use client::{Client, ClientConfig, ClientConfigBuilder, PendingVerdict};
 pub use codec::{
-    decode, decode_capped, decode_exact, encode, ErrorCode, ForwardRequest, Frame, MemberInfo, MemberState,
+    decode, decode_exact, encode, ErrorCode, ForwardRequest, Frame, MemberInfo, MemberState,
     MembershipDecision, PeerHelloRequest, PeerLoadResponse, MAGIC, MAX_PAYLOAD, VERSION,
 };
 pub use error::{DecodeError, NetError};

@@ -12,9 +12,10 @@
 //! ```
 //!
 //! One acceptor thread owns the listener. Each accepted connection gets a
-//! *reader* thread (decodes frames, feeds the service) and a *writer*
-//! thread (redeems [`Ticket`]s for verdicts and writes responses). The
-//! channel between them is bounded by [`NetConfig::inflight_window`]: a
+//! *reader* thread (decodes frames, runs them through the shared
+//! dispatcher, reshards inline on a `Scale`) and a *writer* thread
+//! (redeems the queued actions — blocking on tickets for verdicts — and
+//! writes responses). The channel between them is bounded by [`NetConfig::inflight_window`]: a
 //! client that pipelines more submits than the window simply stops being
 //! read — backpressure propagates through the TCP receive buffer instead
 //! of growing server memory.
@@ -28,19 +29,19 @@
 //! before the connection closes — the writer thread drains its whole
 //! queue before exiting, so drain never strands an in-flight verdict.
 
-use crate::backend::{Backend, PendingOutcome};
+use crate::backend::Backend;
 use crate::backoff::AcceptBackoff;
-use crate::codec::{self, ErrorCode, ErrorResponse, Frame, MetricsResponse, OutcomeResponse, ScaleResponse};
+use crate::codec::{self, ErrorCode, Frame};
+use crate::dispatch::{dispatch, error_frame, Action};
 use crate::error::NetError;
-use crate::instruments::NetInstruments;
+use crate::shared::Shared;
 use crossbeam::channel::{self, Receiver, Sender};
 use offloadnn_core::instance::DotInstance;
 use offloadnn_serve::{DrainReport, Service, ServiceConfig};
 use offloadnn_telemetry::{event, Severity};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -96,31 +97,6 @@ impl NetConfig {
     }
 }
 
-/// What a reader queues for its connection's writer thread.
-#[allow(clippy::large_enum_variant)] // transient, bounded queue; see Frame
-enum WriterMsg<P: PendingOutcome> {
-    /// A submitted request: redeem the ticket, send the outcome.
-    Verdict { request_id: u64, ticket: P },
-    /// An already-built response frame.
-    Reply(Frame),
-    /// Snapshot the service *at send time* and reply with a final
-    /// metrics frame (the drain acknowledgement).
-    FinalMetrics { request_id: u64 },
-}
-
-/// State shared by the acceptor and every connection thread.
-struct Shared<B: Backend> {
-    service: B,
-    net: NetConfig,
-    shutdown: AtomicBool,
-    active: AtomicUsize,
-    conns: Mutex<Vec<JoinHandle<()>>>,
-    instruments: Option<NetInstruments>,
-    /// Armed by [`NetServer::announce_to`]; fired (once) when the node
-    /// drains or shuts down, so the gateway deregisters it gracefully.
-    leave_notice: Mutex<Option<Arc<crate::backend::LeaveNotice>>>,
-}
-
 /// A running TCP frontend over any [`Backend`] (an in-process
 /// [`Service`] fleet by default). Start with [`NetServer::start`] (or
 /// [`NetServer::start_with_backend`]); stop with [`NetServer::shutdown`],
@@ -128,7 +104,8 @@ struct Shared<B: Backend> {
 pub struct NetServer<B: Backend = Service> {
     local_addr: SocketAddr,
     shared: Arc<Shared<B>>,
-    acceptor: Option<JoinHandle<()>>,
+    /// Hands back the connection threads it spawned when it exits.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl<B: Backend> std::fmt::Debug for NetServer<B> {
@@ -152,14 +129,7 @@ impl NetServer<Service> {
         service_config: ServiceConfig,
         template: &DotInstance,
     ) -> Result<Self, NetError> {
-        let service = Service::start(service_config, template).map_err(|e| {
-            NetError::InvalidConfig(match e {
-                offloadnn_serve::ServeError::InvalidConfig(what) => what,
-                // Unreachable at start, but keep the mapping total.
-                offloadnn_serve::ServeError::Draining => "service is draining",
-            })
-        })?;
-        Self::start_with_backend(addr, net, service)
+        Self::start_with_backend(addr, net, crate::backend::start_service(service_config, template)?)
     }
 }
 
@@ -180,15 +150,7 @@ impl<B: Backend> NetServer<B> {
         net.validate()?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            service: backend,
-            net,
-            shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
-            instruments: NetInstruments::new(),
-            leave_notice: Mutex::new(None),
-        });
+        let shared = Shared::new(backend, net);
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -224,7 +186,7 @@ impl<B: Backend> NetServer<B> {
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
+        self.shared.active()
     }
 
     /// Reshapes the underlying backend at runtime (the server-side twin
@@ -241,11 +203,11 @@ impl<B: Backend> NetServer<B> {
         self.shared.service.scale_to(shards)
     }
 
-    /// Registers this node with a gateway's membership engine (protocol
-    /// v3): sends an [`Frame::Announce`] carrying [`NetServer::local_addr`]
-    /// under a fresh wall-clock incarnation, and arms a graceful
-    /// [`Frame::Leave`] to fire when the node drains or shuts down. The
-    /// gateway health-probes the node before routing any traffic to it
+    /// Registers this node with a gateway's membership engine: sends an
+    /// [`Frame::Announce`] carrying [`NetServer::local_addr`] under a
+    /// fresh wall-clock incarnation, and arms a graceful [`Frame::Leave`]
+    /// to fire when the node drains or shuts down. The gateway
+    /// health-probes the node before routing any traffic to it
     /// (join-through-probation).
     ///
     /// # Errors
@@ -253,14 +215,7 @@ impl<B: Backend> NetServer<B> {
     /// Transport errors when the gateway cannot be reached or does not
     /// answer; the announce can simply be retried.
     pub fn announce_to(&self, gateway: SocketAddr) -> Result<codec::MembershipResponse, NetError> {
-        // Startup wall-clock nanoseconds: monotonic across restarts of
-        // the same node (modulo clock regression), which is all the
-        // incarnation ordering needs.
-        let incarnation = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(1, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-            .max(1);
-        self.announce_to_as(gateway, incarnation)
+        self.announce_to_as(gateway, crate::backend::fresh_incarnation())
     }
 
     /// [`NetServer::announce_to`] with an explicit incarnation stamp
@@ -274,20 +229,7 @@ impl<B: Backend> NetServer<B> {
         gateway: SocketAddr,
         incarnation: u64,
     ) -> Result<codec::MembershipResponse, NetError> {
-        let config = crate::backend::membership_client_config();
-        let timeout = crate::backend::MEMBERSHIP_RPC_TIMEOUT;
-        let client = crate::client::Client::connect(gateway, config)?;
-        let addr = self.local_addr.to_string();
-        let reply = client.announce(&addr, incarnation, timeout)?;
-        let notice = Arc::new(crate::backend::LeaveNotice::new(gateway, addr, incarnation, config, timeout));
-        // Preferred path: the backend tells us when its drain begins
-        // (a wire-level Drain frame fences the service without passing
-        // through shutdown()). Fallback either way: shutdown() fires the
-        // stored notice, and firing is idempotent.
-        let hook_notice = Arc::clone(&notice);
-        let _ = self.shared.service.on_drain(Box::new(move || hook_notice.fire()));
-        *self.shared.leave_notice.lock().expect("leave notice lock") = Some(notice);
-        Ok(reply)
+        self.shared.announce(self.local_addr, gateway, incarnation)
     }
 
     /// Gracefully stops the frontend: fences the ingress, wakes and joins
@@ -295,37 +237,22 @@ impl<B: Backend> NetServer<B> {
     /// to its client, joins the connection threads, then drains the
     /// underlying service and returns its final report.
     pub fn shutdown(mut self) -> DrainReport {
-        // Deregister from the gateway (if announced) before fencing, so
-        // the cluster stops routing to this node while its in-flight
-        // work can still resolve.
-        if let Some(notice) = self.shared.leave_notice.lock().expect("leave notice lock").take() {
-            notice.fire();
-        }
-        self.shared.service.begin_drain();
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the acceptor out of its blocking accept().
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        let handles = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
-        for h in handles {
+        self.shared.begin_shutdown(self.local_addr);
+        let conns = self.acceptor.take().and_then(|h| h.join().ok()).unwrap_or_default();
+        for h in conns {
             let _ = h.join();
         }
         event!(Severity::Info, "net.server", "frontend stopped on {}", self.local_addr);
-        let shared = Arc::try_unwrap(self.shared)
-            .unwrap_or_else(|_| panic!("all connection threads joined, no Shared clones remain"));
-        shared.service.drain()
+        self.shared.finish_shutdown()
     }
 }
 
-fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
-    let mut next_conn_id: u64 = 0;
+/// Accepts until shutdown, one thread per connection; returns those
+/// threads' handles for [`NetServer::shutdown`] to join.
+fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) -> Vec<JoinHandle<()>> {
+    let mut conns = Vec::new();
     let mut backoff = AcceptBackoff::new();
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
+    while !shared.is_shutting_down() {
         let stream = match listener.accept() {
             Ok((s, _)) => {
                 backoff.on_success();
@@ -344,49 +271,39 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>) {
             }
         };
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-        if shared.active.load(Ordering::Acquire) >= shared.net.max_connections {
+        if shared.active() >= shared.net.max_connections {
             event!(Severity::Warn, "net.server", "rejecting {peer}: connection limit reached");
             reject_over_limit(stream, shared.net.write_timeout);
             continue;
         }
-        let conn_id = next_conn_id;
-        next_conn_id += 1;
-        shared.active.fetch_add(1, Ordering::AcqRel);
-        if let Some(instruments) = &shared.instruments {
-            instruments.conns.add(1);
-        }
+        let conn_id = conns.len();
+        shared.conn_opened();
         event!(Severity::Info, "net.server", "conn {conn_id}: accepted from {peer}");
         let shared_conn = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name(format!("net-conn-{conn_id}"))
             .spawn(move || {
                 serve_connection(conn_id, stream, &shared_conn);
-                shared_conn.active.fetch_sub(1, Ordering::AcqRel);
-                if let Some(instruments) = &shared_conn.instruments {
-                    instruments.conns.sub(1);
-                }
+                shared_conn.conn_closed();
             })
             .expect("spawn connection thread");
-        shared.conns.lock().expect("conns lock").push(handle);
+        conns.push(handle);
     }
+    conns
 }
 
 /// Best-effort "too many connections" notice before dropping the socket.
 /// Shared by both frontends.
 pub(crate) fn reject_over_limit(mut stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
-    let frame = Frame::Error(ErrorResponse {
-        request_id: 0,
-        code: ErrorCode::TooManyConnections,
-        message: "server is at its connection limit".to_owned(),
-    });
+    let frame = error_frame(0, ErrorCode::TooManyConnections, "server is at its connection limit");
     let _ = stream.write_all(&codec::encode(&frame));
     let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// The per-connection reader: decodes frames off the socket and feeds
 /// the service; spawns and finally joins the connection's writer.
-fn serve_connection<B: Backend>(conn_id: u64, stream: TcpStream, shared: &Arc<Shared<B>>) {
+fn serve_connection<B: Backend>(conn_id: usize, stream: TcpStream, shared: &Arc<Shared<B>>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(shared.net.read_timeout)).is_err() {
         return;
@@ -397,7 +314,7 @@ fn serve_connection<B: Backend>(conn_id: u64, stream: TcpStream, shared: &Arc<Sh
     };
     let _ = write_half.set_write_timeout(Some(shared.net.write_timeout));
 
-    let (tx, rx) = channel::bounded::<WriterMsg<B::Pending>>(shared.net.inflight_window);
+    let (tx, rx) = channel::bounded::<Action<B::Pending>>(shared.net.inflight_window);
     let writer = {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
@@ -415,7 +332,7 @@ fn serve_connection<B: Backend>(conn_id: u64, stream: TcpStream, shared: &Arc<Sh
     event!(Severity::Info, "net.server", "conn {conn_id}: closed");
 }
 
-fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Sender<WriterMsg<B::Pending>>) {
+fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Sender<Action<B::Pending>>) {
     let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -431,11 +348,7 @@ fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Se
                 Ok(None) => break,
                 Err(e) => {
                     event!(Severity::Warn, "net.server", "protocol error, closing: {e}");
-                    let _ = tx.send(WriterMsg::Reply(Frame::Error(ErrorResponse {
-                        request_id: 0,
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    })));
+                    let _ = tx.send(Action::protocol_error(e));
                     return;
                 }
             }
@@ -445,14 +358,14 @@ fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Se
         // health prober snapshotting on an interval shorter than the
         // read timeout — must not be able to hold the drain open
         // forever. Owed verdicts still flush through the writer.
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.is_shutting_down() {
             return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
-                if shared.shutdown.load(Ordering::Acquire) {
+                if shared.is_shutting_down() {
                     return;
                 }
             }
@@ -462,187 +375,43 @@ fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Se
     }
 }
 
-/// Dispatches one decoded request. Returns `false` when the connection
+/// Runs one decoded request through the shared dispatcher and queues
+/// what it owes for the writer. Returns `false` when the connection
 /// must close.
-fn handle_frame<B: Backend>(
-    frame: Frame,
-    shared: &Arc<Shared<B>>,
-    tx: &Sender<WriterMsg<B::Pending>>,
-) -> bool {
-    match frame {
-        Frame::Submit(req) => {
-            // deadline_us == 0 is the wire encoding of "no client
-            // deadline": the backend applies its own policy default.
-            let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-            let msg = match shared.service.submit(req.task, req.options, budget) {
-                Ok(ticket) => WriterMsg::Verdict { request_id: req.request_id, ticket },
-                Err(e) => WriterMsg::Reply(Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: e.into(),
-                    message: e.to_string(),
-                })),
-            };
-            // A full window blocks here: backpressure through the socket.
-            tx.send(msg).is_ok()
-        }
-        Frame::Depart(req) => {
-            shared.service.depart(req.task);
-            true
-        }
-        Frame::Snapshot(req) => tx
-            .send(WriterMsg::Reply(Frame::Metrics(MetricsResponse {
-                request_id: req.request_id,
-                is_final: false,
-                metrics: shared.service.metrics(),
-            })))
-            .is_ok(),
-        Frame::Drain(req) => {
-            event!(Severity::Info, "net.server", "drain requested (request {})", req.request_id);
-            shared.service.begin_drain();
-            // Queued behind every verdict already in this connection's
-            // window, so the snapshot it carries is taken post-flush.
-            tx.send(WriterMsg::FinalMetrics { request_id: req.request_id }).is_ok()
-        }
-        Frame::Scale(req) => {
-            event!(
-                Severity::Info,
-                "net.server",
-                "scale to {} shard(s) requested (request {})",
-                req.shards,
-                req.request_id
-            );
-            // Runs on the reader thread: this connection's pipelined
-            // frames wait in the TCP buffer while the fleet reshapes
-            // (milliseconds), other connections are untouched.
-            let reply = match shared.service.scale_to(req.shards as usize) {
-                Ok(r) => Frame::Scaled(ScaleResponse {
-                    request_id: req.request_id,
-                    from_shards: r.from_shards as u32,
-                    to_shards: r.to_shards as u32,
-                    migrated: r.migrated,
-                    generation: r.generation,
-                }),
-                Err(e) => Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: ErrorCode::InvalidScale,
-                    message: e.to_string(),
-                }),
-            };
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::Announce(req) => {
-            let reply = crate::backend::membership_frame(
-                &shared.service,
-                req.request_id,
-                &req.addr,
-                req.incarnation,
-                false,
-            );
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::Leave(req) => {
-            let reply = crate::backend::membership_frame(
-                &shared.service,
-                req.request_id,
-                &req.addr,
-                req.incarnation,
-                true,
-            );
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::PeerHello(req) => {
-            let reply = match shared.service.peer_load(&req.addr, req.incarnation) {
-                Some(d) => Frame::PeerLoad(crate::codec::PeerLoadResponse {
-                    request_id: req.request_id,
-                    healthy_nodes: d.healthy_nodes,
-                    remaining_budget: d.remaining_budget,
-                    round_ms_p50: d.round_ms_p50,
-                    epoch: d.epoch,
-                }),
-                None => Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: ErrorCode::Internal,
-                    message: "backend is not a federation gateway".to_owned(),
-                }),
-            };
-            tx.send(WriterMsg::Reply(reply)).is_ok()
-        }
-        Frame::Forward(req) => {
-            // Same shape as Submit, but the budget is the *remaining*
-            // deadline carried from the origin gateway, and the backend
-            // sees the hop/tried metadata for loop-free re-forwarding.
-            let budget = (req.deadline_us != 0).then(|| Duration::from_micros(req.deadline_us));
-            let info = crate::backend::ForwardInfo { origin: req.origin, tried: req.tried, hops: req.hops };
-            let msg = match shared.service.forward(req.task, req.options, budget, info) {
-                Ok(ticket) => WriterMsg::Verdict { request_id: req.request_id, ticket },
-                Err(e) => WriterMsg::Reply(Frame::Error(ErrorResponse {
-                    request_id: req.request_id,
-                    code: e.into(),
-                    message: e.to_string(),
-                })),
-            };
-            tx.send(msg).is_ok()
-        }
-        // A client must not send response frames; treat as protocol abuse.
-        Frame::Outcome(_)
-        | Frame::Metrics(_)
-        | Frame::Scaled(_)
-        | Frame::Membership(_)
-        | Frame::PeerLoad(_)
-        | Frame::Error(_) => {
-            let _ = tx.send(WriterMsg::Reply(Frame::Error(ErrorResponse {
-                request_id: frame.request_id(),
-                code: ErrorCode::Malformed,
-                message: format!("unexpected {} frame from client", frame.type_name()),
-            })));
-            false
-        }
+fn handle_frame<B: Backend>(frame: Frame, shared: &Arc<Shared<B>>, tx: &Sender<Action<B::Pending>>) -> bool {
+    let mut action = dispatch(&shared.service, frame);
+    if matches!(action, Action::Scale { .. }) {
+        // Reshard here, on the reader thread: this connection's pipelined
+        // frames wait in the TCP buffer while the fleet reshapes
+        // (milliseconds), other connections are untouched.
+        action = action.redeem(&shared.service, || {}).map_or(Action::Nothing, Action::Reply);
     }
+    if matches!(action, Action::Nothing) {
+        return true;
+    }
+    let open = !matches!(action, Action::ReplyThenClose(_));
+    // A full window blocks here: backpressure through the socket.
+    tx.send(action).is_ok() && open
 }
 
-fn write_loop<B: Backend>(
-    rx: &Receiver<WriterMsg<B::Pending>>,
-    mut stream: TcpStream,
-    shared: &Arc<Shared<B>>,
-) {
+fn write_loop<B: Backend>(rx: &Receiver<Action<B::Pending>>, mut stream: TcpStream, shared: &Arc<Shared<B>>) {
     let mut out: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut alive = true;
-    while let Ok(msg) = rx.recv() {
-        let frame = match msg {
-            WriterMsg::Verdict { request_id, ticket } => {
-                let outcome = ticket.try_wait().or_else(|| {
-                    // About to block on the verdict: flush what earlier
-                    // requests are owed so the client is not starved by
-                    // head-of-line coalescing.
-                    if alive && !out.is_empty() {
-                        if stream.write_all(&out).is_err() {
-                            alive = false;
-                        }
-                        out.clear();
-                    }
-                    ticket.wait()
-                });
-                match outcome {
-                    Some(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
-                    None => Frame::Error(ErrorResponse {
-                        request_id,
-                        code: ErrorCode::Internal,
-                        message: "worker exited before resolving the request".to_owned(),
-                    }),
+    while let Ok(action) = rx.recv() {
+        let frame = action.redeem(&shared.service, || {
+            // About to block on the verdict: flush what earlier requests
+            // are owed so the client is not starved by head-of-line
+            // coalescing.
+            if alive && !out.is_empty() {
+                if stream.write_all(&out).is_err() {
+                    alive = false;
                 }
+                out.clear();
             }
-            WriterMsg::Reply(frame) => frame,
-            WriterMsg::FinalMetrics { request_id } => Frame::Metrics(MetricsResponse {
-                request_id,
-                is_final: true,
-                metrics: shared.service.metrics(),
-            }),
-        };
-        if !alive {
-            // The socket died: keep redeeming tickets (the service side
-            // must still quiesce) but stop writing.
-            continue;
-        }
+        });
+        // The socket died: keep redeeming tickets (the service side must
+        // still quiesce) but stop writing.
+        let (Some(frame), true) = (frame, alive) else { continue };
         out.extend_from_slice(&codec::encode(&frame));
         // Coalesce while more responses are queued; flush on a lull.
         if rx.is_empty() || out.len() >= 64 * 1024 {

@@ -170,81 +170,6 @@ proptest! {
         assert_round_trip(&frame)?;
     }
 
-    /// Forward compatibility: a v1 or v2 client receiving any v3
-    /// membership frame followed by a frame it understands skips the
-    /// unknown one and decodes the next without desync — the skip
-    /// consumes exactly the unknown frame's bytes.
-    fn old_clients_skip_membership_frames_without_desync(
-        cap in 1u8..3,
-        addr in ascii_string(40),
-        incarnation in 0u64..u64::MAX,
-        members in vec(member_info(), 0..6),
-    ) {
-        for future in [
-            Frame::Announce(AnnounceRequest { request_id: 1, addr: addr.clone(), incarnation }),
-            Frame::Leave(LeaveRequest { request_id: 2, addr: addr.clone(), incarnation }),
-            Frame::Membership(MembershipResponse {
-                request_id: 3,
-                decision: codec::MembershipDecision::Accepted,
-                members: members.clone(),
-            }),
-        ] {
-            let mut stream = codec::encode(&future);
-            let tail = Frame::Snapshot(SnapshotRequest { request_id: 9 });
-            stream.extend_from_slice(&codec::encode(&tail));
-            match codec::decode_capped(&stream, cap) {
-                Ok(Some((decoded, consumed))) => {
-                    prop_assert_eq!(decoded, tail, "old client must surface the next known frame");
-                    prop_assert_eq!(consumed, stream.len(), "skip must consume the exact frame length");
-                }
-                other => prop_assert!(false, "old client desynced: {:?}", other),
-            }
-        }
-    }
-
-    /// The same guarantee one version later: a v1, v2 or v3 client
-    /// receiving any v4 federation frame (`PeerHello`, `Forward`,
-    /// `PeerLoad`) skips it checksum-safely and decodes the next known
-    /// frame without desync.
-    fn old_clients_skip_federation_frames_without_desync(
-        cap in 1u8..4,
-        addr in ascii_string(40),
-        incarnation in 0u64..u64::MAX,
-        task in task(),
-        tried in vec(ascii_string(40), 0..4),
-    ) {
-        for future in [
-            Frame::PeerHello(PeerHelloRequest { request_id: 1, addr: addr.clone(), incarnation }),
-            Frame::Forward(ForwardRequest {
-                request_id: 2,
-                deadline_us: 5_000_000,
-                hops: 1,
-                origin: addr.clone(),
-                tried: tried.clone(),
-                task: task.clone(),
-                options: Vec::new(),
-            }),
-            Frame::PeerLoad(PeerLoadResponse {
-                request_id: 3,
-                healthy_nodes: 7,
-                remaining_budget: 12.5,
-                round_ms_p50: 3.0,
-                epoch: incarnation,
-            }),
-        ] {
-            let mut stream = codec::encode(&future);
-            let tail = Frame::Snapshot(SnapshotRequest { request_id: 9 });
-            stream.extend_from_slice(&codec::encode(&tail));
-            match codec::decode_capped(&stream, cap) {
-                Ok(Some((decoded, consumed))) => {
-                    prop_assert_eq!(decoded, tail, "old client must surface the next known frame");
-                    prop_assert_eq!(consumed, stream.len(), "skip must consume the exact frame length");
-                }
-                other => prop_assert!(false, "old client desynced: {:?}", other),
-            }
-        }
-    }
-
     // -------------------------------------------------- envelope bounds
 
     /// For arbitrary payload bytes under any frame-type tag, the envelope

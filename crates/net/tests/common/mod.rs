@@ -1,6 +1,8 @@
 //! Proptest strategies for wire-protocol contents, shared by the codec
 //! round-trip properties (`codec_props.rs`) and the reactor state-machine
-//! tests (`reactor_state.rs`).
+//! tests (`reactor_state.rs`). Tasks and path options stay inside the
+//! ranges `offloadnn_serve::validate_request` admits, so a generated
+//! submit reaches a shard instead of being refused at ingress.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
@@ -24,7 +26,7 @@ pub fn ascii_string(max_len: usize) -> impl Strategy<Value = String> {
 }
 
 pub fn quality() -> impl Strategy<Value = QualityLevel> {
-    (0.0f64..1.0, 1.0f64..1e7).prop_map(|(quality, bits)| QualityLevel { quality, bits })
+    (1e-3f64..1.0, 1.0f64..1e7).prop_map(|(quality, bits)| QualityLevel { quality, bits })
 }
 
 pub fn task() -> impl Strategy<Value = Task> {
@@ -32,12 +34,12 @@ pub fn task() -> impl Strategy<Value = Task> {
         0u32..1_000_000,
         ascii_string(24),
         0u32..64,
-        0.0f64..10.0,
-        0.0f64..1e4,
+        0.0f64..1.0,
+        1e-3f64..1e4,
         0.0f64..1.0,
         1e-3f64..10.0,
         -20.0f64..40.0,
-        vec(quality(), 0..6),
+        vec(quality(), 1..6),
         0.0f64..5.0,
     )
         .prop_map(

@@ -388,6 +388,56 @@ fn reshard_under_pipelined_load_conserves_reactor() {
     run_reshard_under_load(Frontend::Reactor);
 }
 
+/// One hostile submit must not kill a shard: a NaN request rate, a
+/// zero-bit quality level or a negative processing time is refused with
+/// a typed `Malformed` error before it is counted, the connection stays
+/// open, and the same (only) shard still solves the next valid request.
+fn run_hostile_submit(frontend: Frontend) {
+    let (server, protos) = start_server(frontend, ServiceConfig { shards: 1, ..quick_service() });
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let (task, options) = &protos[0];
+
+    let mut nan_rate = task.clone();
+    nan_rate.request_rate = f64::NAN;
+    let mut zero_bits = options.clone();
+    zero_bits[0].quality.bits = 0.0;
+    let mut negative_proc = options.clone();
+    negative_proc[0].proc_seconds = -1.0;
+    for (task, options) in
+        [(nan_rate, options.clone()), (task.clone(), zero_bits), (task.clone(), negative_proc)]
+    {
+        let refused = client.submit(task, options, None).expect("frame written");
+        match refused.wait_timeout(Duration::from_secs(20)) {
+            Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::Malformed, "{e:?}"),
+            other => panic!("a hostile submit must be refused Malformed, got {other:?}"),
+        }
+    }
+
+    let verdict = client
+        .submit(task.clone(), options.clone(), None)
+        .expect("the connection stays open")
+        .wait_timeout(Duration::from_secs(20));
+    assert!(
+        matches!(verdict, Ok(Outcome::Admitted { .. } | Outcome::Rejected { .. })),
+        "the shard must still be solving, got {verdict:?}"
+    );
+
+    client.close();
+    let report = server.shutdown();
+    assert!(report.metrics.is_conserved(), "ledger: {:?}", report.metrics);
+    assert_eq!(report.metrics.submitted, 1, "refused requests are never counted");
+}
+
+#[test]
+fn hostile_submit_is_refused_and_the_shard_survives() {
+    run_hostile_submit(Frontend::Threads);
+}
+
+#[test]
+fn hostile_submit_is_refused_and_the_shard_survives_reactor() {
+    run_hostile_submit(Frontend::Reactor);
+}
+
 /// Dialing a dead address retries with backoff and then fails with a
 /// typed error instead of hanging or panicking. (Client-side only — no
 /// frontend involved.)

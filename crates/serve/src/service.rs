@@ -315,7 +315,9 @@ impl Service {
     ///
     /// [`SubmitError::Draining`] after [`Service::drain`] has begun (the
     /// request is not counted), [`SubmitError::NoOptions`] for a request
-    /// with no candidate paths (nothing to solve over).
+    /// with no candidate paths (nothing to solve over),
+    /// [`SubmitError::Invalid`] for one that fails
+    /// [`validate_request`](crate::error::validate_request).
     pub fn submit(&self, task: Task, options: Vec<PathOption>) -> Result<Ticket, SubmitError> {
         self.submit_with_deadline(task, options, self.config.admission_deadline)
     }
@@ -327,12 +329,9 @@ impl Service {
     /// [`ServiceConfig::admission_deadline`]: a caller can shrink its
     /// admission window but never extend it past the service policy.
     ///
-    /// **Deprecated spelling** — prefer the unified admission trait:
-    /// [`crate::admit::Admitter::submit`] with `Some(deadline_budget)`
-    /// expresses the same request on every tier (service, wire client,
-    /// gateway) instead of this service-only method. Kept (not removed)
-    /// because the [`Admitter`](crate::admit::Admitter) implementation
-    /// and the network backend route through it.
+    /// This is the service's one ingress: [`Service::submit`], the
+    /// [`Admitter`](crate::admit::Admitter) implementation and the
+    /// network backend all route through it.
     ///
     /// # Errors
     ///
@@ -350,6 +349,7 @@ impl Service {
         if options.is_empty() {
             return Err(SubmitError::NoOptions);
         }
+        crate::error::validate_request(&task, &options)?;
         // Route and enqueue under one read guard: a concurrent reshard
         // swaps the router and senders only after this enqueue, so the
         // message FIFO-precedes the shard's `Reshard` order and resolves
