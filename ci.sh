@@ -89,14 +89,16 @@ for seed in "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 timeout 300 cargo test -q -p offloadnn-serve --test plancache_staleness
 
-echo "==> plancache gate: Zipf loadgen hit-rate + solve-path speedup with conservation intact"
-# The large scenario with per-request rounds is where the solver cost
-# dominates; measured speedup is 1.3-1.5x, gated at 1.15x with a 0.70
-# hit-rate floor. The binary exits non-zero on any conservation breach.
+echo "==> plancache gate: Zipf loadgen hit rate with conservation intact"
+# Gated on the 0.70 hit-rate floor; the binary exits non-zero on any
+# conservation breach. The cache-on/cache-off wall-clock ratio is printed
+# but not gated: it measured 1.02-1.8x run to run on unchanged code, and a
+# cheaper cold solve narrows it further. The solve path's speed is gated
+# end to end by the svc-large-zipf workload of perfbench.
 timeout 600 cargo run -q --release -p offloadnn-serve --bin serve_loadgen -- \
     --requests 2000 --scenario large --batch-max 1 --shape-skew 1.2 --shape-pool 32 \
     --seed 7 --plan-cache true --compare-baseline true \
-    --min-hit-rate 0.70 --min-speedup 1.15 >/dev/null
+    --min-hit-rate 0.70 >/dev/null
 
 echo "==> telemetry overhead gate: workspace builds and tier-1 passes with telemetry compiled out"
 cargo build --workspace --features telemetry-disabled

@@ -8,14 +8,13 @@
 
 use crate::error::DotError;
 use crate::heuristic::OffloadnnSolver;
-use crate::incremental::{residual_instance, DeployedState};
+use crate::incremental::DeployedState;
 use crate::instance::{Budgets, DotInstance, PathOption};
 use crate::objective::verify;
 use crate::task::{Task, TaskId};
 use offloadnn_dnn::block::BlockId;
 use offloadnn_radio::RateModel;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// One admission request: a task plus its candidate path options (the DNN
 /// availability of step 2, already profiled).
@@ -57,6 +56,9 @@ impl ActiveTask {
 pub struct AdmissionOutcome {
     /// Tasks admitted this round, with their grants.
     pub admitted: Vec<ActiveTask>,
+    /// Index of each grant's option in its request's option list, aligned
+    /// with `admitted` (so callers need not search the list for it).
+    pub chosen: Vec<usize>,
     /// Tasks rejected this round.
     pub rejected: Vec<TaskId>,
 }
@@ -95,6 +97,43 @@ pub struct ControllerSnapshot {
     pub headroom: Budgets,
 }
 
+/// The block ledger: how many active paths hold each block, and the
+/// residual cost tables a newcomer is solved against. Invariant:
+/// `refs[b]` equals the number of active paths containing `b`, and the
+/// residual tables are zero exactly where `refs[b] > 0` (a resident block
+/// is free to share) and equal to the platform tables everywhere else.
+#[derive(Debug, Clone)]
+struct BlockLedger {
+    refs: Vec<u32>,
+    memory: Vec<f64>,
+    training: Vec<f64>,
+}
+
+impl BlockLedger {
+    /// A path starts holding `blocks`; first holders make them free.
+    fn acquire(&mut self, blocks: &[BlockId]) {
+        for b in blocks {
+            let b = b.0 as usize;
+            self.refs[b] += 1;
+            self.memory[b] = 0.0;
+            self.training[b] = 0.0;
+        }
+    }
+
+    /// A path stops holding `blocks`; last holders restore their cost
+    /// from the platform tables.
+    fn release(&mut self, blocks: &[BlockId], memory: &[f64], training: &[f64]) {
+        for b in blocks {
+            let b = b.0 as usize;
+            self.refs[b] -= 1;
+            if self.refs[b] == 0 {
+                self.memory[b] = memory[b];
+                self.training[b] = training[b];
+            }
+        }
+    }
+}
+
 /// The long-running controller state.
 #[derive(Debug, Clone)]
 pub struct Controller {
@@ -104,6 +143,7 @@ pub struct Controller {
     alpha: f64,
     block_memory: Vec<f64>,
     block_training: Vec<f64>,
+    ledger: BlockLedger,
     solver: OffloadnnSolver,
     active: Vec<ActiveTask>,
 }
@@ -119,6 +159,11 @@ impl Controller {
             alpha: template.alpha,
             block_memory: template.block_memory.clone(),
             block_training: template.block_training.clone(),
+            ledger: BlockLedger {
+                refs: vec![0; template.block_memory.len()],
+                memory: template.block_memory.clone(),
+                training: template.block_training.clone(),
+            },
             solver,
             active: Vec::new(),
         }
@@ -129,35 +174,46 @@ impl Controller {
         &self.active
     }
 
+    /// Per-block reference counts, indexed by [`BlockId`]: how many
+    /// active paths hold each block (0 = not resident).
+    pub fn block_refs(&self) -> &[u32] {
+        &self.ledger.refs
+    }
+
     /// The blocks currently resident at the edge and the resources the
     /// running tasks consume.
     pub fn deployed(&self) -> DeployedState {
-        let mut blocks: HashSet<BlockId> = HashSet::new();
-        let (mut compute, mut rbs) = (0.0, 0.0);
-        for a in &self.active {
-            blocks.extend(a.option.path.blocks.iter().copied());
-            compute += a.compute_usage();
-            rbs += a.radio_usage();
+        let snap = self.snapshot();
+        let resident = self.ledger.refs.iter().enumerate().filter(|(_, &r)| r > 0);
+        DeployedState {
+            blocks: resident.map(|(b, _)| BlockId(b as u32)).collect(),
+            memory_bytes: snap.memory_bytes,
+            compute_seconds: snap.compute_seconds,
+            rbs: snap.rbs,
         }
-        let memory_bytes = blocks.iter().map(|b| self.block_memory[b.0 as usize]).sum();
-        DeployedState { blocks, memory_bytes, compute_seconds: compute, rbs }
     }
 
-    /// Single-pass state summary without handing out the block set or the
-    /// active-task list. Cost is `O(active · blocks-per-path)` with one
-    /// small scratch set and no per-call `Vec`/`String` clones.
+    /// State summary without handing out the block set or the
+    /// active-task list: one pass over the active tasks and one over the
+    /// block ledger, no allocation. The float sums are accumulated afresh
+    /// in a fixed order (active order, then block-id order), never kept
+    /// as running totals, so they cannot drift.
     pub fn snapshot(&self) -> ControllerSnapshot {
-        let mut blocks: HashSet<BlockId> = HashSet::new();
         let (mut compute, mut rbs) = (0.0, 0.0);
         for a in &self.active {
-            blocks.extend(a.option.path.blocks.iter().copied());
             compute += a.compute_usage();
             rbs += a.radio_usage();
         }
-        let memory_bytes: f64 = blocks.iter().map(|b| self.block_memory[b.0 as usize]).sum();
+        let (mut deployed_blocks, mut memory_bytes) = (0, 0.0);
+        for (&refs, &memory) in self.ledger.refs.iter().zip(&self.block_memory) {
+            if refs > 0 {
+                deployed_blocks += 1;
+                memory_bytes += memory;
+            }
+        }
         ControllerSnapshot {
             active_tasks: self.active.len(),
-            deployed_blocks: blocks.len(),
+            deployed_blocks,
             memory_bytes,
             compute_seconds: compute,
             rbs,
@@ -173,43 +229,62 @@ impl Controller {
     /// Processes one round of admission requests against the residual
     /// capacity. Already-deployed blocks are free for the newcomers.
     ///
+    /// The requests are consumed: their tasks and option lists move into
+    /// the residual instance the solver reads, and each chosen option
+    /// moves on into its [`ActiveTask`] — nothing is deep-copied. The
+    /// residual instance equals
+    /// [`residual_instance`](crate::incremental::residual_instance) of
+    /// the requests over [`Controller::deployed`].
+    ///
     /// # Errors
     ///
     /// Returns a [`DotError`] if the assembled instance is malformed, and
     /// panics never: an infeasible round admits nothing.
     pub fn submit(&mut self, requests: Vec<AdmissionRequest>) -> Result<AdmissionOutcome, DotError> {
         let _round = offloadnn_telemetry::span!("solver.round");
-        let instance = DotInstance {
-            tasks: requests.iter().map(|r| r.task.clone()).collect(),
-            options: requests.iter().map(|r| r.options.clone()).collect(),
-            block_memory: self.block_memory.clone(),
-            block_training: self.block_training.clone(),
+        let headroom = self.snapshot().headroom;
+        let (tasks, options) = requests.into_iter().map(|r| (r.task, r.options)).unzip();
+        // The ledger lends its residual tables to the instance for the
+        // duration of the solve and takes them back right after.
+        let residual = DotInstance {
+            tasks,
+            options,
+            block_memory: std::mem::take(&mut self.ledger.memory),
+            block_training: std::mem::take(&mut self.ledger.training),
             rate: self.rate,
-            budgets: self.budgets,
+            // An exhausted budget stays positive so the instance validates.
+            budgets: Budgets {
+                rbs: headroom.rbs.max(f64::MIN_POSITIVE),
+                compute_seconds: headroom.compute_seconds.max(f64::MIN_POSITIVE),
+                memory_bytes: headroom.memory_bytes.max(f64::MIN_POSITIVE),
+                ..headroom
+            },
             alpha: self.alpha,
         };
-        let residual = residual_instance(&instance, &self.deployed());
-        let sol = self.solver.solve(&residual)?;
-        debug_assert!(verify(&residual, &sol).is_empty());
+        let solved = self.solver.solve(&residual);
+        if let Ok(sol) = &solved {
+            debug_assert!(verify(&residual, sol).is_empty());
+        }
+        let DotInstance { tasks, options, block_memory, block_training, .. } = residual;
+        self.ledger.memory = block_memory;
+        self.ledger.training = block_training;
+        let sol = solved?;
 
-        let mut admitted = Vec::new();
-        let mut rejected = Vec::new();
-        for (i, req) in requests.into_iter().enumerate() {
+        let mut outcome = AdmissionOutcome { admitted: Vec::new(), chosen: Vec::new(), rejected: Vec::new() };
+        for (i, (task, mut options)) in tasks.into_iter().zip(options).enumerate() {
             match sol.choices[i] {
                 Some(o) if sol.admission[i] > 0.0 => {
-                    let active = ActiveTask {
-                        option: req.options[o].clone(),
-                        task: req.task,
-                        admission: sol.admission[i],
-                        rbs: sol.rbs[i],
-                    };
+                    let option = options.swap_remove(o);
+                    self.ledger.acquire(&option.path.blocks);
+                    let active = ActiveTask { option, task, admission: sol.admission[i], rbs: sol.rbs[i] };
                     self.active.push(active.clone());
-                    admitted.push(active);
+                    outcome.admitted.push(active);
+                    outcome.chosen.push(o);
                 }
-                _ => rejected.push(req.task.id),
+                _ => outcome.rejected.push(task.id),
             }
         }
-        Ok(AdmissionOutcome { admitted, rejected })
+        Ok(outcome)
     }
 
     /// Attempts to admit `task` by re-validating a previously solved plan
@@ -226,10 +301,11 @@ impl Controller {
     /// would have activated it (same `ActiveTask`, same budget deltas) and
     /// the grant is returned. On any failed check the controller is left
     /// untouched and `None` is returned; the caller falls through to a
-    /// full solve.
+    /// full solve. Task and options are only borrowed; the task and the
+    /// one chosen option are copied on success alone.
     pub fn try_apply_plan(
         &mut self,
-        task: Task,
+        task: &Task,
         options: &[PathOption],
         option: usize,
         admission: f64,
@@ -238,7 +314,7 @@ impl Controller {
         let tol = crate::objective::TOLERANCE;
         let opt = options.get(option)?;
         // Malformed plans (stale across catalog changes) must not panic.
-        if opt.path.blocks.iter().any(|b| (b.0 as usize) >= self.block_memory.len()) {
+        if opt.path.blocks.iter().any(|b| (b.0 as usize) >= self.ledger.refs.len()) {
             return None;
         }
         if !(admission > 0.0 && admission <= 1.0 + tol && rbs.is_finite()) || rbs < 0.0 {
@@ -260,25 +336,21 @@ impl Controller {
         }
         // Budget caps against the live deployment, counting shared blocks
         // once — exactly how `verify` scores a fresh solution.
-        let deployed = self.deployed();
-        if deployed.rbs + admission * rbs > self.budgets.rbs * (1.0 + tol) {
+        let used = self.snapshot();
+        if used.rbs + admission * rbs > self.budgets.rbs * (1.0 + tol) {
             return None;
         }
         let compute = admission * task.request_rate * opt.proc_seconds;
-        if deployed.compute_seconds + compute > self.budgets.compute_seconds * (1.0 + tol) {
+        if used.compute_seconds + compute > self.budgets.compute_seconds * (1.0 + tol) {
             return None;
         }
-        let new_memory: f64 = opt
-            .path
-            .blocks
-            .iter()
-            .filter(|b| !deployed.blocks.contains(b))
-            .map(|b| self.block_memory[b.0 as usize])
-            .sum();
-        if deployed.memory_bytes + new_memory > self.budgets.memory_bytes * (1.0 + tol) {
+        // Resident blocks read zero in the residual table.
+        let new_memory: f64 = opt.path.blocks.iter().map(|b| self.ledger.memory[b.0 as usize]).sum();
+        if used.memory_bytes + new_memory > self.budgets.memory_bytes * (1.0 + tol) {
             return None;
         }
-        let active = ActiveTask { option: opt.clone(), task, admission, rbs };
+        self.ledger.acquire(&opt.path.blocks);
+        let active = ActiveTask { option: opt.clone(), task: Task::clone(task), admission, rbs };
         self.active.push(active.clone());
         Some(active)
     }
@@ -290,7 +362,14 @@ impl Controller {
     /// resharding service runtime needs to detect and buffer).
     pub fn release(&mut self, departed: &[TaskId]) -> usize {
         let before = self.active.len();
-        self.active.retain(|a| !departed.contains(&a.task.id));
+        let (ledger, memory, training) = (&mut self.ledger, &self.block_memory, &self.block_training);
+        self.active.retain(|a| {
+            let gone = departed.contains(&a.task.id);
+            if gone {
+                ledger.release(&a.option.path.blocks, memory, training);
+            }
+            !gone
+        });
         before - self.active.len()
     }
 
@@ -308,6 +387,9 @@ impl Controller {
     /// consume residual capacity here exactly as if this controller had
     /// admitted them.
     pub fn adopt(&mut self, tasks: Vec<ActiveTask>) {
+        for task in &tasks {
+            self.ledger.acquire(&task.option.path.blocks);
+        }
         self.active.extend(tasks);
     }
 
@@ -319,6 +401,7 @@ impl Controller {
         let mut kept = Vec::with_capacity(self.active.len());
         for task in self.active.drain(..) {
             if predicate(&task) {
+                self.ledger.release(&task.option.path.blocks, &self.block_memory, &self.block_training);
                 extracted.push(task);
             } else {
                 kept.push(task);
@@ -331,7 +414,7 @@ impl Controller {
     /// Takes the whole active set, leaving the controller empty (a
     /// retiring shard hands everything over).
     pub fn take_active(&mut self) -> Vec<ActiveTask> {
-        std::mem::take(&mut self.active)
+        self.extract_if(|_| true)
     }
 
     /// Re-optimises *all* active tasks from scratch (a global re-plan, as
@@ -355,25 +438,13 @@ impl Controller {
             .zip(options)
             .map(|(a, opts)| AdmissionRequest { task: a.task.clone(), options: opts })
             .collect();
-        let previous = std::mem::take(&mut self.active);
-        match self.submit(requests) {
-            Ok(outcome) => Ok(outcome),
-            Err(e) => {
-                self.active = previous;
-                Err(e)
-            }
-        }
+        let previous = self.take_active();
+        self.submit(requests).inspect_err(|_| self.adopt(previous))
     }
 
     /// Residual capacity headroom, for observability dashboards.
     pub fn headroom(&self) -> Budgets {
-        let dep = self.deployed();
-        Budgets {
-            rbs: (self.budgets.rbs - dep.rbs).max(0.0),
-            compute_seconds: (self.budgets.compute_seconds - dep.compute_seconds).max(0.0),
-            training_seconds: self.budgets.training_seconds,
-            memory_bytes: (self.budgets.memory_bytes - dep.memory_bytes).max(0.0),
-        }
+        self.snapshot().headroom
     }
 }
 
@@ -585,6 +656,30 @@ mod tests {
     }
 
     #[test]
+    fn residual_tables_zero_exactly_the_resident_blocks() {
+        let s = small_scenario(5);
+        let mut c = Controller::new(&s.instance, OffloadnnSolver::new());
+        let check = |c: &Controller| {
+            for (b, &refs) in c.ledger.refs.iter().enumerate() {
+                let want = if refs > 0 { (0.0, 0.0) } else { (c.block_memory[b], c.block_training[b]) };
+                assert_eq!((c.ledger.memory[b], c.ledger.training[b]), want, "block {b}, {refs} holder(s)");
+            }
+        };
+        c.submit(requests(&s.instance, 0..5)).unwrap();
+        check(&c);
+        let first = c.active()[0].task.id;
+        c.release(&[first]);
+        check(&c);
+        let moved = c.extract_if(|a| a.task.id.0 % 2 == 0);
+        check(&c);
+        c.adopt(moved);
+        check(&c);
+        c.take_active();
+        check(&c);
+        assert_eq!(c.ledger.memory, c.block_memory, "an empty edge shares nothing");
+    }
+
+    #[test]
     fn try_apply_plan_reproduces_the_cold_solve() {
         let s = small_scenario(5);
         let mut cold = Controller::new(&s.instance, OffloadnnSolver::new());
@@ -597,7 +692,7 @@ mod tests {
             let opts = &s.instance.options[t];
             let o = opts.iter().position(|c| c == &grant.option).unwrap();
             let applied = warm
-                .try_apply_plan(grant.task.clone(), opts, o, grant.admission, grant.rbs)
+                .try_apply_plan(&grant.task, opts, o, grant.admission, grant.rbs)
                 .expect("fresh grant must re-validate");
             assert_eq!(&applied, grant);
         }
@@ -617,15 +712,15 @@ mod tests {
         let before = c.snapshot();
 
         // Out-of-range option index.
-        assert!(c.try_apply_plan(task.clone(), &opts, opts.len(), 1.0, 4.0).is_none());
+        assert!(c.try_apply_plan(&task, &opts, opts.len(), 1.0, 4.0).is_none());
         // Zero admission is not a plan.
-        assert!(c.try_apply_plan(task.clone(), &opts, 0, 0.0, 4.0).is_none());
+        assert!(c.try_apply_plan(&task, &opts, 0, 0.0, 4.0).is_none());
         // One RB cannot meet the latency bound for a full-quality image.
-        assert!(c.try_apply_plan(task.clone(), &opts, 0, 1.0, 1e-3).is_none());
+        assert!(c.try_apply_plan(&task, &opts, 0, 1.0, 1e-3).is_none());
         // Unknown block id in a (corrupted) option must not panic.
         let mut bad = opts.clone();
         bad[0].path.blocks.push(offloadnn_dnn::BlockId(9_999_999));
-        assert!(c.try_apply_plan(task.clone(), &bad, 0, 1.0, 4.0).is_none());
+        assert!(c.try_apply_plan(&task, &bad, 0, 1.0, 4.0).is_none());
 
         assert_eq!(c.snapshot(), before, "failed applies must not move budgets");
     }
@@ -646,7 +741,7 @@ mod tests {
         c.set_budgets(tight);
         let mut fresh = grant.task.clone();
         fresh.id = TaskId(1_000);
-        assert!(c.try_apply_plan(fresh, opts, o, grant.admission, grant.rbs).is_none());
+        assert!(c.try_apply_plan(&fresh, opts, o, grant.admission, grant.rbs).is_none());
     }
 
     #[test]

@@ -368,7 +368,7 @@ impl GwPending {
         let node = self.inner.membership.node(index);
         match node
             .client(&self.inner.config.client)
-            .and_then(|c| c.submit(st.task.clone(), st.options.clone(), Some(remaining)))
+            .and_then(|c| c.submit_borrowed(&st.task, &st.options, Some(remaining)))
         {
             Ok(pv) => {
                 let attempt = Attempt { node: index, pv, started: now, is_hedge };
@@ -503,14 +503,7 @@ impl GwPending {
                 tried.push(origin.clone());
             }
             let sent = chosen.client(&self.inner.config.client).and_then(|c| {
-                c.forward(
-                    st.task.clone(),
-                    st.options.clone(),
-                    Some(remaining),
-                    st.fwd_hops - 1,
-                    &origin,
-                    &tried,
-                )
+                c.forward(&st.task, &st.options, Some(remaining), st.fwd_hops - 1, &origin, &tried)
             });
             match sent {
                 Ok(pv) => {

@@ -30,9 +30,9 @@
 //! reported load and solver cost:
 //! `weight = 1 / (1 + in_flight + queued + round_ms)` where
 //! `in_flight = admitted − departed`, `queued = submitted − resolved`
-//! and `round_ms` is the node's mean solver round in milliseconds (from
-//! the wire `round_time` histogram, mirroring the node-local
-//! `solver.round_ms` gauge). A node whose solver is grinding gets less
+//! and `round_ms` is the node's mean solver round in (fractional)
+//! milliseconds, read from the `round_time` histogram of the probed
+//! `MetricsSnapshot`. A node whose solver is grinding gets less
 //! of the key space even when its queue looks shallow. More remaining
 //! budget ⇒ more of the key space, and the rendezvous scores of the
 //! *other* nodes are untouched by the update.

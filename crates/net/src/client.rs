@@ -35,9 +35,8 @@
 
 use crate::backoff::{entropy_seed, ReconnectBackoff};
 use crate::codec::{
-    self, AnnounceRequest, DepartRequest, DrainRequest, ForwardRequest, Frame, LeaveRequest,
-    MembershipResponse, PeerHelloRequest, PeerLoadResponse, ScaleRequest, ScaleResponse, SnapshotRequest,
-    SubmitRequest,
+    self, AnnounceRequest, DepartRequest, DrainRequest, Frame, LeaveRequest, MembershipResponse,
+    PeerHelloRequest, PeerLoadResponse, ScaleRequest, ScaleResponse, SnapshotRequest,
 };
 use crate::error::NetError;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -459,14 +458,25 @@ impl Client {
         options: Vec<PathOption>,
         deadline: Option<Duration>,
     ) -> Result<PendingVerdict, NetError> {
+        self.submit_borrowed(&task, &options, deadline)
+    }
+
+    /// [`Client::submit`] for a caller that keeps its task and options
+    /// (a gateway ticket that may have to fail over): the frame is
+    /// encoded straight from the borrowed request, nothing is copied.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::submit`].
+    pub fn submit_borrowed(
+        &self,
+        task: &Task,
+        options: &[PathOption],
+        deadline: Option<Duration>,
+    ) -> Result<PendingVerdict, NetError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let task_id = task.id;
-        let deadline_us = deadline.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1));
-        let frame = Frame::Submit(SubmitRequest { request_id, deadline_us, task, options });
-        let bytes = codec::encode(&frame);
-        let sent_at = Instant::now();
-        let rx = self.send(request_id, &bytes, true)?.expect("reply slot requested");
-        Ok(PendingVerdict { rx, sent_at, task: task_id, request_id })
+        let bytes = codec::encode_submit(request_id, budget_us(deadline), task, options);
+        self.send_request(request_id, &bytes, task.id)
     }
 
     /// Forwards an overflow admission to a peer gateway.
@@ -474,36 +484,32 @@ impl Client {
     /// an ordinary outcome frame. `remaining` is the deadline budget
     /// left on the origin gateway (`None` = the task never had one),
     /// `hops` the remaining forward budget, and `tried` every gateway
-    /// that has already held the task (origin included).
+    /// that has already held the task (origin included). Task and
+    /// options are borrowed, as in [`Client::submit_borrowed`].
     ///
     /// # Errors
     ///
     /// As [`Client::submit`].
     pub fn forward(
         &self,
-        task: Task,
-        options: Vec<PathOption>,
+        task: &Task,
+        options: &[PathOption],
         remaining: Option<Duration>,
         hops: u8,
         origin: &str,
         tried: &[String],
     ) -> Result<PendingVerdict, NetError> {
         let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let task_id = task.id;
-        let deadline_us = remaining.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1));
-        let frame = Frame::Forward(ForwardRequest {
-            request_id,
-            deadline_us,
-            hops,
-            origin: origin.to_owned(),
-            tried: tried.to_vec(),
-            task,
-            options,
-        });
-        let bytes = codec::encode(&frame);
+        let bytes =
+            codec::encode_forward(request_id, budget_us(remaining), hops, origin, tried, task, options);
+        self.send_request(request_id, &bytes, task.id)
+    }
+
+    /// Writes an encoded admission frame and hands back its verdict slot.
+    fn send_request(&self, request_id: u64, bytes: &[u8], task: TaskId) -> Result<PendingVerdict, NetError> {
         let sent_at = Instant::now();
-        let rx = self.send(request_id, &bytes, true)?.expect("reply slot requested");
-        Ok(PendingVerdict { rx, sent_at, task: task_id, request_id })
+        let rx = self.send(request_id, bytes, true)?.expect("reply slot requested");
+        Ok(PendingVerdict { rx, sent_at, task, request_id })
     }
 
     /// Asks a peer gateway for its load digest, blocking
@@ -702,6 +708,12 @@ impl Client {
     pub fn close(self) {
         drop(self);
     }
+}
+
+/// A deadline budget as shipped on the wire: whole µs, at least 1 (0
+/// means "no budget given").
+fn budget_us(budget: Option<Duration>) -> u64 {
+    budget.map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1))
 }
 
 /// Maps a tier-specific wire failure onto the unified

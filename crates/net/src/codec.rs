@@ -808,15 +808,37 @@ fn get_member(r: &mut Reader<'_>) -> Result<MemberInfo, DecodeError> {
     Ok(MemberInfo { addr, incarnation, state })
 }
 
+fn put_submit(w: &mut Writer, deadline_us: u64, task: &Task, options: &[PathOption]) {
+    w.put_u64(deadline_us);
+    put_task(w, task);
+    put_options(w, options);
+}
+
+fn put_forward(
+    w: &mut Writer,
+    deadline_us: u64,
+    hops: u8,
+    origin: &str,
+    tried: &[String],
+    task: &Task,
+    options: &[PathOption],
+) {
+    w.put_u64(deadline_us);
+    w.put_u8(hops);
+    w.put_str(origin);
+    w.put_seq_len(tried.len());
+    for t in tried {
+        w.put_str(t);
+    }
+    put_task(w, task);
+    put_options(w, options);
+}
+
 fn encode_payload(frame: &Frame) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(frame.request_id());
     match frame {
-        Frame::Submit(f) => {
-            w.put_u64(f.deadline_us);
-            put_task(&mut w, &f.task);
-            put_options(&mut w, &f.options);
-        }
+        Frame::Submit(f) => put_submit(&mut w, f.deadline_us, &f.task, &f.options),
         Frame::Depart(f) => w.put_u32(f.task.0),
         Frame::Snapshot(_) | Frame::Drain(_) => {}
         Frame::Scale(f) => w.put_u32(f.shards),
@@ -829,15 +851,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             w.put_u64(*incarnation);
         }
         Frame::Forward(f) => {
-            w.put_u64(f.deadline_us);
-            w.put_u8(f.hops);
-            w.put_str(&f.origin);
-            w.put_seq_len(f.tried.len());
-            for t in &f.tried {
-                w.put_str(t);
-            }
-            put_task(&mut w, &f.task);
-            put_options(&mut w, &f.options);
+            put_forward(&mut w, f.deadline_us, f.hops, &f.origin, &f.tried, &f.task, &f.options);
         }
         Frame::PeerLoad(f) => {
             w.put_u32(f.healthy_nodes);
@@ -982,6 +996,37 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
     let _span = span!("net.encode");
     count_tx(frame);
     encode_raw(frame.frame_type(), &encode_payload(frame))
+}
+
+/// Encodes a submit frame from a *borrowed* task and option list: the
+/// same bytes as [`encode`] of the equivalent [`Frame::Submit`], without
+/// the caller having to own (or copy) what it submits.
+pub fn encode_submit(request_id: u64, deadline_us: u64, task: &Task, options: &[PathOption]) -> Vec<u8> {
+    let _span = span!("net.encode");
+    count!("net.tx.submit");
+    let mut w = Writer::new();
+    w.put_u64(request_id);
+    put_submit(&mut w, deadline_us, task, options);
+    encode_raw(frame_type::SUBMIT, &w.into_bytes())
+}
+
+/// Encodes a forward frame from a borrowed task and option list: the
+/// same bytes as [`encode`] of the equivalent [`Frame::Forward`].
+pub fn encode_forward(
+    request_id: u64,
+    deadline_us: u64,
+    hops: u8,
+    origin: &str,
+    tried: &[String],
+    task: &Task,
+    options: &[PathOption],
+) -> Vec<u8> {
+    let _span = span!("net.encode");
+    count!("net.tx.forward");
+    let mut w = Writer::new();
+    w.put_u64(request_id);
+    put_forward(&mut w, deadline_us, hops, origin, tried, task, options);
+    encode_raw(frame_type::FORWARD, &w.into_bytes())
 }
 
 /// Streaming decode: parses one frame off the front of `buf`.
@@ -1220,6 +1265,20 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn borrowed_encoders_write_the_same_bytes_as_the_owned_frames() {
+        let Frame::Submit(s) = sample_submit() else { unreachable!() };
+        assert_eq!(
+            encode_submit(s.request_id, s.deadline_us, &s.task, &s.options),
+            encode(&Frame::Submit(s.clone()))
+        );
+        let Frame::Forward(f) = sample_forward() else { unreachable!() };
+        assert_eq!(
+            encode_forward(f.request_id, f.deadline_us, f.hops, &f.origin, &f.tried, &f.task, &f.options),
+            encode(&Frame::Forward(f.clone()))
+        );
     }
 
     #[test]

@@ -9,9 +9,18 @@
 //!
 //! Floats are quantized to 1e-6 before hashing, making the fingerprint a
 //! total function (no NaN/−0.0 pitfalls) and collapsing sub-microscopic
-//! jitter that cannot change a plan. Hashing is FNV-1a/64 with explicit
-//! field framing — stable across processes, platforms and `HashMap`
-//! seeds, unlike `std::hash::Hasher` implementations.
+//! jitter that cannot change a plan. Every field (and every length
+//! prefix that frames a list) is folded as one 64-bit word — rotate, xor,
+//! one multiply — and a SplitMix64 finaliser avalanches the result, so
+//! the low bits are as usable as the high ones (cache sharding). The
+//! function is explicit arithmetic, stable across processes, platforms
+//! and `HashMap` seeds, unlike `std::hash::Hasher` implementations.
+//!
+//! The values differ from the byte-wise FNV-1a this module used up to
+//! PR 12 (eight serial multiplies per field, which on a 1 000-option
+//! request cost as much as the cold solve the cache exists to save).
+//! No fingerprint is persisted or sent on the wire, so nothing outside a
+//! running process ever saw the old values.
 
 use offloadnn_core::instance::{Budgets, PathOption};
 use offloadnn_core::task::Task;
@@ -36,31 +45,29 @@ pub struct PlanKey {
     pub generation: u64,
 }
 
-/// FNV-1a 64-bit, the same construction the wire checksum and rendezvous
-/// router already use — dependency-free and stable by definition.
-struct Fnv(u64);
+/// Word-at-a-time fold: one rotate, xor and multiply per field.
+struct Fold(u64);
 
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
+impl Fold {
+    /// Odd multiplier with well-spread bits (the SplitMix64 increment).
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
     fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        // The rotation feeds high bits back into the low end, which a
+        // multiply alone never does.
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(Self::MUL);
     }
 
     fn write_f64(&mut self, v: f64) {
         self.write_u64(quantize(v));
+    }
+
+    /// SplitMix64 finaliser (as in `gateway::router`).
+    fn finish(self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 }
 
@@ -68,16 +75,11 @@ impl Fnv {
 /// Non-finite values saturate instead of poisoning the hash.
 fn quantize(v: f64) -> u64 {
     let scaled = v * 1e6;
-    let q = if scaled.is_nan() {
-        i64::MIN
-    } else if scaled >= i64::MAX as f64 {
-        i64::MAX
-    } else if scaled <= i64::MIN as f64 {
-        i64::MIN
-    } else {
-        scaled.round() as i64
-    };
-    q as u64
+    if scaled.is_nan() {
+        return i64::MIN as u64;
+    }
+    // Half away from zero, then a saturating cast (no libm `round` call).
+    (scaled + 0.5f64.copysign(scaled)) as i64 as u64
 }
 
 /// Computes the canonical fingerprint of `(task, options)`.
@@ -88,7 +90,7 @@ fn quantize(v: f64) -> u64 {
 /// accuracy and compute costs. Excluded: `task.id`, `task.name` and
 /// option `label`s — display-only identity.
 pub fn shape_fingerprint(task: &Task, options: &[PathOption]) -> ShapeFingerprint {
-    let mut h = Fnv::new();
+    let mut h = Fold(Fold::MUL);
     h.write_u64(u64::from(task.group.0));
     h.write_f64(task.priority);
     h.write_f64(task.request_rate);
@@ -118,7 +120,7 @@ pub fn shape_fingerprint(task: &Task, options: &[PathOption]) -> ShapeFingerprin
         h.write_f64(opt.proc_seconds);
         h.write_f64(opt.training_seconds);
     }
-    ShapeFingerprint(h.0)
+    ShapeFingerprint(h.finish())
 }
 
 /// Buckets live headroom into 4 coarse levels per budget dimension

@@ -100,11 +100,11 @@ pub struct ServiceMetrics {
     pub peak_queue_depth: Arc<Gauge>,
     /// Largest batch resolved in one round.
     pub peak_batch: Arc<Gauge>,
-    /// Running mean of a solver round in milliseconds, exported for
-    /// cluster tiers that fold per-node solver cost into routing weight.
-    /// Derived from `round_time` after each round; not part of the wire
-    /// [`MetricsSnapshot`] (which already carries the full histogram).
-    pub solver_round_ms: Arc<Gauge>,
+    /// Wall-clock time of the most recent solver round in microseconds
+    /// (rounds take 20–500 µs, so milliseconds would read 0), for an
+    /// operator's dashboard. Not part of the wire [`MetricsSnapshot`],
+    /// which carries the full `round_time` histogram.
+    pub solver_round_us: Arc<Gauge>,
     /// End-to-end request latency (submit to verdict).
     pub latency: Arc<LatencyHistogram>,
     /// Wall-clock time of each solver round.
@@ -129,7 +129,7 @@ impl ServiceMetrics {
             generation: registry.gauge("serve.generation"),
             peak_queue_depth: registry.gauge("serve.peak_queue_depth"),
             peak_batch: registry.gauge("serve.peak_batch"),
-            solver_round_ms: registry.gauge("solver.round_ms"),
+            solver_round_us: registry.gauge("solver.round_us"),
             latency: registry.phase("serve.latency"),
             round_time: registry.phase("serve.round"),
             registry,

@@ -62,12 +62,20 @@ impl Outcome {
     }
 }
 
-/// One queued admission request (internal representation).
+/// One queued admission request (internal representation). The task and
+/// option list are the allocation made at ingress; they are only ever
+/// moved or borrowed from here on (see `ShardWorker::round`).
 pub(crate) struct ServiceRequest {
     pub task: Task,
     pub options: Vec<PathOption>,
-    pub enqueued_at: Instant,
     pub deadline: Instant,
+    pub waiter: Waiter,
+}
+
+/// What is left of a request once its task and options have moved into
+/// a solver round: whom to answer, and since when they have waited.
+pub(crate) struct Waiter {
+    pub enqueued_at: Instant,
     pub responder: Sender<Outcome>,
 }
 
@@ -363,9 +371,8 @@ impl Service {
         let request = ServiceRequest {
             task,
             options,
-            enqueued_at: now,
             deadline: now + deadline_budget.min(self.config.admission_deadline),
-            responder,
+            waiter: Waiter { enqueued_at: now, responder },
         };
         match routing.senders[shard].try_send(ShardMsg::Request(request)) {
             Ok(()) => {}
@@ -376,7 +383,7 @@ impl Service {
                 if let ShardMsg::Request(req) = msg {
                     self.metrics.shed.inc();
                     self.metrics.latency.record(Duration::ZERO);
-                    let _ = req.responder.try_send(Outcome::Shed { shard });
+                    let _ = req.waiter.responder.try_send(Outcome::Shed { shard });
                 }
             }
         }

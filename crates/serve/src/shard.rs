@@ -4,7 +4,7 @@
 
 use crate::config::ServiceConfig;
 use crate::metrics::ServiceMetrics;
-use crate::service::{Outcome, ReshardCmd, ServiceRequest, ShardMsg};
+use crate::service::{Outcome, ReshardCmd, ServiceRequest, ShardMsg, Waiter};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use offloadnn_core::controller::{ActiveTask, AdmissionRequest, Controller, ControllerSnapshot};
 use offloadnn_core::instance::Budgets;
@@ -155,7 +155,7 @@ impl ShardWorker {
                         b.task.priority.partial_cmp(&a.task.priority).unwrap_or(std::cmp::Ordering::Equal)
                     });
                     for req in batch.split_off(self.config.batch_max) {
-                        self.resolve(req, Outcome::Shed { shard: self.shard });
+                        self.resolve(&req.waiter, Outcome::Shed { shard: self.shard });
                     }
                 }
             }
@@ -254,7 +254,7 @@ impl ShardWorker {
         let now = Instant::now();
         let (live, stale): (Vec<_>, Vec<_>) = batch.into_iter().partition(|r| r.deadline > now);
         for req in stale {
-            self.resolve(req, Outcome::Expired { shard: self.shard });
+            self.resolve(&req.waiter, Outcome::Expired { shard: self.shard });
         }
         if live.is_empty() {
             return false;
@@ -284,19 +284,23 @@ impl ShardWorker {
             return true; // every request was answered from cache
         }
 
-        let requests: Vec<AdmissionRequest> = to_solve
-            .iter()
-            .map(|r| AdmissionRequest { task: r.task.clone(), options: r.options.clone() })
-            .collect();
-        let submitted = requests.len();
+        // The task and option list move into the round; only the
+        // waiter (and the id its verdict is matched by) stays behind.
+        let (requests, waiting): (Vec<AdmissionRequest>, Vec<(TaskId, Waiter)>) = to_solve
+            .into_iter()
+            .map(|r| {
+                let waiting = (r.task.id, r.waiter);
+                (AdmissionRequest { task: r.task, options: r.options }, waiting)
+            })
+            .unzip();
         let solve_start = Instant::now();
         match self.controller.submit(requests) {
             Ok(outcome) => {
-                self.metrics.round_time.record(solve_start.elapsed());
+                let elapsed = solve_start.elapsed();
+                self.metrics.round_time.record(elapsed);
                 self.metrics.solver_rounds.inc();
-                let mean_ms = self.metrics.round_time.snapshot().mean().as_secs_f64() * 1e3;
-                self.metrics.solver_round_ms.set(mean_ms.round() as u64);
-                debug_assert!(outcome.accounts_for(submitted), "round lost a verdict");
+                self.metrics.solver_round_us.set(elapsed.as_micros() as u64);
+                debug_assert!(outcome.accounts_for(waiting.len()), "round lost a verdict");
                 // The round's admits all landed inside `submit`, so one
                 // bump here lets the rejections minted below carry the
                 // post-round ledger stamp.
@@ -306,12 +310,12 @@ impl ShardWorker {
                 // Both outcome lists preserve request order, so a single
                 // forward scan pairs verdicts with requests even if a
                 // caller submitted duplicate task ids in one batch.
-                let mut admitted = outcome.admitted.into_iter().peekable();
+                let mut admitted = outcome.admitted.into_iter().zip(outcome.chosen).peekable();
                 let mut rejected = outcome.rejected.into_iter().peekable();
-                for (i, req) in to_solve.into_iter().enumerate() {
+                for (i, (id, waiter)) in waiting.into_iter().enumerate() {
                     let plan;
-                    if admitted.peek().is_some_and(|a| a.task.id == req.task.id) {
-                        let grant = admitted.next().expect("peeked");
+                    if admitted.peek().is_some_and(|(a, _)| a.task.id == id) {
+                        let (grant, option) = admitted.next().expect("peeked");
                         // Only the unconstrained optimum is worth
                         // memoizing: a full admission's sizing depends on
                         // the shape alone, so a validated replay matches
@@ -319,15 +323,13 @@ impl ShardWorker {
                         // is shaped by the residual headroom at solve
                         // time — replaying it later would hand out a
                         // stale fraction — so it is never cached.
-                        plan = (grant.admission >= 1.0 - 1e-9)
-                            .then(|| {
-                                req.options.iter().position(|o| o == &grant.option).map(|option| {
-                                    CachedPlan::Admit { option, admission: grant.admission, rbs: grant.rbs }
-                                })
-                            })
-                            .flatten();
+                        plan = (grant.admission >= 1.0 - 1e-9).then_some(CachedPlan::Admit {
+                            option,
+                            admission: grant.admission,
+                            rbs: grant.rbs,
+                        });
                         self.resolve(
-                            req,
+                            &waiter,
                             Outcome::Admitted {
                                 admission: grant.admission,
                                 rbs: grant.rbs,
@@ -335,10 +337,10 @@ impl ShardWorker {
                             },
                         );
                     } else {
-                        debug_assert!(rejected.peek() == Some(&req.task.id), "verdict misaligned");
+                        debug_assert!(rejected.peek() == Some(&id), "verdict misaligned");
                         rejected.next();
                         plan = Some(CachedPlan::Infeasible { ledger: self.ledger_stamp() });
-                        self.resolve(req, Outcome::Rejected { shard: self.shard });
+                        self.resolve(&waiter, Outcome::Rejected { shard: self.shard });
                     }
                     // Publish the solved plan: through the flight (fans
                     // out to waiters) if this request led one, else a
@@ -363,8 +365,8 @@ impl ShardWorker {
                 self.metrics.solver_errors.inc();
                 event!(Severity::Warn, "serve.shard", "shard {} solver round failed: {e}", self.shard);
                 leads.clear();
-                for req in to_solve {
-                    self.resolve(req, Outcome::Rejected { shard: self.shard });
+                for (_, waiter) in &waiting {
+                    self.resolve(waiter, Outcome::Rejected { shard: self.shard });
                 }
             }
         }
@@ -464,7 +466,7 @@ impl ShardWorker {
         match plan {
             CachedPlan::Infeasible { ledger } => {
                 if ledger == self.ledger_stamp() {
-                    self.resolve(req, Outcome::Rejected { shard: self.shard });
+                    self.resolve(&req.waiter, Outcome::Rejected { shard: self.shard });
                     None
                 } else {
                     // The ledger moved (or another shard minted this):
@@ -475,11 +477,11 @@ impl ShardWorker {
                 }
             }
             CachedPlan::Admit { option, admission, rbs } => {
-                match self.controller.try_apply_plan(req.task.clone(), &req.options, option, admission, rbs) {
+                match self.controller.try_apply_plan(&req.task, &req.options, option, admission, rbs) {
                     Some(grant) => {
                         self.ledger += 1;
                         self.resolve(
-                            req,
+                            &req.waiter,
                             Outcome::Admitted {
                                 admission: grant.admission,
                                 rbs: grant.rbs,
@@ -500,7 +502,7 @@ impl ShardWorker {
     /// Delivers a verdict: bumps the matching counter, records latency
     /// and answers the ticket (a dropped ticket is fine — the verdict is
     /// still accounted).
-    fn resolve(&self, req: ServiceRequest, outcome: Outcome) {
+    fn resolve(&self, waiter: &Waiter, outcome: Outcome) {
         let counter = match outcome {
             Outcome::Admitted { .. } => &self.metrics.admitted,
             Outcome::Rejected { .. } => &self.metrics.rejected,
@@ -508,7 +510,7 @@ impl ShardWorker {
             Outcome::Expired { .. } => &self.metrics.expired,
         };
         counter.inc();
-        self.metrics.latency.record(req.enqueued_at.elapsed());
-        let _ = req.responder.try_send(outcome);
+        self.metrics.latency.record(waiter.enqueued_at.elapsed());
+        let _ = waiter.responder.try_send(outcome);
     }
 }

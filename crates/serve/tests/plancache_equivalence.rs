@@ -88,7 +88,7 @@ fn run_state_equivalence(seed: u64, requests: u32) {
                 panic!("positive insert came back negative")
             };
             let applied = live
-                .try_apply_plan(task.clone(), &options, option, admission, rbs)
+                .try_apply_plan(&task, &options, option, admission, rbs)
                 .expect("a plan solved at this exact state must re-validate (request {i}, seed {seed})");
             assert_eq!(&applied, grant, "replayed grant diverged (request {i}, seed {seed})");
             active.push_back(TaskId(i));
