@@ -18,6 +18,12 @@ if [ "${1:-}" != "--fast" ]; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
+echo "==> rustdoc gate: no broken or private intra-doc links in the tier crates"
+# The vendored stand-ins are excluded: vendor/proptest has broken links
+# of its own.
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline \
+    -p offloadnn-serve -p offloadnn-net -p offloadnn-gateway
+
 echo "==> cargo test -q (tier-1: facade package)"
 cargo test -q
 
@@ -120,8 +126,15 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke >/dev/null
 
 echo "==> LOC trajectory (ROADMAP north-star 2: line count tracked beside the perf numbers)"
+# tests/ is printed beside src/ so a reduction made by moving code into
+# tests is visible.
+loc() { find "$1" -name '*.rs' -exec cat {} + | wc -l; }
+src_sum=0
 for crate in net serve gateway; do
-    printf '    crates/%s/src  %s lines\n' "$crate" "$(find "crates/$crate/src" -name '*.rs' -exec cat {} + | wc -l)"
+    src=$(loc "crates/$crate/src")
+    src_sum=$((src_sum + src))
+    printf '    crates/%s  src %s lines, tests %s lines\n' "$crate" "$src" "$(loc "crates/$crate/tests")"
 done
+printf '    three-crate src/ sum  %s lines\n' "$src_sum"
 
 echo "CI green."

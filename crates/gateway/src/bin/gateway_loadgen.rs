@@ -1,6 +1,6 @@
 //! Loopback load generator for the `offloadnn-gateway` cluster tier.
 //!
-//! Starts N backend [`NetServer`] nodes on ephemeral loopback ports,
+//! Starts N backend [`AnyServer`] nodes on ephemeral loopback ports,
 //! fronts them with a [`Gateway`], exposes the gateway itself through
 //! the selected TCP frontend ([`AnyServer::start_with_backend`]), and
 //! drives it with a fleet of [`Client`] connections pipelining
@@ -35,7 +35,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::Task;
 use offloadnn_gateway::{FederationConfig, Gateway, GatewayConfig, HedgeConfig};
-use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig, NetServer};
+use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
 use offloadnn_plancache::PlanCacheConfig;
 use offloadnn_serve::loadgen::args::{self, CommonArgs, DriveConfig, DriveReport, WireTally};
 use offloadnn_serve::{ServiceConfig, ShapePool};
@@ -262,10 +262,16 @@ fn main() -> ExitCode {
 
     // Backend pool: each node is a full serve stack behind its own TCP
     // frontend, exactly what a remote edge node would run.
-    let nodes: Vec<Mutex<Option<NetServer>>> = match (0..extra.nodes)
+    let nodes: Vec<Mutex<Option<AnyServer>>> = match (0..extra.nodes)
         .map(|_| {
-            NetServer::start(("127.0.0.1", 0), NetConfig::default(), service_config, &scenario.instance)
-                .map(|n| Mutex::new(Some(n)))
+            AnyServer::start(
+                Frontend::Threads,
+                ("127.0.0.1", 0),
+                NetConfig::default(),
+                service_config,
+                &scenario.instance,
+            )
+            .map(|n| Mutex::new(Some(n)))
         })
         .collect()
     {
@@ -287,9 +293,15 @@ fn main() -> ExitCode {
     // overflow drain.
     let peer_cluster = if extra.peer {
         let peer_service = ServiceConfig { shards: common.shards, ..ServiceConfig::default() };
-        let peer_nodes: Vec<NetServer> = match (0..extra.peer_nodes)
+        let peer_nodes: Vec<AnyServer> = match (0..extra.peer_nodes)
             .map(|_| {
-                NetServer::start(("127.0.0.1", 0), NetConfig::default(), peer_service, &scenario.instance)
+                AnyServer::start(
+                    Frontend::Threads,
+                    ("127.0.0.1", 0),
+                    NetConfig::default(),
+                    peer_service,
+                    &scenario.instance,
+                )
             })
             .collect()
         {
@@ -299,7 +311,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let peer_addrs: Vec<_> = peer_nodes.iter().map(NetServer::local_addr).collect();
+        let peer_addrs: Vec<_> = peer_nodes.iter().map(AnyServer::local_addr).collect();
         let peer_gateway = match Gateway::start(&peer_addrs, fast_gateway_config()) {
             Ok(g) => g,
             Err(e) => {
@@ -438,7 +450,8 @@ fn main() -> ExitCode {
                 while offered.load(Ordering::Relaxed) < join_node_at {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                let server = NetServer::start(
+                let server = AnyServer::start(
+                    Frontend::Threads,
                     ("127.0.0.1", 0),
                     NetConfig::default(),
                     service_config,
@@ -519,7 +532,7 @@ fn main() -> ExitCode {
     node_reports.sort_by_key(|(idx, _, _)| *idx);
     let peer_reports = peer_cluster.map(|(peer_frontend, peer_nodes)| {
         let gw = peer_frontend.shutdown();
-        let node_reports: Vec<_> = peer_nodes.into_iter().map(NetServer::shutdown).collect();
+        let node_reports: Vec<_> = peer_nodes.into_iter().map(AnyServer::shutdown).collect();
         (gw, node_reports)
     });
     let submit_rate = common.requests as f64 / wall.as_secs_f64().max(1e-9);

@@ -1,6 +1,6 @@
 //! The gateway proper: the node pool, the submit path with failover and
-//! hedging, and the [`Backend`] implementation that puts the whole
-//! cluster tier behind an `offloadnn-net` frontend.
+//! hedging, and the [`Admitter`] + [`Backend`] implementations that put
+//! the whole cluster tier behind a driver or an `offloadnn-net` frontend.
 //!
 //! # Verdict conservation
 //!
@@ -55,8 +55,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_net::codec::ErrorCode;
 use offloadnn_net::{
-    Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest,
-    PendingOutcome, PendingVerdict,
+    Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest, PendingVerdict,
 };
 use offloadnn_plancache::{shape_fingerprint, PlanCache, PlanCacheStats, PlanKey};
 use offloadnn_serve::{
@@ -323,16 +322,16 @@ struct PendState {
 
 /// A pending cluster verdict: the gateway-side analogue of
 /// [`offloadnn_serve::Ticket`]. Resolution (including failover retries
-/// and hedging) happens lazily inside [`PendingOutcome::wait`] /
-/// [`PendingOutcome::try_wait`], on the caller's thread.
-pub struct GwPending {
+/// and hedging) happens lazily inside [`VerdictHandle::wait`] /
+/// [`VerdictHandle::poll`], on the caller's thread.
+struct GwPending {
     inner: Arc<GatewayInner>,
     state: Mutex<PendState>,
 }
 
 impl GwPending {
-    /// Routes and launches one backend submit. `try_wait` never calls
-    /// this (dialling blocks); `wait` does.
+    /// Routes and launches one backend submit. `poll` never calls this
+    /// (dialling blocks); `wait` does.
     fn launch(&self, st: &mut PendState, now: Instant, is_hedge: bool) -> Launch {
         // A cached affinity short-circuits the rendezvous pick once (the
         // node that admitted this shape most recently very likely still
@@ -404,33 +403,38 @@ impl GwPending {
         now + rtt.quantile(0.99) >= st.deadline
     }
 
-    /// Books the final verdict: counts it on the gateway ledger, records
-    /// the admission route for departs, and hands every other
-    /// outstanding attempt to the reaper.
-    fn settle(&self, st: &mut PendState, outcome: Outcome, winner: Option<&Attempt>) -> Outcome {
-        let reap_deadline = st.deadline + self.inner.config.verdict_grace;
+    /// Hands an outstanding attempt to the reaper, which departs it iff
+    /// its verdict still surfaces as an admission.
+    fn abandon(&self, st: &PendState, attempt: Attempt) {
+        self.inner.hand_to_reaper(Loser {
+            node: attempt.node,
+            task: st.task.id,
+            pv: attempt.pv,
+            deadline: st.deadline + self.inner.config.verdict_grace,
+        });
+    }
+
+    /// Books the final verdict: abandons every other outstanding attempt,
+    /// counts the verdict on the gateway ledger (conservation is
+    /// per-gateway: a forwarded ticket still resolves exactly one verdict
+    /// here, while the peer counts its own submit + verdict on its own
+    /// ledger) and records where an admission lives so a later depart
+    /// reaches it. `route` is who delivered the verdict (`None` for one
+    /// the gateway synthesized).
+    fn settle(&self, st: &mut PendState, outcome: Outcome, route: Option<Route>, hedge_won: bool) -> Outcome {
         for attempt in st.primary.take().into_iter().chain(st.hedge.take()) {
-            self.inner.hand_to_reaper(Loser {
-                node: attempt.node,
-                task: st.task.id,
-                pv: attempt.pv,
-                deadline: reap_deadline,
-            });
+            self.abandon(st, attempt);
         }
         let metrics = &self.inner.metrics;
         match outcome {
             Outcome::Admitted { .. } => {
                 metrics.admitted.inc();
-                if let Some(winner) = winner {
-                    self.inner
-                        .routes
-                        .lock()
-                        .expect("routes lock poisoned")
-                        .insert(st.task.id, Route::Node(winner.node));
-                    if winner.is_hedge {
-                        if let Some(ins) = &self.inner.instruments {
-                            ins.hedge_wins.inc();
-                        }
+                if let Some(route) = route {
+                    self.inner.routes.lock().expect("routes lock poisoned").insert(st.task.id, route);
+                    match (route, &self.inner.instruments) {
+                        (Route::Peer(_), _) => self.inner.count_forward_win(),
+                        (Route::Node(_), Some(ins)) if hedge_won => ins.hedge_wins.inc(),
+                        (Route::Node(_), _) => {}
                     }
                 }
             }
@@ -439,19 +443,20 @@ impl GwPending {
             Outcome::Expired { .. } => metrics.expired.inc(),
         }
         if let (Some(cache), Some(key)) = (&self.inner.plan_cache, st.key) {
-            match outcome {
+            match (outcome, route) {
+                // Peer verdicts are never fed to the local plan cache —
+                // they describe the peer's capacity, not ours.
+                (_, Some(Route::Peer(_))) => {}
                 // Remember where this shape fits so the next submit
                 // routes straight there.
-                Outcome::Admitted { .. } => {
-                    if let Some(winner) = winner {
-                        cache.insert(key, GwPlan::Affinity { node: winner.node }, false);
-                    }
+                (Outcome::Admitted { .. }, Some(Route::Node(node))) => {
+                    cache.insert(key, GwPlan::Affinity { node }, false);
                 }
                 // A backend said "infeasible here, now": cacheable only
                 // under the short negative TTL. Shed/expired verdicts are
                 // transient gateway-side conditions and are never cached.
-                Outcome::Rejected { .. } => cache.insert(key, GwPlan::Rejected, true),
-                Outcome::Shed { .. } | Outcome::Expired { .. } => {}
+                (Outcome::Rejected { .. }, _) => cache.insert(key, GwPlan::Rejected, true),
+                _ => {}
             }
         }
         metrics.latency.record(st.born.elapsed());
@@ -512,7 +517,9 @@ impl GwPending {
                     let horizon = st.deadline + self.inner.config.verdict_grace;
                     let wait = horizon.saturating_duration_since(Instant::now());
                     match pv.poll_wait(wait) {
-                        Some(Ok(outcome)) => return Some(self.settle_forwarded(st, outcome, index)),
+                        Some(Ok(outcome)) => {
+                            return Some(self.settle(st, outcome, Some(Route::Peer(index)), false))
+                        }
                         Some(Err(_)) | None => {
                             // The peer died (or went silent) mid-forward:
                             // fall back to a local Shed so the ticket is
@@ -531,39 +538,6 @@ impl GwPending {
                 }
             }
         }
-    }
-
-    /// Books a peer-delivered verdict: reaps any outstanding local
-    /// attempts, counts the verdict on this gateway's ledger (verdict
-    /// conservation is per-gateway: the forward still resolves exactly
-    /// one verdict here, while the peer counts its own submit + verdict
-    /// on its own ledger), and records a peer route so a later depart
-    /// reaches the admitting cluster. Peer verdicts are never fed to the
-    /// local plan cache — they describe the peer's capacity, not ours.
-    fn settle_forwarded(&self, st: &mut PendState, outcome: Outcome, peer: usize) -> Outcome {
-        let reap_deadline = st.deadline + self.inner.config.verdict_grace;
-        for attempt in st.primary.take().into_iter().chain(st.hedge.take()) {
-            self.inner.hand_to_reaper(Loser {
-                node: attempt.node,
-                task: st.task.id,
-                pv: attempt.pv,
-                deadline: reap_deadline,
-            });
-        }
-        let metrics = &self.inner.metrics;
-        match outcome {
-            Outcome::Admitted { .. } => {
-                metrics.admitted.inc();
-                self.inner.count_forward_win();
-                self.inner.routes.lock().expect("routes lock poisoned").insert(st.task.id, Route::Peer(peer));
-            }
-            Outcome::Rejected { .. } => metrics.rejected.inc(),
-            Outcome::Shed { .. } => metrics.shed.inc(),
-            Outcome::Expired { .. } => metrics.expired.inc(),
-        }
-        metrics.latency.record(st.born.elapsed());
-        st.done = Some(outcome);
-        outcome
     }
 
     /// Handles a completed attempt. `Some(outcome)` settles the ticket;
@@ -595,7 +569,7 @@ impl GwPending {
                         return None;
                     }
                 }
-                Some(self.settle(st, outcome, Some(&attempt)))
+                Some(self.settle(st, outcome, Some(Route::Node(attempt.node)), attempt.is_hedge))
             }
             Err(err) => {
                 match &err {
@@ -644,7 +618,7 @@ impl GwPending {
                 if let Some(out) = self.try_forward(&mut st) {
                     return Some(out);
                 }
-                return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None));
+                return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None, false));
             }
             // An attempt whose node has been ejected (by the health
             // monitor or another ticket's failure) or departed (graceful
@@ -654,19 +628,9 @@ impl GwPending {
             // admission) and fail over with the remaining budget.
             for is_hedge in [false, true] {
                 let slot = if is_hedge { &mut st.hedge } else { &mut st.primary };
-                if let Some(attempt) = slot.take() {
-                    if self.inner.membership.node(attempt.node).is_healthy() {
-                        *slot = Some(attempt);
-                    } else {
-                        let reap_deadline = st.deadline + self.inner.config.verdict_grace;
-                        let task = st.task.id;
-                        self.inner.hand_to_reaper(Loser {
-                            node: attempt.node,
-                            task,
-                            pv: attempt.pv,
-                            deadline: reap_deadline,
-                        });
-                    }
+                if slot.as_ref().is_some_and(|a| !self.inner.membership.node(a.node).is_healthy()) {
+                    let attempt = slot.take().expect("checked above");
+                    self.abandon(&st, attempt);
                 }
             }
             // Promote a surviving hedge if the primary slot is empty.
@@ -679,7 +643,7 @@ impl GwPending {
                 // Nothing in flight: either give the ticket its terminal
                 // verdict or (blocking mode) launch the next attempt.
                 if now >= st.deadline {
-                    return Some(self.settle(&mut st, Outcome::Expired { shard: 0 }, None));
+                    return Some(self.settle(&mut st, Outcome::Expired { shard: 0 }, None, false));
                 }
                 if st.attempts >= self.inner.config.retry_limit {
                     // The local cluster is out of retries: the one exit
@@ -693,7 +657,7 @@ impl GwPending {
                     } else if self.could_forward(&st) {
                         return None;
                     }
-                    return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None));
+                    return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None, false));
                 }
                 if !block {
                     return None;
@@ -706,7 +670,7 @@ impl GwPending {
                         if let Some(out) = self.try_forward(&mut st) {
                             return Some(out);
                         }
-                        return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None));
+                        return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None, false));
                     }
                     Launch::Failed => continue,
                 }
@@ -720,7 +684,7 @@ impl GwPending {
             // Abandon the ticket once deadline + grace has passed with
             // attempts still in flight.
             if now >= st.deadline + self.inner.config.verdict_grace {
-                return Some(self.settle(&mut st, Outcome::Expired { shard: 0 }, None));
+                return Some(self.settle(&mut st, Outcome::Expired { shard: 0 }, None, false));
             }
             // Poll / race the in-flight attempts.
             let two = st.hedge.is_some();
@@ -767,16 +731,6 @@ impl GwPending {
     /// short slices so the trigger isn't slept past).
     fn could_hedge(&self, st: &PendState) -> bool {
         self.inner.config.hedge.enabled && !st.hedged && st.hedge.is_none()
-    }
-}
-
-impl PendingOutcome for GwPending {
-    fn try_wait(&self) -> Option<Outcome> {
-        self.resolve(false, None)
-    }
-
-    fn wait(&self) -> Option<Outcome> {
-        self.resolve(true, None)
     }
 }
 
@@ -971,16 +925,6 @@ impl Gateway {
         self.inner.draining.load(Ordering::Acquire)
     }
 
-    /// Submits a task to the cluster with the gateway's default
-    /// deadline. See [`Backend::submit`] for the full contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Backend::submit`].
-    pub fn submit(&self, task: Task, options: Vec<PathOption>) -> Result<GwPending, SubmitError> {
-        self.submit_inner(task, options, None, None)
-    }
-
     /// The one submit path, for both local submits (`forwarded` `None`)
     /// and tasks arriving via a `Forward` frame (`forwarded`
     /// carries the origin identity, remaining hops and tried-set).
@@ -990,7 +934,7 @@ impl Gateway {
         options: Vec<PathOption>,
         budget: Option<Duration>,
         forwarded: Option<ForwardInfo>,
-    ) -> Result<GwPending, SubmitError> {
+    ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
         if self.is_draining() {
             return Err(SubmitError::Draining);
         }
@@ -1029,37 +973,19 @@ impl Gateway {
         // traffic keys under the origin gateway's scope epoch.
         let key = self.inner.plan_key(&task, &options, scope);
         let mut preferred = None;
+        let mut done = None;
         if let (Some(cache), Some(key)) = (&self.inner.plan_cache, &key) {
             match cache.lookup(key).map(|c| c.value) {
                 Some(GwPlan::Rejected) => {
                     self.inner.metrics.rejected.inc();
                     self.inner.metrics.latency.record(now.elapsed());
-                    return Ok(GwPending {
-                        inner: Arc::clone(&self.inner),
-                        state: Mutex::new(PendState {
-                            task,
-                            options,
-                            born: now,
-                            deadline: now + budget,
-                            attempts: 0,
-                            tried: Vec::new(),
-                            preferred: None,
-                            key: None,
-                            primary: None,
-                            hedge: None,
-                            hedged: false,
-                            fwd_hops: 0,
-                            origin: None,
-                            tried_peers: Vec::new(),
-                            shed_pending: false,
-                            done: Some(Outcome::Rejected { shard: 0 }),
-                        }),
-                    });
+                    done = Some(Outcome::Rejected { shard: 0 });
                 }
                 Some(GwPlan::Affinity { node }) => preferred = Some(node),
                 None => {}
             }
         }
+        let id = task.id;
         let pending = GwPending {
             inner: Arc::clone(&self.inner),
             state: Mutex::new(PendState {
@@ -1078,14 +1004,14 @@ impl Gateway {
                 origin,
                 tried_peers,
                 shed_pending: false,
-                done: None,
+                done,
             }),
         };
         // Launch the first attempt eagerly so tickets pipeline: the
         // submit is on the wire when this returns, and `wait` only
         // collects (or fails over). A ticket that cannot launch here
         // (all sends fail, or no healthy node) resolves in `wait`.
-        {
+        if done.is_none() {
             let mut st = pending.state.lock().expect("pending state lock poisoned");
             while st.primary.is_none() && st.attempts < self.inner.config.retry_limit {
                 match pending.launch(&mut st, Instant::now(), false) {
@@ -1094,34 +1020,7 @@ impl Gateway {
                 }
             }
         }
-        Ok(pending)
-    }
-
-    /// Forwards a departure to wherever the task was admitted — a local
-    /// backend node, or (for a forwarded-then-admitted task) the peer
-    /// gateway whose cluster took it, so the work departs on exactly one
-    /// cluster. A no-op for tasks the gateway never admitted.
-    pub fn depart(&self, task: TaskId) {
-        let route = self.inner.routes.lock().expect("routes lock poisoned").remove(&task);
-        match route {
-            Some(Route::Node(index)) => {
-                if let Ok(client) = self.inner.membership.node(index).client(&self.inner.config.client) {
-                    if client.depart(task).is_ok() {
-                        self.inner.metrics.departed.inc();
-                    }
-                }
-            }
-            Some(Route::Peer(index)) => {
-                if let Some(peers) = &self.inner.peers {
-                    if let Ok(client) = peers.peers[index].client(&self.inner.config.client) {
-                        if client.depart(task).is_ok() {
-                            self.inner.metrics.departed.inc();
-                        }
-                    }
-                }
-            }
-            None => {}
-        }
+        Ok(offloadnn_serve::PendingVerdict::new(id, Box::new(pending)))
     }
 
     /// Always-on federation counters (see [`ForwardStats`]); zero for a
@@ -1137,58 +1036,6 @@ impl Gateway {
     /// federation).
     pub fn healthy_peers(&self) -> usize {
         self.inner.peers.as_ref().map_or(0, PeerSet::healthy_count)
-    }
-
-    /// Broadcasts a reshard to every healthy node; the report aggregates
-    /// the per-node responses (summed migrations, max generation).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Draining`] after drain began;
-    /// [`ServeError::InvalidConfig`] for a zero target or when no
-    /// healthy node accepted the reshard.
-    pub fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
-        if self.is_draining() {
-            return Err(ServeError::Draining);
-        }
-        if shards == 0 {
-            return Err(ServeError::InvalidConfig("gateway scale target must be at least one shard"));
-        }
-        let target =
-            u32::try_from(shards).map_err(|_| ServeError::InvalidConfig("scale target too large"))?;
-        let mut report: Option<ReshardReport> = None;
-        for node in self.inner.membership.snapshot().iter().filter(|n| n.is_healthy()) {
-            match node.client(&self.inner.config.client).and_then(|c| c.scale_to(target)) {
-                Ok(r) => {
-                    let agg = report.get_or_insert(ReshardReport {
-                        from_shards: r.from_shards as usize,
-                        to_shards: shards,
-                        migrated: 0,
-                        generation: 0,
-                    });
-                    agg.migrated += r.migrated;
-                    agg.generation = agg.generation.max(r.generation);
-                }
-                Err(_) => node.drop_client(),
-            }
-        }
-        match report {
-            Some(r) => {
-                self.inner.metrics.reshards.inc();
-                self.inner.metrics.migrated.add(r.migrated);
-                self.inner.metrics.generation.set(r.generation);
-                // The new generation fences fresh lookups; the epoch bump
-                // drops plans minted under the old topology.
-                self.inner.invalidate_plans();
-                Ok(r)
-            }
-            None => Err(ServeError::InvalidConfig("no healthy node accepted the reshard")),
-        }
-    }
-
-    /// Stops accepting submits (already-issued tickets still resolve).
-    pub fn begin_drain(&self) {
-        self.inner.draining.store(true, Ordering::Release);
     }
 
     /// Drains the gateway: stops the monitor, lets the reaper finish
@@ -1253,16 +1100,115 @@ impl Drop for Gateway {
     }
 }
 
-impl Backend for Gateway {
-    type Pending = GwPending;
-
+impl Admitter for Gateway {
     fn submit(
         &self,
         task: Task,
         options: Vec<PathOption>,
-        budget: Option<Duration>,
-    ) -> Result<GwPending, SubmitError> {
-        self.submit_inner(task, options, budget, None)
+        deadline: Option<Duration>,
+    ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
+        self.submit_inner(task, options, deadline, None)
+    }
+
+    /// Forwards a departure to wherever the task was admitted — a local
+    /// backend node, or (for a forwarded-then-admitted task) the peer
+    /// gateway whose cluster took it, so the work departs on exactly one
+    /// cluster. A no-op for tasks the gateway never admitted.
+    fn depart(&self, task: TaskId) {
+        let route = self.inner.routes.lock().expect("routes lock poisoned").remove(&task);
+        match route {
+            Some(Route::Node(index)) => {
+                if let Ok(client) = self.inner.membership.node(index).client(&self.inner.config.client) {
+                    if client.depart(task).is_ok() {
+                        self.inner.metrics.departed.inc();
+                    }
+                }
+            }
+            Some(Route::Peer(index)) => {
+                if let Some(peers) = &self.inner.peers {
+                    if let Ok(client) = peers.peers[index].client(&self.inner.config.client) {
+                        if client.depart(task).is_ok() {
+                            self.inner.metrics.departed.inc();
+                        }
+                    }
+                }
+            }
+            None => {}
+        }
+    }
+
+    fn metrics(&self) -> Option<MetricsSnapshot> {
+        Some(Gateway::metrics(self))
+    }
+
+    /// Stops accepting submits (already-issued tickets still resolve).
+    fn begin_drain(&self) {
+        self.inner.draining.store(true, Ordering::Release);
+    }
+
+    fn tier(&self) -> &'static str {
+        "gateway"
+    }
+}
+
+impl Backend for Gateway {
+    fn is_draining(&self) -> bool {
+        Gateway::is_draining(self)
+    }
+
+    /// Broadcasts a reshard to every healthy node; the report aggregates
+    /// the per-node responses (summed migrations, max generation).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Draining`] after drain began;
+    /// [`ServeError::InvalidConfig`] for a zero target or when no
+    /// healthy node accepted the reshard.
+    fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+        if self.is_draining() {
+            return Err(ServeError::Draining);
+        }
+        if shards == 0 {
+            return Err(ServeError::InvalidConfig("gateway scale target must be at least one shard"));
+        }
+        let target =
+            u32::try_from(shards).map_err(|_| ServeError::InvalidConfig("scale target too large"))?;
+        let mut report: Option<ReshardReport> = None;
+        for node in self.inner.membership.snapshot().iter().filter(|n| n.is_healthy()) {
+            match node.client(&self.inner.config.client).and_then(|c| c.scale_to(target)) {
+                Ok(r) => {
+                    let agg = report.get_or_insert(ReshardReport {
+                        from_shards: r.from_shards as usize,
+                        to_shards: shards,
+                        migrated: 0,
+                        generation: 0,
+                    });
+                    agg.migrated += r.migrated;
+                    agg.generation = agg.generation.max(r.generation);
+                }
+                Err(_) => node.drop_client(),
+            }
+        }
+        match report {
+            Some(r) => {
+                self.inner.metrics.reshards.inc();
+                self.inner.metrics.migrated.add(r.migrated);
+                self.inner.metrics.generation.set(r.generation);
+                // The new generation fences fresh lookups; the epoch bump
+                // drops plans minted under the old topology.
+                self.inner.invalidate_plans();
+                Ok(r)
+            }
+            None => Err(ServeError::InvalidConfig("no healthy node accepted the reshard")),
+        }
+    }
+
+    fn announce(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
+        Gateway::announce(self, addr, incarnation)
+    }
+
+    fn leave(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
+        Gateway::leave(self, addr, incarnation)
     }
 
     fn forward(
@@ -1271,7 +1217,7 @@ impl Backend for Gateway {
         options: Vec<PathOption>,
         budget: Option<Duration>,
         info: ForwardInfo,
-    ) -> Result<GwPending, SubmitError> {
+    ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
         self.submit_inner(task, options, budget, Some(info))
     }
 
@@ -1294,64 +1240,11 @@ impl Backend for Gateway {
         })
     }
 
-    fn depart(&self, task: TaskId) {
-        Gateway::depart(self, task);
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
+    fn ledger(&self) -> MetricsSnapshot {
         Gateway::metrics(self)
-    }
-
-    fn begin_drain(&self) {
-        Gateway::begin_drain(self);
-    }
-
-    fn is_draining(&self) -> bool {
-        Gateway::is_draining(self)
-    }
-
-    fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
-        Gateway::scale_to(self, shards)
-    }
-
-    fn announce(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
-        Gateway::announce(self, addr, incarnation)
-    }
-
-    fn leave(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
-        Gateway::leave(self, addr, incarnation)
     }
 
     fn drain(self) -> DrainReport {
         Gateway::drain(self)
-    }
-}
-
-impl Admitter for Gateway {
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        deadline: Option<Duration>,
-    ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
-        let id = task.id;
-        let pending = self.submit_inner(task, options, deadline, None)?;
-        Ok(offloadnn_serve::PendingVerdict::new(id, Box::new(pending)))
-    }
-
-    fn depart(&self, task: TaskId) {
-        Gateway::depart(self, task);
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(Gateway::metrics(self))
-    }
-
-    fn begin_drain(&self) {
-        Gateway::begin_drain(self);
-    }
-
-    fn tier(&self) -> &'static str {
-        "gateway"
     }
 }

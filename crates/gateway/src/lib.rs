@@ -3,10 +3,11 @@
 //! One `offloadnn-serve` node admits tasks against *its own* capacity.
 //! This crate scales the admission service out: a [`Gateway`] owns a
 //! pool of backend serve nodes (each an `offloadnn-net` endpoint) and
-//! presents the whole cluster as a single admission backend — including
-//! over the network, since [`Gateway`] implements
-//! [`offloadnn_net::Backend`] and therefore slots behind either TCP
-//! frontend via [`offloadnn_net::AnyServer::start_with_backend`].
+//! presents the whole cluster as a single admission tier: drivers submit
+//! through its [`offloadnn_serve::Admitter`] impl, and since it adds
+//! [`offloadnn_net::Backend`] the same impl is served over the network
+//! behind either TCP frontend via
+//! [`offloadnn_net::AnyServer::start_with_backend`].
 //!
 //! Five mechanisms, one per module:
 //!
@@ -15,7 +16,7 @@
 //!   (`-weight / ln(u)`, the logarithmic method); the weight is the
 //!   node's reported admission headroom from its latest health
 //!   snapshot. Ejecting a node remaps only the keys it was winning.
-//! * **Health** ([`crate::health`], internal) — a monitor thread probes
+//! * **Health** (`health`, internal) — a monitor thread probes
 //!   every node each `health_interval` with a Metrics frame
 //!   ([`offloadnn_net::Client::snapshot_timeout`]). `eject_after`
 //!   consecutive misses ejects a node; after `probation` a successful
@@ -50,14 +51,15 @@
 //! ```no_run
 //! use offloadnn_core::scenario::small_scenario;
 //! use offloadnn_gateway::{Gateway, GatewayConfig};
-//! use offloadnn_net::{NetConfig, NetServer};
-//! use offloadnn_serve::ServiceConfig;
+//! use offloadnn_net::{AnyServer, Frontend, NetConfig};
+//! use offloadnn_serve::{Admitter, ServiceConfig};
 //!
 //! let scenario = small_scenario(5);
 //! // Three single-node backends...
 //! let nodes: Vec<_> = (0..3)
 //!     .map(|_| {
-//!         NetServer::start(
+//!         AnyServer::start(
+//!             Frontend::Threads,
 //!             ("127.0.0.1", 0),
 //!             NetConfig::default(),
 //!             ServiceConfig::default(),
@@ -70,9 +72,8 @@
 //! // ...one cluster.
 //! let gateway = Gateway::start(&addrs, GatewayConfig::default()).unwrap();
 //! let pending = gateway
-//!     .submit(scenario.instance.tasks[0].clone(), scenario.instance.options[0].clone())
+//!     .submit(scenario.instance.tasks[0].clone(), scenario.instance.options[0].clone(), None)
 //!     .unwrap();
-//! use offloadnn_net::PendingOutcome;
 //! println!("cluster verdict: {:?}", pending.wait());
 //! let report = gateway.drain();
 //! assert!(report.metrics.is_conserved());
@@ -91,5 +92,5 @@ mod peer;
 pub mod router;
 
 pub use config::{FederationConfig, GatewayConfig, GatewayError, HedgeConfig};
-pub use gateway::{ForwardStats, Gateway, GwPending};
+pub use gateway::{ForwardStats, Gateway};
 pub use membership::{AnnounceOutcome, LeaveOutcome, Membership};

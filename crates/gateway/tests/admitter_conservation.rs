@@ -16,7 +16,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::Task;
 use offloadnn_gateway::{Gateway, GatewayConfig};
-use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig, NetServer};
+use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
 use offloadnn_serve::loadgen::args::{self, DriveConfig, DriveReport, VERDICT_TIMEOUT};
 use offloadnn_serve::metrics::MetricsSnapshot;
 use offloadnn_serve::{Admitter, Service, ServiceConfig, ShapePool};
@@ -47,13 +47,13 @@ fn workload() -> (Vec<(Task, Vec<PathOption>)>, ShapePool) {
     (protos, shapes)
 }
 
-/// Runs the identical workload through one boxed tier and returns what
-/// the driver saw.
-fn drive_tier(tier: Box<dyn Admitter + '_>, expected_tier: &'static str) -> DriveReport {
+/// Runs the identical workload through one type-erased tier and returns
+/// what the driver saw.
+fn drive_tier(tier: &dyn Admitter, expected_tier: &'static str) -> DriveReport {
     assert_eq!(tier.tier(), expected_tier);
     let (protos, shapes) = workload();
     let offered = AtomicU64::new(0);
-    let report = args::drive(&*tier, &drive_config(), &protos, Some(&shapes), &offered);
+    let report = args::drive(tier, &drive_config(), &protos, Some(&shapes), &offered);
     assert_eq!(offered.load(Ordering::Relaxed), REQUESTS, "{expected_tier}: offered count drifted");
     report
 }
@@ -84,7 +84,7 @@ fn the_same_workload_conserves_through_every_tier() {
     let scenario = small_scenario(5);
     let service = Service::start(ServiceConfig { shards: 2, ..ServiceConfig::default() }, &scenario.instance)
         .expect("start service");
-    let report = drive_tier(Box::new(&service), "service");
+    let report = drive_tier(&service, "service");
     let drain = service.drain();
     assert_conserved("service", &report, &drain.metrics);
 
@@ -99,15 +99,16 @@ fn the_same_workload_conserves_through_every_tier() {
     )
     .expect("start loopback server");
     let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
-    let report = drive_tier(Box::new(&client), "net");
+    let report = drive_tier(&client, "net");
     client.close();
     let drain = server.shutdown();
     assert_conserved("net", &report, &drain.metrics);
 
     // Tier 3: a two-node cluster behind a gateway.
-    let nodes: Vec<NetServer> = (0..2)
+    let nodes: Vec<AnyServer> = (0..2)
         .map(|_| {
-            NetServer::start(
+            AnyServer::start(
+                Frontend::Threads,
                 ("127.0.0.1", 0),
                 NetConfig::default(),
                 ServiceConfig { shards: 2, ..ServiceConfig::default() },
@@ -116,7 +117,7 @@ fn the_same_workload_conserves_through_every_tier() {
             .expect("start backend node")
         })
         .collect();
-    let addrs: Vec<_> = nodes.iter().map(NetServer::local_addr).collect();
+    let addrs: Vec<_> = nodes.iter().map(AnyServer::local_addr).collect();
     let gateway = Gateway::start(
         &addrs,
         GatewayConfig {
@@ -128,7 +129,7 @@ fn the_same_workload_conserves_through_every_tier() {
         },
     )
     .expect("start gateway");
-    let report = drive_tier(Box::new(&gateway), "gateway");
+    let report = drive_tier(&gateway, "gateway");
     let drain = gateway.drain();
     assert_conserved("gateway", &report, &drain.metrics);
     for node in nodes {

@@ -25,7 +25,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_gateway::{Gateway, GatewayConfig};
-use offloadnn_net::{MemberState, MembershipDecision, NetConfig, NetServer};
+use offloadnn_net::{AnyServer, Frontend, MemberState, MembershipDecision, NetConfig};
 use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -75,9 +75,15 @@ fn fast_config() -> GatewayConfig {
     }
 }
 
-fn start_node(scenario: &offloadnn_core::scenario::Scenario) -> NetServer {
-    NetServer::start(("127.0.0.1", 0), NetConfig::default(), ServiceConfig::default(), &scenario.instance)
-        .expect("start backend node")
+fn start_node(scenario: &offloadnn_core::scenario::Scenario) -> AnyServer {
+    AnyServer::start(
+        Frontend::Threads,
+        ("127.0.0.1", 0),
+        NetConfig::default(),
+        ServiceConfig::default(),
+        &scenario.instance,
+    )
+    .expect("start backend node")
 }
 
 /// The state of `addr` in the gateway's current membership view.
@@ -208,8 +214,14 @@ fn membership_churn_mid_stream_loses_zero_verdicts() {
                 let a = addr4.expect("announced earlier");
                 assert_eq!(member_state(&gateway, a), MemberState::Probing);
                 node4 = Some(
-                    NetServer::start(a, NetConfig::default(), ServiceConfig::default(), &scenario.instance)
-                        .expect("bind the reserved addr"),
+                    AnyServer::start(
+                        Frontend::Threads,
+                        a,
+                        NetConfig::default(),
+                        ServiceConfig::default(),
+                        &scenario.instance,
+                    )
+                    .expect("bind the reserved addr"),
                 );
                 wait_healthy(&gateway, a, Duration::from_secs(5));
             }

@@ -15,9 +15,7 @@
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_gateway::{Gateway, GatewayConfig};
-use offloadnn_net::{
-    AnyServer, Client, ClientConfig, Frontend, MemberState, MembershipDecision, NetConfig, NetServer,
-};
+use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, MemberState, MembershipDecision, NetConfig};
 use offloadnn_serve::{Outcome, ServiceConfig};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -43,9 +41,15 @@ fn fast_config() -> GatewayConfig {
     }
 }
 
-fn start_node(scenario: &offloadnn_core::scenario::Scenario) -> NetServer {
-    NetServer::start(("127.0.0.1", 0), NetConfig::default(), ServiceConfig::default(), &scenario.instance)
-        .expect("start backend node")
+fn start_node(scenario: &offloadnn_core::scenario::Scenario) -> AnyServer {
+    AnyServer::start(
+        Frontend::Threads,
+        ("127.0.0.1", 0),
+        NetConfig::default(),
+        ServiceConfig::default(),
+        &scenario.instance,
+    )
+    .expect("start backend node")
 }
 
 /// The state of `addr` in the gateway's membership view, observed over
@@ -74,7 +78,7 @@ fn run(frontend: Frontend) {
     let gw_addr = server.local_addr();
     let client = Client::connect(gw_addr, ClientConfig::default()).expect("connect client");
 
-    let mut joiner: Option<NetServer> = None;
+    let mut joiner: Option<AnyServer> = None;
     let mut window: VecDeque<offloadnn_net::PendingVerdict> = VecDeque::new();
     let (mut verdicts, mut admitted) = (0u64, 0u64);
     let mut settle = |p: offloadnn_net::PendingVerdict| {

@@ -20,7 +20,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_gateway::{Gateway, GatewayConfig};
-use offloadnn_net::{NetConfig, NetServer};
+use offloadnn_net::{AnyServer, Frontend, NetConfig};
 use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -81,10 +81,11 @@ fn killing_one_node_mid_stream_loses_zero_verdicts() {
     let trace = offered_trace(seed, TOTAL);
 
     let scenario = small_scenario(5);
-    let mut nodes: Vec<Option<NetServer>> = (0..3)
+    let mut nodes: Vec<Option<AnyServer>> = (0..3)
         .map(|_| {
             Some(
-                NetServer::start(
+                AnyServer::start(
+                    Frontend::Threads,
                     ("127.0.0.1", 0),
                     NetConfig::default(),
                     ServiceConfig::default(),
@@ -186,9 +187,10 @@ fn three_node_cluster_spreads_and_conserves() {
     let seed = seed().wrapping_add(1);
     let trace = offered_trace(seed, TOTAL);
     let scenario = small_scenario(5);
-    let nodes: Vec<NetServer> = (0..3)
+    let nodes: Vec<AnyServer> = (0..3)
         .map(|_| {
-            NetServer::start(
+            AnyServer::start(
+                Frontend::Threads,
                 ("127.0.0.1", 0),
                 NetConfig::default(),
                 ServiceConfig::default(),

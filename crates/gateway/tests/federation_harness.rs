@@ -28,7 +28,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_gateway::{FederationConfig, Gateway, GatewayConfig};
-use offloadnn_net::{AnyServer, Frontend, NetConfig, NetServer};
+use offloadnn_net::{AnyServer, Frontend, NetConfig};
 use offloadnn_serve::{Admitter, ChaosConfig, PendingVerdict, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -118,9 +118,10 @@ fn overflow_forwards_to_the_peer_and_survives_its_death() {
     // — what a neighbouring edge site looks like on the wire. It has no
     // federation config of its own, so (with A's hop budget of 1) the
     // overflow can never bounce.
-    let b_nodes: Vec<NetServer> = (0..2)
+    let b_nodes: Vec<AnyServer> = (0..2)
         .map(|_| {
-            NetServer::start(
+            AnyServer::start(
+                Frontend::Threads,
                 ("127.0.0.1", 0),
                 NetConfig::default(),
                 ServiceConfig::default(),
@@ -129,7 +130,7 @@ fn overflow_forwards_to_the_peer_and_survives_its_death() {
             .expect("start peer backend node")
         })
         .collect();
-    let b_addrs: Vec<_> = b_nodes.iter().map(NetServer::local_addr).collect();
+    let b_addrs: Vec<_> = b_nodes.iter().map(AnyServer::local_addr).collect();
     let b_gateway = Gateway::start(&b_addrs, fast_config()).expect("start peer gateway");
     let b_frontend =
         AnyServer::start_with_backend(Frontend::default(), ("127.0.0.1", 0), NetConfig::default(), b_gateway)
@@ -138,9 +139,14 @@ fn overflow_forwards_to_the_peer_and_survives_its_death() {
     let mut b_frontend = Some(b_frontend);
 
     // Cluster A: one starved node, federated with B.
-    let a_node =
-        NetServer::start(("127.0.0.1", 0), NetConfig::default(), starved_service(), &scenario.instance)
-            .expect("start starved node");
+    let a_node = AnyServer::start(
+        Frontend::Threads,
+        ("127.0.0.1", 0),
+        NetConfig::default(),
+        starved_service(),
+        &scenario.instance,
+    )
+    .expect("start starved node");
     let mut a_config = fast_config();
     a_config.federation = Some(fast_federation("cluster-a", b_addr));
     let gateway = Gateway::start(&[a_node.local_addr()], a_config).expect("start gateway A");
@@ -234,9 +240,14 @@ fn an_unreachable_peer_never_breaks_local_resolution() {
     let ghost = listener.local_addr().expect("listener addr");
     drop(listener);
 
-    let node =
-        NetServer::start(("127.0.0.1", 0), NetConfig::default(), starved_service(), &scenario.instance)
-            .expect("start starved node");
+    let node = AnyServer::start(
+        Frontend::Threads,
+        ("127.0.0.1", 0),
+        NetConfig::default(),
+        starved_service(),
+        &scenario.instance,
+    )
+    .expect("start starved node");
     let mut config = fast_config();
     config.federation = Some(fast_federation("cluster-lonely", ghost));
     let gateway = Gateway::start(&[node.local_addr()], config).expect("start gateway");

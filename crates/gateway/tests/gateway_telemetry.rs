@@ -14,17 +14,18 @@
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_gateway::{Gateway, GatewayConfig};
-use offloadnn_net::{NetConfig, NetServer, PendingOutcome};
-use offloadnn_serve::ServiceConfig;
+use offloadnn_net::{AnyServer, Frontend, NetConfig};
+use offloadnn_serve::{Admitter, ServiceConfig};
 use std::time::Duration;
 
 #[test]
 fn gateway_instruments_follow_the_telemetry_build() {
     let scenario = small_scenario(4);
-    let mut nodes: Vec<Option<NetServer>> = (0..2)
+    let mut nodes: Vec<Option<AnyServer>> = (0..2)
         .map(|_| {
             Some(
-                NetServer::start(
+                AnyServer::start(
+                    Frontend::Threads,
                     ("127.0.0.1", 0),
                     NetConfig::default(),
                     ServiceConfig::default(),
@@ -48,7 +49,7 @@ fn gateway_instruments_follow_the_telemetry_build() {
         let mut task = scenario.instance.tasks[pick].clone();
         task.id = TaskId(u32::try_from(i).unwrap());
         gateway
-            .submit(task, scenario.instance.options[pick].clone())
+            .submit(task, scenario.instance.options[pick].clone(), None)
             .expect("gateway accepts submits")
             .wait()
             .expect("verdict")

@@ -9,8 +9,8 @@
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_gateway::{Gateway, GatewayConfig, HedgeConfig};
-use offloadnn_net::{Backend, NetConfig, NetServer, PendingOutcome};
-use offloadnn_serve::{Outcome, ServiceConfig};
+use offloadnn_net::{AnyServer, Frontend, NetConfig};
+use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -24,10 +24,16 @@ fn hedges_fire_and_duplicates_are_deduplicated() {
     // Slow nodes: the solver sits on a ~30 ms batch window, so a ticket
     // with a ~60 ms budget projects past its deadline once p99 is known.
     let service = ServiceConfig { batch_window: Duration::from_millis(30), ..ServiceConfig::default() };
-    let nodes: Vec<NetServer> = (0..2)
+    let nodes: Vec<AnyServer> = (0..2)
         .map(|_| {
-            NetServer::start(("127.0.0.1", 0), NetConfig::default(), service, &scenario.instance)
-                .expect("start backend node")
+            AnyServer::start(
+                Frontend::Threads,
+                ("127.0.0.1", 0),
+                NetConfig::default(),
+                service,
+                &scenario.instance,
+            )
+            .expect("start backend node")
         })
         .collect();
     let addrs: Vec<_> = nodes.iter().map(|n| n.local_addr()).collect();
@@ -39,8 +45,8 @@ fn hedges_fire_and_duplicates_are_deduplicated() {
     let gateway = Gateway::start(&addrs, config).expect("start gateway");
 
     let mut verdicts = 0u64;
-    let mut window: VecDeque<(TaskId, offloadnn_gateway::GwPending)> = VecDeque::new();
-    let settle = |(task, pending): (TaskId, offloadnn_gateway::GwPending), verdicts: &mut u64| {
+    let mut window: VecDeque<(TaskId, PendingVerdict)> = VecDeque::new();
+    let settle = |(task, pending): (TaskId, PendingVerdict), verdicts: &mut u64| {
         let outcome = pending.wait().expect("exactly one verdict per submit");
         *verdicts += 1;
         if matches!(outcome, Outcome::Admitted { .. }) {
@@ -55,7 +61,8 @@ fn hedges_fire_and_duplicates_are_deduplicated() {
         // Warm the RTT histograms on a roomy budget first; then drop to
         // a budget the slow nodes can only just meet, arming the hedger.
         let budget = if i < WARMUP { Duration::from_secs(2) } else { Duration::from_millis(60) };
-        let pending = Backend::submit(&gateway, task, scenario.instance.options[pick].clone(), Some(budget))
+        let pending = gateway
+            .submit(task, scenario.instance.options[pick].clone(), Some(budget))
             .expect("gateway accepts submits");
         window.push_back((TaskId(u32::try_from(i).unwrap()), pending));
         if window.len() >= WINDOW {

@@ -1,69 +1,57 @@
-//! The readiness-driven (epoll) TCP frontend over
-//! [`offloadnn_serve::Service`].
+//! The readiness-driven (epoll) engine behind
+//! [`crate::Frontend::Reactor`].
 //!
-//! ## Why a second frontend
+//! ## Why a second engine
 //!
-//! [`crate::server::NetServer`] spends two OS threads per connection,
-//! which serves hundreds of clients well but not the paper's "fleets of
+//! The threaded engine spends two OS threads per connection, which
+//! serves hundreds of clients well but not the paper's "fleets of
 //! intermittent mobile UEs" shape: at thousands of mostly-idle
-//! connections, stacks and context switches dominate. `AsyncServer`
-//! multiplexes every connection over a **fixed** pool — one acceptor plus
-//! K event-loop threads (each with a paired completion thread), K chosen
-//! independently of the connection count — on the epoll primitives of
+//! connections, stacks and context switches dominate. This one
+//! multiplexes every connection over a **fixed** [`Pool`] — [`EVENT_LOOPS`]
+//! event-loop threads, each with a paired completion thread, however
+//! many connections arrive — on the epoll primitives of
 //! `offloadnn-reactor`.
 //!
-//! ## Threading model
-//!
 //! ```text
-//! acceptor ──round-robin──┬─ event loop 0 ⇄ completion 0
-//!   (blocking accept,     ├─ event loop 1 ⇄ completion 1
-//!    capped backoff)      └─ ...
-//!
 //! event loop: epoll_wait → read nonblocking sockets → decode frames →
 //!             shared dispatcher → queue (token, Action) → write
 //!             replies (partial-write resumption via EPOLLOUT)
-//! completion: redeems Actions in FIFO order (blocking on Tickets,
+//! completion: redeems Actions in FIFO order (blocking on verdicts,
 //!             running reshards), encodes response frames, hands them
 //!             back to its loop via the done queue + waker
 //! ```
 //!
-//! The completion thread exists because [`crate::PendingOutcome`]
-//! redemption blocks and an event loop must never block. Routing
-//! **every** reply of a connection through its loop's FIFO completion
-//! channel reproduces the threaded frontend's per-connection
-//! writer-queue ordering exactly:
+//! The completion thread exists because redeeming a verdict blocks and
+//! an event loop must never block. Routing **every** reply of a
+//! connection through its loop's FIFO completion channel reproduces the
+//! threaded engine's per-connection writer-queue ordering exactly:
 //! verdicts flush in submit order, a drain's final metrics snapshot is
 //! taken after the connection's earlier verdicts resolved, and the error
 //! frame that closes a misbehaving connection trails everything the
 //! client is still owed.
 //!
-//! ## Parity with the threaded frontend
+//! ## Parity with the threaded engine
 //!
 //! Backpressure: a connection with `inflight_window` replies outstanding
 //! (or an unflushed write backlog past the soft cap) loses read interest
 //! — level-triggered epoll re-reports the readiness when the window
 //! frees, so backpressure propagates through the TCP receive buffer just
-//! like the threaded server's bounded writer channel. Deadline
+//! like the threaded engine's bounded writer channel. Deadline
 //! propagation, drain-flush, live `Scale` frames and the
 //! incomplete-vs-malformed codec distinction are all inherited from the
 //! same [`Backend`] + [`codec`] layers and the same crate-private
 //! dispatcher (`dispatch.rs`); the loopback suite runs the same
-//! assertions against either frontend.
+//! assertions against either engine.
 
 use crate::backend::Backend;
-use crate::backoff::AcceptBackoff;
 use crate::codec::{self, Frame};
 use crate::dispatch::{dispatch, Action};
-use crate::error::NetError;
-use crate::server::{reject_over_limit, NetConfig};
 use crate::shared::Shared;
 use crossbeam::channel::{self, Receiver, Sender};
-use offloadnn_core::instance::DotInstance;
 use offloadnn_reactor::{Epoll, Event, Events, Interest, Waker};
-use offloadnn_serve::{DrainReport, Service, ServiceConfig};
 use offloadnn_telemetry::{event, Severity};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -80,51 +68,21 @@ const MAX_READS_PER_EVENT: usize = 8;
 /// the bound on per-connection write-queue memory.
 const WBUF_PAUSE: usize = 256 * 1024;
 
-/// Tuning knobs of the reactor frontend (on top of [`NetConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReactorConfig {
-    /// Number of event-loop threads (each with one completion thread).
-    /// The whole point of the reactor: this stays small and fixed while
-    /// connection counts grow into the thousands.
-    pub event_loops: usize,
-    /// Readiness events drained per `epoll_wait` call.
-    pub max_events: usize,
-    /// `epoll_wait` timeout — the cadence at which an otherwise idle
-    /// loop rechecks the shutdown flag and write deadlines.
-    pub wait_timeout: Duration,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        Self { event_loops: 2, max_events: 256, wait_timeout: Duration::from_millis(50) }
-    }
-}
-
-impl ReactorConfig {
-    /// Validates every field.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), NetError> {
-        if self.event_loops == 0 {
-            return Err(NetError::InvalidConfig("event_loops must be >= 1"));
-        }
-        if self.max_events == 0 {
-            return Err(NetError::InvalidConfig("max_events must be >= 1"));
-        }
-        if self.wait_timeout.is_zero() {
-            return Err(NetError::InvalidConfig("wait_timeout must be > 0"));
-        }
-        Ok(())
-    }
-}
+/// Event-loop threads (each with one completion thread). The whole
+/// point of the reactor: this stays small and fixed while connection
+/// counts grow into the thousands.
+const EVENT_LOOPS: usize = 2;
+/// Readiness events drained per `epoll_wait` call.
+const MAX_EVENTS: usize = 256;
+/// `epoll_wait` timeout — the cadence at which an otherwise idle loop
+/// rechecks the shutdown flag and write deadlines.
+const WAIT_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// What an event loop hands its completion thread: the connection's
 /// token and the dispatcher's [`Action`] for one frame. FIFO per loop,
 /// which gives each connection the threaded frontend's writer-queue
 /// ordering.
-type Completion<P> = (u64, Action<P>);
+type Completion = (u64, Action);
 
 /// One encoded reply coming back from a completion thread.
 struct Done {
@@ -138,84 +96,29 @@ struct LoopHandle {
     waker: Arc<Waker>,
 }
 
-/// A running reactor frontend over any [`Backend`] (an in-process
-/// [`Service`] fleet by default). Start with [`AsyncServer::start`] (or
-/// [`AsyncServer::start_with_backend`]); stop with
-/// [`AsyncServer::shutdown`], which drains the backend and returns its
-/// final [`DrainReport`].
-pub struct AsyncServer<B: Backend = Service> {
-    local_addr: SocketAddr,
-    shared: Arc<Shared<B>>,
-    wakers: Vec<Arc<Waker>>,
-    acceptor: Option<JoinHandle<()>>,
+/// The fixed thread pool: [`EVENT_LOOPS`] event loops and as many
+/// completion threads, fed connections round-robin.
+pub(crate) struct Pool {
+    handles: Vec<LoopHandle>,
+    next_loop: usize,
     loops: Vec<JoinHandle<()>>,
     completions: Vec<JoinHandle<()>>,
 }
 
-impl<B: Backend> std::fmt::Debug for AsyncServer<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncServer")
-            .field("local_addr", &self.local_addr)
-            .field("event_loops", &self.loops.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl AsyncServer<Service> {
-    /// Binds `addr` (use port 0 for an ephemeral port), starts the shard
-    /// fleet, the event-loop pool and the acceptor thread.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] for bad configuration,
-    /// [`NetError::Io`] if the bind or reactor setup fails.
-    pub fn start(
-        addr: impl ToSocketAddrs,
-        net: NetConfig,
-        reactor: ReactorConfig,
-        service_config: ServiceConfig,
-        template: &DotInstance,
-    ) -> Result<Self, NetError> {
-        let service = crate::backend::start_service(service_config, template)?;
-        Self::start_with_backend(addr, net, reactor, service)
-    }
-}
-
-impl<B: Backend> AsyncServer<B> {
-    /// Binds `addr` and serves an already-running backend (e.g. a
-    /// cluster gateway) over the same wire protocol and event-loop pool
-    /// as [`AsyncServer::start`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] for bad configuration,
-    /// [`NetError::Io`] if the bind or reactor setup fails.
-    pub fn start_with_backend(
-        addr: impl ToSocketAddrs,
-        net: NetConfig,
-        reactor: ReactorConfig,
-        backend: B,
-    ) -> Result<Self, NetError> {
-        net.validate()?;
-        reactor.validate()?;
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Shared::new(backend, net);
-
-        let mut handles = Vec::with_capacity(reactor.event_loops);
-        let mut wakers = Vec::with_capacity(reactor.event_loops);
-        let mut loops = Vec::with_capacity(reactor.event_loops);
-        let mut completions = Vec::with_capacity(reactor.event_loops);
-        for loop_id in 0..reactor.event_loops {
+impl Pool {
+    /// Sets up the epoll instances and spawns every pool thread.
+    pub(crate) fn start<B: Backend>(shared: &Arc<Shared<B>>) -> std::io::Result<Self> {
+        let mut pool = Pool { handles: Vec::new(), next_loop: 0, loops: Vec::new(), completions: Vec::new() };
+        for loop_id in 0..EVENT_LOOPS {
             let epoll = Epoll::new()?;
             let waker = Arc::new(Waker::new()?);
             epoll.add(waker.fd(), WAKE_TOKEN, Interest::READABLE)?;
             let (incoming_tx, incoming_rx) = channel::unbounded::<TcpStream>();
-            let (comp_tx, comp_rx) = channel::unbounded::<Completion<B::Pending>>();
+            let (comp_tx, comp_rx) = channel::unbounded::<Completion>();
             let done = Arc::new(Mutex::new(Vec::<Done>::new()));
 
-            completions.push({
-                let shared = Arc::clone(&shared);
+            pool.completions.push({
+                let shared = Arc::clone(shared);
                 let done = Arc::clone(&done);
                 let waker = Arc::clone(&waker);
                 std::thread::Builder::new()
@@ -223,11 +126,10 @@ impl<B: Backend> AsyncServer<B> {
                     .spawn(move || completion_loop(&comp_rx, &shared, &done, &waker))
                     .expect("spawn completion thread")
             });
-            loops.push({
+            pool.loops.push({
                 let mut event_loop = EventLoop {
                     loop_id,
-                    reactor,
-                    shared: Arc::clone(&shared),
+                    shared: Arc::clone(shared),
                     epoll,
                     waker: Arc::clone(&waker),
                     incoming: incoming_rx,
@@ -242,158 +144,43 @@ impl<B: Backend> AsyncServer<B> {
                     .spawn(move || event_loop.run())
                     .expect("spawn event loop")
             });
-            handles.push(LoopHandle { incoming: incoming_tx, waker: Arc::clone(&waker) });
-            wakers.push(waker);
+            pool.handles.push(LoopHandle { incoming: incoming_tx, waker });
         }
-
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("net-racceptor".into())
-                .spawn(move || accept_loop(&listener, &shared, &handles))
-                .expect("spawn acceptor")
-        };
-        event!(
-            Severity::Info,
-            "net.async",
-            "listening on {local_addr}: {} conn(s) max over {} event loop(s), window {}",
-            net.max_connections,
-            reactor.event_loops,
-            net.inflight_window
-        );
-        Ok(Self { local_addr, shared, wakers, acceptor: Some(acceptor), loops, completions })
+        Ok(pool)
     }
 
-    /// The bound address (resolves port 0 to the actual ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Point-in-time metrics of the underlying backend.
-    pub fn metrics(&self) -> offloadnn_serve::MetricsSnapshot {
-        self.shared.service.metrics()
-    }
-
-    /// Whether a drain has begun (via [`Frame::Drain`] or
-    /// [`AsyncServer::shutdown`]).
-    pub fn is_draining(&self) -> bool {
-        self.shared.service.is_draining()
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active()
-    }
-
-    /// Reshapes the underlying backend at runtime; traffic keeps flowing
-    /// throughout. See [`Backend::scale_to`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Backend::scale_to`] errors.
-    pub fn scale_to(
-        &self,
-        shards: usize,
-    ) -> Result<offloadnn_serve::ReshardReport, offloadnn_serve::ServeError> {
-        self.shared.service.scale_to(shards)
-    }
-
-    /// Registers this node with a gateway's membership engine, exactly
-    /// as [`crate::server::NetServer::announce_to`] does for the
-    /// threaded frontend: announce under a fresh wall-clock incarnation,
-    /// arm a graceful leave for drain/shutdown.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors when the gateway cannot be reached or does not
-    /// answer; the announce can simply be retried.
-    pub fn announce_to(&self, gateway: SocketAddr) -> Result<codec::MembershipResponse, NetError> {
-        self.announce_to_as(gateway, crate::backend::fresh_incarnation())
-    }
-
-    /// [`AsyncServer::announce_to`] with an explicit incarnation stamp.
-    ///
-    /// # Errors
-    ///
-    /// As [`AsyncServer::announce_to`].
-    pub fn announce_to_as(
-        &self,
-        gateway: SocketAddr,
-        incarnation: u64,
-    ) -> Result<codec::MembershipResponse, NetError> {
-        self.shared.announce(self.local_addr, gateway, incarnation)
-    }
-
-    /// Gracefully stops the frontend: fences the ingress, stops the
-    /// acceptor, lets every connection flush its in-flight outcomes to
-    /// its client, joins the fixed thread pool, then drains the
-    /// underlying service and returns its final report.
-    pub fn shutdown(mut self) -> DrainReport {
-        self.shared.begin_shutdown(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+    /// Hands an accepted connection to the next event loop; `false` if
+    /// that loop is gone (fatal epoll error).
+    pub(crate) fn adopt(&mut self, stream: TcpStream) -> bool {
+        let handle = &self.handles[self.next_loop % self.handles.len()];
+        self.next_loop = self.next_loop.wrapping_add(1);
+        let adopted = handle.incoming.send(stream).is_ok();
+        if adopted {
+            handle.waker.wake();
         }
-        // The acceptor owned the incoming senders; with it joined, wake
-        // the loops so they notice the shutdown flag, flush and exit.
-        for waker in &self.wakers {
-            waker.wake();
+        adopted
+    }
+
+    /// Wakes the loops so they notice the shutdown flag, flush and exit,
+    /// then joins the whole pool.
+    pub(crate) fn stop(self) {
+        for handle in &self.handles {
+            handle.waker.wake();
         }
-        for h in self.loops.drain(..) {
+        for h in self.loops {
             let _ = h.join();
         }
         // Each loop dropped its completion sender on exit.
-        for h in self.completions.drain(..) {
+        for h in self.completions {
             let _ = h.join();
         }
-        event!(Severity::Info, "net.async", "frontend stopped on {}", self.local_addr);
-        self.wakers.clear();
-        self.shared.finish_shutdown()
-    }
-}
-
-/// Blocking accept with capped backoff; dispatches connections to the
-/// event loops round-robin.
-fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, handles: &[LoopHandle]) {
-    let mut backoff = AcceptBackoff::new();
-    let mut next_loop = 0usize;
-    while !shared.is_shutting_down() {
-        let stream = match listener.accept() {
-            Ok((s, _)) => {
-                backoff.on_success();
-                s
-            }
-            Err(e) => {
-                event!(Severity::Warn, "net.async", "accept failed: {e}");
-                if let Some(pause) = backoff.on_error(&e) {
-                    std::thread::sleep(pause);
-                }
-                continue;
-            }
-        };
-        if shared.is_shutting_down() {
-            break; // the shutdown self-connect
-        }
-        if shared.active() >= shared.net.max_connections {
-            event!(Severity::Warn, "net.async", "rejecting connection: limit reached");
-            reject_over_limit(stream, shared.net.write_timeout);
-            continue;
-        }
-        shared.conn_opened();
-        let handle = &handles[next_loop % handles.len()];
-        next_loop = next_loop.wrapping_add(1);
-        if handle.incoming.send(stream).is_err() {
-            // The loop is gone (fatal epoll error); undo the accounting.
-            shared.conn_closed();
-            continue;
-        }
-        handle.waker.wake();
     }
 }
 
 /// Redeems actions — blocking on verdicts, running reshards — and
 /// encodes the replies off the event loop, FIFO.
 fn completion_loop<B: Backend>(
-    rx: &Receiver<Completion<B::Pending>>,
+    rx: &Receiver<Completion>,
     shared: &Arc<Shared<B>>,
     done: &Mutex<Vec<Done>>,
     waker: &Waker,
@@ -455,12 +242,11 @@ fn token_of(gen: u32, idx: usize) -> u64 {
 
 struct EventLoop<B: Backend> {
     loop_id: usize,
-    reactor: ReactorConfig,
     shared: Arc<Shared<B>>,
     epoll: Epoll,
     waker: Arc<Waker>,
     incoming: Receiver<TcpStream>,
-    comp_tx: Sender<Completion<B::Pending>>,
+    comp_tx: Sender<Completion>,
     done: Arc<Mutex<Vec<Done>>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -469,11 +255,10 @@ struct EventLoop<B: Backend> {
 
 impl<B: Backend> EventLoop<B> {
     fn run(&mut self) {
-        let mut events = Events::with_capacity(self.reactor.max_events);
-        let mut ready: Vec<Event> = Vec::with_capacity(self.reactor.max_events);
-        let wait = Some(self.reactor.wait_timeout);
+        let mut events = Events::with_capacity(MAX_EVENTS);
+        let mut ready: Vec<Event> = Vec::with_capacity(MAX_EVENTS);
         loop {
-            match self.epoll.wait(&mut events, wait) {
+            match self.epoll.wait(&mut events, Some(WAIT_TIMEOUT)) {
                 Ok(_) => {}
                 Err(e) => {
                     event!(Severity::Warn, "net.async", "loop {}: epoll_wait failed: {e}", self.loop_id);
@@ -652,7 +437,7 @@ impl<B: Backend> EventLoop<B> {
     /// Queues an action on the completion channel, bumping the
     /// connection's pending count; a closing action also stops the
     /// connection's parsing for good.
-    fn send_completion(&mut self, idx: usize, action: Action<B::Pending>) {
+    fn send_completion(&mut self, idx: usize, action: Action) {
         let token = token_of(self.slots[idx].gen, idx);
         let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
         if matches!(action, Action::ReplyThenClose(_)) {

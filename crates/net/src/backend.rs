@@ -1,35 +1,28 @@
-//! The service surface a TCP frontend serves.
+//! What a tier adds to [`Admitter`] to be *served* over TCP.
 //!
-//! Both frontends ([`crate::server::NetServer`] and
-//! [`crate::async_server::AsyncServer`]) were written against
-//! [`offloadnn_serve::Service`] directly. [`Backend`] extracts the exact
-//! coupling surface they used — submit, depart, metrics, drain fencing,
-//! scale and final drain — so the *same* frontends (and the
-//! [`crate::Frontend`] switch over them) can also serve any other
-//! admission-shaped runtime, e.g. a cluster gateway that fans submits
-//! out to a fleet of serve nodes. `Service` implements the trait with
-//! zero behavioural change; the frontends default their type parameter
-//! to it, so existing call sites compile untouched.
+//! A tier implements [`offloadnn_serve::Admitter`] once — that is its
+//! data plane (submit, depart, metrics, the drain fence), the same
+//! calls whether a driver holds it as `&dyn Admitter` or a frontend
+//! dispatches wire frames onto it. [`Backend`] extends it with what a
+//! driver must not see: the control plane of the wire protocol (scale,
+//! membership, federation) and the two ends of a server's lifecycle
+//! (the drain hook and the final, consuming drain). `Service` and the
+//! gateway crate's `Gateway` implement both.
 //!
 //! ## Deadline ownership
 //!
 //! The wire protocol ships a Submit's deadline budget as
-//! `deadline_us == 0` for "no client deadline". The frontends used to
-//! translate that into [`offloadnn_serve::ServiceConfig::admission_deadline`]
-//! themselves; with multiple backends the *default* budget is backend
-//! policy, so [`Backend::submit`] takes `Option<Duration>` and each
-//! implementation applies its own default for `None`. `Service` keeps
-//! the exact former behaviour: `None` means its configured admission
-//! deadline, and an explicit budget is clamped to never exceed it.
+//! `deadline_us == 0` for "no client deadline", which reaches
+//! [`Admitter::submit`] as `None`: the *default* budget is the tier's
+//! policy, and an explicit budget is clamped to never exceed it.
 
 use crate::client::{Client, ClientConfig};
 use crate::codec::{MemberInfo, MembershipDecision, MembershipResponse};
 use crate::error::NetError;
-use offloadnn_core::instance::{DotInstance, PathOption};
-use offloadnn_core::task::{Task, TaskId};
+use offloadnn_core::instance::PathOption;
+use offloadnn_core::task::Task;
 use offloadnn_serve::{
-    DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, Service, ServiceConfig, SubmitError,
-    Ticket,
+    Admitter, DrainReport, MetricsSnapshot, PendingVerdict, ReshardReport, ServeError, Service, SubmitError,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,66 +77,14 @@ pub struct ForwardInfo {
     pub hops: u8,
 }
 
-/// A handle to one in-flight submission, redeemable for its verdict by
-/// the frontend's writer (threaded) or completion (reactor) thread.
+/// The control-plane extension of [`Admitter`] a TCP frontend serves.
 ///
-/// `None` from [`PendingOutcome::wait`] means the backend lost the
-/// request without resolving it (e.g. a chaos-killed shard worker); the
-/// frontend answers the client with an `Internal` error frame.
-pub trait PendingOutcome: Send + 'static {
-    /// Returns the verdict if it is already available, without blocking.
-    fn try_wait(&self) -> Option<Outcome>;
-
-    /// Blocks until the verdict arrives (or the backend gives up).
-    fn wait(&self) -> Option<Outcome>;
-}
-
-impl PendingOutcome for Ticket {
-    fn try_wait(&self) -> Option<Outcome> {
-        Ticket::try_wait(self)
-    }
-
-    fn wait(&self) -> Option<Outcome> {
-        Ticket::wait(self)
-    }
-}
-
-/// What a TCP frontend needs from the runtime it fronts.
-///
-/// The methods mirror the wire protocol's request frames one-to-one;
-/// `crate::dispatch` is the single place that maps one onto the other.
-/// Implementations must be callable from many connection threads
-/// concurrently (`Sync`), and [`Backend::drain`] is called exactly once
-/// after every connection has flushed.
-pub trait Backend: Send + Sync + Sized + 'static {
-    /// The in-flight-submission handle this backend issues.
-    type Pending: PendingOutcome;
-
-    /// Submits an admission request. `budget` is the client's deadline
-    /// budget (`None` = the backend's policy default); the backend may
-    /// tighten but never extend its own policy with it.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] for requests refused at ingress (draining, no
-    /// candidate options); these become error frames, not verdicts.
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        budget: Option<Duration>,
-    ) -> Result<Self::Pending, SubmitError>;
-
-    /// Releases the capacity of an admitted task (fire-and-forget).
-    fn depart(&self, task: TaskId);
-
-    /// Point-in-time metrics.
-    fn metrics(&self) -> MetricsSnapshot;
-
-    /// Fences the ingress: subsequent submits fail with
-    /// [`SubmitError::Draining`] while in-flight requests still resolve.
-    fn begin_drain(&self);
-
+/// Together the two traits mirror the wire protocol's request frames
+/// one-to-one; `crate::dispatch` is the single place that maps one onto
+/// the other. Implementations are called from many connection threads
+/// concurrently, and [`Backend::drain`] is called exactly once after
+/// every connection has flushed.
+pub trait Backend: Admitter + Sized + 'static {
     /// Whether a drain has begun.
     fn is_draining(&self) -> bool;
 
@@ -181,14 +122,14 @@ pub trait Backend: Send + Sync + Sized + 'static {
     /// # Errors
     ///
     /// [`SubmitError`] for requests refused at ingress, exactly as
-    /// [`Backend::submit`].
+    /// [`Admitter::submit`].
     fn forward(
         &self,
         task: Task,
         options: Vec<PathOption>,
         budget: Option<Duration>,
         info: ForwardInfo,
-    ) -> Result<Self::Pending, SubmitError> {
+    ) -> Result<PendingVerdict, SubmitError> {
         let _ = info;
         self.submit(task, options, budget)
     }
@@ -204,7 +145,7 @@ pub trait Backend: Send + Sync + Sized + 'static {
     }
 
     /// Registers a hook to run when this backend's drain begins (either
-    /// fence direction: [`Backend::begin_drain`] or [`Backend::drain`]).
+    /// fence direction: [`Admitter::begin_drain`] or [`Backend::drain`]).
     /// Returns `false` if the backend does not support drain hooks — the
     /// caller must then arrange its own notification. If the drain has
     /// already begun, a supporting backend runs the hook immediately.
@@ -213,8 +154,14 @@ pub trait Backend: Send + Sync + Sized + 'static {
         false
     }
 
+    /// The backend's own ledger, read locally and infallibly — what a
+    /// `Snapshot` or `Drain` frame answers. ([`Admitter::metrics`] is
+    /// `Option` because a wire tier may be unable to reach its endpoint;
+    /// a served tier never is.)
+    fn ledger(&self) -> MetricsSnapshot;
+
     /// Drains outstanding work and returns the final report. The
-    /// frontends call this once, after the last connection closed.
+    /// frontend calls this once, after the last connection closed.
     fn drain(self) -> DrainReport;
 }
 
@@ -274,18 +221,6 @@ fn membership_client_config() -> ClientConfig {
     }
 }
 
-/// Starts the in-process shard fleet both frontends' `start` serve by
-/// default, folding its config errors into [`NetError`].
-pub(crate) fn start_service(config: ServiceConfig, template: &DotInstance) -> Result<Service, NetError> {
-    Service::start(config, template).map_err(|e| {
-        NetError::InvalidConfig(match e {
-            ServeError::InvalidConfig(what) => what,
-            // Unreachable at start, but keep the mapping total.
-            ServeError::Draining => "service is draining",
-        })
-    })
-}
-
 /// A fresh incarnation stamp: startup wall-clock nanoseconds, monotonic
 /// across restarts of the same node (modulo clock regression), which is
 /// all the incarnation ordering needs.
@@ -297,33 +232,6 @@ pub(crate) fn fresh_incarnation() -> u64 {
 }
 
 impl Backend for Service {
-    type Pending = Ticket;
-
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        budget: Option<Duration>,
-    ) -> Result<Ticket, SubmitError> {
-        match budget {
-            // submit_with_deadline clamps to the policy deadline.
-            Some(budget) => self.submit_with_deadline(task, options, budget),
-            None => Service::submit(self, task, options),
-        }
-    }
-
-    fn depart(&self, task: TaskId) {
-        Service::depart(self, task);
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        Service::metrics(self)
-    }
-
-    fn begin_drain(&self) {
-        Service::begin_drain(self);
-    }
-
     fn is_draining(&self) -> bool {
         Service::is_draining(self)
     }
@@ -335,6 +243,10 @@ impl Backend for Service {
     fn on_drain(&self, hook: Box<dyn FnOnce() + Send>) -> bool {
         Service::on_drain(self, hook);
         true
+    }
+
+    fn ledger(&self) -> MetricsSnapshot {
+        Service::metrics(self)
     }
 
     fn drain(self) -> DrainReport {

@@ -1,6 +1,6 @@
 //! Loopback load generator for the `offloadnn-net` TCP frontend.
 //!
-//! Starts a [`NetServer`] on an ephemeral loopback port, drives it with
+//! Starts an [`AnyServer`] on an ephemeral loopback port, drives it with
 //! N concurrent [`Client`] connections pipelining admission submits,
 //! then drains and cross-checks the end-to-end conservation invariant:
 //!

@@ -1,4 +1,4 @@
-//! The client library: a pipelining connection to a [`crate::NetServer`]
+//! The client library: a pipelining connection to a [`crate::AnyServer`]
 //! with per-request deadline propagation and reconnect with capped
 //! exponential backoff.
 //!
@@ -190,7 +190,7 @@ fn rtt_histogram() -> &'static Arc<Histogram> {
 /// reader thread (removes + delivers; clears on exit). Per-incarnation
 /// so a reader that dies can only fail *its own* requests, never ones
 /// registered after a redial.
-type PendingMap = Arc<Mutex<HashMap<u64, Sender<Frame>>>>;
+type ReplyMap = Arc<Mutex<HashMap<u64, Sender<Frame>>>>;
 
 /// One live connection: write half, reader thread, and the requests in
 /// flight on it.
@@ -200,10 +200,10 @@ struct Conn {
     /// Set by the reader when the connection dies (EOF, socket error,
     /// protocol error or a connection-level server error).
     dead: Arc<AtomicBool>,
-    pending: PendingMap,
+    pending: ReplyMap,
 }
 
-/// A connection to a [`crate::NetServer`]. Submissions pipeline: each
+/// A connection to a [`crate::AnyServer`]. Submissions pipeline: each
 /// [`Client::submit`] returns a [`PendingVerdict`] redeemable in any
 /// order, and a dead connection is redialed (with backoff) on the next
 /// request. All methods take `&self` and are thread-safe; requests from
@@ -360,7 +360,7 @@ impl Client {
                     let read_half = stream.try_clone().map_err(NetError::Io)?;
                     read_half.set_read_timeout(Some(self.config.read_timeout)).map_err(NetError::Io)?;
                     let dead = Arc::new(AtomicBool::new(false));
-                    let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
+                    let pending: ReplyMap = Arc::new(Mutex::new(HashMap::new()));
                     let reader = {
                         let pending = Arc::clone(&pending);
                         let dead = Arc::clone(&dead);
@@ -611,7 +611,7 @@ impl Client {
     /// Announces a serve node to a gateway: "`addr` is alive under
     /// `incarnation`, dial it". Blocks for the [`MembershipResponse`].
     /// The caller is typically the node's own frontend
-    /// ([`crate::server::NetServer::announce_to`]) rather than an
+    /// ([`crate::AnyServer::announce_to`]) rather than an
     /// admission client.
     ///
     /// # Errors
@@ -803,7 +803,7 @@ impl Drop for Client {
 /// sender.
 fn read_responses(
     mut stream: TcpStream,
-    pending: &PendingMap,
+    pending: &ReplyMap,
     dead: &Arc<AtomicBool>,
     closing: &Arc<AtomicBool>,
 ) {

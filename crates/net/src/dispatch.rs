@@ -1,32 +1,34 @@
-//! The one request dispatcher shared by both frontends.
+//! The one request dispatcher shared by both engines.
 //!
-//! [`dispatch`] maps a decoded frame onto the [`Backend`] and says what
-//! the connection owes in return as an [`Action`]; [`Action::redeem`]
-//! turns an action into the reply frame. The frontends own only *where*
-//! each step runs: the threaded server queues actions from its reader
-//! to its writer thread, the reactor from its event loop to its
-//! completion thread (paired with the connection token). The next frame
-//! type is one arm here, not one in every frontend.
+//! [`dispatch`] maps a decoded frame onto the backend — data-plane
+//! frames onto its [`offloadnn_serve::Admitter`] half, control-plane
+//! frames onto its [`Backend`] half — and says what the connection owes
+//! in return as an [`Action`]; [`Action::redeem`] turns an action into
+//! the reply frame. The engines own only *where* each step runs: the
+//! threaded one queues actions from its reader to its writer thread, the
+//! reactor from its event loop to its completion thread (paired with the
+//! connection token). The next frame type is one arm here, not one in
+//! every engine.
 
-use crate::backend::{Backend, ForwardInfo, PendingOutcome};
+use crate::backend::{Backend, ForwardInfo};
 use crate::codec::{
     ErrorCode, ErrorResponse, Frame, MembershipResponse, MetricsResponse, OutcomeResponse, PeerLoadResponse,
     ScaleResponse,
 };
 use crate::error::DecodeError;
-use offloadnn_serve::SubmitError;
+use offloadnn_serve::{PendingVerdict, SubmitError};
 use offloadnn_telemetry::{event, Severity};
 use std::net::SocketAddr;
 use std::time::Duration;
 
 /// What a connection owes after one decoded frame. Also the message both
-/// frontends queue towards the thread that builds and sends replies, so
+/// engines queue towards the thread that builds and sends replies, so
 /// per-connection FIFO order of the queue is the order of the replies.
 #[allow(clippy::large_enum_variant)] // transient, window-bounded queue; see Frame
-pub(crate) enum Action<P> {
+pub(crate) enum Action {
     /// A submitted request: redeem the ticket (may block), reply with
     /// the outcome.
-    Verdict { request_id: u64, ticket: P },
+    Verdict { request_id: u64, ticket: PendingVerdict },
     /// An already-built response frame.
     Reply(Frame),
     /// Snapshot the backend *when redeemed* — i.e. after every earlier
@@ -45,7 +47,7 @@ pub(crate) enum Action<P> {
 
 /// Dispatches one decoded frame to the backend. Never blocks on a
 /// verdict and never reshards — both are deferred into the [`Action`].
-pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action<B::Pending> {
+pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action {
     match frame {
         Frame::Submit(req) => {
             admission(req.request_id, backend.submit(req.task, req.options, budget(req.deadline_us)))
@@ -66,7 +68,7 @@ pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action<B::Pendi
         Frame::Snapshot(req) => Action::Reply(Frame::Metrics(MetricsResponse {
             request_id: req.request_id,
             is_final: false,
-            metrics: backend.metrics(),
+            metrics: backend.ledger(),
         })),
         Frame::Drain(req) => {
             event!(Severity::Info, "net.dispatch", "drain requested (request {})", req.request_id);
@@ -115,7 +117,7 @@ pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action<B::Pendi
     }
 }
 
-impl<P: PendingOutcome> Action<P> {
+impl Action {
     /// The action closing a connection whose byte stream failed to
     /// decode: a connection-level (`request_id` 0) `Malformed` error.
     pub(crate) fn protocol_error(e: DecodeError) -> Self {
@@ -126,29 +128,23 @@ impl<P: PendingOutcome> Action<P> {
     /// has not resolved yet (`before_block` runs first in that case, so
     /// a writer can flush what earlier requests are owed). `None` only
     /// for [`Action::Nothing`].
-    pub(crate) fn redeem<B: Backend<Pending = P>>(
-        self,
-        backend: &B,
-        before_block: impl FnOnce(),
-    ) -> Option<Frame> {
+    pub(crate) fn redeem<B: Backend>(self, backend: &B, before_block: impl FnOnce()) -> Option<Frame> {
         Some(match self {
             Action::Verdict { request_id, ticket } => {
-                let outcome = ticket.try_wait().or_else(|| {
+                let verdict = ticket.poll().unwrap_or_else(|| {
                     before_block();
                     ticket.wait()
                 });
-                match outcome {
-                    Some(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
-                    None => error_frame(
-                        request_id,
-                        ErrorCode::Internal,
-                        "worker exited before resolving the request",
-                    ),
+                match verdict {
+                    Ok(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
+                    // The backend lost the request without resolving it
+                    // (e.g. a chaos-killed shard worker).
+                    Err(e) => error_frame(request_id, ErrorCode::Internal, e.to_string()),
                 }
             }
             Action::Reply(frame) | Action::ReplyThenClose(frame) => frame,
             Action::FinalMetrics { request_id } => {
-                Frame::Metrics(MetricsResponse { request_id, is_final: true, metrics: backend.metrics() })
+                Frame::Metrics(MetricsResponse { request_id, is_final: true, metrics: backend.ledger() })
             }
             Action::Scale { request_id, shards } => match backend.scale_to(shards as usize) {
                 Ok(r) => Frame::Scaled(ScaleResponse {
@@ -178,7 +174,7 @@ fn budget(deadline_us: u64) -> Option<Duration> {
 
 /// An accepted submit owes a verdict; an ingress refusal is answered
 /// with an error frame right away (the connection stays open).
-fn admission<P>(request_id: u64, submitted: Result<P, SubmitError>) -> Action<P> {
+fn admission(request_id: u64, submitted: Result<PendingVerdict, SubmitError>) -> Action {
     match submitted {
         Ok(ticket) => Action::Verdict { request_id, ticket },
         Err(e) => Action::Reply(error_frame(request_id, e.into(), e.to_string())),
@@ -211,43 +207,115 @@ mod tests {
     use crate::codec::tests::sample_frames;
     use offloadnn_core::instance::PathOption;
     use offloadnn_core::task::{Task, TaskId};
-    use offloadnn_serve::{DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError};
+    use offloadnn_serve::{
+        Admitter, DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, VerdictError,
+        VerdictHandle,
+    };
     use std::sync::Mutex;
 
-    /// A pending verdict that is already resolved.
-    struct Ready;
+    /// A pending verdict scripted per redemption step.
+    struct Scripted {
+        poll: Option<Result<Outcome, VerdictError>>,
+        wait: Result<Outcome, VerdictError>,
+    }
 
-    impl PendingOutcome for Ready {
-        fn try_wait(&self) -> Option<Outcome> {
-            Some(Outcome::Rejected { shard: 7 })
+    impl VerdictHandle for Scripted {
+        fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
+            self.poll.clone()
         }
 
-        fn wait(&self) -> Option<Outcome> {
-            unreachable!("try_wait already resolved")
+        fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
+            self.wait
         }
+
+        fn wait_timeout(self: Box<Self>, _: Duration) -> Result<Outcome, VerdictError> {
+            unreachable!("the dispatcher never bounds its wait")
+        }
+    }
+
+    fn pending(
+        poll: Option<Result<Outcome, VerdictError>>,
+        wait: Result<Outcome, VerdictError>,
+    ) -> PendingVerdict {
+        PendingVerdict::new(TaskId(1), Box::new(Scripted { poll, wait }))
     }
 
     /// A scripted backend: records every call the dispatcher makes.
+    /// `Script<true>` is a federation member overriding every optional
+    /// control-plane hook; `Script<false>` keeps all their defaults, as
+    /// a plain serve node does.
     #[derive(Default)]
-    struct Script(Mutex<Vec<String>>);
+    struct Script<const FEDERATED: bool>(Mutex<Vec<String>>);
 
-    impl Script {
+    impl<const FEDERATED: bool> Script<FEDERATED> {
         fn log(&self, call: String) {
             self.0.lock().unwrap().push(call);
         }
+
+        fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+            self.log(format!("scale_to {shards}"));
+            Err(ServeError::Draining)
+        }
+
+        fn ledger(&self) -> MetricsSnapshot {
+            self.log("ledger".into());
+            offloadnn_serve::ServiceMetrics::new().snapshot()
+        }
     }
 
-    impl Backend for Script {
-        type Pending = Ready;
-
+    impl<const FEDERATED: bool> Admitter for Script<FEDERATED> {
         fn submit(
             &self,
             task: Task,
             _: Vec<PathOption>,
             budget: Option<Duration>,
-        ) -> Result<Ready, SubmitError> {
+        ) -> Result<PendingVerdict, SubmitError> {
             self.log(format!("submit {} {budget:?}", task.id));
-            Ok(Ready)
+            Ok(pending(Some(Ok(Outcome::Rejected { shard: 7 })), Err(VerdictError::Lost)))
+        }
+
+        fn depart(&self, task: TaskId) {
+            self.log(format!("depart {task}"));
+        }
+
+        fn metrics(&self) -> Option<MetricsSnapshot> {
+            unreachable!("the dispatcher reads the local ledger")
+        }
+
+        fn begin_drain(&self) {
+            self.log("begin_drain".into());
+        }
+
+        fn tier(&self) -> &'static str {
+            "script"
+        }
+    }
+
+    impl Backend for Script<false> {
+        fn is_draining(&self) -> bool {
+            false
+        }
+
+        fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+            Script::scale_to(self, shards)
+        }
+
+        fn ledger(&self) -> MetricsSnapshot {
+            Script::ledger(self)
+        }
+
+        fn drain(self) -> DrainReport {
+            unreachable!("the dispatcher never drains")
+        }
+    }
+
+    impl Backend for Script<true> {
+        fn is_draining(&self) -> bool {
+            false
+        }
+
+        fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+            Script::scale_to(self, shards)
         }
 
         fn forward(
@@ -256,31 +324,9 @@ mod tests {
             _: Vec<PathOption>,
             budget: Option<Duration>,
             info: ForwardInfo,
-        ) -> Result<Ready, SubmitError> {
+        ) -> Result<PendingVerdict, SubmitError> {
             self.log(format!("forward {} {budget:?} hops={} tried={}", task.id, info.hops, info.tried.len()));
             Err(SubmitError::Draining)
-        }
-
-        fn depart(&self, task: TaskId) {
-            self.log(format!("depart {task}"));
-        }
-
-        fn metrics(&self) -> MetricsSnapshot {
-            self.log("metrics".into());
-            offloadnn_serve::ServiceMetrics::new().snapshot()
-        }
-
-        fn begin_drain(&self) {
-            self.log("begin_drain".into());
-        }
-
-        fn is_draining(&self) -> bool {
-            false
-        }
-
-        fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
-            self.log(format!("scale_to {shards}"));
-            Err(ServeError::Draining)
         }
 
         fn announce(&self, addr: SocketAddr, incarnation: u64) -> MembershipAck {
@@ -298,25 +344,49 @@ mod tests {
             Some(PeerDigest { healthy_nodes: 2, remaining_budget: 1.0, round_ms_p50: 0.5, epoch: 3 })
         }
 
+        fn ledger(&self) -> MetricsSnapshot {
+            Script::ledger(self)
+        }
+
         fn drain(self) -> DrainReport {
             unreachable!("the dispatcher never drains")
         }
     }
 
-    /// One line per action: its kind, plus the reply frame's type and
-    /// correlation id where it carries one.
-    fn describe(action: &Action<Ready>) -> String {
-        let reply = |f: &Frame| match f {
+    /// One line per frame: its type and correlation id (plus the code of
+    /// an error frame).
+    fn describe_frame(f: &Frame) -> String {
+        match f {
             Frame::Error(e) => format!("error {:?} #{}", e.code, e.request_id),
             f => format!("{} #{}", f.type_name(), f.request_id()),
-        };
+        }
+    }
+
+    /// One line per action: its kind, plus the reply frame where it
+    /// carries one.
+    fn describe(action: &Action) -> String {
         match action {
             Action::Verdict { request_id, .. } => format!("verdict #{request_id}"),
-            Action::Reply(f) => format!("reply {}", reply(f)),
+            Action::Reply(f) => format!("reply {}", describe_frame(f)),
             Action::FinalMetrics { request_id } => format!("final-metrics #{request_id}"),
             Action::Scale { request_id, shards } => format!("scale #{request_id} to {shards}"),
             Action::Nothing => "nothing".to_owned(),
-            Action::ReplyThenClose(f) => format!("close after {}", reply(f)),
+            Action::ReplyThenClose(f) => format!("close after {}", describe_frame(f)),
+        }
+    }
+
+    /// Dispatches each named sample frame to a fresh backend and checks
+    /// the action it owes and the backend calls it took.
+    fn check<const FEDERATED: bool>(expected: &[(&str, &str, &[&str])])
+    where
+        Script<FEDERATED>: Backend,
+    {
+        let frames = sample_frames();
+        for (name, action, calls) in expected {
+            let frame = frames.iter().find(|f| f.type_name() == *name).expect("sample frame").clone();
+            let backend = Script::<FEDERATED>::default();
+            assert_eq!(describe(&dispatch(&backend, frame)), *action, "{name}");
+            assert_eq!(*backend.0.lock().unwrap(), *calls, "{name}: backend calls");
         }
     }
 
@@ -328,7 +398,8 @@ mod tests {
         let expected: &[(&str, &str, &[&str])] = &[
             ("submit", "verdict #42", &["submit t1 Some(1.5s)"]),
             ("depart", "nothing", &["depart t99"]),
-            ("snapshot", "reply metrics #8", &["metrics"]),
+            // Answered from the local ledger, never `Admitter::metrics`.
+            ("snapshot", "reply metrics #8", &["ledger"]),
             ("drain", "final-metrics #9", &["begin_drain"]),
             // Deferred: the frontend chooses the thread that reshards.
             ("scale", "scale #10 to 6", &[]),
@@ -345,12 +416,40 @@ mod tests {
             ("error", "close after error Malformed #44", &[]),
         ];
         assert_eq!(expected.len(), Frame::TABLE.len(), "one expectation per frame type");
-        let frames = sample_frames();
-        for (name, action, calls) in expected {
-            let frame = frames.iter().find(|f| f.type_name() == *name).expect("sample frame").clone();
-            let backend = Script::default();
-            assert_eq!(describe(&dispatch(&backend, frame)), *action, "{name}");
-            assert_eq!(*backend.0.lock().unwrap(), *calls, "{name}: backend calls");
+        check::<true>(expected);
+    }
+
+    /// A backend that keeps the control-plane defaults — a plain serve
+    /// node — decides a `Forward` locally: it lands in `Admitter::submit`
+    /// with the *remaining* budget the frame carried. It manages no
+    /// membership and is no federation member.
+    #[test]
+    fn default_hooks_decide_locally_and_refuse_the_cluster_frames() {
+        check::<false>(&[
+            ("forward", "verdict #14", &["submit t2 Some(850ms)"]),
+            ("announce", "reply membership #11", &[]),
+            ("leave", "reply membership #12", &[]),
+            ("peer_hello", "reply error Internal #13", &[]),
+        ]);
+    }
+
+    /// A verdict the backend lost — found already dead by the poll, or
+    /// dying under the blocking wait — becomes an `Internal` error frame
+    /// on the same request id; the final metrics of a drain are the local
+    /// ledger read at redemption.
+    #[test]
+    fn redeem_answers_lost_verdicts_and_the_final_ledger() {
+        let backend = Script::<false>::default();
+        let lost = || Err(VerdictError::Lost);
+        for (poll, blocks) in [(Some(lost()), false), (None, true)] {
+            let mut blocked = false;
+            let action = Action::Verdict { request_id: 42, ticket: pending(poll, lost()) };
+            let frame = action.redeem(&backend, || blocked = true).expect("a verdict owes a reply");
+            assert_eq!(describe_frame(&frame), "error Internal #42");
+            assert_eq!(blocked, blocks, "before_block runs only ahead of a blocking wait");
         }
+        let frame = Action::FinalMetrics { request_id: 9 }.redeem(&backend, || {}).expect("final metrics");
+        assert_eq!(describe_frame(&frame), "metrics #9");
+        assert_eq!(*backend.0.lock().unwrap(), ["ledger"]);
     }
 }

@@ -1,34 +1,68 @@
-//! Frontend selection: one enum over the threaded and reactor servers.
+//! The TCP server: one handle, one accept loop, two engines.
 //!
-//! The two frontends are semantically interchangeable (same protocol,
-//! same backpressure, drain and reshard behaviour — see the parity notes
-//! in [`crate::async_server`]); [`AnyServer`] lets tests, the load
-//! generator and the benches run the identical workload against either
-//! one, selected by a [`Frontend`] value parsed from e.g. a CLI flag.
+//! ## Threading model
 //!
-//! Both frontends (and therefore [`AnyServer`]) are generic over the
-//! [`Backend`] they serve, defaulting to the in-process
-//! [`offloadnn_serve::Service`]; [`AnyServer::start_with_backend`] puts
-//! any other backend — e.g. an `offloadnn-gateway` cluster tier — behind
-//! the same switch.
+//! ```text
+//!                       Frontend::Threads       Frontend::Reactor
+//! acceptor thread ──┬── conn-0 reader ⇄ writer  event loop 0 ⇄ completion 0
+//!  (blocking accept,├── conn-1 reader ⇄ writer  event loop 1 ⇄ completion 1
+//!   capped backoff, └── ... one pair per conn   (fixed pool, conns round-robin)
+//!   connection limit)
+//! ```
+//!
+//! [`AnyServer`] owns the listener's acceptor thread and everything the
+//! two frontends have in common — bind, connection limit, accept
+//! backoff, metrics, reshard, gateway registration, shutdown. What
+//! differs is only *where an accepted connection is served*, which is
+//! the crate-private engine the [`Frontend`] value picks: a reader +
+//! writer thread per connection (`server.rs`) or a fixed pool of epoll
+//! event loops with paired completion threads (`async_server.rs`). Both
+//! decode with the same [`crate::codec`], run every frame through the
+//! same dispatcher and preserve the same per-connection reply order, so
+//! tests, load generators and benches run the identical workload
+//! against either one.
+//!
+//! The server is generic over the [`Backend`] it serves, defaulting to
+//! the in-process [`offloadnn_serve::Service`];
+//! [`AnyServer::start_with_backend`] puts any other backend — e.g. an
+//! `offloadnn-gateway` cluster tier — behind the same handle.
+//!
+//! ## Drain semantics
+//!
+//! A [`crate::Frame::Drain`] request (or [`AnyServer::shutdown`]) fences
+//! the ingress via [`offloadnn_serve::Admitter::begin_drain`]:
+//! subsequent submits are answered [`ErrorCode::Draining`], while every
+//! request already inside the backend still resolves and its outcome is
+//! *flushed to the client* before the connection closes — on both
+//! engines the connection's whole reply queue drains first, so drain
+//! never strands an in-flight verdict.
 
-use crate::async_server::{AsyncServer, ReactorConfig};
-use crate::backend::Backend;
+use crate::async_server::Pool;
+use crate::backend::{fresh_incarnation, Backend};
+use crate::backoff::AcceptBackoff;
+use crate::codec::{self, ErrorCode, MembershipResponse};
+use crate::dispatch::error_frame;
 use crate::error::NetError;
-use crate::server::{NetConfig, NetServer};
+use crate::server::{spawn_connection, NetConfig};
+use crate::shared::Shared;
 use offloadnn_core::instance::DotInstance;
-use offloadnn_serve::{DrainReport, Service, ServiceConfig};
-use std::net::{SocketAddr, ToSocketAddrs};
+use offloadnn_serve::{DrainReport, MetricsSnapshot, ReshardReport, ServeError, Service, ServiceConfig};
+use offloadnn_telemetry::{event, Severity};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Which TCP frontend serves the connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Frontend {
-    /// Thread-per-connection ([`NetServer`]): reader + writer thread per
-    /// client, the right default up to a few hundred connections.
+    /// Thread-per-connection: a reader + writer thread per client, the
+    /// right default up to a few hundred connections.
     #[default]
     Threads,
-    /// Readiness-driven ([`AsyncServer`]): a fixed epoll event-loop pool
-    /// multiplexing every connection, for large client fleets.
+    /// Readiness-driven: a fixed epoll event-loop pool multiplexing
+    /// every connection, for large client fleets.
     Reactor,
 }
 
@@ -53,31 +87,70 @@ impl std::fmt::Display for Frontend {
     }
 }
 
-/// A running frontend of either flavour, with the shared server surface.
-pub enum AnyServer<B: Backend = Service> {
-    /// A thread-per-connection server.
-    Threads(NetServer<B>),
-    /// A reactor (epoll) server.
-    Reactor(AsyncServer<B>),
+/// Where accepted connections are served: the one thing the two
+/// frontends do differently. Owned by the acceptor thread while the
+/// server runs, handed back to [`AnyServer::shutdown`] to be stopped.
+enum Engine {
+    /// The connection threads spawned so far.
+    Threads(Vec<JoinHandle<()>>),
+    /// The fixed event-loop pool.
+    Reactor(Pool),
 }
 
-impl<B: Backend> std::fmt::Debug for AnyServer<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl Engine {
+    /// Starts serving one accepted (and already counted) connection.
+    fn adopt<B: Backend>(&mut self, stream: TcpStream, shared: &Arc<Shared<B>>) {
         match self {
-            Self::Threads(s) => f.debug_tuple("Threads").field(s).finish(),
-            Self::Reactor(s) => f.debug_tuple("Reactor").field(s).finish(),
+            Self::Threads(conns) => conns.push(spawn_connection(conns.len(), stream, shared)),
+            Self::Reactor(pool) => {
+                if !pool.adopt(stream) {
+                    // The loop is gone (fatal epoll error); undo the accounting.
+                    shared.conn_closed();
+                }
+            }
+        }
+    }
+
+    /// Joins every serving thread; each returns once its connections
+    /// flushed what they owed (the shutdown flag is already up).
+    fn stop(self) {
+        match self {
+            Self::Threads(conns) => {
+                for conn in conns {
+                    let _ = conn.join();
+                }
+            }
+            Self::Reactor(pool) => pool.stop(),
         }
     }
 }
 
+/// A running TCP frontend over any [`Backend`] (an in-process
+/// [`Service`] fleet by default). Start with [`AnyServer::start`] (or
+/// [`AnyServer::start_with_backend`]); stop with [`AnyServer::shutdown`],
+/// which drains the backend and returns its final [`DrainReport`].
+pub struct AnyServer<B: Backend = Service> {
+    local_addr: SocketAddr,
+    shared: Arc<Shared<B>>,
+    /// Hands back the engine, with every thread it spawned, on exit.
+    acceptor: JoinHandle<Engine>,
+}
+
+impl<B: Backend> std::fmt::Debug for AnyServer<B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AnyServer").field("local_addr", &self.local_addr).finish_non_exhaustive()
+    }
+}
+
 impl AnyServer<Service> {
-    /// Starts the selected frontend (the reactor one with
-    /// [`ReactorConfig::default`]; use [`AnyServer::start_reactor`] to
-    /// tune it).
+    /// Binds `addr` (use port 0 for an ephemeral port — see
+    /// [`AnyServer::local_addr`]), starts the shard fleet and serves it
+    /// through the selected frontend.
     ///
     /// # Errors
     ///
-    /// Whatever the underlying `start` reports.
+    /// [`NetError::InvalidConfig`] for bad configuration,
+    /// [`NetError::Io`] if the bind or reactor setup fails.
     pub fn start(
         frontend: Frontend,
         addr: impl ToSocketAddrs,
@@ -85,127 +158,106 @@ impl AnyServer<Service> {
         service_config: ServiceConfig,
         template: &DotInstance,
     ) -> Result<Self, NetError> {
-        match frontend {
-            Frontend::Threads => NetServer::start(addr, net, service_config, template).map(Self::Threads),
-            Frontend::Reactor => {
-                AsyncServer::start(addr, net, ReactorConfig::default(), service_config, template)
-                    .map(Self::Reactor)
-            }
-        }
-    }
-
-    /// Starts a reactor frontend with explicit reactor tuning.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`AsyncServer::start`] reports.
-    pub fn start_reactor(
-        addr: impl ToSocketAddrs,
-        net: NetConfig,
-        reactor: ReactorConfig,
-        service_config: ServiceConfig,
-        template: &DotInstance,
-    ) -> Result<Self, NetError> {
-        AsyncServer::start(addr, net, reactor, service_config, template).map(Self::Reactor)
+        let service = Service::start(service_config, template).map_err(|e| {
+            NetError::InvalidConfig(match e {
+                ServeError::InvalidConfig(what) => what,
+                // Unreachable at start, but keep the mapping total.
+                ServeError::Draining => "service is draining",
+            })
+        })?;
+        Self::start_with_backend(frontend, addr, net, service)
     }
 }
 
 impl<B: Backend> AnyServer<B> {
-    /// Starts the selected frontend over an already-running backend (the
-    /// reactor one with [`ReactorConfig::default`]).
+    /// Binds `addr` and serves an already-running backend (e.g. a
+    /// cluster gateway) over the same wire protocol as
+    /// [`AnyServer::start`].
     ///
     /// # Errors
     ///
-    /// Whatever the underlying `start_with_backend` reports.
+    /// [`NetError::InvalidConfig`] for bad configuration,
+    /// [`NetError::Io`] if the bind or reactor setup fails.
     pub fn start_with_backend(
         frontend: Frontend,
         addr: impl ToSocketAddrs,
         net: NetConfig,
         backend: B,
     ) -> Result<Self, NetError> {
-        match frontend {
-            Frontend::Threads => NetServer::start_with_backend(addr, net, backend).map(Self::Threads),
-            Frontend::Reactor => {
-                AsyncServer::start_with_backend(addr, net, ReactorConfig::default(), backend)
-                    .map(Self::Reactor)
-            }
-        }
+        net.validate()?;
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let shared = Shared::new(backend, net);
+        let engine = match frontend {
+            Frontend::Threads => Engine::Threads(Vec::new()),
+            Frontend::Reactor => Engine::Reactor(Pool::start(&shared)?),
+        };
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("net-acceptor".into())
+                .spawn(move || accept_loop(&listener, &shared, engine))
+                .expect("spawn acceptor")
+        };
+        event!(
+            Severity::Info,
+            "net.server",
+            "listening on {local_addr} ({frontend}): {} conn(s) max, window {}",
+            net.max_connections,
+            net.inflight_window
+        );
+        Ok(Self { local_addr, shared, acceptor })
     }
 
-    /// Which frontend this is.
-    pub fn frontend(&self) -> Frontend {
-        match self {
-            Self::Threads(_) => Frontend::Threads,
-            Self::Reactor(_) => Frontend::Reactor,
-        }
-    }
-
-    /// The bound address.
+    /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        match self {
-            Self::Threads(s) => s.local_addr(),
-            Self::Reactor(s) => s.local_addr(),
-        }
+        self.local_addr
     }
 
     /// Point-in-time metrics of the underlying backend.
-    pub fn metrics(&self) -> offloadnn_serve::MetricsSnapshot {
-        match self {
-            Self::Threads(s) => s.metrics(),
-            Self::Reactor(s) => s.metrics(),
-        }
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.shared.service.ledger()
     }
 
-    /// Whether a drain has begun.
+    /// Whether a drain has begun (via [`crate::Frame::Drain`] or
+    /// [`AnyServer::shutdown`]).
     pub fn is_draining(&self) -> bool {
-        match self {
-            Self::Threads(s) => s.is_draining(),
-            Self::Reactor(s) => s.is_draining(),
-        }
+        self.shared.service.is_draining()
     }
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        match self {
-            Self::Threads(s) => s.active_connections(),
-            Self::Reactor(s) => s.active_connections(),
-        }
+        self.shared.active()
     }
 
-    /// Reshapes the underlying backend at runtime.
+    /// Reshapes the underlying backend at runtime (the server-side twin
+    /// of a client's [`crate::Frame::Scale`]); traffic keeps flowing
+    /// throughout. See [`Backend::scale_to`].
     ///
     /// # Errors
     ///
     /// Propagates [`Backend::scale_to`] errors.
-    pub fn scale_to(
-        &self,
-        shards: usize,
-    ) -> Result<offloadnn_serve::ReshardReport, offloadnn_serve::ServeError> {
-        match self {
-            Self::Threads(s) => s.scale_to(shards),
-            Self::Reactor(s) => s.scale_to(shards),
-        }
+    pub fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+        self.shared.service.scale_to(shards)
     }
 
-    /// Registers this node with a gateway's membership engine and arms
-    /// a graceful leave for drain/shutdown. See
-    /// [`NetServer::announce_to`].
+    /// Registers this node with a gateway's membership engine: sends an
+    /// [`crate::Frame::Announce`] carrying [`AnyServer::local_addr`]
+    /// under a fresh wall-clock incarnation, and arms a graceful
+    /// [`crate::Frame::Leave`] to fire when the node drains or shuts
+    /// down. The gateway health-probes the node before routing any
+    /// traffic to it (join-through-probation).
     ///
     /// # Errors
     ///
     /// Transport errors when the gateway cannot be reached or does not
     /// answer; the announce can simply be retried.
-    pub fn announce_to(
-        &self,
-        gateway: SocketAddr,
-    ) -> Result<crate::codec::MembershipResponse, crate::NetError> {
-        match self {
-            Self::Threads(s) => s.announce_to(gateway),
-            Self::Reactor(s) => s.announce_to(gateway),
-        }
+    pub fn announce_to(&self, gateway: SocketAddr) -> Result<MembershipResponse, NetError> {
+        self.announce_to_as(gateway, fresh_incarnation())
     }
 
-    /// [`AnyServer::announce_to`] with an explicit incarnation stamp.
+    /// [`AnyServer::announce_to`] with an explicit incarnation stamp
+    /// (tests and restart simulations pick their own ordering).
     ///
     /// # Errors
     ///
@@ -214,18 +266,66 @@ impl<B: Backend> AnyServer<B> {
         &self,
         gateway: SocketAddr,
         incarnation: u64,
-    ) -> Result<crate::codec::MembershipResponse, crate::NetError> {
-        match self {
-            Self::Threads(s) => s.announce_to_as(gateway, incarnation),
-            Self::Reactor(s) => s.announce_to_as(gateway, incarnation),
-        }
+    ) -> Result<MembershipResponse, NetError> {
+        self.shared.announce(self.local_addr, gateway, incarnation)
     }
 
-    /// Gracefully stops the frontend and drains the backend.
+    /// Gracefully stops the frontend: fences the ingress, wakes and joins
+    /// the acceptor, lets every connection flush its in-flight outcomes
+    /// to its client, joins the serving threads, then drains the
+    /// underlying backend and returns its final report.
     pub fn shutdown(self) -> DrainReport {
-        match self {
-            Self::Threads(s) => s.shutdown(),
-            Self::Reactor(s) => s.shutdown(),
+        self.shared.begin_shutdown(self.local_addr);
+        if let Ok(engine) = self.acceptor.join() {
+            engine.stop();
         }
+        event!(Severity::Info, "net.server", "frontend stopped on {}", self.local_addr);
+        self.shared.finish_shutdown()
     }
+}
+
+/// Accepts until shutdown and hands each connection to the engine;
+/// returns the engine for [`AnyServer::shutdown`] to stop.
+fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, mut engine: Engine) -> Engine {
+    let mut backoff = AcceptBackoff::new();
+    while !shared.is_shutting_down() {
+        let stream = match listener.accept() {
+            Ok((s, _)) => {
+                backoff.on_success();
+                s
+            }
+            Err(e) => {
+                // ECONNABORTED and friends retry immediately; fd/memory
+                // exhaustion (EMFILE/ENFILE/...) pauses with capped
+                // exponential backoff so the acceptor cannot spin on an
+                // error the very next accept would re-hit.
+                event!(Severity::Warn, "net.server", "accept failed: {e}");
+                if let Some(pause) = backoff.on_error(&e) {
+                    std::thread::sleep(pause);
+                }
+                continue;
+            }
+        };
+        if shared.is_shutting_down() {
+            break; // the shutdown self-connect
+        }
+        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
+        if shared.active() >= shared.net.max_connections {
+            event!(Severity::Warn, "net.server", "rejecting {peer}: connection limit reached");
+            reject_over_limit(stream, shared.net.write_timeout);
+            continue;
+        }
+        shared.conn_opened();
+        event!(Severity::Info, "net.server", "accepted {peer}");
+        engine.adopt(stream, shared);
+    }
+    engine
+}
+
+/// Best-effort "too many connections" notice before dropping the socket.
+fn reject_over_limit(mut stream: TcpStream, write_timeout: Duration) {
+    let _ = stream.set_write_timeout(Some(write_timeout));
+    let frame = error_frame(0, ErrorCode::TooManyConnections, "server is at its connection limit");
+    let _ = stream.write_all(&codec::encode(&frame));
+    let _ = stream.shutdown(Shutdown::Both);
 }

@@ -1,8 +1,8 @@
 //! Frontend-shared telemetry handles.
 //!
-//! Both TCP frontends (threaded [`crate::server::NetServer`] and
-//! readiness-driven [`crate::async_server::AsyncServer`]) report the same
-//! instruments so dashboards don't care which one is deployed:
+//! Both engines of [`crate::AnyServer`] (threaded and readiness-driven)
+//! report the same instruments so dashboards don't care which one is
+//! deployed:
 //!
 //! * `net.conns` — gauge of currently served connections;
 //! * `net.epoll.wakeups` — `epoll_wait` returns (reactor only);

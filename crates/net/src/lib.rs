@@ -12,14 +12,14 @@
 //!   streaming and never panics on malformed input: truncation, bad
 //!   magic, version skew, hostile length prefixes and corrupted
 //!   checksums all surface as typed [`DecodeError`]s.
-//! * **Server** — two interchangeable TCP frontends behind the
-//!   [`Frontend`] switch (or directly), with identical wire behaviour:
-//!   the threaded [`server::NetServer`] (one acceptor, a reader +
-//!   writer thread per connection) and the epoll-based
-//!   [`async_server::AsyncServer`] (a fixed pool of event loops built
-//!   on `offloadnn-reactor`, multiplexing hundreds of connections onto
-//!   a handful of threads). Both run every decoded request through
-//!   the same crate-private dispatcher, and both enforce a bounded
+//! * **Server** ([`AnyServer`]) — one TCP server handle over two
+//!   interchangeable engines with identical wire behaviour, picked by a
+//!   [`Frontend`] value: a reader + writer thread per connection, or a
+//!   fixed pool of epoll event loops built on `offloadnn-reactor`,
+//!   multiplexing hundreds of connections onto a handful of threads.
+//!   Both run every decoded request through the same crate-private
+//!   dispatcher onto the served tier ([`offloadnn_serve::Admitter`]
+//!   plus the control-plane [`Backend`]), and both enforce a bounded
 //!   per-connection in-flight window (backpressure propagates through
 //!   the TCP receive buffer, not server memory), a connection-count
 //!   limit, capped backoff on accept errors, and graceful drain that
@@ -38,12 +38,13 @@
 //!
 //! ```no_run
 //! use offloadnn_core::scenario::small_scenario;
-//! use offloadnn_net::{Client, ClientConfig, NetConfig, NetServer};
+//! use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
 //! use offloadnn_serve::ServiceConfig;
 //! use std::time::Duration;
 //!
 //! let scenario = small_scenario(5);
-//! let server = NetServer::start(
+//! let server = AnyServer::start(
+//!     Frontend::Threads,
 //!     ("127.0.0.1", 0),
 //!     NetConfig::default(),
 //!     ServiceConfig::default(),
@@ -64,7 +65,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod async_server;
+mod async_server;
 pub mod backend;
 mod backoff;
 pub mod client;
@@ -77,8 +78,7 @@ pub mod server;
 mod shared;
 pub mod wire;
 
-pub use async_server::{AsyncServer, ReactorConfig};
-pub use backend::{Backend, ForwardInfo, MembershipAck, PeerDigest, PendingOutcome};
+pub use backend::{Backend, ForwardInfo, MembershipAck, PeerDigest};
 pub use client::{Client, ClientConfig, ClientConfigBuilder, PendingVerdict};
 pub use codec::{
     decode, decode_exact, encode, ErrorCode, ForwardRequest, Frame, MemberInfo, MemberState,
@@ -86,4 +86,4 @@ pub use codec::{
 };
 pub use error::{DecodeError, NetError};
 pub use frontend::{AnyServer, Frontend};
-pub use server::{NetConfig, NetServer};
+pub use server::NetConfig;

@@ -1,6 +1,7 @@
-//! What both frontends share around the backend they serve: the
-//! configuration, the shutdown flag, connection accounting, the armed
-//! gateway deregistration, and the begin/finish halves of a shutdown.
+//! What the server handle, its acceptor and both engines share around
+//! the backend they serve: the configuration, the shutdown flag,
+//! connection accounting, the armed gateway deregistration, and the
+//! begin/finish halves of a shutdown.
 
 use crate::backend::{Backend, LeaveNotice};
 use crate::codec::MembershipResponse;
@@ -12,7 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// State shared by a frontend's handle, its acceptor and every thread
+/// State shared by the server handle, its acceptor and every thread
 /// serving its connections.
 pub(crate) struct Shared<B: Backend> {
     pub(crate) service: B,
@@ -62,7 +63,7 @@ impl<B: Backend> Shared<B> {
         }
     }
 
-    /// Both frontends' `announce_to_as`: announces the node listening on
+    /// [`crate::AnyServer::announce_to_as`]: announces the node listening on
     /// `local_addr` to `gateway`, and arms the graceful leave that
     /// [`Shared::begin_shutdown`] (or the backend's drain hook) fires.
     pub(crate) fn announce(

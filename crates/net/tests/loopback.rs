@@ -2,9 +2,9 @@
 //! driven by real [`Client`]s over TCP.
 //!
 //! Every scenario is parameterized over the [`Frontend`] — the threaded
-//! [`offloadnn_net::NetServer`] and the epoll
-//! [`offloadnn_net::AsyncServer`] must pass the identical assertions,
-//! which is the executable definition of their feature parity.
+//! and the epoll engine of [`AnyServer`] must pass the identical
+//! assertions, which is the executable definition of their feature
+//! parity.
 //!
 //! The load-bearing assertions are the conservation invariant
 //! (`submitted = admitted + rejected + shed + expired`, end-to-end

@@ -17,7 +17,7 @@ use common::{path_option, task};
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_net::codec::{self, Frame, SnapshotRequest, SubmitRequest};
-use offloadnn_net::{AnyServer, Client, ClientConfig, NetConfig, ReactorConfig};
+use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
 use offloadnn_serve::{Outcome, ServiceConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -35,16 +35,10 @@ fn quick_service() -> ServiceConfig {
     }
 }
 
-fn start_reactor(net: NetConfig, service: ServiceConfig) -> (AnyServer, offloadnn_core::scenario::Scenario) {
+fn start_server(net: NetConfig, service: ServiceConfig) -> (AnyServer, offloadnn_core::scenario::Scenario) {
     let scenario = small_scenario(4);
-    let server = AnyServer::start_reactor(
-        ("127.0.0.1", 0),
-        net,
-        ReactorConfig::default(),
-        service,
-        &scenario.instance,
-    )
-    .expect("start reactor server");
+    let server = AnyServer::start(Frontend::Reactor, ("127.0.0.1", 0), net, service, &scenario.instance)
+        .expect("start reactor server");
     (server, scenario)
 }
 
@@ -85,7 +79,7 @@ proptest! {
     fn byte_at_a_time_pipelined_frames_resolve(
         submits in vec((task(), vec(path_option(), 1..4)), 1..5),
     ) {
-        let (server, _scenario) = start_reactor(NetConfig::default(), quick_service());
+        let (server, _scenario) = start_server(NetConfig::default(), quick_service());
         let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
         sock.set_nodelay(true).expect("nodelay");
 
@@ -136,7 +130,7 @@ proptest! {
 /// garbage — the reply stream is outcome, outcome, Malformed error, EOF.
 #[test]
 fn malformed_stream_flushes_owed_verdicts_before_closing() {
-    let (server, scenario) = start_reactor(NetConfig::default(), quick_service());
+    let (server, scenario) = start_server(NetConfig::default(), quick_service());
     let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
     sock.set_nodelay(true).expect("nodelay");
 
@@ -185,7 +179,7 @@ fn malformed_stream_flushes_owed_verdicts_before_closing() {
 fn partial_writes_resume_and_replies_stay_ordered() {
     const REQUESTS: u64 = 2500;
 
-    let (server, _scenario) = start_reactor(NetConfig::default(), quick_service());
+    let (server, _scenario) = start_server(NetConfig::default(), quick_service());
     let sock = TcpStream::connect(server.local_addr()).expect("connect");
     sock.set_nodelay(true).expect("nodelay");
 
@@ -249,7 +243,7 @@ fn connection_churn_conserves_and_frees_every_slot() {
     const RUDE_PER_WAVE: usize = 6;
     const SUBMITS_PER_CLIENT: u64 = 8;
 
-    let (server, scenario) = start_reactor(NetConfig::default(), quick_service());
+    let (server, scenario) = start_server(NetConfig::default(), quick_service());
     let addr = server.local_addr();
     let protos: Vec<_> =
         scenario.instance.tasks.iter().cloned().zip(scenario.instance.options.iter().cloned()).collect();

@@ -1,15 +1,12 @@
 //! The unified admission API: one trait for every tier.
 //!
-//! The codebase grew four near-identical but incompatible submit
-//! surfaces — `Controller::submit` (library), [`crate::Service::submit`]
-//! / `submit_with_deadline` (in-process runtime), `net::Client::submit`
-//! (wire) and `Gateway::submit` (cluster) — and each shipped its own
-//! pending-verdict shape, so every loadgen and harness driver was
-//! welded to one tier. [`Admitter`] is the redesign: a single
+//! [`Admitter`] is the stack's one data-plane surface: a single
 //! object-safe trait (`submit` / `depart` / `metrics` / `begin_drain`)
 //! with a single type-erased [`PendingVerdict`], implemented by
-//! `Service`, `net::Client`, `Gateway` and the federated gateway, so
-//! one driver body exercises every tier behind `&dyn Admitter`.
+//! `Service`, `net::Client` and `Gateway` (federated or not). Drivers
+//! exercise every tier behind `&dyn Admitter`, and the TCP frontend
+//! serves any tier that adds the control-plane extension `net::Backend`
+//! — so a tier is written once and both driven and served through it.
 //!
 //! ## Verdict resolution
 //!
@@ -24,6 +21,7 @@
 use crate::error::SubmitError;
 use crate::metrics::MetricsSnapshot;
 use crate::service::{Outcome, Service, Ticket};
+use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use std::fmt;
@@ -61,8 +59,8 @@ impl fmt::Display for VerdictError {
 impl std::error::Error for VerdictError {}
 
 /// The tier-specific half of a [`PendingVerdict`]. Implemented by each
-/// tier's native pending handle (`Ticket`, `net::PendingVerdict`,
-/// `GwPending`); drivers never see this trait, only the facade.
+/// tier's native pending handle (`Ticket`, `net::PendingVerdict`, the
+/// gateway's ticket); drivers never see this trait, only the facade.
 pub trait VerdictHandle: Send {
     /// Non-blocking check: `None` while the verdict is in flight. Once
     /// `Some(...)` has been returned the verdict is consumed; further
@@ -167,78 +165,24 @@ pub trait Admitter: Send + Sync {
     fn tier(&self) -> &'static str;
 }
 
-// Delegating impls so a borrowed or boxed tier is itself an `Admitter`
-// — a driver can hold `Box<dyn Admitter + '_>` over a tier whose owner
-// keeps the concrete handle for the management plane (drain, reports).
-impl<A: Admitter + ?Sized> Admitter for &A {
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        deadline: Option<Duration>,
-    ) -> Result<PendingVerdict, SubmitError> {
-        (**self).submit(task, options, deadline)
-    }
-
-    fn depart(&self, task: TaskId) {
-        (**self).depart(task);
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        (**self).metrics()
-    }
-
-    fn begin_drain(&self) {
-        (**self).begin_drain();
-    }
-
-    fn tier(&self) -> &'static str {
-        (**self).tier()
-    }
-}
-
-impl<A: Admitter + ?Sized> Admitter for Box<A> {
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        deadline: Option<Duration>,
-    ) -> Result<PendingVerdict, SubmitError> {
-        (**self).submit(task, options, deadline)
-    }
-
-    fn depart(&self, task: TaskId) {
-        (**self).depart(task);
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        (**self).metrics()
-    }
-
-    fn begin_drain(&self) {
-        (**self).begin_drain();
-    }
-
-    fn tier(&self) -> &'static str {
-        (**self).tier()
-    }
-}
-
 impl VerdictHandle for Ticket {
     fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
-        Ticket::try_wait(self).map(Ok)
+        match self.rx.try_recv() {
+            Ok(outcome) => Some(Ok(outcome)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(VerdictError::Lost)),
+        }
     }
 
     fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
-        Ticket::wait(&self).ok_or(VerdictError::Lost)
+        self.rx.recv().map_err(|_| VerdictError::Lost)
     }
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
-        // A `None` here is almost always the bound elapsing; a lost
-        // ticket (chaos-killed worker) is indistinguishable through the
-        // channel and reported as TimedOut too — drivers count both as
-        // non-verdicts.
-        Ticket::wait_timeout(&self, timeout).ok_or(VerdictError::TimedOut)
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => VerdictError::TimedOut,
+            RecvTimeoutError::Disconnected => VerdictError::Lost,
+        })
     }
 }
 

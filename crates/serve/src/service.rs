@@ -103,7 +103,7 @@ pub(crate) enum ShardMsg {
 /// Handle to one submitted request; redeem it for the verdict.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: Receiver<Outcome>,
+    pub(crate) rx: Receiver<Outcome>,
     /// Id of the submitted task.
     pub task: TaskId,
     /// Shard the request was routed to.

@@ -17,7 +17,7 @@
 
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
-use offloadnn_serve::{ChaosConfig, Outcome, Service, ServiceConfig};
+use offloadnn_serve::{Admitter, ChaosConfig, Outcome, Service, ServiceConfig, VerdictError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::{Duration, Instant};
@@ -350,6 +350,49 @@ fn chaos_panic_is_contained_and_healed_by_scale_to() {
         lost,
         "the conservation deficit is exactly the driver-observed lost tickets"
     );
+}
+
+/// The same stranded tickets, redeemed through the unified handle: a
+/// poll-only driver sees `Some(Err(Lost))` instead of spinning on `None`
+/// forever, and a bounded wait reports `Lost` — at once, not `TimedOut`
+/// — because the channel said disconnected, not empty.
+#[test]
+fn lost_tickets_resolve_lost_through_the_unified_handle() {
+    let scenario = small_scenario(5);
+    let mut config = harness_config(4);
+    config.chaos = ChaosConfig { panic_shard_at_round: Some((1, 5)), slow_solver: Duration::ZERO };
+    let service = Service::start(config, &scenario.instance).expect("service start");
+    let admitter: &dyn Admitter = &service;
+    let pending: Vec<_> = (0..400u32)
+        .map(|i| {
+            let proto = i as usize % scenario.instance.tasks.len();
+            let mut task = scenario.instance.tasks[proto].clone();
+            task.id = TaskId(i);
+            admitter.submit(task, scenario.instance.options[proto].clone(), None).expect("not draining")
+        })
+        .collect();
+
+    let give_up = Instant::now() + Duration::from_secs(20);
+    let mut lost = 0u32;
+    for (i, p) in pending.into_iter().enumerate() {
+        let verdict = loop {
+            if let Some(v) = p.poll() {
+                break v;
+            }
+            assert!(Instant::now() < give_up, "ticket {i} polls None forever");
+            std::thread::yield_now();
+        };
+        if let Err(e) = verdict {
+            assert_eq!(e, VerdictError::Lost);
+            // Nothing was consumed, so the same handle also answers the
+            // bounded wait: a dead worker is not a timeout.
+            assert_eq!(p.wait_timeout(Duration::from_secs(30)), Err(VerdictError::Lost), "ticket {i}");
+            lost += 1;
+        }
+    }
+    assert!(lost > 0, "chaos round was never reached: shard 1 got fewer than 5 rounds");
+    assert!(Instant::now() < give_up, "lost tickets must resolve promptly, not at the wait bound");
+    drop(service.drain());
 }
 
 /// A pathologically slow solver stretches rounds while a reshard runs:
