@@ -39,17 +39,28 @@ for seed in 1 424242 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
     RESHARD_SEED="$seed" timeout 300 cargo test -q -p offloadnn-serve --test reshard_harness
 done
 
+echo "==> live gates: build the one load generator once"
+# Every live gate below is conservation-gated by the binary's exit code.
+# The default --max-active 2 per driver keeps the active set under the
+# ~12 tasks Table IV's budget holds, so admitted tasks depart and the
+# release path (wire Depart, owner lookup, orphan buffering across a
+# reshard) carries traffic; the binary fails a run that never departs.
+cargo build -q --release -p offloadnn-gateway --bin loadgen
+loadgen=target/release/loadgen
+
 echo "==> reshard gate: live 4->8->2 reshard over TCP under sustained load"
-timeout 300 cargo run -q --release -p offloadnn-net --bin net_loadgen -- \
-    --requests 8000 --clients 4 --shards 4 --scale-script "2000:8,5000:2" >/dev/null
+timeout 300 "$loadgen" --tier net --requests 8000 --clients 4 --window 128 --shards 4 \
+    --scale-script "2000:8,5000:2" >/dev/null
 
 echo "==> reactor gate: live 4->8->2 reshard through the epoll frontend"
-timeout 300 cargo run -q --release -p offloadnn-net --bin net_loadgen -- \
-    --frontend reactor --requests 8000 --clients 4 --shards 4 --scale-script "2000:8,5000:2" >/dev/null
+timeout 300 "$loadgen" --tier net --frontend reactor --requests 8000 --clients 4 --window 128 --shards 4 \
+    --scale-script "2000:8,5000:2" >/dev/null
 
 echo "==> reactor gate: 512 concurrent connections on the fixed-size event-loop pool"
-timeout 300 cargo run -q --release -p offloadnn-net --bin net_loadgen -- \
-    --frontend reactor --requests 5120 --clients 512 --window 4 --shards 2 --ues 3 >/dev/null
+# 512 drivers share ~12 admissions, so none outgrows an active set of its
+# own: --max-active 0 departs every admission as soon as it is seen.
+timeout 300 "$loadgen" --tier net --frontend reactor --requests 5120 --clients 512 --window 4 --shards 2 \
+    --ues 3 --max-active 0 >/dev/null
 
 echo "==> gateway gate: deterministic kill-one-node failover harness on fixed + random seeds"
 for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
@@ -58,12 +69,12 @@ for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 
 echo "==> gateway gate: live 3-node loopback cluster, one node killed mid-run"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --nodes 3 --requests 3000 --clients 4 --kill-node-at 1200 >/dev/null
+timeout 300 "$loadgen" --tier gateway --nodes 3 --shards 2 --ues 4 --requests 3000 --clients 4 \
+    --kill-node-at 1200 >/dev/null
 
 echo "==> gateway gate: hedged requests through the reactor frontend"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --frontend reactor --nodes 2 --requests 2000 --hedge --deadline-ms 40 >/dev/null
+timeout 300 "$loadgen" --tier gateway --frontend reactor --nodes 2 --shards 2 --ues 4 --requests 2000 \
+    --hedge --deadline-ms 40 >/dev/null
 
 echo "==> discovery gate: deterministic membership-churn harness on fixed + random seeds"
 for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
@@ -72,8 +83,8 @@ for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 
 echo "==> discovery gate: live hot-join + graceful leave under load"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --nodes 2 --requests 3000 --clients 4 --join-node-at 600 --leave-node-at 1800 >/dev/null
+timeout 300 "$loadgen" --tier gateway --nodes 2 --shards 2 --ues 4 --requests 3000 --clients 4 \
+    --join-node-at 600 --leave-node-at 1800 >/dev/null
 
 echo "==> federation gate: deterministic two-cluster overflow harness on fixed + random seeds"
 for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
@@ -82,8 +93,10 @@ for seed in 42 31337 "$(awk 'BEGIN{srand();print int(rand()*65536)}')"; do
 done
 
 echo "==> federation gate: live two-gateway overflow forwarding over the wire"
-timeout 300 cargo run -q --release -p offloadnn-gateway --bin gateway_loadgen -- \
-    --nodes 1 --shards 1 --queue-capacity 8 --requests 2000 --clients 4 --peer >/dev/null
+# Fails with "no overflow was forwarded to the peer cluster" unless the
+# starved primary's would-be Shed actually lands on the peer.
+timeout 300 "$loadgen" --tier federated --nodes 1 --shards 1 --ues 4 --queue-capacity 8 --requests 2000 \
+    --clients 4 >/dev/null
 
 echo "==> admitter gate: the same workload conserves through every tier behind the unified API"
 timeout 300 cargo test -q -p offloadnn-gateway --test admitter_conservation
@@ -97,14 +110,11 @@ timeout 300 cargo test -q -p offloadnn-serve --test plancache_staleness
 
 echo "==> plancache gate: Zipf loadgen hit rate with conservation intact"
 # Gated on the 0.70 hit-rate floor; the binary exits non-zero on any
-# conservation breach. The cache-on/cache-off wall-clock ratio is printed
-# but not gated: it measured 1.02-1.8x run to run on unchanged code, and a
-# cheaper cold solve narrows it further. The solve path's speed is gated
-# end to end by the svc-large-zipf workload of perfbench.
-timeout 600 cargo run -q --release -p offloadnn-serve --bin serve_loadgen -- \
-    --requests 2000 --scenario large --batch-max 1 --shape-skew 1.2 --shape-pool 32 \
-    --seed 7 --plan-cache true --compare-baseline true \
-    --min-hit-rate 0.70 >/dev/null
+# conservation breach. --max-active 64 keeps the saturated, never-departing
+# run the floor was calibrated on. The solve path's speed is gated end to
+# end by the svc-large-zipf workload of perfbench.
+timeout 600 "$loadgen" --tier service --clients 1 --requests 2000 --scenario large --batch-max 1 \
+    --shape-skew 1.2 --shape-pool 32 --seed 7 --max-active 64 --plan-cache --min-hit-rate 0.70 >/dev/null
 
 echo "==> telemetry overhead gate: workspace builds and tier-1 passes with telemetry compiled out"
 cargo build --workspace --features telemetry-disabled
@@ -130,11 +140,14 @@ echo "==> LOC trajectory (ROADMAP north-star 2: line count tracked beside the pe
 # tests is visible.
 loc() { find "$1" -name '*.rs' -exec cat {} + | wc -l; }
 src_sum=0
+tests_sum=0
 for crate in net serve gateway; do
     src=$(loc "crates/$crate/src")
+    tests=$(loc "crates/$crate/tests")
     src_sum=$((src_sum + src))
-    printf '    crates/%s  src %s lines, tests %s lines\n' "$crate" "$src" "$(loc "crates/$crate/tests")"
+    tests_sum=$((tests_sum + tests))
+    printf '    crates/%s  src %s lines, tests %s lines\n' "$crate" "$src" "$tests"
 done
-printf '    three-crate src/ sum  %s lines\n' "$src_sum"
+printf '    three-crate src/ sum  %s lines, tests/ sum  %s lines\n' "$src_sum" "$tests_sum"
 
 echo "CI green."

@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_radio::ArrivalProcess;
-use offloadnn_serve::{loadgen, LoadgenConfig, ServiceConfig};
+use offloadnn_serve::{drive, DriveConfig, Service, ServiceConfig};
 use std::hint::black_box;
+use std::sync::atomic::AtomicU64;
 use std::time::Duration;
 
 fn run_once(shards: usize, batch_max: usize, requests: u64) -> u64 {
@@ -18,17 +18,13 @@ fn run_once(shards: usize, batch_max: usize, requests: u64) -> u64 {
         batch_window: Duration::from_micros(200),
         ..ServiceConfig::default()
     };
-    let cfg = LoadgenConfig {
-        requests,
-        process: ArrivalProcess::Poisson { rate_hz: 50_000.0 },
-        seed: 7,
-        max_active: 32,
-        time_scale: 0.0,
-        ..LoadgenConfig::default()
-    };
-    let report = loadgen::run(service_config, cfg, &scenario.instance);
-    assert!(report.is_conserved(), "bench run lost a request:\n{report}");
-    report.tally.resolved()
+    let cfg =
+        DriveConfig { requests, driver: 0, drivers: 1, seed: 7, window: 64, max_active: 32, deadline: None };
+    let service = Service::start(service_config, &scenario.instance).expect("service start");
+    let report = drive(&service, &cfg, &scenario.instance, None, &AtomicU64::new(0));
+    let ledger = service.drain().metrics;
+    assert!(ledger.is_conserved() && report.tally.mismatches(&ledger).is_empty(), "bench run lost a request");
+    report.tally.outcomes()
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {

@@ -1,7 +1,7 @@
 //! Per-phase latency breakdown of an instrumented end-to-end run.
 //!
-//! Drives the sharded admission service with the closed-loop load
-//! generator (populating the `solver.*` and `serve.*` phases), replays a
+//! Drives the sharded admission service with the shared load driver
+//! (populating the `solver.*` and `serve.*` phases), replays a
 //! short Colosseum-style emulation (populating `emu.step`), and prints
 //! the global telemetry registry: one latency histogram per phase —
 //! clique build, tree descent, convex allocation, ingress, batch
@@ -22,12 +22,13 @@
 //! ```
 
 use offloadnn_core::heuristic::OffloadnnSolver;
+use offloadnn_core::instance::DotInstance;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_emu::colosseum::{validate, ColosseumConfig};
 use offloadnn_plancache::PlanCacheConfig;
-use offloadnn_radio::ArrivalProcess;
-use offloadnn_serve::{loadgen, LoadgenConfig, LoadgenReport, ServiceConfig};
+use offloadnn_serve::{drive, DrainReport, DriveConfig, DriveReport, Service, ServiceConfig, ShapePool};
 use std::process::ExitCode;
+use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -86,25 +87,56 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One full instrumented workload: a closed-loop service load run plus a
-/// short emulation replay of the same scenario's solution.
-fn run_workload(args: &Args) -> Result<(LoadgenReport, Duration), Box<dyn std::error::Error>> {
-    let scenario = small_scenario(args.ues);
-    let service_config = ServiceConfig {
+/// One load run against a fresh service: what the driver saw, what the
+/// service counted, and how long it took from first submit to drained.
+struct LoadRun {
+    report: DriveReport,
+    drain: DrainReport,
+    wall: Duration,
+}
+
+impl LoadRun {
+    fn start(args: &Args, config: ServiceConfig, template: &DotInstance, shapes: Option<&ShapePool>) -> Self {
+        let cfg = DriveConfig {
+            requests: args.requests,
+            driver: 0,
+            drivers: 1,
+            seed: args.seed,
+            window: 64,
+            max_active: 64,
+            deadline: None,
+        };
+        let started = Instant::now();
+        let service = Service::start(config, template).expect("service start");
+        let report = drive(&service, &cfg, template, shapes, &AtomicU64::new(0));
+        let drain = service.drain();
+        Self { report, drain, wall: started.elapsed() }
+    }
+
+    fn is_conserved(&self) -> bool {
+        let (tally, ledger) = (&self.report.tally, &self.drain.metrics);
+        tally.errors() == 0 && ledger.is_conserved() && tally.mismatches(ledger).is_empty()
+    }
+
+    fn throughput_hz(&self) -> f64 {
+        self.report.tally.outcomes() as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+}
+
+fn service_config(args: &Args) -> ServiceConfig {
+    ServiceConfig {
         shards: args.shards,
         batch_window: Duration::from_micros(500),
         ..ServiceConfig::default()
-    };
-    let cfg = LoadgenConfig {
-        requests: args.requests,
-        process: ArrivalProcess::Poisson { rate_hz: 20_000.0 },
-        seed: args.seed,
-        max_active: 64,
-        time_scale: 0.0,
-        ..LoadgenConfig::default()
-    };
+    }
+}
+
+/// One full instrumented workload: a service load run plus a short
+/// emulation replay of the same scenario's solution.
+fn run_workload(args: &Args) -> Result<(LoadRun, Duration), Box<dyn std::error::Error>> {
+    let scenario = small_scenario(args.ues);
     let start = Instant::now();
-    let report = loadgen::run(service_config, cfg, &scenario.instance);
+    let run = LoadRun::start(args, service_config(args), &scenario.instance, None);
 
     // A short emulation pass so the `emu.step` phase and event counters
     // appear alongside the solver/serve phases.
@@ -112,7 +144,7 @@ fn run_workload(args: &Args) -> Result<(LoadgenReport, Duration), Box<dyn std::e
     let mut emu_cfg = ColosseumConfig::reference();
     emu_cfg.emulator.duration = 5.0;
     validate(&scenario.instance, &solution, &emu_cfg)?;
-    Ok((report, start.elapsed()))
+    Ok((run, start.elapsed()))
 }
 
 fn main() -> ExitCode {
@@ -137,7 +169,15 @@ fn main() -> ExitCode {
     let snapshot = offloadnn_telemetry::global().snapshot();
 
     println!("=== instrumented run ===");
-    println!("{on_report}");
+    println!(
+        "{} requests across {} shards (seed {}) in {:.3?}: {:.0} verdicts/s",
+        args.requests,
+        args.shards,
+        args.seed,
+        on_report.wall,
+        on_report.throughput_hz()
+    );
+    println!("outcomes: {}\n{}", on_report.report.tally, on_report.drain.metrics);
     println!();
     println!("=== per-phase telemetry (global registry) ===");
     print!("{snapshot}");
@@ -195,23 +235,11 @@ fn main() -> ExitCode {
     // Pass 3: the same Zipf-skewed stream twice — plan cache off, then
     // on — isolating what the cache saves on the solve path.
     let scenario = small_scenario(args.ues);
-    let cold_config = ServiceConfig {
-        shards: args.shards,
-        batch_window: Duration::from_micros(500),
-        ..ServiceConfig::default()
-    };
+    let cold_config = service_config(&args);
     let warm_config = ServiceConfig { plan_cache: Some(PlanCacheConfig::default()), ..cold_config };
-    let zipf = LoadgenConfig {
-        requests: args.requests,
-        process: ArrivalProcess::Poisson { rate_hz: 20_000.0 },
-        seed: args.seed,
-        max_active: 64,
-        shape_skew: 1.2,
-        shape_pool: 32,
-        ..LoadgenConfig::default()
-    };
-    let cold = loadgen::run(cold_config, zipf, &scenario.instance);
-    let warm = loadgen::run(warm_config, zipf, &scenario.instance);
+    let shapes = ShapePool::new(32, 1.2, scenario.instance.tasks.len(), args.seed);
+    let cold = LoadRun::start(&args, cold_config, &scenario.instance, Some(&shapes));
+    let warm = LoadRun::start(&args, warm_config, &scenario.instance, Some(&shapes));
     println!();
     println!("=== plan cache (same Zipf stream: skew 1.2, pool 32; cache off -> on) ===");
     let (cm, wm) = (&cold.drain.metrics, &warm.drain.metrics);

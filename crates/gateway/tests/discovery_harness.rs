@@ -21,10 +21,13 @@
 //! `DISCOVERY_SEED=<printed> cargo test -p offloadnn-gateway --test
 //! discovery_harness`.
 
+mod common;
+
+use common::{fast_config, start_node};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::{Task, TaskId};
-use offloadnn_gateway::{Gateway, GatewayConfig};
+use offloadnn_gateway::Gateway;
 use offloadnn_net::{AnyServer, Frontend, MemberState, MembershipDecision, NetConfig};
 use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
 use rand::rngs::StdRng;
@@ -61,29 +64,6 @@ fn offered_trace(seed: u64, n: usize) -> Vec<Offered> {
             Offered { task, options: scenario.instance.options[pick].clone() }
         })
         .collect()
-}
-
-fn fast_config() -> GatewayConfig {
-    GatewayConfig {
-        health_interval: Duration::from_millis(50),
-        health_timeout: Duration::from_millis(250),
-        eject_after: 2,
-        probation: Duration::from_millis(500),
-        default_deadline: Duration::from_secs(2),
-        verdict_grace: Duration::from_secs(2),
-        ..GatewayConfig::default()
-    }
-}
-
-fn start_node(scenario: &offloadnn_core::scenario::Scenario) -> AnyServer {
-    AnyServer::start(
-        Frontend::Threads,
-        ("127.0.0.1", 0),
-        NetConfig::default(),
-        ServiceConfig::default(),
-        &scenario.instance,
-    )
-    .expect("start backend node")
 }
 
 /// The state of `addr` in the gateway's current membership view.

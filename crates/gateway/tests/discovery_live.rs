@@ -12,11 +12,14 @@
 //! Runs once per frontend (threads and reactor), since the membership
 //! RPCs ride the same dispatch as the data path.
 
+mod common;
+
+use common::{fast_config, start_node};
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
-use offloadnn_gateway::{Gateway, GatewayConfig};
+use offloadnn_gateway::Gateway;
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, MemberState, MembershipDecision, NetConfig};
-use offloadnn_serve::{Outcome, ServiceConfig};
+use offloadnn_serve::Outcome;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -28,29 +31,6 @@ const LEAVE_AT: usize = 160;
 const JOIN_INCARNATION: u64 = 7;
 const RPC_TIMEOUT: Duration = Duration::from_secs(5);
 const VERDICT_TIMEOUT: Duration = Duration::from_secs(30);
-
-fn fast_config() -> GatewayConfig {
-    GatewayConfig {
-        health_interval: Duration::from_millis(50),
-        health_timeout: Duration::from_millis(250),
-        eject_after: 2,
-        probation: Duration::from_millis(500),
-        default_deadline: Duration::from_secs(2),
-        verdict_grace: Duration::from_secs(2),
-        ..GatewayConfig::default()
-    }
-}
-
-fn start_node(scenario: &offloadnn_core::scenario::Scenario) -> AnyServer {
-    AnyServer::start(
-        Frontend::Threads,
-        ("127.0.0.1", 0),
-        NetConfig::default(),
-        ServiceConfig::default(),
-        &scenario.instance,
-    )
-    .expect("start backend node")
-}
 
 /// The state of `addr` in the gateway's membership view, observed over
 /// the wire: a duplicate announce (same incarnation) mutates nothing

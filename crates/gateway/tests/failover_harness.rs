@@ -16,12 +16,15 @@
 //! `GATEWAY_SEED=<printed> cargo test -p offloadnn-gateway --test
 //! failover_harness`.
 
+mod common;
+
+use common::{fast_config, start_node};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::{Task, TaskId};
-use offloadnn_gateway::{Gateway, GatewayConfig};
-use offloadnn_net::{AnyServer, Frontend, NetConfig};
-use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
+use offloadnn_gateway::Gateway;
+use offloadnn_net::AnyServer;
+use offloadnn_serve::{Admitter, Outcome, PendingVerdict};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -57,18 +60,6 @@ fn offered_trace(seed: u64, n: usize) -> Vec<Offered> {
         .collect()
 }
 
-fn fast_config() -> GatewayConfig {
-    GatewayConfig {
-        health_interval: Duration::from_millis(50),
-        health_timeout: Duration::from_millis(250),
-        eject_after: 2,
-        probation: Duration::from_millis(500),
-        default_deadline: Duration::from_secs(2),
-        verdict_grace: Duration::from_secs(2),
-        ..GatewayConfig::default()
-    }
-}
-
 #[test]
 fn killing_one_node_mid_stream_loses_zero_verdicts() {
     const TOTAL: usize = 600;
@@ -81,20 +72,7 @@ fn killing_one_node_mid_stream_loses_zero_verdicts() {
     let trace = offered_trace(seed, TOTAL);
 
     let scenario = small_scenario(5);
-    let mut nodes: Vec<Option<AnyServer>> = (0..3)
-        .map(|_| {
-            Some(
-                AnyServer::start(
-                    Frontend::Threads,
-                    ("127.0.0.1", 0),
-                    NetConfig::default(),
-                    ServiceConfig::default(),
-                    &scenario.instance,
-                )
-                .expect("start backend node"),
-            )
-        })
-        .collect();
+    let mut nodes: Vec<Option<AnyServer>> = (0..3).map(|_| Some(start_node(&scenario))).collect();
     let addrs: Vec<_> = nodes.iter().map(|n| n.as_ref().unwrap().local_addr()).collect();
     let gateway = Gateway::start(&addrs, fast_config()).expect("start gateway");
 
@@ -187,18 +165,7 @@ fn three_node_cluster_spreads_and_conserves() {
     let seed = seed().wrapping_add(1);
     let trace = offered_trace(seed, TOTAL);
     let scenario = small_scenario(5);
-    let nodes: Vec<AnyServer> = (0..3)
-        .map(|_| {
-            AnyServer::start(
-                Frontend::Threads,
-                ("127.0.0.1", 0),
-                NetConfig::default(),
-                ServiceConfig::default(),
-                &scenario.instance,
-            )
-            .expect("start backend node")
-        })
-        .collect();
+    let nodes: Vec<AnyServer> = (0..3).map(|_| start_node(&scenario)).collect();
     let addrs: Vec<_> = nodes.iter().map(|n| n.local_addr()).collect();
     let gateway = Gateway::start(&addrs, fast_config()).expect("start gateway");
 

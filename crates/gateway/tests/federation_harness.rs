@@ -24,10 +24,13 @@
 //! `FEDERATION_SEED=<printed> cargo test -p offloadnn-gateway --test
 //! federation_harness`.
 
+mod common;
+
+use common::{fast_config, start_node};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::{Task, TaskId};
-use offloadnn_gateway::{FederationConfig, Gateway, GatewayConfig};
+use offloadnn_gateway::{FederationConfig, Gateway};
 use offloadnn_net::{AnyServer, Frontend, NetConfig};
 use offloadnn_serve::{Admitter, ChaosConfig, PendingVerdict, ServiceConfig};
 use rand::rngs::StdRng;
@@ -64,18 +67,6 @@ fn offered_trace(seed: u64, n: usize) -> Vec<Offered> {
             Offered { task, options: scenario.instance.options[pick].clone() }
         })
         .collect()
-}
-
-fn fast_config() -> GatewayConfig {
-    GatewayConfig {
-        health_interval: Duration::from_millis(50),
-        health_timeout: Duration::from_millis(250),
-        eject_after: 2,
-        probation: Duration::from_millis(500),
-        default_deadline: Duration::from_secs(2),
-        verdict_grace: Duration::from_secs(2),
-        ..GatewayConfig::default()
-    }
 }
 
 /// A fast digest cadence to match the fast health probes: the peer is
@@ -118,18 +109,7 @@ fn overflow_forwards_to_the_peer_and_survives_its_death() {
     // — what a neighbouring edge site looks like on the wire. It has no
     // federation config of its own, so (with A's hop budget of 1) the
     // overflow can never bounce.
-    let b_nodes: Vec<AnyServer> = (0..2)
-        .map(|_| {
-            AnyServer::start(
-                Frontend::Threads,
-                ("127.0.0.1", 0),
-                NetConfig::default(),
-                ServiceConfig::default(),
-                &scenario.instance,
-            )
-            .expect("start peer backend node")
-        })
-        .collect();
+    let b_nodes: Vec<AnyServer> = (0..2).map(|_| start_node(&scenario)).collect();
     let b_addrs: Vec<_> = b_nodes.iter().map(AnyServer::local_addr).collect();
     let b_gateway = Gateway::start(&b_addrs, fast_config()).expect("start peer gateway");
     let b_frontend =

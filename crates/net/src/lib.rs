@@ -27,8 +27,7 @@
 //! * **Client** ([`client`]) — a pipelining client library with
 //!   per-request deadline propagation (the client's budget travels in
 //!   the frame; the server enforces the *tighter* of it and its own
-//!   admission deadline) and reconnect with capped exponential backoff,
-//!   plus the `net_loadgen` binary driving a loopback server.
+//!   admission deadline) and reconnect with capped exponential backoff.
 //!
 //! Hot paths record through [`offloadnn_telemetry`]: `net.encode` /
 //! `net.decode` / `net.rtt` span histograms, per-frame-type `net.tx.*` /

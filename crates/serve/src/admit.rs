@@ -160,8 +160,8 @@ pub trait Admitter: Send + Sync {
     /// [`SubmitError::Draining`] while in-flight requests still resolve.
     fn begin_drain(&self);
 
-    /// Short name of the tier, echoed by the loadgen headers
-    /// (`service` / `net` / `gateway`).
+    /// Short name of the tier (`service` / `net` / `gateway`), for
+    /// logs and test diagnostics.
     fn tier(&self) -> &'static str;
 }
 

@@ -59,7 +59,7 @@ mod shard;
 pub use admit::{Admitter, PendingVerdict, VerdictError, VerdictHandle};
 pub use config::{ChaosConfig, ServiceConfig, ServiceConfigBuilder};
 pub use error::{validate_request, ServeError, SubmitError};
-pub use loadgen::{LoadgenConfig, LoadgenReport, ShapePool, VerdictTally};
+pub use loadgen::{drive, DriveConfig, DriveReport, ShapePool, WireTally};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS};
 pub use router::Router;
 pub use service::{DrainReport, Outcome, ReshardReport, Service, Ticket};

@@ -1,66 +1,25 @@
-//! Closed-loop load generation against a [`Service`]: replays an
-//! [`ArrivalProcess`] stream of synthetic admission requests, keeps a
-//! bounded set of admitted tasks alive (departing the oldest, which
-//! exercises `Controller::release` continuously), and reports
-//! throughput, latency and verdict mix. Used by the `serve_loadgen`
-//! binary and the `serve_throughput` bench.
-
-pub mod args;
+//! The tier-agnostic load driver: [`drive`] offers a seeded stream of
+//! synthetic admission requests to *any* tier behind [`Admitter`] — an
+//! in-process [`crate::Service`], a TCP `net::Client` or a cluster
+//! `Gateway` — pipelines the pending verdicts, keeps a bounded set of
+//! admitted tasks alive (departing the oldest, which exercises
+//! `Controller::release` continuously) and tallies every resolution in a
+//! [`WireTally`] that can be held against the tier's own ledger. Used by
+//! the `loadgen` binary (`offloadnn-gateway`), the conservation tests
+//! and the `serve_throughput` bench.
 
 use crate::admit::{Admitter, PendingVerdict, VerdictError};
-use crate::config::ServiceConfig;
-use crate::service::{DrainReport, Outcome, ReshardReport, Service};
+use crate::error::SubmitError;
+use crate::metrics::MetricsSnapshot;
+use crate::service::Outcome;
 use offloadnn_core::instance::DotInstance;
 use offloadnn_core::task::TaskId;
-use offloadnn_radio::{ArrivalProcess, Arrivals};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
-use std::time::{Duration, Instant};
-
-/// Load-generation parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadgenConfig {
-    /// Total requests to offer.
-    pub requests: u64,
-    /// Arrival process replayed for pacing and offered-load accounting.
-    pub process: ArrivalProcess,
-    /// RNG seed (request mix and arrival stream).
-    pub seed: u64,
-    /// Admitted tasks kept alive concurrently; beyond this the oldest is
-    /// departed, continuously exercising the release path.
-    pub max_active: usize,
-    /// Wall-clock seconds per simulated arrival second. `0.0` disables
-    /// pacing: requests are offered as fast as the ingress accepts them
-    /// (a saturation test).
-    pub time_scale: f64,
-    /// Zipf exponent of the shape distribution. `0.0` (the default)
-    /// keeps the historical behaviour — every request gets fresh
-    /// per-request jitter, so no two shapes repeat. Positive values
-    /// switch to a deterministic [`ShapePool`]: request shapes are drawn
-    /// from `shape_pool` ranks with weight `1/(k+1)^skew`, and a re-draw
-    /// of the same rank is bit-identical — the workload a plan cache can
-    /// actually hit on.
-    pub shape_skew: f64,
-    /// Distinct shapes in the Zipf pool (ignored while `shape_skew` is
-    /// `0.0`).
-    pub shape_pool: usize,
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        Self {
-            requests: 10_000,
-            process: ArrivalProcess::Poisson { rate_hz: 5_000.0 },
-            seed: 7,
-            max_active: 64,
-            time_scale: 0.0,
-            shape_skew: 0.0,
-            shape_pool: 64,
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Deterministic pool of task shapes for the Zipf workload mode.
 ///
@@ -70,9 +29,6 @@ impl Default for LoadgenConfig {
 /// which is exactly what makes two requests share a plan-cache
 /// fingerprint. Ranks are drawn with Zipf weights `1/(k+1)^s` via a
 /// binary search over the normalized CDF.
-///
-/// Public so the `offloadnn-net` and `offloadnn-gateway` load generators
-/// can offer the identical skewed stream over the wire.
 pub struct ShapePool {
     /// Materialized `(prototype index, priority factor, rate factor)`.
     shapes: Vec<(usize, f64, f64)>,
@@ -114,243 +70,183 @@ impl ShapePool {
     }
 }
 
-/// Verdict tally observed through the tickets (independently of the
-/// service's own metrics, so the two can cross-check each other).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VerdictTally {
-    /// Tickets resolved `Admitted`.
+/// The driver-side verdict ledger, observed through [`Admitter`]
+/// pending verdicts independently of the tier's own metrics, so the two
+/// can cross-check each other ([`WireTally::mismatches`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WireTally {
+    /// Verdicts resolved `Admitted`.
     pub admitted: u64,
-    /// Tickets resolved `Rejected`.
+    /// Verdicts resolved `Rejected`.
     pub rejected: u64,
-    /// Tickets resolved `Shed`.
+    /// Verdicts resolved `Shed`.
     pub shed: u64,
-    /// Tickets resolved `Expired`.
+    /// Verdicts resolved `Expired`.
     pub expired: u64,
-    /// Tickets that never resolved (worker death — always a bug).
+    /// Requests refused at or after ingress without a verdict
+    /// ([`SubmitError`] other than `Unavailable`, or
+    /// [`VerdictError::Refused`]).
+    pub refused: u64,
+    /// Requests whose transport died or whose wait bound elapsed
+    /// ([`SubmitError::Unavailable`], [`VerdictError::Transport`],
+    /// [`VerdictError::TimedOut`]).
+    pub transport: u64,
+    /// Requests the backend lost without resolving
+    /// ([`VerdictError::Lost`]) — always a bug in the tier under test.
     pub lost: u64,
 }
 
-impl VerdictTally {
-    fn observe(&mut self, verdict: &Result<Outcome, VerdictError>) {
+impl WireTally {
+    /// Total resolved verdicts.
+    pub fn outcomes(&self) -> u64 {
+        self.admitted + self.rejected + self.shed + self.expired
+    }
+
+    /// Requests that ended in an error instead of a verdict.
+    pub fn errors(&self) -> u64 {
+        self.refused + self.transport + self.lost
+    }
+
+    /// Folds another driver's tally into this one.
+    pub fn merge(&mut self, o: WireTally) {
+        self.admitted += o.admitted;
+        self.rejected += o.rejected;
+        self.shed += o.shed;
+        self.expired += o.expired;
+        self.refused += o.refused;
+        self.transport += o.transport;
+        self.lost += o.lost;
+    }
+
+    /// Records one resolved pending verdict.
+    pub fn observe(&mut self, verdict: &Result<Outcome, VerdictError>) {
         match verdict {
             Ok(Outcome::Admitted { .. }) => self.admitted += 1,
             Ok(Outcome::Rejected { .. }) => self.rejected += 1,
             Ok(Outcome::Shed { .. }) => self.shed += 1,
             Ok(Outcome::Expired { .. }) => self.expired += 1,
-            Err(_) => self.lost += 1,
+            Err(VerdictError::Refused(_)) => self.refused += 1,
+            Err(VerdictError::Transport(_) | VerdictError::TimedOut) => self.transport += 1,
+            Err(VerdictError::Lost) => self.lost += 1,
         }
     }
 
-    /// Total resolved tickets.
-    pub fn resolved(&self) -> u64 {
-        self.admitted + self.rejected + self.shed + self.expired
+    /// Where the verdicts the drivers saw disagree with the driven
+    /// tier's own `ledger`, class by class; empty when they agree. Only
+    /// an error-free run ([`WireTally::errors`] `== 0`) is expected to
+    /// agree: an errored request may still have been counted by the tier.
+    pub fn mismatches(&self, ledger: &MetricsSnapshot) -> Vec<String> {
+        [
+            ("submitted", self.outcomes(), ledger.submitted),
+            ("admitted", self.admitted, ledger.admitted),
+            ("rejected", self.rejected, ledger.rejected),
+            ("shed", self.shed, ledger.shed),
+            ("expired", self.expired, ledger.expired),
+        ]
+        .into_iter()
+        .filter(|(_, seen, counted)| seen != counted)
+        .map(|(class, seen, counted)| format!("{class}: drivers saw {seen}, ledger counted {counted}"))
+        .collect()
     }
 }
 
-/// Result of one load-generation run.
-#[derive(Debug, Clone)]
-pub struct LoadgenReport {
-    /// The parameters the run used.
-    pub config: LoadgenConfig,
-    /// Shards the service ran.
-    pub shards: usize,
-    /// Wall-clock duration from first submit to drain completion.
-    pub wall: Duration,
-    /// Verdicts observed through tickets.
-    pub tally: VerdictTally,
-    /// Reshards executed mid-run (empty unless a scale script ran).
-    pub reshards: Vec<ReshardReport>,
-    /// The service's own final report.
-    pub drain: DrainReport,
-}
-
-impl LoadgenReport {
-    /// Resolved requests per wall-clock second.
-    pub fn throughput_hz(&self) -> f64 {
-        self.tally.resolved() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Whether the run is fully accounted: the service metrics conserve,
-    /// the ticket tally agrees with them, and no ticket was lost.
-    pub fn is_conserved(&self) -> bool {
-        let m = &self.drain.metrics;
-        self.tally.lost == 0
-            && m.is_conserved()
-            && m.submitted == self.config.requests
-            && m.admitted == self.tally.admitted
-            && m.rejected == self.tally.rejected
-            && m.shed == self.tally.shed
-            && m.expired == self.tally.expired
-    }
-}
-
-impl fmt::Display for LoadgenReport {
+impl fmt::Display for WireTally {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let m = &self.drain.metrics;
-        let pct = |n: u64| 100.0 * n as f64 / m.submitted.max(1) as f64;
-        // The seed in the header makes any run reproducible from its own
-        // output: re-run with `--seed <printed value>`.
-        writeln!(
-            f,
-            "offered {} requests ({} arrivals at {:.0} req/s mean, seed {}) across {} shards in {:.3?}",
-            self.config.requests,
-            match self.config.process {
-                ArrivalProcess::Poisson { .. } => "Poisson",
-                ArrivalProcess::Periodic { .. } => "periodic",
-                ArrivalProcess::Bursty { .. } => "MMPP-bursty",
-            },
-            self.config.process.rate_hz(),
-            self.config.seed,
-            self.shards,
-            self.wall,
-        )?;
-        if self.config.shape_skew > 0.0 {
-            writeln!(
-                f,
-                "shapes:     Zipf skew {:.2} over a pool of {} deterministic shapes",
-                self.config.shape_skew, self.config.shape_pool,
-            )?;
-        }
-        if let Some(pc) = &self.drain.plan_cache {
-            writeln!(
-                f,
-                "plan cache: hit rate {:.1}% ({} hits, {} negative, {} misses, {} evictions, {} invalidated, {} revalidation misses)",
-                100.0 * pc.hit_rate(),
-                pc.hits,
-                pc.negative_hits,
-                pc.misses,
-                pc.evictions,
-                pc.invalidations,
-                pc.validation_failures,
-            )?;
-        }
-        writeln!(f, "throughput: {:.0} verdicts/s", self.throughput_hz())?;
-        writeln!(
-            f,
-            "verdicts:   admitted {} ({:.1}%)   rejected {} ({:.1}%)   shed {} ({:.1}%)   expired {} ({:.1}%)",
-            m.admitted,
-            pct(m.admitted),
-            m.rejected,
-            pct(m.rejected),
-            m.shed,
-            pct(m.shed),
-            m.expired,
-            pct(m.expired),
-        )?;
-        writeln!(f, "{m}")?;
-        for r in &self.reshards {
-            writeln!(
-                f,
-                "reshard:    {} -> {} shards, {} in-flight tasks migrated (generation {})",
-                r.from_shards, r.to_shards, r.migrated, r.generation,
-            )?;
-        }
-        for s in &self.drain.shards {
-            writeln!(
-                f,
-                "shard {}: {} rounds, peak rbs {:.2}/{:.2}, peak compute {:.3}/{:.3}, active at exit {}",
-                s.shard,
-                s.rounds,
-                s.peak_rbs,
-                s.budgets.rbs,
-                s.peak_compute,
-                s.budgets.compute_seconds,
-                s.snapshot.active_tasks,
-            )?;
-        }
         write!(
             f,
-            "conservation: {}",
-            if self.is_conserved() {
-                "OK (submitted = admitted + rejected + shed + expired)"
-            } else {
-                "VIOLATED"
-            }
+            "admitted {}  rejected {}  shed {}  expired {}  refused {}  transport-err {}  lost {}",
+            self.admitted, self.rejected, self.shed, self.expired, self.refused, self.transport, self.lost,
         )
     }
 }
 
-/// Runs a closed-loop load test: starts a [`Service`] over `template`,
-/// offers `cfg.requests` synthetic requests derived from the template's
-/// task/option prototypes, reaps verdicts opportunistically while
-/// submitting (departing the oldest admitted task beyond
-/// `cfg.max_active`), waits out the stragglers and drains.
-///
-/// # Panics
-///
-/// Panics if the template has no tasks or if the service cannot start
-/// (invalid `service` config).
-pub fn run(service_config: ServiceConfig, cfg: LoadgenConfig, template: &DotInstance) -> LoadgenReport {
-    run_scripted(service_config, cfg, &[], template)
+/// Parameters of one [`drive`] loop.
+#[derive(Debug, Clone, Copy)]
+pub struct DriveConfig {
+    /// Submits this driver offers.
+    pub requests: u64,
+    /// Driver index (`< drivers`): decorrelates the RNG and, interleaved
+    /// with `drivers`, keeps task ids distinct across concurrent drivers
+    /// (so routing spreads and a departure releases exactly one task).
+    pub driver: usize,
+    /// Concurrent drivers sharing the tier (`1` for a lone driver).
+    pub drivers: usize,
+    /// Base RNG seed, shared across drivers.
+    pub seed: u64,
+    /// Pipeline depth before the oldest pending verdict is reaped.
+    pub window: usize,
+    /// Admitted tasks kept alive before the oldest departs (`0` =
+    /// depart every admission as soon as its verdict is seen).
+    pub max_active: usize,
+    /// Caller-shipped admission budget (`None` = tier policy).
+    pub deadline: Option<Duration>,
 }
 
-/// Like [`run`], but executes a scale script while the load is offered:
-/// each `(at, shards)` step calls [`Service::scale_to`]`(shards)` just
-/// before request number `at` is submitted (steps at or past
-/// `cfg.requests` fire after the last submit, before drain). Steps are
-/// executed in ascending `at` order regardless of input order.
-///
-/// Budget-partition invariants (`DrainReport::within_budgets`) are not
-/// meaningful after a reshard — adopted tasks may transiently exceed a
-/// shard's partition — so scripted callers should gate on
-/// [`LoadgenReport::is_conserved`] only.
+/// How long a reaped verdict may stay outstanding before the driver
+/// declares the tier wedged (counted as a transport error, never a
+/// hang): generous, since a mid-run node kill legitimately parks a
+/// ticket for a full gateway deadline + grace while failover runs.
+pub const VERDICT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// What one [`drive`] loop observed.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct DriveReport {
+    /// The verdicts and errors this driver saw.
+    pub tally: WireTally,
+    /// Admitted tasks this driver departed.
+    pub departed: u64,
+}
+
+/// Id of driver `driver`'s `i`-th request among `drivers` concurrent
+/// drivers: interleaved, so the ids of a run are exactly `0..total`.
+fn task_id(driver: usize, drivers: usize, i: u64) -> TaskId {
+    TaskId(u32::try_from(i * drivers as u64 + driver as u64).expect("drive() bounds the id space"))
+}
+
+fn settle(pending: PendingVerdict, tally: &mut WireTally, active: &mut VecDeque<TaskId>) {
+    let task = pending.task();
+    let verdict = pending.wait_timeout(VERDICT_TIMEOUT);
+    if matches!(verdict, Ok(Outcome::Admitted { .. })) {
+        active.push_back(task);
+    }
+    tally.observe(&verdict);
+}
+
+/// The one driver body every load generator, harness and bench shares:
+/// offers `cfg.requests` synthetic submits derived from `template`'s
+/// task/option prototypes to *any* admission tier behind [`Admitter`],
+/// pipelines up to `cfg.window` pending verdicts, departs the oldest
+/// admission beyond `cfg.max_active`, and tallies every resolution.
+/// Each request gets a jittered priority (so shedding has an order to
+/// respect) and rate — fresh per request, or through the deterministic
+/// Zipf `shapes` pool, where popular ranks repeat bit-identically across
+/// every driver so a plan cache downstream has something to hit.
+/// `offered` is bumped once per submit so concurrent chaos (node kills,
+/// reshards) can trigger on the global offered count.
 ///
 /// # Panics
 ///
-/// Panics like [`run`], and additionally if a script step is invalid
-/// (target of zero shards).
-pub fn run_scripted(
-    service_config: ServiceConfig,
-    cfg: LoadgenConfig,
-    script: &[(u64, usize)],
+/// Panics if the template has no tasks, or if `requests × drivers`
+/// does not fit the `u32` task-id space.
+pub fn drive(
+    admitter: &dyn Admitter,
+    cfg: &DriveConfig,
     template: &DotInstance,
-) -> LoadgenReport {
+    shapes: Option<&ShapePool>,
+    offered: &AtomicU64,
+) -> DriveReport {
     assert!(!template.tasks.is_empty(), "template needs at least one prototype task");
-    let mut script: Vec<(u64, usize)> = script.to_vec();
-    script.sort_unstable();
-    let mut next_step = 0usize;
-    let mut reshards: Vec<ReshardReport> = Vec::new();
-    let service = Service::start(service_config, template).expect("service start");
-    let shards = service_config.shards;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut arrivals = Arrivals::new(cfg.process, cfg.seed ^ 0x5eed);
-    let shape_pool = (cfg.shape_skew > 0.0)
-        .then(|| ShapePool::new(cfg.shape_pool, cfg.shape_skew, template.tasks.len(), cfg.seed));
-
-    // The driver loop speaks the unified admission API only; the
-    // concrete `Service` is consulted solely for the management plane
-    // (scale script, final drain).
-    let admitter: &dyn Admitter = &service;
-    let mut tally = VerdictTally::default();
-    let mut pending: VecDeque<PendingVerdict> = VecDeque::new();
+    assert!(
+        cfg.requests.saturating_mul(cfg.drivers as u64) <= u64::from(u32::MAX),
+        "requests x drivers must fit the u32 task-id space"
+    );
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (cfg.driver as u64).wrapping_mul(0x9E37_79B9));
+    let mut report = DriveReport::default();
+    let mut pending = VecDeque::new();
     let mut active: VecDeque<TaskId> = VecDeque::new();
-    let started = Instant::now();
-    let mut sim_origin: Option<f64> = None;
 
     for i in 0..cfg.requests {
-        // Scale steps due at this request fire before it is submitted,
-        // so the submit exercises the post-reshard routing state.
-        while next_step < script.len() && script[next_step].0 <= i {
-            let target = script[next_step].1;
-            next_step += 1;
-            reshards.push(service.scale_to(target).expect("scale script step"));
-        }
-
-        // Pacing: map the simulated arrival timestamp to wall clock.
-        let t = arrivals.next().expect("arrival stream is infinite");
-        if cfg.time_scale > 0.0 {
-            let origin = *sim_origin.get_or_insert(t);
-            let due = started + Duration::from_secs_f64((t - origin) * cfg.time_scale);
-            if let Some(sleep) = due.checked_duration_since(Instant::now()) {
-                std::thread::sleep(sleep);
-            }
-        }
-
-        // A fresh task derived from a prototype: unique id, jittered
-        // priority (so shedding has an order to respect) and rate. With
-        // the Zipf pool active the jitter comes from the materialized
-        // shape rank instead, so popular shapes repeat bit-identically.
-        let (proto, priority_factor, rate_factor) = match &shape_pool {
+        let (proto, priority, rate) = match shapes {
             Some(pool) => pool.draw(&mut rng),
             None => (
                 rng.random_range(0..template.tasks.len()),
@@ -359,100 +255,108 @@ pub fn run_scripted(
             ),
         };
         let mut task = template.tasks[proto].clone();
-        task.id = TaskId(i as u32);
-        task.priority = (task.priority * priority_factor).clamp(0.05, 1.0);
-        task.request_rate *= rate_factor;
-        let verdict = admitter
-            .submit(task, template.options[proto].clone(), None)
-            .expect("not draining and options non-empty");
-        pending.push_back(verdict);
-
-        // Reap whatever already resolved, keeping the admitted set
-        // bounded so the long-running controllers don't fill up.
-        while let Some(front) = pending.front() {
-            match front.poll() {
-                Some(verdict) => {
-                    let resolved = pending.pop_front().expect("front exists");
-                    if matches!(verdict, Ok(Outcome::Admitted { .. })) {
-                        active.push_back(resolved.task());
-                    }
-                    tally.observe(&verdict);
-                }
-                None => break,
+        task.id = task_id(cfg.driver, cfg.drivers, i);
+        task.priority = (task.priority * priority).clamp(0.05, 1.0);
+        task.request_rate *= rate;
+        match admitter.submit(task, template.options[proto].clone(), cfg.deadline) {
+            Ok(p) => pending.push_back(p),
+            Err(SubmitError::Unavailable) => report.tally.transport += 1,
+            Err(_) => report.tally.refused += 1,
+        }
+        offered.fetch_add(1, Ordering::Relaxed);
+        if pending.len() >= cfg.window {
+            if let Some(p) = pending.pop_front() {
+                settle(p, &mut report.tally, &mut active);
             }
         }
         while active.len() > cfg.max_active {
-            let oldest = active.pop_front().expect("non-empty");
-            admitter.depart(oldest);
+            if let Some(id) = active.pop_front() {
+                admitter.depart(id);
+                report.departed += 1;
+            }
         }
     }
-
-    // Stragglers: every ticket resolves (workers answer everything, even
-    // expired requests), so blocking waits terminate.
-    for verdict in pending {
-        let task = verdict.task();
-        let outcome = verdict.wait();
-        if matches!(outcome, Ok(Outcome::Admitted { .. })) {
-            active.push_back(task);
-        }
-        tally.observe(&outcome);
+    // Stragglers resolve too; whatever stays in `active` is left in
+    // place, so the tier's drain must cope with a loaded fleet.
+    while let Some(p) = pending.pop_front() {
+        settle(p, &mut report.tally, &mut active);
     }
-    // Steps scripted at or past the end of the stream fire against a
-    // fully loaded fleet, right before drain.
-    while next_step < script.len() {
-        let target = script[next_step].1;
-        next_step += 1;
-        reshards.push(service.scale_to(target).expect("scale script step"));
-    }
-
-    // Leave `active` tasks in place: drain must cope with a loaded fleet.
-    let drain = service.drain();
-    let wall = started.elapsed();
-
-    LoadgenReport { config: cfg, shards, wall, tally, reshards, drain }
+    // A metrics round trip fences the fire-and-forget departures: a wire
+    // tier serves a connection's frames in order, so once this answers,
+    // every depart above has reached the tier's ledger.
+    let _ = admitter.metrics();
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceConfig;
+    use crate::service::Service;
     use offloadnn_core::scenario::small_scenario;
+    use offloadnn_plancache::PlanCacheConfig;
+    use std::collections::HashSet;
+
+    fn config(requests: u64, seed: u64) -> DriveConfig {
+        DriveConfig { requests, driver: 0, drivers: 1, seed, window: 32, max_active: 16, deadline: None }
+    }
 
     #[test]
-    fn small_closed_loop_run_conserves() {
-        let s = small_scenario(5);
-        let service_config = ServiceConfig { shards: 2, ..ServiceConfig::default() };
-        let cfg = LoadgenConfig { requests: 300, max_active: 16, ..LoadgenConfig::default() };
-        let report = run(service_config, cfg, &s.instance);
-        assert!(report.is_conserved(), "{report}");
-        assert!(report.drain.within_budgets(), "{report}");
-        assert_eq!(report.tally.resolved(), 300);
-        assert!(report.tally.admitted > 0, "some capacity must be granted: {report}");
+    fn tally_merge_and_conservation_arithmetic() {
+        let mut a = WireTally { admitted: 2, shed: 1, ..WireTally::default() };
+        let b = WireTally { rejected: 3, transport: 1, lost: 1, ..WireTally::default() };
+        a.merge(b);
+        assert_eq!(a.outcomes(), 6);
+        assert_eq!(a.errors(), 2);
+        let shown = format!("{a}");
+        assert!(shown.contains("admitted 2") && shown.contains("lost 1"), "{shown}");
+    }
+
+    #[test]
+    fn concurrent_drivers_mint_distinct_task_ids() {
+        // The reactor gate's shape: 512 drivers x 10 requests.
+        let ids: HashSet<TaskId> =
+            (0..512).flat_map(|driver| (0..10).map(move |i| task_id(driver, 512, i))).collect();
+        assert_eq!(ids.len(), 5_120);
+        assert!(ids.iter().all(|id| id.0 < 5_120), "interleaving fills exactly 0..total");
+    }
+
+    #[test]
+    fn drive_conserves_over_an_in_process_service() {
+        let scenario = small_scenario(5);
+        let service =
+            Service::start(ServiceConfig { shards: 2, ..ServiceConfig::default() }, &scenario.instance)
+                .expect("service start");
+        let offered = AtomicU64::new(0);
+        let report = drive(&service, &config(300, 11), &scenario.instance, None, &offered);
+        assert_eq!(offered.load(Ordering::Relaxed), 300);
+        assert_eq!(report.tally.errors(), 0, "{:?}", report.tally);
+        assert!(report.tally.admitted > 0, "some capacity must be granted: {:?}", report.tally);
+        let drain = service.drain();
+        assert!(drain.metrics.is_conserved());
+        assert!(drain.within_budgets());
+        assert_eq!(report.tally.mismatches(&drain.metrics), Vec::<String>::new());
+        assert_eq!(drain.metrics.submitted, 300);
+        assert_eq!(drain.metrics.departed, report.departed);
     }
 
     #[test]
     fn zipf_run_with_plan_cache_conserves_and_hits() {
-        use offloadnn_plancache::PlanCacheConfig;
-        let s = small_scenario(5);
+        let scenario = small_scenario(5);
         let service_config = ServiceConfig {
             shards: 2,
             plan_cache: Some(PlanCacheConfig::default()),
             ..ServiceConfig::default()
         };
-        let cfg = LoadgenConfig {
-            requests: 600,
-            max_active: 16,
-            shape_skew: 1.2,
-            shape_pool: 32,
-            ..LoadgenConfig::default()
-        };
-        let report = run(service_config, cfg, &s.instance);
-        assert!(report.is_conserved(), "{report}");
-        let pc = report.drain.plan_cache.expect("cache enabled");
-        assert!(pc.lookups() > 0, "{report}");
-        assert!(pc.hits + pc.negative_hits > 0, "a skewed stream must hit: {report}");
-        let shown = format!("{report}");
-        assert!(shown.contains("Zipf skew 1.20"), "header echoes the skew: {shown}");
-        assert!(shown.contains("plan cache: hit rate"), "header echoes the hit rate: {shown}");
+        let service = Service::start(service_config, &scenario.instance).expect("service start");
+        let shapes = ShapePool::new(32, 1.2, scenario.instance.tasks.len(), 7);
+        let report = drive(&service, &config(600, 7), &scenario.instance, Some(&shapes), &AtomicU64::new(0));
+        let drain = service.drain();
+        assert!(drain.metrics.is_conserved());
+        assert_eq!(report.tally.mismatches(&drain.metrics), Vec::<String>::new());
+        let pc = drain.plan_cache.expect("cache enabled");
+        assert!(pc.lookups() > 0, "{pc:?}");
+        assert!(pc.hits + pc.negative_hits > 0, "a skewed stream must hit: {pc:?}");
     }
 
     #[test]
@@ -471,43 +375,5 @@ mod tests {
         let head = skewed.shapes[0];
         let hits = (0..1000).filter(|_| skewed.draw(&mut rng) == head).count();
         assert!(hits > 250, "rank 0 should dominate a 1.5-skew stream, got {hits}/1000");
-    }
-
-    #[test]
-    fn paced_run_with_bursty_arrivals_conserves() {
-        let s = small_scenario(5);
-        let service_config =
-            ServiceConfig { shards: 2, batch_window: Duration::from_micros(500), ..ServiceConfig::default() };
-        let cfg = LoadgenConfig {
-            requests: 200,
-            process: ArrivalProcess::Bursty {
-                calm_rate_hz: 2_000.0,
-                burst_rate_hz: 50_000.0,
-                mean_calm_s: 0.01,
-                mean_burst_s: 0.005,
-            },
-            time_scale: 1.0,
-            max_active: 8,
-            ..LoadgenConfig::default()
-        };
-        let report = run(service_config, cfg, &s.instance);
-        assert!(report.is_conserved(), "{report}");
-    }
-
-    #[test]
-    fn scripted_run_reshards_live_and_conserves() {
-        let s = small_scenario(5);
-        let service_config = ServiceConfig { shards: 4, ..ServiceConfig::default() };
-        let cfg = LoadgenConfig { requests: 400, max_active: 24, ..LoadgenConfig::default() };
-        // Grow mid-stream, shrink near the end, and once more against the
-        // loaded fleet right before drain.
-        let report = run_scripted(service_config, cfg, &[(100, 8), (250, 2), (400, 3)], &s.instance);
-        assert!(report.is_conserved(), "{report}");
-        assert_eq!(report.reshards.len(), 3, "{report}");
-        assert_eq!(report.reshards[0].from_shards, 4);
-        assert_eq!(report.reshards[0].to_shards, 8);
-        assert_eq!(report.reshards[2].generation, 3);
-        assert_eq!(report.drain.metrics.reshards, 3);
-        assert_eq!(report.tally.resolved(), 400);
     }
 }

@@ -14,9 +14,9 @@
 
 use offloadnn_core::instance::Budgets;
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_radio::ArrivalProcess;
-use offloadnn_serve::{loadgen, LoadgenConfig, LoadgenReport, ServiceConfig};
+use offloadnn_serve::{drive, DrainReport, DriveConfig, DriveReport, Service, ServiceConfig};
 use proptest::prelude::*;
+use std::sync::atomic::AtomicU64;
 use std::time::Duration;
 
 /// Drawn service + load shape for one randomized closed loop over the
@@ -34,7 +34,7 @@ struct Shape {
     seed: u64,
 }
 
-fn run_randomized(shape: Shape) -> LoadgenReport {
+fn run_randomized(shape: Shape) -> (DriveReport, DrainReport) {
     let service_config = ServiceConfig {
         shards: shape.shards,
         queue_capacity: shape.queue_capacity,
@@ -46,16 +46,32 @@ fn run_randomized(shape: Shape) -> LoadgenReport {
         chaos: Default::default(),
         plan_cache: None,
     };
-    let cfg = LoadgenConfig {
+    let cfg = DriveConfig {
         requests: shape.requests,
-        process: ArrivalProcess::Poisson { rate_hz: 50_000.0 },
+        driver: 0,
+        drivers: 1,
         seed: shape.seed,
+        window: 32,
         max_active: shape.max_active,
-        time_scale: 0.0,
-        ..LoadgenConfig::default()
+        deadline: None,
     };
     let scenario = small_scenario(5);
-    loadgen::run(service_config, cfg, &scenario.instance)
+    let service = Service::start(service_config, &scenario.instance).expect("service start");
+    let report = drive(&service, &cfg, &scenario.instance, None, &AtomicU64::new(0));
+    (report, service.drain())
+}
+
+/// The driver saw one verdict per request and the service's own ledger
+/// balances and agrees with the driver class by class.
+fn conservation_violations(requests: u64, report: &DriveReport, drain: &DrainReport) -> Vec<String> {
+    let mut violations = report.tally.mismatches(&drain.metrics);
+    if report.tally.errors() > 0 || report.tally.outcomes() != requests {
+        violations.push(format!("{requests} offered, drivers saw {:?}", report.tally));
+    }
+    if !drain.metrics.is_conserved() {
+        violations.push(format!("ledger leaked: {}", drain.metrics));
+    }
+    violations
 }
 
 proptest! {
@@ -77,13 +93,11 @@ proptest! {
     ) {
         // Three deadline regimes: near-certain expiry, racy, generous.
         let deadline_us = match deadline_sel { 0 => 1, 1 => 500, _ => 5_000_000 };
-        let report = run_randomized(Shape {
+        let (report, drain) = run_randomized(Shape {
             shards, requests, queue_capacity, batch_max, window_us,
             deadline_us, shed_watermark, max_active, seed,
         });
-        prop_assert_eq!(report.tally.lost, 0);
-        prop_assert_eq!(report.tally.resolved(), requests);
-        prop_assert!(report.is_conserved(), "conservation violated:\n{}", report);
+        prop_assert_eq!(conservation_violations(requests, &report, &drain), Vec::<String>::new());
     }
 
     /// Partition isolation: every shard's peak RB / compute / memory
@@ -96,7 +110,7 @@ proptest! {
         max_active in 1usize..17,
         seed in 0u64..1_000_000,
     ) {
-        let report = run_randomized(Shape {
+        let (report, drain) = run_randomized(Shape {
             shards,
             requests,
             queue_capacity: 64,
@@ -109,7 +123,7 @@ proptest! {
         });
         let total = small_scenario(5).instance.budgets;
         let mut sum = Budgets { rbs: 0.0, compute_seconds: 0.0, training_seconds: 0.0, memory_bytes: 0.0 };
-        for shard in &report.drain.shards {
+        for shard in &drain.shards {
             prop_assert!(
                 shard.within_budgets(),
                 "shard {} exceeded its partition: peaks ({:.3} RBs, {:.4} GPU-s/s, {:.0} B) vs ({:.3}, {:.4}, {:.0})",
@@ -123,6 +137,6 @@ proptest! {
         prop_assert!((sum.rbs - total.rbs).abs() < 1e-6 * total.rbs);
         prop_assert!((sum.compute_seconds - total.compute_seconds).abs() < 1e-6 * total.compute_seconds);
         prop_assert!((sum.memory_bytes - total.memory_bytes).abs() < 1e-6 * total.memory_bytes);
-        prop_assert!(report.is_conserved(), "conservation violated:\n{}", report);
+        prop_assert_eq!(conservation_violations(requests, &report, &drain), Vec::<String>::new());
     }
 }
