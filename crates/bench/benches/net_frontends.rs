@@ -24,10 +24,7 @@ fn run_rounds(frontend: Frontend, clients: usize, rounds: usize) -> u64 {
         batch_window: Duration::from_micros(200),
         ..ServiceConfig::default()
     };
-    let net_config = NetConfig {
-        max_connections: NetConfig::default().max_connections.max(clients + 8),
-        ..NetConfig::default()
-    };
+    let net_config = NetConfig { max_connections: NetConfig::default().max_connections.max(clients + 8) };
     let server = AnyServer::start(frontend, ("127.0.0.1", 0), net_config, service_config, &scenario.instance)
         .expect("start server");
     let conns: Vec<Client> = (0..clients)

@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod multi;
 pub mod notation;
 pub mod objective;
-pub mod pareto;
 pub mod reduction;
 pub mod report;
 pub mod scenario;

@@ -31,7 +31,7 @@ use offloadnn_core::instance::DotInstance;
 use offloadnn_core::scenario::{large_scenario, small_scenario, LoadLevel};
 use offloadnn_gateway::{FederationConfig, Gateway, GatewayConfig, HedgeConfig};
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
-use offloadnn_plancache::PlanCacheConfig;
+use offloadnn_plancache::{PlanCacheConfig, PlanCacheStats};
 use offloadnn_serve::loadgen::{drive, DriveConfig, DriveReport, ShapePool, WireTally};
 use offloadnn_serve::{DrainReport, ReshardReport, Service, ServiceConfig};
 use std::fmt;
@@ -67,8 +67,8 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("--shards", "N", "worker shards per service [4]"),
     ("--queue-capacity", "N", "per-shard ingress queue bound (primary cluster only) [1024]"),
     ("--batch-max", "N", "max requests per solver round [64]"),
-    ("--plan-cache", "", "enable the driven tier's plan cache (service; gateway affinity) [off]"),
-    ("--min-hit-rate", "F", "fail unless the plan-cache hit rate reaches F (0..1) [none]"),
+    ("--plan-cache", "", "enable the serve nodes' plan cache, on every tier [off]"),
+    ("--min-hit-rate", "F", "fail unless the nodes' summed plan-cache hit rate reaches F (0..1) [none]"),
     ("--scale-script", "S", "at:shards,... live reshards, service and net tiers [none]"),
     ("--nodes", "N", "backend nodes behind the gateway [3]"),
     ("--hedge", "", "enable the gateway's deadline-aware hedging [off]"),
@@ -286,7 +286,7 @@ impl Args {
             shards: self.shards,
             queue_capacity: self.queue_capacity,
             batch_max: self.batch_max,
-            plan_cache: (self.plan_cache && !self.tier.is_cluster()).then(PlanCacheConfig::default),
+            plan_cache: self.plan_cache.then(PlanCacheConfig::default),
             ..ServiceConfig::default()
         }
     }
@@ -373,6 +373,16 @@ struct Ledgers {
     nodes: Vec<(String, DrainReport)>,
 }
 
+impl Ledgers {
+    /// Plan-cache statistics summed over every serve node of the run
+    /// (the tier itself on `service`/`net`; a gateway caches nothing);
+    /// all zero without `--plan-cache`.
+    fn plan_cache(&self) -> PlanCacheStats {
+        let reports = std::iter::once(&self.tier).chain(self.nodes.iter().map(|(_, r)| r));
+        reports.filter_map(|r| r.plan_cache).sum()
+    }
+}
+
 fn start_node(config: ServiceConfig, template: &DotInstance) -> Result<AnyServer, String> {
     AnyServer::start(Frontend::Threads, ("127.0.0.1", 0), NetConfig::default(), config, template)
         .map_err(|e| format!("failed to start backend node: {e}"))
@@ -413,10 +423,7 @@ impl Stack {
         let config = args.service_config();
         // Room for every driver plus the control connections, so
         // --clients 512 exercises concurrency, not TooManyConnections.
-        let net = NetConfig {
-            max_connections: NetConfig::default().max_connections.max(args.clients + 8),
-            ..NetConfig::default()
-        };
+        let net = NetConfig { max_connections: NetConfig::default().max_connections.max(args.clients + 8) };
         match args.tier {
             Tier::Service => Service::start(config, template)
                 .map(Self::Service)
@@ -431,7 +438,6 @@ impl Stack {
                 let nodes = start_nodes(args.nodes, config)?;
                 let mut gateway_config = GatewayConfig {
                     hedge: HedgeConfig { enabled: args.hedge, min_samples: 32 },
-                    plan_cache: args.plan_cache.then(PlanCacheConfig::default),
                     ..fast_gateway_config()
                 };
                 // The peer cluster keeps the default queue capacity —
@@ -669,7 +675,7 @@ fn check(args: &Args, total: &DriveReport, reshards: &[ReshardReport], ledgers: 
         format!("tier counted {} reshards, the script changed topology {effective} times", tier.reshards),
     );
     if let Some(min) = args.min_hit_rate {
-        let rate = ledgers.tier.plan_cache.map_or(0.0, |pc| pc.hit_rate());
+        let rate = ledgers.plan_cache().hit_rate();
         expect(rate >= min, format!("plan-cache hit rate {rate:.3} below the required {min:.3}"));
     }
     violations
@@ -783,7 +789,8 @@ fn run(argv: &[String]) -> u8 {
         );
     }
     println!("\n— {} (post-drain) —\n{}", args.tier, ledgers.tier.metrics);
-    if let Some(pc) = &ledgers.tier.plan_cache {
+    if args.plan_cache {
+        let pc = ledgers.plan_cache();
         println!(
             "plan cache: hit rate {:.1}% ({} hits, {} negative, {} misses, {} evictions, {} invalidated)",
             100.0 * pc.hit_rate(),

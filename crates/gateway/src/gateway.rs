@@ -9,8 +9,8 @@
 //! / expired ([`offloadnn_serve::MetricsSnapshot::is_conserved`]).
 //! Cluster-level events map onto the verdict classes:
 //!
-//! * a ticket that exhausts its retry budget, or finds no healthy node,
-//!   resolves **Shed** (cluster backpressure);
+//! * a ticket that exhausts its retry budget ([`RETRY_LIMIT`] attempts),
+//!   or finds no healthy node, resolves **Shed** (cluster backpressure);
 //! * a ticket whose deadline (plus `verdict_grace`) passes before any
 //!   backend answers resolves **Expired**;
 //! * everything else relays the winning backend verdict verbatim.
@@ -25,24 +25,6 @@
 //! [`Gateway`] depart like any admission), the loser's admission is
 //! departed by the reaper, and loser rejections/sheds/expiries need no
 //! compensation. Synthesized gateway verdicts carry `shard: 0`.
-//!
-//! # Plan caching
-//!
-//! With [`GatewayConfig::plan_cache`] set, the gateway keeps an
-//! [`offloadnn_plancache::PlanCache`] over task-shape fingerprints. The
-//! cluster tier cannot replay a solver plan (the backends own their
-//! ledgers), so the cached value is weaker than serve's: an **affinity**
-//! entry remembers which node last admitted the shape (that node is
-//! routed first, skipping the rendezvous pick), and a **negative** entry
-//! remembers the cluster rejected the shape (the submit resolves
-//! Rejected locally under the short negative TTL, without burning a
-//! backend round trip). Affinity is only a routing hint — failover,
-//! hedging and the conservation ledger are unchanged — so no
-//! single-flight is used here: every admission consumes backend
-//! capacity, and duplicate suppression is the hedging reaper's job.
-//! The epoch is bumped whenever the pool changes underneath the cache
-//! (node ejected, node readmitted, cluster reshard), and the ring
-//! generation from the last reshard is part of every key.
 
 use crate::config::{GatewayConfig, GatewayError};
 use crate::health;
@@ -57,7 +39,6 @@ use offloadnn_net::codec::ErrorCode;
 use offloadnn_net::{
     Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest, PendingVerdict,
 };
-use offloadnn_plancache::{shape_fingerprint, PlanCache, PlanCacheStats, PlanKey};
 use offloadnn_serve::{
     Admitter, DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, ServiceMetrics, SubmitError,
     VerdictError, VerdictHandle,
@@ -74,15 +55,15 @@ use std::time::{Duration, Instant};
 /// verdict channels, so the ticket alternates bounded waits).
 const RACE_SLICE: Duration = Duration::from_micros(500);
 
-/// What the cluster tier memoizes per task shape: a routing affinity
-/// (positive entries) or a cluster-level rejection (negative entries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GwPlan {
-    /// The pool index of the node that last admitted this shape.
-    Affinity { node: usize },
-    /// The cluster rejected this shape (cached under the negative TTL).
-    Rejected,
-}
+/// Maximum submit attempts per ticket across failovers (the first
+/// attempt counts, so `3` means the primary plus two retries).
+const RETRY_LIMIT: u32 = 3;
+
+/// Maximum forward hops a task may take from the gateway it was first
+/// submitted to (1 = direct peers only). A forwarded-in task carries the
+/// sender's remaining hop count, clamped to this limit less the hop it
+/// already took.
+const HOP_LIMIT: u8 = 1;
 
 /// Where an admitted task lives, so its depart routes back there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,8 +108,6 @@ pub(crate) struct GatewayInner {
     /// losers are then reaped inline).
     reaper_tx: Mutex<Option<Sender<Loser>>>,
     instruments: Option<GwInstruments>,
-    /// Cluster-level plan cache (`None` leaves the submit path as-is).
-    pub(crate) plan_cache: Option<PlanCache<GwPlan>>,
 }
 
 impl GatewayInner {
@@ -151,29 +130,8 @@ impl GatewayInner {
         let node = self.membership.node(index);
         if node.eject(self.config.probation) {
             event!(Severity::Warn, "gw.failover", "ejected {}: {why}", node.addr);
-            // Affinity entries pointing at the dead node are now routing
-            // lies; resident entries are dropped lazily via the epoch.
-            self.invalidate_plans();
         }
         self.publish_membership_gauges();
-    }
-
-    /// Bumps the plan-cache epoch after a pool change (ejection,
-    /// readmission, reshard); a no-op without a cache.
-    pub(crate) fn invalidate_plans(&self) {
-        if let Some(cache) = &self.plan_cache {
-            cache.bump_epoch();
-        }
-    }
-
-    /// Bumps a federated peer's plan-cache scope epoch (the peer's
-    /// cluster state moved, or the peer went down): entries minted while
-    /// serving that peer's forwarded overflow are orphaned without
-    /// touching local or other-peer entries.
-    pub(crate) fn bump_peer_scope(&self, scope: u64) {
-        if let Some(cache) = &self.plan_cache {
-            cache.bump_scope_epoch(scope);
-        }
     }
 
     /// Publishes the `gw.peers.healthy` gauge.
@@ -197,28 +155,6 @@ impl GatewayInner {
         if let Some(ins) = &self.instruments {
             ins.forward_wins.inc();
         }
-    }
-
-    /// The cache key for a submit, or `None` when caching is off. The
-    /// bucket is the healthy-node count (coarse cluster capacity — a
-    /// different pool size must not reuse plans minted for another) and
-    /// the generation is the ring generation from the last reshard.
-    /// Forwarded-in traffic passes the origin gateway's `scope`: its
-    /// entries key under that peer's scope epoch so they can be dropped
-    /// wholesale when the origin's cluster state moves
-    /// ([`GatewayInner::bump_peer_scope`]).
-    fn plan_key(&self, task: &Task, options: &[PathOption], scope: Option<u64>) -> Option<PlanKey> {
-        let cache = self.plan_cache.as_ref()?;
-        let healthy = self.membership.healthy_count();
-        let key = PlanKey {
-            shape: shape_fingerprint(task, options),
-            bucket: u16::try_from(healthy).unwrap_or(u16::MAX),
-            generation: self.metrics.generation.get(),
-        };
-        Some(match scope {
-            Some(scope) => cache.scoped_key(key, scope),
-            None => key,
-        })
     }
 
     /// Hands a losing attempt to the reaper thread (inline once the
@@ -252,7 +188,7 @@ struct Loser {
 fn reap(inner: &GatewayInner, loser: &Loser) {
     let wait = loser.deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(10);
     if let Some(Ok(Outcome::Admitted { .. })) = loser.pv.poll_wait(wait) {
-        if let Ok(client) = inner.membership.node(loser.node).client(&inner.config.client) {
+        if let Ok(client) = inner.membership.node(loser.node).client.get() {
             let _ = client.depart(loser.task);
         }
     }
@@ -291,14 +227,10 @@ struct PendState {
     born: Instant,
     deadline: Instant,
     /// Failover submits launched (hedges excluded); bounded by
-    /// [`GatewayConfig::retry_limit`].
+    /// [`RETRY_LIMIT`].
     attempts: u32,
     /// Node indices already attempted (never re-tried for this ticket).
     tried: Vec<usize>,
-    /// Cached-affinity node to try before consulting the router.
-    preferred: Option<usize>,
-    /// Plan-cache key for this submit (`None` with caching off).
-    key: Option<PlanKey>,
     primary: Option<Attempt>,
     hedge: Option<Attempt>,
     /// The one-shot hedge has fired (or been forfeited).
@@ -333,17 +265,10 @@ impl GwPending {
     /// Routes and launches one backend submit. `poll` never calls this
     /// (dialling blocks); `wait` does.
     fn launch(&self, st: &mut PendState, now: Instant, is_hedge: bool) -> Launch {
-        // A cached affinity short-circuits the rendezvous pick once (the
-        // node that admitted this shape most recently very likely still
-        // can); on failover the router takes over as usual.
-        let preferred = st
-            .preferred
-            .take()
-            .filter(|&p| !st.tried.contains(&p) && self.inner.membership.node(p).is_healthy());
-        let pick = preferred.or_else(|| {
+        let pick = {
             let _route = span!("gw.route");
             router::route(u64::from(st.task.id.0), &self.inner.healthy_candidates(&st.tried))
-        });
+        };
         let Some(index) = pick else {
             return Launch::NoCandidate;
         };
@@ -365,10 +290,7 @@ impl GwPending {
         }
         let remaining = st.deadline.saturating_duration_since(now);
         let node = self.inner.membership.node(index);
-        match node
-            .client(&self.inner.config.client)
-            .and_then(|c| c.submit_borrowed(&st.task, &st.options, Some(remaining)))
-        {
+        match node.client.get().and_then(|c| c.submit_borrowed(&st.task, &st.options, Some(remaining))) {
             Ok(pv) => {
                 let attempt = Attempt { node: index, pv, started: now, is_hedge };
                 if is_hedge {
@@ -390,7 +312,7 @@ impl GwPending {
     /// ticket's deadline, i.e. waiting out another p99 would blow it.
     fn hedge_due(&self, st: &PendState, now: Instant) -> bool {
         let config = &self.inner.config;
-        if !config.hedge.enabled || st.hedged || st.hedge.is_some() {
+        if !self.could_hedge(st) {
             return false;
         }
         let Some(primary) = &st.primary else {
@@ -442,23 +364,6 @@ impl GwPending {
             Outcome::Shed { .. } => metrics.shed.inc(),
             Outcome::Expired { .. } => metrics.expired.inc(),
         }
-        if let (Some(cache), Some(key)) = (&self.inner.plan_cache, st.key) {
-            match (outcome, route) {
-                // Peer verdicts are never fed to the local plan cache —
-                // they describe the peer's capacity, not ours.
-                (_, Some(Route::Peer(_))) => {}
-                // Remember where this shape fits so the next submit
-                // routes straight there.
-                (Outcome::Admitted { .. }, Some(Route::Node(node))) => {
-                    cache.insert(key, GwPlan::Affinity { node }, false);
-                }
-                // A backend said "infeasible here, now": cacheable only
-                // under the short negative TTL. Shed/expired verdicts are
-                // transient gateway-side conditions and are never cached.
-                (Outcome::Rejected { .. }, _) => cache.insert(key, GwPlan::Rejected, true),
-                _ => {}
-            }
-        }
         metrics.latency.record(st.born.elapsed());
         st.done = Some(outcome);
         outcome
@@ -494,7 +399,7 @@ impl GwPending {
                 return None;
             }
             let (index, chosen) = peers.pick(&st.tried_peers)?;
-            st.tried_peers.push(chosen.addr_string.clone());
+            st.tried_peers.push(chosen.addr.clone());
             let origin = st.origin.clone().unwrap_or_else(|| peers.identity.clone());
             // The wire tried-set names every cluster this task has
             // touched — this gateway and the origin included — so the
@@ -507,7 +412,7 @@ impl GwPending {
             if !tried.contains(&origin) {
                 tried.push(origin.clone());
             }
-            let sent = chosen.client(&self.inner.config.client).and_then(|c| {
+            let sent = chosen.client.get().and_then(|c| {
                 c.forward(&st.task, &st.options, Some(remaining), st.fwd_hops - 1, &origin, &tried)
             });
             match sent {
@@ -645,7 +550,7 @@ impl GwPending {
                 if now >= st.deadline {
                     return Some(self.settle(&mut st, Outcome::Expired { shard: 0 }, None, false));
                 }
-                if st.attempts >= self.inner.config.retry_limit {
+                if st.attempts >= RETRY_LIMIT {
                     // The local cluster is out of retries: the one exit
                     // that isn't a Shed is an overflow forward to a
                     // federated peer (blocking mode only — a poll defers
@@ -789,13 +694,11 @@ impl Gateway {
         }
         let membership = Membership::new(addrs);
         let (reaper_tx, reaper_rx) = channel::unbounded();
-        let metrics = ServiceMetrics::new();
-        let plan_cache = config.plan_cache.map(|pc| PlanCache::with_registry(pc, metrics.registry()));
         let peers = config.federation.as_ref().map(|fed| PeerSet::new(&fed.peers, fed.identity.clone()));
         let inner = Arc::new(GatewayInner {
             membership,
             config,
-            metrics,
+            metrics: ServiceMetrics::new(),
             draining: AtomicBool::new(false),
             routes: Mutex::new(HashMap::new()),
             peers,
@@ -804,7 +707,6 @@ impl Gateway {
             forward_wins: AtomicU64::new(0),
             reaper_tx: Mutex::new(Some(reaper_tx)),
             instruments: GwInstruments::new(),
-            plan_cache,
         });
         inner.publish_membership_gauges();
         inner.publish_peer_gauges();
@@ -898,13 +800,12 @@ impl Gateway {
         let outcome = self.inner.membership.leave(addr, incarnation);
         let decision = match outcome {
             LeaveOutcome::Departed => {
-                // Count (and invalidate plans) only on the first,
-                // applied leave — the version bumps exactly then.
+                // Count only the first, applied leave — the version
+                // bumps exactly then.
                 if self.inner.membership.version() != before {
                     if let Some(ins) = &self.inner.instruments {
                         ins.leaves.inc();
                     }
-                    self.inner.invalidate_plans();
                     event!(Severity::Info, "gw.membership", "leave {addr} inc {incarnation}");
                 }
                 MembershipDecision::Accepted
@@ -952,39 +853,18 @@ impl Gateway {
         let budget = budget.map_or(policy, |b| b.min(policy));
         self.inner.metrics.submitted.inc();
         let now = Instant::now();
-        // Federation seeds: a local ticket may take `hop_limit` hops and
-        // has visited no cluster; a forwarded one inherits the sender's
-        // remaining hops and tried-set (so re-forwarding can only reach
-        // clusters the task has never seen).
-        let (fwd_hops, origin, tried_peers, scope) = match forwarded {
-            Some(info) => {
-                let scope = router::node_seed(&info.origin);
-                (info.hops, Some(info.origin), info.tried, Some(scope))
-            }
-            None => {
-                let hops = self.inner.config.federation.as_ref().map_or(0, |fed| fed.hop_limit);
-                (hops, None, Vec::new(), None)
-            }
+        // Federation seeds: a local ticket may take `HOP_LIMIT` hops and
+        // has visited no cluster. A forwarded one inherits the sender's
+        // tried-set (so re-forwarding only reaches clusters the task has
+        // never seen) and the tighter of the hop count on the wire —
+        // outside input — and what `HOP_LIMIT` leaves after the hop that
+        // brought it here, the rule deadlines follow. (At `HOP_LIMIT` = 1
+        // that clamp is the constant 0, hence the allow.)
+        #[allow(clippy::unnecessary_min_or_max)]
+        let (fwd_hops, origin, tried_peers) = match forwarded {
+            Some(info) => (info.hops.min(HOP_LIMIT - 1), Some(info.origin), info.tried),
+            None => (HOP_LIMIT, None, Vec::new()),
         };
-        // Consult the plan cache before anything touches the wire: a
-        // fresh negative entry resolves the ticket Rejected right here
-        // (counted on the ledger like any verdict), a fresh affinity
-        // entry seeds the preferred node for the first launch. Forwarded
-        // traffic keys under the origin gateway's scope epoch.
-        let key = self.inner.plan_key(&task, &options, scope);
-        let mut preferred = None;
-        let mut done = None;
-        if let (Some(cache), Some(key)) = (&self.inner.plan_cache, &key) {
-            match cache.lookup(key).map(|c| c.value) {
-                Some(GwPlan::Rejected) => {
-                    self.inner.metrics.rejected.inc();
-                    self.inner.metrics.latency.record(now.elapsed());
-                    done = Some(Outcome::Rejected { shard: 0 });
-                }
-                Some(GwPlan::Affinity { node }) => preferred = Some(node),
-                None => {}
-            }
-        }
         let id = task.id;
         let pending = GwPending {
             inner: Arc::clone(&self.inner),
@@ -995,8 +875,6 @@ impl Gateway {
                 deadline: now + budget,
                 attempts: 0,
                 tried: Vec::new(),
-                preferred,
-                key,
                 primary: None,
                 hedge: None,
                 hedged: false,
@@ -1004,16 +882,16 @@ impl Gateway {
                 origin,
                 tried_peers,
                 shed_pending: false,
-                done,
+                done: None,
             }),
         };
         // Launch the first attempt eagerly so tickets pipeline: the
         // submit is on the wire when this returns, and `wait` only
         // collects (or fails over). A ticket that cannot launch here
         // (all sends fail, or no healthy node) resolves in `wait`.
-        if done.is_none() {
+        {
             let mut st = pending.state.lock().expect("pending state lock poisoned");
-            while st.primary.is_none() && st.attempts < self.inner.config.retry_limit {
+            while st.primary.is_none() && st.attempts < RETRY_LIMIT {
                 match pending.launch(&mut st, Instant::now(), false) {
                     Launch::Launched | Launch::NoCandidate => break,
                     Launch::Failed => {}
@@ -1044,32 +922,31 @@ impl Gateway {
     /// does not own their lifecycle.
     pub fn drain(mut self) -> DrainReport {
         self.begin_drain();
-        drop(self.shutdown_tx.take());
-        if let Some(handle) = self.monitor.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.digest.take() {
-            let _ = handle.join();
-        }
-        // Disconnect the reaper only after the monitor is gone: every
-        // ticket has resolved by the time a frontend calls drain, so no
-        // new losers can arrive.
-        *self.inner.reaper_tx.lock().expect("reaper tx lock poisoned") = None;
-        if let Some(handle) = self.reaper.take() {
-            let _ = handle.join();
-        }
+        self.stop_threads();
         DrainReport {
             metrics: self.inner.metrics.snapshot(),
             shards: Vec::new(),
             retired: Vec::new(),
             lost_shards: 0,
-            plan_cache: self.inner.plan_cache.as_ref().map(PlanCache::stats),
+            plan_cache: None,
         }
     }
 
-    /// Counters of the cluster plan cache, or `None` with caching off.
-    pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        self.inner.plan_cache.as_ref().map(PlanCache::stats)
+    /// Stops and joins the monitor, digest and reaper threads; idempotent
+    /// (drain runs it, then `Drop` finds nothing left).
+    fn stop_threads(&mut self) {
+        drop(self.shutdown_tx.take());
+        for handle in [self.monitor.take(), self.digest.take()].into_iter().flatten() {
+            let _ = handle.join();
+        }
+        // Disconnect the reaper only after the monitor is gone: every
+        // ticket has resolved by the time a frontend calls drain, so no
+        // new losers can arrive (a dropped gateway's late losers are
+        // reaped inline).
+        *self.inner.reaper_tx.lock().expect("reaper tx lock poisoned") = None;
+        if let Some(handle) = self.reaper.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1086,17 +963,7 @@ impl Drop for Gateway {
     fn drop(&mut self) {
         // A dropped (not drained) gateway must not leave threads parked
         // forever.
-        drop(self.shutdown_tx.take());
-        *self.inner.reaper_tx.lock().expect("reaper tx lock poisoned") = None;
-        if let Some(handle) = self.monitor.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.digest.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.reaper.take() {
-            let _ = handle.join();
-        }
+        self.stop_threads();
     }
 }
 
@@ -1116,24 +983,15 @@ impl Admitter for Gateway {
     /// cluster. A no-op for tasks the gateway never admitted.
     fn depart(&self, task: TaskId) {
         let route = self.inner.routes.lock().expect("routes lock poisoned").remove(&task);
-        match route {
-            Some(Route::Node(index)) => {
-                if let Ok(client) = self.inner.membership.node(index).client(&self.inner.config.client) {
-                    if client.depart(task).is_ok() {
-                        self.inner.metrics.departed.inc();
-                    }
-                }
-            }
+        let client = match route {
+            Some(Route::Node(index)) => self.inner.membership.node(index).client.get().ok(),
             Some(Route::Peer(index)) => {
-                if let Some(peers) = &self.inner.peers {
-                    if let Ok(client) = peers.peers[index].client(&self.inner.config.client) {
-                        if client.depart(task).is_ok() {
-                            self.inner.metrics.departed.inc();
-                        }
-                    }
-                }
+                self.inner.peers.as_ref().and_then(|peers| peers.peers[index].client.get().ok())
             }
-            None => {}
+            None => None,
+        };
+        if client.is_some_and(|c| c.depart(task).is_ok()) {
+            self.inner.metrics.departed.inc();
         }
     }
 
@@ -1175,7 +1033,7 @@ impl Backend for Gateway {
             u32::try_from(shards).map_err(|_| ServeError::InvalidConfig("scale target too large"))?;
         let mut report: Option<ReshardReport> = None;
         for node in self.inner.membership.snapshot().iter().filter(|n| n.is_healthy()) {
-            match node.client(&self.inner.config.client).and_then(|c| c.scale_to(target)) {
+            match node.client.get().and_then(|c| c.scale_to(target)) {
                 Ok(r) => {
                     let agg = report.get_or_insert(ReshardReport {
                         from_shards: r.from_shards as usize,
@@ -1186,7 +1044,7 @@ impl Backend for Gateway {
                     agg.migrated += r.migrated;
                     agg.generation = agg.generation.max(r.generation);
                 }
-                Err(_) => node.drop_client(),
+                Err(_) => node.client.clear(),
             }
         }
         match report {
@@ -1194,9 +1052,6 @@ impl Backend for Gateway {
                 self.inner.metrics.reshards.inc();
                 self.inner.metrics.migrated.add(r.migrated);
                 self.inner.metrics.generation.set(r.generation);
-                // The new generation fences fresh lookups; the epoch bump
-                // drops plans minted under the old topology.
-                self.inner.invalidate_plans();
                 Ok(r)
             }
             None => Err(ServeError::InvalidConfig("no healthy node accepted the reshard")),
@@ -1227,8 +1082,8 @@ impl Backend for Gateway {
         // the overflow picker's ranking signal on the asking side:
         // healthy-node count and aggregate routing weight say how much
         // capacity is here, the verdict-latency p50 says how fast this
-        // cluster answers, and the membership version fences plan-cache
-        // scopes across our reshards and churn.
+        // cluster answers, and the membership version tells the asker
+        // when this cluster's pool changed.
         event!(Severity::Info, "gw.federation", "digest for peer {peer_addr} inc {peer_incarnation}");
         let remaining_budget: f64 = self.inner.healthy_candidates(&[]).iter().map(|c| c.weight).sum();
         let round_ms_p50 = self.inner.metrics.latency.snapshot().quantile(0.5).as_secs_f64() * 1e3;

@@ -12,16 +12,16 @@
 //!   consecutive misses ejects it. A success refreshes the routing
 //!   weight (below).
 //! * **Probing** — a node that announced itself and has not yet proven
-//!   it answers. The first successful probe promotes it to `Healthy`
-//!   (and invalidates cached plans — the pool just grew); until then it
-//!   receives zero traffic.
+//!   it answers. The first successful probe promotes it to `Healthy`;
+//!   until then it receives zero traffic.
 //! * **Ejected** — left alone until probation elapses, then probed: a
 //!   success readmits it, a failure restarts probation.
 //! * **Departed** — never probed; the node left.
 //!
 //! Probes of *unhealthy* (probing/ejected) nodes back off: after
-//! `probe_backoff_after` consecutive failures the probe stride doubles
-//! per failure, capped at `probe_backoff_limit` sweeps. Without this a
+//! `PROBE_BACKOFF_AFTER` (4) consecutive failures the probe stride
+//! doubles per failure, capped at `PROBE_BACKOFF_LIMIT` (64) sweeps
+//! (both consts in `node.rs`). Without this a
 //! node that announced and then died — or an ejected node that never
 //! comes back — costs the monitor a full connect timeout every sweep,
 //! forever, crowding out the probes that matter.
@@ -37,6 +37,7 @@
 //! budget ⇒ more of the key space, and the rendezvous scores of the
 //! *other* nodes are untouched by the update.
 
+use crate::config::GatewayConfig;
 use crate::gateway::GatewayInner;
 use crate::node::Node;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
@@ -54,68 +55,50 @@ fn weight_from(snapshot: &MetricsSnapshot) -> f64 {
 }
 
 /// Probes one node and applies the state machine transition.
-fn probe(inner: &GatewayInner, node: &Node) {
-    let config = &inner.config;
-    match node.state() {
-        MemberState::Healthy => {
-            match node.client(&config.client).and_then(|c| c.snapshot_timeout(config.health_timeout)) {
-                Ok(snapshot) => {
-                    node.note_probe_ok();
-                    node.set_weight(weight_from(&snapshot));
-                }
-                Err(err) => {
-                    // The connection (if any) is suspect either way.
-                    node.drop_client();
-                    if node.note_probe_miss(config.eject_after) && node.eject(config.probation) {
-                        event!(Severity::Warn, "gw.health", "ejected {}: {err}", node.addr);
-                    }
-                }
+fn probe(config: &GatewayConfig, node: &Node) {
+    let state = node.state();
+    let due = match state {
+        MemberState::Healthy => true,
+        MemberState::Probing => node.probe_due(),
+        MemberState::Ejected => node.probation_over() && node.probe_due(),
+        MemberState::Departed => false,
+    };
+    if !due {
+        return;
+    }
+    let answer = node.client.get().and_then(|c| c.snapshot_timeout(config.health_timeout));
+    match (state, answer) {
+        (MemberState::Healthy, Ok(snapshot)) => {
+            node.note_probe_ok();
+            node.set_weight(weight_from(&snapshot));
+        }
+        (MemberState::Healthy, Err(err)) => {
+            // The connection (if any) is suspect either way.
+            node.client.clear();
+            if node.note_probe_miss(config.eject_after) && node.eject(config.probation) {
+                event!(Severity::Warn, "gw.health", "ejected {}: {err}", node.addr);
             }
         }
-        MemberState::Probing => {
-            if !node.probe_due() {
-                return;
-            }
-            match node.client(&config.client).and_then(|c| c.snapshot_timeout(config.health_timeout)) {
-                Ok(snapshot) => {
-                    node.set_weight(weight_from(&snapshot));
-                    if node.promote() {
-                        // The pool just grew a routable node: cached
-                        // cluster-level rejections (and affinities picked
-                        // under the smaller pool) are stale.
-                        inner.invalidate_plans();
-                        event!(Severity::Info, "gw.health", "promoted {}", node.addr);
-                    }
-                }
-                Err(_) => {
-                    node.drop_client();
-                    node.note_probe_failed(config.probe_backoff_after, config.probe_backoff_limit);
-                }
+        (MemberState::Probing, Ok(snapshot)) => {
+            node.set_weight(weight_from(&snapshot));
+            if node.promote() {
+                event!(Severity::Info, "gw.health", "promoted {}", node.addr);
             }
         }
-        MemberState::Ejected => {
-            if !node.probation_over() || !node.probe_due() {
-                return;
-            }
-            match node.client(&config.client).and_then(|c| c.snapshot_timeout(config.health_timeout)) {
-                Ok(snapshot) => {
-                    node.set_weight(weight_from(&snapshot));
-                    if node.readmit() {
-                        // Readmission restores capacity, so cached
-                        // cluster-level rejections (and affinities picked
-                        // while the node was out) are stale.
-                        inner.invalidate_plans();
-                        event!(Severity::Info, "gw.health", "readmitted {}", node.addr);
-                    }
-                }
-                Err(_) => {
-                    node.drop_client();
-                    node.extend_probation(config.probation);
-                    node.note_probe_failed(config.probe_backoff_after, config.probe_backoff_limit);
-                }
+        (MemberState::Ejected, Ok(snapshot)) => {
+            node.set_weight(weight_from(&snapshot));
+            if node.readmit() {
+                event!(Severity::Info, "gw.health", "readmitted {}", node.addr);
             }
         }
-        MemberState::Departed => {}
+        (MemberState::Probing | MemberState::Ejected, Err(_)) => {
+            node.client.clear();
+            if state == MemberState::Ejected {
+                node.extend_probation(config.probation);
+            }
+            node.note_probe_failed();
+        }
+        (MemberState::Departed, _) => {}
     }
 }
 
@@ -125,7 +108,7 @@ fn probe(inner: &GatewayInner, node: &Node) {
 pub(crate) fn monitor_loop(inner: &Arc<GatewayInner>, shutdown_rx: &Receiver<()>) {
     loop {
         for node in inner.membership.snapshot() {
-            probe(inner, &node);
+            probe(&inner.config, &node);
         }
         inner.publish_membership_gauges();
         match shutdown_rx.recv_timeout(inner.config.health_interval) {

@@ -24,7 +24,7 @@
 //! * **Failover** — a node that drops its connection (or starts
 //!   draining) mid-request is ejected immediately and the in-flight
 //!   ticket is retried on a survivor with the *remaining* deadline
-//!   budget, up to `retry_limit` attempts; a ticket that runs out of
+//!   budget, up to `RETRY_LIMIT` (3) attempts; a ticket that runs out of
 //!   nodes, retries or time resolves Shed / Expired so the gateway's
 //!   conservation ledger ([`Gateway::metrics`]) stays balanced.
 //! * **Hedging** — optionally ([`HedgeConfig`]), a ticket whose primary

@@ -1,6 +1,6 @@
-//! Per-backend-node state: lazy client, lifecycle state machine,
-//! incarnation stamp, routing weight and the RTT histogram feeding the
-//! hedger.
+//! Per-backend-node state: lazy client (a [`ClientSlot`], which peers
+//! use too), lifecycle state machine, incarnation stamp, routing weight
+//! and the RTT histogram feeding the hedger.
 //!
 //! The lifecycle state machine per node (states are the wire-level
 //! [`MemberState`]):
@@ -36,6 +36,64 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Consecutive failed probes of an unhealthy (probing or ejected) node
+/// after which the monitor starts backing off: past this count the probe
+/// stride doubles per failure, so a long-dead node stops costing a
+/// connect timeout every sweep.
+const PROBE_BACKOFF_AFTER: u32 = 4;
+
+/// Cap on the probe-backoff stride, in monitor sweeps. A long-dead node
+/// is still probed at least once per this many sweeps, bounding how
+/// stale its revival can go unnoticed.
+const PROBE_BACKOFF_LIMIT: u32 = 64;
+
+/// Transport tuning for the gateway's backend connections (nodes and
+/// peers alike). Fails fast — one connect attempt, short timeout: the
+/// failover path, not the transport retry loop, owns recovery from a
+/// dead node.
+fn fail_fast_client_config() -> ClientConfig {
+    ClientConfig {
+        connect_attempts: 1,
+        connect_timeout: Duration::from_millis(500),
+        ..ClientConfig::default()
+    }
+}
+
+/// A lazily dialled shared client to one backend (a node or a peer
+/// gateway), dropped on transport failure so the next use re-dials.
+pub(crate) struct ClientSlot {
+    addr: SocketAddr,
+    slot: Mutex<Option<Arc<Client>>>,
+}
+
+impl ClientSlot {
+    pub(crate) fn new(addr: SocketAddr) -> Self {
+        Self { addr, slot: Mutex::new(None) }
+    }
+
+    /// The shared client, dialling on first use (or after a
+    /// [`ClientSlot::clear`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Client::connect`] failures; the slot stays empty.
+    pub(crate) fn get(&self) -> Result<Arc<Client>, NetError> {
+        let mut slot = self.slot.lock().expect("client slot lock poisoned");
+        if let Some(c) = slot.as_ref() {
+            return Ok(Arc::clone(c));
+        }
+        let c = Arc::new(Client::connect(self.addr, fail_fast_client_config())?);
+        *slot = Some(Arc::clone(&c));
+        Ok(c)
+    }
+
+    /// Forgets the cached client (its connection is suspect); the next
+    /// [`ClientSlot::get`] re-dials.
+    pub(crate) fn clear(&self) {
+        *self.slot.lock().expect("client slot lock poisoned") = None;
+    }
+}
+
 fn state_tag(state: MemberState) -> u8 {
     match state {
         MemberState::Probing => 0,
@@ -60,9 +118,8 @@ pub(crate) struct Node {
     pub addr: SocketAddr,
     /// Stable rendezvous seed (hash of the address string).
     pub seed: u64,
-    /// Lazily dialled shared client; dropped on transport failure so the
-    /// next use re-dials.
-    client: Mutex<Option<Arc<Client>>>,
+    /// The connection to the node's frontend.
+    pub client: ClientSlot,
     /// Lifecycle state ([`MemberState`] tag). Transitions go through
     /// compare-exchange so a concurrent departure always sticks:
     /// promote/readmit/eject can never overwrite `Departed`.
@@ -91,7 +148,7 @@ impl Node {
         Self {
             addr,
             seed: crate::router::node_seed(&addr.to_string()),
-            client: Mutex::new(None),
+            client: ClientSlot::new(addr),
             state: AtomicU8::new(state_tag(state)),
             incarnation: AtomicU64::new(incarnation),
             misses: AtomicU32::new(0),
@@ -113,28 +170,6 @@ impl Node {
     /// invisible to routing until a health probe succeeds.
     pub(crate) fn probing(addr: SocketAddr, incarnation: u64) -> Self {
         Self::with_state(addr, MemberState::Probing, incarnation)
-    }
-
-    /// The shared client for this node, dialling on first use (or after
-    /// a [`Node::drop_client`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Client::connect`] failures; the slot stays empty.
-    pub(crate) fn client(&self, config: &ClientConfig) -> Result<Arc<Client>, NetError> {
-        let mut slot = self.client.lock().expect("node client lock poisoned");
-        if let Some(c) = slot.as_ref() {
-            return Ok(Arc::clone(c));
-        }
-        let c = Arc::new(Client::connect(self.addr, *config)?);
-        *slot = Some(Arc::clone(&c));
-        Ok(c)
-    }
-
-    /// Forgets the cached client (its connection is suspect); the next
-    /// [`Node::client`] call re-dials.
-    pub(crate) fn drop_client(&self) {
-        *self.client.lock().expect("node client lock poisoned") = None;
     }
 
     pub(crate) fn state(&self) -> MemberState {
@@ -184,18 +219,18 @@ impl Node {
     }
 
     /// Records a failed probe of an *unhealthy* (probing or ejected)
-    /// node and schedules the backoff: after `backoff_after` consecutive
-    /// failures the probe stride doubles per failure, capped at
-    /// `backoff_limit` sweeps, so a long-dead node costs a vanishing
-    /// fraction of the monitor's budget instead of a full-cadence probe
-    /// (and its connect timeout) every sweep.
-    pub(crate) fn note_probe_failed(&self, backoff_after: u32, backoff_limit: u32) {
+    /// node and schedules the backoff: after [`PROBE_BACKOFF_AFTER`]
+    /// consecutive failures the probe stride doubles per failure, capped
+    /// at [`PROBE_BACKOFF_LIMIT`] sweeps, so a long-dead node costs a
+    /// vanishing fraction of the monitor's budget instead of a
+    /// full-cadence probe (and its connect timeout) every sweep.
+    pub(crate) fn note_probe_failed(&self) {
         let failures = self.probe_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        let stride = if failures <= backoff_after {
+        let stride = if failures <= PROBE_BACKOFF_AFTER {
             1
         } else {
-            let doublings = (failures - backoff_after).min(16);
-            (1u32 << doublings).min(backoff_limit.max(1))
+            let doublings = (failures - PROBE_BACKOFF_AFTER).min(16);
+            (1u32 << doublings).min(PROBE_BACKOFF_LIMIT)
         };
         self.probe_skips.store(stride - 1, Ordering::Relaxed);
     }
@@ -226,7 +261,7 @@ impl Node {
         let flipped = self.transition(MemberState::Healthy, MemberState::Ejected);
         if flipped {
             *self.probation_until.lock().expect("probation lock poisoned") = Some(Instant::now() + probation);
-            self.drop_client();
+            self.client.clear();
         }
         flipped
     }
@@ -273,7 +308,7 @@ impl Node {
         let prev = self.state.swap(state_tag(MemberState::Departed), Ordering::AcqRel);
         let flipped = prev != state_tag(MemberState::Departed);
         if flipped {
-            self.drop_client();
+            self.client.clear();
         }
         flipped
     }
@@ -289,7 +324,7 @@ impl Node {
         self.probe_skips.store(0, Ordering::Relaxed);
         *self.probation_until.lock().expect("probation lock poisoned") = None;
         self.set_weight(1.0);
-        self.drop_client();
+        self.client.clear();
         self.state.store(state_tag(MemberState::Probing), Ordering::Release);
     }
 }
@@ -380,30 +415,30 @@ mod tests {
     fn probe_backoff_doubles_after_the_grace_failures_and_caps() {
         let n = Node::probing("127.0.0.1:9998".parse().unwrap(), 1);
         // Within the grace window every sweep probes.
-        for _ in 0..3 {
+        for _ in 0..PROBE_BACKOFF_AFTER {
             assert!(n.probe_due());
-            n.note_probe_failed(3, 8);
+            n.note_probe_failed();
         }
-        // Fourth failure: stride 2 ⇒ skip one sweep.
+        // First failure past the window: stride 2 ⇒ skip one sweep.
         assert!(n.probe_due());
-        n.note_probe_failed(3, 8);
+        n.note_probe_failed();
         assert!(!n.probe_due());
         assert!(n.probe_due());
-        // Fifth failure: stride 4 ⇒ skip three.
-        n.note_probe_failed(3, 8);
+        // The next one: stride 4 ⇒ skip three.
+        n.note_probe_failed();
         for _ in 0..3 {
             assert!(!n.probe_due());
         }
         assert!(n.probe_due());
         // Far past the window the stride is capped at the limit.
         for _ in 0..40 {
-            n.note_probe_failed(3, 8);
+            n.note_probe_failed();
         }
         let mut skips = 0;
         while !n.probe_due() {
             skips += 1;
         }
-        assert_eq!(skips, 7, "stride caps at the limit (8 sweeps ⇒ 7 skips)");
+        assert_eq!(skips, PROBE_BACKOFF_LIMIT - 1, "stride caps at the limit (N sweeps ⇒ N - 1 skips)");
         // A success clears the backoff entirely.
         n.note_probe_ok();
         assert_eq!(n.probe_failures(), 0);

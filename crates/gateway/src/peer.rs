@@ -5,7 +5,7 @@
 //! per configured peer gateway. A dedicated digest thread sweeps the
 //! peer set every `digest_interval`, sending a `PeerHello`
 //! and recording the `PeerLoad` answer: healthy-node count, aggregate
-//! remaining budget, solver-round p50 and the peer's membership epoch.
+//! remaining budget, verdict-latency p50 and the peer's membership epoch.
 //! The digest is what makes overflow forwarding *informed* — when the
 //! local cluster sheds, [`PeerSet::pick`] ranks the untried, live peers
 //! by their advertised headroom and the forward goes to the best one,
@@ -17,18 +17,11 @@
 //! it), and a single successful digest brings it back. There is no
 //! probation — a forward to a half-dead peer fails fast and falls back
 //! to a local Shed, so the cost of optimism is bounded.
-//!
-//! Plan-cache coupling: entries minted while serving a peer's forwarded
-//! overflow are scoped to that peer
-//! ([`offloadnn_plancache::PlanCache::scoped_key`]). When a digest
-//! reports a new peer epoch — the peer's cluster resharded or changed
-//! membership — or the peer goes down, the scope epoch is bumped, so a
-//! forwarded shape never replays a stale negative entry minted against
-//! the peer's old cluster state.
 
 use crate::gateway::GatewayInner;
+use crate::node::ClientSlot;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use offloadnn_net::{Client, ClientConfig, NetError, PeerDigest};
+use offloadnn_net::PeerDigest;
 use offloadnn_telemetry::{event, Severity};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -36,17 +29,11 @@ use std::sync::{Arc, Mutex};
 
 /// One federated peer gateway.
 pub(crate) struct Peer {
-    /// The peer gateway's frontend address.
-    pub addr: SocketAddr,
-    /// The address as it appears in `Forward` tried-sets (string
-    /// equality is the loop-prevention rule).
-    pub addr_string: String,
-    /// Plan-cache scope for entries minted while serving this peer's
-    /// overflow (hash of the address string).
-    pub scope: u64,
-    /// Lazily dialled shared client, dropped on failure so the next use
-    /// re-dials (same pattern as [`crate::node::Node`]).
-    client: Mutex<Option<Arc<Client>>>,
+    /// The peer gateway's frontend address as it appears in `Forward`
+    /// tried-sets (string equality is the loop-prevention rule).
+    pub addr: String,
+    /// The connection to the peer gateway's frontend.
+    pub client: ClientSlot,
     /// Whether the peer currently answers digests. Starts `true`: a
     /// freshly configured peer is given the benefit of the doubt until
     /// `eject_after` digests have actually missed.
@@ -59,37 +46,13 @@ pub(crate) struct Peer {
 
 impl Peer {
     pub(crate) fn new(addr: SocketAddr) -> Self {
-        let addr_string = addr.to_string();
-        let scope = crate::router::node_seed(&addr_string);
         Self {
-            addr,
-            addr_string,
-            scope,
-            client: Mutex::new(None),
+            addr: addr.to_string(),
+            client: ClientSlot::new(addr),
             healthy: AtomicBool::new(true),
             misses: AtomicU32::new(0),
             digest: Mutex::new(None),
         }
-    }
-
-    /// The shared client for this peer, dialling on first use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Client::connect`] failures; the slot stays empty.
-    pub(crate) fn client(&self, config: &ClientConfig) -> Result<Arc<Client>, NetError> {
-        let mut slot = self.client.lock().expect("peer client lock poisoned");
-        if let Some(c) = slot.as_ref() {
-            return Ok(Arc::clone(c));
-        }
-        let c = Arc::new(Client::connect(self.addr, *config)?);
-        *slot = Some(Arc::clone(&c));
-        Ok(c)
-    }
-
-    /// Forgets the cached client; the next use re-dials.
-    pub(crate) fn drop_client(&self) {
-        *self.client.lock().expect("peer client lock poisoned") = None;
     }
 
     pub(crate) fn is_healthy(&self) -> bool {
@@ -110,7 +73,7 @@ impl Peer {
     }
 
     /// Records a missed digest; returns `true` on the healthy→down
-    /// transition (the caller logs and invalidates once).
+    /// transition (the caller logs it once).
     fn note_miss(&self, eject_after: u32) -> bool {
         let missed = self.misses.fetch_add(1, Ordering::Relaxed) + 1;
         if missed >= eject_after {
@@ -124,7 +87,7 @@ impl Peer {
     /// down until the next successful digest — a data-path failure is
     /// stronger evidence than a missed digest, exactly the node rule.
     pub(crate) fn note_forward_failed(&self) {
-        self.drop_client();
+        self.client.clear();
         self.healthy.store(false, Ordering::Release);
     }
 }
@@ -165,7 +128,7 @@ impl PeerSet {
     pub(crate) fn pick(&self, tried: &[String]) -> Option<(usize, &Peer)> {
         let mut best: Option<(usize, &Peer, f64)> = None;
         for (index, peer) in self.peers.iter().enumerate() {
-            if !peer.is_healthy() || tried.contains(&peer.addr_string) {
+            if !peer.is_healthy() || tried.contains(&peer.addr) {
                 continue;
             }
             let score = match peer.digest() {
@@ -190,7 +153,8 @@ fn sweep(inner: &GatewayInner, peers: &PeerSet) {
     let Some(fed) = &inner.config.federation else { return };
     for peer in &peers.peers {
         let answer = peer
-            .client(&inner.config.client)
+            .client
+            .get()
             .and_then(|c| c.peer_hello(&peers.identity, inner.incarnation, fed.digest_timeout));
         match answer {
             Ok(load) => {
@@ -201,18 +165,15 @@ fn sweep(inner: &GatewayInner, peers: &PeerSet) {
                     epoch: load.epoch,
                 };
                 let prev = peer.note_digest(digest);
-                // A changed epoch means the peer's cluster state moved
-                // (reshard, membership churn): plans minted while serving
-                // its overflow are stale.
+                // A changed epoch means the peer's cluster membership
+                // moved.
                 if prev.is_some_and(|p| p.epoch != load.epoch) {
-                    inner.bump_peer_scope(peer.scope);
                     event!(Severity::Info, "gw.federation", "peer {} epoch -> {}", peer.addr, load.epoch);
                 }
             }
             Err(err) => {
-                peer.drop_client();
+                peer.client.clear();
                 if peer.note_miss(fed.eject_after) {
-                    inner.bump_peer_scope(peer.scope);
                     event!(Severity::Warn, "gw.federation", "peer {} down: {err}", peer.addr);
                 }
             }
@@ -272,7 +233,7 @@ mod tests {
             epoch: 0,
         });
         // Best is tried, the zero-node peer is ineligible: second-best wins.
-        let tried = vec![peers.peers[0].addr_string.clone()];
+        let tried = vec![peers.peers[0].addr.clone()];
         assert_eq!(peers.pick(&tried).expect("peer 1 eligible").0, 1);
         // Down peers are skipped even when untried.
         peers.peers[1].note_forward_failed();

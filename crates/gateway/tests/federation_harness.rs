@@ -31,8 +31,8 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_gateway::{FederationConfig, Gateway};
-use offloadnn_net::{AnyServer, Frontend, NetConfig};
-use offloadnn_serve::{Admitter, ChaosConfig, PendingVerdict, ServiceConfig};
+use offloadnn_net::{AnyServer, Backend, ForwardInfo, Frontend, NetConfig};
+use offloadnn_serve::{Admitter, ChaosConfig, Outcome, PendingVerdict, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -257,4 +257,44 @@ fn an_unreachable_peer_never_breaks_local_resolution() {
     assert_eq!(report.metrics.resolved(), TOTAL as u64);
     let r = node.shutdown();
     assert!(r.metrics.is_conserved());
+}
+
+/// The hop budget on a `Forward` frame is outside input: a peer that
+/// stamps `hops = 255` must not get its task relayed past the direct-
+/// peers-only limit. The receiving gateway here cannot serve the task
+/// (its only node is a dead address) and has a live, untried peer — the
+/// one situation where an unclamped budget would forward.
+#[test]
+fn a_forwarded_task_cannot_buy_hops_past_the_limit() {
+    let scenario = small_scenario(5);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+    let dead_node = listener.local_addr().expect("listener addr");
+    drop(listener);
+
+    let peer_node = start_node(&scenario);
+    let peer_gateway = Gateway::start(&[peer_node.local_addr()], fast_config()).expect("start peer gateway");
+    let peer = AnyServer::start_with_backend(
+        Frontend::default(),
+        ("127.0.0.1", 0),
+        NetConfig::default(),
+        peer_gateway,
+    )
+    .expect("start peer frontend");
+
+    let mut config = fast_config();
+    config.federation = Some(fast_federation("cluster-relay", peer.local_addr()));
+    let gateway = Gateway::start(&[dead_node], config).expect("start relay gateway");
+
+    let hostile = ForwardInfo { origin: "cluster-far".into(), tried: vec!["cluster-far".into()], hops: 255 };
+    let (task, options) = (scenario.instance.tasks[0].clone(), scenario.instance.options[0].clone());
+    let outcome = Backend::forward(&gateway, task, options, None, hostile)
+        .expect("the relay accepts the forward")
+        .wait()
+        .expect("the ticket resolves");
+    assert!(matches!(outcome, Outcome::Shed { .. }), "resolved {outcome:?}, not a local Shed");
+    assert_eq!(gateway.forward_stats().forwards, 0, "the task was relayed a second hop");
+
+    assert!(gateway.drain().metrics.is_conserved());
+    assert_eq!(peer.shutdown().metrics.submitted, 0, "the peer saw the relayed task");
+    peer_node.shutdown();
 }

@@ -32,7 +32,7 @@
 //!
 //! ## Parity with the threaded engine
 //!
-//! Backpressure: a connection with `inflight_window` replies outstanding
+//! Backpressure: a connection with `INFLIGHT_WINDOW` replies outstanding
 //! (or an unflushed write backlog past the soft cap) loses read interest
 //! — level-triggered epoll re-reports the readiness when the window
 //! frees, so backpressure propagates through the TCP receive buffer just
@@ -46,7 +46,7 @@
 use crate::backend::Backend;
 use crate::codec::{self, Frame};
 use crate::dispatch::{dispatch, Action};
-use crate::shared::Shared;
+use crate::shared::{Shared, INFLIGHT_WINDOW, WRITE_TIMEOUT};
 use crossbeam::channel::{self, Receiver, Sender};
 use offloadnn_reactor::{Epoll, Event, Events, Interest, Waker};
 use offloadnn_telemetry::{event, Severity};
@@ -416,7 +416,7 @@ impl<B: Backend> EventLoop<B> {
             if conn.aborted || conn.dead || conn.rbuf.is_empty() {
                 return;
             }
-            if conn.pending >= self.shared.net.inflight_window || conn.backlog() >= WBUF_PAUSE {
+            if conn.pending >= INFLIGHT_WINDOW || conn.backlog() >= WBUF_PAUSE {
                 return; // window backpressure: stop consuming
             }
             match codec::decode(&conn.rbuf) {
@@ -534,9 +534,8 @@ impl<B: Backend> EventLoop<B> {
             self.close_conn(idx);
             return;
         }
-        let window = self.shared.net.inflight_window;
         let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-        let paused = conn.pending >= window || conn.backlog() >= WBUF_PAUSE;
+        let paused = conn.pending >= INFLIGHT_WINDOW || conn.backlog() >= WBUF_PAUSE;
         let desired = Interest {
             readable: !conn.eof && !conn.aborted && !conn.dead && !paused,
             writable: !conn.dead && conn.backlog() > 0,
@@ -567,7 +566,6 @@ impl<B: Backend> EventLoop<B> {
     /// Periodic maintenance over live connections: write-deadline
     /// enforcement, shutdown fencing, deferred closes.
     fn sweep(&mut self, shutting_down: bool) {
-        let write_timeout = self.shared.net.write_timeout;
         for idx in 0..self.slots.len() {
             let Some(conn) = self.slots[idx].conn.as_mut() else { continue };
             if shutting_down && !conn.eof {
@@ -576,7 +574,7 @@ impl<B: Backend> EventLoop<B> {
                 conn.eof = true;
             }
             if let Some(since) = conn.stalled_since {
-                if since.elapsed() >= write_timeout {
+                if since.elapsed() >= WRITE_TIMEOUT {
                     conn.dead = true;
                 }
             }

@@ -57,16 +57,16 @@ pub struct PeerDigest {
     /// Aggregate remaining admission budget across those nodes; higher
     /// is emptier.
     pub remaining_budget: f64,
-    /// p50 of the cluster's solver round time, in milliseconds.
+    /// p50 of this backend's verdict latency, in milliseconds.
     pub round_ms_p50: f64,
     /// The backend's cluster epoch (membership version). A change tells
-    /// peers to drop plans they cached against this cluster.
+    /// peers this cluster's node pool moved.
     pub epoch: u64,
 }
 
 /// The federation metadata riding on a [`crate::Frame::Forward`]:
 /// everything beyond an ordinary submit that the receiving backend
-/// needs for loop-free re-forwarding and peer-scoped plan caching.
+/// needs for loop-free re-forwarding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForwardInfo {
     /// The gateway where the task first arrived.

@@ -65,13 +65,15 @@ pub struct ClientConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling — every jittered pause is clamped here.
     pub backoff_cap: Duration,
-    /// Socket read timeout — the cadence at which the reader thread
-    /// rechecks the close flag while idle.
-    pub read_timeout: Duration,
-    /// Socket write timeout; a server that cannot absorb a request this
-    /// long (window full and never draining it) fails the send.
-    pub write_timeout: Duration,
 }
+
+/// Socket read timeout — the cadence at which the reader thread rechecks
+/// the close flag while idle.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Socket write timeout; a server that cannot absorb a request this long
+/// (window full and never draining it) fails the send.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for ClientConfig {
     fn default() -> Self {
@@ -80,22 +82,11 @@ impl Default for ClientConfig {
             connect_attempts: 5,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(1),
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(5),
         }
     }
 }
 
 impl ClientConfig {
-    /// A builder starting from [`ClientConfig::default`]. Every setter
-    /// keeps the remaining fields at their defaults, and
-    /// [`ClientConfigBuilder::build`] validates the result, so an
-    /// invalid combination is caught where it was written rather than
-    /// at first dial.
-    pub fn builder() -> ClientConfigBuilder {
-        ClientConfigBuilder { config: Self::default() }
-    }
-
     /// Validates every field.
     ///
     /// # Errors
@@ -114,67 +105,7 @@ impl ClientConfig {
         if self.backoff_cap < self.backoff_base {
             return Err(NetError::InvalidConfig("backoff_cap must be >= backoff_base"));
         }
-        if self.read_timeout.is_zero() {
-            return Err(NetError::InvalidConfig("read_timeout must be > 0"));
-        }
-        if self.write_timeout.is_zero() {
-            return Err(NetError::InvalidConfig("write_timeout must be > 0"));
-        }
         Ok(())
-    }
-}
-
-/// Builder for [`ClientConfig`] — see [`ClientConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ClientConfigBuilder {
-    config: ClientConfig,
-}
-
-impl ClientConfigBuilder {
-    /// Sets the per-attempt TCP connect timeout.
-    #[must_use]
-    pub fn connect_timeout(mut self, timeout: Duration) -> Self {
-        self.config.connect_timeout = timeout;
-        self
-    }
-
-    /// Sets the number of dial attempts before giving up.
-    #[must_use]
-    pub fn connect_attempts(mut self, attempts: u32) -> Self {
-        self.config.connect_attempts = attempts;
-        self
-    }
-
-    /// Sets the reconnect backoff envelope (base and cap).
-    #[must_use]
-    pub fn backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.config.backoff_base = base;
-        self.config.backoff_cap = cap;
-        self
-    }
-
-    /// Sets the socket read timeout.
-    #[must_use]
-    pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.config.read_timeout = timeout;
-        self
-    }
-
-    /// Sets the socket write timeout.
-    #[must_use]
-    pub fn write_timeout(mut self, timeout: Duration) -> Self {
-        self.config.write_timeout = timeout;
-        self
-    }
-
-    /// Validates and returns the finished config.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] naming the offending field.
-    pub fn build(self) -> Result<ClientConfig, NetError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -356,9 +287,9 @@ impl Client {
             match TcpStream::connect_timeout(&self.addr, self.config.connect_timeout) {
                 Ok(stream) => {
                     let _ = stream.set_nodelay(true);
-                    let _ = stream.set_write_timeout(Some(self.config.write_timeout));
+                    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                     let read_half = stream.try_clone().map_err(NetError::Io)?;
-                    read_half.set_read_timeout(Some(self.config.read_timeout)).map_err(NetError::Io)?;
+                    read_half.set_read_timeout(Some(READ_TIMEOUT)).map_err(NetError::Io)?;
                     let dead = Arc::new(AtomicBool::new(false));
                     let pending: ReplyMap = Arc::new(Mutex::new(HashMap::new()));
                     let reader = {
@@ -855,4 +786,28 @@ fn read_responses(
     // Fail everything this incarnation still owes: dropping the senders
     // disconnects the receivers, surfacing NetError::Disconnected.
     pending.lock().expect("pending lock").clear();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_invalid_field_is_rejected_and_named() {
+        let base = ClientConfig::default();
+        assert!(base.validate().is_ok());
+        let cases = [
+            ("connect_timeout", ClientConfig { connect_timeout: Duration::ZERO, ..base }),
+            ("connect_attempts", ClientConfig { connect_attempts: 0, ..base }),
+            ("backoff_base", ClientConfig { backoff_base: Duration::ZERO, ..base }),
+            ("backoff_cap", ClientConfig { backoff_cap: base.backoff_base / 2, ..base }),
+        ];
+        for (field, cfg) in cases {
+            let refused = cfg.validate();
+            assert!(
+                matches!(refused, Err(NetError::InvalidConfig(what)) if what.starts_with(field)),
+                "{field}: {refused:?}"
+            );
+        }
+    }
 }

@@ -319,11 +319,12 @@ pub struct PeerLoadResponse {
     /// Aggregate remaining admission budget across those nodes — in-flight
     /// and queued work subtracted from capacity; higher is emptier.
     pub remaining_budget: f64,
-    /// The p50 of the answering cluster's solver `round_ms` — how quickly
-    /// a forwarded admission would actually be decided.
+    /// The p50 of the answering gateway's own verdict latency (submit to
+    /// settled verdict, failovers included), in milliseconds — how
+    /// quickly a forwarded admission would actually be decided.
     pub round_ms_p50: f64,
     /// The answering gateway's cluster epoch (its membership version).
-    /// A change invalidates plans the receiver cached against this peer.
+    /// A change tells the receiver this peer's node pool moved.
     pub epoch: u64,
 }
 
@@ -340,10 +341,11 @@ pub struct ForwardRequest {
     /// the receiver applies its own policy).
     pub deadline_us: u64,
     /// Remaining hop budget: how many more times this task may be
-    /// forwarded on. 0 means the receiver must decide locally.
+    /// forwarded on. 0 means the receiver must decide locally; the
+    /// receiver clamps a larger claim to its own hop limit.
     pub hops: u8,
-    /// The gateway where the task first arrived (peer-scoped plan-cache
-    /// keying on the receiver).
+    /// The gateway where the task first arrived; a relaying receiver
+    /// keeps it as the origin of any further forward.
     pub origin: String,
     /// Every gateway that has already held this task, origin included;
     /// the receiver never forwards to an address in this set.

@@ -44,7 +44,7 @@ use crate::codec::{self, ErrorCode, MembershipResponse};
 use crate::dispatch::error_frame;
 use crate::error::NetError;
 use crate::server::{spawn_connection, NetConfig};
-use crate::shared::Shared;
+use crate::shared::{Shared, WRITE_TIMEOUT};
 use offloadnn_core::instance::DotInstance;
 use offloadnn_serve::{DrainReport, MetricsSnapshot, ReshardReport, ServeError, Service, ServiceConfig};
 use offloadnn_telemetry::{event, Severity};
@@ -52,7 +52,6 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Which TCP frontend serves the connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -202,9 +201,8 @@ impl<B: Backend> AnyServer<B> {
         event!(
             Severity::Info,
             "net.server",
-            "listening on {local_addr} ({frontend}): {} conn(s) max, window {}",
-            net.max_connections,
-            net.inflight_window
+            "listening on {local_addr} ({frontend}): {} conn(s) max",
+            net.max_connections
         );
         Ok(Self { local_addr, shared, acceptor })
     }
@@ -312,7 +310,7 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, mut 
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
         if shared.active() >= shared.net.max_connections {
             event!(Severity::Warn, "net.server", "rejecting {peer}: connection limit reached");
-            reject_over_limit(stream, shared.net.write_timeout);
+            reject_over_limit(stream);
             continue;
         }
         shared.conn_opened();
@@ -323,8 +321,8 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, mut 
 }
 
 /// Best-effort "too many connections" notice before dropping the socket.
-fn reject_over_limit(mut stream: TcpStream, write_timeout: Duration) {
-    let _ = stream.set_write_timeout(Some(write_timeout));
+fn reject_over_limit(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let frame = error_frame(0, ErrorCode::TooManyConnections, "server is at its connection limit");
     let _ = stream.write_all(&codec::encode(&frame));
     let _ = stream.shutdown(Shutdown::Both);

@@ -78,7 +78,7 @@ mod shared;
 pub mod wire;
 
 pub use backend::{Backend, ForwardInfo, MembershipAck, PeerDigest};
-pub use client::{Client, ClientConfig, ClientConfigBuilder, PendingVerdict};
+pub use client::{Client, ClientConfig, PendingVerdict};
 pub use codec::{
     decode, decode_exact, encode, ErrorCode, ForwardRequest, Frame, MemberInfo, MemberState,
     MembershipDecision, PeerHelloRequest, PeerLoadResponse, MAGIC, MAX_PAYLOAD, VERSION,

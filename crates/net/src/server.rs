@@ -5,7 +5,7 @@
 //! them through the shared dispatcher, reshards inline on a `Scale`) and
 //! a *writer* thread (redeems the queued actions — blocking on tickets
 //! for verdicts — and writes responses). The channel between them is
-//! bounded by [`NetConfig::inflight_window`]: a client that pipelines
+//! bounded by `INFLIGHT_WINDOW`: a client that pipelines
 //! more submits than the window simply stops being read — backpressure
 //! propagates through the TCP receive buffer instead of growing server
 //! memory. The writer drains its whole queue before exiting, so a drain
@@ -15,7 +15,7 @@ use crate::backend::Backend;
 use crate::codec::{self, Frame};
 use crate::dispatch::{dispatch, Action};
 use crate::error::NetError;
-use crate::shared::Shared;
+use crate::shared::{Shared, INFLIGHT_WINDOW, WRITE_TIMEOUT};
 use crossbeam::channel::{self, Receiver, Sender};
 use offloadnn_telemetry::{event, Severity};
 use std::io::{Read, Write};
@@ -24,32 +24,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Socket read timeout — the cadence at which an idle reader rechecks
+/// the shutdown/drain flags.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
 /// Tuning knobs of the TCP frontend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Maximum simultaneously served connections; further connects are
     /// answered [`crate::ErrorCode::TooManyConnections`] and closed.
     pub max_connections: usize,
-    /// Bound of each connection's submitted-but-unanswered window. A
-    /// client pipelining past it stops being read until verdicts flush
-    /// (backpressure through the socket, not server memory).
-    pub inflight_window: usize,
-    /// Socket read timeout — the cadence at which an idle reader rechecks
-    /// the shutdown/drain flags.
-    pub read_timeout: Duration,
-    /// Socket write timeout; a connection that cannot absorb its
-    /// responses this long is considered dead.
-    pub write_timeout: Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        Self {
-            max_connections: 256,
-            inflight_window: 256,
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(5),
-        }
+        Self { max_connections: 256 }
     }
 }
 
@@ -62,15 +51,6 @@ impl NetConfig {
     pub fn validate(&self) -> Result<(), NetError> {
         if self.max_connections == 0 {
             return Err(NetError::InvalidConfig("max_connections must be >= 1"));
-        }
-        if self.inflight_window == 0 {
-            return Err(NetError::InvalidConfig("inflight_window must be >= 1"));
-        }
-        if self.read_timeout.is_zero() {
-            return Err(NetError::InvalidConfig("read_timeout must be > 0"));
-        }
-        if self.write_timeout.is_zero() {
-            return Err(NetError::InvalidConfig("write_timeout must be > 0"));
         }
         Ok(())
     }
@@ -97,16 +77,16 @@ pub(crate) fn spawn_connection<B: Backend>(
 /// the service; spawns and finally joins the connection's writer.
 fn serve_connection<B: Backend>(conn_id: usize, stream: TcpStream, shared: &Arc<Shared<B>>) {
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(shared.net.read_timeout)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
-    let _ = write_half.set_write_timeout(Some(shared.net.write_timeout));
+    let _ = write_half.set_write_timeout(Some(WRITE_TIMEOUT));
 
-    let (tx, rx) = channel::bounded::<Action>(shared.net.inflight_window);
+    let (tx, rx) = channel::bounded::<Action>(INFLIGHT_WINDOW);
     let writer = {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
@@ -220,4 +200,16 @@ fn write_loop<B: Backend>(rx: &Receiver<Action>, mut stream: TcpStream, shared: 
         let _ = stream.flush();
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_zero_connection_limit_is_rejected_and_named() {
+        assert!(NetConfig::default().validate().is_ok());
+        let refused = NetConfig { max_connections: 0 }.validate();
+        assert!(matches!(refused, Err(NetError::InvalidConfig(what)) if what.starts_with("max_connections")));
+    }
 }

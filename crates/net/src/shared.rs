@@ -12,6 +12,16 @@ use offloadnn_serve::DrainReport;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// Bound of each connection's submitted-but-unanswered window. A client
+/// pipelining past it stops being read until verdicts flush
+/// (backpressure through the socket, not server memory).
+pub(crate) const INFLIGHT_WINDOW: usize = 256;
+
+/// How long a connection may fail to absorb its responses before it is
+/// considered dead.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// State shared by the server handle, its acceptor and every thread
 /// serving its connections.

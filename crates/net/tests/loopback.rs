@@ -453,7 +453,6 @@ fn dial_backoff_gives_up_with_a_typed_error() {
         connect_attempts: 3,
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(20),
-        ..ClientConfig::default()
     };
     let started = std::time::Instant::now();
     match Client::connect(dead_addr, config) {

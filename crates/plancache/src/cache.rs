@@ -44,19 +44,24 @@ impl Default for PlanCacheConfig {
 }
 
 impl PlanCacheConfig {
-    /// Validates the knobs, returning a human-readable complaint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates the knobs.
+    ///
+    /// # Errors
+    ///
+    /// The reason, naming the offending field, as a static string so
+    /// callers can pass it through their own `InvalidConfig` variant.
+    pub fn validate(&self) -> Result<(), &'static str> {
         if self.capacity == 0 {
-            return Err("plan cache capacity must be positive".into());
+            return Err("plan_cache.capacity must be positive");
         }
         if self.shards == 0 {
-            return Err("plan cache shard count must be positive".into());
+            return Err("plan_cache.shards must be positive");
         }
         if self.ttl.is_zero() || self.negative_ttl.is_zero() {
-            return Err("plan cache TTLs must be positive".into());
+            return Err("plan_cache.ttl and plan_cache.negative_ttl must be positive");
         }
         if self.negative_ttl > self.ttl {
-            return Err("negative TTL must not exceed the positive TTL".into());
+            return Err("plan_cache.negative_ttl must not exceed plan_cache.ttl");
         }
         Ok(())
     }
@@ -138,16 +143,12 @@ impl<V: Clone> CacheShard<V> {
 
 /// A concurrent, sharded plan cache with single-flight miss dedup.
 ///
-/// Generic over the memoized value so the serve tier (full admission
-/// plans) and the gateway tier (routing affinity) share one
-/// implementation. All methods take `&self`; the cache is shared as an
+/// Generic over the memoized value (the serve tier stores full
+/// admission plans). All methods take `&self`; the cache is shared as an
 /// `Arc` between shard workers.
 pub struct PlanCache<V: Clone> {
     config: PlanCacheConfig,
     epoch: AtomicU64,
-    /// Per-scope epochs for [`PlanCache::scoped_key`]: advancing one
-    /// scope's epoch orphans only the keys minted under that scope.
-    scopes: Mutex<HashMap<u64, u64>>,
     shards: Vec<Mutex<CacheShard<V>>>,
     pub(crate) flights: FlightTable<V>,
     pub(crate) stats: AtomicStats,
@@ -202,7 +203,6 @@ impl<V: Clone> PlanCache<V> {
         PlanCache {
             config,
             epoch: AtomicU64::new(0),
-            scopes: Mutex::new(HashMap::new()),
             shards: (0..shards).map(|_| Mutex::new(CacheShard::new(per_shard))).collect(),
             flights: FlightTable::new(),
             stats: AtomicStats::default(),
@@ -224,42 +224,6 @@ impl<V: Clone> PlanCache<V> {
     /// Entries minted under older epochs are dropped lazily on next touch.
     pub fn bump_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The current epoch of `scope` (0 until first bumped). Scopes are
-    /// caller-chosen 64-bit ids — a federated gateway uses the hash of
-    /// the origin gateway's address, so plans minted while answering
-    /// that peer's forwarded traffic key under the peer's epoch.
-    pub fn scope_epoch(&self, scope: u64) -> u64 {
-        self.scopes.lock().expect("plancache scopes poisoned").get(&scope).copied().unwrap_or(0)
-    }
-
-    /// Advances `scope`'s epoch, orphaning every key minted through
-    /// [`PlanCache::scoped_key`] under that scope — O(1), without
-    /// touching entries of other scopes or unscoped entries. A gateway
-    /// calls this when a peer's load digest reports a new cluster epoch
-    /// (or the peer dies), so a stale negative entry cached against the
-    /// peer's *old* cluster state can never reject a forwarded shape
-    /// the peer's *new* state could admit.
-    pub fn bump_scope_epoch(&self, scope: u64) {
-        *self.scopes.lock().expect("plancache scopes poisoned").entry(scope).or_insert(0) += 1;
-        self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.mirror {
-            m.invalidations.inc();
-        }
-    }
-
-    /// Derives the cache key for `key` under `scope`: the scope id and
-    /// its current epoch are folded into the generation component, so
-    /// scoped entries (a) never collide with unscoped ones and (b) all
-    /// become unreachable the moment [`PlanCache::bump_scope_epoch`]
-    /// advances the scope. The orphans age out through TTL and CLOCK
-    /// eviction like any cold entry.
-    pub fn scoped_key(&self, key: PlanKey, scope: u64) -> PlanKey {
-        let mut generation = key.generation;
-        generation ^= scope.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        generation ^= self.scope_epoch(scope).wrapping_mul(0xA24B_AED4_963E_E407).rotate_left(23);
-        PlanKey { generation, ..key }
     }
 
     fn shard_for(&self, key: &PlanKey) -> &Mutex<CacheShard<V>> {
@@ -481,42 +445,6 @@ mod tests {
         // Re-inserted entries are valid under the new epoch.
         cache.insert(key(0), 7, false);
         assert_eq!(cache.lookup(&key(0)).expect("fresh entry").value, 7);
-    }
-
-    #[test]
-    fn scoped_keys_are_disjoint_per_scope_and_from_unscoped_keys() {
-        let cache = tiny(8);
-        let base = key(1);
-        let a = cache.scoped_key(base, 0xAA);
-        let b = cache.scoped_key(base, 0xBB);
-        assert_ne!(a, base, "scoped key must not alias the unscoped key");
-        assert_ne!(a, b, "distinct scopes must not alias each other");
-        cache.insert(a, 10, false);
-        cache.insert(b, 20, false);
-        cache.insert(base, 30, false);
-        assert_eq!(cache.lookup(&a).expect("scope A entry").value, 10);
-        assert_eq!(cache.lookup(&b).expect("scope B entry").value, 20);
-        assert_eq!(cache.lookup(&base).expect("unscoped entry").value, 30);
-    }
-
-    #[test]
-    fn bumping_a_scope_epoch_orphans_only_that_scope() {
-        let cache = tiny(8);
-        let base = key(1);
-        let a = cache.scoped_key(base, 0xAA);
-        let b = cache.scoped_key(base, 0xBB);
-        cache.insert(a, 10, true); // stale negative entry from peer A's old cluster state
-        cache.insert(b, 20, false);
-        cache.insert(base, 30, false);
-        assert_eq!(cache.scope_epoch(0xAA), 0);
-        cache.bump_scope_epoch(0xAA);
-        assert_eq!(cache.scope_epoch(0xAA), 1);
-        // Scope A keys now derive differently: the old negative entry is
-        // unreachable, while scope B and unscoped entries are untouched.
-        assert!(cache.lookup(&cache.scoped_key(base, 0xAA)).is_none());
-        assert_eq!(cache.lookup(&cache.scoped_key(base, 0xBB)).expect("scope B").value, 20);
-        assert_eq!(cache.lookup(&base).expect("unscoped").value, 30);
-        assert!(cache.stats().invalidations >= 1);
     }
 
     #[test]

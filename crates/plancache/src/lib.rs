@@ -23,8 +23,8 @@
 //!   invalidation ([`PlanCache::bump_epoch`]) wired to reshards, budget
 //!   repartitions and chaos heals.
 //!
-//! The cache is generic over the memoized value: the serve tier stores
-//! full [`CachedPlan`]s, the gateway tier stores routing affinity.
+//! The cache is generic over the memoized value; the serve tier stores
+//! full [`CachedPlan`]s.
 //!
 //! # Example
 //!

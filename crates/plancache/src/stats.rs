@@ -86,6 +86,25 @@ impl PlanCacheStats {
     }
 }
 
+/// Field-wise total, e.g. over the serve nodes of a cluster.
+impl std::iter::Sum for PlanCacheStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            hits: a.hits + b.hits,
+            negative_hits: a.negative_hits + b.negative_hits,
+            misses: a.misses + b.misses,
+            inserts: a.inserts + b.inserts,
+            evictions: a.evictions + b.evictions,
+            invalidations: a.invalidations + b.invalidations,
+            expirations: a.expirations + b.expirations,
+            validation_failures: a.validation_failures + b.validation_failures,
+            singleflight_leads: a.singleflight_leads + b.singleflight_leads,
+            singleflight_followers: a.singleflight_followers + b.singleflight_followers,
+            singleflight_timeouts: a.singleflight_timeouts + b.singleflight_timeouts,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,5 +115,8 @@ mod tests {
         let s = PlanCacheStats { hits: 6, negative_hits: 2, misses: 2, ..Default::default() };
         assert_eq!(s.lookups(), 10);
         assert!((s.hit_rate() - 0.8).abs() < 1e-12);
+        let total: PlanCacheStats = [s, s].into_iter().sum();
+        assert_eq!((total.hits, total.lookups()), (12, 20));
+        assert!((total.hit_rate() - 0.8).abs() < 1e-12);
     }
 }

@@ -27,8 +27,6 @@ pub struct ServiceConfig {
     /// to priority-ordered shedding: the backlog is drained, the highest
     /// priority `batch_max` requests are kept and the rest are shed.
     pub shed_watermark: usize,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub virtual_nodes: usize,
     /// Plan cache for repeat task shapes: `Some` enables per-shard plan
     /// memoization with single-flight dedup; `None` (the default) keeps
     /// the cold-solve path byte-identical to previous releases.
@@ -62,7 +60,6 @@ impl Default for ServiceConfig {
             batch_window: Duration::from_millis(2),
             admission_deadline: Duration::from_secs(5),
             shed_watermark: 512,
-            virtual_nodes: 64,
             plan_cache: None,
             chaos: ChaosConfig::default(),
         }
@@ -70,16 +67,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A builder starting from [`ServiceConfig::default`]. Setters keep
-    /// every untouched field at its default and
-    /// [`ServiceConfigBuilder::build`] validates the result, so an
-    /// invalid combination fails where it was written instead of at
-    /// [`crate::Service::start`]. Struct literals with
-    /// `..ServiceConfig::default()` keep working unchanged.
-    pub fn builder() -> ServiceConfigBuilder {
-        ServiceConfigBuilder { config: Self::default() }
-    }
-
     /// Validates every field.
     ///
     /// # Errors
@@ -104,90 +91,10 @@ impl ServiceConfig {
         if self.shed_watermark == 0 {
             return Err(ServeError::InvalidConfig("shed_watermark must be >= 1"));
         }
-        if self.virtual_nodes == 0 {
-            return Err(ServeError::InvalidConfig("virtual_nodes must be >= 1"));
+        match &self.plan_cache {
+            Some(pc) => pc.validate().map_err(ServeError::InvalidConfig),
+            None => Ok(()),
         }
-        if let Some(pc) = &self.plan_cache {
-            if pc.validate().is_err() {
-                return Err(ServeError::InvalidConfig("plan_cache knobs must be positive"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Builder for [`ServiceConfig`] — see [`ServiceConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ServiceConfigBuilder {
-    config: ServiceConfig,
-}
-
-impl ServiceConfigBuilder {
-    /// Sets the worker-shard count.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Sets the per-shard ingress queue bound.
-    #[must_use]
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the solver-round batching knobs (size and window).
-    #[must_use]
-    pub fn batching(mut self, batch_max: usize, batch_window: Duration) -> Self {
-        self.config.batch_max = batch_max;
-        self.config.batch_window = batch_window;
-        self
-    }
-
-    /// Sets the policy admission deadline.
-    #[must_use]
-    pub fn admission_deadline(mut self, deadline: Duration) -> Self {
-        self.config.admission_deadline = deadline;
-        self
-    }
-
-    /// Sets the priority-shedding backlog watermark.
-    #[must_use]
-    pub fn shed_watermark(mut self, watermark: usize) -> Self {
-        self.config.shed_watermark = watermark;
-        self
-    }
-
-    /// Sets the virtual nodes per shard on the consistent-hash ring.
-    #[must_use]
-    pub fn virtual_nodes(mut self, vnodes: usize) -> Self {
-        self.config.virtual_nodes = vnodes;
-        self
-    }
-
-    /// Enables the per-shard plan cache.
-    #[must_use]
-    pub fn plan_cache(mut self, cache: PlanCacheConfig) -> Self {
-        self.config.plan_cache = Some(cache);
-        self
-    }
-
-    /// Sets the chaos (fault-injection) knobs.
-    #[must_use]
-    pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.config.chaos = chaos;
-        self
-    }
-
-    /// Validates and returns the finished config.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] naming the offending field.
-    pub fn build(self) -> Result<ServiceConfig, ServeError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -201,44 +108,28 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_matches_literal_construction() {
-        let built = ServiceConfig::builder()
-            .shards(2)
-            .queue_capacity(8)
-            .batching(4, Duration::from_millis(1))
-            .admission_deadline(Duration::from_secs(1))
-            .shed_watermark(6)
-            .build()
-            .unwrap();
-        let literal = ServiceConfig {
-            shards: 2,
-            queue_capacity: 8,
-            batch_max: 4,
-            batch_window: Duration::from_millis(1),
-            admission_deadline: Duration::from_secs(1),
-            shed_watermark: 6,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(built, literal);
-        assert!(ServiceConfig::builder().shards(0).build().is_err());
-    }
-
-    #[test]
     fn each_zero_field_is_rejected() {
         let base = ServiceConfig::default();
-        let bad_cache = PlanCacheConfig { capacity: 0, ..PlanCacheConfig::default() };
+        let cache = PlanCacheConfig::default();
+        let bad_cache = PlanCacheConfig { capacity: 0, ..cache };
+        // Every knob positive, yet the negative TTL outlives the positive one.
+        let bad_ttls = PlanCacheConfig { negative_ttl: cache.ttl * 2, ..cache };
         let cases: [(&str, ServiceConfig); 8] = [
             ("shards", ServiceConfig { shards: 0, ..base }),
-            ("queue", ServiceConfig { queue_capacity: 0, ..base }),
-            ("batch", ServiceConfig { batch_max: 0, ..base }),
-            ("window", ServiceConfig { batch_window: Duration::ZERO, ..base }),
-            ("deadline", ServiceConfig { admission_deadline: Duration::ZERO, ..base }),
-            ("watermark", ServiceConfig { shed_watermark: 0, ..base }),
-            ("vnodes", ServiceConfig { virtual_nodes: 0, ..base }),
-            ("plancache", ServiceConfig { plan_cache: Some(bad_cache), ..base }),
+            ("queue_capacity", ServiceConfig { queue_capacity: 0, ..base }),
+            ("batch_max", ServiceConfig { batch_max: 0, ..base }),
+            ("batch_window", ServiceConfig { batch_window: Duration::ZERO, ..base }),
+            ("admission_deadline", ServiceConfig { admission_deadline: Duration::ZERO, ..base }),
+            ("shed_watermark", ServiceConfig { shed_watermark: 0, ..base }),
+            ("plan_cache.capacity", ServiceConfig { plan_cache: Some(bad_cache), ..base }),
+            ("must not exceed plan_cache.ttl", ServiceConfig { plan_cache: Some(bad_ttls), ..base }),
         ];
-        for (name, cfg) in cases {
-            assert!(cfg.validate().is_err(), "{name} should be rejected");
+        for (reason, cfg) in cases {
+            let refused = cfg.validate();
+            assert!(
+                matches!(refused, Err(ServeError::InvalidConfig(what)) if what.contains(reason)),
+                "{reason}: {refused:?}"
+            );
         }
     }
 }

@@ -57,7 +57,7 @@ pub mod service;
 mod shard;
 
 pub use admit::{Admitter, PendingVerdict, VerdictError, VerdictHandle};
-pub use config::{ChaosConfig, ServiceConfig, ServiceConfigBuilder};
+pub use config::{ChaosConfig, ServiceConfig};
 pub use error::{validate_request, ServeError, SubmitError};
 pub use loadgen::{drive, DriveConfig, DriveReport, ShapePool, WireTally};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS};

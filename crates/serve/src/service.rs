@@ -21,6 +21,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Virtual nodes per shard on the consistent-hash ring.
+const VIRTUAL_NODES: usize = 64;
+
 /// The verdict a request ends with. Every submitted request receives
 /// exactly one of these; the service never drops a request silently.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -246,7 +249,7 @@ impl Service {
     /// configuration.
     pub fn start(config: ServiceConfig, template: &DotInstance) -> Result<Self, ServeError> {
         config.validate()?;
-        let router = Arc::new(Router::new(config.shards, config.virtual_nodes));
+        let router = Arc::new(Router::new(config.shards, VIRTUAL_NODES));
         let metrics = Arc::new(ServiceMetrics::new());
         let plan_cache =
             config.plan_cache.map(|pc| Arc::new(PlanCache::with_registry(pc, metrics.registry())));
@@ -446,7 +449,7 @@ impl Service {
             });
         }
         let reshard_span = span!("serve.reshard");
-        let new_router = Arc::new(Router::new(new_shards, self.config.virtual_nodes));
+        let new_router = Arc::new(Router::new(new_shards, VIRTUAL_NODES));
         let partitions = partition_budgets(self.total_budgets, new_shards);
         let mut handles = self.handles.lock().expect("handles lock");
 

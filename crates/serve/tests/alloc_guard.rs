@@ -101,12 +101,13 @@ fn the_option_list_is_never_copied_between_ingress_and_ledger() {
 
     // One round trip through the service runtime: the cost per request
     // does not depend on how many options it carries.
-    let config = ServiceConfig::builder()
-        .shards(1)
-        .batching(1, Duration::from_millis(1))
-        .plan_cache(PlanCacheConfig::default())
-        .build()
-        .expect("valid config");
+    let config = ServiceConfig {
+        shards: 1,
+        batch_max: 1,
+        batch_window: Duration::from_millis(1),
+        plan_cache: Some(PlanCacheConfig::default()),
+        ..ServiceConfig::default()
+    };
     let service = Service::start(config, template).expect("service starts");
     round_trip(&service, &scenario, 100, 1000); // warm-up: lazy statics, thread-locals
     let few = round_trip(&service, &scenario, 101, 15);

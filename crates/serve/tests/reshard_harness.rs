@@ -47,7 +47,6 @@ fn harness_config(shards: usize) -> ServiceConfig {
         batch_window: Duration::from_micros(1),
         admission_deadline: Duration::from_secs(3600),
         shed_watermark: 4096,
-        virtual_nodes: 64,
         chaos: ChaosConfig::default(),
         plan_cache: None,
     }

@@ -42,7 +42,6 @@ fn run_randomized(shape: Shape) -> (DriveReport, DrainReport) {
         batch_window: Duration::from_micros(shape.window_us),
         admission_deadline: Duration::from_micros(shape.deadline_us),
         shed_watermark: shape.shed_watermark,
-        virtual_nodes: 16,
         chaos: Default::default(),
         plan_cache: None,
     };
