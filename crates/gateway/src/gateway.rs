@@ -1,6 +1,8 @@
-//! The gateway proper: the node pool, the submit path with failover and
-//! hedging, and the [`Admitter`] + [`Backend`] implementations that put
-//! the whole cluster tier behind a driver or an `offloadnn-net` frontend.
+//! The gateway proper: the node pool, the driver that runs each ticket
+//! (`crate::ticket` decides — failover, hedging, overflow forwarding;
+//! this module owns the clock, the locks and the sockets that execute),
+//! and the [`Admitter`] + [`Backend`] implementations that put the whole
+//! cluster tier behind a driver or an `offloadnn-net` frontend.
 //!
 //! # Verdict conservation
 //!
@@ -9,35 +11,41 @@
 //! / expired ([`offloadnn_serve::MetricsSnapshot::is_conserved`]).
 //! Cluster-level events map onto the verdict classes:
 //!
-//! * a ticket that exhausts its retry budget ([`RETRY_LIMIT`] attempts),
-//!   or finds no healthy node, resolves **Shed** (cluster backpressure);
+//! * a ticket that exhausts its retry budget (`RETRY_LIMIT` attempts),
+//!   or finds no healthy node — and no federated peer to overflow to —
+//!   resolves **Shed** (cluster backpressure);
 //! * a ticket whose deadline (plus `verdict_grace`) passes before any
-//!   backend answers resolves **Expired**;
+//!   backend answers, or that is dropped unresolved, resolves
+//!   **Expired**;
 //! * everything else relays the winning backend verdict verbatim.
 //!
-//! Hedging introduces *duplicate* backend submits, which threatens
-//! double-counting: the dedup rule is that exactly one attempt — the
-//! first to deliver a verdict — settles the ticket, and every other
-//! outstanding attempt is handed to the reaper, which waits out its
-//! verdict and sends a [`offloadnn_net::Client::depart`] iff the loser
-//! was *admitted* on its node. So the cluster-wide ledger stays
-//! balanced: the winner's admission is owned by the caller (departed via
-//! [`Gateway`] depart like any admission), the loser's admission is
-//! departed by the reaper, and loser rejections/sheds/expiries need no
-//! compensation. Synthesized gateway verdicts carry `shard: 0`.
+//! A ticket can have several attempts outstanding — a hedge beside its
+//! primary, or one abandoned on a node or peer that went down — which
+//! threatens double-counting: the dedup rule is that exactly one
+//! attempt — the first to deliver a verdict — settles the ticket, and
+//! every other outstanding attempt is handed to the reaper, which waits
+//! out its verdict and sends a [`offloadnn_net::Client::depart`] iff the
+//! loser was *admitted* where it was sent, node or peer cluster. So the
+//! cluster-wide ledger stays balanced: the winner's admission is owned
+//! by the caller (departed via [`Gateway`] depart like any admission),
+//! the loser's admission is departed by the reaper, and loser
+//! rejections/sheds/expiries need no compensation. Synthesized gateway
+//! verdicts carry `shard: 0`.
 
 use crate::config::{GatewayConfig, GatewayError};
 use crate::health;
 use crate::instruments::GwInstruments;
 use crate::membership::{AnnounceOutcome, LeaveOutcome, Membership};
-use crate::peer::{self, PeerSet};
-use crate::router::{self, Candidate};
-use crossbeam::channel::{self, Receiver, Sender};
+use crate::peer::{self, Peer, PeerSet};
+use crate::router;
+use crate::ticket::{Attempt, Cluster, Next, Target, Ticket};
+use crossbeam::channel::{self, Sender};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_net::codec::ErrorCode;
 use offloadnn_net::{
-    Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest, PendingVerdict,
+    Backend, Client, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest,
+    PendingVerdict,
 };
 use offloadnn_serve::{
     Admitter, DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, ServiceMetrics, SubmitError,
@@ -55,25 +63,11 @@ use std::time::{Duration, Instant};
 /// verdict channels, so the ticket alternates bounded waits).
 const RACE_SLICE: Duration = Duration::from_micros(500);
 
-/// Maximum submit attempts per ticket across failovers (the first
-/// attempt counts, so `3` means the primary plus two retries).
-const RETRY_LIMIT: u32 = 3;
-
 /// Maximum forward hops a task may take from the gateway it was first
 /// submitted to (1 = direct peers only). A forwarded-in task carries the
 /// sender's remaining hop count, clamped to this limit less the hop it
 /// already took.
 const HOP_LIMIT: u8 = 1;
-
-/// Where an admitted task lives, so its depart routes back there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// Admitted on a local backend node (pool index).
-    Node(usize),
-    /// Admitted on a federated peer's cluster (peer index) after an
-    /// overflow forward.
-    Peer(usize),
-}
 
 /// Always-on federation counters, independent of telemetry gating, so
 /// harnesses and loadgens can assert overflow behaviour even in
@@ -95,7 +89,7 @@ pub(crate) struct GatewayInner {
     pub(crate) metrics: ServiceMetrics,
     draining: AtomicBool,
     /// Where each live admitted task went, so departs route back there.
-    routes: Mutex<HashMap<TaskId, Route>>,
+    routes: Mutex<HashMap<TaskId, Target>>,
     /// Federated peer gateways (`None` without [`GatewayConfig::federation`]).
     pub(crate) peers: Option<PeerSet>,
     /// This gateway process's incarnation stamp, sent in `PeerHello`.
@@ -111,11 +105,6 @@ pub(crate) struct GatewayInner {
 }
 
 impl GatewayInner {
-    /// Routable candidates: healthy nodes minus the `exclude`d indices.
-    fn healthy_candidates(&self, exclude: &[usize]) -> Vec<Candidate> {
-        self.membership.healthy_candidates(exclude)
-    }
-
     /// Publishes the `gw.nodes.healthy` and `gw.membership.size` gauges.
     pub(crate) fn publish_membership_gauges(&self) {
         if let Some(ins) = &self.instruments {
@@ -126,9 +115,9 @@ impl GatewayInner {
 
     /// Ejects a node from the data path (dropped connection or failed
     /// send — stronger evidence than a missed probe).
-    fn eject_node(&self, index: usize, why: &NetError) {
+    fn eject_node(&self, index: usize, why: &NetError, now: Instant) {
         let node = self.membership.node(index);
-        if node.eject(self.config.probation) {
+        if node.eject(now, self.config.probation) {
             event!(Severity::Warn, "gw.failover", "ejected {}: {why}", node.addr);
         }
         self.publish_membership_gauges();
@@ -141,199 +130,145 @@ impl GatewayInner {
         }
     }
 
-    /// Counts an overflow forward handed to a peer.
-    fn count_forward(&self) {
-        self.forwards.fetch_add(1, Ordering::Relaxed);
-        if let Some(ins) = &self.instruments {
-            ins.forwards.inc();
+    /// The peer set behind a [`Target::Peer`], which only a federated
+    /// gateway's [`Cluster::pick_peer`] hands out.
+    fn federation(&self) -> &PeerSet {
+        self.peers.as_ref().expect("a peer target implies federation")
+    }
+
+    fn peer(&self, index: usize) -> &Peer {
+        &self.federation().peers[index]
+    }
+
+    /// The connection to wherever `target` lives.
+    fn client(&self, target: Target) -> Result<Arc<Client>, NetError> {
+        match target {
+            Target::Node(index) => self.membership.node(index).client.get(),
+            Target::Peer(index) => self.peer(index).client.get(),
+        }
+    }
+}
+
+impl Cluster for GatewayInner {
+    fn route(&self, key: u64, tried: &[usize]) -> Option<usize> {
+        let _route = span!("gw.route");
+        router::route(key, &self.membership.healthy_candidates(tried))
+    }
+
+    fn pick_peer(&self, tried: &[String]) -> Option<usize> {
+        self.peers.as_ref()?.pick(tried).map(|(index, _)| index)
+    }
+
+    fn peer_identity(&self, peer: usize) -> String {
+        self.peer(peer).addr.clone()
+    }
+
+    fn is_live(&self, target: Target) -> bool {
+        match target {
+            Target::Node(index) => self.membership.node(index).is_healthy(),
+            Target::Peer(index) => self.peer(index).is_healthy(),
         }
     }
 
-    /// Counts a forwarded ticket the peer admitted.
-    fn count_forward_win(&self) {
-        self.forward_wins.fetch_add(1, Ordering::Relaxed);
-        if let Some(ins) = &self.instruments {
-            ins.forward_wins.inc();
-        }
-    }
-
-    /// Hands a losing attempt to the reaper thread (inline once the
-    /// reaper is gone, i.e. during drain).
-    fn hand_to_reaper(&self, loser: Loser) {
-        let sent = {
-            let guard = self.reaper_tx.lock().expect("reaper tx lock poisoned");
-            match guard.as_ref() {
-                Some(tx) => tx.send(loser).map_err(|e| e.0).err(),
-                None => Some(loser),
-            }
-        };
-        if let Some(loser) = sent {
-            reap(self, &loser);
-        }
+    fn hedge_p99(&self, node: usize) -> Option<Duration> {
+        let hedge = &self.config.hedge;
+        let rtt = hedge.enabled.then(|| self.membership.node(node).rtt.snapshot())?;
+        (rtt.count >= hedge.min_samples).then(|| rtt.quantile(0.99))
     }
 }
 
 /// A duplicate or abandoned in-flight attempt whose verdict must still
 /// be accounted for (see the conservation notes in the module docs).
 struct Loser {
-    node: usize,
+    attempt: Attempt<PendingVerdict>,
     task: TaskId,
-    pv: PendingVerdict,
     /// How long the reaper waits for the verdict before giving up.
     deadline: Instant,
 }
 
-/// Waits out a loser's verdict; an admitted duplicate is departed on its
-/// node so the cluster doesn't leak the capacity.
+/// Waits out a loser's verdict; an admitted duplicate is departed where
+/// it was admitted — node or peer cluster — so no capacity leaks.
 fn reap(inner: &GatewayInner, loser: &Loser) {
     let wait = loser.deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(10);
-    if let Some(Ok(Outcome::Admitted { .. })) = loser.pv.poll_wait(wait) {
-        if let Ok(client) = inner.membership.node(loser.node).client.get() {
+    if let Some(Ok(Outcome::Admitted { .. })) = loser.attempt.verdict.poll_wait(wait) {
+        if let Ok(client) = inner.client(loser.attempt.target) {
             let _ = client.depart(loser.task);
         }
     }
 }
 
-/// The reaper thread body: drains losers until the gateway closes the
-/// channel at drain time.
-fn reaper_loop(inner: &Arc<GatewayInner>, rx: &Receiver<Loser>) {
-    while let Ok(loser) = rx.recv() {
-        reap(inner, &loser);
-    }
-}
-
-/// One in-flight backend submit owned by a [`GwPending`].
-struct Attempt {
-    node: usize,
-    pv: PendingVerdict,
-    started: Instant,
-    is_hedge: bool,
-}
-
-/// What [`GwPending::launch`] did.
-enum Launch {
-    /// An attempt is in flight.
-    Launched,
-    /// No healthy untried node remains.
-    NoCandidate,
-    /// The send failed (the node was ejected); the caller retries.
-    Failed,
-}
-
-/// Mutable ticket state behind the [`GwPending`] lock.
-struct PendState {
-    task: Task,
-    options: Vec<PathOption>,
-    born: Instant,
-    deadline: Instant,
-    /// Failover submits launched (hedges excluded); bounded by
-    /// [`RETRY_LIMIT`].
-    attempts: u32,
-    /// Node indices already attempted (never re-tried for this ticket).
-    tried: Vec<usize>,
-    primary: Option<Attempt>,
-    hedge: Option<Attempt>,
-    /// The one-shot hedge has fired (or been forfeited).
-    hedged: bool,
-    /// Forward hops this ticket may still take (0 = must resolve here).
-    fwd_hops: u8,
-    /// The originating gateway's identity when this ticket arrived via a
-    /// `Forward` frame; `None` for locally submitted tickets.
-    origin: Option<String>,
-    /// Gateway identities this task has already visited (seeded from the
-    /// incoming `Forward` frame's tried-set, grown per forward attempt);
-    /// a cluster in this set is never forwarded to again.
-    tried_peers: Vec<String>,
-    /// A node relayed Shed during a *non-blocking* poll: the verdict was
-    /// consumed but settling is deferred so the next blocking wait can
-    /// try an overflow forward first (dialling a peer must not happen on
-    /// the poll path).
-    shed_pending: bool,
-    done: Option<Outcome>,
+/// An arbitrary instant for the clock-free modules' unit tests to
+/// offset: only the drivers read the clock, even under test.
+#[cfg(test)]
+pub(crate) fn test_epoch() -> Instant {
+    Instant::now()
 }
 
 /// A pending cluster verdict: the gateway-side analogue of
-/// [`offloadnn_serve::Ticket`]. Resolution (including failover retries
-/// and hedging) happens lazily inside [`VerdictHandle::wait`] /
+/// [`offloadnn_serve::Ticket`], and the driver of one [`Ticket`] — it
+/// owns the clock, the lock and the sockets the engine does without.
+/// Resolution happens lazily inside [`VerdictHandle::wait`] /
 /// [`VerdictHandle::poll`], on the caller's thread.
 struct GwPending {
     inner: Arc<GatewayInner>,
-    state: Mutex<PendState>,
+    state: Mutex<GwTicket>,
 }
 
+/// A ticket whose attempts are wire requests.
+type GwTicket = Ticket<PendingVerdict>;
+
 impl GwPending {
-    /// Routes and launches one backend submit. `poll` never calls this
-    /// (dialling blocks); `wait` does.
-    fn launch(&self, st: &mut PendState, now: Instant, is_hedge: bool) -> Launch {
-        let pick = {
-            let _route = span!("gw.route");
-            router::route(u64::from(st.task.id.0), &self.inner.healthy_candidates(&st.tried))
-        };
-        let Some(index) = pick else {
-            return Launch::NoCandidate;
-        };
-        st.tried.push(index);
-        if is_hedge {
-            st.hedged = true;
-            if let Some(ins) = &self.inner.instruments {
+    /// Sends the task to `target` with the *remaining* deadline budget:
+    /// a `Submit` to a node, or a `Forward` to a peer carrying the wire
+    /// tried-set and one hop fewer. A failed send leaves the slot empty
+    /// and the target ejected, and [`Ticket::next`] re-routes.
+    fn launch(inner: &GatewayInner, st: &mut GwTicket, now: Instant, target: Target, hedge: bool) {
+        let failover = st.begin_launch(target, hedge, inner);
+        if let Some(ins) = &inner.instruments {
+            if hedge {
                 ins.hedges.inc();
-            }
-        } else {
-            if st.attempts > 0 {
-                // A prior attempt failed and this ticket moves to a
-                // survivor with whatever deadline budget remains.
-                if let Some(ins) = &self.inner.instruments {
-                    ins.failover.inc();
-                }
-            }
-            st.attempts += 1;
-        }
-        let remaining = st.deadline.saturating_duration_since(now);
-        let node = self.inner.membership.node(index);
-        match node.client.get().and_then(|c| c.submit_borrowed(&st.task, &st.options, Some(remaining))) {
-            Ok(pv) => {
-                let attempt = Attempt { node: index, pv, started: now, is_hedge };
-                if is_hedge {
-                    st.hedge = Some(attempt);
-                } else {
-                    st.primary = Some(attempt);
-                }
-                Launch::Launched
-            }
-            Err(err) => {
-                self.inner.eject_node(index, &err);
-                Launch::Failed
+            } else if failover {
+                ins.failover.inc();
             }
         }
-    }
-
-    /// Whether the deadline-aware hedger should fire now: the primary
-    /// node's observed p99 (once trustworthy) projects past the
-    /// ticket's deadline, i.e. waiting out another p99 would blow it.
-    fn hedge_due(&self, st: &PendState, now: Instant) -> bool {
-        let config = &self.inner.config;
-        if !self.could_hedge(st) {
-            return false;
-        }
-        let Some(primary) = &st.primary else {
-            return false;
-        };
-        let rtt = self.inner.membership.node(primary.node).rtt.snapshot();
-        if rtt.count < config.hedge.min_samples {
-            return false;
-        }
-        now + rtt.quantile(0.99) >= st.deadline
-    }
-
-    /// Hands an outstanding attempt to the reaper, which departs it iff
-    /// its verdict still surfaces as an admission.
-    fn abandon(&self, st: &PendState, attempt: Attempt) {
-        self.inner.hand_to_reaper(Loser {
-            node: attempt.node,
-            task: st.task.id,
-            pv: attempt.pv,
-            deadline: st.deadline + self.inner.config.verdict_grace,
+        let remaining = Some(st.deadline.saturating_duration_since(now));
+        let sent = inner.client(target).and_then(|client| match target {
+            Target::Node(_) => client.submit_borrowed(&st.task, &st.options, remaining),
+            Target::Peer(_) => {
+                let (origin, tried) = st.forward_header(&inner.federation().identity);
+                client.forward(&st.task, &st.options, remaining, st.fwd_hops - 1, &origin, &tried)
+            }
         });
+        match (sent, target) {
+            (Ok(pv), _) => {
+                if let Target::Peer(index) = target {
+                    inner.forwards.fetch_add(1, Ordering::Relaxed);
+                    if let Some(ins) = &inner.instruments {
+                        ins.forwards.inc();
+                    }
+                    let peer = inner.peer(index);
+                    event!(Severity::Info, "gw.federation", "forwarded {:?} to {}", st.task.id, peer.addr);
+                }
+                *st.slot(hedge) = Some(Attempt { target, verdict: pv, started: now, is_hedge: hedge });
+            }
+            (Err(err), Target::Node(index)) => inner.eject_node(index, &err, now),
+            // Nothing is in flight there, so the next-best peer may be tried.
+            (Err(_), Target::Peer(index)) => inner.peer(index).note_forward_failed(),
+        }
+    }
+
+    /// Hands an outstanding attempt to the reaper thread, which departs
+    /// it iff its verdict still surfaces as an admission (reaped inline
+    /// once that thread is gone, i.e. during drain).
+    fn abandon(inner: &GatewayInner, st: &GwTicket, attempt: Attempt<PendingVerdict>) {
+        let loser = Loser { attempt, task: st.task.id, deadline: st.deadline + inner.config.verdict_grace };
+        let unsent = match inner.reaper_tx.lock().expect("reaper tx lock poisoned").as_ref() {
+            Some(tx) => tx.send(loser).map_err(|e| e.0).err(),
+            None => Some(loser),
+        };
+        if let Some(loser) = unsent {
+            reap(inner, &loser);
+        }
     }
 
     /// Books the final verdict: abandons every other outstanding attempt,
@@ -341,22 +276,32 @@ impl GwPending {
     /// per-gateway: a forwarded ticket still resolves exactly one verdict
     /// here, while the peer counts its own submit + verdict on its own
     /// ledger) and records where an admission lives so a later depart
-    /// reaches it. `route` is who delivered the verdict (`None` for one
-    /// the gateway synthesized).
-    fn settle(&self, st: &mut PendState, outcome: Outcome, route: Option<Route>, hedge_won: bool) -> Outcome {
+    /// reaches it. `won` is the attempt that delivered the verdict
+    /// (`None` for one the gateway synthesized).
+    fn settle(
+        inner: &GatewayInner,
+        st: &mut GwTicket,
+        outcome: Outcome,
+        won: Option<&Attempt<PendingVerdict>>,
+    ) {
         for attempt in st.primary.take().into_iter().chain(st.hedge.take()) {
-            self.abandon(st, attempt);
+            Self::abandon(inner, st, attempt);
         }
-        let metrics = &self.inner.metrics;
+        let metrics = &inner.metrics;
         match outcome {
             Outcome::Admitted { .. } => {
                 metrics.admitted.inc();
-                if let Some(route) = route {
-                    self.inner.routes.lock().expect("routes lock poisoned").insert(st.task.id, route);
-                    match (route, &self.inner.instruments) {
-                        (Route::Peer(_), _) => self.inner.count_forward_win(),
-                        (Route::Node(_), Some(ins)) if hedge_won => ins.hedge_wins.inc(),
-                        (Route::Node(_), _) => {}
+                if let Some(won) = won {
+                    inner.routes.lock().expect("routes lock poisoned").insert(st.task.id, won.target);
+                    match (won.target, &inner.instruments) {
+                        (Target::Peer(_), ins) => {
+                            inner.forward_wins.fetch_add(1, Ordering::Relaxed);
+                            if let Some(ins) = ins {
+                                ins.forward_wins.inc();
+                            }
+                        }
+                        (Target::Node(_), Some(ins)) if won.is_hedge => ins.hedge_wins.inc(),
+                        (Target::Node(_), _) => {}
                     }
                 }
             }
@@ -366,143 +311,42 @@ impl GwPending {
         }
         metrics.latency.record(st.born.elapsed());
         st.done = Some(outcome);
-        outcome
     }
 
-    /// Whether an overflow forward could still rescue this ticket: the
-    /// gateway is federated, hops remain, and an untried live peer
-    /// exists. Cheap (no I/O) — used to decide between shedding now and
-    /// deferring to a blocking wait that can actually forward.
-    fn could_forward(&self, st: &PendState) -> bool {
-        match &self.inner.peers {
-            Some(peers) => st.fwd_hops > 0 && peers.pick(&st.tried_peers).is_some(),
-            None => false,
+    /// Handles a completed attempt: the engine decides whether its
+    /// verdict settles the ticket, the driver books what the result says
+    /// about the target's health.
+    fn absorb(inner: &GatewayInner, st: &mut GwTicket, hedge: bool, result: Result<Outcome, NetError>) {
+        let now = Instant::now();
+        let (attempt, settled) = st.absorb(hedge, result.as_ref().ok().copied(), inner);
+        match (attempt.target, &result) {
+            (Target::Node(index), Ok(_)) => {
+                inner.membership.node(index).rtt.record(now.saturating_duration_since(attempt.started));
+            }
+            (Target::Peer(_), Ok(_)) => {}
+            // Node-local request failure (e.g. a chaos-killed worker):
+            // retry elsewhere, leave node health to the prober.
+            (Target::Node(_), Err(NetError::Server(e))) if e.code != ErrorCode::Draining => {}
+            // The node refused deliberately (draining) or died
+            // mid-request: stop routing to it.
+            (Target::Node(index), Err(err)) => inner.eject_node(index, err, now),
+            (Target::Peer(index), Err(_)) => inner.peer(index).note_forward_failed(),
+        }
+        if let Some(outcome) = settled {
+            Self::settle(inner, st, outcome, Some(&attempt));
         }
     }
 
-    /// Attempts to rescue a ticket the local cluster would shed by
-    /// forwarding it to the least-loaded untried peer with the
-    /// *remaining* deadline budget. `Some(outcome)` settled the ticket
-    /// with the peer's verdict (counted on this gateway's ledger — a
-    /// forwarded ticket still resolves exactly one verdict at its
-    /// origin); `None` means no peer could take it — federation off, no
-    /// hops or budget left, every eligible peer tried, or the chosen
-    /// peer crashed mid-forward — and the caller sheds locally.
-    fn try_forward(&self, st: &mut PendState) -> Option<Outcome> {
-        let peers = self.inner.peers.as_ref()?;
-        if st.fwd_hops == 0 {
-            return None;
-        }
-        loop {
-            let remaining = st.deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (index, chosen) = peers.pick(&st.tried_peers)?;
-            st.tried_peers.push(chosen.addr.clone());
-            let origin = st.origin.clone().unwrap_or_else(|| peers.identity.clone());
-            // The wire tried-set names every cluster this task has
-            // touched — this gateway and the origin included — so the
-            // receiving peer can never bounce the task back around a
-            // cycle, whatever its own peer list looks like.
-            let mut tried = st.tried_peers.clone();
-            if !tried.contains(&peers.identity) {
-                tried.push(peers.identity.clone());
-            }
-            if !tried.contains(&origin) {
-                tried.push(origin.clone());
-            }
-            let sent = chosen.client.get().and_then(|c| {
-                c.forward(&st.task, &st.options, Some(remaining), st.fwd_hops - 1, &origin, &tried)
-            });
-            match sent {
-                Ok(pv) => {
-                    self.inner.count_forward();
-                    event!(Severity::Info, "gw.federation", "forwarded {:?} to {}", st.task.id, chosen.addr);
-                    let horizon = st.deadline + self.inner.config.verdict_grace;
-                    let wait = horizon.saturating_duration_since(Instant::now());
-                    match pv.poll_wait(wait) {
-                        Some(Ok(outcome)) => {
-                            return Some(self.settle(st, outcome, Some(Route::Peer(index)), false))
-                        }
-                        Some(Err(_)) | None => {
-                            // The peer died (or went silent) mid-forward:
-                            // fall back to a local Shed so the ticket is
-                            // never lost to federation. If the peer did
-                            // admit before crashing, that admission lives
-                            // and dies with the peer's own ledger.
-                            chosen.note_forward_failed();
-                            return None;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Could not even hand the task over; nothing is in
-                    // flight there, so the next-best peer may be tried.
-                    chosen.note_forward_failed();
-                }
-            }
-        }
-    }
-
-    /// Handles a completed attempt. `Some(outcome)` settles the ticket;
-    /// `None` means the attempt failed in a retryable way and was
-    /// cleared (the resolve loop re-routes), or — for a node-relayed
-    /// Shed during a non-blocking poll — settling was deferred behind
-    /// `shed_pending` so a blocking wait can try a forward first.
-    fn absorb(
-        &self,
-        st: &mut PendState,
-        winner_is_hedge: bool,
-        result: Result<Outcome, NetError>,
-        block: bool,
-    ) -> Option<Outcome> {
-        let taken = if winner_is_hedge { st.hedge.take() } else { st.primary.take() };
-        let attempt = taken.expect("absorbed attempt must exist");
-        match result {
-            Ok(outcome) => {
-                self.inner.membership.node(attempt.node).rtt.record(attempt.started.elapsed());
-                // A node-relayed Shed is the cluster saying "saturated":
-                // the one signal overflow forwarding exists for.
-                if matches!(outcome, Outcome::Shed { .. }) && self.could_forward(st) {
-                    if block {
-                        if let Some(out) = self.try_forward(st) {
-                            return Some(out);
-                        }
-                    } else {
-                        st.shed_pending = true;
-                        return None;
-                    }
-                }
-                Some(self.settle(st, outcome, Some(Route::Node(attempt.node)), attempt.is_hedge))
-            }
-            Err(err) => {
-                match &err {
-                    // The node refused deliberately (draining) or died
-                    // mid-request: stop routing to it and retry the
-                    // ticket elsewhere.
-                    NetError::Server(e) if e.code == ErrorCode::Draining => {
-                        self.inner.eject_node(attempt.node, &err);
-                    }
-                    NetError::Server(_) => {
-                        // Node-local request failure (e.g. a chaos-killed
-                        // worker): retry elsewhere, leave node health to
-                        // the prober.
-                    }
-                    _ => self.inner.eject_node(attempt.node, &err),
-                }
-                None
-            }
-        }
-    }
-
-    /// The resolution engine. With `block` false this is a cheap poll
-    /// (no dialling, no sleeping) that may leave the ticket mid-failover
+    /// Runs the ticket: asks the engine for the next step and executes
+    /// it until the ticket settles. With `block` false this is a cheap
+    /// poll — it observes what is in flight but never launches (dialling
+    /// blocks) and never sleeps — that may leave the ticket mid-failover
     /// for the next `wait` to finish. A `limit` bounds how long a
     /// blocking resolve may run before giving the caller back an
     /// unresolved `None` (the [`VerdictHandle::wait_timeout`] contract);
     /// every ticket still resolves by deadline + grace without one.
     fn resolve(&self, block: bool, limit: Option<Instant>) -> Option<Outcome> {
+        let inner = &*self.inner;
         let mut st = self.state.lock().expect("pending state lock poisoned");
         loop {
             if let Some(done) = st.done {
@@ -512,130 +356,68 @@ impl GwPending {
             if block && limit.is_some_and(|l| now >= l) {
                 return None;
             }
-            // A node relayed Shed during an earlier non-blocking poll:
-            // the deferred decision — forward or accept the shed — runs
-            // now that blocking (and therefore dialling) is allowed.
-            if st.shed_pending {
-                if !block {
-                    return None;
-                }
-                st.shed_pending = false;
-                if let Some(out) = self.try_forward(&mut st) {
-                    return Some(out);
-                }
-                return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None, false));
-            }
-            // An attempt whose node has been ejected (by the health
-            // monitor or another ticket's failure) or departed (graceful
-            // leave) may never resolve — the connection could be
-            // half-dead or the node on its way down. Abandon it to the
-            // reaper (which departs it iff a verdict does surface as an
-            // admission) and fail over with the remaining budget.
-            for is_hedge in [false, true] {
-                let slot = if is_hedge { &mut st.hedge } else { &mut st.primary };
-                if slot.as_ref().is_some_and(|a| !self.inner.membership.node(a.node).is_healthy()) {
-                    let attempt = slot.take().expect("checked above");
-                    self.abandon(&st, attempt);
-                }
-            }
-            // Promote a surviving hedge if the primary slot is empty.
-            if st.primary.is_none() {
-                if let Some(hedge) = st.hedge.take() {
-                    st.primary = Some(hedge);
-                }
-            }
-            if st.primary.is_none() {
-                // Nothing in flight: either give the ticket its terminal
-                // verdict or (blocking mode) launch the next attempt.
-                if now >= st.deadline {
-                    return Some(self.settle(&mut st, Outcome::Expired { shard: 0 }, None, false));
-                }
-                if st.attempts >= RETRY_LIMIT {
-                    // The local cluster is out of retries: the one exit
-                    // that isn't a Shed is an overflow forward to a
-                    // federated peer (blocking mode only — a poll defers
-                    // the decision to the next wait).
-                    if block {
-                        if let Some(out) = self.try_forward(&mut st) {
-                            return Some(out);
-                        }
-                    } else if self.could_forward(&st) {
-                        return None;
-                    }
-                    return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None, false));
-                }
-                if !block {
-                    return None;
-                }
-                match self.launch(&mut st, now, false) {
-                    Launch::Launched => {}
-                    Launch::NoCandidate => {
-                        // No healthy local node remains; a federated peer
-                        // may still have capacity.
-                        if let Some(out) = self.try_forward(&mut st) {
-                            return Some(out);
-                        }
-                        return Some(self.settle(&mut st, Outcome::Shed { shard: 0 }, None, false));
-                    }
-                    Launch::Failed => continue,
-                }
-            }
-            // Fire the one-shot hedge when the primary's tail projects
-            // past the deadline. A failed hedge launch is forfeited
-            // (`launch` marked `hedged`), never retried.
-            if block && self.hedge_due(&st, now) {
-                let _ = self.launch(&mut st, now, true);
-            }
-            // Abandon the ticket once deadline + grace has passed with
-            // attempts still in flight.
-            if now >= st.deadline + self.inner.config.verdict_grace {
-                return Some(self.settle(&mut st, Outcome::Expired { shard: 0 }, None, false));
-            }
-            // Poll / race the in-flight attempts.
-            let two = st.hedge.is_some();
-            if let Some(primary) = &st.primary {
-                let slice = if !block {
-                    Duration::ZERO
-                } else if two || self.could_hedge(&st) {
-                    RACE_SLICE
-                } else {
-                    // Nothing can preempt the primary: sleep toward the
-                    // grace horizon in one bounded chunk.
-                    (st.deadline + self.inner.config.verdict_grace)
-                        .saturating_duration_since(now)
-                        .min(Duration::from_millis(20))
-                };
-                let slice = match limit {
-                    Some(l) => slice.min(l.saturating_duration_since(now)),
-                    None => slice,
-                };
-                let polled = if slice.is_zero() { primary.pv.poll() } else { primary.pv.poll_wait(slice) };
-                if let Some(result) = polled {
-                    if let Some(out) = self.absorb(&mut st, false, result, block) {
-                        return Some(out);
-                    }
+            match st.next(now, inner.config.verdict_grace, inner) {
+                Next::Abandon { hedge } => {
+                    let attempt = st.abandon(hedge);
+                    Self::abandon(inner, &st, attempt);
                     continue;
                 }
-            }
-            if let Some(hedge) = &st.hedge {
-                let polled = if block { hedge.pv.poll_wait(RACE_SLICE) } else { hedge.pv.poll() };
-                if let Some(result) = polled {
-                    if let Some(out) = self.absorb(&mut st, true, result, block) {
-                        return Some(out);
-                    }
+                Next::Launch { target, hedge } if block => {
+                    Self::launch(inner, &mut st, now, target, hedge);
                     continue;
                 }
+                Next::Settle(outcome) => {
+                    Self::settle(inner, &mut st, outcome, None);
+                    continue;
+                }
+                Next::Launch { hedge: false, .. } => return None,
+                // A poll leaves a due hedge unlaunched and goes on to
+                // observe the primary.
+                Next::Launch { hedge: true, .. } | Next::Race => {}
             }
-            if !block {
+            let horizon = st.deadline + inner.config.verdict_grace;
+            let mut slice = if !block {
+                Duration::ZERO
+            } else if st.hedge.is_some() || (inner.config.hedge.enabled && st.hedgeable().is_some()) {
+                RACE_SLICE
+            } else {
+                // Nothing can preempt the primary: sleep toward the
+                // grace horizon in one bounded chunk.
+                horizon.saturating_duration_since(now).min(Duration::from_millis(20))
+            };
+            if let Some(limit) = limit {
+                slice = slice.min(limit.saturating_duration_since(now));
+            }
+            let mut absorbed = false;
+            for hedge in [false, true] {
+                let Some(attempt) = st.slot(hedge).as_ref() else { continue };
+                let polled =
+                    if slice.is_zero() { attempt.verdict.poll() } else { attempt.verdict.poll_wait(slice) };
+                if let Some(result) = polled {
+                    Self::absorb(inner, &mut st, hedge, result);
+                    absorbed = true;
+                    break;
+                }
+                slice = slice.min(RACE_SLICE);
+            }
+            if !block && !absorbed {
                 return None;
             }
         }
     }
+}
 
-    /// Whether a hedge could still fire later (keeps the race loop on
-    /// short slices so the trigger isn't slept past).
-    fn could_hedge(&self, st: &PendState) -> bool {
-        self.inner.config.hedge.enabled && !st.hedged && st.hedge.is_none()
+impl Drop for GwPending {
+    /// A ticket dropped unresolved still owes its one verdict: it
+    /// settles `Expired`, which hands whatever is in flight to the
+    /// reaper. (Dropped after [`Gateway::drain`], with the reaper gone,
+    /// that reaping runs inline, on the dropping thread.)
+    fn drop(&mut self) {
+        if let Ok(st) = self.state.get_mut() {
+            if st.done.is_none() {
+                Self::settle(&self.inner, st, Outcome::Expired { shard: 0 }, None);
+            }
+        }
     }
 }
 
@@ -650,12 +432,6 @@ impl VerdictHandle for GwPending {
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
         self.resolve(true, Some(Instant::now() + timeout)).ok_or(VerdictError::TimedOut)
-    }
-}
-
-impl std::fmt::Debug for GwPending {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GwPending").finish_non_exhaustive()
     }
 }
 
@@ -729,11 +505,16 @@ impl Gateway {
                 .spawn(move || peer::digest_loop(&inner, &shutdown_rx))
                 .expect("spawn gw-digest thread")
         });
+        // The reaper drains losers until drain closes the channel.
         let reaper = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("gw-reaper".into())
-                .spawn(move || reaper_loop(&inner, &reaper_rx))
+                .spawn(move || {
+                    while let Ok(loser) = reaper_rx.recv() {
+                        reap(&inner, &loser);
+                    }
+                })
                 .expect("spawn gw-reaper thread")
         };
         Ok(Self {
@@ -866,38 +647,16 @@ impl Gateway {
             None => (HOP_LIMIT, None, Vec::new()),
         };
         let id = task.id;
-        let pending = GwPending {
-            inner: Arc::clone(&self.inner),
-            state: Mutex::new(PendState {
-                task,
-                options,
-                born: now,
-                deadline: now + budget,
-                attempts: 0,
-                tried: Vec::new(),
-                primary: None,
-                hedge: None,
-                hedged: false,
-                fwd_hops,
-                origin,
-                tried_peers,
-                shed_pending: false,
-                done: None,
-            }),
-        };
-        // Launch the first attempt eagerly so tickets pipeline: the
-        // submit is on the wire when this returns, and `wait` only
-        // collects (or fails over). A ticket that cannot launch here
-        // (all sends fail, or no healthy node) resolves in `wait`.
-        {
-            let mut st = pending.state.lock().expect("pending state lock poisoned");
-            while st.primary.is_none() && st.attempts < RETRY_LIMIT {
-                match pending.launch(&mut st, Instant::now(), false) {
-                    Launch::Launched | Launch::NoCandidate => break,
-                    Launch::Failed => {}
-                }
-            }
+        let inner = &*self.inner;
+        let mut st = Ticket::new(task, options, now, now + budget, fwd_hops, origin, tried_peers);
+        // Launch eagerly so tickets pipeline: the submit — or, with no
+        // routable node, the forward — is on the wire when this returns,
+        // and `wait` only collects (or fails over).
+        let grace = inner.config.verdict_grace;
+        while let Next::Launch { target, hedge } = st.next(Instant::now(), grace, inner) {
+            GwPending::launch(inner, &mut st, Instant::now(), target, hedge);
         }
+        let pending = GwPending { inner: Arc::clone(&self.inner), state: Mutex::new(st) };
         Ok(offloadnn_serve::PendingVerdict::new(id, Box::new(pending)))
     }
 
@@ -983,13 +742,7 @@ impl Admitter for Gateway {
     /// cluster. A no-op for tasks the gateway never admitted.
     fn depart(&self, task: TaskId) {
         let route = self.inner.routes.lock().expect("routes lock poisoned").remove(&task);
-        let client = match route {
-            Some(Route::Node(index)) => self.inner.membership.node(index).client.get().ok(),
-            Some(Route::Peer(index)) => {
-                self.inner.peers.as_ref().and_then(|peers| peers.peers[index].client.get().ok())
-            }
-            None => None,
-        };
+        let client = route.and_then(|target| self.inner.client(target).ok());
         if client.is_some_and(|c| c.depart(task).is_ok()) {
             self.inner.metrics.departed.inc();
         }
@@ -1085,7 +838,8 @@ impl Backend for Gateway {
         // cluster answers, and the membership version tells the asker
         // when this cluster's pool changed.
         event!(Severity::Info, "gw.federation", "digest for peer {peer_addr} inc {peer_incarnation}");
-        let remaining_budget: f64 = self.inner.healthy_candidates(&[]).iter().map(|c| c.weight).sum();
+        let remaining_budget: f64 =
+            self.inner.membership.healthy_candidates(&[]).iter().map(|c| c.weight).sum();
         let round_ms_p50 = self.inner.metrics.latency.snapshot().quantile(0.5).as_secs_f64() * 1e3;
         Some(PeerDigest {
             healthy_nodes: u32::try_from(self.inner.membership.healthy_count()).unwrap_or(u32::MAX),

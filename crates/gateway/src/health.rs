@@ -45,6 +45,7 @@ use offloadnn_net::MemberState;
 use offloadnn_serve::MetricsSnapshot;
 use offloadnn_telemetry::{event, Severity};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Routing weight from a node's reported load and mean solver round.
 fn weight_from(snapshot: &MetricsSnapshot) -> f64 {
@@ -54,13 +55,14 @@ fn weight_from(snapshot: &MetricsSnapshot) -> f64 {
     1.0 / (1.0 + (in_flight + queued) as f64 + round_ms)
 }
 
-/// Probes one node and applies the state machine transition.
-fn probe(config: &GatewayConfig, node: &Node) {
+/// Probes one node and applies the state machine transition; `now` is
+/// the sweep's clock reading, against which probation is judged and set.
+fn probe(config: &GatewayConfig, node: &Node, now: Instant) {
     let state = node.state();
     let due = match state {
         MemberState::Healthy => true,
         MemberState::Probing => node.probe_due(),
-        MemberState::Ejected => node.probation_over() && node.probe_due(),
+        MemberState::Ejected => node.probation_over(now) && node.probe_due(),
         MemberState::Departed => false,
     };
     if !due {
@@ -75,7 +77,7 @@ fn probe(config: &GatewayConfig, node: &Node) {
         (MemberState::Healthy, Err(err)) => {
             // The connection (if any) is suspect either way.
             node.client.clear();
-            if node.note_probe_miss(config.eject_after) && node.eject(config.probation) {
+            if node.note_probe_miss(config.eject_after) && node.eject(now, config.probation) {
                 event!(Severity::Warn, "gw.health", "ejected {}: {err}", node.addr);
             }
         }
@@ -94,7 +96,7 @@ fn probe(config: &GatewayConfig, node: &Node) {
         (MemberState::Probing | MemberState::Ejected, Err(_)) => {
             node.client.clear();
             if state == MemberState::Ejected {
-                node.extend_probation(config.probation);
+                node.extend_probation(now, config.probation);
             }
             node.note_probe_failed();
         }
@@ -107,8 +109,9 @@ fn probe(config: &GatewayConfig, node: &Node) {
 /// side of `shutdown_rx` is dropped by [`crate::Gateway`] drain).
 pub(crate) fn monitor_loop(inner: &Arc<GatewayInner>, shutdown_rx: &Receiver<()>) {
     loop {
+        let now = Instant::now();
         for node in inner.membership.snapshot() {
-            probe(&inner.config, &node);
+            probe(&inner.config, &node, now);
         }
         inner.publish_membership_gauges();
         match shutdown_rx.recv_timeout(inner.config.health_interval) {

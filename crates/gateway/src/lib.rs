@@ -21,8 +21,10 @@
 //!   ([`offloadnn_net::Client::snapshot_timeout`]). `eject_after`
 //!   consecutive misses ejects a node; after `probation` a successful
 //!   probe readmits it.
-//! * **Failover** — a node that drops its connection (or starts
-//!   draining) mid-request is ejected immediately and the in-flight
+//! * **Failover** (`ticket`, internal: the clock-free, socket-free
+//!   engine that also decides hedging and overflow forwarding) — a node
+//!   that drops its connection (or starts draining) mid-request is
+//!   ejected immediately and the in-flight
 //!   ticket is retried on a survivor with the *remaining* deadline
 //!   budget, up to `RETRY_LIMIT` (3) attempts; a ticket that runs out of
 //!   nodes, retries or time resolves Shed / Expired so the gateway's
@@ -90,6 +92,7 @@ pub mod membership;
 mod node;
 mod peer;
 pub mod router;
+mod ticket;
 
 pub use config::{FederationConfig, GatewayConfig, GatewayError, HedgeConfig};
 pub use gateway::{ForwardStats, Gateway};

@@ -257,27 +257,27 @@ impl Node {
     /// probation window. Only a healthy node can be ejected (a departed
     /// one stays departed); returns `true` only on the healthy→ejected
     /// transition so callers can log/count it once.
-    pub(crate) fn eject(&self, probation: Duration) -> bool {
+    pub(crate) fn eject(&self, now: Instant, probation: Duration) -> bool {
         let flipped = self.transition(MemberState::Healthy, MemberState::Ejected);
         if flipped {
-            *self.probation_until.lock().expect("probation lock poisoned") = Some(Instant::now() + probation);
+            *self.probation_until.lock().expect("probation lock poisoned") = Some(now + probation);
             self.client.clear();
         }
         flipped
     }
 
-    /// Whether the probation window has elapsed (only meaningful while
-    /// ejected).
-    pub(crate) fn probation_over(&self) -> bool {
+    /// Whether the probation window has elapsed at `now` (only
+    /// meaningful while ejected).
+    pub(crate) fn probation_over(&self, now: Instant) -> bool {
         match *self.probation_until.lock().expect("probation lock poisoned") {
-            Some(until) => Instant::now() >= until,
+            Some(until) => now >= until,
             None => true,
         }
     }
 
     /// Restarts the probation window after a failed readmission probe.
-    pub(crate) fn extend_probation(&self, probation: Duration) {
-        *self.probation_until.lock().expect("probation lock poisoned") = Some(Instant::now() + probation);
+    pub(crate) fn extend_probation(&self, now: Instant, probation: Duration) {
+        *self.probation_until.lock().expect("probation lock poisoned") = Some(now + probation);
     }
 
     /// Readmits the node after a successful post-probation probe;
@@ -360,15 +360,14 @@ mod tests {
 
     #[test]
     fn eject_is_reported_once_and_probation_gates_readmission() {
-        let n = node();
+        let (n, t0, probation) = (node(), crate::gateway::test_epoch(), Duration::from_millis(20));
         assert!(n.is_healthy());
-        assert!(n.eject(Duration::from_millis(20)));
-        assert!(!n.eject(Duration::from_millis(20)), "second eject must not re-report");
+        assert!(n.eject(t0, probation));
+        assert!(!n.eject(t0 + probation, probation), "second eject must not re-report");
         assert!(!n.is_healthy());
         assert_eq!(n.state(), MemberState::Ejected);
-        assert!(!n.probation_over());
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(n.probation_over());
+        assert!(!n.probation_over(t0 + probation - Duration::from_nanos(1)));
+        assert!(n.probation_over(t0 + probation), "a re-eject must not restart the window either");
         assert!(n.readmit());
         assert!(n.is_healthy());
     }
@@ -399,7 +398,7 @@ mod tests {
         assert!(n.depart());
         assert!(!n.depart(), "second depart must not re-report");
         assert_eq!(n.state(), MemberState::Departed);
-        assert!(!n.eject(Duration::from_millis(5)), "a departed node cannot be ejected");
+        assert!(!n.eject(crate::gateway::test_epoch(), Duration::ZERO), "a departed node cannot be ejected");
         assert!(!n.readmit(), "a departed node cannot be readmitted");
         assert!(!n.promote(), "a departed node cannot be promoted");
         assert_eq!(n.state(), MemberState::Departed);

@@ -23,48 +23,14 @@
 
 mod common;
 
-use common::{fast_config, start_node};
-use offloadnn_core::instance::PathOption;
+use common::{fast_config, offered_trace, seed, start_node};
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_core::task::{Task, TaskId};
 use offloadnn_gateway::Gateway;
 use offloadnn_net::{AnyServer, Frontend, MemberState, MembershipDecision, NetConfig};
 use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
-
-fn seed() -> u64 {
-    match std::env::var("DISCOVERY_SEED") {
-        Ok(s) => s.trim().parse().expect("DISCOVERY_SEED must parse as u64"),
-        Err(_) => 0xD15C_04E2,
-    }
-}
-
-/// One offered submit, regenerable from the seed.
-#[derive(Debug, Clone, PartialEq)]
-struct Offered {
-    task: Task,
-    options: Vec<PathOption>,
-}
-
-/// The deterministic offered trace: `n` submits drawn from the
-/// reference scenario, each with a unique task id (so departure routing
-/// is unambiguous at every layer).
-fn offered_trace(seed: u64, n: usize) -> Vec<Offered> {
-    let scenario = small_scenario(5);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let pick = rng.random_range(0..scenario.instance.tasks.len());
-            let mut task = scenario.instance.tasks[pick].clone();
-            task.id = TaskId(u32::try_from(i).expect("trace fits in u32"));
-            Offered { task, options: scenario.instance.options[pick].clone() }
-        })
-        .collect()
-}
 
 /// The state of `addr` in the gateway's current membership view.
 fn member_state(gateway: &Gateway, addr: SocketAddr) -> MemberState {
@@ -100,7 +66,7 @@ fn membership_churn_mid_stream_loses_zero_verdicts() {
     const START4_AT: usize = 480; // ...until its server actually starts
     const LEAVE2_AT: usize = 520;
 
-    let seed = seed();
+    let seed = seed("DISCOVERY_SEED", 0xD15C_04E2);
     eprintln!("discovery_harness seed = {seed} (override with DISCOVERY_SEED=<u64>)");
     let trace = offered_trace(seed, TOTAL);
     let scenario = small_scenario(5);
@@ -299,7 +265,7 @@ fn membership_churn_mid_stream_loses_zero_verdicts() {
 #[test]
 fn an_unreachable_joiner_never_receives_traffic() {
     const TOTAL: usize = 80;
-    let seed = seed().wrapping_add(1);
+    let seed = seed("DISCOVERY_SEED", 0xD15C_04E2).wrapping_add(1);
     let trace = offered_trace(seed, TOTAL);
     let scenario = small_scenario(5);
     let node = start_node(&scenario);

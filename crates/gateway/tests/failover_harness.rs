@@ -18,47 +18,13 @@
 
 mod common;
 
-use common::{fast_config, start_node};
-use offloadnn_core::instance::PathOption;
+use common::{fast_config, offered_trace, seed, start_node};
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_core::task::{Task, TaskId};
 use offloadnn_gateway::Gateway;
 use offloadnn_net::AnyServer;
 use offloadnn_serve::{Admitter, Outcome, PendingVerdict};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use std::time::Duration;
-
-fn seed() -> u64 {
-    match std::env::var("GATEWAY_SEED") {
-        Ok(s) => s.trim().parse().expect("GATEWAY_SEED must parse as u64"),
-        Err(_) => 0xC1A5_7E12,
-    }
-}
-
-/// One offered submit, regenerable from the seed.
-#[derive(Debug, Clone, PartialEq)]
-struct Offered {
-    task: Task,
-    options: Vec<PathOption>,
-}
-
-/// The deterministic offered trace: `n` submits drawn from the
-/// reference scenario, each with a unique task id (so departure routing
-/// is unambiguous at every layer).
-fn offered_trace(seed: u64, n: usize) -> Vec<Offered> {
-    let scenario = small_scenario(5);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let pick = rng.random_range(0..scenario.instance.tasks.len());
-            let mut task = scenario.instance.tasks[pick].clone();
-            task.id = TaskId(u32::try_from(i).expect("trace fits in u32"));
-            Offered { task, options: scenario.instance.options[pick].clone() }
-        })
-        .collect()
-}
 
 #[test]
 fn killing_one_node_mid_stream_loses_zero_verdicts() {
@@ -67,7 +33,7 @@ fn killing_one_node_mid_stream_loses_zero_verdicts() {
     const WINDOW: usize = 48;
     const VICTIM: usize = 1;
 
-    let seed = seed();
+    let seed = seed("GATEWAY_SEED", 0xC1A5_7E12);
     eprintln!("failover_harness seed = {seed} (override with GATEWAY_SEED=<u64>)");
     let trace = offered_trace(seed, TOTAL);
 
@@ -162,7 +128,7 @@ fn killing_one_node_mid_stream_loses_zero_verdicts() {
 fn three_node_cluster_spreads_and_conserves() {
     const TOTAL: usize = 300;
 
-    let seed = seed().wrapping_add(1);
+    let seed = seed("GATEWAY_SEED", 0xC1A5_7E12).wrapping_add(1);
     let trace = offered_trace(seed, TOTAL);
     let scenario = small_scenario(5);
     let nodes: Vec<AnyServer> = (0..3).map(|_| start_node(&scenario)).collect();

@@ -26,47 +26,17 @@
 
 mod common;
 
-use common::{fast_config, start_node};
-use offloadnn_core::instance::PathOption;
+use common::{fast_config, offered_trace, start_node};
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_core::task::{Task, TaskId};
 use offloadnn_gateway::{FederationConfig, Gateway};
 use offloadnn_net::{AnyServer, Backend, ForwardInfo, Frontend, NetConfig};
-use offloadnn_serve::{Admitter, ChaosConfig, Outcome, PendingVerdict, ServiceConfig};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use offloadnn_serve::{Admitter, ChaosConfig, Outcome, PendingVerdict, ServiceConfig, VerdictError};
 use std::collections::VecDeque;
 use std::net::TcpListener;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn seed() -> u64 {
-    match std::env::var("FEDERATION_SEED") {
-        Ok(s) => s.trim().parse().expect("FEDERATION_SEED must parse as u64"),
-        Err(_) => 0xFEDE_7A7E,
-    }
-}
-
-/// One offered submit, regenerable from the seed.
-#[derive(Debug, Clone, PartialEq)]
-struct Offered {
-    task: Task,
-    options: Vec<PathOption>,
-}
-
-/// The deterministic offered trace: `n` submits drawn from the
-/// reference scenario, each with a unique task id (so forwarding and
-/// departure routing stay unambiguous at every layer).
-fn offered_trace(seed: u64, n: usize) -> Vec<Offered> {
-    let scenario = small_scenario(5);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let pick = rng.random_range(0..scenario.instance.tasks.len());
-            let mut task = scenario.instance.tasks[pick].clone();
-            task.id = TaskId(u32::try_from(i).expect("trace fits in u32"));
-            Offered { task, options: scenario.instance.options[pick].clone() }
-        })
-        .collect()
+    common::seed("FEDERATION_SEED", 0xFEDE_7A7E)
 }
 
 /// A fast digest cadence to match the fast health probes: the peer is
@@ -297,4 +267,91 @@ fn a_forwarded_task_cannot_buy_hops_past_the_limit() {
     assert!(gateway.drain().metrics.is_conserved());
     assert_eq!(peer.shutdown().metrics.submitted, 0, "the peer saw the relayed task");
     peer_node.shutdown();
+}
+
+/// A forward is an attempt like any other: it is on the wire when
+/// `submit` returns, so a poll-only driver sees its verdict, a bounded
+/// wait gives up at its bound with the forward still in flight, and the
+/// ticket dropped there still owes — and books — exactly one verdict,
+/// its late admission departed on the peer's cluster by the reaper.
+///
+/// One request in flight at a time, and a solver faster than
+/// `fast_config`'s 250 ms probe/digest timeouts: probes and digests
+/// share the data connection and queue behind its verdicts. (Named to
+/// sort, and so start, after `an_unreachable_peer_…`: that test needs
+/// its node to shed inside a ~20 ms run, which on a two-thread test
+/// runner it does not do reliably beside a third cluster's start-up.)
+#[test]
+fn the_wait_bound_and_poll_both_see_a_forward_in_flight() {
+    const SOLVER: Duration = Duration::from_millis(150);
+    let trace = offered_trace(seed().wrapping_add(2), 3);
+    let scenario = small_scenario(5);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+    let dead_node = listener.local_addr().expect("listener addr");
+    drop(listener);
+
+    let slow = ServiceConfig {
+        shards: 1,
+        chaos: ChaosConfig { slow_solver: SOLVER, ..ChaosConfig::default() },
+        ..ServiceConfig::default()
+    };
+    let b_node =
+        AnyServer::start(Frontend::Threads, ("127.0.0.1", 0), NetConfig::default(), slow, &scenario.instance)
+            .expect("start slow node");
+    let b_gateway = Gateway::start(&[b_node.local_addr()], fast_config()).expect("start peer gateway");
+    let b_frontend =
+        AnyServer::start_with_backend(Frontend::default(), ("127.0.0.1", 0), NetConfig::default(), b_gateway)
+            .expect("start peer frontend");
+
+    let mut config = fast_config();
+    config.federation = Some(fast_federation("cluster-a", b_frontend.local_addr()));
+    let gateway = Gateway::start(&[dead_node], config).expect("start gateway A");
+    let submit = |i: usize| {
+        gateway
+            .submit(trace[i].task.clone(), trace[i].options.clone(), None)
+            .expect("gateway accepts submits")
+    };
+
+    // The first submit ejects the dead node; from here every ticket
+    // finds no routable node and is forwarded.
+    let first = submit(0).wait().expect("the first ticket resolves");
+    assert_eq!(gateway.healthy_nodes(), 0);
+
+    // (i) Nobody ever blocks on this ticket, yet its verdict arrives.
+    let pending = submit(1);
+    let give_up = Instant::now() + Duration::from_secs(5);
+    let polled = loop {
+        if let Some(result) = pending.poll() {
+            break result.expect("the polled ticket resolves");
+        }
+        assert!(Instant::now() < give_up, "poll never saw the forwarded ticket's verdict");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(polled.is_admitted(), "poll saw {polled:?}: the forward was never on the wire");
+
+    // (ii) A wait bounded well under the peer's solver round times out
+    // on time instead of riding the forward out.
+    let pending = submit(2);
+    let began = Instant::now();
+    let bounded = pending.wait_timeout(Duration::from_millis(20));
+    let took = began.elapsed();
+    assert!(matches!(bounded, Err(VerdictError::TimedOut)), "resolved {bounded:?} inside a 20 ms bound");
+    assert!(took < Duration::from_millis(100), "a 20 ms wait bound held the caller {took:?}");
+    assert_eq!(gateway.forward_stats().forwards, 3);
+
+    assert!(first.is_admitted(), "the idle peer cluster resolved {first:?}");
+    gateway.depart(trace[0].task.id);
+    gateway.depart(trace[1].task.id);
+    // The dropped ticket resolved Expired on A's ledger, and drain waits
+    // for the reaper to depart its late admission on cluster B.
+    let report = gateway.drain();
+    assert!(report.metrics.is_conserved(), "gateway A ledger leaked: {:?}", report.metrics);
+    assert_eq!((report.metrics.submitted, report.metrics.admitted, report.metrics.expired), (3, 2, 1));
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while b_node.metrics().departed < 3 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(b_frontend.shutdown().metrics.is_conserved());
+    let b = b_node.shutdown().metrics;
+    assert_eq!((b.admitted, b.departed), (3, 3), "the abandoned forward leaked capacity on the peer: {b:?}");
 }

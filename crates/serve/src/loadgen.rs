@@ -6,7 +6,7 @@
 //! `Controller::release` continuously) and tallies every resolution in a
 //! [`WireTally`] that can be held against the tier's own ledger. Used by
 //! the `loadgen` binary (`offloadnn-gateway`), the conservation tests
-//! and the `serve_throughput` bench.
+//! and the `telemetry_report` binary.
 
 use crate::admit::{Admitter, PendingVerdict, VerdictError};
 use crate::error::SubmitError;
