@@ -117,14 +117,18 @@ done
 timeout 300 cargo test -q -p offloadnn-serve --test plancache_staleness
 
 echo "==> plancache gate: Zipf loadgen hit rate with conservation intact"
-# Gated on the 0.70 hit-rate floor; the binary exits non-zero on any
-# conservation breach. --max-active 64 keeps the saturated, never-departing
-# run the floor was calibrated on. The solve path's speed is gated end to
-# end by the svc-large-zipf workload of perfbench.
+# Gated on the 0.70 floor for the *usable* hit rate (hits that failed
+# validation do not count); the binary exits non-zero on any conservation
+# breach, and with --plan-cache also when validation failures outnumber
+# positive hits (only a positive plan is ever re-validated). --max-active 64
+# keeps the saturated, never-departing run the floor was calibrated on. The
+# solve path's speed is gated end to end by the svc-large-zipf workload of
+# perfbench.
 timeout 600 "$loadgen" --tier service --clients 1 --requests 2000 --scenario large --batch-max 1 \
     --shape-skew 1.2 --shape-pool 32 --seed 7 --max-active 64 --plan-cache --min-hit-rate 0.70 >/dev/null
 
 echo "==> plancache gate: the README's cluster example — each node's cache behind a 3-node gateway"
+# Same --plan-cache invariant, over the three nodes' summed stats.
 timeout 300 "$loadgen" --tier gateway --nodes 3 --requests 3000 --shape-skew 1.2 --shape-pool 32 \
     --plan-cache >/dev/null
 

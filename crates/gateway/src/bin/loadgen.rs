@@ -674,8 +674,16 @@ fn check(args: &Args, total: &DriveReport, reshards: &[ReshardReport], ledgers: 
         tier.reshards == effective,
         format!("tier counted {} reshards, the script changed topology {effective} times", tier.reshards),
     );
+    // Only a positive plan is re-validated (a rejection is replayed from
+    // its own shard's unmoved ledger or not at all), so a validation
+    // failure always follows a positive hit; all zero without --plan-cache.
+    let pc = ledgers.plan_cache();
+    expect(
+        pc.validation_failures <= pc.hits,
+        format!("plan cache: {} validation failures from {} positive hits", pc.validation_failures, pc.hits),
+    );
     if let Some(min) = args.min_hit_rate {
-        let rate = ledgers.plan_cache().hit_rate();
+        let rate = pc.hit_rate();
         expect(rate >= min, format!("plan-cache hit rate {rate:.3} below the required {min:.3}"));
     }
     violations

@@ -1,15 +1,14 @@
-//! The sharded plan cache: bounded CLOCK eviction, per-entry TTL with a
-//! shorter negative TTL, and epoch-based invalidation.
+//! The sharded plan cache: bounded CLOCK eviction and per-entry TTL with
+//! a shorter negative TTL.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use offloadnn_telemetry::{span, Counter, Registry};
 
 use crate::fingerprint::PlanKey;
-use crate::singleflight::{FlightAttempt, FlightTable};
 use crate::stats::{AtomicStats, PlanCacheStats};
 
 /// Tuning knobs for a [`PlanCache`]. `Copy + Eq` so it can ride inside
@@ -22,13 +21,11 @@ pub struct PlanCacheConfig {
     pub shards: usize,
     /// Time-to-live for positive (admit) entries.
     pub ttl: Duration,
-    /// Time-to-live for negative (infeasible) entries; keep this short so
+    /// Time-to-live for entries inserted as negative; keep this short so
     /// a transiently saturated ledger cannot keep rejecting a shape that
-    /// has since become feasible.
+    /// has since become feasible. The serve tier inserts none: its
+    /// rejections live in a per-shard memo with no TTL.
     pub negative_ttl: Duration,
-    /// How long a single-flight follower waits for the leader's plan
-    /// before giving up and solving locally.
-    pub flight_wait: Duration,
 }
 
 impl Default for PlanCacheConfig {
@@ -38,7 +35,6 @@ impl Default for PlanCacheConfig {
             shards: 8,
             ttl: Duration::from_secs(5),
             negative_ttl: Duration::from_millis(250),
-            flight_wait: Duration::from_millis(2),
         }
     }
 }
@@ -80,7 +76,6 @@ struct Entry<V> {
     key: PlanKey,
     value: V,
     negative: bool,
-    epoch: u64,
     expires: Instant,
     referenced: bool,
 }
@@ -141,36 +136,32 @@ impl<V: Clone> CacheShard<V> {
     }
 }
 
-/// A concurrent, sharded plan cache with single-flight miss dedup.
+/// A concurrent, sharded plan cache.
 ///
 /// Generic over the memoized value (the serve tier stores full
 /// admission plans). All methods take `&self`; the cache is shared as an
 /// `Arc` between shard workers.
 pub struct PlanCache<V: Clone> {
     config: PlanCacheConfig,
-    epoch: AtomicU64,
     shards: Vec<Mutex<CacheShard<V>>>,
-    pub(crate) flights: FlightTable<V>,
-    pub(crate) stats: AtomicStats,
-    pub(crate) mirror: Option<Mirror>,
+    stats: AtomicStats,
+    mirror: Option<Mirror>,
 }
 
 /// Optional telemetry mirror of the always-on atomic stats, registered on
 /// a caller-supplied [`Registry`] so exporters see `plancache.*` next to
 /// the service's other series.
-pub(crate) struct Mirror {
-    pub hits: Arc<Counter>,
-    pub misses: Arc<Counter>,
-    pub evictions: Arc<Counter>,
-    pub invalidations: Arc<Counter>,
-    pub singleflight: Arc<Counter>,
+struct Mirror {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    invalidations: Arc<Counter>,
 }
 
 impl<V: Clone> std::fmt::Debug for PlanCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
             .field("config", &self.config)
-            .field("epoch", &self.epoch())
             .field("len", &self.len())
             .field("stats", &self.stats())
             .finish()
@@ -184,15 +175,13 @@ impl<V: Clone> PlanCache<V> {
     }
 
     /// Builds a cache whose counters are mirrored onto `registry` as
-    /// `plancache.hits` / `.misses` / `.evictions` / `.invalidations` /
-    /// `.singleflight`.
+    /// `plancache.hits` / `.misses` / `.evictions` / `.invalidations`.
     pub fn with_registry(config: PlanCacheConfig, registry: &Registry) -> Self {
         let mirror = Mirror {
             hits: registry.counter("plancache.hits"),
             misses: registry.counter("plancache.misses"),
             evictions: registry.counter("plancache.evictions"),
             invalidations: registry.counter("plancache.invalidations"),
-            singleflight: registry.counter("plancache.singleflight"),
         };
         Self::build(config, Some(mirror))
     }
@@ -202,28 +191,10 @@ impl<V: Clone> PlanCache<V> {
         let per_shard = config.capacity.div_ceil(shards).max(1);
         PlanCache {
             config,
-            epoch: AtomicU64::new(0),
             shards: (0..shards).map(|_| Mutex::new(CacheShard::new(per_shard))).collect(),
-            flights: FlightTable::new(),
             stats: AtomicStats::default(),
             mirror,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PlanCacheConfig {
-        &self.config
-    }
-
-    /// The current invalidation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Invalidates every resident entry in O(1) by advancing the epoch.
-    /// Entries minted under older epochs are dropped lazily on next touch.
-    pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     fn shard_for(&self, key: &PlanKey) -> &Mutex<CacheShard<V>> {
@@ -233,11 +204,10 @@ impl<V: Clone> PlanCache<V> {
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    /// Looks up `key`, returning the memoized value if present, same-epoch
-    /// and unexpired. Stale entries are dropped in place and counted.
+    /// Looks up `key`, returning the memoized value if present and
+    /// unexpired. An expired entry is dropped in place and counted.
     pub fn lookup(&self, key: &PlanKey) -> Option<Cached<V>> {
         let _span = span!("plancache.lookup");
-        let epoch = self.epoch();
         let now = Instant::now();
         let mut shard = self.shard_for(key).lock().expect("plancache shard poisoned");
         let Some(&slot) = shard.map.get(key) else {
@@ -246,16 +216,6 @@ impl<V: Clone> PlanCache<V> {
             return None;
         };
         let entry = shard.slots[slot].as_ref().expect("mapped slot must be occupied");
-        if entry.epoch != epoch {
-            shard.remove(key);
-            drop(shard);
-            self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.mirror {
-                m.invalidations.inc();
-            }
-            self.note_miss();
-            return None;
-        }
         if entry.expires <= now {
             shard.remove(key);
             drop(shard);
@@ -286,17 +246,10 @@ impl<V: Clone> PlanCache<V> {
     }
 
     /// Inserts (or overwrites) `key`. Negative entries get the shorter
-    /// negative TTL. Entries are stamped with the current epoch.
+    /// negative TTL.
     pub fn insert(&self, key: PlanKey, value: V, negative: bool) {
         let ttl = if negative { self.config.negative_ttl } else { self.config.ttl };
-        let entry = Entry {
-            key,
-            value,
-            negative,
-            epoch: self.epoch(),
-            expires: Instant::now() + ttl,
-            referenced: true,
-        };
+        let entry = Entry { key, value, negative, expires: Instant::now() + ttl, referenced: true };
         let mut shard = self.shard_for(&key).lock().expect("plancache shard poisoned");
         let evicted = if let Some(&slot) = shard.map.get(&key) {
             shard.slots[slot] = Some(entry);
@@ -330,6 +283,16 @@ impl<V: Clone> PlanCache<V> {
         }
     }
 
+    /// Counts a rejection the caller replayed from its own memo (the serve
+    /// tier keeps one per shard, beside that shard's ledger) as a lookup
+    /// answered without a solve.
+    pub fn note_negative_hit(&self) {
+        self.stats.negative_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = &self.mirror {
+            m.hits.inc();
+        }
+    }
+
     /// Number of resident entries (for tests and reporting).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().expect("plancache shard poisoned").map.len()).sum()
@@ -343,37 +306,6 @@ impl<V: Clone> PlanCache<V> {
     /// A point-in-time snapshot of the cache statistics.
     pub fn stats(&self) -> PlanCacheStats {
         self.stats.snapshot()
-    }
-
-    /// Misses for the same key coalesce onto one solver run: the first
-    /// caller becomes the leader, everyone else a follower. See
-    /// [`crate::singleflight`].
-    pub fn begin_flight(&self, key: PlanKey) -> FlightAttempt<'_, V> {
-        self.flights.begin(self, key)
-    }
-
-    /// Convenience wrapper for benchmarks and simple callers: looks up
-    /// `key`, and on a miss either computes the value (as leader) or waits
-    /// for the in-flight leader, retrying until a value is available.
-    pub fn get_or_compute(&self, key: PlanKey, mut compute: impl FnMut() -> (V, bool)) -> V {
-        loop {
-            if let Some(cached) = self.lookup(&key) {
-                return cached.value;
-            }
-            match self.begin_flight(key) {
-                FlightAttempt::Leader(leader) => {
-                    let (value, negative) = compute();
-                    leader.complete(value.clone(), negative);
-                    return value;
-                }
-                FlightAttempt::Follower(follower) => {
-                    if let Some(cached) = follower.wait(self.config.flight_wait) {
-                        return cached.value;
-                    }
-                    // Leader aborted or timed out; loop and try to lead.
-                }
-            }
-        }
     }
 }
 
@@ -418,7 +350,6 @@ mod tests {
             shards: 1,
             ttl: Duration::from_millis(50),
             negative_ttl: Duration::from_millis(5),
-            ..Default::default()
         });
         cache.insert(key(1), 1, false);
         cache.insert(key(2), 2, true);
@@ -429,22 +360,6 @@ mod tests {
         thread::sleep(Duration::from_millis(50));
         assert!(cache.lookup(&key(1)).is_none());
         assert_eq!(cache.stats().expirations, 2);
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_everything_lazily() {
-        let cache = tiny(8);
-        for i in 0..4 {
-            cache.insert(key(i), i, false);
-        }
-        cache.bump_epoch();
-        for i in 0..4 {
-            assert!(cache.lookup(&key(i)).is_none(), "entry {i} must be stale");
-        }
-        assert_eq!(cache.stats().invalidations, 4);
-        // Re-inserted entries are valid under the new epoch.
-        cache.insert(key(0), 7, false);
-        assert_eq!(cache.lookup(&key(0)).expect("fresh entry").value, 7);
     }
 
     #[test]
@@ -485,20 +400,6 @@ mod tests {
         }
         assert!(cache.len() <= 64, "len {} exceeds capacity", cache.len());
         assert!(cache.stats().evictions >= 1000 - 64);
-    }
-
-    #[test]
-    fn get_or_compute_runs_compute_once_per_residency() {
-        let cache = tiny(8);
-        let mut calls = 0;
-        for _ in 0..5 {
-            let v = cache.get_or_compute(key(9), || {
-                calls += 1;
-                (99, false)
-            });
-            assert_eq!(v, 99);
-        }
-        assert_eq!(calls, 1);
     }
 
     #[test]

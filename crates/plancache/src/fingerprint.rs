@@ -31,10 +31,10 @@ pub struct ShapeFingerprint(pub u64);
 
 /// Cache key: shape fingerprint, coarse budget bucket and ring generation.
 ///
-/// The generation component makes every reshard/repartition an implicit
-/// flush for free — keys minted under the old ring can never match — while
-/// the [`epoch`](crate::PlanCache::bump_epoch) mechanism handles validity
-/// events that do *not* change the generation (heals, explicit flushes).
+/// The generation component makes every reshard/repartition (and the
+/// heal of a dead shard, which only runs inside one) an implicit flush
+/// for free: keys minted under the old ring can never match, and the
+/// entries behind them age out by TTL and CLOCK eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Canonical shape fingerprint of (task, options).

@@ -8,20 +8,22 @@
 //! — which DNN path to run, at what admission fraction and RB grant —
 //! never its verdict:
 //!
-//! - **Key** = [`shape_fingerprint`] (canonical FNV-1a/64 over the QoS
+//! - **Key** = [`shape_fingerprint`] (canonical 64-bit fold over the QoS
 //!   and option-set fields, identity excluded) + [`budget_bucket`]
 //!   (coarse headroom level) + ring generation — see [`PlanKey`].
 //! - **Hit** = a proposal only. Admission re-validates the plan against
 //!   the live ledger (`Controller::try_apply_plan`) and falls through to
 //!   a cold solve when validation fails, so budget conservation never
 //!   depends on cache freshness.
-//! - **Miss** = single-flight: concurrent misses for one key coalesce
-//!   onto one solver run whose plan fans out to all waiters
-//!   ([`singleflight`]).
-//! - **Staleness** = bounded capacity with CLOCK second-chance eviction,
-//!   per-entry TTL (shorter for negative entries), and O(1) epoch
-//!   invalidation ([`PlanCache::bump_epoch`]) wired to reshards, budget
-//!   repartitions and chaos heals.
+//! - **Miss** = the caller solves and [`PlanCache::insert`]s the plan;
+//!   no lookup or insert ever blocks on another caller's solve.
+//! - **Staleness** = bounded capacity with CLOCK second-chance eviction
+//!   and per-entry TTL (shorter for negative entries). Reshards, budget
+//!   repartitions and chaos heals advance the ring generation in the
+//!   key, so older plans stop matching and age out.
+//! - **Rejections** are not stored: one depends on the whole ledger of
+//!   the shard that produced it, so the serve tier memoizes them per
+//!   shard and reports replays through [`PlanCache::note_negative_hit`].
 //!
 //! The cache is generic over the memoized value; the serve tier stores
 //! full [`CachedPlan`]s.
@@ -35,8 +37,8 @@
 //! let key = PlanKey { shape: ShapeFingerprint(42), bucket: 0, generation: 0 };
 //! cache.insert(key, CachedPlan::Admit { option: 0, admission: 1.0, rbs: 4.0 }, false);
 //! assert!(cache.lookup(&key).is_some());
-//! cache.bump_epoch(); // e.g. the service resharded
-//! assert!(cache.lookup(&key).is_none());
+//! // e.g. the service resharded: the next generation's key never matches
+//! assert!(cache.lookup(&PlanKey { generation: 1, ..key }).is_none());
 //! ```
 
 #![warn(missing_docs)]
@@ -45,11 +47,9 @@
 mod cache;
 pub mod fingerprint;
 mod plan;
-pub mod singleflight;
 mod stats;
 
 pub use cache::{Cached, PlanCache, PlanCacheConfig};
 pub use fingerprint::{budget_bucket, shape_fingerprint, PlanKey, ShapeFingerprint};
 pub use plan::CachedPlan;
-pub use singleflight::{FlightAttempt, FlightFollower, FlightLeader};
 pub use stats::PlanCacheStats;

@@ -8,6 +8,11 @@
 /// (`Controller::try_apply_plan`) before any budget moves, and falls
 /// through to a cold solve if validation fails.
 ///
+/// Rejections are not plans and are not stored here: a rejection depends
+/// on the whole ledger of the shard that produced it, so the serve tier
+/// keeps them in a per-shard memo that is cleared whenever that ledger
+/// moves.
+///
 /// The serve tier only mints `Admit` entries for *full* admissions
 /// (`z = 1`): a full grant's sizing is the shape's unconstrained optimum
 /// (rate-driven RBs, independent of residual headroom), so a validated
@@ -26,27 +31,4 @@ pub enum CachedPlan {
         /// Radio resource blocks `r` granted.
         rbs: f64,
     },
-    /// The shape was infeasible when last solved (negative entry; cached
-    /// under the shorter negative TTL).
-    ///
-    /// Unlike an `Admit` plan there is nothing to re-validate — the
-    /// rejection depends on the whole ledger, not one task's footprint —
-    /// so the entry carries the minting shard's ledger stamp instead. A
-    /// hit replays the rejection only while the stamp still matches
-    /// (i.e. the ledger has not moved since the solver said no); any
-    /// admit, departure, adoption or reshard bumps the stamp and the
-    /// next hit falls through to a fresh solve. With a deterministic
-    /// solver this makes negative hits bit-identical to cold solves.
-    Infeasible {
-        /// [`ledger stamp`](CachedPlan::Infeasible) of the shard whose
-        /// solver produced the rejection, at mint time.
-        ledger: u64,
-    },
-}
-
-impl CachedPlan {
-    /// Whether this is a negative (infeasible-shape) entry.
-    pub fn is_negative(&self) -> bool {
-        matches!(self, CachedPlan::Infeasible { .. })
-    }
 }

@@ -14,9 +14,6 @@ pub(crate) struct AtomicStats {
     pub invalidations: AtomicU64,
     pub expirations: AtomicU64,
     pub validation_failures: AtomicU64,
-    pub singleflight_leads: AtomicU64,
-    pub singleflight_followers: AtomicU64,
-    pub singleflight_timeouts: AtomicU64,
 }
 
 impl AtomicStats {
@@ -30,9 +27,6 @@ impl AtomicStats {
             invalidations: self.invalidations.load(Ordering::Relaxed),
             expirations: self.expirations.load(Ordering::Relaxed),
             validation_failures: self.validation_failures.load(Ordering::Relaxed),
-            singleflight_leads: self.singleflight_leads.load(Ordering::Relaxed),
-            singleflight_followers: self.singleflight_followers.load(Ordering::Relaxed),
-            singleflight_timeouts: self.singleflight_timeouts.load(Ordering::Relaxed),
         }
     }
 }
@@ -45,7 +39,9 @@ impl AtomicStats {
 pub struct PlanCacheStats {
     /// Lookups that returned a positive (admit) plan.
     pub hits: u64,
-    /// Lookups that returned a negative (infeasible-shape) entry.
+    /// Rejections answered without a solve: negative entries returned by
+    /// `lookup` plus replays the caller reported through
+    /// `PlanCache::note_negative_hit` (the serve tier's per-shard memo).
     pub negative_hits: u64,
     /// Lookups that found nothing usable.
     pub misses: u64,
@@ -53,19 +49,12 @@ pub struct PlanCacheStats {
     pub inserts: u64,
     /// Entries displaced by CLOCK second-chance eviction.
     pub evictions: u64,
-    /// Entries dropped by epoch bumps or explicit invalidation
-    /// (validation failures included).
+    /// Entries dropped because their plan failed re-validation.
     pub invalidations: u64,
     /// Entries dropped because their TTL lapsed.
     pub expirations: u64,
     /// Cache hits whose plan failed re-validation against the live ledger.
     pub validation_failures: u64,
-    /// Misses that became single-flight leaders (ran the solver).
-    pub singleflight_leads: u64,
-    /// Misses that waited on another request's in-flight solve.
-    pub singleflight_followers: u64,
-    /// Followers that timed out waiting and solved locally.
-    pub singleflight_timeouts: u64,
 }
 
 impl PlanCacheStats {
@@ -74,14 +63,15 @@ impl PlanCacheStats {
         self.hits + self.negative_hits + self.misses
     }
 
-    /// Fraction of lookups answered from cache, in `[0, 1]`.
+    /// Fraction of lookups answered without a solve, in `[0, 1]`: hits
+    /// whose plan failed re-validation were re-solved and do not count.
     /// Zero lookups yields 0.0.
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.lookups();
         if lookups == 0 {
             0.0
         } else {
-            (self.hits + self.negative_hits) as f64 / lookups as f64
+            (self.hits + self.negative_hits).saturating_sub(self.validation_failures) as f64 / lookups as f64
         }
     }
 }
@@ -98,9 +88,6 @@ impl std::iter::Sum for PlanCacheStats {
             invalidations: a.invalidations + b.invalidations,
             expirations: a.expirations + b.expirations,
             validation_failures: a.validation_failures + b.validation_failures,
-            singleflight_leads: a.singleflight_leads + b.singleflight_leads,
-            singleflight_followers: a.singleflight_followers + b.singleflight_followers,
-            singleflight_timeouts: a.singleflight_timeouts + b.singleflight_timeouts,
         })
     }
 }
@@ -118,5 +105,9 @@ mod tests {
         let total: PlanCacheStats = [s, s].into_iter().sum();
         assert_eq!((total.hits, total.lookups()), (12, 20));
         assert!((total.hit_rate() - 0.8).abs() < 1e-12);
+        // Hits that failed validation were re-solved: they are not usable.
+        let failed = PlanCacheStats { validation_failures: 3, ..s };
+        assert!((failed.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(PlanCacheStats { validation_failures: 9, ..s }.hit_rate(), 0.0);
     }
 }

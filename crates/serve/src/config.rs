@@ -27,8 +27,8 @@ pub struct ServiceConfig {
     /// to priority-ordered shedding: the backlog is drained, the highest
     /// priority `batch_max` requests are kept and the rest are shed.
     pub shed_watermark: usize,
-    /// Plan cache for repeat task shapes: `Some` enables per-shard plan
-    /// memoization with single-flight dedup; `None` (the default) keeps
+    /// Plan cache for repeat task shapes: `Some` enables the shared plan
+    /// cache and each shard's rejection memo; `None` (the default) keeps
     /// the cold-solve path byte-identical to previous releases.
     pub plan_cache: Option<PlanCacheConfig>,
     /// Fault injection for chaos testing; inert by default.

@@ -554,16 +554,12 @@ impl Service {
         }
         drop(handles);
 
+        // The generation is part of every plan-cache key: plans minted
+        // under the old ring and budget partition never match again.
         let generation = self.metrics.generation.get() + 1;
         self.metrics.generation.set(generation);
         self.metrics.reshards.inc();
         self.metrics.migrated.add(migrated);
-        // Plans minted under the old ring and budget partition are stale:
-        // the generation in the key already fences new lookups, and the
-        // epoch bump drops the resident entries themselves.
-        if let Some(cache) = &self.plan_cache {
-            cache.bump_epoch();
-        }
         reshard_span.finish();
         event!(
             Severity::Info,
@@ -593,12 +589,6 @@ impl Service {
         let fresh = spawn_worker(shard, budgets, rx, &self.template, config, &self.metrics, &self.plan_cache);
         let old = std::mem::replace(&mut handles[shard], fresh);
         self.routing.write().expect("routing lock").senders[shard] = tx;
-        // The panic took the dead worker's ledger with it; plans minted
-        // against that ledger must not seed the fresh controller. A heal
-        // does not change the ring generation, so this needs the epoch.
-        if let Some(cache) = &self.plan_cache {
-            cache.bump_epoch();
-        }
         match old.join() {
             Ok(exit) => {
                 self.retired.lock().expect("retired lock").push(exit.report);
@@ -770,7 +760,7 @@ fn spawn_worker(
         config,
         metrics: Arc::clone(metrics),
         plan_cache: plan_cache.clone(),
-        ledger: 0,
+        rejected: HashSet::new(),
         orphans: HashSet::new(),
         pending_reshards: Vec::new(),
     };

@@ -1,6 +1,7 @@
 //! The per-shard worker: batch assembly, expiry, priority shedding,
-//! solver rounds, departure handling and reshard handoffs around one
-//! `Controller`.
+//! the plan-cache pass (shared positive plans re-validated on hit, plus
+//! this shard's own rejection memo), solver rounds, departure handling
+//! and reshard handoffs around one `Controller`.
 
 use crate::config::ServiceConfig;
 use crate::metrics::ServiceMetrics;
@@ -10,7 +11,7 @@ use offloadnn_core::controller::{ActiveTask, AdmissionRequest, Controller, Contr
 use offloadnn_core::instance::Budgets;
 use offloadnn_core::task::TaskId;
 use offloadnn_plancache::{
-    budget_bucket, shape_fingerprint, CachedPlan, FlightAttempt, FlightLeader, PlanCache, PlanKey,
+    budget_bucket, shape_fingerprint, CachedPlan, PlanCache, PlanKey, ShapeFingerprint,
 };
 use offloadnn_telemetry::{event, span, Severity};
 use serde::{Deserialize, Serialize};
@@ -23,6 +24,11 @@ use std::time::Instant;
 /// removes entries, so in a healthy fleet the set stays tiny; the cap
 /// only bounds memory against a caller departing ids that never existed.
 const ORPHAN_CAP: usize = 65_536;
+
+/// Upper bound on memoized rejections per shard. A stream of fresh
+/// rejected shapes on an unmoving ledger would otherwise grow the memo
+/// without limit; a full memo is simply cleared (its shapes re-solve).
+const REJECTED_CAP: usize = 4096;
 
 /// Final state a shard worker returns when it exits (after
 /// [`crate::service::Service::drain`] or when the service is dropped).
@@ -58,12 +64,6 @@ impl ShardReport {
     }
 }
 
-/// What the cache pass hands back to the round: the requests that
-/// still need a solver round plus, aligned by index, the key to
-/// publish each solved plan under and the single-flight leadership
-/// token if this request owns the solve for its key.
-type CachePass<'c> = (Vec<ServiceRequest>, Vec<Option<PlanKey>>, Vec<Option<FlightLeader<'c, CachedPlan>>>);
-
 /// What a worker thread yields on exit: its report plus whatever tasks
 /// were still active, so a scale-down can migrate them to the surviving
 /// shards instead of leaking their capacity.
@@ -84,12 +84,13 @@ pub(crate) struct ShardWorker {
     /// Service-wide plan cache shared by every shard worker; `None` keeps
     /// the cold-solve path exactly as before.
     pub plan_cache: Option<Arc<PlanCache<CachedPlan>>>,
-    /// Monotonic count of ledger mutations (admits, departures,
-    /// adoptions, reshards). Stamped into negative cache entries so a
-    /// memoized rejection only replays while the ledger is literally
-    /// unchanged since the solver produced it — the negative-path
-    /// counterpart of `Controller::try_apply_plan` re-validation.
-    pub ledger: u64,
+    /// Shapes the solver refused since this shard's ledger last moved. A
+    /// rejection depends on the whole ledger, so there is nothing to
+    /// re-validate: it replays only while the ledger is literally
+    /// unchanged (see [`ShardWorker::ledger_moved`]) — the negative-path
+    /// counterpart of `Controller::try_apply_plan` re-validation. Stays
+    /// empty with the plan cache off.
+    pub rejected: HashSet<ShapeFingerprint>,
     /// Departures that outran their task's migration: a departure routed
     /// here before the matching `Adopt` arrived. Reconciled on adoption.
     pub orphans: HashSet<TaskId>,
@@ -195,7 +196,7 @@ impl ShardWorker {
             ShardMsg::Request(req) => batch.push(req),
             ShardMsg::Depart(id) => {
                 if self.controller.release(&[id]) > 0 {
-                    self.ledger += 1;
+                    self.ledger_moved();
                 } else if self.orphans.len() < ORPHAN_CAP {
                     // The departure outran the migration handing us this
                     // task (or names an id we never held): remember it so
@@ -216,7 +217,7 @@ impl ShardWorker {
                     }
                 }
                 if !keep.is_empty() {
-                    self.ledger += 1;
+                    self.ledger_moved();
                 }
                 self.controller.adopt(keep);
             }
@@ -226,7 +227,7 @@ impl ShardWorker {
     /// Applies one reshard order: adopt the new budget partition, then
     /// evacuate every active task the new ring maps to another shard.
     fn execute_reshard(&mut self, cmd: ReshardCmd, peak: &mut (f64, f64, f64)) {
-        self.ledger += 1;
+        self.ledger_moved();
         self.budgets = cmd.budgets;
         self.controller.set_budgets(cmd.budgets);
         let shard = self.shard;
@@ -273,12 +274,9 @@ impl ShardWorker {
         // (re-validated against the live ledger); only the remainder pays
         // for a solver round. With the cache off, this is the identity.
         let cache = self.plan_cache.clone();
-        let (to_solve, keys, mut leads) = match cache.as_deref() {
+        let (to_solve, keys) = match cache.as_deref() {
             Some(cache) => self.cache_pass(cache, live),
-            None => {
-                let n = live.len();
-                (live, vec![None; n], Vec::new())
-            }
+            None => (live, Vec::new()),
         };
         if to_solve.is_empty() {
             return true; // every request was answered from cache
@@ -301,11 +299,11 @@ impl ShardWorker {
                 self.metrics.solver_rounds.inc();
                 self.metrics.solver_round_us.set(elapsed.as_micros() as u64);
                 debug_assert!(outcome.accounts_for(waiting.len()), "round lost a verdict");
-                // The round's admits all landed inside `submit`, so one
-                // bump here lets the rejections minted below carry the
-                // post-round ledger stamp.
+                // The round's admits all landed inside `submit`, so the
+                // rejections memoized below are against the post-round
+                // ledger.
                 if !outcome.admitted.is_empty() {
-                    self.ledger += 1;
+                    self.ledger_moved();
                 }
                 // Both outcome lists preserve request order, so a single
                 // forward scan pairs verdicts with requests even if a
@@ -313,7 +311,8 @@ impl ShardWorker {
                 let mut admitted = outcome.admitted.into_iter().zip(outcome.chosen).peekable();
                 let mut rejected = outcome.rejected.into_iter().peekable();
                 for (i, (id, waiter)) in waiting.into_iter().enumerate() {
-                    let plan;
+                    // `keys` is empty with the cache off.
+                    let key = keys.get(i);
                     if admitted.peek().is_some_and(|(a, _)| a.task.id == id) {
                         let (grant, option) = admitted.next().expect("peeked");
                         // Only the unconstrained optimum is worth
@@ -323,11 +322,13 @@ impl ShardWorker {
                         // is shaped by the residual headroom at solve
                         // time — replaying it later would hand out a
                         // stale fraction — so it is never cached.
-                        plan = (grant.admission >= 1.0 - 1e-9).then_some(CachedPlan::Admit {
-                            option,
-                            admission: grant.admission,
-                            rbs: grant.rbs,
-                        });
+                        if let (Some(cache), Some(key)) = (cache.as_deref(), key) {
+                            if grant.admission >= 1.0 - 1e-9 {
+                                let plan =
+                                    CachedPlan::Admit { option, admission: grant.admission, rbs: grant.rbs };
+                                cache.insert(*key, plan, false);
+                            }
+                        }
                         self.resolve(
                             &waiter,
                             Outcome::Admitted {
@@ -339,32 +340,22 @@ impl ShardWorker {
                     } else {
                         debug_assert!(rejected.peek() == Some(&id), "verdict misaligned");
                         rejected.next();
-                        plan = Some(CachedPlan::Infeasible { ledger: self.ledger_stamp() });
-                        self.resolve(&waiter, Outcome::Rejected { shard: self.shard });
-                    }
-                    // Publish the solved plan: through the flight (fans
-                    // out to waiters) if this request led one, else a
-                    // plain insert.
-                    if let (Some(cache), Some(Some(key))) = (cache.as_deref(), keys.get(i)) {
-                        if let Some(plan) = plan {
-                            let negative = plan.is_negative();
-                            match leads.get_mut(i).and_then(Option::take) {
-                                Some(leader) => leader.complete(plan, negative),
-                                None => cache.insert(*key, plan, negative),
+                        if let Some(key) = key {
+                            if self.rejected.len() >= REJECTED_CAP {
+                                self.rejected.clear();
                             }
+                            self.rejected.insert(key.shape);
                         }
+                        self.resolve(&waiter, Outcome::Rejected { shard: self.shard });
                     }
                 }
             }
             Err(e) => {
                 // A malformed round (e.g. an option naming an unknown
                 // block) admits nothing; every caller still gets a
-                // verdict. Solver errors are not cached as infeasible —
-                // dropping the flight leaders aborts their flights so
-                // waiters fall back to their own solve.
+                // verdict. Solver errors are not memoized as rejections.
                 self.metrics.solver_errors.inc();
                 event!(Severity::Warn, "serve.shard", "shard {} solver round failed: {e}", self.shard);
-                leads.clear();
                 for (_, waiter) in &waiting {
                     self.resolve(waiter, Outcome::Rejected { shard: self.shard });
                 }
@@ -374,112 +365,32 @@ impl ShardWorker {
     }
 
     /// Splits `live` into cache-resolved requests (answered in place) and
-    /// the remainder that needs a solver round. Returns the remainder
-    /// plus, aligned by index, the cache key to publish each solved plan
-    /// under (`None` = don't publish: cache off, or a duplicate shape
-    /// already being solved in this batch) and the single-flight
-    /// leadership token if this request owns the solve for its key.
-    fn cache_pass<'c>(
+    /// the remainder that needs a solver round, returned with the cache
+    /// key of each (aligned by index). A shape this shard's solver refused
+    /// since the ledger last moved is rejected again; a memoized admit
+    /// plan is re-validated against the live ledger and activates exactly
+    /// as a cold solve would, or is dropped and solved fresh.
+    fn cache_pass(
         &mut self,
-        cache: &'c PlanCache<CachedPlan>,
+        cache: &PlanCache<CachedPlan>,
         live: Vec<ServiceRequest>,
-    ) -> CachePass<'c> {
+    ) -> (Vec<ServiceRequest>, Vec<PlanKey>) {
         let generation = self.metrics.generation.get();
         let bucket = budget_bucket(&self.controller.snapshot().headroom, &self.budgets);
         let mut to_solve = Vec::new();
-        let mut keys: Vec<Option<PlanKey>> = Vec::new();
-        let mut leads: Vec<Option<FlightLeader<'c, CachedPlan>>> = Vec::new();
+        let mut keys = Vec::new();
         for req in live {
             let key = PlanKey { shape: shape_fingerprint(&req.task, &req.options), bucket, generation };
-            if let Some(cached) = cache.lookup(&key) {
-                match self.apply_cached(cache, &key, cached.value, req) {
-                    None => continue, // resolved from cache
-                    Some(req) => {
-                        // Validation failed: solve fresh and re-publish.
-                        to_solve.push(req);
-                        keys.push(Some(key));
-                        leads.push(None);
-                        continue;
-                    }
-                }
-            }
-            // Batch-local dedup: if an earlier request in this batch
-            // already solves this key, just ride the same round.
-            if keys.contains(&Some(key)) {
-                to_solve.push(req);
-                keys.push(None);
-                leads.push(None);
+            if self.rejected.contains(&key.shape) {
+                cache.note_negative_hit();
+                self.resolve(&req.waiter, Outcome::Rejected { shard: self.shard });
                 continue;
             }
-            // Cross-shard single-flight: lead the solve or briefly wait
-            // for another shard's in-flight one.
-            match cache.begin_flight(key) {
-                FlightAttempt::Leader(leader) => {
-                    to_solve.push(req);
-                    keys.push(Some(key));
-                    leads.push(Some(leader));
-                }
-                FlightAttempt::Follower(follower) => {
-                    match follower.wait(cache.config().flight_wait) {
-                        Some(cached) => {
-                            if let Some(req) = self.apply_cached(cache, &key, cached.value, req) {
-                                to_solve.push(req);
-                                keys.push(Some(key));
-                                leads.push(None);
-                            }
-                        }
-                        None => {
-                            // Leader aborted or too slow: solve locally.
-                            to_solve.push(req);
-                            keys.push(Some(key));
-                            leads.push(None);
-                        }
-                    }
-                }
-            }
-        }
-        (to_solve, keys, leads)
-    }
-
-    /// The value stamped into negative cache entries: shard id folded
-    /// into the high bits so an entry minted by one shard never replays
-    /// on another (each shard rejects against its own budget partition),
-    /// plus the mutation counter so any ledger movement retires it.
-    fn ledger_stamp(&self) -> u64 {
-        ((self.shard as u64) << 48) | (self.ledger & ((1 << 48) - 1))
-    }
-
-    /// Applies a memoized plan to one request: a negative entry rejects
-    /// immediately iff its ledger stamp still matches (nothing moved
-    /// since the solver said no, so a fresh solve would say no again); an
-    /// admit plan is re-validated against the live ledger and activates
-    /// exactly as a cold solve would. Returns the request back when
-    /// either check fails (the entry is dropped and the caller falls
-    /// through to a fresh solve).
-    fn apply_cached(
-        &mut self,
-        cache: &PlanCache<CachedPlan>,
-        key: &PlanKey,
-        plan: CachedPlan,
-        req: ServiceRequest,
-    ) -> Option<ServiceRequest> {
-        match plan {
-            CachedPlan::Infeasible { ledger } => {
-                if ledger == self.ledger_stamp() {
-                    self.resolve(&req.waiter, Outcome::Rejected { shard: self.shard });
-                    None
-                } else {
-                    // The ledger moved (or another shard minted this):
-                    // capacity may have freed up, so the rejection can no
-                    // longer be replayed verbatim.
-                    cache.note_validation_failure(key);
-                    Some(req)
-                }
-            }
-            CachedPlan::Admit { option, admission, rbs } => {
+            if let Some(cached) = cache.lookup(&key) {
+                let CachedPlan::Admit { option, admission, rbs } = cached.value;
                 match self.controller.try_apply_plan(&req.task, &req.options, option, admission, rbs) {
                     Some(grant) => {
-                        self.ledger += 1;
+                        self.ledger_moved();
                         self.resolve(
                             &req.waiter,
                             Outcome::Admitted {
@@ -488,15 +399,22 @@ impl ShardWorker {
                                 shard: self.shard,
                             },
                         );
-                        None
+                        continue;
                     }
-                    None => {
-                        cache.note_validation_failure(key);
-                        Some(req)
-                    }
+                    None => cache.note_validation_failure(&key),
                 }
             }
+            to_solve.push(req);
+            keys.push(key);
         }
+        (to_solve, keys)
+    }
+
+    /// Every ledger mutation (admit, departure, adoption, reshard) goes
+    /// through here: capacity may have been freed or taken, so no
+    /// memoized rejection can be replayed verbatim any more.
+    fn ledger_moved(&mut self) {
+        self.rejected.clear();
     }
 
     /// Delivers a verdict: bumps the matching counter, records latency

@@ -1,10 +1,12 @@
-//! Staleness harness: every event that can make a memoized plan wrong —
-//! TTL expiry (positive and the shorter negative TTL), capacity
-//! eviction, reshard/repartition generation bumps, and chaos-healed
-//! respawns — must force the serving stack back to a fresh solve. Each
-//! test drives the real `Service` (sequential submit → wait, so counter
-//! reads are race-free) and asserts on the plan-cache statistics plus
-//! the solver-round counter.
+//! Staleness harness: every event that can make a memoized answer wrong
+//! — positive-plan TTL expiry, CLOCK capacity eviction, any movement of
+//! the shard's ledger under a memoized rejection (admission, departure,
+//! the memo's own bound, another shard's different ledger),
+//! reshard/repartition generation bumps, and chaos-healed respawns —
+//! must force the serving stack back to a fresh solve. Each test drives
+//! the real `Service` (sequential submit → wait, so counter reads are
+//! race-free) and asserts on the plan-cache statistics plus the
+//! solver-round counter.
 
 use offloadnn_core::scenario::{small_scenario, Scenario};
 use offloadnn_core::task::{Task, TaskId};
@@ -28,8 +30,8 @@ fn config(shards: usize, plan_cache: PlanCacheConfig) -> ServiceConfig {
 
 /// A shape the solver always rejects: the request rate is inflated until
 /// the compute cost of admitting any fraction exceeds its utility.
-/// Rejections leave the ledger untouched, so repeat submissions replay
-/// the negative entry deterministically.
+/// Rejections leave the ledger untouched, so repeat submissions to one
+/// shard replay the memoized rejection deterministically.
 fn infeasible_task(scenario: &Scenario, id: u32, variant: u64) -> Task {
     let mut task = scenario.instance.tasks[0].clone();
     task.id = TaskId(id);
@@ -49,14 +51,23 @@ fn stats(service: &Service) -> PlanCacheStats {
     service.plan_cache_stats().expect("plan cache configured")
 }
 
+/// `(solver rounds, rejections replayed from the memo)` so far.
+fn rounds_and_replays(service: &Service) -> (u64, u64) {
+    (service.metrics().solver_rounds, stats(service).negative_hits)
+}
+
+/// The first `n` ids at or above `from` that the current ring routes to `shard`.
+fn pinned(service: &Service, shard: usize, from: u32, n: usize) -> Vec<u32> {
+    let router = service.router();
+    let ids: Vec<u32> = (from..from + 1000).filter(|&id| router.route(TaskId(id)) == shard).take(n).collect();
+    assert_eq!(ids.len(), n, "ring mapped fewer than {n} of 1000 ids to shard {shard}");
+    ids
+}
+
 #[test]
 fn positive_ttl_expiry_forces_a_fresh_solve() {
     let scenario = small_scenario(3);
-    let pc = PlanCacheConfig {
-        ttl: Duration::from_millis(300),
-        negative_ttl: Duration::from_millis(40),
-        ..PlanCacheConfig::default()
-    };
+    let pc = PlanCacheConfig { ttl: Duration::from_millis(300), ..PlanCacheConfig::default() };
     let service = Service::start(config(1, pc), &scenario.instance).expect("service start");
 
     // Warm: one repeated shape against a slack ledger replays its plan.
@@ -88,40 +99,76 @@ fn positive_ttl_expiry_forces_a_fresh_solve() {
 }
 
 #[test]
-fn negative_ttl_expires_rejections_sooner_than_plans() {
+fn a_rejection_replays_only_until_the_ledger_moves() {
     let scenario = small_scenario(3);
-    let pc = PlanCacheConfig {
-        ttl: Duration::from_millis(300),
-        negative_ttl: Duration::from_millis(40),
-        ..PlanCacheConfig::default()
+    let service = Service::start(config(1, PlanCacheConfig::default()), &scenario.instance).expect("start");
+    let reject = |id: u32| {
+        assert!(!submit_wait(&service, infeasible_task(&scenario, id, 0), 0, &scenario).is_admitted());
+        rounds_and_replays(&service)
     };
-    let service = Service::start(config(1, pc), &scenario.instance).expect("service start");
 
-    // One admitted shape (minted under the long TTL), then a rejected
-    // one (minted under the short negative TTL).
+    // Solved once, then replayed for as long as nothing moves (no TTL).
+    assert_eq!(reject(0), (1, 0));
+    assert_eq!(reject(1), (1, 1));
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(reject(2), (1, 2));
+
+    // An admission moves the ledger and retires the memoized rejection.
     let mut task = scenario.instance.tasks[0].clone();
-    task.id = TaskId(0);
+    task.id = TaskId(3);
     assert!(submit_wait(&service, task, 0, &scenario).is_admitted());
-    assert!(!submit_wait(&service, infeasible_task(&scenario, 1, 0), 0, &scenario).is_admitted());
+    assert_eq!(rounds_and_replays(&service), (2, 2));
+    assert_eq!(reject(4), (3, 2));
+    assert_eq!(reject(5), (3, 3));
 
-    // An immediate repeat replays the rejection (the ledger has not
-    // moved since the rejection was minted).
-    assert!(!submit_wait(&service, infeasible_task(&scenario, 2, 0), 0, &scenario).is_admitted());
-    let mid = stats(&service);
-    assert!(mid.negative_hits > 0, "rejection was not replayed: {mid:?}");
+    // So does a departure (queued ahead of the next request, FIFO).
+    service.depart(TaskId(3));
+    assert_eq!(reject(6), (4, 3));
+    assert_eq!(reject(7), (4, 4));
 
-    // Wait past the negative TTL but well inside the positive one.
-    std::thread::sleep(Duration::from_millis(80));
-    assert!(!submit_wait(&service, infeasible_task(&scenario, 3, 0), 0, &scenario).is_admitted());
-    let late = stats(&service);
-    assert!(late.expirations > mid.expirations, "negative entry outlived its TTL: {mid:?} -> {late:?}");
+    assert_eq!(stats(&service).validation_failures, 0, "a rejection has nothing to validate");
+    assert!(service.drain().metrics.is_conserved());
+}
 
-    // The positive plan from the same window is still alive and replays.
-    let mut task = scenario.instance.tasks[0].clone();
-    task.id = TaskId(4);
-    submit_wait(&service, task, 0, &scenario);
+#[test]
+fn one_shards_rejection_neither_replays_on_nor_evicts_for_another() {
+    let scenario = small_scenario(3);
+    let service = Service::start(config(2, PlanCacheConfig::default()), &scenario.instance).expect("start");
+
+    // The same rejected shape, alternating between the two shards: each
+    // shard solves it once against its own budget partition and replays
+    // its own rejection from then on.
+    let (on_0, on_1) = (pinned(&service, 0, 0, 10), pinned(&service, 1, 0, 10));
+    for (&a, &b) in on_0.iter().zip(&on_1) {
+        assert!(!submit_wait(&service, infeasible_task(&scenario, a, 0), 0, &scenario).is_admitted());
+        assert!(!submit_wait(&service, infeasible_task(&scenario, b, 0), 0, &scenario).is_admitted());
+    }
     let end = stats(&service);
-    assert!(end.hits > mid.hits, "positive entry should have survived the short sleep: {end:?}");
+    assert_eq!(service.metrics().solver_rounds, 2, "one solve per shard: {end:?}");
+    assert_eq!(end.validation_failures, 0);
+    assert_eq!(end.negative_hits, 18);
+    assert!(service.drain().metrics.is_conserved());
+}
+
+#[test]
+fn the_rejection_memo_is_bounded() {
+    // `REJECTED_CAP` in `serve::shard` (private): a full memo is cleared.
+    const CAP: u32 = 4096;
+    let scenario = small_scenario(3);
+    let service = Service::start(config(1, PlanCacheConfig::default()), &scenario.instance).expect("start");
+    for k in 0..=CAP {
+        assert!(!submit_wait(&service, infeasible_task(&scenario, k, k as u64), 0, &scenario).is_admitted());
+    }
+    assert_eq!(rounds_and_replays(&service), (CAP as u64 + 1, 0));
+
+    // The ledger never moved, yet the first shape is solved again; the
+    // latest one is still memoized.
+    assert!(!submit_wait(&service, infeasible_task(&scenario, CAP + 1, 0), 0, &scenario).is_admitted());
+    assert_eq!(rounds_and_replays(&service), (CAP as u64 + 2, 0));
+    assert!(
+        !submit_wait(&service, infeasible_task(&scenario, CAP + 2, CAP as u64), 0, &scenario).is_admitted()
+    );
+    assert_eq!(rounds_and_replays(&service), (CAP as u64 + 2, 1));
     assert!(service.drain().metrics.is_conserved());
 }
 
@@ -130,19 +177,28 @@ fn eviction_under_capacity_pressure_forces_fresh_solves() {
     let scenario = small_scenario(3);
     let pc = PlanCacheConfig { capacity: 4, shards: 1, ..PlanCacheConfig::default() };
     let service = Service::start(config(1, pc), &scenario.instance).expect("service start");
+    let admit_then_depart = |id: u32, k: u32| {
+        let mut task = scenario.instance.tasks[0].clone();
+        task.id = TaskId(id);
+        task.request_rate *= 1.0 + 0.001 * k as f64;
+        assert!(submit_wait(&service, task, 0, &scenario).is_admitted());
+        service.depart(TaskId(id));
+    };
 
-    // Twelve distinct always-rejected shapes through a 4-slot cache:
-    // the early entries must be evicted.
+    // Twelve distinct shapes, each admitted in full against an empty
+    // ledger (so each mints a plan) and departed again, through a 4-slot
+    // cache: the early plans must be evicted.
     for k in 0..12u32 {
-        assert!(!submit_wait(&service, infeasible_task(&scenario, k, k as u64), 0, &scenario).is_admitted());
+        admit_then_depart(k, k);
     }
     let filled = stats(&service);
+    assert_eq!(filled.inserts, 12, "every full admission mints a plan: {filled:?}");
     assert!(filled.evictions > 0, "12 inserts through 4 slots evicted nothing: {filled:?}");
 
     // The first shape is long evicted: resubmitting it is a miss and a
     // fresh solve, not a replay.
     let rounds_before = service.metrics().solver_rounds;
-    assert!(!submit_wait(&service, infeasible_task(&scenario, 100, 0), 0, &scenario).is_admitted());
+    admit_then_depart(100, 0);
     let after = stats(&service);
     assert_eq!(
         after.hits + after.negative_hits,
@@ -159,21 +215,18 @@ fn reshard_and_repartition_force_fresh_solves() {
     let scenario = small_scenario(3);
     let service = Service::start(config(2, PlanCacheConfig::default()), &scenario.instance).expect("start");
 
-    // Warm a negative entry and confirm it replays. The ids are pinned
-    // to one shard: a rejection stamped by one shard's ledger never
-    // replays on the other (each shard rejects against its own budget
-    // partition), so cross-shard ids would re-solve instead of hitting.
-    let router = service.router();
-    let pinned: Vec<u32> = (0..200u32).filter(|&id| router.route(TaskId(id)) == 0).take(4).collect();
-    assert!(pinned.len() >= 3, "ring mapped fewer than 3 of 200 ids to shard 0");
-    for &id in &pinned {
+    // Warm a rejection and confirm it replays. The ids are pinned to one
+    // shard: each shard memoizes its own rejections (it rejects against
+    // its own budget partition), so cross-shard ids would re-solve.
+    for id in pinned(&service, 0, 0, 4) {
         assert!(!submit_wait(&service, infeasible_task(&scenario, id, 0), 0, &scenario).is_admitted());
     }
     let warm = stats(&service);
     assert!(warm.negative_hits > 0, "warm phase never replayed: {warm:?}");
 
-    // Scale out: the ring generation changes (and the epoch is bumped),
-    // so the warmed shape must be solved fresh under its new key.
+    // Scale out: every survivor's ledger is repartitioned (its memo is
+    // cleared) and newcomers start empty, so the warmed shape must be
+    // solved fresh.
     service.scale_to(3).expect("scale out");
     let rounds_before = service.metrics().solver_rounds;
     assert!(!submit_wait(&service, infeasible_task(&scenario, 100, 0), 0, &scenario).is_admitted());
@@ -222,7 +275,7 @@ fn chaos_heal_forces_fresh_solves() {
     assert!(lost > 0, "chaos round was never reached");
 
     // Heal: a topology change respawns the dead worker (a same-count
-    // scale_to is a no-op), bumps the generation and the cache epoch —
+    // scale_to is a no-op) with an empty memo and bumps the generation —
     // nothing minted before the panic may replay afterwards.
     service.scale_to(3).expect("heal");
     let healed = stats(&service);
@@ -231,13 +284,8 @@ fn chaos_heal_forces_fresh_solves() {
     // same shard of the new ring: the first must pay for a fresh solve,
     // the second replays the freshly minted rejection — proving the
     // cache works again after the respawn.
-    let router = service.router();
-    let pinned: Vec<u32> = (10_000..10_200u32)
-        .filter(|&id| router.route(TaskId(id)) == router.route(TaskId(10_000)))
-        .take(2)
-        .collect();
-    assert_eq!(pinned.len(), 2);
-    for &id in &pinned {
+    let shard = service.router().route(TaskId(10_000));
+    for id in pinned(&service, shard, 10_000, 2) {
         assert!(!submit_wait(&service, infeasible_task(&scenario, id, 0), 0, &scenario).is_admitted());
     }
     let after = stats(&service);

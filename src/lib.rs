@@ -16,10 +16,9 @@
 //!   weighted-rendezvous routing over a pool of serve nodes, with
 //!   automatic failover and deadline-aware hedged requests.
 //! * [`plancache`] — the shared admission plan cache: canonical
-//!   task-shape fingerprints, sharded CLOCK eviction, per-entry TTL
-//!   (shorter for negative entries), epoch invalidation on topology
-//!   changes and single-flight solver dedup; wired into the serve
-//!   shards and the gateway affinity tier.
+//!   task-shape fingerprints, sharded CLOCK eviction and per-entry
+//!   TTL; wired into the serve shards, which re-validate every hit and
+//!   keep their own rejection memos.
 //! * [`telemetry`] — zero-dependency instrumentation: lock-free
 //!   counters/gauges, phase span histograms, ring-buffer event log and
 //!   JSONL/table exporters (compile out with the `telemetry-disabled`
