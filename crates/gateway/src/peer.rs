@@ -64,9 +64,20 @@ impl Peer {
         *self.digest.lock().expect("peer digest lock poisoned")
     }
 
-    /// Records a successful digest; returns the previous digest so the
-    /// caller can detect an epoch change.
-    fn note_digest(&self, d: PeerDigest) -> Option<PeerDigest> {
+    /// Records an answered digest; returns the previous digest so the
+    /// caller can detect an epoch change. The digest is wire input: one
+    /// whose budget or latency is negative or not a finite number would
+    /// score NaN, infinity or below zero and capture or poison every
+    /// [`PeerSet::pick`], so it is recorded as a missed digest instead of
+    /// being stored (logged once, when it takes the peer down).
+    fn note_digest(&self, d: PeerDigest, eject_after: u32) -> Option<PeerDigest> {
+        let sane = |x: f64| x.is_finite() && x >= 0.0;
+        if !sane(d.remaining_budget) || !sane(d.round_ms_p50) {
+            if self.note_miss(eject_after) {
+                event!(Severity::Warn, "gw.federation", "peer {} down: nonsense digest {d:?}", self.addr);
+            }
+            return None;
+        }
         self.misses.store(0, Ordering::Relaxed);
         self.healthy.store(true, Ordering::Release);
         self.digest.lock().expect("peer digest lock poisoned").replace(d)
@@ -157,18 +168,12 @@ fn sweep(inner: &GatewayInner, peers: &PeerSet) {
             .get()
             .and_then(|c| c.peer_hello(&peers.identity, inner.incarnation, fed.digest_timeout));
         match answer {
-            Ok(load) => {
-                let digest = PeerDigest {
-                    healthy_nodes: load.healthy_nodes,
-                    remaining_budget: load.remaining_budget,
-                    round_ms_p50: load.round_ms_p50,
-                    epoch: load.epoch,
-                };
-                let prev = peer.note_digest(digest);
+            Ok(digest) => {
+                let prev = peer.note_digest(digest, fed.eject_after);
                 // A changed epoch means the peer's cluster membership
                 // moved.
-                if prev.is_some_and(|p| p.epoch != load.epoch) {
-                    event!(Severity::Info, "gw.federation", "peer {} epoch -> {}", peer.addr, load.epoch);
+                if prev.is_some_and(|p| p.epoch != digest.epoch) {
+                    event!(Severity::Info, "gw.federation", "peer {} epoch -> {}", peer.addr, digest.epoch);
                 }
             }
             Err(err) => {
@@ -214,9 +219,9 @@ mod tests {
     #[test]
     fn pick_prefers_the_most_headroom_per_round_millisecond() {
         let peers = set(3);
-        peers.peers[0].note_digest(digest(1.0, 0.0));
-        peers.peers[1].note_digest(digest(4.0, 1.0)); // score 2.0 — best
-        peers.peers[2].note_digest(digest(1.5, 0.0));
+        peers.peers[0].note_digest(digest(1.0, 0.0), 3);
+        peers.peers[1].note_digest(digest(4.0, 1.0), 3); // score 2.0 — best
+        peers.peers[2].note_digest(digest(1.5, 0.0), 3);
         let (index, _) = peers.pick(&[]).expect("a peer must be picked");
         assert_eq!(index, 1);
     }
@@ -224,14 +229,12 @@ mod tests {
     #[test]
     fn pick_skips_tried_down_and_capacity_less_peers() {
         let peers = set(3);
-        peers.peers[0].note_digest(digest(8.0, 0.0));
-        peers.peers[1].note_digest(digest(4.0, 0.0));
-        peers.peers[2].note_digest(PeerDigest {
-            healthy_nodes: 0,
-            remaining_budget: 9.0,
-            round_ms_p50: 0.0,
-            epoch: 0,
-        });
+        peers.peers[0].note_digest(digest(8.0, 0.0), 3);
+        peers.peers[1].note_digest(digest(4.0, 0.0), 3);
+        peers.peers[2].note_digest(
+            PeerDigest { healthy_nodes: 0, remaining_budget: 9.0, round_ms_p50: 0.0, epoch: 0 },
+            3,
+        );
         // Best is tried, the zero-node peer is ineligible: second-best wins.
         let tried = vec![peers.peers[0].addr.clone()];
         assert_eq!(peers.pick(&tried).expect("peer 1 eligible").0, 1);
@@ -240,13 +243,33 @@ mod tests {
         assert!(peers.pick(&tried).is_none(), "no eligible peer remains");
     }
 
+    /// A digest is wire input. Stored, a NaN budget on the first
+    /// candidate would score NaN, which no later score displaces
+    /// (`x > NaN` is false), and a latency of -1 ms would divide by zero
+    /// and score infinity: either one would capture every forward. Both
+    /// count as missed digests instead and are never ranked.
+    #[test]
+    fn a_nonsense_digest_never_captures_the_pick() {
+        let peers = set(3);
+        peers.peers[0].note_digest(digest(f64::NAN, 0.0), 3);
+        peers.peers[1].note_digest(digest(1.0, -1.0), 3);
+        peers.peers[2].note_digest(digest(4.0, 1.0), 3);
+        assert_eq!(peers.pick(&[]).expect("the sane peer is eligible").0, 2);
+        assert!(peers.peers[0].digest().is_none() && peers.peers[1].digest().is_none());
+        // Recorded as misses: enough of them take the peer down.
+        for _ in 0..2 {
+            peers.peers[0].note_digest(digest(f64::INFINITY, 0.0), 3);
+        }
+        assert!(!peers.peers[0].is_healthy());
+    }
+
     #[test]
     fn an_undigested_peer_is_a_last_resort_not_a_hole() {
         let peers = set(2);
         // No digest answered yet anywhere: forwarding must still find a
         // target (score 0 beats nothing).
         assert!(peers.pick(&[]).is_some());
-        peers.peers[1].note_digest(digest(0.5, 0.0));
+        peers.peers[1].note_digest(digest(0.5, 0.0), 3);
         assert_eq!(peers.pick(&[]).expect("digested peer wins").0, 1);
     }
 
@@ -259,7 +282,7 @@ mod tests {
         assert!(p.note_miss(3), "third miss reports the transition");
         assert!(!p.is_healthy());
         assert!(!p.note_miss(3), "already down: no re-report");
-        assert!(p.note_digest(digest(1.0, 0.0)).is_none());
+        assert!(p.note_digest(digest(1.0, 0.0), 3).is_none());
         assert!(p.is_healthy());
     }
 }

@@ -17,7 +17,7 @@
 //! policy, and an explicit budget is clamped to never exceed it.
 
 use crate::client::{Client, ClientConfig};
-use crate::codec::{MemberInfo, MembershipDecision, MembershipResponse};
+use crate::codec::{MemberInfo, MembershipDecision, MembershipResponse, PeerDigest};
 use crate::error::NetError;
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::Task;
@@ -45,23 +45,6 @@ impl MembershipAck {
     pub fn unsupported() -> Self {
         MembershipAck { decision: MembershipDecision::Unsupported, members: Vec::new() }
     }
-}
-
-/// A backend's answer to a peer gateway's load-digest request
-/// ([`Backend::peer_load`]): what travels back in a
-/// [`crate::Frame::PeerLoad`] frame, minus the correlation id.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeerDigest {
-    /// Routable (healthy) nodes behind this backend.
-    pub healthy_nodes: u32,
-    /// Aggregate remaining admission budget across those nodes; higher
-    /// is emptier.
-    pub remaining_budget: f64,
-    /// p50 of this backend's verdict latency, in milliseconds.
-    pub round_ms_p50: f64,
-    /// The backend's cluster epoch (membership version). A change tells
-    /// peers this cluster's node pool moved.
-    pub epoch: u64,
 }
 
 /// The federation metadata riding on a [`crate::Frame::Forward`]:
@@ -135,7 +118,8 @@ pub trait Backend: Admitter + Sized + 'static {
     }
 
     /// A peer gateway asking for this backend's load digest
-    /// ([`crate::Frame::PeerHello`]). `None` — the default — means the
+    /// ([`crate::Frame::PeerHello`]), answered as the [`PeerDigest`] of a
+    /// [`crate::Frame::PeerLoad`]. `None` — the default — means the
     /// backend is not a federation member (e.g. a plain serve node was
     /// addressed); the frontend answers an error frame and the asking
     /// peer marks the address unusable as a forwarding target.

@@ -35,8 +35,8 @@
 
 use crate::backoff::{entropy_seed, ReconnectBackoff};
 use crate::codec::{
-    self, AnnounceRequest, DepartRequest, DrainRequest, Frame, LeaveRequest, MembershipResponse,
-    PeerHelloRequest, PeerLoadResponse, ScaleRequest, ScaleResponse, SnapshotRequest,
+    self, AnnounceRequest, DepartRequest, DrainRequest, Frame, LeaveRequest, MembershipResponse, PeerDigest,
+    PeerHelloRequest, ScaleRequest, ScaleResponse, SnapshotRequest,
 };
 use crate::error::NetError;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -459,12 +459,12 @@ impl Client {
         addr: &str,
         incarnation: u64,
         timeout: Duration,
-    ) -> Result<PeerLoadResponse, NetError> {
+    ) -> Result<PeerDigest, NetError> {
         let rx = self.request(|request_id| {
             Frame::PeerHello(PeerHelloRequest { request_id, addr: addr.to_owned(), incarnation })
         })?;
         Self::reply(&rx, Some(timeout), "a load digest", |f| match f {
-            Frame::PeerLoad(d) => Some(d),
+            Frame::PeerLoad(r) => Some(r.digest),
             _ => None,
         })
     }

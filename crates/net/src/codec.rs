@@ -33,10 +33,13 @@
 //! ## One frame table
 //!
 //! Everything that depends only on a frame's *type* — wire tag, short
-//! name, correlation-id accessor, `net.tx.*` / `net.rx.*` counters — is
-//! generated from the single `frame_table!` list below. Adding a frame
-//! type is one row there, one payload arm each in `encode_payload` /
-//! `decode_payload`, and one arm in the crate's request dispatcher.
+//! name, correlation-id accessor, `net.tx.*` / `net.rx.*` counters, the
+//! payload encode and decode — is generated from the single
+//! `frame_table!` list below. Each type on the wire has one encoder and
+//! one decoder, side by side; a struct's come from its `wire_struct!`
+//! row, whose field order *is* the wire order (`tests/wire_vectors.rs`
+//! pins the bytes). A new frame type is one table row, one `wire_struct!`
+//! row and one arm in the crate's request dispatcher.
 //!
 //! The decoder never panics on malformed input: truncation, bad magic,
 //! version skew, unknown types, oversized length prefixes (outer and
@@ -46,7 +49,7 @@
 //! expects exactly one whole frame.
 
 use crate::error::DecodeError;
-use crate::wire::{fnv1a32, Reader, Writer};
+use crate::wire::{field_min, fnv1a32, Reader, Wire, Writer};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{QualityLevel, Task, TaskId};
 use offloadnn_dnn::block::{BlockId, GroupId, ModelId};
@@ -54,7 +57,7 @@ use offloadnn_dnn::repository::DnnPath;
 use offloadnn_dnn::{Config, PathConfig};
 use offloadnn_radio::SnrDb;
 use offloadnn_serve::metrics::HistogramSnapshot;
-use offloadnn_serve::{MetricsSnapshot, Outcome, SubmitError, HISTOGRAM_BUCKETS};
+use offloadnn_serve::{MetricsSnapshot, Outcome, SubmitError};
 use offloadnn_telemetry::{count, span};
 use serde::{Deserialize, Serialize};
 
@@ -78,59 +81,119 @@ pub const TRAILER_LEN: usize = 4;
 /// limit is garbage or abuse.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
-/// The frame-type tags (byte 5 of the envelope). Requests are in
-/// `0x01..=0x3F`, responses in `0x41..=0x7F`.
-pub mod frame_type {
-    /// Admission request.
-    pub const SUBMIT: u8 = 0x01;
-    /// Departure notice.
-    pub const DEPART: u8 = 0x02;
-    /// Metrics snapshot request.
-    pub const SNAPSHOT: u8 = 0x03;
-    /// Graceful-drain request.
-    pub const DRAIN: u8 = 0x04;
-    /// Elastic-reshard request.
-    pub const SCALE: u8 = 0x05;
-    /// Node self-registration with a gateway.
-    pub const ANNOUNCE: u8 = 0x06;
-    /// Node deregistration ahead of a graceful drain.
-    pub const LEAVE: u8 = 0x07;
-    /// Gateway-to-gateway load-digest request.
-    pub const PEER_HELLO: u8 = 0x08;
-    /// Gateway-to-gateway overflow forward.
-    pub const FORWARD: u8 = 0x09;
-    /// Admission verdict response.
-    pub const OUTCOME: u8 = 0x41;
-    /// Metrics snapshot response.
-    pub const METRICS: u8 = 0x42;
-    /// Error response.
-    pub const ERROR: u8 = 0x43;
-    /// Elastic-reshard response.
-    pub const SCALED: u8 = 0x44;
-    /// Membership decision + cluster view response.
-    pub const MEMBERSHIP: u8 = 0x45;
-    /// Gateway load-digest response.
-    pub const PEER_LOAD: u8 = 0x46;
-}
-
-/// Generates a wire enum's `tag()` / `from_tag()` pair from one
+/// Generates a wire enum's [`Wire`] impl — one tag byte — from one
 /// `Variant = tag` list, so the two directions cannot drift apart. The
 /// tags are part of the protocol.
 macro_rules! wire_tags {
-    ($ty:ident, $what:literal, $($variant:ident = $tag:literal),*) => {
-        impl $ty {
-            fn tag(self) -> u8 {
-                match self { $($ty::$variant => $tag,)* }
+    ($ty:ident, $($variant:ident = $tag:literal),*) => {
+        impl Wire for $ty {
+            const MIN: usize = 1;
+            #[inline]
+            fn put(&self, w: &mut Writer) {
+                u8::put(&match self { $($ty::$variant => $tag,)* }, w)
             }
-
-            fn from_tag(tag: u8) -> Result<Self, DecodeError> {
-                match tag {
+            #[inline]
+            fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+                match u8::get(r, field)? {
                     $($tag => Ok($ty::$variant),)*
-                    got => Err(DecodeError::BadEnumTag { what: $what, got }),
+                    got => Err(DecodeError::BadEnumTag { what: field, got }),
                 }
             }
         }
     };
+}
+
+/// Generates the [`Wire`] impl of each listed one-field tuple struct:
+/// exactly its field's layout, under the name of the field it fills.
+macro_rules! wire_newtype {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = field_min(|s: &$ty| &s.0);
+            #[inline]
+            fn put(&self, w: &mut Writer) { self.0.put(w) }
+            #[inline]
+            fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+                Wire::get(r, field).map($ty)
+            }
+        }
+    )*};
+}
+
+/// Generates each listed struct's [`Wire`] impl from one row naming its
+/// fields *in wire order*: the row is the layout. `MIN` is the sum of the
+/// fields' minimums, and a decode error names the field `Type.field`.
+/// A row that misses or repeats a field does not compile.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ field_min(|s: &$ty| &s.$field))*;
+            #[inline]
+            fn put(&self, w: &mut Writer) { $(self.$field.put(w);)* }
+            #[inline]
+            fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
+                $(let $field = Wire::get(r, concat!(stringify!($ty), ".", stringify!($field)))?;)*
+                Ok($ty { $($field),* })
+            }
+        }
+    )*};
+}
+
+wire_newtype!(TaskId, GroupId, ModelId, BlockId, SnrDb);
+
+wire_tags!(Config, A = 0, B = 1, C = 2, D = 3, E = 4);
+
+wire_struct! {
+    QualityLevel { quality, bits }
+    Task { id, name, group, priority, request_rate, min_accuracy, max_latency, snr, qualities, difficulty }
+    PathConfig { config, pruned }
+    DnnPath { model, group, config, blocks }
+    PathOption { path, quality, accuracy, proc_seconds, training_seconds, label }
+    HistogramSnapshot { buckets, count, sum_us }
+    // The peak gauges travel before `reshards`, unlike the declaration.
+    MetricsSnapshot {
+        submitted, admitted, rejected, shed, expired, departed, solver_rounds, solver_errors,
+        peak_queue_depth, peak_batch, reshards, migrated, generation, latency, round_time,
+    }
+    MemberInfo { addr, incarnation, state }
+    PeerDigest { healthy_nodes, remaining_budget, round_ms_p50, epoch }
+}
+
+/// A tag byte, then the variant's fields; the shard index travels as a
+/// `u64`.
+impl Wire for Outcome {
+    const MIN: usize = 1 + 8;
+
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        let (tag, shard) = match *self {
+            Outcome::Admitted { shard, .. } => (0u8, shard),
+            Outcome::Rejected { shard } => (1, shard),
+            Outcome::Shed { shard } => (2, shard),
+            Outcome::Expired { shard } => (3, shard),
+        };
+        tag.put(w);
+        if let Outcome::Admitted { admission, rbs, .. } = *self {
+            admission.put(w);
+            rbs.put(w);
+        }
+        (shard as u64).put(w);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+        let shard = |r: &mut Reader<'_>| u64::get(r, "Outcome.shard").map(|s| s as usize);
+        Ok(match u8::get(r, field)? {
+            0 => {
+                let admission = f64::get(r, "Outcome.admission")?;
+                let rbs = f64::get(r, "Outcome.rbs")?;
+                Outcome::Admitted { admission, rbs, shard: shard(r)? }
+            }
+            1 => Outcome::Rejected { shard: shard(r)? },
+            2 => Outcome::Shed { shard: shard(r)? },
+            3 => Outcome::Expired { shard: shard(r)? },
+            got => return Err(DecodeError::BadEnumTag { what: field, got }),
+        })
+    }
 }
 
 /// An admission request: a full task description plus its candidate
@@ -222,7 +285,7 @@ pub enum MemberState {
     Departed,
 }
 
-wire_tags!(MemberState, "member state", Probing = 0, Healthy = 1, Ejected = 2, Departed = 3);
+wire_tags!(MemberState, Probing = 0, Healthy = 1, Ejected = 2, Departed = 3);
 
 /// How the gateway judged an [`AnnounceRequest`] or [`LeaveRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -241,14 +304,7 @@ pub enum MembershipDecision {
     Unsupported,
 }
 
-wire_tags!(
-    MembershipDecision,
-    "membership decision",
-    Accepted = 0,
-    Duplicate = 1,
-    Stale = 2,
-    Unsupported = 3
-);
+wire_tags!(MembershipDecision, Accepted = 0, Duplicate = 1, Stale = 2, Unsupported = 3);
 
 /// One member in a [`MembershipResponse`] cluster view.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -308,24 +364,33 @@ pub struct PeerHelloRequest {
     pub incarnation: u64,
 }
 
-/// A gateway's load digest: the three signals a peer needs
-/// to rank forwarding targets without dialing every node itself.
+/// A gateway's load digest: the signals a peer needs to rank
+/// forwarding targets without dialing every node itself. A backend
+/// answers it from [`crate::Backend::peer_load`]; it travels back in a
+/// [`PeerLoadResponse`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct PeerDigest {
+    /// Routable (healthy) nodes behind the answering gateway.
+    pub healthy_nodes: u32,
+    /// Aggregate remaining admission budget across those nodes (in-flight
+    /// and queued work subtracted from capacity); higher is emptier.
+    pub remaining_budget: f64,
+    /// p50 of the answering gateway's verdict latency (submit to settled
+    /// verdict, failovers included) in milliseconds: how quickly a
+    /// forwarded admission would be decided.
+    pub round_ms_p50: f64,
+    /// The answering gateway's membership version; a change means its
+    /// node pool moved.
+    pub epoch: u64,
+}
+
+/// The answer to a [`Frame::PeerHello`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PeerLoadResponse {
     /// Correlation id of the [`Frame::PeerHello`] this answers.
     pub request_id: u64,
-    /// Routable (healthy) nodes behind the answering gateway.
-    pub healthy_nodes: u32,
-    /// Aggregate remaining admission budget across those nodes — in-flight
-    /// and queued work subtracted from capacity; higher is emptier.
-    pub remaining_budget: f64,
-    /// The p50 of the answering gateway's own verdict latency (submit to
-    /// settled verdict, failovers included), in milliseconds — how
-    /// quickly a forwarded admission would actually be decided.
-    pub round_ms_p50: f64,
-    /// The answering gateway's cluster epoch (its membership version).
-    /// A change tells the receiver this peer's node pool moved.
-    pub epoch: u64,
+    /// The answering gateway's load digest.
+    pub digest: PeerDigest,
 }
 
 /// An overflow admission forwarded from a saturated gateway to a peer.
@@ -414,7 +479,6 @@ pub enum ErrorCode {
 
 wire_tags!(
     ErrorCode,
-    "error code",
     Draining = 0,
     NoOptions = 1,
     Malformed = 2,
@@ -490,13 +554,22 @@ pub enum Frame {
     Error(ErrorResponse),
 }
 
-/// The frame table: one row per wire frame — variant, wire tag, short
-/// name, and the `net.tx.*` / `net.rx.*` counter names (spelled out
-/// because `count!` takes literals). Every per-type accessor and counter
-/// is generated from these rows, so the fifteen frames are enumerated
-/// here once instead of in one hand-kept match per accessor.
+/// The frame table: one row per wire frame — variant, tag constant and
+/// byte, short name, and the `net.tx.*` / `net.rx.*` counter names
+/// (spelled out because `count!` takes literals). Everything per frame
+/// type below is generated from these rows, so the fifteen frames are
+/// enumerated here once.
 macro_rules! frame_table {
-    ($($variant:ident, $tag:ident, $name:literal, $tx:literal, $rx:literal;)*) => {
+    ($($variant:ident, $tag:ident = $byte:literal, $name:literal, $tx:literal, $rx:literal;)*) => {
+        /// The frame-type tags (byte 5 of the envelope). Requests are in
+        /// `0x01..=0x3F`, responses in `0x41..=0x7F`.
+        pub mod frame_type {
+            $(
+                #[doc = concat!("Tag of [`Frame::", stringify!($variant), "`](super::Frame::", stringify!($variant), ").")]
+                pub const $tag: u8 = $byte;
+            )*
+        }
+
         impl Frame {
             /// `(wire tag, short name)` of every frame type, in table order.
             pub const TABLE: &'static [(u8, &'static str)] = &[$((frame_type::$tag, $name)),*];
@@ -517,465 +590,68 @@ macro_rules! frame_table {
             }
         }
 
-        /// Per-frame-type transmit counters (`net.tx.<type>`).
-        fn count_tx(frame: &Frame) {
-            match frame { $(Frame::$variant(_) => count!($tx),)* }
+        /// The payload of `frame` — its struct's `wire_struct!` layout —
+        /// counted on `net.tx.<type>`.
+        fn encode_payload(frame: &Frame) -> Vec<u8> {
+            let mut w = Writer::new();
+            match frame { $(Frame::$variant(f) => { count!($tx); f.put(&mut w) })* }
+            w.into_bytes()
         }
 
-        /// Per-frame-type receive counters (`net.rx.<type>`).
-        fn count_rx(frame: &Frame) {
-            match frame { $(Frame::$variant(_) => count!($rx),)* }
+        /// Parses the payload of a frame of type `tag`, counted on
+        /// `net.rx.<type>` once it parsed whole. An unknown tag is refused
+        /// before any payload byte is read.
+        fn decode_payload(tag: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
+            let mut r = Reader::new(payload);
+            match tag {
+                $(frame_type::$tag => {
+                    let frame = Frame::$variant(Wire::get(&mut r, $name)?);
+                    r.finish()?;
+                    count!($rx);
+                    Ok(frame)
+                })*
+                got => Err(DecodeError::UnknownFrameType { got }),
+            }
         }
     };
 }
 
 frame_table! {
-    Submit,     SUBMIT,     "submit",     "net.tx.submit",     "net.rx.submit";
-    Depart,     DEPART,     "depart",     "net.tx.depart",     "net.rx.depart";
-    Snapshot,   SNAPSHOT,   "snapshot",   "net.tx.snapshot",   "net.rx.snapshot";
-    Drain,      DRAIN,      "drain",      "net.tx.drain",      "net.rx.drain";
-    Scale,      SCALE,      "scale",      "net.tx.scale",      "net.rx.scale";
-    Announce,   ANNOUNCE,   "announce",   "net.tx.announce",   "net.rx.announce";
-    Leave,      LEAVE,      "leave",      "net.tx.leave",      "net.rx.leave";
-    PeerHello,  PEER_HELLO, "peer_hello", "net.tx.peer_hello", "net.rx.peer_hello";
-    Forward,    FORWARD,    "forward",    "net.tx.forward",    "net.rx.forward";
-    Outcome,    OUTCOME,    "outcome",    "net.tx.outcome",    "net.rx.outcome";
-    Metrics,    METRICS,    "metrics",    "net.tx.metrics",    "net.rx.metrics";
-    Scaled,     SCALED,     "scaled",     "net.tx.scaled",     "net.rx.scaled";
-    Membership, MEMBERSHIP, "membership", "net.tx.membership", "net.rx.membership";
-    PeerLoad,   PEER_LOAD,  "peer_load",  "net.tx.peer_load",  "net.rx.peer_load";
-    Error,      ERROR,      "error",      "net.tx.error",      "net.rx.error";
+    Submit,     SUBMIT     = 0x01, "submit",     "net.tx.submit",     "net.rx.submit";
+    Depart,     DEPART     = 0x02, "depart",     "net.tx.depart",     "net.rx.depart";
+    Snapshot,   SNAPSHOT   = 0x03, "snapshot",   "net.tx.snapshot",   "net.rx.snapshot";
+    Drain,      DRAIN      = 0x04, "drain",      "net.tx.drain",      "net.rx.drain";
+    Scale,      SCALE      = 0x05, "scale",      "net.tx.scale",      "net.rx.scale";
+    Announce,   ANNOUNCE   = 0x06, "announce",   "net.tx.announce",   "net.rx.announce";
+    Leave,      LEAVE      = 0x07, "leave",      "net.tx.leave",      "net.rx.leave";
+    PeerHello,  PEER_HELLO = 0x08, "peer_hello", "net.tx.peer_hello", "net.rx.peer_hello";
+    Forward,    FORWARD    = 0x09, "forward",    "net.tx.forward",    "net.rx.forward";
+    Outcome,    OUTCOME    = 0x41, "outcome",    "net.tx.outcome",    "net.rx.outcome";
+    Metrics,    METRICS    = 0x42, "metrics",    "net.tx.metrics",    "net.rx.metrics";
+    Scaled,     SCALED     = 0x44, "scaled",     "net.tx.scaled",     "net.rx.scaled";
+    Membership, MEMBERSHIP = 0x45, "membership", "net.tx.membership", "net.rx.membership";
+    PeerLoad,   PEER_LOAD  = 0x46, "peer_load",  "net.tx.peer_load",  "net.rx.peer_load";
+    Error,      ERROR      = 0x43, "error",      "net.tx.error",      "net.rx.error";
 }
 
-// ---------------------------------------------------------------- payloads
-
-fn put_quality(w: &mut Writer, q: &QualityLevel) {
-    w.put_f64(q.quality);
-    w.put_f64(q.bits);
+// The fifteen payloads, each field list in wire order.
+wire_struct! {
+    SubmitRequest { request_id, deadline_us, task, options }
+    DepartRequest { request_id, task }
+    SnapshotRequest { request_id }
+    DrainRequest { request_id }
+    ScaleRequest { request_id, shards }
+    AnnounceRequest { request_id, addr, incarnation }
+    LeaveRequest { request_id, addr, incarnation }
+    PeerHelloRequest { request_id, addr, incarnation }
+    ForwardRequest { request_id, deadline_us, hops, origin, tried, task, options }
+    OutcomeResponse { request_id, outcome }
+    MetricsResponse { request_id, is_final, metrics }
+    ScaleResponse { request_id, from_shards, to_shards, migrated, generation }
+    MembershipResponse { request_id, decision, members }
+    PeerLoadResponse { request_id, digest }
+    ErrorResponse { request_id, code, message }
 }
-
-fn get_quality(r: &mut Reader<'_>) -> Result<QualityLevel, DecodeError> {
-    Ok(QualityLevel { quality: r.f64("quality.quality")?, bits: r.f64("quality.bits")? })
-}
-
-fn put_task(w: &mut Writer, t: &Task) {
-    w.put_u32(t.id.0);
-    w.put_str(&t.name);
-    w.put_u32(t.group.0);
-    w.put_f64(t.priority);
-    w.put_f64(t.request_rate);
-    w.put_f64(t.min_accuracy);
-    w.put_f64(t.max_latency);
-    w.put_f64(t.snr.0);
-    w.put_seq_len(t.qualities.len());
-    for q in &t.qualities {
-        put_quality(w, q);
-    }
-    w.put_f64(t.difficulty);
-}
-
-fn get_task(r: &mut Reader<'_>) -> Result<Task, DecodeError> {
-    let id = TaskId(r.u32("task.id")?);
-    let name = r.string("task.name")?;
-    let group = GroupId(r.u32("task.group")?);
-    let priority = r.f64("task.priority")?;
-    let request_rate = r.f64("task.request_rate")?;
-    let min_accuracy = r.f64("task.min_accuracy")?;
-    let max_latency = r.f64("task.max_latency")?;
-    let snr = SnrDb(r.f64("task.snr")?);
-    let n = r.seq_len(16, "task.qualities")?;
-    let mut qualities = Vec::with_capacity(n);
-    for _ in 0..n {
-        qualities.push(get_quality(r)?);
-    }
-    let difficulty = r.f64("task.difficulty")?;
-    Ok(Task {
-        id,
-        name,
-        group,
-        priority,
-        request_rate,
-        min_accuracy,
-        max_latency,
-        snr,
-        qualities,
-        difficulty,
-    })
-}
-
-fn put_path_config(w: &mut Writer, c: &PathConfig) {
-    let tag = match c.config {
-        Config::A => 0u8,
-        Config::B => 1,
-        Config::C => 2,
-        Config::D => 3,
-        Config::E => 4,
-    };
-    w.put_u8(tag);
-    w.put_u8(u8::from(c.pruned));
-}
-
-fn get_path_config(r: &mut Reader<'_>) -> Result<PathConfig, DecodeError> {
-    let config = match r.u8("path.config")? {
-        0 => Config::A,
-        1 => Config::B,
-        2 => Config::C,
-        3 => Config::D,
-        4 => Config::E,
-        got => return Err(DecodeError::BadEnumTag { what: "path config", got }),
-    };
-    let pruned = match r.u8("path.pruned")? {
-        0 => false,
-        1 => true,
-        got => return Err(DecodeError::BadEnumTag { what: "path pruned flag", got }),
-    };
-    Ok(PathConfig { config, pruned })
-}
-
-fn put_option(w: &mut Writer, o: &PathOption) {
-    w.put_u32(o.path.model.0);
-    w.put_u32(o.path.group.0);
-    put_path_config(w, &o.path.config);
-    w.put_seq_len(o.path.blocks.len());
-    for b in &o.path.blocks {
-        w.put_u32(b.0);
-    }
-    put_quality(w, &o.quality);
-    w.put_f64(o.accuracy);
-    w.put_f64(o.proc_seconds);
-    w.put_f64(o.training_seconds);
-    w.put_str(&o.label);
-}
-
-fn get_option(r: &mut Reader<'_>) -> Result<PathOption, DecodeError> {
-    let model = ModelId(r.u32("option.model")?);
-    let group = GroupId(r.u32("option.group")?);
-    let config = get_path_config(r)?;
-    let n = r.seq_len(4, "option.blocks")?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(BlockId(r.u32("option.block")?));
-    }
-    let path = DnnPath { model, group, config, blocks };
-    let quality = get_quality(r)?;
-    let accuracy = r.f64("option.accuracy")?;
-    let proc_seconds = r.f64("option.proc_seconds")?;
-    let training_seconds = r.f64("option.training_seconds")?;
-    let label = r.string("option.label")?;
-    Ok(PathOption { path, quality, accuracy, proc_seconds, training_seconds, label })
-}
-
-fn put_options(w: &mut Writer, options: &[PathOption]) {
-    w.put_seq_len(options.len());
-    for o in options {
-        put_option(w, o);
-    }
-}
-
-fn get_options(r: &mut Reader<'_>) -> Result<Vec<PathOption>, DecodeError> {
-    let n = r.seq_len(32, "options")?;
-    let mut options = Vec::with_capacity(n);
-    for _ in 0..n {
-        options.push(get_option(r)?);
-    }
-    Ok(options)
-}
-
-fn put_outcome(w: &mut Writer, o: &Outcome) {
-    match o {
-        Outcome::Admitted { admission, rbs, shard } => {
-            w.put_u8(0);
-            w.put_f64(*admission);
-            w.put_f64(*rbs);
-            w.put_u64(*shard as u64);
-        }
-        Outcome::Rejected { shard } => {
-            w.put_u8(1);
-            w.put_u64(*shard as u64);
-        }
-        Outcome::Shed { shard } => {
-            w.put_u8(2);
-            w.put_u64(*shard as u64);
-        }
-        Outcome::Expired { shard } => {
-            w.put_u8(3);
-            w.put_u64(*shard as u64);
-        }
-    }
-}
-
-fn get_outcome(r: &mut Reader<'_>) -> Result<Outcome, DecodeError> {
-    Ok(match r.u8("outcome.tag")? {
-        0 => {
-            let admission = r.f64("outcome.admission")?;
-            let rbs = r.f64("outcome.rbs")?;
-            let shard = r.u64("outcome.shard")? as usize;
-            Outcome::Admitted { admission, rbs, shard }
-        }
-        1 => Outcome::Rejected { shard: r.u64("outcome.shard")? as usize },
-        2 => Outcome::Shed { shard: r.u64("outcome.shard")? as usize },
-        3 => Outcome::Expired { shard: r.u64("outcome.shard")? as usize },
-        got => return Err(DecodeError::BadEnumTag { what: "outcome", got }),
-    })
-}
-
-fn put_histogram(w: &mut Writer, h: &HistogramSnapshot) {
-    w.put_seq_len(h.buckets.len());
-    for &b in &h.buckets {
-        w.put_u64(b);
-    }
-    w.put_u64(h.count);
-    w.put_u64(h.sum_us);
-}
-
-fn get_histogram(r: &mut Reader<'_>) -> Result<HistogramSnapshot, DecodeError> {
-    let n = r.seq_len(8, "histogram.buckets")?;
-    if n != HISTOGRAM_BUCKETS {
-        return Err(DecodeError::WrongLength {
-            what: "histogram.buckets",
-            got: n as u32,
-            want: HISTOGRAM_BUCKETS as u32,
-        });
-    }
-    let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-    for b in &mut buckets {
-        *b = r.u64("histogram.bucket")?;
-    }
-    let count = r.u64("histogram.count")?;
-    let sum_us = r.u64("histogram.sum_us")?;
-    Ok(HistogramSnapshot { buckets, count, sum_us })
-}
-
-fn put_metrics(w: &mut Writer, m: &MetricsSnapshot) {
-    w.put_u64(m.submitted);
-    w.put_u64(m.admitted);
-    w.put_u64(m.rejected);
-    w.put_u64(m.shed);
-    w.put_u64(m.expired);
-    w.put_u64(m.departed);
-    w.put_u64(m.solver_rounds);
-    w.put_u64(m.solver_errors);
-    w.put_u64(m.peak_queue_depth);
-    w.put_u64(m.peak_batch);
-    w.put_u64(m.reshards);
-    w.put_u64(m.migrated);
-    w.put_u64(m.generation);
-    put_histogram(w, &m.latency);
-    put_histogram(w, &m.round_time);
-}
-
-fn get_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, DecodeError> {
-    let submitted = r.u64("metrics.submitted")?;
-    let admitted = r.u64("metrics.admitted")?;
-    let rejected = r.u64("metrics.rejected")?;
-    let shed = r.u64("metrics.shed")?;
-    let expired = r.u64("metrics.expired")?;
-    let departed = r.u64("metrics.departed")?;
-    let solver_rounds = r.u64("metrics.solver_rounds")?;
-    let solver_errors = r.u64("metrics.solver_errors")?;
-    let peak_queue_depth = r.u64("metrics.peak_queue_depth")?;
-    let peak_batch = r.u64("metrics.peak_batch")?;
-    let reshards = r.u64("metrics.reshards")?;
-    let migrated = r.u64("metrics.migrated")?;
-    let generation = r.u64("metrics.generation")?;
-    Ok(MetricsSnapshot {
-        submitted,
-        admitted,
-        rejected,
-        shed,
-        expired,
-        departed,
-        solver_rounds,
-        solver_errors,
-        reshards,
-        migrated,
-        generation,
-        peak_queue_depth,
-        peak_batch,
-        latency: get_histogram(r)?,
-        round_time: get_histogram(r)?,
-    })
-}
-
-fn put_member(w: &mut Writer, m: &MemberInfo) {
-    w.put_str(&m.addr);
-    w.put_u64(m.incarnation);
-    w.put_u8(m.state.tag());
-}
-
-fn get_member(r: &mut Reader<'_>) -> Result<MemberInfo, DecodeError> {
-    let addr = r.string("member.addr")?;
-    let incarnation = r.u64("member.incarnation")?;
-    let state = MemberState::from_tag(r.u8("member.state")?)?;
-    Ok(MemberInfo { addr, incarnation, state })
-}
-
-fn put_submit(w: &mut Writer, deadline_us: u64, task: &Task, options: &[PathOption]) {
-    w.put_u64(deadline_us);
-    put_task(w, task);
-    put_options(w, options);
-}
-
-fn put_forward(
-    w: &mut Writer,
-    deadline_us: u64,
-    hops: u8,
-    origin: &str,
-    tried: &[String],
-    task: &Task,
-    options: &[PathOption],
-) {
-    w.put_u64(deadline_us);
-    w.put_u8(hops);
-    w.put_str(origin);
-    w.put_seq_len(tried.len());
-    for t in tried {
-        w.put_str(t);
-    }
-    put_task(w, task);
-    put_options(w, options);
-}
-
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(frame.request_id());
-    match frame {
-        Frame::Submit(f) => put_submit(&mut w, f.deadline_us, &f.task, &f.options),
-        Frame::Depart(f) => w.put_u32(f.task.0),
-        Frame::Snapshot(_) | Frame::Drain(_) => {}
-        Frame::Scale(f) => w.put_u32(f.shards),
-        // The three "this address, under this incarnation" requests
-        // share one payload layout.
-        Frame::Announce(AnnounceRequest { addr, incarnation, .. })
-        | Frame::Leave(LeaveRequest { addr, incarnation, .. })
-        | Frame::PeerHello(PeerHelloRequest { addr, incarnation, .. }) => {
-            w.put_str(addr);
-            w.put_u64(*incarnation);
-        }
-        Frame::Forward(f) => {
-            put_forward(&mut w, f.deadline_us, f.hops, &f.origin, &f.tried, &f.task, &f.options);
-        }
-        Frame::PeerLoad(f) => {
-            w.put_u32(f.healthy_nodes);
-            w.put_f64(f.remaining_budget);
-            w.put_f64(f.round_ms_p50);
-            w.put_u64(f.epoch);
-        }
-        Frame::Membership(f) => {
-            w.put_u8(f.decision.tag());
-            w.put_seq_len(f.members.len());
-            for m in &f.members {
-                put_member(&mut w, m);
-            }
-        }
-        Frame::Scaled(f) => {
-            w.put_u32(f.from_shards);
-            w.put_u32(f.to_shards);
-            w.put_u64(f.migrated);
-            w.put_u64(f.generation);
-        }
-        Frame::Outcome(f) => put_outcome(&mut w, &f.outcome),
-        Frame::Metrics(f) => {
-            w.put_u8(u8::from(f.is_final));
-            put_metrics(&mut w, &f.metrics);
-        }
-        Frame::Error(f) => {
-            w.put_u8(f.code.tag());
-            w.put_str(&f.message);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
-    let mut r = Reader::new(payload);
-    let request_id = r.u64("request_id")?;
-    let frame = match frame_type {
-        frame_type::SUBMIT => {
-            let deadline_us = r.u64("submit.deadline_us")?;
-            let task = get_task(&mut r)?;
-            let options = get_options(&mut r)?;
-            Frame::Submit(SubmitRequest { request_id, deadline_us, task, options })
-        }
-        frame_type::DEPART => {
-            Frame::Depart(DepartRequest { request_id, task: TaskId(r.u32("depart.task")?) })
-        }
-        frame_type::SNAPSHOT => Frame::Snapshot(SnapshotRequest { request_id }),
-        frame_type::DRAIN => Frame::Drain(DrainRequest { request_id }),
-        frame_type::SCALE => Frame::Scale(ScaleRequest { request_id, shards: r.u32("scale.shards")? }),
-        frame_type::SCALED => Frame::Scaled(ScaleResponse {
-            request_id,
-            from_shards: r.u32("scaled.from_shards")?,
-            to_shards: r.u32("scaled.to_shards")?,
-            migrated: r.u64("scaled.migrated")?,
-            generation: r.u64("scaled.generation")?,
-        }),
-        frame_type::ANNOUNCE => Frame::Announce(AnnounceRequest {
-            request_id,
-            addr: r.string("announce.addr")?,
-            incarnation: r.u64("announce.incarnation")?,
-        }),
-        frame_type::LEAVE => Frame::Leave(LeaveRequest {
-            request_id,
-            addr: r.string("leave.addr")?,
-            incarnation: r.u64("leave.incarnation")?,
-        }),
-        frame_type::PEER_HELLO => Frame::PeerHello(PeerHelloRequest {
-            request_id,
-            addr: r.string("peer_hello.addr")?,
-            incarnation: r.u64("peer_hello.incarnation")?,
-        }),
-        frame_type::FORWARD => {
-            let deadline_us = r.u64("forward.deadline_us")?;
-            let hops = r.u8("forward.hops")?;
-            let origin = r.string("forward.origin")?;
-            let n = r.seq_len(4, "forward.tried")?;
-            let mut tried = Vec::with_capacity(n);
-            for _ in 0..n {
-                tried.push(r.string("forward.tried_addr")?);
-            }
-            let task = get_task(&mut r)?;
-            let options = get_options(&mut r)?;
-            Frame::Forward(ForwardRequest { request_id, deadline_us, hops, origin, tried, task, options })
-        }
-        frame_type::PEER_LOAD => Frame::PeerLoad(PeerLoadResponse {
-            request_id,
-            healthy_nodes: r.u32("peer_load.healthy_nodes")?,
-            remaining_budget: r.f64("peer_load.remaining_budget")?,
-            round_ms_p50: r.f64("peer_load.round_ms_p50")?,
-            epoch: r.u64("peer_load.epoch")?,
-        }),
-        frame_type::MEMBERSHIP => {
-            let decision = MembershipDecision::from_tag(r.u8("membership.decision")?)?;
-            // addr length prefix (4) + incarnation (8) + state tag (1).
-            let n = r.seq_len(13, "membership.members")?;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(get_member(&mut r)?);
-            }
-            Frame::Membership(MembershipResponse { request_id, decision, members })
-        }
-        frame_type::OUTCOME => Frame::Outcome(OutcomeResponse { request_id, outcome: get_outcome(&mut r)? }),
-        frame_type::METRICS => {
-            let is_final = match r.u8("metrics.is_final")? {
-                0 => false,
-                1 => true,
-                got => return Err(DecodeError::BadEnumTag { what: "metrics final flag", got }),
-            };
-            Frame::Metrics(MetricsResponse { request_id, is_final, metrics: get_metrics(&mut r)? })
-        }
-        frame_type::ERROR => {
-            let code = ErrorCode::from_tag(r.u8("error.code")?)?;
-            let message = r.string("error.message")?;
-            Frame::Error(ErrorResponse { request_id, code, message })
-        }
-        got => return Err(DecodeError::UnknownFrameType { got }),
-    };
-    r.finish()?;
-    Ok(frame)
-}
-
-// ---------------------------------------------------------------- envelope
 
 /// Wraps an already-encoded payload in the envelope (header + checksum)
 /// at [`VERSION`]. Exposed so tests can frame hand-crafted hostile
@@ -996,7 +672,6 @@ pub fn encode_raw(frame_type: u8, payload: &[u8]) -> Vec<u8> {
 /// Encodes one frame into its wire bytes.
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let _span = span!("net.encode");
-    count_tx(frame);
     encode_raw(frame.frame_type(), &encode_payload(frame))
 }
 
@@ -1006,9 +681,12 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 pub fn encode_submit(request_id: u64, deadline_us: u64, task: &Task, options: &[PathOption]) -> Vec<u8> {
     let _span = span!("net.encode");
     count!("net.tx.submit");
+    // `SubmitRequest`'s row, from borrowed fields.
     let mut w = Writer::new();
-    w.put_u64(request_id);
-    put_submit(&mut w, deadline_us, task, options);
+    request_id.put(&mut w);
+    deadline_us.put(&mut w);
+    task.put(&mut w);
+    w.seq(options);
     encode_raw(frame_type::SUBMIT, &w.into_bytes())
 }
 
@@ -1025,9 +703,15 @@ pub fn encode_forward(
 ) -> Vec<u8> {
     let _span = span!("net.encode");
     count!("net.tx.forward");
+    // `ForwardRequest`'s row, from borrowed fields.
     let mut w = Writer::new();
-    w.put_u64(request_id);
-    put_forward(&mut w, deadline_us, hops, origin, tried, task, options);
+    request_id.put(&mut w);
+    deadline_us.put(&mut w);
+    hops.put(&mut w);
+    w.str(origin);
+    w.seq(tried);
+    task.put(&mut w);
+    w.seq(options);
     encode_raw(frame_type::FORWARD, &w.into_bytes())
 }
 
@@ -1080,9 +764,7 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
     if expected != got {
         return Err(DecodeError::BadChecksum { expected, got });
     }
-    let frame = decode_payload(buf[5], &buf[HEADER_LEN..body_end])?;
-    count_rx(&frame);
-    Ok(Some((frame, total)))
+    Ok(Some((decode_payload(buf[5], &buf[HEADER_LEN..body_end])?, total)))
 }
 
 /// Decodes a buffer expected to hold exactly one whole frame.
@@ -1104,6 +786,7 @@ pub fn decode_exact(buf: &[u8]) -> Result<Frame, DecodeError> {
 pub(crate) mod tests {
     use super::*;
     use offloadnn_core::scenario::small_scenario;
+    use offloadnn_serve::HISTOGRAM_BUCKETS;
 
     fn sample_submit() -> Frame {
         let s = small_scenario(3);
@@ -1129,10 +812,8 @@ pub(crate) mod tests {
     }
 
     fn sample_metrics() -> MetricsSnapshot {
-        let mut latency = HistogramSnapshot { buckets: [0; HISTOGRAM_BUCKETS], count: 0, sum_us: 0 };
+        let mut latency = HistogramSnapshot { buckets: [0; HISTOGRAM_BUCKETS], count: 17, sum_us: 1234 };
         latency.buckets[3] = 17;
-        latency.count = 17;
-        latency.sum_us = 1234;
         MetricsSnapshot {
             submitted: 100,
             admitted: 60,
@@ -1155,6 +836,7 @@ pub(crate) mod tests {
     /// At least one frame of every type in [`Frame::TABLE`] (shared with
     /// the dispatcher's unit test).
     pub(crate) fn sample_frames() -> Vec<Frame> {
+        let member = |addr: &str, incarnation, state| MemberInfo { addr: addr.into(), incarnation, state };
         vec![
             sample_submit(),
             Frame::Depart(DepartRequest { request_id: 7, task: TaskId(99) }),
@@ -1188,21 +870,9 @@ pub(crate) mod tests {
                 request_id: 11,
                 decision: MembershipDecision::Accepted,
                 members: vec![
-                    MemberInfo {
-                        addr: "127.0.0.1:9000".to_owned(),
-                        incarnation: 170_000_000_123,
-                        state: MemberState::Probing,
-                    },
-                    MemberInfo {
-                        addr: "127.0.0.1:9001".to_owned(),
-                        incarnation: 0,
-                        state: MemberState::Healthy,
-                    },
-                    MemberInfo {
-                        addr: "127.0.0.1:9002".to_owned(),
-                        incarnation: 3,
-                        state: MemberState::Departed,
-                    },
+                    member("127.0.0.1:9000", 170_000_000_123, MemberState::Probing),
+                    member("127.0.0.1:9001", 0, MemberState::Healthy),
+                    member("127.0.0.1:9002", 3, MemberState::Departed),
                 ],
             }),
             Frame::Membership(MembershipResponse {
@@ -1217,10 +887,7 @@ pub(crate) mod tests {
             }),
             Frame::PeerLoad(PeerLoadResponse {
                 request_id: 13,
-                healthy_nodes: 3,
-                remaining_budget: 41.5,
-                round_ms_p50: 2.25,
-                epoch: 9,
+                digest: PeerDigest { healthy_nodes: 3, remaining_budget: 41.5, round_ms_p50: 2.25, epoch: 9 },
             }),
             sample_forward(),
             Frame::Error(ErrorResponse {
@@ -1298,24 +965,56 @@ pub(crate) mod tests {
 
     #[test]
     fn foreign_histogram_bucket_count_is_rejected() {
+        let frame =
+            Frame::Metrics(MetricsResponse { request_id: 5, is_final: false, metrics: sample_metrics() });
+        let mut payload = encode_payload(&frame);
+        payload[8 + 1 + 13 * 8] = 4; // the latency bucket count: after the id, the flag and 13 counters
+        let refused = decode_exact(&encode_raw(frame_type::METRICS, &payload));
+        assert_eq!(
+            refused,
+            Err(DecodeError::WrongLength { what: "HistogramSnapshot.buckets", got: 4, want: 23 })
+        );
+    }
+
+    fn wire_len<T: Wire>(value: &T) -> usize {
         let mut w = Writer::new();
-        w.put_u64(5); // request id
-        w.put_u8(0); // not final
-        for _ in 0..13 {
-            w.put_u64(1); // the 13 counter fields
+        value.put(&mut w);
+        w.into_bytes().len()
+    }
+
+    fn at_least_min<T: Wire>(items: &[T]) {
+        assert!(items.iter().all(|item| wire_len(item) >= T::MIN), "{}", std::any::type_name::<T>());
+    }
+
+    /// A `Vec` refuses any count whose elements could not fit at `MIN`
+    /// bytes each, so an overstated `MIN` would refuse valid frames as
+    /// `OversizedSeq`: a minimal element of each sequence type encodes to
+    /// exactly its `MIN`, and every sample element to at least it.
+    #[test]
+    fn min_never_overstates_a_sequence_element() {
+        let mut option = small_scenario(3).instance.options[0][0].clone();
+        option.path.blocks.clear();
+        option.label.clear();
+        let member = MemberInfo { addr: String::new(), incarnation: 0, state: MemberState::Probing };
+        assert_eq!(wire_len(&option.quality), QualityLevel::MIN);
+        assert_eq!(wire_len(&BlockId(0)), BlockId::MIN);
+        assert_eq!((wire_len(&option), PathOption::MIN), (58, 58));
+        assert_eq!(wire_len(&String::new()), String::MIN);
+        assert_eq!((wire_len(&member), MemberInfo::MIN), (13, 13));
+        for frame in sample_frames() {
+            match &frame {
+                Frame::Submit(SubmitRequest { task, options, .. })
+                | Frame::Forward(ForwardRequest { task, options, .. }) => {
+                    at_least_min(&task.qualities);
+                    at_least_min(options);
+                    options.iter().for_each(|o| at_least_min(&o.path.blocks));
+                }
+                Frame::Membership(f) => at_least_min(&f.members),
+                _ => {}
+            }
+            if let Frame::Forward(f) = &frame {
+                at_least_min(&f.tried);
+            }
         }
-        w.put_seq_len(4); // wrong bucket count
-        for _ in 0..4 {
-            w.put_u64(0);
-        }
-        w.put_u64(0);
-        w.put_u64(0);
-        w.put_u64(0);
-        w.put_u64(0);
-        let bytes = encode_raw(frame_type::METRICS, &w.into_bytes());
-        assert!(matches!(
-            decode_exact(&bytes),
-            Err(DecodeError::WrongLength { what: "histogram.buckets", .. })
-        ));
     }
 }

@@ -94,13 +94,7 @@ pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action {
             Action::Reply(membership(req.request_id, &req.addr, |addr| backend.leave(addr, req.incarnation)))
         }
         Frame::PeerHello(req) => Action::Reply(match backend.peer_load(&req.addr, req.incarnation) {
-            Some(d) => Frame::PeerLoad(PeerLoadResponse {
-                request_id: req.request_id,
-                healthy_nodes: d.healthy_nodes,
-                remaining_budget: d.remaining_budget,
-                round_ms_p50: d.round_ms_p50,
-                epoch: d.epoch,
-            }),
+            Some(digest) => Frame::PeerLoad(PeerLoadResponse { request_id: req.request_id, digest }),
             None => error_frame(req.request_id, ErrorCode::Internal, "backend is not a federation gateway"),
         }),
         // A client must not send response frames; treat as protocol abuse.
@@ -203,8 +197,9 @@ fn membership(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{MembershipAck, PeerDigest};
+    use crate::backend::MembershipAck;
     use crate::codec::tests::sample_frames;
+    use crate::codec::PeerDigest;
     use offloadnn_core::instance::PathOption;
     use offloadnn_core::task::{Task, TaskId};
     use offloadnn_serve::{

@@ -77,11 +77,11 @@ pub mod server;
 mod shared;
 pub mod wire;
 
-pub use backend::{Backend, ForwardInfo, MembershipAck, PeerDigest};
+pub use backend::{Backend, ForwardInfo, MembershipAck};
 pub use client::{Client, ClientConfig, PendingVerdict};
 pub use codec::{
     decode, decode_exact, encode, ErrorCode, ForwardRequest, Frame, MemberInfo, MemberState,
-    MembershipDecision, PeerHelloRequest, PeerLoadResponse, MAGIC, MAX_PAYLOAD, VERSION,
+    MembershipDecision, PeerDigest, PeerHelloRequest, PeerLoadResponse, MAGIC, MAX_PAYLOAD, VERSION,
 };
 pub use error::{DecodeError, NetError};
 pub use frontend::{AnyServer, Frontend};

@@ -1,5 +1,7 @@
-//! Byte-level primitives of the wire format: a growable little-endian
-//! writer and a bounds-checked reader.
+//! Byte-level primitives of the wire format: the crate-private `Wire`
+//! trait every type that crosses the wire implements once, its impls
+//! for the primitive and container types, and the writer and
+//! bounds-checked reader they run on.
 //!
 //! Everything multi-byte is little-endian. Floats travel as their IEEE-754
 //! bit patterns ([`f64::to_bits`]), so a round trip is bit-exact. Strings
@@ -14,103 +16,84 @@ use crate::error::DecodeError;
 /// labels are tens of bytes; anything near this limit is garbage input.
 pub const MAX_STRING: u32 = 64 * 1024;
 
-/// Append-only little-endian byte writer.
+/// A type with one wire layout: [`Wire::put`] appends it and
+/// [`Wire::get`] reads it back, written side by side so the two
+/// directions cannot drift apart.
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes any value encodes to. A sequence count is checked
+    /// against it before anything is allocated, so it must never
+    /// overstate: a valid frame would then be refused as oversized.
+    const MIN: usize;
+
+    /// Appends the value.
+    fn put(&self, w: &mut Writer);
+
+    /// Reads one value; `field` names it in any [`DecodeError`].
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError>;
+}
+
+/// `F::MIN` for the field `_field` selects: lets a generated impl sum its
+/// fields' minimums without naming their types.
+pub(crate) const fn field_min<S, F: Wire>(_field: fn(&S) -> &F) -> usize {
+    F::MIN
+}
+
+/// Append-only byte buffer the [`Wire`] impls write into.
 #[derive(Debug, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
     /// Creates an empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The bytes written so far.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends raw bytes (no length prefix).
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
     }
 
     /// Appends a length-prefixed UTF-8 string, truncated to
     /// [`MAX_STRING`] bytes at a character boundary (encode never fails;
     /// nothing in the workspace carries strings anywhere near the limit).
-    pub fn put_str(&mut self, v: &str) {
-        let mut s = v;
-        if s.len() > MAX_STRING as usize {
-            let mut end = MAX_STRING as usize;
-            while !s.is_char_boundary(end) {
-                end -= 1;
-            }
-            s = &s[..end];
+    /// The layout of [`String`], for a caller holding a `&str`.
+    pub(crate) fn str(&mut self, s: &str) {
+        let mut end = s.len().min(MAX_STRING as usize);
+        while !s.is_char_boundary(end) {
+            end -= 1;
         }
-        self.put_u32(s.len() as u32);
-        self.put_bytes(s.as_bytes());
+        (end as u32).put(self);
+        self.buf.extend_from_slice(&s.as_bytes()[..end]);
     }
 
-    /// Appends a sequence length prefix.
-    pub fn put_seq_len(&mut self, len: usize) {
-        debug_assert!(len <= u32::MAX as usize);
-        self.put_u32(len as u32);
+    /// Appends a `u32` element count, then each element. The layout of
+    /// [`Vec`], for a caller holding a slice.
+    pub(crate) fn seq<T: Wire>(&mut self, items: &[T]) {
+        debug_assert!(items.len() <= u32::MAX as usize);
+        (items.len() as u32).put(self);
+        for item in items {
+            item.put(self);
+        }
     }
 }
 
-/// Bounds-checked little-endian reader over a byte slice. Every getter
-/// returns a typed [`DecodeError`] instead of panicking when the bytes
-/// run out.
+/// Bounds-checked reader over a byte slice: running out of bytes is a
+/// typed [`DecodeError`], never a panic.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Starts reading at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -123,64 +106,119 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self, field: &'static str) -> Result<u8, DecodeError> {
-        Ok(self.take(1, field)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self, field: &'static str) -> Result<u16, DecodeError> {
-        let b = self.take(2, field)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self, field: &'static str) -> Result<u32, DecodeError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self, field: &'static str) -> Result<u64, DecodeError> {
-        let b = self.take(8, field)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self, field: &'static str) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64(field)?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string, bounded by [`MAX_STRING`]
-    /// and by the bytes actually remaining.
-    pub fn string(&mut self, field: &'static str) -> Result<String, DecodeError> {
-        let len = self.u32(field)?;
-        if len > MAX_STRING || len as usize > self.remaining() {
-            return Err(DecodeError::OversizedString { len });
-        }
-        let bytes = self.take(len as usize, field)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    /// Reads a sequence length prefix, validating that `len` elements of
-    /// at least `min_elem_bytes` each could fit in the remaining bytes.
-    /// This makes a hostile prefix fail before any allocation.
-    pub fn seq_len(&mut self, min_elem_bytes: usize, field: &'static str) -> Result<usize, DecodeError> {
-        let len = self.u32(field)?;
-        let need = (len as u64).saturating_mul(min_elem_bytes.max(1) as u64);
-        if need > self.remaining() as u64 {
-            return Err(DecodeError::OversizedSeq { len });
-        }
-        Ok(len as usize)
-    }
-
     /// Fails with [`DecodeError::TrailingBytes`] unless everything was
     /// consumed.
-    pub fn finish(self) -> Result<(), DecodeError> {
-        if self.remaining() != 0 {
-            return Err(DecodeError::TrailingBytes { extra: self.remaining() });
+    pub(crate) fn finish(self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(DecodeError::TrailingBytes { extra }),
         }
-        Ok(())
+    }
+}
+
+/// Little-endian bytes; an `f64` travels as its bit pattern.
+macro_rules! wire_number {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = std::mem::size_of::<$ty>();
+            #[inline]
+            fn put(&self, w: &mut Writer) { w.buf.extend_from_slice(&self.to_le_bytes()) }
+            #[inline]
+            fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+                let bytes = r.take(<$ty as Wire>::MIN, field)?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("take returns exactly MIN bytes")))
+            }
+        }
+    )*};
+}
+
+wire_number!(u8, u32, u64, f64);
+
+/// One byte, strictly 0 or 1.
+impl Wire for bool {
+    const MIN: usize = 1;
+
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        u8::from(*self).put(w);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+        match u8::get(r, field)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            got => Err(DecodeError::BadEnumTag { what: field, got }),
+        }
+    }
+}
+
+/// A `u32` byte length, then the UTF-8 bytes; bounded by [`MAX_STRING`]
+/// and by the bytes actually remaining.
+impl Wire for String {
+    const MIN: usize = 4;
+
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+        let len = u32::get(r, field)?;
+        if len > MAX_STRING || len as usize > r.remaining() {
+            return Err(DecodeError::OversizedString { len });
+        }
+        let bytes = r.take(len as usize, field)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    }
+}
+
+/// A `u32` element count, checked against `T::MIN` before allocating,
+/// then each element.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        w.seq(self);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+        let len = u32::get(r, field)?;
+        if (len as u64).saturating_mul(T::MIN.max(1) as u64) > r.remaining() as u64 {
+            return Err(DecodeError::OversizedSeq { len });
+        }
+        let mut items = Vec::with_capacity(len as usize);
+        for _ in 0..len {
+            items.push(T::get(r, field)?);
+        }
+        Ok(items)
+    }
+}
+
+/// The [`Vec`] layout with a count that must equal `N`
+/// ([`DecodeError::WrongLength`] otherwise).
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN: usize = 4 + N * T::MIN;
+
+    #[inline]
+    fn put(&self, w: &mut Writer) {
+        w.seq(self);
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
+        let got = u32::get(r, field)?;
+        if got as usize != N {
+            return Err(DecodeError::WrongLength { what: field, got, want: N as u32 });
+        }
+        let mut items = [T::default(); N];
+        for item in &mut items {
+            *item = T::get(r, field)?;
+        }
+        Ok(items)
     }
 }
 
@@ -202,57 +240,57 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         let mut w = Writer::new();
-        w.put_u8(7);
-        w.put_u16(0xBEEF);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 1);
-        w.put_f64(-0.125);
-        w.put_str("koalas");
+        7u8.put(&mut w);
+        0xDEAD_BEEFu32.put(&mut w);
+        (u64::MAX - 1).put(&mut w);
+        (-0.125f64).put(&mut w);
+        true.put(&mut w);
+        "koalas".to_owned().put(&mut w);
+        vec![3u32, 4].put(&mut w);
+        [5u64, 6].put(&mut w);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8("a").unwrap(), 7);
-        assert_eq!(r.u16("b").unwrap(), 0xBEEF);
-        assert_eq!(r.u32("c").unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64("d").unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64("e").unwrap(), -0.125);
-        assert_eq!(r.string("f").unwrap(), "koalas");
+        assert_eq!(u8::get(&mut r, "a"), Ok(7));
+        assert_eq!(u32::get(&mut r, "b"), Ok(0xDEAD_BEEF));
+        assert_eq!(u64::get(&mut r, "c"), Ok(u64::MAX - 1));
+        assert_eq!(f64::get(&mut r, "d"), Ok(-0.125));
+        assert_eq!(bool::get(&mut r, "e"), Ok(true));
+        assert_eq!(String::get(&mut r, "f").as_deref(), Ok("koalas"));
+        assert_eq!(Vec::<u32>::get(&mut r, "g"), Ok(vec![3, 4]));
+        assert_eq!(<[u64; 2]>::get(&mut r, "h"), Ok([5, 6]));
         r.finish().unwrap();
     }
 
     #[test]
     fn truncated_reads_are_typed_errors() {
         let mut r = Reader::new(&[1, 2, 3]);
-        assert_eq!(r.u64("x"), Err(DecodeError::Truncated { field: "x" }));
+        assert_eq!(u64::get(&mut r, "x"), Err(DecodeError::Truncated { field: "x" }));
         // Failed read consumed nothing; smaller reads still work.
-        assert_eq!(r.u16("y").unwrap(), 0x0201);
+        assert_eq!(u8::get(&mut r, "y"), Ok(1));
+    }
+
+    #[test]
+    fn a_bool_byte_other_than_0_or_1_is_a_bad_tag() {
+        let refused = bool::get(&mut Reader::new(&[2]), "flag");
+        assert_eq!(refused, Err(DecodeError::BadEnumTag { what: "flag", got: 2 }));
     }
 
     #[test]
     fn hostile_string_prefix_is_rejected_before_allocation() {
-        let mut w = Writer::new();
-        w.put_u32(u32::MAX); // claims a 4 GiB string
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.string("s"), Err(DecodeError::OversizedString { len: u32::MAX }));
+        let refused = String::get(&mut Reader::new(&u32::MAX.to_le_bytes()), "s"); // claims 4 GiB
+        assert_eq!(refused, Err(DecodeError::OversizedString { len: u32::MAX }));
     }
 
     #[test]
     fn hostile_seq_prefix_is_rejected_before_allocation() {
-        let mut w = Writer::new();
-        w.put_seq_len(1 << 30);
-        w.put_u32(0);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.seq_len(8, "opts"), Err(DecodeError::OversizedSeq { len: 1 << 30 }));
+        let refused = Vec::<u64>::get(&mut Reader::new(&[0, 0, 0, 0x40, 0, 0, 0, 0]), "opts");
+        assert_eq!(refused, Err(DecodeError::OversizedSeq { len: 1 << 30 }));
     }
 
     #[test]
     fn non_utf8_string_is_rejected() {
-        let mut w = Writer::new();
-        w.put_u32(2);
-        w.put_bytes(&[0xFF, 0xFE]);
-        let bytes = w.into_bytes();
-        assert_eq!(Reader::new(&bytes).string("s"), Err(DecodeError::BadUtf8));
+        let refused = String::get(&mut Reader::new(&[2, 0, 0, 0, 0xFF, 0xFE]), "s");
+        assert_eq!(refused, Err(DecodeError::BadUtf8));
     }
 
     #[test]

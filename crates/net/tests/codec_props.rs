@@ -13,8 +13,8 @@ use common::{
 use offloadnn_core::task::TaskId;
 use offloadnn_net::codec::{
     self, AnnounceRequest, DepartRequest, DrainRequest, ErrorResponse, ForwardRequest, Frame, LeaveRequest,
-    MembershipResponse, MetricsResponse, OutcomeResponse, PeerHelloRequest, PeerLoadResponse, ScaleRequest,
-    ScaleResponse, SnapshotRequest, SubmitRequest, HEADER_LEN, TRAILER_LEN,
+    MembershipResponse, MetricsResponse, OutcomeResponse, PeerDigest, PeerHelloRequest, PeerLoadResponse,
+    ScaleRequest, ScaleResponse, SnapshotRequest, SubmitRequest, HEADER_LEN, TRAILER_LEN,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -141,10 +141,7 @@ proptest! {
     ) {
         let frame = Frame::PeerLoad(PeerLoadResponse {
             request_id,
-            healthy_nodes,
-            remaining_budget,
-            round_ms_p50,
-            epoch,
+            digest: PeerDigest { healthy_nodes, remaining_budget, round_ms_p50, epoch },
         });
         assert_round_trip(&frame)?;
     }
