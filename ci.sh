@@ -24,13 +24,16 @@ echo "==> rustdoc gate: no broken or private intra-doc links in the tier crates"
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline \
     -p offloadnn-serve -p offloadnn-net -p offloadnn-gateway
 
-echo "==> purity gate: the gateway ticket engine reads no clock, takes no lock, touches no socket"
-# ticket.rs is the seam the deterministic simulator (ROADMAP 1(b)) will
-# stand on; I/O must not grow back into it, its unit tests included.
-if grep -nE 'Instant::now|sleep\(|\.lock\(\)|TcpStream|std::thread' crates/gateway/src/ticket.rs; then
-    echo "ticket.rs must stay clock-free, lock-free and socket-free" >&2
-    exit 1
-fi
+echo "==> purity gate: the gateway ticket engine and liveness rule read no clock, take no lock, touch no socket"
+# ticket.rs and liveness.rs are the seams the deterministic simulator
+# (ROADMAP 4(b)) will stand on; I/O must not grow back into them, their
+# unit tests included.
+for engine in crates/gateway/src/ticket.rs crates/gateway/src/liveness.rs; do
+    if grep -nE 'Instant::now|sleep\(|\.lock\(\)|TcpStream|std::thread' "$engine"; then
+        echo "$engine must stay clock-free, lock-free and socket-free" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo test -q (tier-1: facade package)"
 cargo test -q

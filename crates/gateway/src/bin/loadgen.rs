@@ -403,9 +403,9 @@ fn start_cluster(
         .map_err(|e| format!("failed to start gateway frontend: {e}"))
 }
 
-/// Fast-failover gateway tuning so a mid-run kill (or a peer digest
-/// gap) resolves well inside the verdict timeout; the defaults are
-/// sized for real WAN probes.
+/// Fast-failover gateway tuning so a mid-run kill (or a dead peer)
+/// resolves well inside the verdict timeout, and a peer is scored early
+/// in the run; the defaults are sized for real WAN probes.
 fn fast_gateway_config() -> GatewayConfig {
     GatewayConfig {
         health_interval: Duration::from_millis(50),
@@ -454,14 +454,8 @@ impl Stack {
                             &peer_nodes,
                             fast_gateway_config(),
                         )?;
-                        // A digest cadence as fast as the health probes:
-                        // the peer must be scored early in the run.
-                        gateway_config.federation = Some(FederationConfig {
-                            digest_interval: Duration::from_millis(50),
-                            digest_timeout: Duration::from_millis(250),
-                            eject_after: 2,
-                            ..FederationConfig::new("loadgen-primary", vec![peer.local_addr()])
-                        });
+                        gateway_config.federation =
+                            Some(FederationConfig::new("loadgen-primary", vec![peer.local_addr()]));
                         Some((peer, peer_nodes))
                     }
                     _ => None,

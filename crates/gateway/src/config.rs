@@ -24,14 +24,16 @@ impl Default for HedgeConfig {
 
 /// Cross-gateway federation knobs.
 ///
-/// A federated gateway exchanges periodic load digests with its peers
-/// (`PeerHello` → `PeerLoad` frames) and, when its *own* cluster would
-/// shed a ticket — retry budget exhausted, no healthy node, or a node
-/// relayed a Shed — forwards the task to the least-loaded peer with the
-/// *remaining* deadline budget. The forward is an attempt like a node
-/// submit: launched at `submit` (or by the `wait` that saw the local
-/// cluster fail; `poll` never dials), bounded by `wait_timeout`, and
-/// reaped if the ticket gives up on it. The `Forward` frame carries a
+/// A federated gateway probes its peers like its nodes — same monitor,
+/// same `health_*`, `eject_after` and `probation` knobs — with a
+/// `PeerHello` whose `PeerLoad` answer is the peer's load digest. When
+/// its *own* cluster would shed a ticket — retry budget exhausted, no
+/// healthy node, or a node relayed a Shed — it forwards the task to the
+/// least-loaded peer with the *remaining* deadline budget. The forward
+/// is an attempt like a node submit: launched at `submit` (or by the
+/// `wait` that saw the local cluster fail; `poll` never dials), bounded
+/// by `wait_timeout`, and reaped if the ticket gives up on it. The
+/// `Forward` frame carries a
 /// hop count (a locally submitted task may take `HOP_LIMIT` = 1 hop:
 /// direct peers only) and the set of gateways already tried, so a task
 /// can neither loop nor revisit a cluster. Forwarding is strictly an overflow valve:
@@ -46,27 +48,12 @@ pub struct FederationConfig {
     /// loop prevention, so use the address this gateway's own frontend
     /// listens on — it must match what peers have in `peers`.
     pub identity: String,
-    /// Period of the digest sweep across all peers.
-    pub digest_interval: Duration,
-    /// How long one `PeerHello` round trip may block before counting as
-    /// a missed digest.
-    pub digest_timeout: Duration,
-    /// Consecutive missed digests after which a peer is considered down
-    /// (no forwards routed to it until a digest succeeds again).
-    pub eject_after: u32,
 }
 
 impl FederationConfig {
-    /// A federation config for `identity` and `peers` with default
-    /// timing knobs.
+    /// A federation config for `identity` and `peers`.
     pub fn new(identity: impl Into<String>, peers: Vec<SocketAddr>) -> Self {
-        Self {
-            peers,
-            identity: identity.into(),
-            digest_interval: Duration::from_millis(250),
-            digest_timeout: Duration::from_millis(500),
-            eject_after: 3,
-        }
+        Self { peers, identity: identity.into() }
     }
 
     /// Checks every field is in range.
@@ -81,15 +68,6 @@ impl FederationConfig {
         if self.identity.is_empty() {
             return Err(GatewayError::InvalidConfig("federation.identity must not be empty"));
         }
-        if self.digest_interval.is_zero() {
-            return Err(GatewayError::InvalidConfig("federation.digest_interval must be positive"));
-        }
-        if self.digest_timeout.is_zero() {
-            return Err(GatewayError::InvalidConfig("federation.digest_timeout must be positive"));
-        }
-        if self.eject_after == 0 {
-            return Err(GatewayError::InvalidConfig("federation.eject_after must be at least 1"));
-        }
         Ok(())
     }
 }
@@ -97,13 +75,15 @@ impl FederationConfig {
 /// Tuning for a [`crate::Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Period of the health monitor's probe sweep across all nodes.
+    /// Period of the health monitor's probe sweep across all nodes and
+    /// federated peers.
     pub health_interval: Duration,
-    /// How long one Metrics probe may block before counting as a miss.
+    /// How long one probe may block before counting as a miss.
     pub health_timeout: Duration,
-    /// Consecutive missed health checks after which a node is ejected.
+    /// Consecutive missed probes after which a node or peer is ejected.
     pub eject_after: u32,
-    /// How long an ejected node sits out before a probe may readmit it.
+    /// How long an ejected node or peer sits out before a probe may
+    /// readmit it.
     pub probation: Duration,
     /// The gateway's own admission budget policy: submits carrying no
     /// client deadline get this budget, and client deadlines are
@@ -207,15 +187,6 @@ mod tests {
             ("hedge.min_samples", GatewayConfig { hedge, ..base.clone() }),
             ("federation.peers", federated(FederationConfig { peers: Vec::new(), ..fed.clone() })),
             ("federation.identity", federated(FederationConfig { identity: String::new(), ..fed.clone() })),
-            (
-                "federation.digest_interval",
-                federated(FederationConfig { digest_interval: Duration::ZERO, ..fed.clone() }),
-            ),
-            (
-                "federation.digest_timeout",
-                federated(FederationConfig { digest_timeout: Duration::ZERO, ..fed.clone() }),
-            ),
-            ("federation.eject_after", federated(FederationConfig { eject_after: 0, ..fed.clone() })),
         ];
         for (field, cfg) in cases {
             let refused = cfg.validate();

@@ -36,7 +36,8 @@ use crate::config::{GatewayConfig, GatewayError};
 use crate::health;
 use crate::instruments::GwInstruments;
 use crate::membership::{AnnounceOutcome, LeaveOutcome, Membership};
-use crate::peer::{self, Peer, PeerSet};
+use crate::node::Link;
+use crate::peer::{Peer, PeerSet};
 use crate::router;
 use crate::ticket::{Attempt, Cluster, Next, Target, Ticket};
 use crossbeam::channel::{self, Sender};
@@ -44,8 +45,7 @@ use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_net::codec::ErrorCode;
 use offloadnn_net::{
-    Backend, Client, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest,
-    PendingVerdict,
+    Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest, PendingVerdict,
 };
 use offloadnn_serve::{
     Admitter, DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, ServiceMetrics, SubmitError,
@@ -105,28 +105,13 @@ pub(crate) struct GatewayInner {
 }
 
 impl GatewayInner {
-    /// Publishes the `gw.nodes.healthy` and `gw.membership.size` gauges.
-    pub(crate) fn publish_membership_gauges(&self) {
+    /// Publishes the `gw.nodes.healthy`, `gw.membership.size` and
+    /// `gw.peers.healthy` gauges.
+    pub(crate) fn publish_gauges(&self) {
         if let Some(ins) = &self.instruments {
             ins.nodes_healthy.set(self.membership.healthy_count() as u64);
             ins.membership_size.set(self.membership.len() as u64);
-        }
-    }
-
-    /// Ejects a node from the data path (dropped connection or failed
-    /// send — stronger evidence than a missed probe).
-    fn eject_node(&self, index: usize, why: &NetError, now: Instant) {
-        let node = self.membership.node(index);
-        if node.eject(now, self.config.probation) {
-            event!(Severity::Warn, "gw.failover", "ejected {}: {why}", node.addr);
-        }
-        self.publish_membership_gauges();
-    }
-
-    /// Publishes the `gw.peers.healthy` gauge.
-    pub(crate) fn publish_peer_gauges(&self) {
-        if let (Some(ins), Some(peers)) = (&self.instruments, &self.peers) {
-            ins.peers_healthy.set(peers.healthy_count() as u64);
+            ins.peers_healthy.set(self.peers.as_ref().map_or(0, PeerSet::healthy_count) as u64);
         }
     }
 
@@ -140,12 +125,24 @@ impl GatewayInner {
         &self.federation().peers[index]
     }
 
-    /// The connection to wherever `target` lives.
-    fn client(&self, target: Target) -> Result<Arc<Client>, NetError> {
+    /// Runs `f` on the link to wherever `target` lives.
+    fn link<R>(&self, target: Target, f: impl FnOnce(&Link) -> R) -> R {
         match target {
-            Target::Node(index) => self.membership.node(index).client.get(),
-            Target::Peer(index) => self.peer(index).client.get(),
+            Target::Node(index) => f(&self.membership.node(index).link),
+            Target::Peer(index) => f(&self.peer(index).link),
         }
+    }
+
+    /// A data-path transport failure against `target` (a failed send, a
+    /// dropped connection, a draining refusal — stronger evidence than a
+    /// missed probe): drops the data connection and ejects.
+    fn data_failed(&self, target: Target, why: &NetError, now: Instant) {
+        self.link(target, |link| {
+            if link.data_failed(now, self.config.probation) {
+                event!(Severity::Warn, "gw.failover", "ejected {}: {why}", link.addr);
+            }
+        });
+        self.publish_gauges();
     }
 }
 
@@ -164,10 +161,7 @@ impl Cluster for GatewayInner {
     }
 
     fn is_live(&self, target: Target) -> bool {
-        match target {
-            Target::Node(index) => self.membership.node(index).is_healthy(),
-            Target::Peer(index) => self.peer(index).is_healthy(),
-        }
+        self.link(target, Link::is_healthy)
     }
 
     fn hedge_p99(&self, node: usize) -> Option<Duration> {
@@ -191,7 +185,7 @@ struct Loser {
 fn reap(inner: &GatewayInner, loser: &Loser) {
     let wait = loser.deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(10);
     if let Some(Ok(Outcome::Admitted { .. })) = loser.attempt.verdict.poll_wait(wait) {
-        if let Ok(client) = inner.client(loser.attempt.target) {
+        if let Ok(client) = inner.link(loser.attempt.target, Link::data) {
             let _ = client.depart(loser.task);
         }
     }
@@ -232,15 +226,15 @@ impl GwPending {
             }
         }
         let remaining = Some(st.deadline.saturating_duration_since(now));
-        let sent = inner.client(target).and_then(|client| match target {
+        let sent = inner.link(target, Link::data).and_then(|client| match target {
             Target::Node(_) => client.submit_borrowed(&st.task, &st.options, remaining),
             Target::Peer(_) => {
                 let (origin, tried) = st.forward_header(&inner.federation().identity);
                 client.forward(&st.task, &st.options, remaining, st.fwd_hops - 1, &origin, &tried)
             }
         });
-        match (sent, target) {
-            (Ok(pv), _) => {
+        match sent {
+            Ok(pv) => {
                 if let Target::Peer(index) = target {
                     inner.forwards.fetch_add(1, Ordering::Relaxed);
                     if let Some(ins) = &inner.instruments {
@@ -251,9 +245,7 @@ impl GwPending {
                 }
                 *st.slot(hedge) = Some(Attempt { target, verdict: pv, started: now, is_hedge: hedge });
             }
-            (Err(err), Target::Node(index)) => inner.eject_node(index, &err, now),
-            // Nothing is in flight there, so the next-best peer may be tried.
-            (Err(_), Target::Peer(index)) => inner.peer(index).note_forward_failed(),
+            Err(err) => inner.data_failed(target, &err, now),
         }
     }
 
@@ -327,10 +319,9 @@ impl GwPending {
             // Node-local request failure (e.g. a chaos-killed worker):
             // retry elsewhere, leave node health to the prober.
             (Target::Node(_), Err(NetError::Server(e))) if e.code != ErrorCode::Draining => {}
-            // The node refused deliberately (draining) or died
+            // The remote refused deliberately (draining) or died
             // mid-request: stop routing to it.
-            (Target::Node(index), Err(err)) => inner.eject_node(index, err, now),
-            (Target::Peer(index), Err(_)) => inner.peer(index).note_forward_failed(),
+            (target, Err(err)) => inner.data_failed(target, err, now),
         }
         if let Some(outcome) = settled {
             Self::settle(inner, st, outcome, Some(&attempt));
@@ -445,9 +436,7 @@ pub struct Gateway {
     inner: Arc<GatewayInner>,
     monitor: Option<JoinHandle<()>>,
     reaper: Option<JoinHandle<()>>,
-    /// The federation digest thread (`None` without federation).
-    digest: Option<JoinHandle<()>>,
-    /// Dropping this stops the health monitor and the digest thread.
+    /// Dropping this stops the health monitor.
     shutdown_tx: Option<Sender<()>>,
 }
 
@@ -484,27 +473,15 @@ impl Gateway {
             reaper_tx: Mutex::new(Some(reaper_tx)),
             instruments: GwInstruments::new(),
         });
-        inner.publish_membership_gauges();
-        inner.publish_peer_gauges();
+        inner.publish_gauges();
         let (shutdown_tx, shutdown_rx) = channel::bounded::<()>(1);
         let monitor = {
             let inner = Arc::clone(&inner);
-            let shutdown_rx = shutdown_rx.clone();
             std::thread::Builder::new()
                 .name("gw-health".into())
                 .spawn(move || health::monitor_loop(&inner, &shutdown_rx))
                 .expect("spawn gw-health thread")
         };
-        // The digest thread shares the monitor's shutdown channel:
-        // shutdown is signalled by dropping the sender, which wakes every
-        // cloned receiver.
-        let digest = inner.peers.as_ref().map(|_| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("gw-digest".into())
-                .spawn(move || peer::digest_loop(&inner, &shutdown_rx))
-                .expect("spawn gw-digest thread")
-        });
         // The reaper drains losers until drain closes the channel.
         let reaper = {
             let inner = Arc::clone(&inner);
@@ -517,13 +494,7 @@ impl Gateway {
                 })
                 .expect("spawn gw-reaper thread")
         };
-        Ok(Self {
-            inner,
-            monitor: Some(monitor),
-            reaper: Some(reaper),
-            digest,
-            shutdown_tx: Some(shutdown_tx),
-        })
+        Ok(Self { inner, monitor: Some(monitor), reaper: Some(reaper), shutdown_tx: Some(shutdown_tx) })
     }
 
     /// Nodes currently eligible for routing.
@@ -567,7 +538,7 @@ impl Gateway {
             AnnounceOutcome::Duplicate => MembershipDecision::Duplicate,
             AnnounceOutcome::Stale => MembershipDecision::Stale,
         };
-        self.inner.publish_membership_gauges();
+        self.inner.publish_gauges();
         MembershipAck { decision, members: self.inner.membership.members() }
     }
 
@@ -593,7 +564,7 @@ impl Gateway {
             }
             LeaveOutcome::Stale | LeaveOutcome::Unknown => MembershipDecision::Stale,
         };
-        self.inner.publish_membership_gauges();
+        self.inner.publish_gauges();
         MembershipAck { decision, members: self.inner.membership.members() }
     }
 
@@ -669,7 +640,7 @@ impl Gateway {
         }
     }
 
-    /// Federated peers currently answering load digests (zero without
+    /// Federated peers currently answering probes (zero without
     /// federation).
     pub fn healthy_peers(&self) -> usize {
         self.inner.peers.as_ref().map_or(0, PeerSet::healthy_count)
@@ -691,11 +662,11 @@ impl Gateway {
         }
     }
 
-    /// Stops and joins the monitor, digest and reaper threads; idempotent
-    /// (drain runs it, then `Drop` finds nothing left).
+    /// Stops and joins the monitor and reaper threads; idempotent (drain
+    /// runs it, then `Drop` finds nothing left).
     fn stop_threads(&mut self) {
         drop(self.shutdown_tx.take());
-        for handle in [self.monitor.take(), self.digest.take()].into_iter().flatten() {
+        if let Some(handle) = self.monitor.take() {
             let _ = handle.join();
         }
         // Disconnect the reaper only after the monitor is gone: every
@@ -742,7 +713,7 @@ impl Admitter for Gateway {
     /// cluster. A no-op for tasks the gateway never admitted.
     fn depart(&self, task: TaskId) {
         let route = self.inner.routes.lock().expect("routes lock poisoned").remove(&task);
-        let client = route.and_then(|target| self.inner.client(target).ok());
+        let client = route.and_then(|target| self.inner.link(target, Link::data).ok());
         if client.is_some_and(|c| c.depart(task).is_ok()) {
             self.inner.metrics.departed.inc();
         }
@@ -785,8 +756,8 @@ impl Backend for Gateway {
         let target =
             u32::try_from(shards).map_err(|_| ServeError::InvalidConfig("scale target too large"))?;
         let mut report: Option<ReshardReport> = None;
-        for node in self.inner.membership.snapshot().iter().filter(|n| n.is_healthy()) {
-            match node.client.get().and_then(|c| c.scale_to(target)) {
+        for node in self.inner.membership.snapshot().iter().filter(|n| n.link.is_healthy()) {
+            match node.link.control().and_then(|c| c.scale_to(target)) {
                 Ok(r) => {
                     let agg = report.get_or_insert(ReshardReport {
                         from_shards: r.from_shards as usize,
@@ -797,7 +768,7 @@ impl Backend for Gateway {
                     agg.migrated += r.migrated;
                     agg.generation = agg.generation.max(r.generation);
                 }
-                Err(_) => node.client.clear(),
+                Err(_) => node.link.control_failed(),
             }
         }
         match report {

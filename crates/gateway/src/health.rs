@@ -1,47 +1,32 @@
-//! The health monitor: periodic Metrics-frame probes driving the node
-//! lifecycle state machine — ejection after K consecutive misses,
-//! probation-gated readmission, join-through-probation promotion of
-//! announced nodes, and weight updates.
+//! The health monitor: one thread that probes every remote the gateway
+//! dials — each serve node, then each federated peer — on its control
+//! connection every `health_interval`, and applies the outcome to the
+//! remote's liveness state machine (`liveness.rs`): ejection after
+//! `eject_after` consecutive misses, probation-gated readmission,
+//! join-through-probation promotion, and backoff for unhealthy remotes.
 //!
-//! One thread sweeps the membership pool every `health_interval`. What a
-//! probe does depends on the node's state:
+//! A probe that cannot answer within `health_timeout` is a miss, and so
+//! is a peer digest that fails its sanity check. Only what a successful
+//! probe updates differs between the two kinds of remote:
 //!
-//! * **Healthy** — probed every sweep with
-//!   [`offloadnn_net::Client::snapshot_timeout`]; a node that cannot
-//!   answer within `health_timeout` counts a miss, and `eject_after`
-//!   consecutive misses ejects it. A success refreshes the routing
-//!   weight (below).
-//! * **Probing** — a node that announced itself and has not yet proven
-//!   it answers. The first successful probe promotes it to `Healthy`;
-//!   until then it receives zero traffic.
-//! * **Ejected** — left alone until probation elapses, then probed: a
-//!   success readmits it, a failure restarts probation.
-//! * **Departed** — never probed; the node left.
-//!
-//! Probes of *unhealthy* (probing/ejected) nodes back off: after
-//! `PROBE_BACKOFF_AFTER` (4) consecutive failures the probe stride
-//! doubles per failure, capped at `PROBE_BACKOFF_LIMIT` (64) sweeps
-//! (both consts in `node.rs`). Without this a
-//! node that announced and then died — or an ejected node that never
-//! comes back — costs the monitor a full connect timeout every sweep,
-//! forever, crowding out the probes that matter.
-//!
-//! A successful probe also refreshes the node's routing weight from the
-//! reported load and solver cost:
-//! `weight = 1 / (1 + in_flight + queued + round_ms)` where
-//! `in_flight = admitted − departed`, `queued = submitted − resolved`
-//! and `round_ms` is the node's mean solver round in (fractional)
-//! milliseconds, read from the `round_time` histogram of the probed
-//! `MetricsSnapshot`. A node whose solver is grinding gets less
-//! of the key space even when its queue looks shallow. More remaining
-//! budget ⇒ more of the key space, and the rendezvous scores of the
-//! *other* nodes are untouched by the update.
+//! * a node is asked for a `Snapshot`, and its routing weight is
+//!   refreshed from the reported load and solver cost:
+//!   `weight = 1 / (1 + in_flight + queued + round_ms)` where
+//!   `in_flight = admitted − departed`, `queued = submitted − resolved`
+//!   and `round_ms` is the node's mean solver round in (fractional)
+//!   milliseconds, read from the `round_time` histogram of the probed
+//!   `MetricsSnapshot`. A node whose solver is grinding gets less of the
+//!   key space even when its queue looks shallow, and the rendezvous
+//!   scores of the *other* nodes are untouched by the update;
+//! * a peer is sent a `PeerHello`, and its `PeerLoad` digest is recorded
+//!   for the overflow picker (`peer.rs`).
 
 use crate::config::GatewayConfig;
 use crate::gateway::GatewayInner;
-use crate::node::Node;
+use crate::liveness::Change;
+use crate::node::Link;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use offloadnn_net::MemberState;
+use offloadnn_net::Client;
 use offloadnn_serve::MetricsSnapshot;
 use offloadnn_telemetry::{event, Severity};
 use std::sync::Arc;
@@ -55,66 +40,52 @@ fn weight_from(snapshot: &MetricsSnapshot) -> f64 {
     1.0 / (1.0 + (in_flight + queued) as f64 + round_ms)
 }
 
-/// Probes one node and applies the state machine transition; `now` is
-/// the sweep's clock reading, against which probation is judged and set.
-fn probe(config: &GatewayConfig, node: &Node, now: Instant) {
-    let state = node.state();
-    let due = match state {
-        MemberState::Healthy => true,
-        MemberState::Probing => node.probe_due(),
-        MemberState::Ejected => node.probation_over(now) && node.probe_due(),
-        MemberState::Departed => false,
-    };
-    if !due {
+/// Probes `link` with `ask` on its control connection if the liveness
+/// rule says it is due at `now` (the sweep's clock reading), then applies
+/// the outcome. The liveness lock is released while the probe runs.
+fn probe(config: &GatewayConfig, link: &Link, now: Instant, ask: impl FnOnce(&Client) -> Result<(), String>) {
+    if !link.liveness().due(now) {
         return;
     }
-    let answer = node.client.get().and_then(|c| c.snapshot_timeout(config.health_timeout));
-    match (state, answer) {
-        (MemberState::Healthy, Ok(snapshot)) => {
-            node.note_probe_ok();
-            node.set_weight(weight_from(&snapshot));
+    let answer = link.control().map_err(|e| e.to_string()).and_then(|c| ask(&c));
+    if answer.is_err() {
+        link.control_failed();
+    }
+    let change = link.liveness().probed(now, answer.is_ok(), config.eject_after, config.probation);
+    match (change, answer) {
+        (Some(Change::Ejected), Err(err)) => {
+            event!(Severity::Warn, "gw.health", "ejected {}: {err}", link.addr)
         }
-        (MemberState::Healthy, Err(err)) => {
-            // The connection (if any) is suspect either way.
-            node.client.clear();
-            if node.note_probe_miss(config.eject_after) && node.eject(now, config.probation) {
-                event!(Severity::Warn, "gw.health", "ejected {}: {err}", node.addr);
-            }
-        }
-        (MemberState::Probing, Ok(snapshot)) => {
-            node.set_weight(weight_from(&snapshot));
-            if node.promote() {
-                event!(Severity::Info, "gw.health", "promoted {}", node.addr);
-            }
-        }
-        (MemberState::Ejected, Ok(snapshot)) => {
-            node.set_weight(weight_from(&snapshot));
-            if node.readmit() {
-                event!(Severity::Info, "gw.health", "readmitted {}", node.addr);
-            }
-        }
-        (MemberState::Probing | MemberState::Ejected, Err(_)) => {
-            node.client.clear();
-            if state == MemberState::Ejected {
-                node.extend_probation(now, config.probation);
-            }
-            node.note_probe_failed();
-        }
-        (MemberState::Departed, _) => {}
+        (Some(change), _) => event!(Severity::Info, "gw.health", "{change:?} {}", link.addr),
+        (None, _) => {}
     }
 }
 
 /// The monitor thread body: sweep a snapshot of the membership pool,
-/// publish the gauges, sleep until the next tick or shutdown (the sender
-/// side of `shutdown_rx` is dropped by [`crate::Gateway`] drain).
+/// then the peer set, publish the gauges, sleep until the next tick or
+/// shutdown (the sender side of `shutdown_rx` is dropped by
+/// [`crate::Gateway`] drain).
 pub(crate) fn monitor_loop(inner: &Arc<GatewayInner>, shutdown_rx: &Receiver<()>) {
+    let config = &inner.config;
     loop {
         let now = Instant::now();
         for node in inner.membership.snapshot() {
-            probe(&inner.config, &node, now);
+            probe(config, &node.link, now, |c| {
+                let snapshot = c.snapshot_timeout(config.health_timeout).map_err(|e| e.to_string())?;
+                node.set_weight(weight_from(&snapshot));
+                Ok(())
+            });
         }
-        inner.publish_membership_gauges();
-        match shutdown_rx.recv_timeout(inner.config.health_interval) {
+        if let Some(set) = &inner.peers {
+            for peer in &set.peers {
+                probe(config, &peer.link, now, |c| {
+                    let hello = c.peer_hello(&set.identity, inner.incarnation, config.health_timeout);
+                    peer.note_digest(hello.map_err(|e| e.to_string())?)
+                });
+            }
+        }
+        inner.publish_gauges();
+        match shutdown_rx.recv_timeout(config.health_interval) {
             Err(RecvTimeoutError::Timeout) => {}
             Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
         }

@@ -14,7 +14,7 @@
 //! * `gw.hedge_wins` — hedged tickets whose duplicate delivered the
 //!   winning verdict;
 //! * `gw.peers.healthy` — gauge of federated peer gateways currently
-//!   answering load digests;
+//!   answering probes (healthy under the liveness rule nodes follow);
 //! * `gw.forwards` — tickets the local cluster would have shed that
 //!   were forwarded to a federated peer;
 //! * `gw.forward_wins` — forwarded tickets the peer cluster admitted.
@@ -44,7 +44,7 @@ pub(crate) struct GwInstruments {
     pub hedges: Arc<Counter>,
     /// Hedged tickets won by the duplicate.
     pub hedge_wins: Arc<Counter>,
-    /// Level gauge of federated peers currently answering digests.
+    /// Level gauge of federated peers currently answering probes.
     pub peers_healthy: Arc<Gauge>,
     /// Tickets forwarded to a federated peer instead of shed locally.
     pub forwards: Arc<Counter>,

@@ -9,18 +9,20 @@
 //! behind either TCP frontend via
 //! [`offloadnn_net::AnyServer::start_with_backend`].
 //!
-//! Five mechanisms, one per module:
+//! Five mechanisms:
 //!
 //! * **Routing** ([`router`]) — weighted rendezvous hashing. Each
 //!   submit's task id is scored against every healthy node
 //!   (`-weight / ln(u)`, the logarithmic method); the weight is the
 //!   node's reported admission headroom from its latest health
 //!   snapshot. Ejecting a node remaps only the keys it was winning.
-//! * **Health** (`health`, internal) — a monitor thread probes
-//!   every node each `health_interval` with a Metrics frame
-//!   ([`offloadnn_net::Client::snapshot_timeout`]). `eject_after`
-//!   consecutive misses ejects a node; after `probation` a successful
-//!   probe readmits it.
+//! * **Health** (`health` and `liveness`, internal) — one monitor
+//!   thread probes every node (a Metrics frame,
+//!   [`offloadnn_net::Client::snapshot_timeout`]) and every federated
+//!   peer (a `PeerHello`) each `health_interval`, on a control
+//!   connection kept apart from the one carrying verdicts. One liveness
+//!   rule judges both: `eject_after` consecutive misses eject; after
+//!   `probation` a successful probe readmits.
 //! * **Failover** (`ticket`, internal: the clock-free, socket-free
 //!   engine that also decides hedging and overflow forwarding) — a node
 //!   that drops its connection (or starts draining) mid-request is
@@ -41,9 +43,10 @@
 //!   by the monitor, but unroutable until a probe succeeds
 //!   (join-through-probation). A graceful [`Gateway::leave`] departs the
 //!   node — its in-flight tickets fail over with their remaining
-//!   deadline budget exactly as an ejection's do — and the incarnation
-//!   ordering guarantees a delayed replay of its old announce never
-//!   resurrects it.
+//!   deadline budget exactly as an ejection's do, while its data
+//!   connection stays open for the reaper to collect their verdicts —
+//!   and the incarnation ordering guarantees a delayed replay of its old
+//!   announce never resurrects it.
 //!
 //! Telemetry: `gw.nodes.healthy` / `gw.membership.size` gauges,
 //! `gw.joins` / `gw.leaves` / `gw.failover` / `gw.hedges` /
@@ -88,6 +91,7 @@ pub mod config;
 mod gateway;
 mod health;
 mod instruments;
+mod liveness;
 pub mod membership;
 mod node;
 mod peer;

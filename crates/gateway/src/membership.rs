@@ -93,7 +93,7 @@ impl Membership {
     /// exactly the static-pool behaviour discovery grew out of.
     pub fn new(seeds: &[SocketAddr]) -> Self {
         let nodes: Vec<Arc<Node>> = seeds.iter().map(|&a| Arc::new(Node::new(a))).collect();
-        let by_addr = nodes.iter().enumerate().map(|(i, n)| (n.addr, i)).collect();
+        let by_addr = nodes.iter().enumerate().map(|(i, n)| (n.addr(), i)).collect();
         Self { pool: RwLock::new(PoolInner { nodes, by_addr }), version: AtomicU64::new(0) }
     }
 
@@ -114,7 +114,7 @@ impl Membership {
                 if incarnation > current {
                     node.restart(incarnation);
                     AnnounceOutcome::Restarted
-                } else if incarnation == current && node.state() != MemberState::Departed {
+                } else if incarnation == current && node.link.state() != MemberState::Departed {
                     AnnounceOutcome::Duplicate
                 } else {
                     AnnounceOutcome::Stale
@@ -139,7 +139,7 @@ impl Membership {
         if incarnation < node.incarnation() {
             return LeaveOutcome::Stale;
         }
-        if node.depart() {
+        if node.link.liveness().depart() {
             self.version.fetch_add(1, Ordering::AcqRel);
         }
         LeaveOutcome::Departed
@@ -170,14 +170,14 @@ impl Membership {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(i, n)| !exclude.contains(i) && n.is_healthy())
+            .filter(|(i, n)| !exclude.contains(i) && n.link.is_healthy())
             .map(|(i, n)| n.candidate(i))
             .collect()
     }
 
     /// Currently routable nodes.
     pub fn healthy_count(&self) -> usize {
-        self.pool.read().expect("membership pool lock").nodes.iter().filter(|n| n.is_healthy()).count()
+        self.pool.read().expect("membership pool lock").nodes.iter().filter(|n| n.link.is_healthy()).count()
     }
 
     /// Pool size including probing, ejected and departed members.
@@ -202,7 +202,11 @@ impl Membership {
             .expect("membership pool lock")
             .nodes
             .iter()
-            .map(|n| MemberInfo { addr: n.addr.to_string(), incarnation: n.incarnation(), state: n.state() })
+            .map(|n| MemberInfo {
+                addr: n.addr().to_string(),
+                incarnation: n.incarnation(),
+                state: n.link.state(),
+            })
             .collect()
     }
 }
@@ -229,6 +233,12 @@ mod tests {
         Membership::new(&addrs)
     }
 
+    /// The first health probe of pool member `index` succeeds.
+    fn promote(m: &Membership, index: usize) {
+        let now = crate::gateway::test_epoch();
+        m.node(index).link.liveness().probed(now, true, 1, std::time::Duration::ZERO);
+    }
+
     #[test]
     fn seeds_start_healthy_and_routable() {
         let m = seeds(&[9001, 9002]);
@@ -246,7 +256,7 @@ mod tests {
         assert_eq!(m.healthy_count(), 1, "a probing node is not routable");
         assert_eq!(m.healthy_candidates(&[]).len(), 1);
         let joined = m.node(1);
-        assert_eq!(joined.state(), MemberState::Probing);
+        assert_eq!(joined.link.state(), MemberState::Probing);
         assert_eq!(joined.incarnation(), 5);
     }
 
@@ -265,10 +275,10 @@ mod tests {
     fn a_newer_incarnation_restarts_into_probation() {
         let m = seeds(&[9001]);
         m.announce(addr(9002), 5);
-        m.node(1).promote();
+        promote(&m, 1);
         assert_eq!(m.healthy_count(), 2);
         assert_eq!(m.announce(addr(9002), 6), AnnounceOutcome::Restarted);
-        assert_eq!(m.node(1).state(), MemberState::Probing, "a restarted node re-proves itself");
+        assert_eq!(m.node(1).link.state(), MemberState::Probing, "a restarted node re-proves itself");
         assert_eq!(m.node(1).incarnation(), 6);
         assert_eq!(m.healthy_count(), 1);
     }
@@ -277,11 +287,11 @@ mod tests {
     fn leave_is_incarnation_gated_and_idempotent() {
         let m = seeds(&[9001]);
         m.announce(addr(9002), 5);
-        m.node(1).promote();
+        promote(&m, 1);
         assert_eq!(m.leave(addr(9002), 4), LeaveOutcome::Stale);
-        assert_eq!(m.node(1).state(), MemberState::Healthy);
+        assert_eq!(m.node(1).link.state(), MemberState::Healthy);
         assert_eq!(m.leave(addr(9002), 5), LeaveOutcome::Departed);
-        assert_eq!(m.node(1).state(), MemberState::Departed);
+        assert_eq!(m.node(1).link.state(), MemberState::Departed);
         assert_eq!(m.leave(addr(9002), 5), LeaveOutcome::Departed, "leave is idempotent");
         assert_eq!(m.leave(addr(9003), 1), LeaveOutcome::Unknown);
         assert_eq!(m.healthy_count(), 1);
@@ -292,17 +302,17 @@ mod tests {
     fn a_replayed_announce_never_resurrects_a_departed_node() {
         let m = seeds(&[9001]);
         m.announce(addr(9002), 5);
-        m.node(1).promote();
+        promote(&m, 1);
         m.leave(addr(9002), 5);
         // The original announce arrives again (delayed in the network).
         assert_eq!(m.announce(addr(9002), 5), AnnounceOutcome::Stale);
-        assert_eq!(m.node(1).state(), MemberState::Departed);
+        assert_eq!(m.node(1).link.state(), MemberState::Departed);
         // Something older still is just as dead.
         assert_eq!(m.announce(addr(9002), 3), AnnounceOutcome::Stale);
-        assert_eq!(m.node(1).state(), MemberState::Departed);
+        assert_eq!(m.node(1).link.state(), MemberState::Departed);
         // Only a strictly newer incarnation — an actual restart — lives.
         assert_eq!(m.announce(addr(9002), 6), AnnounceOutcome::Restarted);
-        assert_eq!(m.node(1).state(), MemberState::Probing);
+        assert_eq!(m.node(1).link.state(), MemberState::Probing);
     }
 
     #[test]

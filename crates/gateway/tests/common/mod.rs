@@ -43,9 +43,9 @@ pub fn offered_trace(seed: u64, n: usize) -> Vec<Offered> {
         .collect()
 }
 
-/// Fast-failover gateway tuning so a kill, a join's probation or a peer
-/// digest gap resolves in milliseconds; the defaults are sized for real
-/// WAN probes.
+/// Fast-failover gateway tuning so a kill, a join's probation or a dead
+/// peer resolves in milliseconds; the defaults are sized for real WAN
+/// probes.
 pub fn fast_config() -> GatewayConfig {
     GatewayConfig {
         health_interval: Duration::from_millis(50),

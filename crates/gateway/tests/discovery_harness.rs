@@ -9,7 +9,8 @@
 //! * the gateway's own ledger conserves
 //!   (`submitted == admitted + rejected + shed + expired`);
 //! * every node's drain report conserves independently — the crashed
-//!   node and the graceful leavers included;
+//!   node and the graceful leavers included — and every node but the
+//!   crashed one ends with `departed == admitted`;
 //! * a node that announced an address nobody answers on stays `Probing`
 //!   (asserted every iteration while its address is unbound) and
 //!   receives zero traffic until its server exists and a probe passes;
@@ -230,12 +231,13 @@ fn membership_churn_mid_stream_loses_zero_verdicts() {
     let crashed = node1_report.expect("node1 was crashed");
     assert!(crashed.metrics.is_conserved(), "crashed node leaked: {:?}", crashed.metrics);
     let mut node_admitted = crashed.metrics.admitted;
-    // ...the graceful leavers (their servers outlived their membership;
-    // the reaper departed any admission abandoned at leave time)...
+    // ...the graceful leavers (their servers outlived their membership,
+    // and a leave closes no connection, so the reaper collected every
+    // verdict abandoned at leave time and departed each admission)...
     for leaver in [node0, node2.expect("node2 joined")] {
         let r = leaver.shutdown();
         assert!(r.metrics.is_conserved(), "leaver leaked: {:?}", r.metrics);
-        assert!(r.metrics.departed <= r.metrics.admitted);
+        assert_eq!(r.metrics.departed, r.metrics.admitted, "leaver leaked admissions");
         node_admitted += r.metrics.admitted;
     }
     // ...and the survivors, which must hold no leaked in-flight

@@ -39,18 +39,6 @@ fn seed() -> u64 {
     common::seed("FEDERATION_SEED", 0xFEDE_7A7E)
 }
 
-/// A fast digest cadence to match the fast health probes: the peer is
-/// scored within the first few submits and ejected within ~100ms of
-/// dying.
-fn fast_federation(identity: &str, peer: std::net::SocketAddr) -> FederationConfig {
-    FederationConfig {
-        digest_interval: Duration::from_millis(50),
-        digest_timeout: Duration::from_millis(250),
-        eject_after: 2,
-        ..FederationConfig::new(identity, vec![peer])
-    }
-}
-
 /// Cluster A's deliberately starved node: one shard, an ingress queue
 /// of 8 and a 2ms solver floor. With a pipeline window of 48 and no
 /// departures the queue is full almost immediately, so the local pool
@@ -98,7 +86,7 @@ fn overflow_forwards_to_the_peer_and_survives_its_death() {
     )
     .expect("start starved node");
     let mut a_config = fast_config();
-    a_config.federation = Some(fast_federation("cluster-a", b_addr));
+    a_config.federation = Some(FederationConfig::new("cluster-a", vec![b_addr]));
     let gateway = Gateway::start(&[a_node.local_addr()], a_config).expect("start gateway A");
 
     let admitter: &dyn Admitter = &gateway;
@@ -146,8 +134,12 @@ fn overflow_forwards_to_the_peer_and_survives_its_death() {
     assert!(stats.forwards >= forwards_at_kill);
     assert!(stats.forward_wins > 0, "the peer never admitted a forwarded ticket: {stats:?}");
 
-    // The dead peer must be ejected and stay out.
-    std::thread::sleep(Duration::from_millis(400));
+    // The dead peer must be ejected and stay out (a loaded box can
+    // reach this line before `eject_after` probes have missed).
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while gateway.healthy_peers() != 0 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     assert_eq!(gateway.healthy_peers(), 0, "dead peer still scored healthy");
 
     // Gateway A's ledger conserves over the whole run — forwarded,
@@ -199,7 +191,7 @@ fn an_unreachable_peer_never_breaks_local_resolution() {
     )
     .expect("start starved node");
     let mut config = fast_config();
-    config.federation = Some(fast_federation("cluster-lonely", ghost));
+    config.federation = Some(FederationConfig::new("cluster-lonely", vec![ghost]));
     let gateway = Gateway::start(&[node.local_addr()], config).expect("start gateway");
 
     let admitter: &dyn Admitter = &gateway;
@@ -220,9 +212,9 @@ fn an_unreachable_peer_never_breaks_local_resolution() {
         verdicts += 1;
     }
     assert_eq!(verdicts, TOTAL as u64);
-    // The run can finish before `eject_after` digests have missed (a
-    // loaded box resolves 120 local verdicts fast): wait for the digest
-    // loop's verdict instead of racing it.
+    // The run can finish before `eject_after` probes have missed (a
+    // loaded box resolves 120 local verdicts fast): wait for the
+    // monitor's verdict instead of racing it.
     let give_up = Instant::now() + Duration::from_secs(5);
     while gateway.healthy_peers() != 0 && Instant::now() < give_up {
         std::thread::sleep(Duration::from_millis(5));
@@ -259,7 +251,7 @@ fn a_forwarded_task_cannot_buy_hops_past_the_limit() {
     .expect("start peer frontend");
 
     let mut config = fast_config();
-    config.federation = Some(fast_federation("cluster-relay", peer.local_addr()));
+    config.federation = Some(FederationConfig::new("cluster-relay", vec![peer.local_addr()]));
     let gateway = Gateway::start(&[dead_node], config).expect("start relay gateway");
 
     let hostile = ForwardInfo { origin: "cluster-far".into(), tried: vec!["cluster-far".into()], hops: 255 };
@@ -282,15 +274,16 @@ fn a_forwarded_task_cannot_buy_hops_past_the_limit() {
 /// ticket dropped there still owes — and books — exactly one verdict,
 /// its late admission departed on the peer's cluster by the reaper.
 ///
-/// One request in flight at a time, and a solver faster than
-/// `fast_config`'s 250 ms probe/digest timeouts: probes and digests
-/// share the data connection and queue behind its verdicts. (Named to
-/// sort, and so start, after `an_unreachable_peer_…`: that test needs
-/// its node to shed inside a ~20 ms run, which on a two-thread test
-/// runner it does not do reliably beside a third cluster's start-up.)
+/// The peer's solver round outlasts `fast_config`'s 250 ms probe
+/// timeout on both gateways: probes ride the control connection, so a
+/// slow verdict can neither miss a probe nor have its connection torn
+/// down under it. (Named to sort, and so start, after
+/// `an_unreachable_peer_…`: that test needs its node to shed inside a
+/// ~20 ms run, which on a two-thread test runner it does not do
+/// reliably beside a third cluster's start-up.)
 #[test]
 fn the_wait_bound_and_poll_both_see_a_forward_in_flight() {
-    const SOLVER: Duration = Duration::from_millis(150);
+    const SOLVER: Duration = Duration::from_millis(400);
     let trace = offered_trace(seed().wrapping_add(2), 3);
     let scenario = small_scenario(5);
     let listener = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
@@ -311,7 +304,7 @@ fn the_wait_bound_and_poll_both_see_a_forward_in_flight() {
             .expect("start peer frontend");
 
     let mut config = fast_config();
-    config.federation = Some(fast_federation("cluster-a", b_frontend.local_addr()));
+    config.federation = Some(FederationConfig::new("cluster-a", vec![b_frontend.local_addr()]));
     let gateway = Gateway::start(&[dead_node], config).expect("start gateway A");
     let submit = |i: usize| {
         gateway

@@ -212,7 +212,7 @@ impl<V: Clone> PlanCache<V> {
         let mut shard = self.shard_for(key).lock().expect("plancache shard poisoned");
         let Some(&slot) = shard.map.get(key) else {
             drop(shard);
-            self.note_miss();
+            self.count_miss();
             return None;
         };
         let entry = shard.slots[slot].as_ref().expect("mapped slot must be occupied");
@@ -220,7 +220,7 @@ impl<V: Clone> PlanCache<V> {
             shard.remove(key);
             drop(shard);
             self.stats.expirations.fetch_add(1, Ordering::Relaxed);
-            self.note_miss();
+            self.count_miss();
             return None;
         }
         let entry = shard.slots[slot].as_mut().expect("mapped slot must be occupied");
@@ -238,7 +238,7 @@ impl<V: Clone> PlanCache<V> {
         Some(cached)
     }
 
-    fn note_miss(&self) {
+    fn count_miss(&self) {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.mirror {
             m.misses.inc();
