@@ -279,29 +279,20 @@ impl GwPending {
         for attempt in st.primary.take().into_iter().chain(st.hedge.take()) {
             Self::abandon(inner, st, attempt);
         }
-        let metrics = &inner.metrics;
-        match outcome {
-            Outcome::Admitted { .. } => {
-                metrics.admitted.inc();
-                if let Some(won) = won {
-                    inner.routes.lock().expect("routes lock poisoned").insert(st.task.id, won.target);
-                    match (won.target, &inner.instruments) {
-                        (Target::Peer(_), ins) => {
-                            inner.forward_wins.fetch_add(1, Ordering::Relaxed);
-                            if let Some(ins) = ins {
-                                ins.forward_wins.inc();
-                            }
-                        }
-                        (Target::Node(_), Some(ins)) if won.is_hedge => ins.hedge_wins.inc(),
-                        (Target::Node(_), _) => {}
+        if let (Outcome::Admitted { .. }, Some(won)) = (outcome, won) {
+            inner.routes.lock().expect("routes lock poisoned").insert(st.task.id, won.target);
+            match (won.target, &inner.instruments) {
+                (Target::Peer(_), ins) => {
+                    inner.forward_wins.fetch_add(1, Ordering::Relaxed);
+                    if let Some(ins) = ins {
+                        ins.forward_wins.inc();
                     }
                 }
+                (Target::Node(_), Some(ins)) if won.is_hedge => ins.hedge_wins.inc(),
+                (Target::Node(_), _) => {}
             }
-            Outcome::Rejected { .. } => metrics.rejected.inc(),
-            Outcome::Shed { .. } => metrics.shed.inc(),
-            Outcome::Expired { .. } => metrics.expired.inc(),
         }
-        metrics.latency.record(st.born.elapsed());
+        inner.metrics.book(&outcome, st.born.elapsed());
         st.done = Some(outcome);
     }
 

@@ -12,7 +12,9 @@
 //!   that admitted it.
 //! * **Batching** — each shard coalesces arrivals into solver rounds,
 //!   triggered by size (`batch_max`) or time (`batch_window`), amortising
-//!   the DOT solve over many requests.
+//!   the DOT solve over many requests. A shard is a clock-free engine
+//!   that makes every admission decision, fed by a thin driver thread
+//!   that owns its queue and the wall clock.
 //! * **Backpressure & shedding** — ingress queues are bounded; a full
 //!   queue sheds immediately, and a backlog past the watermark is drained
 //!   and resolved priority-first, shedding the low-priority tail. A

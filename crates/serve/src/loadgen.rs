@@ -297,7 +297,7 @@ mod tests {
     use offloadnn_plancache::PlanCacheConfig;
     use std::collections::HashSet;
 
-    fn config(requests: u64, seed: u64) -> DriveConfig {
+    fn drive_config(requests: u64, seed: u64) -> DriveConfig {
         DriveConfig { requests, driver: 0, drivers: 1, seed, window: 32, max_active: 16, deadline: None }
     }
 
@@ -328,7 +328,7 @@ mod tests {
             Service::start(ServiceConfig { shards: 2, ..ServiceConfig::default() }, &scenario.instance)
                 .expect("service start");
         let offered = AtomicU64::new(0);
-        let report = drive(&service, &config(300, 11), &scenario.instance, None, &offered);
+        let report = drive(&service, &drive_config(300, 11), &scenario.instance, None, &offered);
         assert_eq!(offered.load(Ordering::Relaxed), 300);
         assert_eq!(report.tally.errors(), 0, "{:?}", report.tally);
         assert!(report.tally.admitted > 0, "some capacity must be granted: {:?}", report.tally);
@@ -350,7 +350,8 @@ mod tests {
         };
         let service = Service::start(service_config, &scenario.instance).expect("service start");
         let shapes = ShapePool::new(32, 1.2, scenario.instance.tasks.len(), 7);
-        let report = drive(&service, &config(600, 7), &scenario.instance, Some(&shapes), &AtomicU64::new(0));
+        let report =
+            drive(&service, &drive_config(600, 7), &scenario.instance, Some(&shapes), &AtomicU64::new(0));
         let drain = service.drain();
         assert!(drain.metrics.is_conserved());
         assert_eq!(report.tally.mismatches(&drain.metrics), Vec::<String>::new());

@@ -11,6 +11,7 @@
 //! they are not gated on [`offloadnn_telemetry::enabled`] and the
 //! invariant holds with telemetry on, off, or compiled out.
 
+use crate::service::Outcome;
 use offloadnn_telemetry::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -134,6 +135,19 @@ impl ServiceMetrics {
             round_time: registry.phase("serve.round"),
             registry,
         }
+    }
+
+    /// Books one verdict: counts its class and records its
+    /// submit-to-verdict latency. Every tier books verdicts only here.
+    pub fn book(&self, outcome: &Outcome, latency: Duration) {
+        match outcome {
+            Outcome::Admitted { .. } => &self.admitted,
+            Outcome::Rejected { .. } => &self.rejected,
+            Outcome::Shed { .. } => &self.shed,
+            Outcome::Expired { .. } => &self.expired,
+        }
+        .inc();
+        self.latency.record(latency);
     }
 
     /// The per-service telemetry registry holding these instruments —

@@ -6,16 +6,14 @@ use crate::config::{ChaosConfig, ServiceConfig};
 use crate::error::{ServeError, SubmitError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{partition_budgets, Router};
-use crate::shard::{ShardExit, ShardReport, ShardWorker};
+use crate::shard::{Clock, ReshardCmd, ServiceRequest, Shard, ShardMsg, ShardReport, Waiter};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use offloadnn_core::controller::{ActiveTask, Controller};
-use offloadnn_core::heuristic::OffloadnnSolver;
+use offloadnn_core::controller::ActiveTask;
 use offloadnn_core::instance::{Budgets, DotInstance, PathOption};
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_plancache::{CachedPlan, PlanCache, PlanCacheStats};
 use offloadnn_telemetry::{event, span, Severity};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -65,44 +63,6 @@ impl Outcome {
     }
 }
 
-/// One queued admission request (internal representation). The task and
-/// option list are the allocation made at ingress; they are only ever
-/// moved or borrowed from here on (see `ShardWorker::round`).
-pub(crate) struct ServiceRequest {
-    pub task: Task,
-    pub options: Vec<PathOption>,
-    pub deadline: Instant,
-    pub waiter: Waiter,
-}
-
-/// What is left of a request once its task and options have moved into
-/// a solver round: whom to answer, and since when they have waited.
-pub(crate) struct Waiter {
-    pub enqueued_at: Instant,
-    pub responder: Sender<Outcome>,
-}
-
-/// A reshard order delivered to a surviving shard: adopt the new budget
-/// partition, extract every active task the new ring maps elsewhere and
-/// hand the extracted tasks back on `reply`.
-pub(crate) struct ReshardCmd {
-    pub router: Arc<Router>,
-    pub budgets: Budgets,
-    pub reply: Sender<Vec<ActiveTask>>,
-}
-
-/// Messages on a shard's ingress queue.
-pub(crate) enum ShardMsg {
-    /// An admission request.
-    Request(ServiceRequest),
-    /// A departure notice: release the task's capacity.
-    Depart(TaskId),
-    /// A reshard order (see [`ReshardCmd`]).
-    Reshard(ReshardCmd),
-    /// In-flight tasks migrating in from another shard's keyspace.
-    Adopt(Vec<ActiveTask>),
-}
-
 /// Handle to one submitted request; redeem it for the verdict.
 #[derive(Debug)]
 pub struct Ticket {
@@ -120,11 +80,6 @@ impl Ticket {
     /// even while draining.
     pub fn wait(&self) -> Option<Outcome> {
         self.rx.recv().ok()
-    }
-
-    /// Returns the verdict if already available.
-    pub fn try_wait(&self) -> Option<Outcome> {
-        self.rx.try_recv().ok()
     }
 
     /// Blocks for at most `timeout` for the verdict.
@@ -197,13 +152,9 @@ pub struct Service {
     /// against a single consistent generation (see `scale_to` for the
     /// ordering argument).
     routing: RwLock<RoutingState>,
-    /// Worker join handles; index == shard. Grow pushes, shrink
-    /// truncates, self-heal replaces in place.
-    handles: Mutex<Vec<JoinHandle<ShardExit>>>,
-    /// Final reports of shards retired by scale-downs.
-    retired: Mutex<Vec<ShardReport>>,
-    /// Serialises reshards (and fences drain against them).
-    reshard_lock: Mutex<()>,
+    /// Holding this lock is what serialises reshards (and fences drain
+    /// against them).
+    fleet: Mutex<Fleet>,
     metrics: Arc<ServiceMetrics>,
     config: ServiceConfig,
     /// Cleared instance template (cost tables, rate model, `alpha`) used
@@ -223,6 +174,16 @@ pub struct Service {
     /// here so the cluster learns of the departure before the fleet
     /// tears down.
     drain_hooks: DrainHooks,
+}
+
+/// The shard workers and the reports of those that left the fleet.
+#[derive(Debug)]
+struct Fleet {
+    /// Worker join handles; index == shard. Grow pushes, shrink splits
+    /// off, self-heal replaces in place.
+    workers: Vec<JoinHandle<ShardReport>>,
+    /// Final reports of shards retired by scale-downs.
+    retired: Vec<ShardReport>,
 }
 
 /// The pending drain hooks. A newtype only so the closures stay out of
@@ -262,13 +223,13 @@ impl Service {
         shard_template.tasks.clear();
         shard_template.options.clear();
 
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut handles = Vec::with_capacity(config.shards);
-        for (shard, budgets) in partitions.into_iter().enumerate() {
-            let (tx, rx) = channel::bounded(config.queue_capacity);
-            handles.push(spawn_worker(shard, budgets, rx, &shard_template, config, &metrics, &plan_cache));
-            senders.push(tx);
-        }
+        let (senders, workers) = partitions
+            .into_iter()
+            .enumerate()
+            .map(|(shard, budgets)| {
+                spawn_worker(shard, budgets, &shard_template, config, &metrics, &plan_cache)
+            })
+            .unzip();
         event!(
             Severity::Info,
             "serve.service",
@@ -280,9 +241,7 @@ impl Service {
         );
         Ok(Self {
             routing: RwLock::new(RoutingState { router, senders }),
-            handles: Mutex::new(handles),
-            retired: Mutex::new(Vec::new()),
-            reshard_lock: Mutex::new(()),
+            fleet: Mutex::new(Fleet { workers, retired: Vec::new() }),
             metrics,
             config,
             template: shard_template,
@@ -291,13 +250,6 @@ impl Service {
             draining: AtomicBool::new(false),
             drain_hooks: DrainHooks::default(),
         })
-    }
-
-    /// The configuration the service was started with. `shards` reflects
-    /// the *initial* fleet size; [`Service::shards`] gives the current
-    /// one.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
     }
 
     /// The current router (e.g. to predict a task's shard). A reshard
@@ -377,17 +329,15 @@ impl Service {
             deadline: now + deadline_budget.min(self.config.admission_deadline),
             waiter: Waiter { enqueued_at: now, responder },
         };
-        match routing.senders[shard].try_send(ShardMsg::Request(request)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(msg)) | Err(TrySendError::Disconnected(msg)) => {
-                // Backpressure (or a dead/draining shard racing this
-                // submit): resolve as shed right here so conservation
-                // holds.
-                if let ShardMsg::Request(req) = msg {
-                    self.metrics.shed.inc();
-                    self.metrics.latency.record(Duration::ZERO);
-                    let _ = req.waiter.responder.try_send(Outcome::Shed { shard });
-                }
+        if let Err(TrySendError::Full(msg) | TrySendError::Disconnected(msg)) =
+            routing.senders[shard].try_send(ShardMsg::Request(request))
+        {
+            // Backpressure (or a dead/draining shard racing this submit):
+            // resolve as shed right here so conservation holds.
+            if let ShardMsg::Request(req) = msg {
+                let verdict = Outcome::Shed { shard };
+                self.metrics.book(&verdict, Duration::ZERO);
+                let _ = req.waiter.responder.try_send(verdict);
             }
         }
         Ok(Ticket { rx, task: id, shard })
@@ -415,9 +365,9 @@ impl Service {
     /// 3. the routing state — ring *and* senders — is swapped under the
     ///    write lock, so every message enqueued before the swap
     ///    FIFO-precedes the reshard order on its shard's queue;
-    /// 4. surviving shards adopt their new budget partition and hand
-    ///    over every in-flight task the new ring maps elsewhere; retired
-    ///    shards drain their pre-swap backlog to verdicts and exit;
+    /// 4. every old shard is sent the same reshard order and hands over
+    ///    every in-flight task the new ring maps elsewhere — all of them,
+    ///    on a retiree, which then drains to its exit;
     /// 5. migrated tasks are delivered to their new owners, which also
     ///    reconcile departures that arrived ahead of the migration.
     ///
@@ -435,7 +385,7 @@ impl Service {
         if new_shards == 0 {
             return Err(ServeError::InvalidConfig("shards must be >= 1"));
         }
-        let _reshard_guard = self.reshard_lock.lock().expect("reshard lock");
+        let mut fleet = self.fleet.lock().expect("fleet lock");
         if self.draining.load(Ordering::Acquire) {
             return Err(ServeError::Draining);
         }
@@ -451,81 +401,67 @@ impl Service {
         let reshard_span = span!("serve.reshard");
         let new_router = Arc::new(Router::new(new_shards, VIRTUAL_NODES));
         let partitions = partition_budgets(self.total_budgets, new_shards);
-        let mut handles = self.handles.lock().expect("handles lock");
 
         // Spawn the newcomers idle: they must exist before the swap so a
         // post-swap submit routed to them finds a live queue.
-        let mut new_senders = Vec::new();
-        for (shard, &budgets) in partitions.iter().enumerate().skip(old_shards) {
-            let (tx, rx) = channel::bounded(self.config.queue_capacity);
-            handles.push(spawn_worker(
-                shard,
-                budgets,
-                rx,
-                &self.template,
-                self.config,
-                &self.metrics,
-                &self.plan_cache,
-            ));
-            new_senders.push(tx);
-        }
+        let (new_senders, newcomers): (Vec<_>, Vec<_>) = partitions
+            .iter()
+            .enumerate()
+            .skip(old_shards)
+            .map(|(shard, &budgets)| {
+                spawn_worker(shard, budgets, &self.template, self.config, &self.metrics, &self.plan_cache)
+            })
+            .unzip();
+        fleet.workers.extend(newcomers);
 
         // Atomic handover: after this block every submit/depart routes on
-        // the new ring into the new sender set. Retired senders drop here,
-        // so each retiree sees its pre-swap backlog, then disconnect.
-        {
+        // the new ring into the new sender set. Every old sender, a
+        // retiree's included, is kept only to carry its shard's order.
+        let old_senders = {
             let mut routing = self.routing.write().expect("routing lock");
             routing.router = Arc::clone(&new_router);
-            if new_shards > old_shards {
-                routing.senders.extend(new_senders);
-            } else {
-                routing.senders.truncate(new_shards);
-            }
-        }
-        let retiring_handles: Vec<JoinHandle<ShardExit>> =
-            if new_shards < old_shards { handles.split_off(new_shards) } else { Vec::new() };
+            let old = routing.senders.clone();
+            routing.senders.truncate(new_shards);
+            routing.senders.extend(new_senders);
+            old
+        };
 
-        // Order every survivor to repartition and evacuate remapped keys.
-        let survivors = old_shards.min(new_shards);
-        let mut moved: Vec<ActiveTask> = Vec::new();
-        let mut replies: Vec<(usize, Receiver<Vec<ActiveTask>>)> = Vec::with_capacity(survivors);
-        for (shard, &budgets) in partitions.iter().enumerate().take(survivors) {
+        // Every old shard gets the same order. A survivor adopts its new
+        // partition; a retiree keeps its current one (so its final peaks
+        // are judged against it) and, owning no key of the new ring, hands
+        // back its whole active set. A retiree's sender drops right after
+        // its order, so the retiree answers it behind its pre-swap backlog
+        // and then exits.
+        let old_partitions = partition_budgets(self.total_budgets, old_shards);
+        let mut replies = Vec::with_capacity(old_shards);
+        for (shard, sender) in old_senders.into_iter().enumerate() {
+            let budgets = if shard < new_shards { partitions[shard] } else { old_partitions[shard] };
             let (reply, reply_rx) = channel::bounded(1);
-            let cmd = ReshardCmd { router: Arc::clone(&new_router), budgets, reply };
-            let sender = self.routing.read().expect("routing lock").senders[shard].clone();
-            if sender.send(ShardMsg::Reshard(cmd)).is_err() {
-                // Disconnected queue: the worker is dead (chaos). Respawn
-                // it with a fresh controller; its in-flight tasks are
-                // gone with the panic.
-                self.heal_shard(shard, budgets, &mut handles, &mut moved);
-            } else {
-                replies.push((shard, reply_rx));
-            }
+            let order = ShardMsg::Reshard(ReshardCmd { router: Arc::clone(&new_router), budgets, reply });
+            // An order a dead shard's queue refuses drops its reply
+            // sender with it, so the reply below fails either way.
+            let _ = sender.send(order);
+            replies.push((shard, reply_rx));
         }
 
-        // Collect the evacuated tasks. A worker dying between the order
-        // and its reply is also healed here.
+        // Collect the evacuated tasks. A dead survivor (chaos) is
+        // respawned with a fresh controller, its in-flight tasks gone with
+        // the panic; a dead retiree is counted lost when joined below.
+        let mut moved = Vec::new();
         for (shard, reply_rx) in replies {
             match reply_rx.recv() {
                 Ok(tasks) => moved.extend(tasks),
-                Err(_) => self.heal_shard(shard, partitions[shard], &mut handles, &mut moved),
+                Err(_) if shard < new_shards => self.heal_shard(&mut fleet, shard, partitions[shard]),
+                Err(_) => {}
             }
         }
-
-        // Retired shards drain to exit; their still-active tasks join the
-        // migration set.
-        let mut retired = self.retired.lock().expect("retired lock");
         let mut lost = 0usize;
-        for handle in retiring_handles {
-            match handle.join() {
-                Ok(exit) => {
-                    retired.push(exit.report);
-                    moved.extend(exit.active);
-                }
+        for worker in fleet.workers.split_off(new_shards) {
+            match worker.join() {
+                Ok(report) => fleet.retired.push(report),
                 Err(_) => lost += 1,
             }
         }
-        drop(retired);
         if lost > 0 {
             event!(
                 Severity::Warn,
@@ -552,7 +488,6 @@ impl Service {
                 }
             }
         }
-        drop(handles);
 
         // The generation is part of every plan-cache key: plans minted
         // under the old ring and budget partition never match again.
@@ -569,38 +504,25 @@ impl Service {
         Ok(ReshardReport { from_shards: old_shards, to_shards: new_shards, migrated, generation })
     }
 
-    /// Replaces a dead shard with a fresh worker (fresh controller, same
-    /// budget partition). If the old worker somehow exited cleanly its
-    /// report is kept and its tasks are salvaged into `moved`.
-    fn heal_shard(
-        &self,
-        shard: usize,
-        budgets: Budgets,
-        handles: &mut [JoinHandle<ShardExit>],
-        moved: &mut Vec<ActiveTask>,
-    ) {
+    /// Replaces a dead survivor with a fresh worker (fresh controller,
+    /// same budget partition); the dead worker's in-flight tasks are lost.
+    fn heal_shard(&self, fleet: &mut Fleet, shard: usize, budgets: Budgets) {
         event!(Severity::Warn, "serve.service", "shard {shard} is dead; respawning with a fresh controller");
-        let (tx, rx) = channel::bounded(self.config.queue_capacity);
         // The replacement runs with chaos injection cleared: the fault
         // already fired, and a heal that re-arms the same trigger (the
         // fresh worker restarts its round counter) would never converge.
-        let mut config = self.config;
-        config.chaos = ChaosConfig::default();
-        let fresh = spawn_worker(shard, budgets, rx, &self.template, config, &self.metrics, &self.plan_cache);
-        let old = std::mem::replace(&mut handles[shard], fresh);
+        let config = ServiceConfig { chaos: ChaosConfig::default(), ..self.config };
+        let (tx, fresh) =
+            spawn_worker(shard, budgets, &self.template, config, &self.metrics, &self.plan_cache);
+        let old = std::mem::replace(&mut fleet.workers[shard], fresh);
         self.routing.write().expect("routing lock").senders[shard] = tx;
         match old.join() {
-            Ok(exit) => {
-                self.retired.lock().expect("retired lock").push(exit.report);
-                moved.extend(exit.active);
-            }
-            Err(_) => {
-                event!(
-                    Severity::Warn,
-                    "serve.service",
-                    "shard {shard} worker had panicked; its in-flight tasks are lost"
-                );
-            }
+            Ok(report) => fleet.retired.push(report),
+            Err(_) => event!(
+                Severity::Warn,
+                "serve.service",
+                "shard {shard} worker had panicked; its in-flight tasks are lost"
+            ),
         }
     }
 
@@ -682,26 +604,24 @@ impl Service {
     /// ([`DrainReport::lost_shards`]).
     pub fn drain(self) -> DrainReport {
         self.fence();
-        // Serialise against scale_to: once the lock is held, the handle
-        // set is stable and any later scale_to fails with Draining.
-        let reshard_guard = self.reshard_lock.lock().expect("reshard lock");
+        // Serialise against scale_to: once the fleet lock is held, the
+        // worker set is stable and any later scale_to fails with Draining.
+        let mut fleet = self.fleet.lock().expect("fleet lock");
         // Dropping the senders disconnects the queues; each worker keeps
         // resolving until its queue is empty, then exits.
         self.routing.write().expect("routing lock").senders.clear();
-        let handles = std::mem::take(&mut *self.handles.lock().expect("handles lock"));
-        let mut shards: Vec<ShardReport> = Vec::with_capacity(handles.len());
+        let mut shards: Vec<ShardReport> = Vec::with_capacity(fleet.workers.len());
         let mut lost_shards = 0usize;
-        for handle in handles {
+        for worker in std::mem::take(&mut fleet.workers) {
             // One "serve.drain" sample per shard: drain start to that
             // worker's exit (joins overlap, so samples are cumulative).
             let drain_span = span!("serve.drain");
-            match handle.join() {
-                Ok(exit) => shards.push(exit.report),
+            match worker.join() {
+                Ok(report) => shards.push(report),
                 Err(_) => lost_shards += 1,
             }
             drain_span.finish();
         }
-        drop(reshard_guard);
         if lost_shards > 0 {
             event!(
                 Severity::Warn,
@@ -710,7 +630,7 @@ impl Service {
             );
         }
         shards.sort_by_key(|r| r.shard);
-        let retired = std::mem::take(&mut *self.retired.lock().expect("retired lock"));
+        let retired = std::mem::take(&mut fleet.retired);
         let metrics = self.metrics.snapshot();
         event!(
             Severity::Info,
@@ -739,35 +659,78 @@ impl Drop for Service {
     }
 }
 
-/// Spawns one shard worker thread over a fresh controller scoped to
-/// `budgets`.
+/// The wall clock the driver hands the shard engine.
+pub(crate) struct WallClock;
+
+impl Clock for WallClock {
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn stall(&self, d: Duration) {
+        std::thread::sleep(d);
+    }
+}
+
+/// Spawns one shard: a fresh [`Shard`] engine over `budgets` behind a
+/// bounded ingress queue, driven on its own thread. The driver blocks for
+/// the first message of a round, fills the batch until it is full, the
+/// window closes or the service disconnects, pulls the whole backlog once
+/// it passes the watermark (the engine sheds it priority-first), and
+/// hands the batch to [`Shard::round`]. It returns the shard's report
+/// once every sender is gone and the queue is empty, so draining never
+/// strands a request.
 fn spawn_worker(
-    shard: usize,
+    index: usize,
     budgets: Budgets,
-    rx: Receiver<ShardMsg>,
     template: &DotInstance,
     config: ServiceConfig,
     metrics: &Arc<ServiceMetrics>,
     plan_cache: &Option<Arc<PlanCache<CachedPlan>>>,
-) -> JoinHandle<ShardExit> {
-    let mut shard_template = template.clone();
-    shard_template.budgets = budgets;
-    let worker = ShardWorker {
-        shard,
-        rx,
-        controller: Controller::new(&shard_template, OffloadnnSolver::new()),
-        budgets,
-        config,
-        metrics: Arc::clone(metrics),
-        plan_cache: plan_cache.clone(),
-        rejected: HashSet::new(),
-        orphans: HashSet::new(),
-        pending_reshards: Vec::new(),
+) -> (Sender<ShardMsg>, JoinHandle<ShardReport>) {
+    let (tx, rx) = channel::bounded(config.queue_capacity);
+    let mut shard = Shard::new(index, budgets, template, config, Arc::clone(metrics), plan_cache.clone());
+    let metrics = Arc::clone(metrics);
+    let drive = move || {
+        while let Ok(first) = rx.recv() {
+            let batch_span = span!("serve.batch");
+            let mut batch = Vec::new();
+            shard.take(first, &mut batch);
+            let window_ends = Instant::now() + config.batch_window;
+            while batch.len() < config.batch_max {
+                let now = Instant::now();
+                if now >= window_ends {
+                    break;
+                }
+                match rx.recv_timeout(window_ends - now) {
+                    Ok(msg) => shard.take(msg, &mut batch),
+                    Err(_) => break, // window closed, or drained and disconnected
+                }
+            }
+            metrics.peak_queue_depth.raise(rx.len() as u64);
+            if rx.len() >= config.shed_watermark {
+                event!(
+                    Severity::Warn,
+                    "serve.shard",
+                    "shard {} backlog {} past watermark {}: shedding priority-first",
+                    index,
+                    rx.len(),
+                    config.shed_watermark
+                );
+                for msg in rx.drain() {
+                    shard.take(msg, &mut batch);
+                }
+            }
+            batch_span.finish();
+            shard.round(batch, &WallClock);
+        }
+        shard.finish()
     };
-    std::thread::Builder::new()
-        .name(format!("serve-shard-{shard}"))
-        .spawn(move || worker.run())
-        .expect("spawn shard worker")
+    let worker = std::thread::Builder::new()
+        .name(format!("serve-shard-{index}"))
+        .spawn(drive)
+        .expect("spawn shard worker");
+    (tx, worker)
 }
 
 #[cfg(test)]
