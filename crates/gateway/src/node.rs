@@ -16,7 +16,9 @@
 //! ([`Link::data_failed`]) and by a newer incarnation
 //! ([`Link::restart`]): ejection by missed probes and a graceful leave
 //! clear neither, because the remote may still deliver verdicts the
-//! gateway's tickets and reaper are waiting for.
+//! gateway's tickets and reaper are waiting for. A [`Client`] is one
+//! socket for its whole life, so the rule holds for the socket itself:
+//! nothing beneath a slot redials.
 
 use crate::liveness::Liveness;
 use crate::router::Candidate;
@@ -31,11 +33,7 @@ use std::time::{Duration, Instant};
 /// connect attempt, short timeout: the failover path, not the transport
 /// retry loop, owns recovery from a dead remote.
 fn fail_fast_client_config() -> ClientConfig {
-    ClientConfig {
-        connect_attempts: 1,
-        connect_timeout: Duration::from_millis(500),
-        ..ClientConfig::default()
-    }
+    ClientConfig { connect_attempts: 1, connect_timeout: Duration::from_millis(500) }
 }
 
 /// A lazily dialled shared client, dropped on failure so the next use

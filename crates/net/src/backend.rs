@@ -198,11 +198,7 @@ const MEMBERSHIP_RPC_TIMEOUT: Duration = Duration::from_secs(2);
 /// into — registration is re-attemptable and deregistration is
 /// best-effort.
 fn membership_client_config() -> ClientConfig {
-    ClientConfig {
-        connect_attempts: 1,
-        connect_timeout: Duration::from_millis(500),
-        ..ClientConfig::default()
-    }
+    ClientConfig { connect_attempts: 1, connect_timeout: Duration::from_millis(500) }
 }
 
 /// A fresh incarnation stamp: startup wall-clock nanoseconds, monotonic

@@ -1,13 +1,13 @@
-//! The client library: a pipelining connection to a [`crate::AnyServer`]
-//! with per-request deadline propagation and reconnect with capped
-//! exponential backoff.
+//! The client library: one pipelining connection to a
+//! [`crate::AnyServer`] with per-request deadline propagation.
 //!
 //! ## Pipelining
 //!
 //! [`Client::submit`] writes the request and returns a
 //! [`PendingVerdict`] immediately; any number of requests may be in
-//! flight at once. A background reader thread demultiplexes responses by
-//! correlation id, so verdicts can be redeemed in any order. The server
+//! flight at once. A background reader thread delivers each response
+//! into the connection's reply table (`replies.rs`) by correlation id,
+//! so verdicts can be redeemed in any order. The server
 //! bounds each connection's in-flight window — a client pipelining past
 //! it is simply not read until verdicts flush, and the backpressure
 //! reaches [`Client::submit`] through the blocked socket write.
@@ -19,19 +19,17 @@
 //! own policy deadline ([`offloadnn_serve::ServiceConfig::admission_deadline`]),
 //! so a client can shrink its admission window but never extend it.
 //!
-//! ## Reconnect
+//! ## Dialing
 //!
-//! Dialing (initial connect and any redial after the connection dies)
-//! retries with capped exponential backoff *with decorrelated jitter*:
-//! each pause is drawn uniformly from `[backoff_base, min(backoff_cap,
-//! 3 × previous)]`, for at most [`ClientConfig::connect_attempts`]
-//! attempts. The jitter matters at fleet scale — a deterministic
-//! doubling schedule makes every client of a dead server sleep the same
-//! amounts from the same trigger and stampede it in lockstep the moment
-//! it recovers. Requests that were in flight when a connection died
-//! resolve as [`NetError::Disconnected`] — a submit is not idempotent,
-//! so the client never silently replays one; the *next* request dials
-//! afresh.
+//! A [`Client`] owns exactly one TCP connection for its whole life.
+//! [`Client::connect`] makes up to [`ClientConfig::connect_attempts`]
+//! dial attempts, pausing between them on a decorrelated-jitter schedule
+//! within `[BACKOFF_BASE, BACKOFF_CAP]` (`backoff.rs` says why the
+//! jitter). Nothing redials after that: once the connection dies, every
+//! request pending on it resolves as [`NetError::Disconnected`] and so
+//! does every later one — a submit is not idempotent, so the client
+//! never silently replays one. A caller that outlives its server builds
+//! a new `Client`.
 
 use crate::backoff::{entropy_seed, ReconnectBackoff};
 use crate::codec::{
@@ -39,16 +37,16 @@ use crate::codec::{
     PeerHelloRequest, ScaleRequest, ScaleResponse, SnapshotRequest,
 };
 use crate::error::NetError;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::replies::{Delivery, Replies};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_serve::{Admitter, MetricsSnapshot, Outcome, SubmitError, VerdictError};
 use offloadnn_telemetry::{event, Histogram, Severity};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,19 +55,17 @@ use std::time::{Duration, Instant};
 pub struct ClientConfig {
     /// Per-attempt TCP connect timeout.
     pub connect_timeout: Duration,
-    /// Dial attempts (initial connect or redial) before giving up with
+    /// Dial attempts before [`Client::connect`] gives up with
     /// [`NetError::Disconnected`].
     pub connect_attempts: u32,
-    /// Lower bound of every reconnect pause (and the bound the jittered
-    /// envelope grows from).
-    pub backoff_base: Duration,
-    /// Backoff ceiling — every jittered pause is clamped here.
-    pub backoff_cap: Duration,
 }
 
-/// Socket read timeout — the cadence at which the reader thread rechecks
-/// the close flag while idle.
-const READ_TIMEOUT: Duration = Duration::from_millis(50);
+/// Lower bound of every dial-retry pause (and the bound the jittered
+/// envelope grows from).
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// Ceiling of every dial-retry pause.
+const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Socket write timeout; a server that cannot absorb a request this long
 /// (window full and never draining it) fails the send.
@@ -77,12 +73,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        Self {
-            connect_timeout: Duration::from_secs(1),
-            connect_attempts: 5,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(1),
-        }
+        Self { connect_timeout: Duration::from_secs(1), connect_attempts: 5 }
     }
 }
 
@@ -99,59 +90,24 @@ impl ClientConfig {
         if self.connect_attempts == 0 {
             return Err(NetError::InvalidConfig("connect_attempts must be >= 1"));
         }
-        if self.backoff_base.is_zero() {
-            return Err(NetError::InvalidConfig("backoff_base must be > 0"));
-        }
-        if self.backoff_cap < self.backoff_base {
-            return Err(NetError::InvalidConfig("backoff_cap must be >= backoff_base"));
-        }
         Ok(())
     }
 }
 
-/// The round-trip latency histogram (`net.rtt` on the global telemetry
-/// registry): submit write to verdict arrival.
-fn rtt_histogram() -> &'static Arc<Histogram> {
-    static RTT: OnceLock<Arc<Histogram>> = OnceLock::new();
-    RTT.get_or_init(|| offloadnn_telemetry::global().phase("net.rtt"))
-}
-
-/// Responses owed on one connection incarnation, keyed by correlation
-/// id. Owned jointly by the facade (inserts) and that incarnation's
-/// reader thread (removes + delivers; clears on exit). Per-incarnation
-/// so a reader that dies can only fail *its own* requests, never ones
-/// registered after a redial.
-type ReplyMap = Arc<Mutex<HashMap<u64, Sender<Frame>>>>;
-
-/// One live connection: write half, reader thread, and the requests in
-/// flight on it.
-struct Conn {
-    stream: TcpStream,
-    reader: JoinHandle<()>,
-    /// Set by the reader when the connection dies (EOF, socket error,
-    /// protocol error or a connection-level server error).
-    dead: Arc<AtomicBool>,
-    pending: ReplyMap,
-}
-
-/// A connection to a [`crate::AnyServer`]. Submissions pipeline: each
-/// [`Client::submit`] returns a [`PendingVerdict`] redeemable in any
-/// order, and a dead connection is redialed (with backoff) on the next
-/// request. All methods take `&self` and are thread-safe; requests from
-/// multiple threads share the one connection and its in-flight window.
+/// One connection to a [`crate::AnyServer`], for the client's whole
+/// life. Submissions pipeline: each [`Client::submit`] returns a
+/// [`PendingVerdict`] redeemable in any order. All methods take `&self`
+/// and are thread-safe; requests from multiple threads share the one
+/// connection and its in-flight window.
+#[derive(Debug)]
 pub struct Client {
-    addr: SocketAddr,
-    config: ClientConfig,
-    conn: Mutex<Option<Conn>>,
-    /// Tells the reader thread(s) to exit at their next timeout tick.
-    closing: Arc<AtomicBool>,
+    /// The write half, locked per frame so frames stay whole on the
+    /// stream.
+    stream: Mutex<TcpStream>,
+    /// The replies owed on the connection; the reader delivers into it.
+    replies: Arc<Mutex<Replies>>,
+    reader: Option<JoinHandle<()>>,
     next_id: AtomicU64,
-}
-
-impl std::fmt::Debug for Client {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client").field("addr", &self.addr).finish_non_exhaustive()
-    }
 }
 
 /// Handle to one pipelined submit; redeem it with
@@ -167,18 +123,18 @@ pub struct PendingVerdict {
 }
 
 impl PendingVerdict {
-    fn interpret_ref(&self, frame: Frame) -> Result<Outcome, NetError> {
-        if offloadnn_telemetry::enabled() {
-            rtt_histogram().record(self.sent_at.elapsed());
+    /// [`redeem`]s the verdict, recording every reply the server sent on
+    /// the `net.rtt` histogram (submit write to verdict arrival).
+    fn redeem(&self, bound: Option<Duration>) -> Option<Result<Outcome, NetError>> {
+        static RTT: OnceLock<Arc<Histogram>> = OnceLock::new();
+        let verdict = redeem(&self.rx, bound, "the verdict", |f| match f {
+            Frame::Outcome(r) => Some(r.outcome),
+            _ => None,
+        });
+        if offloadnn_telemetry::enabled() && matches!(verdict, Some(Ok(_) | Err(NetError::Server(_)))) {
+            RTT.get_or_init(|| offloadnn_telemetry::global().phase("net.rtt")).record(self.sent_at.elapsed());
         }
-        match frame {
-            Frame::Outcome(r) => Ok(r.outcome),
-            Frame::Error(e) => Err(NetError::Server(e)),
-            other => Err(NetError::Disconnected(format!(
-                "unexpected {} frame in place of a verdict",
-                other.type_name()
-            ))),
-        }
+        verdict
     }
 
     /// Blocks until the verdict (or a server error) arrives.
@@ -189,11 +145,7 @@ impl PendingVerdict {
     /// (e.g. it is draining), [`NetError::Disconnected`] if the
     /// connection died before the verdict arrived.
     pub fn wait(self) -> Result<Outcome, NetError> {
-        let frame = self
-            .rx
-            .recv()
-            .map_err(|_| NetError::Disconnected("connection died before the verdict".into()))?;
-        self.interpret_ref(frame)
+        self.redeem(None).unwrap_or_else(|| Err(timed_out("the verdict")))
     }
 
     /// Like [`PendingVerdict::wait`] with a bound on the blocking time.
@@ -204,11 +156,7 @@ impl PendingVerdict {
     /// timeout (the verdict may still arrive later; the handle is
     /// consumed either way).
     pub fn wait_timeout(self, timeout: Duration) -> Result<Outcome, NetError> {
-        let frame = self
-            .rx
-            .recv_timeout(timeout)
-            .map_err(|_| NetError::Disconnected("no verdict within the timeout".into()))?;
-        self.interpret_ref(frame)
+        self.redeem(Some(timeout)).unwrap_or_else(|| Err(timed_out("the verdict")))
     }
 
     /// Non-blocking, non-consuming check: `None` while the verdict is
@@ -220,32 +168,69 @@ impl PendingVerdict {
     /// Once `Some(...)` has been returned, the verdict is consumed and
     /// further polls report the connection as closed.
     pub fn poll(&self) -> Option<Result<Outcome, NetError>> {
-        match self.rx.try_recv() {
-            Ok(frame) => Some(self.interpret_ref(frame)),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                Some(Err(NetError::Disconnected("connection died before the verdict".into())))
-            }
-        }
+        self.redeem(Some(Duration::ZERO))
     }
 
     /// Like [`PendingVerdict::poll`] but blocks up to `timeout` for the
     /// verdict. `None` strictly means the timeout elapsed with the
     /// request still in flight.
     pub fn poll_wait(&self, timeout: Duration) -> Option<Result<Outcome, NetError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Some(self.interpret_ref(frame)),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                Some(Err(NetError::Disconnected("connection died before the verdict".into())))
-            }
+        self.redeem(Some(timeout))
+    }
+}
+
+/// The one way a reply is redeemed: waits on `rx` up to `bound`
+/// (forever when `None`; a zero bound only polls) and unwraps the frame
+/// kind `pick` accepts. `None` means the bound elapsed with the request
+/// still in flight. An error frame surfaces as [`NetError::Server`]; any
+/// other frame, or a connection that died first, as
+/// [`NetError::Disconnected`] (a late reply is dropped by the reader).
+fn redeem<T>(
+    rx: &Receiver<Frame>,
+    bound: Option<Duration>,
+    what: &str,
+    pick: impl FnOnce(Frame) -> Option<T>,
+) -> Option<Result<T, NetError>> {
+    let frame = match bound {
+        None => rx.recv().ok(),
+        Some(bound) => match rx.recv_timeout(bound) {
+            Err(RecvTimeoutError::Timeout) => return None,
+            received => received.ok(),
+        },
+    };
+    Some(match frame {
+        None => Err(NetError::Disconnected(format!("connection died waiting for {what}"))),
+        Some(Frame::Error(e)) => Err(NetError::Server(e)),
+        Some(other) => {
+            let got = other.type_name();
+            pick(other)
+                .ok_or_else(|| NetError::Disconnected(format!("unexpected {got} frame in place of {what}")))
         }
+    })
+}
+
+/// The error a bounded wait that elapsed surfaces as.
+fn timed_out(what: &str) -> NetError {
+    NetError::Disconnected(format!("timed out waiting for {what}"))
+}
+
+fn metrics(frame: Frame) -> Option<MetricsSnapshot> {
+    match frame {
+        Frame::Metrics(m) => Some(m.metrics),
+        _ => None,
+    }
+}
+
+fn membership(frame: Frame) -> Option<MembershipResponse> {
+    match frame {
+        Frame::Membership(m) => Some(m),
+        _ => None,
     }
 }
 
 impl Client {
-    /// Resolves `addr` and dials it (with the configured backoff
-    /// schedule), returning a connected client.
+    /// Resolves `addr`, dials it (with the backoff schedule in the module
+    /// docs) and starts the connection's reader thread.
     ///
     /// # Errors
     ///
@@ -256,122 +241,65 @@ impl Client {
         config.validate()?;
         let addr =
             addr.to_socket_addrs()?.next().ok_or(NetError::InvalidConfig("address resolved to nothing"))?;
-        let client = Self {
-            addr,
-            config,
-            conn: Mutex::new(None),
-            closing: Arc::new(AtomicBool::new(false)),
-            next_id: AtomicU64::new(1),
-        };
-        // Fail fast on an unreachable server instead of on first use.
-        let first = client.dial()?;
-        *client.conn.lock().expect("conn lock") = Some(first);
-        Ok(client)
+        let stream = dial(addr, config)?;
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        let read_half = stream.try_clone()?;
+        let replies = Arc::new(Mutex::new(Replies::new()));
+        let driven = Arc::clone(&replies);
+        let reader = std::thread::Builder::new()
+            .name("net-client-reader".into())
+            .spawn(move || read_responses(read_half, &driven))?;
+        Ok(Self { stream: Mutex::new(stream), replies, reader: Some(reader), next_id: AtomicU64::new(1) })
     }
 
-    /// The server address this client dials.
-    pub fn server_addr(&self) -> SocketAddr {
-        self.addr
+    fn next_id(&self) -> u64 {
+        self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Dials with capped, decorrelated-jitter backoff and spawns the
-    /// connection's reader thread.
-    fn dial(&self) -> Result<Conn, NetError> {
-        let mut backoff =
-            ReconnectBackoff::new(self.config.backoff_base, self.config.backoff_cap, entropy_seed());
-        let mut last: Option<std::io::Error> = None;
-        for attempt in 0..self.config.connect_attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff.next_delay());
-            }
-            match TcpStream::connect_timeout(&self.addr, self.config.connect_timeout) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-                    let read_half = stream.try_clone().map_err(NetError::Io)?;
-                    read_half.set_read_timeout(Some(READ_TIMEOUT)).map_err(NetError::Io)?;
-                    let dead = Arc::new(AtomicBool::new(false));
-                    let pending: ReplyMap = Arc::new(Mutex::new(HashMap::new()));
-                    let reader = {
-                        let pending = Arc::clone(&pending);
-                        let dead = Arc::clone(&dead);
-                        let closing = Arc::clone(&self.closing);
-                        std::thread::Builder::new()
-                            .name("net-client-reader".into())
-                            .spawn(move || read_responses(read_half, &pending, &dead, &closing))
-                            .map_err(NetError::Io)?
-                    };
-                    event!(
-                        Severity::Info,
-                        "net.client",
-                        "connected to {} (attempt {})",
-                        self.addr,
-                        attempt + 1
-                    );
-                    return Ok(Conn { stream, reader, dead, pending });
-                }
-                Err(e) => {
-                    event!(
-                        Severity::Warn,
-                        "net.client",
-                        "dial {} failed (attempt {}): {e}",
-                        self.addr,
-                        attempt + 1
-                    );
-                    last = Some(e);
-                }
-            }
-        }
-        Err(NetError::Disconnected(format!(
-            "gave up dialing {} after {} attempt(s): {}",
-            self.addr,
-            self.config.connect_attempts,
-            last.map_or_else(|| "no attempt made".to_owned(), |e| e.to_string()),
-        )))
+    /// Writes one encoded frame whole. A frame cut off mid-write leaves
+    /// the stream's framing untrustworthy, so a failed write shuts the
+    /// socket down; the reader wakes on it and closes the reply table.
+    fn write(&self, bytes: &[u8]) -> Result<(), NetError> {
+        let mut stream = self.stream.lock().expect("stream lock");
+        stream.write_all(bytes).map_err(|e| {
+            let _ = stream.shutdown(Shutdown::Both);
+            NetError::Io(e)
+        })
     }
 
-    /// Writes one encoded frame on the live connection — redialing first
-    /// if the previous connection died — and, when the frame expects a
-    /// response, registers its correlation id on that same incarnation's
-    /// pending map (atomically with the write, so a reader death can
-    /// never orphan the slot on the wrong incarnation).
-    fn send(
+    /// Sends request `id`: opens its reply slot, then writes its frame.
+    /// A failed write cancels the slot.
+    fn request(&self, id: u64, bytes: &[u8]) -> Result<Receiver<Frame>, NetError> {
+        let rx = self.replies.lock().expect("reply table lock").register(id)?;
+        self.write(bytes)
+            .map(|()| rx)
+            .inspect_err(|_| self.replies.lock().expect("reply table lock").cancel(id))
+    }
+
+    /// Sends the request `build` makes of a fresh correlation id and
+    /// [`redeem`]s the frame kind `pick` accepts; a `bound` that elapses
+    /// first fails [`NetError::Disconnected`].
+    fn call<T>(
         &self,
-        request_id: u64,
-        bytes: &[u8],
-        want_reply: bool,
-    ) -> Result<Option<Receiver<Frame>>, NetError> {
-        let mut guard = self.conn.lock().expect("conn lock");
-        // Reap a dead connection before writing (its reader has already
-        // failed the requests pending on that incarnation).
-        if guard.as_ref().is_some_and(|c| c.dead.load(Ordering::Acquire)) {
-            if let Some(old) = guard.take() {
-                let _ = old.reader.join();
-            }
-        }
-        if guard.is_none() {
-            *guard = Some(self.dial()?);
-        }
-        let conn = guard.as_mut().expect("connection just established");
-        let rx = if want_reply {
-            let (tx, rx) = channel::bounded(1);
-            conn.pending.lock().expect("pending lock").insert(request_id, tx);
-            Some(rx)
-        } else {
-            None
-        };
-        match conn.stream.write_all(bytes) {
-            Ok(()) => Ok(rx),
-            Err(e) => {
-                // The write failed mid-frame: the connection's framing
-                // can no longer be trusted; tear it down. The reader's
-                // exit fails every other request pending on it.
-                conn.pending.lock().expect("pending lock").remove(&request_id);
-                conn.dead.store(true, Ordering::Release);
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                Err(NetError::Io(e))
-            }
-        }
+        build: impl FnOnce(u64) -> Frame,
+        bound: Option<Duration>,
+        what: &str,
+        pick: impl FnOnce(Frame) -> Option<T>,
+    ) -> Result<T, NetError> {
+        let id = self.next_id();
+        let rx = self.request(id, &codec::encode(&build(id)))?;
+        redeem(&rx, bound, what, pick).unwrap_or_else(|| Err(timed_out(what)))
+    }
+
+    /// Sends the admission frame `encode` makes of a fresh correlation id
+    /// and hands back its verdict slot.
+    fn pend(&self, task: TaskId, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<PendingVerdict, NetError> {
+        let request_id = self.next_id();
+        let bytes = encode(request_id);
+        let sent_at = Instant::now();
+        let rx = self.request(request_id, &bytes)?;
+        Ok(PendingVerdict { rx, sent_at, task, request_id })
     }
 
     /// Submits an admission request, pipelined: returns as soon as the
@@ -381,8 +309,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] / [`NetError::Disconnected`] when the frame
-    /// could not be written (after any redial attempts).
+    /// [`NetError::Disconnected`] once the connection has died,
+    /// [`NetError::Io`] when the frame could not be written.
     pub fn submit(
         &self,
         task: Task,
@@ -405,9 +333,7 @@ impl Client {
         options: &[PathOption],
         deadline: Option<Duration>,
     ) -> Result<PendingVerdict, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let bytes = codec::encode_submit(request_id, budget_us(deadline), task, options);
-        self.send_request(request_id, &bytes, task.id)
+        self.pend(task.id, |id| codec::encode_submit(id, budget_us(deadline), task, options))
     }
 
     /// Forwards an overflow admission to a peer gateway.
@@ -430,17 +356,9 @@ impl Client {
         origin: &str,
         tried: &[String],
     ) -> Result<PendingVerdict, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let bytes =
-            codec::encode_forward(request_id, budget_us(remaining), hops, origin, tried, task, options);
-        self.send_request(request_id, &bytes, task.id)
-    }
-
-    /// Writes an encoded admission frame and hands back its verdict slot.
-    fn send_request(&self, request_id: u64, bytes: &[u8], task: TaskId) -> Result<PendingVerdict, NetError> {
-        let sent_at = Instant::now();
-        let rx = self.send(request_id, bytes, true)?.expect("reply slot requested");
-        Ok(PendingVerdict { rx, sent_at, task, request_id })
+        self.pend(task.id, |id| {
+            codec::encode_forward(id, budget_us(remaining), hops, origin, tried, task, options)
+        })
     }
 
     /// Asks a peer gateway for its load digest, blocking
@@ -460,10 +378,10 @@ impl Client {
         incarnation: u64,
         timeout: Duration,
     ) -> Result<PeerDigest, NetError> {
-        let rx = self.request(|request_id| {
+        let hello = |request_id| {
             Frame::PeerHello(PeerHelloRequest { request_id, addr: addr.to_owned(), incarnation })
-        })?;
-        Self::reply(&rx, Some(timeout), "a load digest", |f| match f {
+        };
+        self.call(hello, Some(timeout), "a load digest", |f| match f {
             Frame::PeerLoad(r) => Some(r.digest),
             _ => None,
         })
@@ -474,12 +392,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] / [`NetError::Disconnected`] when the frame
-    /// could not be written.
+    /// [`NetError::Io`] when the frame could not be written.
     pub fn depart(&self, task: TaskId) -> Result<(), NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::Depart(DepartRequest { request_id, task });
-        self.send(request_id, &codec::encode(&frame), false).map(|_| ())
+        self.write(&codec::encode(&Frame::Depart(DepartRequest { request_id: self.next_id(), task })))
     }
 
     /// Fetches a point-in-time metrics snapshot from the server
@@ -490,8 +405,7 @@ impl Client {
     /// Transport errors as for [`Client::submit`];
     /// [`NetError::Disconnected`] if the connection dies first.
     pub fn snapshot(&self) -> Result<MetricsSnapshot, NetError> {
-        let rx = self.request(|request_id| Frame::Snapshot(SnapshotRequest { request_id }))?;
-        Self::metrics_reply(&rx, None)
+        self.call(|request_id| Frame::Snapshot(SnapshotRequest { request_id }), None, "metrics", metrics)
     }
 
     /// Like [`Client::snapshot`] with a bound on the blocking time — the
@@ -505,8 +419,8 @@ impl Client {
     /// timeout elapses first (the response is discarded by the reader if
     /// it arrives later).
     pub fn snapshot_timeout(&self, timeout: Duration) -> Result<MetricsSnapshot, NetError> {
-        let rx = self.request(|request_id| Frame::Snapshot(SnapshotRequest { request_id }))?;
-        Self::metrics_reply(&rx, Some(timeout))
+        let snapshot = |request_id| Frame::Snapshot(SnapshotRequest { request_id });
+        self.call(snapshot, Some(timeout), "metrics", metrics)
     }
 
     /// Asks the server to drain gracefully and blocks for the final
@@ -517,8 +431,7 @@ impl Client {
     ///
     /// Transport errors as for [`Client::submit`].
     pub fn drain(&self) -> Result<MetricsSnapshot, NetError> {
-        let rx = self.request(|request_id| Frame::Drain(DrainRequest { request_id }))?;
-        Self::metrics_reply(&rx, None)
+        self.call(|request_id| Frame::Drain(DrainRequest { request_id }), None, "metrics", metrics)
     }
 
     /// Asks the server to reshape its shard fleet to `shards` workers
@@ -532,8 +445,8 @@ impl Client {
     /// if the server refused (zero shards, draining); transport errors as
     /// for [`Client::submit`].
     pub fn scale_to(&self, shards: u32) -> Result<ScaleResponse, NetError> {
-        let rx = self.request(|request_id| Frame::Scale(ScaleRequest { request_id, shards }))?;
-        Self::reply(&rx, None, "a scale response", |f| match f {
+        let scale = |request_id| Frame::Scale(ScaleRequest { request_id, shards });
+        self.call(scale, None, "a scale response", |f| match f {
             Frame::Scaled(r) => Some(r),
             _ => None,
         })
@@ -556,10 +469,9 @@ impl Client {
         incarnation: u64,
         timeout: Duration,
     ) -> Result<MembershipResponse, NetError> {
-        let rx = self.request(|request_id| {
-            Frame::Announce(AnnounceRequest { request_id, addr: addr.to_owned(), incarnation })
-        })?;
-        Self::membership_reply(&rx, timeout)
+        let announce =
+            |request_id| Frame::Announce(AnnounceRequest { request_id, addr: addr.to_owned(), incarnation });
+        self.call(announce, Some(timeout), "a membership response", membership)
     }
 
     /// Deregisters a serve node from a gateway ahead of a graceful
@@ -575,62 +487,9 @@ impl Client {
         incarnation: u64,
         timeout: Duration,
     ) -> Result<MembershipResponse, NetError> {
-        let rx = self.request(|request_id| {
-            Frame::Leave(LeaveRequest { request_id, addr: addr.to_owned(), incarnation })
-        })?;
-        Self::membership_reply(&rx, timeout)
-    }
-
-    /// Sends the request `build` makes of a fresh correlation id and
-    /// returns the channel its reply will arrive on.
-    fn request(&self, build: impl FnOnce(u64) -> Frame) -> Result<Receiver<Frame>, NetError> {
-        let request_id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let bytes = codec::encode(&build(request_id));
-        Ok(self.send(request_id, &bytes, true)?.expect("reply slot requested"))
-    }
-
-    /// Blocks (up to `timeout`, if any) for the reply on `rx` and unwraps
-    /// the frame kind `pick` accepts. An error frame surfaces as
-    /// [`NetError::Server`]; any other frame, a timeout or a dead
-    /// connection as [`NetError::Disconnected`] (a late reply is
-    /// discarded by the reader).
-    fn reply<T>(
-        rx: &Receiver<Frame>,
-        timeout: Option<Duration>,
-        what: &str,
-        pick: impl FnOnce(Frame) -> Option<T>,
-    ) -> Result<T, NetError> {
-        let died = || NetError::Disconnected(format!("connection died waiting for {what}"));
-        let frame = match timeout {
-            None => rx.recv().map_err(|_| died())?,
-            Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
-                RecvTimeoutError::Timeout => NetError::Disconnected(format!("timed out waiting for {what}")),
-                RecvTimeoutError::Disconnected => died(),
-            })?,
-        };
-        match frame {
-            Frame::Error(e) => Err(NetError::Server(e)),
-            other => {
-                let got = other.type_name();
-                pick(other).ok_or_else(|| {
-                    NetError::Disconnected(format!("unexpected {got} frame in place of {what}"))
-                })
-            }
-        }
-    }
-
-    fn metrics_reply(rx: &Receiver<Frame>, timeout: Option<Duration>) -> Result<MetricsSnapshot, NetError> {
-        Self::reply(rx, timeout, "metrics", |f| match f {
-            Frame::Metrics(m) => Some(m.metrics),
-            _ => None,
-        })
-    }
-
-    fn membership_reply(rx: &Receiver<Frame>, timeout: Duration) -> Result<MembershipResponse, NetError> {
-        Self::reply(rx, Some(timeout), "a membership response", |f| match f {
-            Frame::Membership(m) => Some(m),
-            _ => None,
-        })
+        let leave =
+            |request_id| Frame::Leave(LeaveRequest { request_id, addr: addr.to_owned(), incarnation });
+        self.call(leave, Some(timeout), "a membership response", membership)
     }
 
     /// Closes the connection and joins the reader thread. Pending
@@ -638,6 +497,30 @@ impl Client {
     /// client does the same.
     pub fn close(self) {
         drop(self);
+    }
+}
+
+/// Dials `addr` as the module docs describe.
+fn dial(addr: SocketAddr, config: ClientConfig) -> Result<TcpStream, NetError> {
+    let mut backoff = ReconnectBackoff::new(BACKOFF_BASE, BACKOFF_CAP, entropy_seed());
+    let mut attempt = 0;
+    loop {
+        attempt += 1;
+        match TcpStream::connect_timeout(&addr, config.connect_timeout) {
+            Ok(stream) => {
+                event!(Severity::Info, "net.client", "connected to {addr} (attempt {attempt})");
+                return Ok(stream);
+            }
+            Err(e) => {
+                event!(Severity::Warn, "net.client", "dial {addr} failed (attempt {attempt}): {e}");
+                if attempt >= config.connect_attempts {
+                    return Err(NetError::Disconnected(format!(
+                        "gave up dialing {addr} after {attempt} attempt(s): {e}"
+                    )));
+                }
+                std::thread::sleep(backoff.next_delay());
+            }
+        }
     }
 }
 
@@ -719,73 +602,54 @@ impl Admitter for Client {
 
 impl Drop for Client {
     fn drop(&mut self) {
-        self.closing.store(true, Ordering::Release);
-        if let Some(conn) = self.conn.lock().expect("conn lock").take() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            let _ = conn.reader.join();
+        // The shutdown wakes the reader's blocked read; it closes the
+        // reply table on its way out.
+        let stream = self.stream.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let _ = stream.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
         }
     }
 }
 
-/// The reader thread of one connection incarnation: decodes response
-/// frames and routes each to its pending request by correlation id. On
-/// exit (EOF, socket error, protocol error or client close), every
-/// request still pending on this incarnation is failed by dropping its
-/// sender.
-fn read_responses(
-    mut stream: TcpStream,
-    pending: &ReplyMap,
-    dead: &Arc<AtomicBool>,
-    closing: &Arc<AtomicBool>,
-) {
+/// The connection's driver: blocks in `read`, decodes outside the table
+/// lock and delivers each frame under it. On EOF, a socket or protocol
+/// error, or a connection-level server error it closes the table —
+/// failing every request still pending and refusing later ones — and
+/// shuts the socket down, so later writes fail too.
+fn read_responses(mut stream: TcpStream, replies: &Mutex<Replies>) {
     let mut buf: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut chunk = [0u8; 16 * 1024];
-    'conn: loop {
-        loop {
-            match codec::decode(&buf) {
-                Ok(Some((frame, consumed))) => {
-                    buf.drain(..consumed);
-                    let id = frame.request_id();
-                    // A connection-level error (id 0) has no owner; the
-                    // server closes the connection after sending it.
-                    if id == 0 {
+    loop {
+        match codec::decode(&buf) {
+            Ok(Some((frame, consumed))) => {
+                buf.drain(..consumed);
+                let delivery = replies.lock().expect("reply table lock").deliver(frame);
+                match delivery {
+                    Delivery::Delivered => {}
+                    Delivery::Unknown(id) => {
+                        event!(Severity::Warn, "net.client", "response for unknown request {id}");
+                    }
+                    Delivery::ConnectionError(frame) => {
                         event!(Severity::Warn, "net.client", "connection-level server error: {frame:?}");
-                        break 'conn;
-                    }
-                    let slot = pending.lock().expect("pending lock").remove(&id);
-                    match slot {
-                        Some(tx) => {
-                            let _ = tx.send(frame);
-                        }
-                        None => {
-                            event!(Severity::Warn, "net.client", "response for unknown request {id}");
-                        }
+                        break;
                     }
                 }
-                Ok(None) => break,
-                Err(e) => {
-                    event!(Severity::Warn, "net.client", "protocol error from server, closing: {e}");
-                    break 'conn;
-                }
             }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break 'conn,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
-                if closing.load(Ordering::Acquire) {
-                    break 'conn;
-                }
+            Ok(None) => match stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            },
+            Err(e) => {
+                event!(Severity::Warn, "net.client", "protocol error from server, disconnecting: {e}");
+                break;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break 'conn,
         }
     }
-    dead.store(true, Ordering::Release);
+    replies.lock().expect("reply table lock").close();
     let _ = stream.shutdown(Shutdown::Both);
-    // Fail everything this incarnation still owes: dropping the senders
-    // disconnects the receivers, surfacing NetError::Disconnected.
-    pending.lock().expect("pending lock").clear();
 }
 
 #[cfg(test)]
@@ -799,8 +663,6 @@ mod tests {
         let cases = [
             ("connect_timeout", ClientConfig { connect_timeout: Duration::ZERO, ..base }),
             ("connect_attempts", ClientConfig { connect_attempts: 0, ..base }),
-            ("backoff_base", ClientConfig { backoff_base: Duration::ZERO, ..base }),
-            ("backoff_cap", ClientConfig { backoff_cap: base.backoff_base / 2, ..base }),
         ];
         for (field, cfg) in cases {
             let refused = cfg.validate();

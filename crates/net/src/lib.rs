@@ -24,10 +24,10 @@
 //!   the TCP receive buffer, not server memory), a connection-count
 //!   limit, capped backoff on accept errors, and graceful drain that
 //!   flushes every in-flight verdict to its client before closing.
-//! * **Client** ([`client`]) — a pipelining client library with
-//!   per-request deadline propagation (the client's budget travels in
-//!   the frame; the server enforces the *tighter* of it and its own
-//!   admission deadline) and reconnect with capped exponential backoff.
+//! * **Client** ([`client`]) — a pipelining client library over one
+//!   connection per client, with per-request deadline propagation (the
+//!   client's budget travels in the frame; the server enforces the
+//!   *tighter* of it and its own admission deadline).
 //!
 //! Hot paths record through [`offloadnn_telemetry`]: `net.encode` /
 //! `net.decode` / `net.rtt` span histograms, per-frame-type `net.tx.*` /
@@ -73,6 +73,7 @@ mod dispatch;
 pub mod error;
 pub mod frontend;
 mod instruments;
+mod replies;
 pub mod server;
 mod shared;
 pub mod wire;

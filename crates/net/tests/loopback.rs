@@ -448,12 +448,7 @@ fn dial_backoff_gives_up_with_a_typed_error() {
         let probe = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("probe bind");
         probe.local_addr().expect("probe addr")
     };
-    let config = ClientConfig {
-        connect_timeout: Duration::from_millis(200),
-        connect_attempts: 3,
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(20),
-    };
+    let config = ClientConfig { connect_timeout: Duration::from_millis(200), connect_attempts: 3 };
     let started = std::time::Instant::now();
     match Client::connect(dead_addr, config) {
         Err(NetError::Disconnected(msg)) => {
@@ -461,6 +456,60 @@ fn dial_backoff_gives_up_with_a_typed_error() {
         }
         other => panic!("dialing a dead port must fail Disconnected, got {other:?}"),
     }
-    // Two jittered backoff sleeps happened, each at least backoff_base.
-    assert!(started.elapsed() >= Duration::from_millis(10), "backoff sleeps actually ran");
+    // Two jittered backoff sleeps happened, each at least the 10 ms base.
+    assert!(started.elapsed() >= Duration::from_millis(20), "backoff sleeps actually ran");
+}
+
+/// A client owns one connection for its whole life: once the server has
+/// closed it, later requests fail instead of silently redialing into a
+/// freed connection slot.
+fn run_dead_client_never_redials(frontend: Frontend) {
+    let scenario = small_scenario(4);
+    let server = AnyServer::start(
+        frontend,
+        ("127.0.0.1", 0),
+        NetConfig { max_connections: 1 },
+        quick_service(),
+        &scenario.instance,
+    )
+    .expect("start server");
+    let addr = server.local_addr();
+    let (task, options) = (&scenario.instance.tasks[0], &scenario.instance.options[0]);
+
+    let a = Client::connect(addr, ClientConfig::default()).expect("connect a");
+    let verdict =
+        a.submit(task.clone(), options.clone(), None).expect("submit").wait_timeout(Duration::from_secs(20));
+    assert!(verdict.is_ok(), "a holds the only slot and is served: {verdict:?}");
+
+    // b's TCP connect succeeds, but the server answers TooManyConnections
+    // and closes it.
+    let b = Client::connect(addr, ClientConfig::default()).expect("connect b");
+    assert!(b.snapshot().is_err(), "b's connection was refused");
+
+    a.close();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.active_connections() > 0 {
+        assert!(std::time::Instant::now() < deadline, "a's connection slot was never freed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut retry = task.clone();
+    retry.id = TaskId(1);
+    match b.submit(retry, options.clone(), None) {
+        Err(NetError::Disconnected(_)) => {}
+        other => panic!("a dead client must fail Disconnected without redialing, got {other:?}"),
+    }
+    b.close();
+    let report = server.shutdown();
+    assert_eq!(report.metrics.submitted, 1, "only a's submit reached the server");
+}
+
+#[test]
+fn dead_client_never_redials() {
+    run_dead_client_never_redials(Frontend::Threads);
+}
+
+#[test]
+fn dead_client_never_redials_reactor() {
+    run_dead_client_never_redials(Frontend::Reactor);
 }
