@@ -153,8 +153,10 @@ cargo bench --workspace -- --test >/dev/null
 echo "==> benchmark package gate: perfbench sits outside the workspace, so build, test and smoke it here"
 # An API break against perfbench/ would otherwise surface only in the
 # benchmark pipeline. --smoke is ~15 s with every output check on.
-cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke >/dev/null
+# --locked fails the gate when a tier Cargo.toml edit would rewrite
+# perfbench/Cargo.lock, instead of letting the build change it silently.
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml --bin perf -- --smoke >/dev/null
 
 echo "==> LOC trajectory (ROADMAP north-star 2: line count tracked beside the perf numbers)"
 # tests/ is printed beside src/ so a reduction made by moving code into

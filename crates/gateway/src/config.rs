@@ -31,13 +31,13 @@ impl Default for HedgeConfig {
 /// healthy node, or a node relayed a Shed — it forwards the task to the
 /// least-loaded peer with the *remaining* deadline budget. The forward
 /// is an attempt like a node submit: launched at `submit` (or by the
-/// `wait` that saw the local cluster fail; `poll` never dials), bounded
-/// by `wait_timeout`, and reaped if the ticket gives up on it. The
-/// `Forward` frame carries a
-/// hop count (a locally submitted task may take `HOP_LIMIT` = 1 hop:
-/// direct peers only) and the set of gateways already tried, so a task
-/// can neither loop nor revisit a cluster. Forwarding is strictly an overflow valve:
-/// a ticket the local cluster can serve never leaves it.
+/// `poll` or `wait` that saw the local cluster fail), bounded by
+/// `wait_timeout`, and reaped if the ticket gives up on it. The
+/// `Forward` frame carries a hop count (a locally submitted task may
+/// take `HOP_LIMIT` = 1 hop: direct peers only) and the set of gateways
+/// already tried, so a task can neither loop nor revisit a cluster.
+/// Forwarding is strictly an overflow valve: a ticket the local cluster
+/// can serve never leaves it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FederationConfig {
     /// Peer gateway frontends to federate with (each an `offloadnn-net`

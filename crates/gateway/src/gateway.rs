@@ -1,8 +1,14 @@
 //! The gateway proper: the node pool, the driver that runs each ticket
-//! (`crate::ticket` decides — failover, hedging, overflow forwarding;
-//! this module owns the clock, the locks and the sockets that execute),
-//! and the [`Admitter`] + [`Backend`] implementations that put the whole
-//! cluster tier behind a driver or an `offloadnn-net` frontend.
+//! (`crate::ticket` decides — failover, hedging, overflow forwarding,
+//! and which attempt to wait on until when; this module owns the clock,
+//! the locks and the sockets that execute), and the [`Admitter`] +
+//! [`Backend`] implementations that put the whole cluster tier behind a
+//! driver or an `offloadnn-net` frontend.
+//!
+//! A ticket resolves one way under `poll`, `wait` and `wait_timeout`:
+//! each runs the engine's steps — abandon, launch, settle, absorb — and
+//! differs only in how long a wait may run (zero, unbounded, the given
+//! bound) before the caller gets the ticket back unresolved.
 //!
 //! # Verdict conservation
 //!
@@ -52,16 +58,13 @@ use offloadnn_serve::{
     VerdictError, VerdictHandle,
 };
 use offloadnn_telemetry::{event, span, Severity};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Polling slice while racing two in-flight attempts (no `select` over
-/// verdict channels, so the ticket alternates bounded waits).
-const RACE_SLICE: Duration = Duration::from_micros(500);
 
 /// Maximum forward hops a task may take from the gateway it was first
 /// submitted to (1 = direct peers only). A forwarded-in task carries the
@@ -200,12 +203,15 @@ pub(crate) fn test_epoch() -> Instant {
 
 /// A pending cluster verdict: the gateway-side analogue of
 /// [`offloadnn_serve::Ticket`], and the driver of one [`Ticket`] — it
-/// owns the clock, the lock and the sockets the engine does without.
-/// Resolution happens lazily inside [`VerdictHandle::wait`] /
-/// [`VerdictHandle::poll`], on the caller's thread.
+/// owns the clock and the sockets the engine does without. Resolution
+/// happens lazily inside [`VerdictHandle::poll`], [`VerdictHandle::wait`]
+/// and [`VerdictHandle::wait_timeout`], on the caller's thread, and runs
+/// the same steps under all three.
 struct GwPending {
     inner: Arc<GatewayInner>,
-    state: Mutex<GwTicket>,
+    /// The handle has one owner (`dyn VerdictHandle` is `Send`, not
+    /// `Sync`), so the ticket needs no lock.
+    state: RefCell<GwTicket>,
 }
 
 /// A ticket whose attempts are wire requests.
@@ -320,72 +326,36 @@ impl GwPending {
     }
 
     /// Runs the ticket: asks the engine for the next step and executes
-    /// it until the ticket settles. With `block` false this is a cheap
-    /// poll — it observes what is in flight but never launches (dialling
-    /// blocks) and never sleeps — that may leave the ticket mid-failover
-    /// for the next `wait` to finish. A `limit` bounds how long a
-    /// blocking resolve may run before giving the caller back an
-    /// unresolved `None` (the [`VerdictHandle::wait_timeout`] contract);
-    /// every ticket still resolves by deadline + grace without one.
-    fn resolve(&self, block: bool, limit: Option<Instant>) -> Option<Outcome> {
+    /// it until the ticket settles or a wait reaches `bound` from now,
+    /// which gives the caller back an unresolved `None`. A zero bound is
+    /// a poll and no bound a blocking wait; every ticket still resolves
+    /// by deadline + grace.
+    fn resolve(&self, bound: Option<Duration>) -> Option<Outcome> {
         let inner = &*self.inner;
-        let mut st = self.state.lock().expect("pending state lock poisoned");
-        loop {
-            if let Some(done) = st.done {
-                return Some(done);
-            }
-            let now = Instant::now();
-            if block && limit.is_some_and(|l| now >= l) {
-                return None;
-            }
+        let st = &mut *self.state.borrow_mut();
+        let mut now = Instant::now();
+        let limit = bound.map(|b| now + b);
+        while st.done.is_none() {
             match st.next(now, inner.config.verdict_grace, inner) {
                 Next::Abandon { hedge } => {
                     let attempt = st.abandon(hedge);
-                    Self::abandon(inner, &st, attempt);
-                    continue;
+                    Self::abandon(inner, st, attempt);
                 }
-                Next::Launch { target, hedge } if block => {
-                    Self::launch(inner, &mut st, now, target, hedge);
-                    continue;
+                Next::Launch { target, hedge } => Self::launch(inner, st, now, target, hedge),
+                Next::Settle(outcome) => Self::settle(inner, st, outcome, None),
+                Next::Wait { hedge, until } => {
+                    let bounded = limit.filter(|l| *l <= until);
+                    let attempt = st.slot(hedge).as_ref().expect("a wait names an attempt in flight");
+                    match attempt.verdict.poll_wait(bounded.unwrap_or(until).saturating_duration_since(now)) {
+                        Some(result) => Self::absorb(inner, st, hedge, result),
+                        None if bounded.is_some() => return None,
+                        None => {}
+                    }
                 }
-                Next::Settle(outcome) => {
-                    Self::settle(inner, &mut st, outcome, None);
-                    continue;
-                }
-                Next::Launch { hedge: false, .. } => return None,
-                // A poll leaves a due hedge unlaunched and goes on to
-                // observe the primary.
-                Next::Launch { hedge: true, .. } | Next::Race => {}
             }
-            let horizon = st.deadline + inner.config.verdict_grace;
-            let mut slice = if !block {
-                Duration::ZERO
-            } else if st.hedge.is_some() || (inner.config.hedge.enabled && st.hedgeable().is_some()) {
-                RACE_SLICE
-            } else {
-                // Nothing can preempt the primary: sleep toward the
-                // grace horizon in one bounded chunk.
-                horizon.saturating_duration_since(now).min(Duration::from_millis(20))
-            };
-            if let Some(limit) = limit {
-                slice = slice.min(limit.saturating_duration_since(now));
-            }
-            let mut absorbed = false;
-            for hedge in [false, true] {
-                let Some(attempt) = st.slot(hedge).as_ref() else { continue };
-                let polled =
-                    if slice.is_zero() { attempt.verdict.poll() } else { attempt.verdict.poll_wait(slice) };
-                if let Some(result) = polled {
-                    Self::absorb(inner, &mut st, hedge, result);
-                    absorbed = true;
-                    break;
-                }
-                slice = slice.min(RACE_SLICE);
-            }
-            if !block && !absorbed {
-                return None;
-            }
+            now = Instant::now();
         }
+        st.done
     }
 }
 
@@ -395,25 +365,24 @@ impl Drop for GwPending {
     /// reaper. (Dropped after [`Gateway::drain`], with the reaper gone,
     /// that reaping runs inline, on the dropping thread.)
     fn drop(&mut self) {
-        if let Ok(st) = self.state.get_mut() {
-            if st.done.is_none() {
-                Self::settle(&self.inner, st, Outcome::Expired { shard: 0 }, None);
-            }
+        let st = self.state.get_mut();
+        if st.done.is_none() {
+            Self::settle(&self.inner, st, Outcome::Expired { shard: 0 }, None);
         }
     }
 }
 
 impl VerdictHandle for GwPending {
     fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
-        self.resolve(false, None).map(Ok)
+        self.resolve(Some(Duration::ZERO)).map(Ok)
     }
 
     fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
-        self.resolve(true, None).ok_or(VerdictError::Lost)
+        self.resolve(None).ok_or(VerdictError::Lost)
     }
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
-        self.resolve(true, Some(Instant::now() + timeout)).ok_or(VerdictError::TimedOut)
+        self.resolve(Some(timeout)).ok_or(VerdictError::TimedOut)
     }
 }
 
@@ -618,7 +587,7 @@ impl Gateway {
         while let Next::Launch { target, hedge } = st.next(Instant::now(), grace, inner) {
             GwPending::launch(inner, &mut st, Instant::now(), target, hedge);
         }
-        let pending = GwPending { inner: Arc::clone(&self.inner), state: Mutex::new(st) };
+        let pending = GwPending { inner: Arc::clone(&self.inner), state: RefCell::new(st) };
         Ok(offloadnn_serve::PendingVerdict::new(id, Box::new(pending)))
     }
 

@@ -29,11 +29,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Transport tuning for the gateway's connections. Fails fast — one
-/// connect attempt, short timeout: the failover path, not the transport
-/// retry loop, owns recovery from a dead remote.
+/// Transport tuning for the gateway's connections: a short dial
+/// timeout, since the failover path and the liveness engine, not the
+/// dial, own recovery from a dead remote.
 fn fail_fast_client_config() -> ClientConfig {
-    ClientConfig { connect_attempts: 1, connect_timeout: Duration::from_millis(500) }
+    ClientConfig { connect_timeout: Duration::from_millis(500) }
 }
 
 /// A lazily dialled shared client, dropped on failure so the next use

@@ -17,6 +17,11 @@
 //! * **Hedging** — once the primary node's trusted p99 projects past
 //!   the deadline the ticket is duplicated to the next-ranked node,
 //!   once; with no second node the hedge is forfeited.
+//! * **Waiting** — with nothing else to do the driver waits on one
+//!   attempt until the engine's next decision point: the hedge trigger
+//!   (deadline − p99), a [`RECHECK`] that notices a target the health
+//!   monitor ejected, and deadline + grace. Two attempts in flight are
+//!   waited on in turn, [`RACE_SLICE`] each.
 //! * **Overflow** — when the local cluster is out (no untried healthy
 //!   node, no retries left, or a node relayed `Shed`, which skips the
 //!   other nodes) the ticket goes to the best untried peer while a hop
@@ -32,6 +37,14 @@ use std::time::{Duration, Instant};
 /// counts, so `3` means the primary plus two retries). Hedges and
 /// forwards are not retries and do not count.
 pub(crate) const RETRY_LIMIT: u32 = 3;
+
+/// How long a wait runs before the engine looks at the cluster again:
+/// an ejected target is only noticed by asking [`Cluster::is_live`].
+const RECHECK: Duration = Duration::from_millis(20);
+
+/// How long each of two in-flight attempts is waited on in turn (no
+/// `select` over verdict channels, so a race alternates bounded waits).
+const RACE_SLICE: Duration = Duration::from_micros(500);
 
 /// Where an attempt was sent and, for an admission, where the task
 /// lives — so its depart, or its reaping, routes back there.
@@ -78,8 +91,9 @@ pub(crate) enum Next {
     Launch { target: Target, hedge: bool },
     /// The ticket's final verdict, synthesized or relayed.
     Settle(Outcome),
-    /// Wait on the in-flight attempts.
-    Race,
+    /// Wait on the attempt in this slot, at most until `until`, then ask
+    /// again.
+    Wait { hedge: bool, until: Instant },
 }
 
 /// The state of one cluster submit.
@@ -100,6 +114,8 @@ pub(crate) struct Ticket<V> {
     tried: Vec<usize>,
     /// The one-shot hedge has fired or been forfeited.
     hedged: bool,
+    /// The slot the next wait takes while both are in flight.
+    wait_hedge: bool,
     /// The originating gateway's identity when this ticket arrived via a
     /// `Forward` frame; `None` for locally submitted tickets.
     origin: Option<String>,
@@ -136,6 +152,7 @@ impl<V> Ticket<V> {
             attempts: 0,
             tried: Vec::new(),
             hedged: false,
+            wait_hedge: false,
             origin,
             tried_peers,
             relayed_shed: None,
@@ -152,9 +169,8 @@ impl<V> Ticket<V> {
     }
 
     /// The primary's node while the one-shot hedge could still fire
-    /// beside it (a driver racing that primary must not sleep past the
-    /// trigger).
-    pub(crate) fn hedgeable(&self) -> Option<usize> {
+    /// beside it.
+    fn hedgeable(&self) -> Option<usize> {
         match self.primary {
             Some(Attempt { target: Target::Node(node), .. }) if !self.hedged && self.hedge.is_none() => {
                 Some(node)
@@ -193,19 +209,27 @@ impl<V> Ticket<V> {
             }
             return Next::Settle(self.relayed_shed.unwrap_or(Outcome::Shed { shard: 0 }));
         }
-        if let Some(node) = self.hedgeable() {
-            // Waiting out another p99 would blow the deadline.
-            if cluster.hedge_p99(node).is_some_and(|p99| now + p99 >= self.deadline) {
-                match cluster.route(key, &self.tried) {
+        let horizon = self.deadline + grace;
+        let mut until = horizon.min(now + RECHECK);
+        if let Some(p99) = self.hedgeable().and_then(|node| cluster.hedge_p99(node)) {
+            match self.deadline.checked_sub(p99).filter(|trigger| now < *trigger) {
+                Some(trigger) => until = until.min(trigger),
+                // Waiting out another p99 would blow the deadline.
+                None => match cluster.route(key, &self.tried) {
                     Some(second) => return Next::Launch { target: Target::Node(second), hedge: true },
                     None => self.hedged = true,
-                }
+                },
             }
         }
-        if now >= self.deadline + grace {
+        if now >= horizon {
             return Next::Settle(Outcome::Expired { shard: 0 });
         }
-        Next::Race
+        let hedge = self.hedge.is_some() && self.wait_hedge;
+        if self.hedge.is_some() {
+            self.wait_hedge = !hedge;
+            until = until.min(now + RACE_SLICE);
+        }
+        Next::Wait { hedge, until }
     }
 
     /// Books the decision to launch at `target` before the send, so a
@@ -343,6 +367,10 @@ mod tests {
         )
     }
 
+    fn wait(hedge: bool, until: Instant) -> Next {
+        Next::Wait { hedge, until }
+    }
+
     /// Asks for the next step, expects a launch and performs it.
     fn launch(t: &mut Ticket<()>, c: &Script, now: Instant) -> (Target, bool) {
         let Next::Launch { target, hedge } = t.next(now, GRACE, c) else {
@@ -359,7 +387,7 @@ mod tests {
         let mut t = ticket(t0, 1);
         for attempt in 0..RETRY_LIMIT as usize {
             assert_eq!(launch(&mut t, &c, t0), (Target::Node(attempt), attempt > 0));
-            assert_eq!(t.next(t0, GRACE, &c), Next::Race);
+            assert_eq!(t.next(t0, GRACE, &c), wait(false, t0 + RECHECK));
             assert!(t.absorb(false, None, &c).1.is_none(), "a transport failure settles nothing");
         }
         assert_eq!(t.next(t0, GRACE, &c), Next::Settle(SHED), "two healthy nodes remain, no retry does");
@@ -383,7 +411,7 @@ mod tests {
         launch(&mut racing, &c, t0);
         assert_eq!(
             racing.next(t0 + BUDGET, GRACE, &c),
-            Next::Race,
+            wait(false, t0 + BUDGET + RECHECK),
             "in flight: the deadline alone ends nothing"
         );
         assert_eq!(racing.next(t0 + BUDGET + GRACE, GRACE, &c), Next::Settle(EXPIRED));
@@ -399,7 +427,7 @@ mod tests {
         c.nodes[0] = false;
         assert_eq!(t.next(t0, GRACE, &c), Next::Abandon { hedge: false });
         assert_eq!(t.abandon(false).target, Target::Node(0));
-        assert_eq!(t.next(t0, GRACE, &c), Next::Race);
+        assert_eq!(t.next(t0, GRACE, &c), wait(false, t0 + RECHECK));
         assert!(t.hedge.is_none());
         assert_eq!(t.primary.as_ref().map(|a| (a.target, a.is_hedge)), Some((Target::Node(1), true)));
         // With the promoted hedge gone too, the ticket fails over to the last node.
@@ -414,28 +442,33 @@ mod tests {
         let (t0, mut c) = (crate::gateway::test_epoch(), cluster(2, &[]));
         let mut t = ticket(t0, 1);
         launch(&mut t, &c, t0);
-        assert_eq!(t.next(t0 + BUDGET, GRACE, &c), Next::Race, "no trusted p99, no hedge — however late");
+        let late = t0 + BUDGET;
+        assert_eq!(
+            t.next(late, GRACE, &c),
+            wait(false, late + RECHECK),
+            "no trusted p99, no hedge — however late"
+        );
         c.p99 = Some(Duration::from_millis(30));
         assert!(t.hedgeable().is_some());
         assert_eq!(
             t.next(t0 + Duration::from_millis(69), GRACE, &c),
-            Next::Race,
+            wait(false, t0 + Duration::from_millis(70)),
             "p99 still fits the budget"
         );
         let due = t0 + Duration::from_millis(70);
         assert_eq!(launch(&mut t, &c, due), (Target::Node(1), false));
         assert!(t.hedge.as_ref().is_some_and(|a| a.is_hedge) && t.hedgeable().is_none());
-        assert_eq!(t.next(due, GRACE, &c), Next::Race, "one shot");
+        assert_eq!(t.next(due, GRACE, &c), wait(false, due + RACE_SLICE), "one shot");
         // The hedge's transport failure leaves the primary racing, un-hedgeable.
         assert!(t.absorb(true, None, &c).1.is_none());
-        assert_eq!(t.next(due, GRACE, &c), Next::Race);
+        assert_eq!(t.next(due, GRACE, &c), wait(false, due + RECHECK));
 
         // One node only: the due hedge is forfeited, not re-routed every slice.
         let solo = Script { nodes: vec![true], ..c };
         let mut t = ticket(t0, 1);
         launch(&mut t, &solo, t0);
         assert!(t.hedgeable().is_some());
-        assert_eq!(t.next(due, GRACE, &solo), Next::Race);
+        assert_eq!(t.next(due, GRACE, &solo), wait(false, due + RECHECK));
         assert!(t.hedgeable().is_none());
     }
 
@@ -511,5 +544,58 @@ mod tests {
         assert!(t.absorb(false, None, &c).1.is_none());
         assert_eq!(t.next(t0, GRACE, &c), Next::Settle(shed));
         assert_eq!(t.next(t0 + BUDGET, GRACE, &c), Next::Settle(shed));
+    }
+
+    #[test]
+    fn a_wait_runs_to_the_hedge_trigger_while_a_hedge_can_fire_else_to_the_recheck() {
+        let (t0, mut c) = (crate::gateway::test_epoch(), cluster(2, &[]));
+        let mut t = ticket(t0, 1);
+        launch(&mut t, &c, t0);
+        let ms = |n| t0 + Duration::from_millis(n);
+        assert_eq!(t.next(ms(60), GRACE, &c), wait(false, ms(80)), "no trusted p99: the recheck");
+        c.p99 = Some(Duration::from_millis(30));
+        assert_eq!(t.next(ms(10), GRACE, &c), wait(false, ms(30)), "the trigger is past the recheck");
+        assert_eq!(t.next(ms(60), GRACE, &c), wait(false, ms(70)), "the trigger at deadline - p99");
+        // Once the hedge is forfeited only the recheck is left.
+        c.nodes[1] = false;
+        assert_eq!(t.next(ms(70), GRACE, &c), wait(false, ms(90)));
+        c.nodes[1] = true;
+        assert_eq!(t.next(ms(75), GRACE, &c), wait(false, ms(95)), "a forfeited hedge stays forfeited");
+    }
+
+    #[test]
+    fn a_wait_never_runs_past_deadline_plus_grace() {
+        let (t0, c) = (crate::gateway::test_epoch(), cluster(1, &[]));
+        let mut t = ticket(t0, 1);
+        launch(&mut t, &c, t0);
+        let horizon = t0 + BUDGET + GRACE;
+        for us in (0..(BUDGET + GRACE).as_micros() as u64).step_by(997) {
+            let now = t0 + Duration::from_micros(us);
+            let Next::Wait { hedge: false, until } = t.next(now, GRACE, &c) else {
+                panic!("a lone attempt in time is waited on");
+            };
+            assert!(now < until && until <= horizon, "at {us} µs the wait runs to {:?}", until - t0);
+        }
+        let now = horizon - Duration::from_millis(5);
+        assert_eq!(t.next(now, GRACE, &c), wait(false, horizon));
+        assert_eq!(t.next(horizon, GRACE, &c), Next::Settle(EXPIRED));
+    }
+
+    #[test]
+    fn two_in_flight_attempts_are_waited_on_in_turn() {
+        let (t0, mut c) = (crate::gateway::test_epoch(), cluster(2, &[]));
+        c.p99 = Some(BUDGET);
+        let mut t = ticket(t0, 1);
+        launch(&mut t, &c, t0);
+        launch(&mut t, &c, t0);
+        assert!(t.hedge.is_some());
+        for step in 0..6_u32 {
+            let now = t0 + Duration::from_millis(u64::from(step));
+            assert_eq!(t.next(now, GRACE, &c), wait(step % 2 == 1, now + RACE_SLICE), "step {step}");
+        }
+        // The primary answers first: the hedge is all that is left to wait on.
+        assert_eq!(t.absorb(false, None, &c).0.target, Target::Node(0));
+        assert_eq!(t.next(t0, GRACE, &c), wait(false, t0 + RECHECK));
+        assert_eq!(t.primary.as_ref().map(|a| a.target), Some(Target::Node(1)));
     }
 }

@@ -21,10 +21,10 @@ mod common;
 use common::{fast_config, offered_trace, seed, start_node};
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_gateway::Gateway;
-use offloadnn_net::AnyServer;
+use offloadnn_net::{AnyServer, Client, ClientConfig};
 use offloadnn_serve::{Admitter, Outcome, PendingVerdict};
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn killing_one_node_mid_stream_loses_zero_verdicts() {
@@ -173,4 +173,61 @@ fn three_node_cluster_spreads_and_conserves() {
         }
     }
     assert_eq!(with_traffic, 3, "rendezvous routing left a node idle over {TOTAL} submits");
+}
+
+/// A ticket driven only by `poll` fails over exactly as one driven by
+/// `wait`. One of two nodes is fenced by a wire `Drain`: it stays up and
+/// answers probes but refuses every submit `Draining`. Each ticket routed
+/// there must move to the other node well inside its deadline rather
+/// than expire at it while that node sits idle.
+#[test]
+fn a_polled_ticket_fails_over_from_a_fenced_node() {
+    const TOTAL: usize = 16;
+
+    let seed = seed("GATEWAY_SEED", 0xC1A5_7E12).wrapping_add(2);
+    let trace = offered_trace(seed, TOTAL);
+    let scenario = small_scenario(5);
+    let nodes: Vec<AnyServer> = (0..2).map(|_| start_node(&scenario)).collect();
+    let addrs: Vec<_> = nodes.iter().map(AnyServer::local_addr).collect();
+    let config = fast_config();
+    let deadline = config.default_deadline;
+    let gateway = Gateway::start(&addrs, config).expect("start gateway");
+    let fence = Client::connect(addrs[0], ClientConfig::default()).expect("dial the fenced node");
+    fence.drain().expect("fence node 0");
+
+    let admitter: &dyn Admitter = &gateway;
+    let began = Instant::now();
+    let mut pending: Vec<PendingVerdict> = trace
+        .iter()
+        .map(|o| admitter.submit(o.task.clone(), o.options.clone(), None).expect("gateway accepts submits"))
+        .collect();
+    let mut resolved = Vec::new();
+    let give_up = began + deadline * 3;
+    while !pending.is_empty() && Instant::now() < give_up {
+        pending.retain(|p| match p.poll() {
+            Some(result) => {
+                resolved.push((p.task(), result.expect("a polled ticket resolves"), began.elapsed()));
+                false
+            }
+            None => true,
+        });
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(pending.is_empty(), "{} polled ticket(s) never resolved", pending.len());
+    for (task, outcome, took) in &resolved {
+        assert!(!matches!(outcome, Outcome::Expired { .. }), "{task:?} expired after {took:?} polling");
+        assert!(*took < deadline / 4, "{task:?} took {took:?} to resolve {outcome:?}");
+        if outcome.is_admitted() {
+            admitter.depart(*task);
+        }
+    }
+
+    let report = gateway.drain();
+    assert!(report.metrics.is_conserved(), "gateway ledger leaked: {:?}", report.metrics);
+    assert_eq!(report.metrics.resolved(), TOTAL as u64);
+    drop(fence);
+    let mut nodes = nodes.into_iter().map(AnyServer::shutdown);
+    let (fenced, served) = (nodes.next().unwrap().metrics, nodes.next().unwrap().metrics);
+    assert_eq!(fenced.admitted, 0, "the fenced node admitted work: {fenced:?}");
+    assert_eq!(served.submitted, TOTAL as u64, "every ticket ends on the served node: {served:?}");
 }

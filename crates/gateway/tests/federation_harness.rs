@@ -312,21 +312,25 @@ fn the_wait_bound_and_poll_both_see_a_forward_in_flight() {
             .expect("gateway accepts submits")
     };
 
+    // Nobody ever blocks on a polled ticket, yet its verdict arrives.
+    let poll = |pending: PendingVerdict| {
+        let give_up = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(result) = pending.poll() {
+                break result.expect("the polled ticket resolves");
+            }
+            assert!(Instant::now() < give_up, "poll never saw the forwarded ticket's verdict");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
     // The first submit ejects the dead node; from here every ticket
     // finds no routable node and is forwarded.
-    let first = submit(0).wait().expect("the first ticket resolves");
+    let first = poll(submit(0));
     assert_eq!(gateway.healthy_nodes(), 0);
 
-    // (i) Nobody ever blocks on this ticket, yet its verdict arrives.
-    let pending = submit(1);
-    let give_up = Instant::now() + Duration::from_secs(5);
-    let polled = loop {
-        if let Some(result) = pending.poll() {
-            break result.expect("the polled ticket resolves");
-        }
-        assert!(Instant::now() < give_up, "poll never saw the forwarded ticket's verdict");
-        std::thread::sleep(Duration::from_millis(1));
-    };
+    // (i) A forward in flight is seen by poll alone.
+    let polled = poll(submit(1));
     assert!(polled.is_admitted(), "poll saw {polled:?}: the forward was never on the wire");
 
     // (ii) A wait bounded well under the peer's solver round times out

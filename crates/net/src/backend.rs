@@ -194,11 +194,10 @@ impl LeaveNotice {
 const MEMBERSHIP_RPC_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The fail-fast dialing profile for membership traffic: a gateway that
-/// cannot be reached promptly is treated as unreachable, not retried
-/// into — registration is re-attemptable and deregistration is
-/// best-effort.
+/// cannot be dialed within a short timeout is treated as unreachable —
+/// registration is re-attemptable and deregistration is best-effort.
 fn membership_client_config() -> ClientConfig {
-    ClientConfig { connect_attempts: 1, connect_timeout: Duration::from_millis(500) }
+    ClientConfig { connect_timeout: Duration::from_millis(500) }
 }
 
 /// A fresh incarnation stamp: startup wall-clock nanoseconds, monotonic

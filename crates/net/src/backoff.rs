@@ -1,6 +1,6 @@
-//! Backoff policies: accept-error classification with capped exponential
-//! pauses on the server side, and decorrelated-jitter reconnect pauses on
-//! the client side.
+//! Accept backoff: accept-error classification with capped exponential
+//! pauses, for the server side. (A client dials once and never redials,
+//! so it has no backoff of its own.)
 //!
 //! `accept()` fails in two very different ways. Per-connection errors
 //! (`ECONNABORTED`: the peer reset between SYN and accept) are free to
@@ -13,19 +13,7 @@
 //!
 //! `std::io::ErrorKind` has no stable variants for the exhaustion errnos,
 //! so classification reads `raw_os_error` against the Linux values.
-//!
-//! [`ReconnectBackoff`] paces a client's dial retries. A deterministic
-//! doubling schedule synchronises every client of a dead server: they
-//! all sleep the same amounts from the same trigger and reconnect in
-//! lockstep — a thundering herd exactly when the server is weakest
-//! (just recovered). Decorrelated jitter (`next = clamp(base, cap,
-//! uniform(base, 3 × previous))`) keeps the same capped exponential
-//! *envelope* but desynchronises the fleet: each client's schedule is an
-//! independent random walk inside `[base, cap]`.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Linux errno values with no stable `io::ErrorKind` mapping.
@@ -104,62 +92,6 @@ impl AcceptBackoff {
     }
 }
 
-/// A process-unique component for [`entropy_seed`], so two backoffs
-/// created in the same nanosecond still diverge.
-static SEED_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A cheap non-cryptographic seed for jittered backoff: wall-clock
-/// nanoseconds mixed with a process-global counter. Distinct processes
-/// (the thundering-herd concern) and distinct call sites within one
-/// process both get distinct streams.
-pub(crate) fn entropy_seed() -> u64 {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0));
-    let count = SEED_COUNTER.fetch_add(1, Ordering::Relaxed);
-    // SplitMix64-style avalanche so close seeds produce unrelated streams.
-    let mut z = nanos ^ count.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Decorrelated-jitter reconnect backoff: every delay is drawn uniformly
-/// from `[base, min(cap, 3 × previous)]`, so the envelope grows like a
-/// capped exponential while concurrent clients never sleep in lockstep.
-#[derive(Debug)]
-pub(crate) struct ReconnectBackoff {
-    base: Duration,
-    cap: Duration,
-    prev: Duration,
-    rng: StdRng,
-}
-
-impl ReconnectBackoff {
-    /// `base` is the first delay's lower bound (and the floor of every
-    /// delay); `cap >= base` clamps the growth.
-    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Self {
-        let cap = cap.max(base);
-        Self { base, cap, prev: base, rng: StdRng::seed_from_u64(seed) }
-    }
-
-    /// Draws the next delay, always within `[base, cap]`.
-    pub(crate) fn next_delay(&mut self) -> Duration {
-        let base_us = self.base.as_micros().max(1) as u64;
-        let cap_us = u64::try_from(self.cap.as_micros()).unwrap_or(u64::MAX).max(base_us);
-        let prev_us = u64::try_from(self.prev.as_micros()).unwrap_or(u64::MAX).max(base_us);
-        let hi_us = prev_us.saturating_mul(3).min(cap_us);
-        let drawn = if hi_us <= base_us {
-            base_us
-        } else {
-            // hi_us < u64::MAX here (it is capped), so +1 cannot wrap.
-            self.rng.random_range(base_us..hi_us + 1)
-        };
-        self.prev = Duration::from_micros(drawn);
-        self.prev
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,55 +150,5 @@ mod tests {
         let mut backoff = AcceptBackoff::new();
         let err = io::Error::other("synthetic");
         assert_eq!(backoff.on_error(&err), None);
-    }
-
-    const BASE: Duration = Duration::from_millis(10);
-    const CAP: Duration = Duration::from_secs(1);
-
-    #[test]
-    fn jitter_stays_within_base_and_cap() {
-        for seed in 0..64 {
-            let mut backoff = ReconnectBackoff::new(BASE, CAP, seed);
-            let mut prev = BASE;
-            for step in 0..50 {
-                let delay = backoff.next_delay();
-                assert!(delay >= BASE, "seed {seed} step {step}: {delay:?} below base");
-                assert!(delay <= CAP, "seed {seed} step {step}: {delay:?} above cap");
-                // The decorrelated envelope: never more than 3x the
-                // previous delay (and never above the cap).
-                assert!(delay <= (prev * 3).min(CAP), "seed {seed} step {step}: {delay:?} outside envelope");
-                prev = delay;
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed_but_decorrelated_across_seeds() {
-        let schedule = |seed: u64| -> Vec<Duration> {
-            let mut b = ReconnectBackoff::new(BASE, CAP, seed);
-            (0..8).map(|_| b.next_delay()).collect()
-        };
-        assert_eq!(schedule(7), schedule(7), "same seed must replay the same schedule");
-        let distinct: std::collections::HashSet<Vec<Duration>> = (0..16).map(schedule).collect();
-        assert!(distinct.len() > 8, "schedules must not collapse into lockstep: {} distinct", distinct.len());
-    }
-
-    #[test]
-    fn jitter_degenerate_ranges_clamp_to_base() {
-        // cap == base: every delay is exactly base.
-        let mut b = ReconnectBackoff::new(BASE, BASE, 3);
-        for _ in 0..10 {
-            assert_eq!(b.next_delay(), BASE);
-        }
-        // cap < base is repaired to cap == base rather than panicking.
-        let mut b = ReconnectBackoff::new(BASE, Duration::from_millis(1), 3);
-        assert_eq!(b.next_delay(), BASE);
-    }
-
-    #[test]
-    fn entropy_seeds_differ_within_a_process() {
-        let a = entropy_seed();
-        let b = entropy_seed();
-        assert_ne!(a, b);
     }
 }

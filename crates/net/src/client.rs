@@ -22,16 +22,15 @@
 //! ## Dialing
 //!
 //! A [`Client`] owns exactly one TCP connection for its whole life.
-//! [`Client::connect`] makes up to [`ClientConfig::connect_attempts`]
-//! dial attempts, pausing between them on a decorrelated-jitter schedule
-//! within `[BACKOFF_BASE, BACKOFF_CAP]` (`backoff.rs` says why the
-//! jitter). Nothing redials after that: once the connection dies, every
-//! request pending on it resolves as [`NetError::Disconnected`] and so
-//! does every later one — a submit is not idempotent, so the client
-//! never silently replays one. A caller that outlives its server builds
-//! a new `Client`.
+//! [`Client::connect`] dials once, bounded by
+//! [`ClientConfig::connect_timeout`], and nothing redials after that:
+//! once the connection dies, every request pending on it resolves as
+//! [`NetError::Disconnected`] and so does every later one — a submit is
+//! not idempotent, so the client never silently replays one. A caller
+//! that outlives its server builds a new `Client`; when and how often
+//! to try is the caller's policy (the gateway's lives in its liveness
+//! engine).
 
-use crate::backoff::{entropy_seed, ReconnectBackoff};
 use crate::codec::{
     self, AnnounceRequest, DepartRequest, DrainRequest, Frame, LeaveRequest, MembershipResponse, PeerDigest,
     PeerHelloRequest, ScaleRequest, ScaleResponse, SnapshotRequest,
@@ -44,7 +43,7 @@ use offloadnn_core::task::{Task, TaskId};
 use offloadnn_serve::{Admitter, MetricsSnapshot, Outcome, SubmitError, VerdictError};
 use offloadnn_telemetry::{event, Histogram, Severity};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -53,19 +52,9 @@ use std::time::{Duration, Instant};
 /// Tuning knobs of a [`Client`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientConfig {
-    /// Per-attempt TCP connect timeout.
+    /// TCP connect timeout of the one dial.
     pub connect_timeout: Duration,
-    /// Dial attempts before [`Client::connect`] gives up with
-    /// [`NetError::Disconnected`].
-    pub connect_attempts: u32,
 }
-
-/// Lower bound of every dial-retry pause (and the bound the jittered
-/// envelope grows from).
-const BACKOFF_BASE: Duration = Duration::from_millis(10);
-
-/// Ceiling of every dial-retry pause.
-const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Socket write timeout; a server that cannot absorb a request this long
 /// (window full and never draining it) fails the send.
@@ -73,7 +62,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        Self { connect_timeout: Duration::from_secs(1), connect_attempts: 5 }
+        Self { connect_timeout: Duration::from_secs(1) }
     }
 }
 
@@ -86,9 +75,6 @@ impl ClientConfig {
     pub fn validate(&self) -> Result<(), NetError> {
         if self.connect_timeout.is_zero() {
             return Err(NetError::InvalidConfig("connect_timeout must be > 0"));
-        }
-        if self.connect_attempts == 0 {
-            return Err(NetError::InvalidConfig("connect_attempts must be >= 1"));
         }
         Ok(())
     }
@@ -229,19 +215,22 @@ fn membership(frame: Frame) -> Option<MembershipResponse> {
 }
 
 impl Client {
-    /// Resolves `addr`, dials it (with the backoff schedule in the module
-    /// docs) and starts the connection's reader thread.
+    /// Resolves `addr`, dials it once and starts the connection's reader
+    /// thread.
     ///
     /// # Errors
     ///
     /// [`NetError::InvalidConfig`] for bad configuration,
     /// [`NetError::Io`] if `addr` does not resolve,
-    /// [`NetError::Disconnected`] when every dial attempt failed.
+    /// [`NetError::Disconnected`] when the dial failed or timed out.
     pub fn connect(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, NetError> {
         config.validate()?;
         let addr =
             addr.to_socket_addrs()?.next().ok_or(NetError::InvalidConfig("address resolved to nothing"))?;
-        let stream = dial(addr, config)?;
+        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout).map_err(|e| {
+            event!(Severity::Warn, "net.client", "dial {addr} failed: {e}");
+            NetError::Disconnected(format!("dialing {addr} failed: {e}"))
+        })?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let read_half = stream.try_clone()?;
@@ -500,30 +489,6 @@ impl Client {
     }
 }
 
-/// Dials `addr` as the module docs describe.
-fn dial(addr: SocketAddr, config: ClientConfig) -> Result<TcpStream, NetError> {
-    let mut backoff = ReconnectBackoff::new(BACKOFF_BASE, BACKOFF_CAP, entropy_seed());
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        match TcpStream::connect_timeout(&addr, config.connect_timeout) {
-            Ok(stream) => {
-                event!(Severity::Info, "net.client", "connected to {addr} (attempt {attempt})");
-                return Ok(stream);
-            }
-            Err(e) => {
-                event!(Severity::Warn, "net.client", "dial {addr} failed (attempt {attempt}): {e}");
-                if attempt >= config.connect_attempts {
-                    return Err(NetError::Disconnected(format!(
-                        "gave up dialing {addr} after {attempt} attempt(s): {e}"
-                    )));
-                }
-                std::thread::sleep(backoff.next_delay());
-            }
-        }
-    }
-}
-
 /// A deadline budget as shipped on the wire: whole µs, at least 1 (0
 /// means "no budget given").
 fn budget_us(budget: Option<Duration>) -> u64 {
@@ -658,18 +623,11 @@ mod tests {
 
     #[test]
     fn each_invalid_field_is_rejected_and_named() {
-        let base = ClientConfig::default();
-        assert!(base.validate().is_ok());
-        let cases = [
-            ("connect_timeout", ClientConfig { connect_timeout: Duration::ZERO, ..base }),
-            ("connect_attempts", ClientConfig { connect_attempts: 0, ..base }),
-        ];
-        for (field, cfg) in cases {
-            let refused = cfg.validate();
-            assert!(
-                matches!(refused, Err(NetError::InvalidConfig(what)) if what.starts_with(field)),
-                "{field}: {refused:?}"
-            );
-        }
+        assert!(ClientConfig::default().validate().is_ok());
+        let refused = ClientConfig { connect_timeout: Duration::ZERO }.validate();
+        assert!(
+            matches!(refused, Err(NetError::InvalidConfig(what)) if what.starts_with("connect_timeout")),
+            "{refused:?}"
+        );
     }
 }
