@@ -11,11 +11,13 @@
 //!
 //! Five mechanisms:
 //!
-//! * **Routing** ([`router`]) — weighted rendezvous hashing. Each
-//!   submit's task id is scored against every healthy node
-//!   (`-weight / ln(u)`, the logarithmic method); the weight is the
-//!   node's reported admission headroom from its latest health
-//!   snapshot. Ejecting a node remaps only the keys it was winning.
+//! * **Routing** ([`router`], a re-export of
+//!   [`offloadnn_serve::router`], the rule a serve node picks shards
+//!   by) — weighted rendezvous hashing. Each submit's task id is scored
+//!   against every healthy node (`-weight / ln(u)`, the logarithmic
+//!   method); the weight is the node's reported admission headroom from
+//!   its latest health snapshot. Ejecting a node remaps only the keys it
+//!   was winning.
 //! * **Health** (`health` and `liveness`, internal) — one monitor
 //!   thread probes every node (a Metrics frame,
 //!   [`offloadnn_net::Client::snapshot_timeout`]) and every federated

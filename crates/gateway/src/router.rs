@@ -1,159 +1,4 @@
-//! Weighted rendezvous (highest-random-weight) routing.
-//!
-//! Every routing decision is a pure function of `(key, candidates)`: for
-//! each candidate node the key is mixed with the node's seed into a
-//! uniform draw `u ∈ (0, 1)`, scored with the logarithmic method
-//! `score = -weight / ln(u)`, and the highest score wins. The score of a
-//! node depends only on the key, that node's seed and that node's
-//! weight, which gives rendezvous hashing its minimal-disruption
-//! property: ejecting a node changes nothing about the scores of the
-//! survivors, so only the keys the ejected node was winning move — each
-//! to its previous runner-up. The property tests in
-//! `tests/routing_props.rs` pin exactly this.
-//!
-//! Weights are node health headroom (see `crate::health`): a node
-//! reporting more remaining budget gets proportionally more of the key
-//! space, and a weight change only reshuffles keys between the changed
-//! node and the rest — never between two unchanged nodes.
+//! The gateway routes nodes by the same rule a serve node routes shards:
+//! weighted rendezvous, defined once in [`offloadnn_serve::router`].
 
-/// A routable node as the router sees it: an opaque caller-side index,
-/// the node's stable hash seed and its current routing weight.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Candidate {
-    /// Caller-side identifier (e.g. index into the gateway's node pool);
-    /// returned verbatim by [`route`] / [`rank`].
-    pub index: usize,
-    /// Stable per-node seed, derived from the node address via
-    /// [`node_seed`] so the mapping survives restarts.
-    pub seed: u64,
-    /// Routing weight; non-finite or non-positive weights are clamped to
-    /// a small epsilon so a node never disappears from the ring merely
-    /// by reporting zero headroom.
-    pub weight: f64,
-}
-
-/// 64-bit FNV-1a, the same spread function the serve-side router uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// A stable seed for a node from its address string.
-pub fn node_seed(addr: &str) -> u64 {
-    fnv1a(addr.as_bytes())
-}
-
-/// Mixes the task key with a node seed into 64 well-spread bits
-/// (SplitMix64 finalizer over the FNV combination of both).
-fn mix(key: u64, seed: u64) -> u64 {
-    let mut buf = [0u8; 16];
-    buf[..8].copy_from_slice(&key.to_le_bytes());
-    buf[8..].copy_from_slice(&seed.to_le_bytes());
-    let mut z = fnv1a(&buf);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Maps 64 hash bits onto the open unit interval (0, 1): the top 53 bits
-/// shifted into the mantissa range, offset by one so `ln(u)` is finite.
-fn unit(h: u64) -> f64 {
-    ((h >> 11) + 1) as f64 / ((1u64 << 53) + 1) as f64
-}
-
-/// The rendezvous score of one `(key, node)` pair. Strictly positive,
-/// monotone in both the weight and the node's uniform draw.
-pub fn score(key: u64, seed: u64, weight: f64) -> f64 {
-    let w = if weight.is_finite() && weight > 0.0 { weight } else { 1e-9 };
-    let u = unit(mix(key, seed));
-    // u ∈ (0,1) ⇒ ln(u) < 0 ⇒ score > 0; larger u or w ⇒ larger score.
-    -w / u.ln()
-}
-
-/// Candidate indices ordered best-first for `key`. Ties (possible only
-/// through duplicate seeds) break on the seed, then the caller index, so
-/// the order is total and deterministic.
-pub fn rank(key: u64, candidates: &[Candidate]) -> Vec<usize> {
-    let mut scored: Vec<(f64, u64, usize)> =
-        candidates.iter().map(|c| (score(key, c.seed, c.weight), c.seed, c.index)).collect();
-    scored.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-    });
-    scored.into_iter().map(|(_, _, index)| index).collect()
-}
-
-/// The winning candidate index for `key`, or `None` with no candidates.
-pub fn route(key: u64, candidates: &[Candidate]) -> Option<usize> {
-    candidates
-        .iter()
-        .map(|c| (score(key, c.seed, c.weight), c.seed, c.index))
-        .max_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(b.1.cmp(&a.1)).then(b.2.cmp(&a.2))
-        })
-        .map(|(_, _, index)| index)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn pool(n: usize) -> Vec<Candidate> {
-        (0..n)
-            .map(|i| Candidate { index: i, seed: node_seed(&format!("127.0.0.1:{}", 9000 + i)), weight: 1.0 })
-            .collect()
-    }
-
-    #[test]
-    fn route_agrees_with_rank() {
-        let nodes = pool(5);
-        for key in 0..200u64 {
-            assert_eq!(route(key, &nodes), rank(key, &nodes).first().copied());
-        }
-    }
-
-    #[test]
-    fn empty_pool_routes_nowhere() {
-        assert_eq!(route(42, &[]), None);
-        assert!(rank(42, &[]).is_empty());
-    }
-
-    #[test]
-    fn keys_spread_across_equal_weight_nodes() {
-        let nodes = pool(4);
-        let mut hits = [0usize; 4];
-        for key in 0..4000u64 {
-            hits[route(key, &nodes).unwrap()] += 1;
-        }
-        // Equal weights ⇒ roughly uniform; allow a generous band.
-        for &h in &hits {
-            assert!((600..=1400).contains(&h), "skewed spread: {hits:?}");
-        }
-    }
-
-    #[test]
-    fn heavier_node_wins_more_keys() {
-        let mut nodes = pool(3);
-        nodes[1].weight = 4.0;
-        let mut hits = [0usize; 3];
-        for key in 0..3000u64 {
-            hits[route(key, &nodes).unwrap()] += 1;
-        }
-        assert!(hits[1] > hits[0] && hits[1] > hits[2], "weight ignored: {hits:?}");
-    }
-
-    #[test]
-    fn degenerate_weights_still_route() {
-        let nodes = [
-            Candidate { index: 0, seed: 1, weight: 0.0 },
-            Candidate { index: 1, seed: 2, weight: f64::NAN },
-            Candidate { index: 2, seed: 3, weight: -5.0 },
-        ];
-        for key in 0..100u64 {
-            assert!(route(key, &nodes).is_some());
-        }
-    }
-}
+pub use offloadnn_serve::router::*;

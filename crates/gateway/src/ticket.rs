@@ -28,6 +28,7 @@
 //!   remains, else it sheds. A peer's verdict is final; a peer lost
 //!   mid-forward ends federation for the ticket.
 
+use crate::router;
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::Task;
 use offloadnn_serve::Outcome;
@@ -190,7 +191,7 @@ impl<V> Ticket<V> {
         if self.primary.is_none() {
             self.primary = self.hedge.take();
         }
-        let key = u64::from(self.task.id.0);
+        let key = router::key(self.task.id);
         if self.primary.is_none() {
             if now >= self.deadline {
                 return Next::Settle(self.relayed_shed.unwrap_or(Outcome::Expired { shard: 0 }));

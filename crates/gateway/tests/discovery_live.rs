@@ -8,6 +8,8 @@
 //! Leave before draining. Conservation-gated end to end: every submit
 //! resolves exactly once at the wire, the gateway ledger balances, and
 //! every node — leaver and joiner included — conserves independently.
+//! Separately, an announced node told to drain by a wire `Drain` frame
+//! has left the gateway's view by the time it acknowledges.
 //!
 //! Runs once per frontend (threads and reactor), since the membership
 //! RPCs ride the same dispatch as the data path.
@@ -19,7 +21,7 @@ use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_gateway::Gateway;
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, MemberState, MembershipDecision, NetConfig};
-use offloadnn_serve::Outcome;
+use offloadnn_serve::{Outcome, ServiceConfig};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -145,6 +147,45 @@ fn run(frontend: Frontend) {
     assert!(node_admitted >= admitted, "nodes admitted {node_admitted} < gateway relayed {admitted}");
 }
 
+/// A node announced to the gateway, drained over the wire on a
+/// `frontend` server: its leave is sent before the drain is
+/// acknowledged, so the gateway already lists it `Departed`.
+fn wire_drain_leaves(frontend: Frontend) {
+    let scenario = small_scenario(4);
+    let seed = start_node(&scenario);
+    let seed_addr = seed.local_addr();
+    let gateway = Gateway::start(&[seed_addr], fast_config()).expect("start gateway");
+    let server =
+        AnyServer::start_with_backend(Frontend::Threads, ("127.0.0.1", 0), NetConfig::default(), gateway)
+            .expect("start gateway frontend");
+    let gw_addr = server.local_addr();
+    let client = Client::connect(gw_addr, ClientConfig::default()).expect("connect client");
+
+    let node = AnyServer::start(
+        frontend,
+        ("127.0.0.1", 0),
+        NetConfig::default(),
+        ServiceConfig::default(),
+        &scenario.instance,
+    )
+    .expect("start node");
+    let addr = node.local_addr();
+    let ack = node.announce_to_as(gw_addr, JOIN_INCARNATION).expect("announce over the wire");
+    assert_eq!(ack.decision, MembershipDecision::Accepted);
+    assert_ne!(wire_member_state(&client, seed_addr, 0, addr), MemberState::Departed);
+
+    let drainer = Client::connect(addr, ClientConfig::default()).expect("connect to the node");
+    let last = drainer.drain().expect("drain acknowledged");
+    assert!(last.is_conserved(), "drained node leaked: {last:?}");
+    assert_eq!(wire_member_state(&client, seed_addr, 0, addr), MemberState::Departed);
+
+    drainer.close();
+    client.close();
+    assert!(node.shutdown().metrics.is_conserved());
+    assert!(server.shutdown().metrics.is_conserved());
+    assert!(seed.shutdown().metrics.is_conserved());
+}
+
 #[test]
 fn hot_join_and_graceful_leave_over_the_wire_threads() {
     run(Frontend::Threads);
@@ -153,4 +194,14 @@ fn hot_join_and_graceful_leave_over_the_wire_threads() {
 #[test]
 fn hot_join_and_graceful_leave_over_the_wire_reactor() {
     run(Frontend::Reactor);
+}
+
+#[test]
+fn a_wire_drain_leaves_the_gateway_threads() {
+    wire_drain_leaves(Frontend::Threads);
+}
+
+#[test]
+fn a_wire_drain_leaves_the_gateway_reactor() {
+    wire_drain_leaves(Frontend::Reactor);
 }

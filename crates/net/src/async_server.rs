@@ -188,7 +188,7 @@ fn completion_loop<B: Backend>(
     while let Ok((token, action)) = rx.recv() {
         // Every queued action bumped its connection's pending count, so
         // every one reports back — with no bytes if it owes no reply.
-        let bytes = action.redeem(&shared.service, || {}).map_or_else(Vec::new, |f| codec::encode(&f));
+        let bytes = shared.redeem(action, || {}).map_or_else(Vec::new, |f| codec::encode(&f));
         done.lock().expect("done lock").push(Done { token, bytes });
         waker.wake();
     }

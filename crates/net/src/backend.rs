@@ -5,9 +5,8 @@
 //! calls whether a driver holds it as `&dyn Admitter` or a frontend
 //! dispatches wire frames onto it. [`Backend`] extends it with what a
 //! driver must not see: the control plane of the wire protocol (scale,
-//! membership, federation) and the two ends of a server's lifecycle
-//! (the drain hook and the final, consuming drain). `Service` and the
-//! gateway crate's `Gateway` implement both.
+//! membership, federation) and the final, consuming drain. `Service`
+//! and the gateway crate's `Gateway` implement both.
 //!
 //! ## Deadline ownership
 //!
@@ -25,7 +24,6 @@ use offloadnn_serve::{
     Admitter, DrainReport, MetricsSnapshot, PendingVerdict, ReshardReport, ServeError, Service, SubmitError,
 };
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// The answer to a membership request ([`Backend::announce`] /
@@ -128,16 +126,6 @@ pub trait Backend: Admitter + Sized + 'static {
         None
     }
 
-    /// Registers a hook to run when this backend's drain begins (either
-    /// fence direction: [`Admitter::begin_drain`] or [`Backend::drain`]).
-    /// Returns `false` if the backend does not support drain hooks — the
-    /// caller must then arrange its own notification. If the drain has
-    /// already begun, a supporting backend runs the hook immediately.
-    fn on_drain(&self, hook: Box<dyn FnOnce() + Send>) -> bool {
-        let _ = hook;
-        false
-    }
-
     /// The backend's own ledger, read locally and infallibly — what a
     /// `Snapshot` or `Drain` frame answers. ([`Admitter::metrics`] is
     /// `Option` because a wire tier may be unable to reach its endpoint;
@@ -150,7 +138,8 @@ pub trait Backend: Admitter + Sized + 'static {
 }
 
 /// A pending gateway deregistration, armed by a frontend's
-/// `announce_to` and fired at most once — on drain-hook, shutdown, or
+/// `announce_to` and fired at most once — firing consumes it — by the
+/// frontend when a wire `Drain` is acknowledged or on shutdown,
 /// whichever comes first. Firing dials the gateway fail-fast and sends
 /// a [`crate::Frame::Leave`]; errors are swallowed (a gateway that
 /// cannot be reached will notice the departure through its health
@@ -160,7 +149,6 @@ pub struct LeaveNotice {
     gateway: SocketAddr,
     addr: String,
     incarnation: u64,
-    fired: AtomicBool,
 }
 
 impl LeaveNotice {
@@ -175,14 +163,11 @@ impl LeaveNotice {
         let client = Client::connect(gateway, membership_client_config())?;
         let addr = local_addr.to_string();
         let reply = client.announce(&addr, incarnation, MEMBERSHIP_RPC_TIMEOUT)?;
-        Ok((reply, Self { gateway, addr, incarnation, fired: AtomicBool::new(false) }))
+        Ok((reply, Self { gateway, addr, incarnation }))
     }
 
-    /// Sends the leave, best-effort, exactly once across every caller.
-    pub fn fire(&self) {
-        if self.fired.swap(true, Ordering::AcqRel) {
-            return;
-        }
+    /// Sends the leave, best-effort.
+    pub fn fire(self) {
         if let Ok(client) = Client::connect(self.gateway, membership_client_config()) {
             let _ = client.leave(&self.addr, self.incarnation, MEMBERSHIP_RPC_TIMEOUT);
         }
@@ -217,11 +202,6 @@ impl Backend for Service {
 
     fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
         Service::scale_to(self, shards)
-    }
-
-    fn on_drain(&self, hook: Box<dyn FnOnce() + Send>) -> bool {
-        Service::on_drain(self, hook);
-        true
     }
 
     fn ledger(&self) -> MetricsSnapshot {

@@ -263,7 +263,7 @@ pub struct ScaleResponse {
     pub to_shards: u32,
     /// In-flight tasks migrated to new owner shards.
     pub migrated: u64,
-    /// Ring generation after the reshard.
+    /// Fleet generation after the reshard.
     pub generation: u64,
 }
 

@@ -33,7 +33,8 @@ pub(crate) enum Action {
     Reply(Frame),
     /// Snapshot the backend *when redeemed* — i.e. after every earlier
     /// verdict of this connection flushed — and reply with the final
-    /// metrics frame (the drain acknowledgement).
+    /// metrics frame (the drain acknowledgement; an announced node's
+    /// frontend sends its leave first, see `Shared::redeem`).
     FinalMetrics { request_id: u64 },
     /// Reshard the backend (milliseconds) and reply with the result. The
     /// frontend picks the thread: never one that multiplexes connections.

@@ -35,7 +35,9 @@
 //! request already inside the backend still resolves and its outcome is
 //! *flushed to the client* before the connection closes — on both
 //! engines the connection's whole reply queue drains first, so drain
-//! never strands an in-flight verdict.
+//! never strands an in-flight verdict. A node announced to a gateway
+//! ([`AnyServer::announce_to`]) sends its leave before it acknowledges
+//! the drain.
 
 use crate::async_server::Pool;
 use crate::backend::{fresh_incarnation, Backend};
@@ -242,8 +244,8 @@ impl<B: Backend> AnyServer<B> {
     /// Registers this node with a gateway's membership engine: sends an
     /// [`crate::Frame::Announce`] carrying [`AnyServer::local_addr`]
     /// under a fresh wall-clock incarnation, and arms a graceful
-    /// [`crate::Frame::Leave`] to fire when the node drains or shuts
-    /// down. The gateway health-probes the node before routing any
+    /// [`crate::Frame::Leave`] to fire when the node acknowledges a wire
+    /// [`crate::Frame::Drain`] or shuts down. The gateway health-probes the node before routing any
     /// traffic to it (join-through-probation).
     ///
     /// # Errors

@@ -156,7 +156,7 @@ fn handle_frame<B: Backend>(frame: Frame, shared: &Arc<Shared<B>>, tx: &Sender<A
         // Reshard here, on the reader thread: this connection's pipelined
         // frames wait in the TCP buffer while the fleet reshapes
         // (milliseconds), other connections are untouched.
-        action = action.redeem(&shared.service, || {}).map_or(Action::Nothing, Action::Reply);
+        action = shared.redeem(action, || {}).map_or(Action::Nothing, Action::Reply);
     }
     if matches!(action, Action::Nothing) {
         return true;
@@ -170,7 +170,7 @@ fn write_loop<B: Backend>(rx: &Receiver<Action>, mut stream: TcpStream, shared: 
     let mut out: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut alive = true;
     while let Ok(action) = rx.recv() {
-        let frame = action.redeem(&shared.service, || {
+        let frame = shared.redeem(action, || {
             // About to block on the verdict: flush what earlier requests
             // are owed so the client is not starved by head-of-line
             // coalescing.

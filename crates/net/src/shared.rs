@@ -1,10 +1,12 @@
 //! What the server handle, its acceptor and both engines share around
 //! the backend they serve: the configuration, the shutdown flag,
-//! connection accounting, the armed gateway deregistration, and the
-//! begin/finish halves of a shutdown.
+//! connection accounting, the armed gateway deregistration, the one
+//! place an engine redeems an action, and the begin/finish halves of a
+//! shutdown.
 
 use crate::backend::{Backend, LeaveNotice};
-use crate::codec::MembershipResponse;
+use crate::codec::{Frame, MembershipResponse};
+use crate::dispatch::Action;
 use crate::error::NetError;
 use crate::instruments::NetInstruments;
 use crate::server::NetConfig;
@@ -31,9 +33,10 @@ pub(crate) struct Shared<B: Backend> {
     shutdown: AtomicBool,
     pub(crate) instruments: Option<NetInstruments>,
     active: AtomicUsize,
-    /// Armed by [`Shared::announce`]; fired (once) when the node drains
-    /// or shuts down, so the gateway deregisters it gracefully.
-    leave_notice: Mutex<Option<Arc<LeaveNotice>>>,
+    /// Armed by [`Shared::announce`]; taken and fired when a wire drain
+    /// is acknowledged or the server shuts down, whichever comes first,
+    /// so the gateway deregisters the node gracefully.
+    leave_notice: Mutex<Option<LeaveNotice>>,
 }
 
 impl<B: Backend> Shared<B> {
@@ -75,7 +78,7 @@ impl<B: Backend> Shared<B> {
 
     /// [`crate::AnyServer::announce_to_as`]: announces the node listening on
     /// `local_addr` to `gateway`, and arms the graceful leave that
-    /// [`Shared::begin_shutdown`] (or the backend's drain hook) fires.
+    /// [`Shared::redeem`] of a drain or [`Shared::begin_shutdown`] fires.
     pub(crate) fn announce(
         &self,
         local_addr: SocketAddr,
@@ -83,15 +86,28 @@ impl<B: Backend> Shared<B> {
         incarnation: u64,
     ) -> Result<MembershipResponse, NetError> {
         let (reply, notice) = LeaveNotice::announce(local_addr, gateway, incarnation)?;
-        let notice = Arc::new(notice);
-        // Preferred path: the backend tells us when its drain begins (a
-        // wire-level Drain frame fences the service without passing
-        // through shutdown()). Fallback either way: shutdown fires the
-        // stored notice, and firing is idempotent.
-        let hook_notice = Arc::clone(&notice);
-        let _ = self.service.on_drain(Box::new(move || hook_notice.fire()));
         *self.leave_notice.lock().expect("leave notice lock") = Some(notice);
         Ok(reply)
+    }
+
+    /// Fires the armed leave, if any; only the first caller finds it.
+    fn leave(&self) {
+        let notice = self.leave_notice.lock().expect("leave notice lock").take();
+        if let Some(notice) = notice {
+            notice.fire();
+        }
+    }
+
+    /// Builds the reply `action` owes (see [`Action::redeem`]). A wire
+    /// drain's acknowledgement first fires the armed leave, so the
+    /// gateway stops routing here before the drainer hears back. This
+    /// runs on the threaded writer or the reactor's completion thread,
+    /// never on an event loop: the leave dials the gateway.
+    pub(crate) fn redeem(&self, action: Action, before_block: impl FnOnce()) -> Option<Frame> {
+        if matches!(action, Action::FinalMetrics { .. }) {
+            self.leave();
+        }
+        action.redeem(&self.service, before_block)
     }
 
     /// First half of a frontend shutdown: deregisters from the gateway
@@ -100,9 +116,7 @@ impl<B: Backend> Shared<B> {
     /// the ingress, raises the shutdown flag and wakes the acceptor out
     /// of its blocking `accept()`.
     pub(crate) fn begin_shutdown(&self, local_addr: SocketAddr) {
-        if let Some(notice) = self.leave_notice.lock().expect("leave notice lock").take() {
-            notice.fire();
-        }
+        self.leave();
         self.service.begin_drain();
         self.shutdown.store(true, Ordering::Release);
         let _ = TcpStream::connect(local_addr);

@@ -340,7 +340,7 @@ fn run_reshard_under_load(frontend: Frontend) {
             }
             tally.absorb(verdict);
         }
-        // Departures keep flowing across ring generations: after a
+        // Departures keep flowing across fleet generations: after a
         // reshard these route to the task's *new* owner (or are orphan-
         // buffered until its migration lands).
         if i % 11 == 10 {

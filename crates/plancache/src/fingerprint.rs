@@ -29,7 +29,7 @@ use offloadnn_core::task::Task;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShapeFingerprint(pub u64);
 
-/// Cache key: shape fingerprint, coarse budget bucket and ring generation.
+/// Cache key: shape fingerprint, coarse budget bucket and fleet generation.
 ///
 /// The generation component makes every reshard/repartition (and the
 /// heal of a dead shard, which only runs inside one) an implicit flush
@@ -41,7 +41,7 @@ pub struct PlanKey {
     pub shape: ShapeFingerprint,
     /// Coarse headroom bucket from [`budget_bucket`].
     pub bucket: u16,
-    /// Ring generation the plan was minted under.
+    /// Fleet generation the plan was minted under.
     pub generation: u64,
 }
 

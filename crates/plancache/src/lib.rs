@@ -10,7 +10,7 @@
 //!
 //! - **Key** = [`shape_fingerprint`] (canonical 64-bit fold over the QoS
 //!   and option-set fields, identity excluded) + [`budget_bucket`]
-//!   (coarse headroom level) + ring generation — see [`PlanKey`].
+//!   (coarse headroom level) + fleet generation — see [`PlanKey`].
 //! - **Hit** = a proposal only. Admission re-validates the plan against
 //!   the live ledger (`Controller::try_apply_plan`) and falls through to
 //!   a cold solve when validation fails, so budget conservation never
@@ -19,7 +19,7 @@
 //!   no lookup or insert ever blocks on another caller's solve.
 //! - **Staleness** = bounded capacity with CLOCK second-chance eviction
 //!   and per-entry TTL (shorter for negative entries). Reshards, budget
-//!   repartitions and chaos heals advance the ring generation in the
+//!   repartitions and chaos heals advance the fleet generation in the
 //!   key, so older plans stop matching and age out.
 //! - **Rejections** are not stored: one depends on the whole ledger of
 //!   the shard that produced it, so the serve tier memoizes them per

@@ -171,7 +171,7 @@ proptest! {
     }
 
     /// The fingerprint is a pure function of the shape: recomputing it
-    /// after a reshard changes nothing, so within one ring generation the
+    /// after a reshard changes nothing, so within one fleet generation the
     /// full PlanKey is stable — and a generation bump alone separates keys.
     fn keys_stable_within_generation_distinct_across(
         p in shape_params(),

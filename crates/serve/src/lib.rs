@@ -7,9 +7,10 @@
 //!
 //! * **Sharding** — the edge budgets are partitioned across N worker
 //!   shards ([`router::partition_budgets`]), each owning its own
-//!   `Controller`; requests are routed by consistent hashing of the task
-//!   id ([`router::Router`]), so a task's departure reaches the shard
-//!   that admitted it.
+//!   `Controller`; a task's shard is the rendezvous winner of its id
+//!   among the shard indices ([`router::shard`]), so a task's departure
+//!   reaches the shard that admitted it. The gateway routes nodes by the
+//!   same [`router`] rule.
 //! * **Batching** — each shard coalesces arrivals into solver rounds,
 //!   triggered by size (`batch_max`) or time (`batch_window`), amortising
 //!   the DOT solve over many requests. A shard is a clock-free engine
@@ -63,6 +64,5 @@ pub use config::{ChaosConfig, ServiceConfig};
 pub use error::{validate_request, ServeError, SubmitError};
 pub use loadgen::{drive, DriveConfig, DriveReport, ShapePool, WireTally};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS};
-pub use router::Router;
 pub use service::{DrainReport, Outcome, ReshardReport, Service, Ticket};
 pub use shard::ShardReport;

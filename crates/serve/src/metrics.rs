@@ -15,6 +15,7 @@ use crate::service::Outcome;
 use offloadnn_telemetry::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -95,7 +96,7 @@ pub struct ServiceMetrics {
     pub reshards: Arc<Counter>,
     /// In-flight tasks migrated to a new owner shard across all reshards.
     pub migrated: Arc<Counter>,
-    /// Current ring generation (0 at start, +1 per completed reshard).
+    /// Current fleet generation (0 at start, +1 per completed reshard).
     pub generation: Arc<Gauge>,
     /// Highest queue depth observed at round assembly on any shard.
     pub peak_queue_depth: Arc<Gauge>,
@@ -139,7 +140,12 @@ impl ServiceMetrics {
 
     /// Books one verdict: counts its class and records its
     /// submit-to-verdict latency. Every tier books verdicts only here.
+    ///
+    /// The release fence pairs with the acquire fence in
+    /// [`ServiceMetrics::snapshot`]: a snapshot that counts this verdict
+    /// also sees the `submitted` increment that preceded it.
     pub fn book(&self, outcome: &Outcome, latency: Duration) {
+        fence(Ordering::Release);
         match outcome {
             Outcome::Admitted { .. } => &self.admitted,
             Outcome::Rejected { .. } => &self.rejected,
@@ -156,14 +162,20 @@ impl ServiceMetrics {
         &self.registry
     }
 
-    /// Copies all counters and histograms.
+    /// Copies all counters and histograms. Taken under load it is not a
+    /// single instant, but it never shows more verdicts than submits: the
+    /// verdict counters are read first and `submitted` after the acquire
+    /// fence (see [`ServiceMetrics::book`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let (admitted, rejected, shed, expired) =
+            (self.admitted.get(), self.rejected.get(), self.shed.get(), self.expired.get());
+        fence(Ordering::Acquire);
         MetricsSnapshot {
             submitted: self.submitted.get(),
-            admitted: self.admitted.get(),
-            rejected: self.rejected.get(),
-            shed: self.shed.get(),
-            expired: self.expired.get(),
+            admitted,
+            rejected,
+            shed,
+            expired,
             departed: self.departed.get(),
             solver_rounds: self.solver_rounds.get(),
             solver_errors: self.solver_errors.get(),
@@ -207,7 +219,7 @@ pub struct MetricsSnapshot {
     pub reshards: u64,
     /// In-flight tasks migrated across all reshards.
     pub migrated: u64,
-    /// Ring generation at snapshot time.
+    /// Fleet generation at snapshot time.
     pub generation: u64,
     /// Highest observed queue depth.
     pub peak_queue_depth: u64,
@@ -332,6 +344,30 @@ mod tests {
         let s = m.snapshot();
         assert!(s.is_conserved());
         assert_eq!(s.resolved(), 10);
+    }
+
+    #[test]
+    fn a_snapshot_under_load_never_resolves_more_than_it_submitted() {
+        // One thread books submit + verdict pairs in a tight loop while
+        // another snapshots: a snapshot that read `submitted` before the
+        // verdict counters would catch a pair half-read.
+        let m = ServiceMetrics::new();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let torn = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    m.submitted.inc();
+                    m.book(&Outcome::Rejected { shard: 0 }, Duration::ZERO);
+                }
+            });
+            let torn = (0..200_000).map(|_| m.snapshot()).find(|s| s.resolved() > s.submitted);
+            stop.store(true, Ordering::Relaxed);
+            torn
+        });
+        assert!(m.submitted.get() > 0, "the booking thread never ran");
+        if let Some(s) = torn {
+            panic!("torn snapshot: {} resolved, {} submitted", s.resolved(), s.submitted);
+        }
     }
 
     #[test]

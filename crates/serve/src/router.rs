@@ -1,71 +1,137 @@
-//! Consistent-hash routing of tasks to shards, and partitioning of the
-//! edge budgets across them.
+//! The one routing rule of every tier — weighted rendezvous
+//! (highest-random-weight) hashing — and the partitioning of the edge
+//! budgets across shards.
+//!
+//! Every routing decision is a pure function of `(key, candidates)`: for
+//! each candidate the key is mixed with the candidate's seed into a
+//! uniform draw `u ∈ (0, 1)`, scored with the logarithmic method
+//! `score = -weight / ln(u)`, and the highest score wins. The score of a
+//! candidate depends only on the key, its seed and its weight, which
+//! gives rendezvous hashing its minimal-disruption property: removing a
+//! candidate changes nothing about the scores of the others, so only the
+//! keys it was winning move — each to its previous runner-up — and
+//! adding one moves only the keys it now wins. `tests/router_props.rs`
+//! pins both.
+//!
+//! Two callers, one rule, one key ([`key`]):
+//!
+//! * a [`crate::Service`] picks a task's shard with [`shard`]: the
+//!   candidates are the shard indices `0..shards` at weight 1, so every
+//!   shard owns an even share of the ids, a grow moves keys only onto
+//!   the new shards and a shrink never moves a survivor's keys — the two
+//!   properties the reshard handoff relies on;
+//! * the gateway picks a node with [`route`] / [`rank`] over its healthy
+//!   members, seeded by address ([`node_seed`]) and weighted by health
+//!   headroom, so a node reporting more remaining budget gets
+//!   proportionally more of the key space, and a weight change only
+//!   reshuffles keys between the changed node and the rest.
 
 use offloadnn_core::instance::Budgets;
 use offloadnn_core::task::TaskId;
+use std::cmp::Ordering;
 
-/// 64-bit FNV-1a — small, dependency-free, well-mixed enough for ring
-/// placement.
+/// A routable candidate as the router sees it: an opaque caller-side
+/// index, a stable hash seed and a routing weight.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Candidate {
+    /// Caller-side identifier (e.g. index into the gateway's node pool);
+    /// returned verbatim by [`route`] / [`rank`].
+    pub index: usize,
+    /// Stable seed: a node's is derived from its address via
+    /// [`node_seed`] so the mapping survives restarts; a shard's is its
+    /// index.
+    pub seed: u64,
+    /// Routing weight; non-finite or non-positive weights are clamped to
+    /// a small epsilon so a node never disappears from the ring merely
+    /// by reporting zero headroom.
+    pub weight: f64,
+}
+
+/// 64-bit FNV-1a: small, dependency-free, and spread further by the
+/// SplitMix64 finalizer in `mix`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
-        hash ^= b as u64;
+        hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
 
-/// A consistent-hash ring mapping [`TaskId`]s to shard indices.
-///
-/// Each shard contributes `virtual_nodes` points; a task is owned by the
-/// first point clockwise of its hash. Routing is deterministic, so the
-/// departure of a task always reaches the shard that admitted it, and
-/// adding a shard (a future elastic-scaling path) only remaps `1/n` of
-/// the id space.
-#[derive(Debug, Clone)]
-pub struct Router {
-    /// `(ring position, shard)` sorted by position.
-    points: Vec<(u64, usize)>,
-    shards: usize,
+/// A stable seed for a node from its address string.
+pub fn node_seed(addr: &str) -> u64 {
+    fnv1a(addr.as_bytes())
 }
 
-impl Router {
-    /// Builds a ring over `shards` shards with `virtual_nodes` points
-    /// each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is zero.
-    pub fn new(shards: usize, virtual_nodes: usize) -> Self {
-        assert!(shards > 0, "at least one shard");
-        assert!(virtual_nodes > 0, "at least one virtual node");
-        let mut points = Vec::with_capacity(shards * virtual_nodes);
-        for shard in 0..shards {
-            for vnode in 0..virtual_nodes {
-                let mut key = [0u8; 16];
-                key[..8].copy_from_slice(&(shard as u64).to_le_bytes());
-                key[8..].copy_from_slice(&(vnode as u64).to_le_bytes());
-                points.push((fnv1a(&key), shard));
-            }
-        }
-        points.sort_unstable();
-        points.dedup_by_key(|p| p.0);
-        Self { points, shards }
-    }
+/// The routing key of a task — the one input both tiers hash.
+pub fn key(task: TaskId) -> u64 {
+    u64::from(task.0)
+}
 
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
+/// Mixes the task key with a candidate seed into 64 well-spread bits
+/// (SplitMix64 finalizer over the FNV combination of both).
+fn mix(key: u64, seed: u64) -> u64 {
+    let mut buf = [0u8; 16];
+    buf[..8].copy_from_slice(&key.to_le_bytes());
+    buf[8..].copy_from_slice(&seed.to_le_bytes());
+    let mut z = fnv1a(&buf);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
-    /// The shard owning `task`.
-    pub fn route(&self, task: TaskId) -> usize {
-        let h = fnv1a(&u64::from(task.0).to_le_bytes());
-        // First ring point at or after the hash, wrapping at the top.
-        let idx = self.points.partition_point(|&(p, _)| p < h);
-        let (_, shard) = self.points[idx % self.points.len()];
-        shard
-    }
+/// Maps 64 hash bits onto the open unit interval (0, 1): the top 53 bits
+/// shifted into the mantissa range, offset by one so `ln(u)` is finite.
+fn unit(h: u64) -> f64 {
+    ((h >> 11) + 1) as f64 / ((1u64 << 53) + 1) as f64
+}
+
+/// The rendezvous score of one `(key, candidate)` pair. Strictly
+/// positive, monotone in both the weight and the candidate's uniform draw.
+pub fn score(key: u64, seed: u64, weight: f64) -> f64 {
+    let w = if weight.is_finite() && weight > 0.0 { weight } else { 1e-9 };
+    let u = unit(mix(key, seed));
+    // u ∈ (0,1) ⇒ ln(u) < 0 ⇒ score > 0; larger u or w ⇒ larger score.
+    -w / u.ln()
+}
+
+/// Best-first order of scored candidates. Ties (possible only through
+/// duplicate seeds) break on the seed, then the caller index, so the
+/// order is total and deterministic.
+fn best_first(a: &(f64, u64, usize), b: &(f64, u64, usize)) -> Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+}
+
+/// Candidate indices ordered best-first for `key`.
+pub fn rank(key: u64, candidates: &[Candidate]) -> Vec<usize> {
+    let mut scored: Vec<(f64, u64, usize)> =
+        candidates.iter().map(|c| (score(key, c.seed, c.weight), c.seed, c.index)).collect();
+    scored.sort_by(best_first);
+    scored.into_iter().map(|(_, _, index)| index).collect()
+}
+
+/// The winning candidate index for `key`, or `None` with no candidates.
+pub fn route(key: u64, candidates: &[Candidate]) -> Option<usize> {
+    winner(key, candidates.iter().copied())
+}
+
+/// The shard of a `shards`-shard service that owns `task`: [`route`]
+/// over the shard indices at weight 1, without allocating.
+///
+/// # Panics
+///
+/// Panics if `shards` is zero.
+pub fn shard(task: TaskId, shards: usize) -> usize {
+    let candidates = (0..shards).map(|index| Candidate { index, seed: index as u64, weight: 1.0 });
+    winner(key(task), candidates).expect("at least one shard")
+}
+
+/// [`rank`]'s first entry, found in one pass.
+fn winner(key: u64, candidates: impl Iterator<Item = Candidate>) -> Option<usize> {
+    candidates
+        .map(|c| (score(key, c.seed, c.weight), c.seed, c.index))
+        .min_by(best_first)
+        .map(|(_, _, index)| index)
 }
 
 /// Splits the edge budgets evenly across `shards` partitions.
@@ -119,43 +185,79 @@ pub fn partition_budgets(total: Budgets, shards: usize) -> Vec<Budgets> {
 mod tests {
     use super::*;
 
+    fn pool(n: usize) -> Vec<Candidate> {
+        (0..n)
+            .map(|i| Candidate { index: i, seed: node_seed(&format!("127.0.0.1:{}", 9000 + i)), weight: 1.0 })
+            .collect()
+    }
+
     #[test]
-    fn routing_is_deterministic_and_in_range() {
-        let r = Router::new(4, 64);
-        for i in 0..1000 {
-            let s = r.route(TaskId(i));
-            assert!(s < 4);
-            assert_eq!(s, r.route(TaskId(i)));
+    fn route_agrees_with_rank() {
+        let nodes = pool(5);
+        for key in 0..200u64 {
+            assert_eq!(route(key, &nodes), rank(key, &nodes).first().copied());
+        }
+    }
+
+    #[test]
+    fn empty_pool_routes_nowhere() {
+        assert_eq!(route(42, &[]), None);
+        assert!(rank(42, &[]).is_empty());
+    }
+
+    #[test]
+    fn keys_spread_across_equal_weight_nodes() {
+        let nodes = pool(4);
+        let mut hits = [0usize; 4];
+        for key in 0..4000u64 {
+            hits[route(key, &nodes).unwrap()] += 1;
+        }
+        // Equal weights ⇒ roughly uniform; allow a generous band.
+        for &h in &hits {
+            assert!((600..=1400).contains(&h), "skewed spread: {hits:?}");
+        }
+    }
+
+    #[test]
+    fn heavier_node_wins_more_keys() {
+        let mut nodes = pool(3);
+        nodes[1].weight = 4.0;
+        let mut hits = [0usize; 3];
+        for key in 0..3000u64 {
+            hits[route(key, &nodes).unwrap()] += 1;
+        }
+        assert!(hits[1] > hits[0] && hits[1] > hits[2], "weight ignored: {hits:?}");
+    }
+
+    #[test]
+    fn degenerate_weights_still_route() {
+        let nodes = [
+            Candidate { index: 0, seed: 1, weight: 0.0 },
+            Candidate { index: 1, seed: 2, weight: f64::NAN },
+            Candidate { index: 2, seed: 3, weight: -5.0 },
+        ];
+        for key in 0..100u64 {
+            assert!(route(key, &nodes).is_some());
+        }
+    }
+
+    #[test]
+    fn a_shard_is_the_route_over_the_shard_indices() {
+        for shards in 1..=8 {
+            let indices: Vec<Candidate> =
+                (0..shards).map(|index| Candidate { index, seed: index as u64, weight: 1.0 }).collect();
+            for id in 0..500 {
+                let task = TaskId(id);
+                assert_eq!(Some(shard(task, shards)), route(key(task), &indices));
+            }
         }
     }
 
     #[test]
     fn single_shard_takes_everything() {
-        let r = Router::new(1, 8);
         for i in 0..100 {
-            assert_eq!(r.route(TaskId(i)), 0);
+            assert_eq!(shard(TaskId(i), 1), 0);
         }
-    }
-
-    #[test]
-    fn load_spreads_across_shards() {
-        let r = Router::new(4, 64);
-        let mut counts = [0usize; 4];
-        for i in 0..10_000 {
-            counts[r.route(TaskId(i))] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(c > 1000, "shard {s} starved: {c}/10000");
-        }
-    }
-
-    #[test]
-    fn adding_a_shard_moves_a_minority_of_keys() {
-        let before = Router::new(4, 64);
-        let after = Router::new(5, 64);
-        let moved = (0..10_000).filter(|&i| before.route(TaskId(i)) != after.route(TaskId(i))).count();
-        // Ideal is 1/5 = 2000; allow generous slack for hash variance.
-        assert!(moved < 4500, "consistent hashing should bound remapping, moved {moved}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::config::{ChaosConfig, ServiceConfig};
 use crate::error::{ServeError, SubmitError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::router::{partition_budgets, Router};
+use crate::router::{self, partition_budgets};
 use crate::shard::{Clock, ReshardCmd, ServiceRequest, Shard, ShardMsg, ShardReport, Waiter};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use offloadnn_core::controller::ActiveTask;
@@ -18,9 +18,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Virtual nodes per shard on the consistent-hash ring.
-const VIRTUAL_NODES: usize = 64;
 
 /// The verdict a request ends with. Every submitted request receives
 /// exactly one of these; the service never drops a request silently.
@@ -129,16 +126,8 @@ pub struct ReshardReport {
     /// In-flight (admitted, not yet departed) tasks that moved to a new
     /// owner shard.
     pub migrated: u64,
-    /// Ring generation after the reshard (starts at 0, +1 per reshard).
+    /// Fleet generation after the reshard (starts at 0, +1 per reshard).
     pub generation: u64,
-}
-
-/// The routing state swapped atomically by a reshard: the ring and the
-/// per-shard ingress senders it indexes into always change together.
-#[derive(Debug)]
-struct RoutingState {
-    router: Arc<Router>,
-    senders: Vec<Sender<ShardMsg>>,
 }
 
 /// A running sharded admission-control service over the OffloaDNN
@@ -148,10 +137,11 @@ struct RoutingState {
 /// may be called from any number of threads concurrently.
 #[derive(Debug)]
 pub struct Service {
-    /// Ring + senders behind one lock so a submit routes and enqueues
-    /// against a single consistent generation (see `scale_to` for the
-    /// ordering argument).
-    routing: RwLock<RoutingState>,
+    /// The per-shard ingress senders, index == shard; their count is
+    /// the shard count [`router::shard`] routes over. Behind one lock so
+    /// a submit routes and enqueues against a single consistent
+    /// generation (see `scale_to` for the ordering argument).
+    senders: RwLock<Vec<Sender<ShardMsg>>>,
     /// Holding this lock is what serialises reshards (and fences drain
     /// against them).
     fleet: Mutex<Fleet>,
@@ -168,12 +158,6 @@ pub struct Service {
     /// heals can invalidate it.
     plan_cache: Option<Arc<PlanCache<CachedPlan>>>,
     draining: AtomicBool,
-    /// Hooks fired exactly once, when the drain fence first goes up
-    /// (whether via [`Service::begin_drain`], [`Service::drain`] or
-    /// drop). A network frontend registers its gateway leave-notice
-    /// here so the cluster learns of the departure before the fleet
-    /// tears down.
-    drain_hooks: DrainHooks,
 }
 
 /// The shard workers and the reports of those that left the fleet.
@@ -184,18 +168,6 @@ struct Fleet {
     workers: Vec<JoinHandle<ShardReport>>,
     /// Final reports of shards retired by scale-downs.
     retired: Vec<ShardReport>,
-}
-
-/// The pending drain hooks. A newtype only so the closures stay out of
-/// the service's `Debug` output.
-#[derive(Default)]
-struct DrainHooks(Mutex<Vec<Box<dyn FnOnce() + Send>>>);
-
-impl std::fmt::Debug for DrainHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.0.lock().map(|h| h.len()).unwrap_or(0);
-        write!(f, "DrainHooks({n} pending)")
-    }
 }
 
 impl Service {
@@ -210,7 +182,6 @@ impl Service {
     /// configuration.
     pub fn start(config: ServiceConfig, template: &DotInstance) -> Result<Self, ServeError> {
         config.validate()?;
-        let router = Arc::new(Router::new(config.shards, VIRTUAL_NODES));
         let metrics = Arc::new(ServiceMetrics::new());
         let plan_cache =
             config.plan_cache.map(|pc| Arc::new(PlanCache::with_registry(pc, metrics.registry())));
@@ -240,7 +211,7 @@ impl Service {
             config.batch_window
         );
         Ok(Self {
-            routing: RwLock::new(RoutingState { router, senders }),
+            senders: RwLock::new(senders),
             fleet: Mutex::new(Fleet { workers, retired: Vec::new() }),
             metrics,
             config,
@@ -248,23 +219,16 @@ impl Service {
             total_budgets: template.budgets,
             plan_cache,
             draining: AtomicBool::new(false),
-            drain_hooks: DrainHooks::default(),
         })
     }
 
-    /// The current router (e.g. to predict a task's shard). A reshard
-    /// replaces the router, so the returned ring describes the
-    /// generation live at call time.
-    pub fn router(&self) -> Arc<Router> {
-        Arc::clone(&self.routing.read().expect("routing lock").router)
-    }
-
-    /// Current number of worker shards.
+    /// Current number of worker shards: a task's shard is
+    /// [`router::shard`] over this count.
     pub fn shards(&self) -> usize {
-        self.routing.read().expect("routing lock").senders.len()
+        self.senders.read().expect("senders lock").len()
     }
 
-    /// Current ring generation (0 at start, +1 per completed reshard).
+    /// Current fleet generation (0 at start, +1 per completed reshard).
     pub fn generation(&self) -> u64 {
         self.metrics.generation.get()
     }
@@ -314,11 +278,11 @@ impl Service {
         }
         crate::error::validate_request(&task, &options)?;
         // Route and enqueue under one read guard: a concurrent reshard
-        // swaps the router and senders only after this enqueue, so the
-        // message FIFO-precedes the shard's `Reshard` order and resolves
-        // before (or during) the handoff — never against a stale ring.
-        let routing = self.routing.read().expect("routing lock");
-        let shard = routing.router.route(task.id);
+        // swaps the senders only after this enqueue, so the message
+        // FIFO-precedes the shard's `Reshard` order and resolves before
+        // (or during) the handoff — never against a stale shard count.
+        let senders = self.senders.read().expect("senders lock");
+        let shard = router::shard(task.id, senders.len());
         let id = task.id;
         self.metrics.submitted.inc();
         let (responder, rx) = channel::bounded(1);
@@ -330,7 +294,7 @@ impl Service {
             waiter: Waiter { enqueued_at: now, responder },
         };
         if let Err(TrySendError::Full(msg) | TrySendError::Disconnected(msg)) =
-            routing.senders[shard].try_send(ShardMsg::Request(request))
+            senders[shard].try_send(ShardMsg::Request(request))
         {
             // Backpressure (or a dead/draining shard racing this submit):
             // resolve as shed right here so conservation holds.
@@ -344,30 +308,30 @@ impl Service {
     }
 
     /// Notifies the service that an admitted task has departed; its
-    /// shard releases the capacity. Routed by the same consistent hash as
-    /// the submission — on the *current* ring, so after a reshard the
+    /// shard releases the capacity. Routed by the same rule as the
+    /// submission — over the *current* fleet, so after a reshard the
     /// notice reaches the task's new owner (which buffers it if the
     /// migration is still in flight). Blocks only while that shard's
     /// queue is full (departures are never shed — dropping one would leak
     /// capacity).
     pub fn depart(&self, task: TaskId) {
-        let routing = self.routing.read().expect("routing lock");
-        let shard = routing.router.route(task);
-        let _ = routing.senders[shard].send(ShardMsg::Depart(task));
+        let senders = self.senders.read().expect("senders lock");
+        let _ = senders[router::shard(task, senders.len())].send(ShardMsg::Depart(task));
     }
 
     /// Reshapes the fleet to `new_shards` worker shards at runtime,
     /// without stopping ingress and without losing a verdict or a unit
     /// of capacity:
     ///
-    /// 1. the next ring generation and budget partitions are built;
+    /// 1. the next generation's budget partitions are built;
     /// 2. new shards (on a grow) are spawned idle;
-    /// 3. the routing state — ring *and* senders — is swapped under the
-    ///    write lock, so every message enqueued before the swap
-    ///    FIFO-precedes the reshard order on its shard's queue;
+    /// 3. the sender set — and with it the shard count every route is
+    ///    taken over — is swapped under the write lock, so every message
+    ///    enqueued before the swap FIFO-precedes the reshard order on its
+    ///    shard's queue;
     /// 4. every old shard is sent the same reshard order and hands over
-    ///    every in-flight task the new ring maps elsewhere — all of them,
-    ///    on a retiree, which then drains to its exit;
+    ///    every in-flight task the new fleet routes elsewhere — all of
+    ///    them, on a retiree, which then drains to its exit;
     /// 5. migrated tasks are delivered to their new owners, which also
     ///    reconcile departures that arrived ahead of the migration.
     ///
@@ -399,7 +363,6 @@ impl Service {
             });
         }
         let reshard_span = span!("serve.reshard");
-        let new_router = Arc::new(Router::new(new_shards, VIRTUAL_NODES));
         let partitions = partition_budgets(self.total_budgets, new_shards);
 
         // Spawn the newcomers idle: they must exist before the swap so a
@@ -414,21 +377,20 @@ impl Service {
             .unzip();
         fleet.workers.extend(newcomers);
 
-        // Atomic handover: after this block every submit/depart routes on
-        // the new ring into the new sender set. Every old sender, a
-        // retiree's included, is kept only to carry its shard's order.
+        // Atomic handover: after this block every submit/depart routes
+        // over the new sender set. Every old sender, a retiree's included,
+        // is kept only to carry its shard's order.
         let old_senders = {
-            let mut routing = self.routing.write().expect("routing lock");
-            routing.router = Arc::clone(&new_router);
-            let old = routing.senders.clone();
-            routing.senders.truncate(new_shards);
-            routing.senders.extend(new_senders);
+            let mut senders = self.senders.write().expect("senders lock");
+            let old = senders.clone();
+            senders.truncate(new_shards);
+            senders.extend(new_senders);
             old
         };
 
         // Every old shard gets the same order. A survivor adopts its new
         // partition; a retiree keeps its current one (so its final peaks
-        // are judged against it) and, owning no key of the new ring, hands
+        // are judged against it) and, owning no key of the new fleet, hands
         // back its whole active set. A retiree's sender drops right after
         // its order, so the retiree answers it behind its pre-swap backlog
         // and then exits.
@@ -437,7 +399,7 @@ impl Service {
         for (shard, sender) in old_senders.into_iter().enumerate() {
             let budgets = if shard < new_shards { partitions[shard] } else { old_partitions[shard] };
             let (reply, reply_rx) = channel::bounded(1);
-            let order = ShardMsg::Reshard(ReshardCmd { router: Arc::clone(&new_router), budgets, reply });
+            let order = ShardMsg::Reshard(ReshardCmd { shards: new_shards, budgets, reply });
             // An order a dead shard's queue refuses drops its reply
             // sender with it, so the reply below fails either way.
             let _ = sender.send(order);
@@ -478,19 +440,19 @@ impl Service {
         let migrated = moved.len() as u64;
         let mut by_owner: Vec<Vec<ActiveTask>> = (0..new_shards).map(|_| Vec::new()).collect();
         for task in moved {
-            by_owner[new_router.route(task.task.id)].push(task);
+            by_owner[router::shard(task.task.id, new_shards)].push(task);
         }
         {
-            let routing = self.routing.read().expect("routing lock");
+            let senders = self.senders.read().expect("senders lock");
             for (shard, tasks) in by_owner.into_iter().enumerate() {
                 if !tasks.is_empty() {
-                    let _ = routing.senders[shard].send(ShardMsg::Adopt(tasks));
+                    let _ = senders[shard].send(ShardMsg::Adopt(tasks));
                 }
             }
         }
 
         // The generation is part of every plan-cache key: plans minted
-        // under the old ring and budget partition never match again.
+        // under the old fleet and budget partition never match again.
         let generation = self.metrics.generation.get() + 1;
         self.metrics.generation.set(generation);
         self.metrics.reshards.inc();
@@ -515,7 +477,7 @@ impl Service {
         let (tx, fresh) =
             spawn_worker(shard, budgets, &self.template, config, &self.metrics, &self.plan_cache);
         let old = std::mem::replace(&mut fleet.workers[shard], fresh);
-        self.routing.write().expect("routing lock").senders[shard] = tx;
+        self.senders.write().expect("senders lock")[shard] = tx;
         match old.join() {
             Ok(report) => fleet.retired.push(report),
             Err(_) => event!(
@@ -554,39 +516,7 @@ impl Service {
     /// resharding: a [`Service::scale_to`] issued afterwards fails with
     /// [`ServeError::Draining`].
     pub fn begin_drain(&self) {
-        self.fence();
-    }
-
-    /// Raises the drain fence and, on the first raising only, runs every
-    /// registered drain hook. `swap` (not `store`) makes the first-time
-    /// decision atomic, so concurrent fencers fire the hooks once.
-    fn fence(&self) {
-        if !self.draining.swap(true, Ordering::AcqRel) {
-            let hooks = std::mem::take(&mut *self.drain_hooks.0.lock().expect("drain hooks lock"));
-            for hook in hooks {
-                hook();
-            }
-        }
-    }
-
-    /// Registers a hook to run when the drain fence first goes up (any
-    /// of [`Service::begin_drain`], [`Service::drain`] or drop). If the
-    /// drain has already begun the hook runs immediately, on the caller.
-    pub fn on_drain(&self, hook: Box<dyn FnOnce() + Send>) {
-        if self.is_draining() {
-            hook();
-            return;
-        }
-        self.drain_hooks.0.lock().expect("drain hooks lock").push(hook);
-        // The fence may have gone up between the check and the push; the
-        // fencer may already have swept the hooks, so re-check and sweep
-        // again rather than strand the hook unrun.
-        if self.is_draining() {
-            let hooks = std::mem::take(&mut *self.drain_hooks.0.lock().expect("drain hooks lock"));
-            for hook in hooks {
-                hook();
-            }
-        }
+        self.draining.store(true, Ordering::Release);
     }
 
     /// Whether [`Service::begin_drain`] (or [`Service::drain`]) has been
@@ -603,13 +533,13 @@ impl Service {
     /// injection killed a worker mid-flight
     /// ([`DrainReport::lost_shards`]).
     pub fn drain(self) -> DrainReport {
-        self.fence();
+        self.begin_drain();
         // Serialise against scale_to: once the fleet lock is held, the
         // worker set is stable and any later scale_to fails with Draining.
         let mut fleet = self.fleet.lock().expect("fleet lock");
         // Dropping the senders disconnects the queues; each worker keeps
         // resolving until its queue is empty, then exits.
-        self.routing.write().expect("routing lock").senders.clear();
+        self.senders.write().expect("senders lock").clear();
         let mut shards: Vec<ShardReport> = Vec::with_capacity(fleet.workers.len());
         let mut lost_shards = 0usize;
         for worker in std::mem::take(&mut fleet.workers) {
@@ -652,9 +582,9 @@ impl Drop for Service {
     /// cleanly: the senders disconnect and each worker exits after
     /// resolving its backlog. The workers are detached, not joined.
     fn drop(&mut self) {
-        self.fence();
-        if let Ok(mut routing) = self.routing.write() {
-            routing.senders.clear();
+        self.begin_drain();
+        if let Ok(mut senders) = self.senders.write() {
+            senders.clear();
         }
     }
 }
@@ -777,41 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_hooks_fire_exactly_once_on_the_first_fence() {
-        use std::sync::atomic::AtomicU32;
-        let s = small_scenario(3);
-        let service = Service::start(ServiceConfig::default(), &s.instance).unwrap();
-        let fired = Arc::new(AtomicU32::new(0));
-        for _ in 0..2 {
-            let fired = Arc::clone(&fired);
-            service.on_drain(Box::new(move || {
-                fired.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 0, "hooks must wait for the fence");
-        service.begin_drain();
-        assert_eq!(fired.load(Ordering::SeqCst), 2, "both hooks fire when the fence goes up");
-        service.begin_drain();
-        let report = service.drain();
-        assert!(report.metrics.is_conserved());
-        assert_eq!(fired.load(Ordering::SeqCst), 2, "later fences must not re-fire");
-    }
-
-    #[test]
-    fn drain_hook_registered_after_the_fence_runs_immediately() {
-        use std::sync::atomic::AtomicU32;
-        let s = small_scenario(3);
-        let service = Service::start(ServiceConfig::default(), &s.instance).unwrap();
-        service.begin_drain();
-        let fired = Arc::new(AtomicU32::new(0));
-        let fired2 = Arc::clone(&fired);
-        service.on_drain(Box::new(move || {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        }));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "late hooks run on the caller");
-    }
-
-    #[test]
     fn no_options_is_an_error() {
         let s = small_scenario(3);
         let service = Service::start(ServiceConfig::default(), &s.instance).unwrap();
@@ -917,7 +812,7 @@ mod tests {
         let ticket = service.submit(task, options).unwrap();
         let outcome = ticket.wait().unwrap();
         if let Outcome::Admitted { shard, .. } = outcome {
-            assert_eq!(shard, service.router().route(TaskId(77)));
+            assert_eq!(shard, router::shard(TaskId(77), 4));
         } else {
             panic!("expected admission, got {outcome:?}");
         }
@@ -975,7 +870,7 @@ mod tests {
         assert_eq!(report.to_shards, 5);
         assert_eq!(report.generation, 1);
         assert_eq!(service.shards(), 5);
-        // The fleet keeps serving on the new ring.
+        // The fleet keeps serving at the new shard count.
         for id in 0..20u32 {
             let (task, options) = unique_task(&s.instance, (id % 5) as usize, 4000 + id);
             let ticket = service.submit(task, options).unwrap();

@@ -8,7 +8,7 @@
 
 use crate::config::ServiceConfig;
 use crate::metrics::ServiceMetrics;
-use crate::router::Router;
+use crate::router;
 use crate::service::Outcome;
 use crossbeam::channel::Sender;
 use offloadnn_core::controller::{ActiveTask, AdmissionRequest, Controller, ControllerSnapshot};
@@ -53,11 +53,12 @@ pub(crate) struct Waiter {
 }
 
 /// A reshard order, sent to every shard of the old fleet alike: adopt
-/// `budgets`, extract every active task `router` maps elsewhere and hand
-/// the extracted tasks back on `reply`. A retiring shard owns no key of
-/// the new ring, so it hands back its whole active set.
+/// `budgets`, extract every active task a `shards`-shard fleet routes
+/// elsewhere and hand the extracted tasks back on `reply`. A retiring
+/// shard owns no key of the new fleet, so it hands back its whole
+/// active set.
 pub(crate) struct ReshardCmd {
-    pub router: Arc<Router>,
+    pub shards: usize,
     pub budgets: Budgets,
     pub reply: Sender<Vec<ActiveTask>>,
 }
@@ -215,7 +216,7 @@ impl Shard {
     /// priority*, not by arrival order — then executes the reshard orders
     /// taken while it was assembled: every request that FIFO-preceded an
     /// order has its verdict first, and any that followed it was admitted
-    /// into a controller the extraction re-checks against the new ring.
+    /// into a controller the extraction re-checks against the new fleet.
     pub(crate) fn round(&mut self, mut batch: Vec<ServiceRequest>, clock: &impl Clock) {
         if batch.len() > self.config.batch_max {
             batch.sort_by(|a, b| {
@@ -251,7 +252,8 @@ impl Shard {
     }
 
     /// Applies one reshard order: adopt the order's budget partition,
-    /// then evacuate every active task the new ring maps to another shard.
+    /// then evacuate every active task the new fleet routes to another
+    /// shard.
     fn reshard(&mut self, cmd: ReshardCmd) {
         self.ledger_moved();
         // Peaks restart against a new partition: a peak recorded under
@@ -263,7 +265,7 @@ impl Shard {
         self.budgets = cmd.budgets;
         self.controller.set_budgets(cmd.budgets);
         let shard = self.index;
-        let evacuated = self.controller.extract_if(|a| cmd.router.route(a.task.id) != shard);
+        let evacuated = self.controller.extract_if(|a| router::shard(a.task.id, cmd.shards) != shard);
         event!(
             Severity::Info,
             "serve.shard",
@@ -536,9 +538,8 @@ mod tests {
         let s = small_scenario(5).instance;
         let clock = FakeClock::new();
         let mut shard = shard(&s, 0, s.budgets, ServiceConfig::default());
-        let ring = Arc::new(Router::new(3, 64));
-        let stays = (100..).filter(|&id| ring.route(TaskId(id)) == 0).take(3);
-        let leaves = (100..).filter(|&id| ring.route(TaskId(id)) != 0).take(3);
+        let stays = (100..).filter(|&id| router::shard(TaskId(id), 3) == 0).take(3);
+        let leaves = (100..).filter(|&id| router::shard(TaskId(id), 3) != 0).take(3);
         let ids: Vec<u32> = stays.zip(leaves).flat_map(|(a, b)| [a, b]).collect();
         let (mut msgs, verdicts): (Vec<_>, Vec<_>) = ids
             .iter()
@@ -550,7 +551,7 @@ mod tests {
         // The order arrives mid-batch: one staying and one leaving key follow it.
         let budgets = partition_budgets(s.budgets, 3)[0];
         let (reply, evacuated) = channel::bounded(1);
-        msgs.insert(4, ShardMsg::Reshard(ReshardCmd { router: Arc::clone(&ring), budgets, reply }));
+        msgs.insert(4, ShardMsg::Reshard(ReshardCmd { shards: 3, budgets, reply }));
         let mut batch = Vec::new();
         for msg in msgs {
             shard.take(msg, &mut batch);
@@ -567,8 +568,9 @@ mod tests {
         assert_eq!(admitted.len(), ids.len(), "the full budget admits all six");
         let moved: HashSet<TaskId> =
             evacuated.try_recv().expect("answered").iter().map(|a| a.task.id).collect();
-        let remapped: HashSet<TaskId> = admitted.iter().copied().filter(|&id| ring.route(id) != 0).collect();
-        assert_eq!(moved, remapped, "exactly the keys the new ring maps away");
+        let remapped: HashSet<TaskId> =
+            admitted.iter().copied().filter(|&id| router::shard(id, 3) != 0).collect();
+        assert_eq!(moved, remapped, "exactly the keys the new fleet routes away");
         assert!(
             moved.contains(&TaskId(ids[5])),
             "a request taken after the order is decided, then handed off"
@@ -591,10 +593,10 @@ mod tests {
         let peak = shard.peak;
         assert!(peak.0 > 0.0 && peak.1 > 0.0 && peak.2 > 0.0);
 
-        // A one-shard ring owns no key of shard 1; the order carries the
-        // retiree's current partition.
+        // A one-shard fleet routes no key to shard 1; the order carries
+        // the retiree's current partition.
         let (reply, evacuated) = channel::bounded(1);
-        let order = ReshardCmd { router: Arc::new(Router::new(1, 64)), budgets: partition, reply };
+        let order = ReshardCmd { shards: 1, budgets: partition, reply };
         shard.take(ShardMsg::Reshard(order), &mut Vec::new());
         shard.round(Vec::new(), &clock);
         assert_eq!(evacuated.try_recv().expect("answered").len(), admitted);

@@ -11,7 +11,7 @@
 use offloadnn_core::scenario::{small_scenario, Scenario};
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_plancache::{PlanCacheConfig, PlanCacheStats};
-use offloadnn_serve::{ChaosConfig, Outcome, Service, ServiceConfig};
+use offloadnn_serve::{router, ChaosConfig, Outcome, Service, ServiceConfig};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -56,11 +56,12 @@ fn rounds_and_replays(service: &Service) -> (u64, u64) {
     (service.metrics().solver_rounds, stats(service).negative_hits)
 }
 
-/// The first `n` ids at or above `from` that the current ring routes to `shard`.
+/// The first `n` ids at or above `from` that the current fleet routes to `shard`.
 fn pinned(service: &Service, shard: usize, from: u32, n: usize) -> Vec<u32> {
-    let router = service.router();
-    let ids: Vec<u32> = (from..from + 1000).filter(|&id| router.route(TaskId(id)) == shard).take(n).collect();
-    assert_eq!(ids.len(), n, "ring mapped fewer than {n} of 1000 ids to shard {shard}");
+    let shards = service.shards();
+    let ids: Vec<u32> =
+        (from..from + 1000).filter(|&id| router::shard(TaskId(id), shards) == shard).take(n).collect();
+    assert_eq!(ids.len(), n, "fleet routed fewer than {n} of 1000 ids to shard {shard}");
     ids
 }
 
@@ -281,10 +282,10 @@ fn chaos_heal_forces_fresh_solves() {
     let healed = stats(&service);
     let rounds_before = service.metrics().solver_rounds;
     // Two post-heal submissions of one never-seen shape, pinned to the
-    // same shard of the new ring: the first must pay for a fresh solve,
+    // same shard of the new fleet: the first must pay for a fresh solve,
     // the second replays the freshly minted rejection — proving the
     // cache works again after the respawn.
-    let shard = service.router().route(TaskId(10_000));
+    let shard = router::shard(TaskId(10_000), service.shards());
     for id in pinned(&service, shard, 10_000, 2) {
         assert!(!submit_wait(&service, infeasible_task(&scenario, id, 0), 0, &scenario).is_admitted());
     }
