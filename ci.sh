@@ -162,20 +162,29 @@ cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.t
 echo "==> LOC trajectory (ROADMAP north-star 2: line count tracked beside the perf numbers)"
 # tests/ is printed beside src/ so a reduction made by moving code into
 # tests is visible; every crate and perfbench/ are listed so growth
-# outside the three tier crates is visible too.
+# outside the three tier crates is visible too. The non-test column
+# counts each src/ file up to its first #[cfg(test)] line.
 loc() { [ -d "$1" ] && find "$1" -name '*.rs' -exec cat {} + | wc -l || echo 0; }
+nontest() {
+    [ -d "$1" ] || { echo 0; return; }
+    find "$1" -name '*.rs' -exec awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' {} + |
+        awk '{ s += $1 } END { print s + 0 }'
+}
 src_sum=0
+nontest_sum=0
 tests_sum=0
 for dir in crates/* perfbench; do
     src=$(loc "$dir/src")
+    own=$(nontest "$dir/src")
     tests=$(loc "$dir/tests")
     case "$dir" in crates/net | crates/serve | crates/gateway)
         src_sum=$((src_sum + src))
+        nontest_sum=$((nontest_sum + own))
         tests_sum=$((tests_sum + tests))
         ;;
     esac
-    printf '    %-18s src %5s lines, tests %5s lines\n' "$dir" "$src" "$tests"
+    printf '    %-18s src %5s lines (non-test %5s), tests %5s lines\n' "$dir" "$src" "$own" "$tests"
 done
-printf '    net+serve+gateway src/ sum  %s lines, tests/ sum  %s lines\n' "$src_sum" "$tests_sum"
+printf '    net+serve+gateway src/ sum  %s lines (non-test %s), tests/ sum  %s lines\n' "$src_sum" "$nontest_sum" "$tests_sum"
 
 echo "CI green."

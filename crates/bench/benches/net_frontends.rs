@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
-use offloadnn_serve::ServiceConfig;
+use offloadnn_serve::{Admitter, ServiceConfig};
 use std::hint::black_box;
 use std::time::Duration;
 

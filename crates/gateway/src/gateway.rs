@@ -46,13 +46,14 @@ use crate::node::Link;
 use crate::peer::{Peer, PeerSet};
 use crate::router;
 use crate::ticket::{Attempt, Cluster, Next, Target, Ticket};
-use crossbeam::channel::{self, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_net::codec::ErrorCode;
 use offloadnn_net::{
     Backend, ForwardInfo, MemberInfo, MembershipAck, MembershipDecision, NetError, PeerDigest, PendingVerdict,
 };
+use offloadnn_serve::admit::admission_budget;
 use offloadnn_serve::{
     Admitter, DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, ServiceMetrics, SubmitError,
     VerdictError, VerdictHandle,
@@ -179,34 +180,57 @@ impl Cluster for GatewayInner {
 struct Loser {
     attempt: Attempt<PendingVerdict>,
     task: TaskId,
-    /// How long the reaper waits for the verdict before giving up.
-    deadline: Instant,
+    /// When the reaper stops waiting for the verdict.
+    give_up: Instant,
 }
 
-/// Waits out a loser's verdict; an admitted duplicate is departed where
-/// it was admitted — node or peer cluster — so no capacity leaks.
-fn reap(inner: &GatewayInner, loser: &Loser) {
-    let wait = loser.deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(10);
-    if let Some(Ok(Outcome::Admitted { .. })) = loser.attempt.verdict.poll_wait(wait) {
+/// How often the reaper sweeps the losers it holds.
+const REAP_SWEEP: Duration = Duration::from_millis(1);
+
+/// Waits up to `wait` for a loser's verdict and reports whether it
+/// arrived; an admitted duplicate is departed where it was admitted —
+/// node or peer cluster — so no capacity leaks.
+fn reaped(inner: &GatewayInner, loser: &Loser, wait: Duration) -> bool {
+    let Some(verdict) = loser.attempt.verdict.poll_wait(wait) else { return false };
+    if let Ok(Outcome::Admitted { .. }) = verdict {
         if let Ok(client) = inner.link(loser.attempt.target, Link::data) {
             let _ = client.depart(loser.task);
         }
     }
+    true
 }
 
-/// An arbitrary instant for the clock-free modules' unit tests to
-/// offset: only the drivers read the clock, even under test.
-#[cfg(test)]
-pub(crate) fn test_epoch() -> Instant {
-    Instant::now()
+/// The `gw-reaper` thread: holds every loser handed to it and sweeps
+/// them all, so each is departed as soon as its own verdict lands — a
+/// loser on a hung node delays no other. Blocks on the channel while it
+/// holds none; once drain closes the channel, waits out the rest.
+fn reaper_loop(inner: &GatewayInner, losers: &Receiver<Loser>) {
+    let mut held: Vec<Loser> = Vec::new();
+    loop {
+        let next = if held.is_empty() {
+            losers.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        } else {
+            losers.recv_timeout(REAP_SWEEP)
+        };
+        match next {
+            Ok(loser) => held.push(loser),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+        let now = Instant::now();
+        held.retain(|loser| !reaped(inner, loser, Duration::ZERO) && now < loser.give_up);
+    }
+    for loser in &held {
+        reaped(inner, loser, loser.give_up.saturating_duration_since(Instant::now()));
+    }
 }
 
-/// A pending cluster verdict: the gateway-side analogue of
-/// [`offloadnn_serve::Ticket`], and the driver of one [`Ticket`] — it
-/// owns the clock and the sockets the engine does without. Resolution
-/// happens lazily inside [`VerdictHandle::poll`], [`VerdictHandle::wait`]
-/// and [`VerdictHandle::wait_timeout`], on the caller's thread, and runs
-/// the same steps under all three.
+/// A pending cluster verdict: the gateway's [`VerdictHandle`], and the
+/// driver of one [`Ticket`] — it owns the clock and the sockets the
+/// engine does without. Resolution happens lazily inside
+/// [`VerdictHandle::poll`], [`VerdictHandle::wait`] and
+/// [`VerdictHandle::wait_timeout`], on the caller's thread, and runs the
+/// same steps under all three.
 struct GwPending {
     inner: Arc<GatewayInner>,
     /// The handle has one owner (`dyn VerdictHandle` is `Send`, not
@@ -259,13 +283,14 @@ impl GwPending {
     /// it iff its verdict still surfaces as an admission (reaped inline
     /// once that thread is gone, i.e. during drain).
     fn abandon(inner: &GatewayInner, st: &GwTicket, attempt: Attempt<PendingVerdict>) {
-        let loser = Loser { attempt, task: st.task.id, deadline: st.deadline + inner.config.verdict_grace };
+        let give_up = st.deadline + inner.config.verdict_grace + Duration::from_millis(10);
+        let loser = Loser { attempt, task: st.task.id, give_up };
         let unsent = match inner.reaper_tx.lock().expect("reaper tx lock poisoned").as_ref() {
             Some(tx) => tx.send(loser).map_err(|e| e.0).err(),
             None => Some(loser),
         };
         if let Some(loser) = unsent {
-            reap(inner, &loser);
+            reaped(inner, &loser, loser.give_up.saturating_duration_since(Instant::now()));
         }
     }
 
@@ -442,16 +467,11 @@ impl Gateway {
                 .spawn(move || health::monitor_loop(&inner, &shutdown_rx))
                 .expect("spawn gw-health thread")
         };
-        // The reaper drains losers until drain closes the channel.
         let reaper = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("gw-reaper".into())
-                .spawn(move || {
-                    while let Ok(loser) = reaper_rx.recv() {
-                        reap(&inner, &loser);
-                    }
-                })
+                .spawn(move || reaper_loop(&inner, &reaper_rx))
                 .expect("spawn gw-reaper thread")
         };
         Ok(Self { inner, monitor: Some(monitor), reaper: Some(reaper), shutdown_tx: Some(shutdown_tx) })
@@ -548,21 +568,13 @@ impl Gateway {
         budget: Option<Duration>,
         forwarded: Option<ForwardInfo>,
     ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
-        if self.is_draining() {
-            return Err(SubmitError::Draining);
-        }
-        if options.is_empty() {
-            return Err(SubmitError::NoOptions);
-        }
-        // Refused here, not on a node: a node's refusal reads as "retry
-        // elsewhere", which would walk one hostile request over the fleet.
-        offloadnn_serve::validate_request(&task, &options)?;
-        // A client can tighten its admission window but never extend it
-        // past the gateway policy — the same rule serve applies. A
-        // forwarded task's budget is the *remaining* budget its origin
-        // put on the wire, tightened the same way.
+        // Invalid requests are refused here, not on a node: a node's
+        // refusal reads as "retry elsewhere", which would walk one hostile
+        // request over the fleet. A forwarded task's budget is the
+        // *remaining* budget its origin put on the wire, clamped the same
+        // way.
         let policy = self.inner.config.default_deadline;
-        let budget = budget.map_or(policy, |b| b.min(policy));
+        let budget = admission_budget(self.is_draining(), &task, &options, budget, policy)?;
         self.inner.metrics.submitted.inc();
         let now = Instant::now();
         // Federation seeds: a local ticket may take `HOP_LIMIT` hops and
@@ -787,4 +799,11 @@ impl Backend for Gateway {
     fn drain(self) -> DrainReport {
         Gateway::drain(self)
     }
+}
+
+/// An arbitrary instant for the clock-free modules' unit tests to
+/// offset: only the drivers read the clock, even under test.
+#[cfg(test)]
+pub(crate) fn test_epoch() -> Instant {
+    Instant::now()
 }

@@ -21,7 +21,7 @@ use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_gateway::Gateway;
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, MemberState, MembershipDecision, NetConfig};
-use offloadnn_serve::{Outcome, ServiceConfig};
+use offloadnn_serve::{Admitter, Outcome, PendingVerdict, ServiceConfig};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -61,10 +61,10 @@ fn run(frontend: Frontend) {
     let client = Client::connect(gw_addr, ClientConfig::default()).expect("connect client");
 
     let mut joiner: Option<AnyServer> = None;
-    let mut window: VecDeque<offloadnn_net::PendingVerdict> = VecDeque::new();
+    let mut window: VecDeque<PendingVerdict> = VecDeque::new();
     let (mut verdicts, mut admitted) = (0u64, 0u64);
-    let mut settle = |p: offloadnn_net::PendingVerdict| {
-        let task = p.task;
+    let mut settle = |p: PendingVerdict| {
+        let task = p.task();
         let outcome = p.wait_timeout(VERDICT_TIMEOUT).expect("every wire submit resolves one verdict");
         verdicts += 1;
         if let Outcome::Admitted { .. } = outcome {

@@ -84,12 +84,6 @@ impl AcceptBackoff {
     pub(crate) fn on_success(&mut self) {
         self.streak = 0;
     }
-
-    /// Consecutive exhaustion errors since the last success.
-    #[cfg(test)]
-    pub(crate) fn streak(&self) -> u32 {
-        self.streak
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +100,7 @@ mod tests {
         let mut backoff = AcceptBackoff::new();
         assert_eq!(classify_accept_error(&os_err(ECONNABORTED)), AcceptErrorClass::Transient);
         assert_eq!(backoff.on_error(&os_err(ECONNABORTED)), None);
-        assert_eq!(backoff.streak(), 0);
+        assert_eq!(backoff.streak, 0);
     }
 
     #[test]
@@ -133,7 +127,7 @@ mod tests {
         for _ in 0..5 {
             backoff.on_error(&emfile);
         }
-        assert!(backoff.streak() > 0);
+        assert!(backoff.streak > 0);
         backoff.on_success();
         assert_eq!(backoff.on_error(&emfile), Some(Duration::from_millis(10)), "streak restarted");
     }

@@ -1,16 +1,23 @@
 //! The client library: one pipelining connection to a
 //! [`crate::AnyServer`] with per-request deadline propagation.
 //!
+//! A [`Client`] is an [`Admitter`] and is driven like every other tier:
+//! `client.submit(task, options, None)?.wait()?`. A redemption tells
+//! apart a verdict still in flight when its wait bound elapsed
+//! ([`VerdictError::TimedOut`]), a typed server refusal
+//! ([`VerdictError::Refused`]) and a connection that died first
+//! ([`VerdictError::Transport`]).
+//!
 //! ## Pipelining
 //!
-//! [`Client::submit`] writes the request and returns a
-//! [`PendingVerdict`] immediately; any number of requests may be in
-//! flight at once. A background reader thread delivers each response
-//! into the connection's reply table (`replies.rs`) by correlation id,
-//! so verdicts can be redeemed in any order. The server
-//! bounds each connection's in-flight window — a client pipelining past
-//! it is simply not read until verdicts flush, and the backpressure
-//! reaches [`Client::submit`] through the blocked socket write.
+//! A submit writes the request and returns its pending verdict
+//! immediately; any number of requests may be in flight at once. A
+//! background reader thread delivers each response into the
+//! connection's reply table (`replies.rs`) by correlation id, so
+//! verdicts can be redeemed in any order. The server bounds each
+//! connection's in-flight window — a client pipelining past it is
+//! simply not read until verdicts flush, and the backpressure reaches
+//! the submit through the blocked socket write.
 //!
 //! ## Deadline propagation
 //!
@@ -81,10 +88,10 @@ impl ClientConfig {
 }
 
 /// One connection to a [`crate::AnyServer`], for the client's whole
-/// life. Submissions pipeline: each [`Client::submit`] returns a
-/// [`PendingVerdict`] redeemable in any order. All methods take `&self`
-/// and are thread-safe; requests from multiple threads share the one
-/// connection and its in-flight window.
+/// life. Submissions pipeline: each submit returns a pending verdict
+/// redeemable in any order. All methods take `&self` and are
+/// thread-safe; requests from multiple threads share the one connection
+/// and its in-flight window.
 #[derive(Debug)]
 pub struct Client {
     /// The write half, locked per frame so frames stay whole on the
@@ -96,16 +103,13 @@ pub struct Client {
     next_id: AtomicU64,
 }
 
-/// Handle to one pipelined submit; redeem it with
-/// [`PendingVerdict::wait`].
+/// Handle to one pipelined submit, redeemed through
+/// [`offloadnn_serve::PendingVerdict`] (or, without consuming it,
+/// [`PendingVerdict::poll_wait`]).
 #[derive(Debug)]
 pub struct PendingVerdict {
     rx: Receiver<Frame>,
     sent_at: Instant,
-    /// Id of the submitted task.
-    pub task: TaskId,
-    /// Correlation id the response will carry.
-    pub request_id: u64,
 }
 
 impl PendingVerdict {
@@ -123,43 +127,12 @@ impl PendingVerdict {
         verdict
     }
 
-    /// Blocks until the verdict (or a server error) arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Server`] if the server answered with an error frame
-    /// (e.g. it is draining), [`NetError::Disconnected`] if the
-    /// connection died before the verdict arrived.
-    pub fn wait(self) -> Result<Outcome, NetError> {
-        self.redeem(None).unwrap_or_else(|| Err(timed_out("the verdict")))
-    }
-
-    /// Like [`PendingVerdict::wait`] with a bound on the blocking time.
-    ///
-    /// # Errors
-    ///
-    /// As [`PendingVerdict::wait`], plus [`NetError::Disconnected`] on
-    /// timeout (the verdict may still arrive later; the handle is
-    /// consumed either way).
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Outcome, NetError> {
-        self.redeem(Some(timeout)).unwrap_or_else(|| Err(timed_out("the verdict")))
-    }
-
-    /// Non-blocking, non-consuming check: `None` while the verdict is
-    /// still in flight, `Some(...)` once it resolved. Racing two
-    /// submissions (a hedged request) needs exactly this shape — the
-    /// vendored channel has no `select`, so the racer alternates polls
-    /// on both handles.
-    ///
-    /// Once `Some(...)` has been returned, the verdict is consumed and
-    /// further polls report the connection as closed.
-    pub fn poll(&self) -> Option<Result<Outcome, NetError>> {
-        self.redeem(Some(Duration::ZERO))
-    }
-
-    /// Like [`PendingVerdict::poll`] but blocks up to `timeout` for the
-    /// verdict. `None` strictly means the timeout elapsed with the
-    /// request still in flight.
+    /// Blocks up to `timeout` (zero only polls) without consuming the
+    /// handle — how the gateway races and reaps attempts. `None` strictly
+    /// means the request is still in flight; [`NetError::Server`] keeps
+    /// the server's typed refusal. Once `Some(...)` has been returned the
+    /// verdict is consumed and further calls report the connection
+    /// closed.
     pub fn poll_wait(&self, timeout: Duration) -> Option<Result<Outcome, NetError>> {
         self.redeem(Some(timeout))
     }
@@ -193,11 +166,6 @@ fn redeem<T>(
                 .ok_or_else(|| NetError::Disconnected(format!("unexpected {got} frame in place of {what}")))
         }
     })
-}
-
-/// The error a bounded wait that elapsed surfaces as.
-fn timed_out(what: &str) -> NetError {
-    NetError::Disconnected(format!("timed out waiting for {what}"))
 }
 
 fn metrics(frame: Frame) -> Option<MetricsSnapshot> {
@@ -278,64 +246,50 @@ impl Client {
     ) -> Result<T, NetError> {
         let id = self.next_id();
         let rx = self.request(id, &codec::encode(&build(id)))?;
-        redeem(&rx, bound, what, pick).unwrap_or_else(|| Err(timed_out(what)))
+        let timed_out = || NetError::Disconnected(format!("timed out waiting for {what}"));
+        redeem(&rx, bound, what, pick).unwrap_or_else(|| Err(timed_out()))
     }
 
     /// Sends the admission frame `encode` makes of a fresh correlation id
     /// and hands back its verdict slot.
-    fn pend(&self, task: TaskId, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<PendingVerdict, NetError> {
-        let request_id = self.next_id();
-        let bytes = encode(request_id);
+    fn pend(&self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<PendingVerdict, NetError> {
+        let id = self.next_id();
+        let bytes = encode(id);
         let sent_at = Instant::now();
-        let rx = self.request(request_id, &bytes)?;
-        Ok(PendingVerdict { rx, sent_at, task, request_id })
+        Ok(PendingVerdict { rx: self.request(id, &bytes)?, sent_at })
     }
 
     /// Submits an admission request, pipelined: returns as soon as the
     /// frame is written. `deadline` is the admission budget shipped to
     /// the server (`None` = the server's policy deadline); the server
-    /// enforces the tighter of the two.
+    /// enforces the tighter of the two. The frame is encoded straight
+    /// from the borrowed request, so a caller that keeps its task and
+    /// options (a gateway ticket that may have to fail over) copies
+    /// nothing; [`Admitter::submit`] is this call on an owned request.
     ///
     /// # Errors
     ///
     /// [`NetError::Disconnected`] once the connection has died,
     /// [`NetError::Io`] when the frame could not be written.
-    pub fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        deadline: Option<Duration>,
-    ) -> Result<PendingVerdict, NetError> {
-        self.submit_borrowed(&task, &options, deadline)
-    }
-
-    /// [`Client::submit`] for a caller that keeps its task and options
-    /// (a gateway ticket that may have to fail over): the frame is
-    /// encoded straight from the borrowed request, nothing is copied.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::submit`].
     pub fn submit_borrowed(
         &self,
         task: &Task,
         options: &[PathOption],
         deadline: Option<Duration>,
     ) -> Result<PendingVerdict, NetError> {
-        self.pend(task.id, |id| codec::encode_submit(id, budget_us(deadline), task, options))
+        self.pend(|id| codec::encode_submit(id, budget_us(deadline), task, options))
     }
 
-    /// Forwards an overflow admission to a peer gateway.
-    /// Pipelined exactly like [`Client::submit`] — the peer answers with
-    /// an ordinary outcome frame. `remaining` is the deadline budget
-    /// left on the origin gateway (`None` = the task never had one),
-    /// `hops` the remaining forward budget, and `tried` every gateway
-    /// that has already held the task (origin included). Task and
-    /// options are borrowed, as in [`Client::submit_borrowed`].
+    /// Forwards an overflow admission to a peer gateway. Pipelined and
+    /// borrowed exactly like [`Client::submit_borrowed`] — the peer
+    /// answers with an ordinary outcome frame. `remaining` is the
+    /// deadline budget left on the origin gateway (`None` = the task
+    /// never had one), `hops` the remaining forward budget, and `tried`
+    /// every gateway that has already held the task (origin included).
     ///
     /// # Errors
     ///
-    /// As [`Client::submit`].
+    /// As [`Client::submit_borrowed`].
     pub fn forward(
         &self,
         task: &Task,
@@ -345,9 +299,7 @@ impl Client {
         origin: &str,
         tried: &[String],
     ) -> Result<PendingVerdict, NetError> {
-        self.pend(task.id, |id| {
-            codec::encode_forward(id, budget_us(remaining), hops, origin, tried, task, options)
-        })
+        self.pend(|id| codec::encode_forward(id, budget_us(remaining), hops, origin, tried, task, options))
     }
 
     /// Asks a peer gateway for its load digest, blocking
@@ -358,9 +310,10 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors as for [`Client::submit`]; [`NetError::Server`]
-    /// when the addressed backend is not a federation gateway;
-    /// [`NetError::Disconnected`] when `timeout` elapses first.
+    /// Transport errors as for [`Client::submit_borrowed`];
+    /// [`NetError::Server`] when the addressed backend is not a
+    /// federation gateway; [`NetError::Disconnected`] when `timeout`
+    /// elapses first.
     pub fn peer_hello(
         &self,
         addr: &str,
@@ -391,7 +344,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors as for [`Client::submit`];
+    /// Transport errors as for [`Client::submit_borrowed`];
     /// [`NetError::Disconnected`] if the connection dies first.
     pub fn snapshot(&self) -> Result<MetricsSnapshot, NetError> {
         self.call(|request_id| Frame::Snapshot(SnapshotRequest { request_id }), None, "metrics", metrics)
@@ -418,7 +371,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors as for [`Client::submit`].
+    /// Transport errors as for [`Client::submit_borrowed`].
     pub fn drain(&self) -> Result<MetricsSnapshot, NetError> {
         self.call(|request_id| Frame::Drain(DrainRequest { request_id }), None, "metrics", metrics)
     }
@@ -432,7 +385,7 @@ impl Client {
     ///
     /// [`NetError::Server`] with [`crate::codec::ErrorCode::InvalidScale`]
     /// if the server refused (zero shards, draining); transport errors as
-    /// for [`Client::submit`].
+    /// for [`Client::submit_borrowed`].
     pub fn scale_to(&self, shards: u32) -> Result<ScaleResponse, NetError> {
         let scale = |request_id| Frame::Scale(ScaleRequest { request_id, shards });
         self.call(scale, None, "a scale response", |f| match f {
@@ -449,7 +402,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors as for [`Client::submit`];
+    /// Transport errors as for [`Client::submit_borrowed`];
     /// [`NetError::Disconnected`] when `timeout` elapses first or the
     /// peer answers with something other than a membership frame.
     pub fn announce(
@@ -509,20 +462,15 @@ fn verdict_error(e: NetError) -> VerdictError {
 
 impl offloadnn_serve::VerdictHandle for PendingVerdict {
     fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
-        PendingVerdict::poll(self).map(|r| r.map_err(verdict_error))
+        self.redeem(Some(Duration::ZERO)).map(|r| r.map_err(verdict_error))
     }
 
     fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
-        PendingVerdict::wait(*self).map_err(verdict_error)
+        self.redeem(None).map_or(Err(VerdictError::TimedOut), |r| r.map_err(verdict_error))
     }
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
-        // poll_wait distinguishes "bound elapsed" from "connection
-        // died", which the consuming wait_timeout folds together.
-        match PendingVerdict::poll_wait(&self, timeout) {
-            Some(r) => r.map_err(verdict_error),
-            None => Err(VerdictError::TimedOut),
-        }
+        self.redeem(Some(timeout)).map_or(Err(VerdictError::TimedOut), |r| r.map_err(verdict_error))
     }
 }
 
@@ -533,9 +481,8 @@ impl Admitter for Client {
         options: Vec<PathOption>,
         deadline: Option<Duration>,
     ) -> Result<offloadnn_serve::PendingVerdict, SubmitError> {
-        let task_id = task.id;
-        match Client::submit(self, task, options, deadline) {
-            Ok(pending) => Ok(offloadnn_serve::PendingVerdict::new(task_id, Box::new(pending))),
+        match self.submit_borrowed(&task, &options, deadline) {
+            Ok(pending) => Ok(offloadnn_serve::PendingVerdict::new(task.id, Box::new(pending))),
             // A submit that could not be written was never accepted
             // anywhere: the unified ingress refusal, not a lost verdict.
             Err(_) => Err(SubmitError::Unavailable),

@@ -92,17 +92,40 @@ impl std::fmt::Display for Frontend {
 /// frontends do differently. Owned by the acceptor thread while the
 /// server runs, handed back to [`AnyServer::shutdown`] to be stopped.
 enum Engine {
-    /// The connection threads spawned so far.
-    Threads(Vec<JoinHandle<()>>),
+    /// One thread per live connection, and how many connections were
+    /// adopted so far (the next connection's id).
+    Threads { conns: Vec<Conn>, adopted: usize },
     /// The fixed event-loop pool.
     Reactor(Pool),
+}
+
+/// A connection served by its own thread.
+struct Conn {
+    /// A second handle on the connection's socket: shutting its read
+    /// half wakes the thread's blocked read.
+    stream: TcpStream,
+    thread: JoinHandle<()>,
 }
 
 impl Engine {
     /// Starts serving one accepted (and already counted) connection.
     fn adopt<B: Backend>(&mut self, stream: TcpStream, shared: &Arc<Shared<B>>) {
         match self {
-            Self::Threads(conns) => conns.push(spawn_connection(conns.len(), stream, shared)),
+            Self::Threads { conns, adopted } => {
+                // Forget the threads of connections that closed, so the
+                // list holds live connections only.
+                conns.retain(|conn| !conn.thread.is_finished());
+                match stream.try_clone() {
+                    Ok(handle) => {
+                        conns.push(Conn {
+                            stream: handle,
+                            thread: spawn_connection(*adopted, stream, shared),
+                        });
+                        *adopted += 1;
+                    }
+                    Err(_) => shared.conn_closed(),
+                }
+            }
             Self::Reactor(pool) => {
                 if !pool.adopt(stream) {
                     // The loop is gone (fatal epoll error); undo the accounting.
@@ -113,12 +136,17 @@ impl Engine {
     }
 
     /// Joins every serving thread; each returns once its connections
-    /// flushed what they owed (the shutdown flag is already up).
+    /// flushed what they owed (the shutdown flag is already up). A
+    /// threaded connection's read half is shut first: its blocked read
+    /// returns at once, while its writes still go through.
     fn stop(self) {
         match self {
-            Self::Threads(conns) => {
+            Self::Threads { conns, .. } => {
+                for conn in &conns {
+                    let _ = conn.stream.shutdown(Shutdown::Read);
+                }
                 for conn in conns {
-                    let _ = conn.join();
+                    let _ = conn.thread.join();
                 }
             }
             Self::Reactor(pool) => pool.stop(),
@@ -190,7 +218,7 @@ impl<B: Backend> AnyServer<B> {
         let local_addr = listener.local_addr()?;
         let shared = Shared::new(backend, net);
         let engine = match frontend {
-            Frontend::Threads => Engine::Threads(Vec::new()),
+            Frontend::Threads => Engine::Threads { conns: Vec::new(), adopted: 0 },
             Frontend::Reactor => Engine::Reactor(Pool::start(&shared)?),
         };
         let acceptor = {
@@ -328,4 +356,43 @@ fn reject_over_limit(mut stream: TcpStream) {
     let frame = error_frame(0, ErrorCode::TooManyConnections, "server is at its connection limit");
     let _ = stream.write_all(&codec::encode(&frame));
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use offloadnn_core::scenario::small_scenario;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn the_threaded_engine_holds_live_connections_only_and_stops_an_idle_one() {
+        let scenario = small_scenario(3);
+        let service = Service::start(ServiceConfig::default(), &scenario.instance).expect("start service");
+        let shared = Shared::new(service, NetConfig::default());
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let mut engine = Engine::Threads { conns: Vec::new(), adopted: 0 };
+        let mut connect = || {
+            let client = TcpStream::connect(addr).expect("connect");
+            shared.conn_opened();
+            engine.adopt(listener.accept().expect("accept").0, &shared);
+            client
+        };
+        for _ in 0..16 {
+            drop(connect());
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while shared.active() > 0 && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // Left open and idle: `stop` must still get its thread out.
+        let _idle = connect();
+        let Engine::Threads { conns, adopted } = &engine else { unreachable!("a threaded engine") };
+        // The last closed connection's thread may still be exiting.
+        assert!(conns.len() <= 2 && *adopted == 17, "{} handles for 1 live connection", conns.len());
+
+        shared.begin_shutdown(addr);
+        engine.stop();
+        assert!(shared.finish_shutdown().metrics.is_conserved());
+    }
 }

@@ -25,9 +25,11 @@
 //!   limit, capped backoff on accept errors, and graceful drain that
 //!   flushes every in-flight verdict to its client before closing.
 //! * **Client** ([`client`]) — a pipelining client library over one
-//!   connection per client, with per-request deadline propagation (the
-//!   client's budget travels in the frame; the server enforces the
-//!   *tighter* of it and its own admission deadline).
+//!   connection per client, submitted to and redeemed through
+//!   [`offloadnn_serve::Admitter`] like every other tier, with
+//!   per-request deadline propagation (the client's budget travels in
+//!   the frame; the server enforces the *tighter* of it and its own
+//!   admission deadline).
 //!
 //! Hot paths record through [`offloadnn_telemetry`]: `net.encode` /
 //! `net.decode` / `net.rtt` span histograms, per-frame-type `net.tx.*` /
@@ -38,7 +40,7 @@
 //! ```no_run
 //! use offloadnn_core::scenario::small_scenario;
 //! use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
-//! use offloadnn_serve::ServiceConfig;
+//! use offloadnn_serve::{Admitter, ServiceConfig};
 //! use std::time::Duration;
 //!
 //! let scenario = small_scenario(5);
@@ -54,8 +56,7 @@
 //! let client = Client::connect(server.local_addr(), ClientConfig::default()).unwrap();
 //! let task = scenario.instance.tasks[0].clone();
 //! let options = scenario.instance.options[0].clone();
-//! let pending = client.submit(task, options, Some(Duration::from_millis(250))).unwrap();
-//! let outcome = pending.wait().unwrap();
+//! let outcome = client.submit(task, options, Some(Duration::from_millis(250))).unwrap().wait().unwrap();
 //! println!("verdict: {outcome:?}");
 //! let report = server.shutdown();
 //! assert!(report.metrics.is_conserved());

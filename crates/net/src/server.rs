@@ -22,11 +22,6 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Socket read timeout — the cadence at which an idle reader rechecks
-/// the shutdown/drain flags.
-const READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Tuning knobs of the TCP frontend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,9 +72,6 @@ pub(crate) fn spawn_connection<B: Backend>(
 /// the service; spawns and finally joins the connection's writer.
 fn serve_connection<B: Backend>(conn_id: usize, stream: TcpStream, shared: &Arc<Shared<B>>) {
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-        return;
-    }
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -126,21 +118,17 @@ fn read_loop<B: Backend>(mut stream: TcpStream, shared: &Arc<Shared<B>>, tx: &Se
             }
         }
         // Stop reading once shutdown began (buffered frames above were
-        // still served): a peer that keeps sending — e.g. a gateway
-        // health prober snapshotting on an interval shorter than the
-        // read timeout — must not be able to hold the drain open
-        // forever. Owed verdicts still flush through the writer.
+        // still served). Shutdown shuts the socket's read half, which ends
+        // a blocked read, but a peer that keeps sending — e.g. a gateway
+        // health prober — stays readable and must not be able to hold
+        // the drain open forever. Owed verdicts still flush through the
+        // writer.
         if shared.is_shutting_down() {
             return;
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
+            Ok(0) => return, // peer closed, or shutdown shut the read half
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }

@@ -15,7 +15,7 @@ use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_net::codec::ErrorCode;
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig, NetError};
-use offloadnn_serve::{Outcome, ServiceConfig};
+use offloadnn_serve::{Admitter, ChaosConfig, Outcome, ServiceConfig, VerdictError};
 use std::time::Duration;
 
 /// A service tuned for debug-mode CI: tiny batches, short windows.
@@ -56,7 +56,7 @@ impl Tally {
         self.admitted + self.rejected + self.shed + self.expired
     }
 
-    fn absorb(&mut self, verdict: Result<Outcome, NetError>) {
+    fn absorb(&mut self, verdict: Result<Outcome, VerdictError>) {
         match verdict {
             Ok(Outcome::Admitted { .. }) => self.admitted += 1,
             Ok(Outcome::Rejected { .. }) => self.rejected += 1,
@@ -99,7 +99,7 @@ fn run_mixed_workload(frontend: Frontend) {
                         // Keep a bounded pipeline and a mixed frame stream.
                         if pending.len() >= 32 {
                             let p = pending.pop_front().expect("non-empty");
-                            let task = p.task;
+                            let task = p.task();
                             let verdict = p.wait_timeout(Duration::from_secs(20));
                             if matches!(verdict, Ok(Outcome::Admitted { .. })) {
                                 admitted_ids.push(task);
@@ -215,11 +215,11 @@ fn run_drain_flush(frontend: Frontend) {
     let mut task = proto.0.clone();
     task.id = TaskId(9_999);
     let refused = submitter
-        .submit(task, proto.1.clone(), None)
+        .submit_borrowed(&task, &proto.1, None)
         .expect("submit frame still writable")
-        .wait_timeout(Duration::from_secs(20));
+        .poll_wait(Duration::from_secs(20));
     match refused {
-        Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::Draining),
+        Some(Err(NetError::Server(e))) => assert_eq!(e.code, ErrorCode::Draining),
         other => panic!("post-drain submit must be refused as Draining, got {other:?}"),
     }
 
@@ -333,7 +333,7 @@ fn run_reshard_under_load(frontend: Frontend) {
         }
         if pending.len() >= 48 {
             let p = pending.pop_front().expect("non-empty");
-            let task = p.task;
+            let task = p.task();
             let verdict = p.wait_timeout(Duration::from_secs(20));
             if matches!(verdict, Ok(Outcome::Admitted { .. })) {
                 admitted_ids.push(task);
@@ -406,9 +406,9 @@ fn run_hostile_submit(frontend: Frontend) {
     for (task, options) in
         [(nan_rate, options.clone()), (task.clone(), zero_bits), (task.clone(), negative_proc)]
     {
-        let refused = client.submit(task, options, None).expect("frame written");
-        match refused.wait_timeout(Duration::from_secs(20)) {
-            Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::Malformed, "{e:?}"),
+        let refused = client.submit_borrowed(&task, &options, None).expect("frame written");
+        match refused.poll_wait(Duration::from_secs(20)) {
+            Some(Err(NetError::Server(e))) => assert_eq!(e.code, ErrorCode::Malformed, "{e:?}"),
             other => panic!("a hostile submit must be refused Malformed, got {other:?}"),
         }
     }
@@ -436,6 +436,52 @@ fn hostile_submit_is_refused_and_the_shard_survives() {
 #[test]
 fn hostile_submit_is_refused_and_the_shard_survives_reactor() {
     run_hostile_submit(Frontend::Reactor);
+}
+
+/// A wire verdict keeps its classes apart: one still in flight when its
+/// wait bound elapses is `TimedOut` (it may yet arrive), and one whose
+/// connection is cut before it arrives is `Transport` — whether the
+/// server resolved it is unknowable from the client.
+fn run_verdict_classes(frontend: Frontend) {
+    let slow = ServiceConfig {
+        shards: 1,
+        chaos: ChaosConfig { slow_solver: Duration::from_millis(300), ..ChaosConfig::default() },
+        ..quick_service()
+    };
+    let (server, protos) = start_server(frontend, slow);
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let (task, options) = &protos[0];
+
+    let in_flight = client.submit(task.clone(), options.clone(), None).expect("submit");
+    assert_eq!(in_flight.wait_timeout(Duration::from_millis(20)), Err(VerdictError::TimedOut));
+
+    let mut cut = task.clone();
+    cut.id = TaskId(1);
+    let pending = client.submit(cut, options.clone(), None).expect("submit");
+    let ingest_deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.metrics().submitted < 2 {
+        assert!(std::time::Instant::now() < ingest_deadline, "server never ingested both submits");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    client.close();
+    match pending.wait() {
+        Err(VerdictError::Transport(_)) => {}
+        other => panic!("a verdict whose connection was cut must be Transport, got {other:?}"),
+    }
+
+    let report = server.shutdown();
+    assert!(report.metrics.is_conserved(), "ledger: {:?}", report.metrics);
+    assert_eq!(report.metrics.submitted, 2);
+}
+
+#[test]
+fn verdict_classes_stay_apart_over_the_wire() {
+    run_verdict_classes(Frontend::Threads);
+}
+
+#[test]
+fn verdict_classes_stay_apart_over_the_wire_reactor() {
+    run_verdict_classes(Frontend::Reactor);
 }
 
 /// Dialing a dead address makes one attempt and fails with a typed
@@ -493,7 +539,7 @@ fn run_dead_client_never_redials(frontend: Frontend) {
 
     let mut retry = task.clone();
     retry.id = TaskId(1);
-    match b.submit(retry, options.clone(), None) {
+    match b.submit_borrowed(&retry, options, None) {
         Err(NetError::Disconnected(_)) => {}
         other => panic!("a dead client must fail Disconnected without redialing, got {other:?}"),
     }

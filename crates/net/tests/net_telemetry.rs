@@ -11,7 +11,7 @@
 
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
-use offloadnn_serve::ServiceConfig;
+use offloadnn_serve::{Admitter, ServiceConfig};
 use std::time::Duration;
 
 fn drive_traffic(frontend: Frontend) {

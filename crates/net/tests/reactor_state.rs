@@ -18,7 +18,7 @@ use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_net::codec::{self, Frame, SnapshotRequest, SubmitRequest};
 use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig};
-use offloadnn_serve::{Outcome, ServiceConfig};
+use offloadnn_serve::{Admitter, Outcome, ServiceConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::io::{Read, Write};

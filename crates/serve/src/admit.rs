@@ -18,10 +18,10 @@
 //! cross-tier conservation checks), while `Ok(Outcome)` is identical
 //! everywhere.
 
-use crate::error::SubmitError;
+use crate::error::{validate_request, SubmitError};
 use crate::metrics::MetricsSnapshot;
-use crate::service::{Outcome, Service, Ticket};
-use crossbeam::channel::{RecvTimeoutError, TryRecvError};
+use crate::service::Outcome;
+use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use std::fmt;
@@ -59,8 +59,9 @@ impl fmt::Display for VerdictError {
 impl std::error::Error for VerdictError {}
 
 /// The tier-specific half of a [`PendingVerdict`]. Implemented by each
-/// tier's native pending handle (`Ticket`, `net::PendingVerdict`, the
-/// gateway's ticket); drivers never see this trait, only the facade.
+/// tier's native pending handle (the service's verdict channel,
+/// `net::PendingVerdict`, the gateway's ticket); drivers never see this
+/// trait, only the facade.
 pub trait VerdictHandle: Send {
     /// Non-blocking check: `None` while the verdict is in flight. Once
     /// `Some(...)` has been returned the verdict is consumed; further
@@ -165,9 +166,40 @@ pub trait Admitter: Send + Sync {
     fn tier(&self) -> &'static str;
 }
 
-impl VerdictHandle for Ticket {
+/// The ingress rule of every tier that owns a ledger (`Service` and the
+/// gateway), applied before a submit is counted: refuse while
+/// `draining`, refuse a request with no candidate options, refuse one
+/// that fails [`validate_request`], and clamp the caller's `asked`
+/// budget to the tier's `policy` deadline — a caller can shrink its
+/// admission window but never extend it (`None` takes the policy).
+///
+/// # Errors
+///
+/// [`SubmitError::Draining`], [`SubmitError::NoOptions`] or
+/// [`SubmitError::Invalid`], checked in that order.
+pub fn admission_budget(
+    draining: bool,
+    task: &Task,
+    options: &[PathOption],
+    asked: Option<Duration>,
+    policy: Duration,
+) -> Result<Duration, SubmitError> {
+    if draining {
+        return Err(SubmitError::Draining);
+    }
+    if options.is_empty() {
+        return Err(SubmitError::NoOptions);
+    }
+    validate_request(task, options)?;
+    Ok(asked.map_or(policy, |asked| asked.min(policy)))
+}
+
+/// An in-process verdict is the one message its shard sends back; the
+/// channel disconnecting without it means the shard died (chaos
+/// injection) and the verdict is lost.
+impl VerdictHandle for Receiver<Outcome> {
     fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
-        match self.rx.try_recv() {
+        match self.try_recv() {
             Ok(outcome) => Some(Ok(outcome)),
             Err(TryRecvError::Empty) => None,
             Err(TryRecvError::Disconnected) => Some(Err(VerdictError::Lost)),
@@ -175,46 +207,14 @@ impl VerdictHandle for Ticket {
     }
 
     fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
-        self.rx.recv().map_err(|_| VerdictError::Lost)
+        self.recv().map_err(|_| VerdictError::Lost)
     }
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
+        self.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => VerdictError::TimedOut,
             RecvTimeoutError::Disconnected => VerdictError::Lost,
         })
-    }
-}
-
-impl Admitter for Service {
-    fn submit(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        deadline: Option<Duration>,
-    ) -> Result<PendingVerdict, SubmitError> {
-        let task_id = task.id;
-        let ticket = match deadline {
-            Some(budget) => self.submit_with_deadline(task, options, budget)?,
-            None => Service::submit(self, task, options)?,
-        };
-        Ok(PendingVerdict::new(task_id, Box::new(ticket)))
-    }
-
-    fn depart(&self, task: TaskId) {
-        Service::depart(self, task);
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(Service::metrics(self))
-    }
-
-    fn begin_drain(&self) {
-        Service::begin_drain(self);
-    }
-
-    fn tier(&self) -> &'static str {
-        "service"
     }
 }
 
@@ -222,6 +222,7 @@ impl Admitter for Service {
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
+    use crate::service::Service;
     use offloadnn_core::scenario::small_scenario;
 
     #[test]
@@ -246,5 +247,20 @@ mod tests {
         assert_eq!(err, SubmitError::Draining);
         let report = service.drain();
         assert!(report.metrics.is_conserved());
+    }
+
+    #[test]
+    fn the_ingress_rule_refuses_in_order_and_clamps_to_the_policy() {
+        let scenario = small_scenario(4);
+        let (task, options) = (&scenario.instance.tasks[0], &scenario.instance.options[0]);
+        let mut nan = task.clone();
+        nan.request_rate = f64::NAN;
+        let policy = Duration::from_millis(50);
+        assert_eq!(admission_budget(true, &nan, &[], None, policy), Err(SubmitError::Draining));
+        assert_eq!(admission_budget(false, &nan, &[], None, policy), Err(SubmitError::NoOptions));
+        assert_eq!(admission_budget(false, &nan, options, None, policy), Err(SubmitError::Invalid));
+        assert_eq!(admission_budget(false, task, options, None, policy), Ok(policy));
+        assert_eq!(admission_budget(false, task, options, Some(policy * 2), policy), Ok(policy));
+        assert_eq!(admission_budget(false, task, options, Some(policy / 5), policy), Ok(policy / 5));
     }
 }

@@ -26,7 +26,7 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Errors raised by [`crate::service::Service::submit`].
+/// Why a tier refused a request at ingress ([`crate::admit::Admitter::submit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SubmitError {
     /// The service is draining and no longer accepts requests.

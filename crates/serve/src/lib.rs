@@ -30,18 +30,21 @@
 //!   ingress, flushes every queued request to a verdict and joins the
 //!   workers.
 //!
+//! Every tier — this service, `net::Client` and the gateway — is
+//! submitted to and redeemed the same way: [`Admitter::submit`] returns
+//! a [`PendingVerdict`], which resolves to one [`Outcome`] or a
+//! [`VerdictError`] saying why it could not.
+//!
 //! ```
 //! use offloadnn_core::scenario::small_scenario;
-//! use offloadnn_serve::config::ServiceConfig;
-//! use offloadnn_serve::service::Service;
+//! use offloadnn_serve::{Admitter, Service, ServiceConfig};
 //!
 //! let scenario = small_scenario(5);
 //! let config = ServiceConfig { shards: 2, ..ServiceConfig::default() };
 //! let service = Service::start(config, &scenario.instance).unwrap();
 //! let task = scenario.instance.tasks[0].clone();
 //! let options = scenario.instance.options[0].clone();
-//! let ticket = service.submit(task, options).unwrap();
-//! let outcome = ticket.wait().unwrap();
+//! let outcome = service.submit(task, options, None).unwrap().wait().unwrap();
 //! let report = service.drain();
 //! assert!(report.metrics.is_conserved());
 //! # let _ = outcome;
@@ -64,5 +67,5 @@ pub use config::{ChaosConfig, ServiceConfig};
 pub use error::{validate_request, ServeError, SubmitError};
 pub use loadgen::{drive, DriveConfig, DriveReport, ShapePool, WireTally};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS};
-pub use service::{DrainReport, Outcome, ReshardReport, Service, Ticket};
+pub use service::{DrainReport, Outcome, ReshardReport, Service};
 pub use shard::ShardReport;

@@ -2,12 +2,13 @@
 //! departures, reshapes the fleet at runtime ([`Service::scale_to`]),
 //! exposes metrics and performs graceful drain.
 
+use crate::admit::{admission_budget, Admitter, PendingVerdict};
 use crate::config::{ChaosConfig, ServiceConfig};
 use crate::error::{ServeError, SubmitError};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{self, partition_budgets};
 use crate::shard::{Clock, ReshardCmd, ServiceRequest, Shard, ShardMsg, ShardReport, Waiter};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Sender, TrySendError};
 use offloadnn_core::controller::ActiveTask;
 use offloadnn_core::instance::{Budgets, DotInstance, PathOption};
 use offloadnn_core::task::{Task, TaskId};
@@ -57,31 +58,6 @@ impl Outcome {
     /// Whether the request was admitted.
     pub fn is_admitted(&self) -> bool {
         matches!(self, Outcome::Admitted { .. })
-    }
-}
-
-/// Handle to one submitted request; redeem it for the verdict.
-#[derive(Debug)]
-pub struct Ticket {
-    pub(crate) rx: Receiver<Outcome>,
-    /// Id of the submitted task.
-    pub task: TaskId,
-    /// Shard the request was routed to.
-    pub shard: usize,
-}
-
-impl Ticket {
-    /// Blocks until the verdict arrives. `None` only if the worker died
-    /// without resolving — which cannot happen outside chaos injection
-    /// ([`crate::config::ChaosConfig`]): workers resolve everything,
-    /// even while draining.
-    pub fn wait(&self) -> Option<Outcome> {
-        self.rx.recv().ok()
-    }
-
-    /// Blocks for at most `timeout` for the verdict.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Outcome> {
-        self.rx.recv_timeout(timeout).ok()
     }
 }
 
@@ -231,80 +207,6 @@ impl Service {
     /// Current fleet generation (0 at start, +1 per completed reshard).
     pub fn generation(&self) -> u64 {
         self.metrics.generation.get()
-    }
-
-    /// Submits an admission request, returning a [`Ticket`] for the
-    /// verdict. Never blocks: if the target shard's queue is full the
-    /// request is shed immediately and the ticket resolves to
-    /// [`Outcome::Shed`].
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Draining`] after [`Service::drain`] has begun (the
-    /// request is not counted), [`SubmitError::NoOptions`] for a request
-    /// with no candidate paths (nothing to solve over),
-    /// [`SubmitError::Invalid`] for one that fails
-    /// [`validate_request`](crate::error::validate_request).
-    pub fn submit(&self, task: Task, options: Vec<PathOption>) -> Result<Ticket, SubmitError> {
-        self.submit_with_deadline(task, options, self.config.admission_deadline)
-    }
-
-    /// Like [`Service::submit`], but with an explicit per-request
-    /// admission-deadline budget (e.g. a client-side deadline propagated
-    /// over the network). The effective deadline is the *tighter* of
-    /// `deadline_budget` and the service-wide
-    /// [`ServiceConfig::admission_deadline`]: a caller can shrink its
-    /// admission window but never extend it past the service policy.
-    ///
-    /// This is the service's one ingress: [`Service::submit`], the
-    /// [`Admitter`](crate::admit::Admitter) implementation and the
-    /// network backend all route through it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Service::submit`].
-    pub fn submit_with_deadline(
-        &self,
-        task: Task,
-        options: Vec<PathOption>,
-        deadline_budget: Duration,
-    ) -> Result<Ticket, SubmitError> {
-        let _ingress = span!("serve.ingress");
-        if self.draining.load(Ordering::Acquire) {
-            return Err(SubmitError::Draining);
-        }
-        if options.is_empty() {
-            return Err(SubmitError::NoOptions);
-        }
-        crate::error::validate_request(&task, &options)?;
-        // Route and enqueue under one read guard: a concurrent reshard
-        // swaps the senders only after this enqueue, so the message
-        // FIFO-precedes the shard's `Reshard` order and resolves before
-        // (or during) the handoff — never against a stale shard count.
-        let senders = self.senders.read().expect("senders lock");
-        let shard = router::shard(task.id, senders.len());
-        let id = task.id;
-        self.metrics.submitted.inc();
-        let (responder, rx) = channel::bounded(1);
-        let now = Instant::now();
-        let request = ServiceRequest {
-            task,
-            options,
-            deadline: now + deadline_budget.min(self.config.admission_deadline),
-            waiter: Waiter { enqueued_at: now, responder },
-        };
-        if let Err(TrySendError::Full(msg) | TrySendError::Disconnected(msg)) =
-            senders[shard].try_send(ShardMsg::Request(request))
-        {
-            // Backpressure (or a dead/draining shard racing this submit):
-            // resolve as shed right here so conservation holds.
-            if let ShardMsg::Request(req) = msg {
-                let verdict = Outcome::Shed { shard };
-                self.metrics.book(&verdict, Duration::ZERO);
-                let _ = req.waiter.responder.try_send(verdict);
-            }
-        }
-        Ok(Ticket { rx, task: id, shard })
     }
 
     /// Notifies the service that an admitted task has departed; its
@@ -508,7 +410,7 @@ impl Service {
     }
 
     /// Stops the ingress without tearing the fleet down: every subsequent
-    /// [`Service::submit`] fails with [`SubmitError::Draining`] while
+    /// [`Admitter::submit`] fails with [`SubmitError::Draining`] while
     /// already-queued requests keep resolving to verdicts. This is the
     /// hook a frontend (e.g. a network server) uses to fence off new work,
     /// flush in-flight responses to its own callers, and only then call
@@ -574,6 +476,66 @@ impl Service {
         );
         let plan_cache = self.plan_cache.as_ref().map(|c| c.stats());
         DrainReport { metrics, shards, retired, lost_shards, plan_cache }
+    }
+}
+
+/// The service's one ingress. Never blocks: if the target shard's queue
+/// is full the request is shed at once and its verdict is
+/// [`Outcome::Shed`]. A refused submit is not counted.
+impl Admitter for Service {
+    fn submit(
+        &self,
+        task: Task,
+        options: Vec<PathOption>,
+        deadline: Option<Duration>,
+    ) -> Result<PendingVerdict, SubmitError> {
+        let _ingress = span!("serve.ingress");
+        let budget =
+            admission_budget(self.is_draining(), &task, &options, deadline, self.config.admission_deadline)?;
+        // Route and enqueue under one read guard: a concurrent reshard
+        // swaps the senders only after this enqueue, so the message
+        // FIFO-precedes the shard's `Reshard` order and resolves before
+        // (or during) the handoff — never against a stale shard count.
+        let senders = self.senders.read().expect("senders lock");
+        let shard = router::shard(task.id, senders.len());
+        let id = task.id;
+        self.metrics.submitted.inc();
+        let (responder, rx) = channel::bounded(1);
+        let now = Instant::now();
+        let request = ServiceRequest {
+            task,
+            options,
+            deadline: now + budget,
+            waiter: Waiter { enqueued_at: now, responder },
+        };
+        if let Err(TrySendError::Full(msg) | TrySendError::Disconnected(msg)) =
+            senders[shard].try_send(ShardMsg::Request(request))
+        {
+            // Backpressure (or a dead/draining shard racing this submit):
+            // resolve as shed right here so conservation holds.
+            if let ShardMsg::Request(req) = msg {
+                let verdict = Outcome::Shed { shard };
+                self.metrics.book(&verdict, Duration::ZERO);
+                let _ = req.waiter.responder.try_send(verdict);
+            }
+        }
+        Ok(PendingVerdict::new(id, Box::new(rx)))
+    }
+
+    fn depart(&self, task: TaskId) {
+        Service::depart(self, task);
+    }
+
+    fn metrics(&self) -> Option<MetricsSnapshot> {
+        Some(Service::metrics(self))
+    }
+
+    fn begin_drain(&self) {
+        Service::begin_drain(self);
+    }
+
+    fn tier(&self) -> &'static str {
+        "service"
     }
 }
 
@@ -674,13 +636,19 @@ mod tests {
         (task, template.options[proto].clone())
     }
 
+    /// Submits and waits: the task's id if it was admitted.
+    fn admit(service: &Service, (task, options): (Task, Vec<PathOption>)) -> Option<TaskId> {
+        let id = task.id;
+        service.submit(task, options, None).unwrap().wait().unwrap().is_admitted().then_some(id)
+    }
+
     #[test]
     fn single_submit_admits_and_conserves() {
         let s = small_scenario(5);
         let cfg = ServiceConfig { shards: 2, ..ServiceConfig::default() };
         let service = Service::start(cfg, &s.instance).unwrap();
         let (task, options) = unique_task(&s.instance, 0, 1000);
-        let ticket = service.submit(task, options).unwrap();
+        let ticket = service.submit(task, options, None).unwrap();
         let outcome = ticket.wait().expect("worker resolves");
         assert!(outcome.is_admitted(), "plenty of capacity: {outcome:?}");
         let report = service.drain();
@@ -702,7 +670,7 @@ mod tests {
         // on a fresh service mid-drain instead.
         let service = Service::start(ServiceConfig::default(), &s.instance).unwrap();
         service.begin_drain();
-        assert_eq!(service.submit(task, options).unwrap_err(), SubmitError::Draining);
+        assert_eq!(service.submit(task, options, None).unwrap_err(), SubmitError::Draining);
         assert_eq!(service.metrics().submitted, 0, "rejected submits are not counted");
     }
 
@@ -711,7 +679,7 @@ mod tests {
         let s = small_scenario(3);
         let service = Service::start(ServiceConfig::default(), &s.instance).unwrap();
         let (task, _) = unique_task(&s.instance, 0, 1);
-        assert_eq!(service.submit(task, Vec::new()).unwrap_err(), SubmitError::NoOptions);
+        assert_eq!(service.submit(task, Vec::new(), None).unwrap_err(), SubmitError::NoOptions);
     }
 
     #[test]
@@ -729,7 +697,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let service = Service::start(cfg, &s.instance).unwrap();
-        let mut tickets: Vec<Ticket> = Vec::new();
+        let mut tickets: Vec<PendingVerdict> = Vec::new();
         // Submit in bursts until a shed is observed (the first burst
         // all but guarantees it; the retry bound keeps the test sound on
         // any scheduler).
@@ -737,18 +705,18 @@ mod tests {
             for i in 0..200u32 {
                 let id = 10_000 + burst * 200 + i;
                 let (task, options) = unique_task(&s.instance, (id % 5) as usize, id);
-                tickets.push(service.submit(task, options).unwrap());
+                tickets.push(service.submit(task, options, None).unwrap());
             }
             if service.metrics().shed > 0 {
                 break;
             }
         }
-        let outcomes: Vec<Outcome> = tickets.iter().map(|t| t.wait().unwrap()).collect();
+        let outcomes: Vec<Outcome> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         let shed = outcomes.iter().filter(|o| matches!(o, Outcome::Shed { .. })).count();
         assert!(shed > 0, "overflowing a 2-slot queue must shed");
         let report = service.drain();
         assert!(report.metrics.is_conserved());
-        assert_eq!(report.metrics.submitted as usize, tickets.len());
+        assert_eq!(report.metrics.submitted as usize, outcomes.len());
         assert_eq!(report.metrics.shed as usize, shed);
     }
 
@@ -761,11 +729,7 @@ mod tests {
         let service = Service::start(cfg, &s.instance).unwrap();
         let mut admitted_ids = Vec::new();
         for i in 0..5u32 {
-            let (task, options) = unique_task(&s.instance, i as usize, 100 + i);
-            let ticket = service.submit(task, options).unwrap();
-            if ticket.wait().unwrap().is_admitted() {
-                admitted_ids.push(ticket.task);
-            }
+            admitted_ids.extend(admit(&service, unique_task(&s.instance, i as usize, 100 + i)));
         }
         assert!(!admitted_ids.is_empty());
         for id in &admitted_ids {
@@ -790,13 +754,17 @@ mod tests {
             ..ServiceConfig::default()
         };
         let service = Service::start(cfg, &s.instance).unwrap();
-        let tickets: Vec<Ticket> = (0..8)
+        let tickets: Vec<PendingVerdict> = (0..8)
             .map(|i| {
                 let (task, options) = unique_task(&s.instance, (i % 5) as usize, 200 + i);
-                service.submit(task, options).unwrap()
+                service.submit(task, options, None).unwrap()
             })
             .collect();
-        let expired = tickets.iter().filter(|t| matches!(t.wait().unwrap(), Outcome::Expired { .. })).count();
+        let expired = tickets
+            .into_iter()
+            .map(|t| t.wait().unwrap())
+            .filter(|o| matches!(o, Outcome::Expired { .. }))
+            .count();
         assert!(expired > 0, "1 µs deadline must expire behind a 20 ms window");
         let report = service.drain();
         assert!(report.metrics.is_conserved());
@@ -809,7 +777,7 @@ mod tests {
         let cfg = ServiceConfig { shards: 4, ..ServiceConfig::default() };
         let service = Service::start(cfg, &s.instance).unwrap();
         let (task, options) = unique_task(&s.instance, 0, 77);
-        let ticket = service.submit(task, options).unwrap();
+        let ticket = service.submit(task, options, None).unwrap();
         let outcome = ticket.wait().unwrap();
         if let Outcome::Admitted { shard, .. } = outcome {
             assert_eq!(shard, router::shard(TaskId(77), 4));
@@ -823,10 +791,10 @@ mod tests {
         let s = small_scenario(3);
         let service = Service::start(ServiceConfig::default(), &s.instance).unwrap();
         let (task, options) = unique_task(&s.instance, 0, 9);
-        let ticket = service.submit(task, options).unwrap();
+        let ticket = service.submit(task, options, None).unwrap();
         drop(service);
         // The worker resolves the in-flight request before exiting.
-        assert!(ticket.wait().is_some());
+        assert!(ticket.wait().is_ok());
     }
 
     #[test]
@@ -859,11 +827,7 @@ mod tests {
         let service = Service::start(cfg, &s.instance).unwrap();
         let mut admitted = Vec::new();
         for id in 0..20u32 {
-            let (task, options) = unique_task(&s.instance, (id % 5) as usize, 3000 + id);
-            let ticket = service.submit(task, options).unwrap();
-            if ticket.wait().unwrap().is_admitted() {
-                admitted.push(ticket.task);
-            }
+            admitted.extend(admit(&service, unique_task(&s.instance, (id % 5) as usize, 3000 + id)));
         }
         let report = service.scale_to(5).unwrap();
         assert_eq!(report.from_shards, 2);
@@ -872,11 +836,7 @@ mod tests {
         assert_eq!(service.shards(), 5);
         // The fleet keeps serving at the new shard count.
         for id in 0..20u32 {
-            let (task, options) = unique_task(&s.instance, (id % 5) as usize, 4000 + id);
-            let ticket = service.submit(task, options).unwrap();
-            if ticket.wait().unwrap().is_admitted() {
-                admitted.push(ticket.task);
-            }
+            admitted.extend(admit(&service, unique_task(&s.instance, (id % 5) as usize, 4000 + id)));
         }
         for id in &admitted {
             service.depart(*id);
@@ -898,11 +858,7 @@ mod tests {
         let service = Service::start(cfg, &s.instance).unwrap();
         let mut admitted = Vec::new();
         for id in 0..16u32 {
-            let (task, options) = unique_task(&s.instance, (id % 5) as usize, 5000 + id);
-            let ticket = service.submit(task, options).unwrap();
-            if ticket.wait().unwrap().is_admitted() {
-                admitted.push(ticket.task);
-            }
+            admitted.extend(admit(&service, unique_task(&s.instance, (id % 5) as usize, 5000 + id)));
         }
         assert!(!admitted.is_empty());
         let report = service.scale_to(1).unwrap();

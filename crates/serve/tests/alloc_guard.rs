@@ -13,7 +13,7 @@ use offloadnn_core::heuristic::OffloadnnSolver;
 use offloadnn_core::scenario::{large_scenario, LoadLevel, Scenario};
 use offloadnn_core::task::TaskId;
 use offloadnn_plancache::PlanCacheConfig;
-use offloadnn_serve::{Service, ServiceConfig};
+use offloadnn_serve::{Admitter, Service, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -63,7 +63,7 @@ fn round_trip(service: &Service, scenario: &Scenario, id: u32, options: usize) -
     let all = &scenario.instance.options[0];
     let options: Vec<_> = all.iter().step_by(all.len() / options).take(options).cloned().collect();
     let before = allocations();
-    let ticket = service.submit(task, options).expect("accepted");
+    let ticket = service.submit(task, options, None).expect("accepted");
     assert!(ticket.wait().expect("verdict").is_admitted(), "an empty edge admits the task");
     // The fence: the worker takes its messages in order, so once it has
     // counted this departure, everything it does after answering (the

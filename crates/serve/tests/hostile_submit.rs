@@ -10,7 +10,7 @@
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::{large_scenario, small_scenario, LoadLevel};
 use offloadnn_core::task::Task;
-use offloadnn_serve::{validate_request, Outcome, Service, ServiceConfig, SubmitError};
+use offloadnn_serve::{validate_request, Admitter, Outcome, Service, ServiceConfig, SubmitError};
 
 type Mutation = fn(&mut Task, &mut Vec<PathOption>);
 
@@ -34,13 +34,13 @@ fn hostile_submits_are_refused_and_the_shard_keeps_admitting() {
     for (what, mutate) in HOSTILE {
         let (mut task, mut options) = (task.clone(), options.clone());
         mutate(&mut task, &mut options);
-        assert_eq!(service.submit(task, options).unwrap_err(), SubmitError::Invalid, "{what}");
+        assert_eq!(service.submit(task, options, None).unwrap_err(), SubmitError::Invalid, "{what}");
     }
     assert_eq!(service.metrics().submitted, 0, "a refused request is never counted");
 
     // The one shard every hostile request would have reached still solves.
-    let verdict = service.submit(task.clone(), options.clone()).unwrap().wait();
-    assert!(matches!(verdict, Some(Outcome::Admitted { .. })), "got {verdict:?}");
+    let verdict = service.submit(task.clone(), options.clone(), None).unwrap().wait();
+    assert!(matches!(verdict, Ok(Outcome::Admitted { .. })), "got {verdict:?}");
     let report = service.drain();
     assert!(report.metrics.is_conserved(), "ledger: {:?}", report.metrics);
     assert_eq!(report.metrics.submitted, 1);

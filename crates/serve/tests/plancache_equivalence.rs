@@ -23,7 +23,7 @@ use offloadnn_core::task::TaskId;
 use offloadnn_plancache::{
     budget_bucket, shape_fingerprint, CachedPlan, PlanCache, PlanCacheConfig, PlanKey,
 };
-use offloadnn_serve::{Service, ServiceConfig, ShapePool};
+use offloadnn_serve::{Admitter, Service, ServiceConfig, ShapePool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -158,11 +158,11 @@ fn cached_twin_conserves_and_solves_less() {
             let options = scenario.instance.options[proto].clone();
 
             let verdict = cached
-                .submit(task.clone(), options.clone())
+                .submit(task.clone(), options.clone(), None)
                 .expect("cached submit")
                 .wait()
                 .expect("cached verdict");
-            fresh.submit(task, options).expect("fresh submit").wait().expect("fresh verdict");
+            fresh.submit(task, options, None).expect("fresh submit").wait().expect("fresh verdict");
 
             if verdict.is_admitted() {
                 active.push_back(TaskId(i));
@@ -214,12 +214,12 @@ fn hot_single_shape_stream_matches_cold_solve() {
             let options = scenario.instance.options[proto].clone();
 
             let verdict_cached = cached
-                .submit(task.clone(), options.clone())
+                .submit(task.clone(), options.clone(), None)
                 .expect("cached submit")
                 .wait()
                 .expect("cached verdict");
             let verdict_fresh =
-                fresh.submit(task, options).expect("fresh submit").wait().expect("fresh verdict");
+                fresh.submit(task, options, None).expect("fresh submit").wait().expect("fresh verdict");
             assert_eq!(verdict_cached, verdict_fresh, "verdict diverged at request {i} (proto {proto})");
 
             if verdict_cached.is_admitted() {

@@ -11,7 +11,7 @@
 use offloadnn_core::scenario::{small_scenario, Scenario};
 use offloadnn_core::task::{Task, TaskId};
 use offloadnn_plancache::{PlanCacheConfig, PlanCacheStats};
-use offloadnn_serve::{router, ChaosConfig, Outcome, Service, ServiceConfig};
+use offloadnn_serve::{router, Admitter, ChaosConfig, Outcome, Service, ServiceConfig, VerdictError};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -41,7 +41,7 @@ fn infeasible_task(scenario: &Scenario, id: u32, variant: u64) -> Task {
 
 fn submit_wait(service: &Service, task: Task, proto: usize, scenario: &Scenario) -> Outcome {
     service
-        .submit(task, scenario.instance.options[proto].clone())
+        .submit(task, scenario.instance.options[proto].clone(), None)
         .expect("not draining")
         .wait()
         .expect("worker resolves everything")
@@ -262,14 +262,15 @@ fn chaos_heal_forces_fresh_solves() {
     let service = Service::start(cfg, &scenario.instance).expect("service start");
 
     // Drive traffic until shard 1 panics (its stranded tickets resolve
-    // `None`; everything else resolves normally).
+    // `Lost`; everything else resolves normally).
     let mut lost = 0u64;
     for i in 0..200u32 {
         let proto = i as usize % scenario.instance.tasks.len();
         let mut task = scenario.instance.tasks[proto].clone();
         task.id = TaskId(i);
-        let ticket = service.submit(task, scenario.instance.options[proto].clone()).expect("not draining");
-        if ticket.wait().is_none() {
+        let ticket =
+            service.submit(task, scenario.instance.options[proto].clone(), None).expect("not draining");
+        if ticket.wait() == Err(VerdictError::Lost) {
             lost += 1;
         }
     }

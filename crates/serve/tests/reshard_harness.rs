@@ -96,7 +96,7 @@ impl Driver {
         let id = TaskId(self.next_id);
         self.next_id += 1;
         task.id = id;
-        let ticket = self.service.submit(task, self.options[proto].clone()).expect("not draining");
+        let ticket = self.service.submit(task, self.options[proto].clone(), None).expect("not draining");
         self.ledger.submitted += 1;
         let outcome = ticket.wait().expect("no chaos: every ticket resolves");
         let line = match outcome {
@@ -249,7 +249,7 @@ fn concurrent_scale_calls_serialize() {
             let mut task = scenario.instance.tasks[i as usize % scenario.instance.tasks.len()].clone();
             task.id = TaskId(i);
             let options = scenario.instance.options[i as usize % scenario.instance.options.len()].clone();
-            tickets.push(service.submit(task, options).expect("not draining"));
+            tickets.push(service.submit(task, options, None).expect("not draining"));
         }
         for t in tickets {
             t.wait().expect("resolves through the double reshard");
@@ -298,29 +298,31 @@ fn chaos_panic_is_contained_and_healed_by_scale_to() {
     let service = Service::start(config, &scenario.instance).expect("service start");
 
     // Each wave returns (resolved, lost): tickets either get a verdict
-    // or resolve `None` when their shard's worker died — never hang.
+    // or resolve `Lost` when their shard's worker died — never hang.
     let submit_wave = |base: u32, count: u32| -> (u64, u64) {
         let mut tickets = Vec::new();
         for i in 0..count {
             let proto = (base + i) as usize % scenario.instance.tasks.len();
             let mut task = scenario.instance.tasks[proto].clone();
             task.id = TaskId(base + i);
-            tickets
-                .push(service.submit(task, scenario.instance.options[proto].clone()).expect("not draining"));
+            tickets.push(
+                service.submit(task, scenario.instance.options[proto].clone(), None).expect("not draining"),
+            );
         }
         let mut resolved = 0u64;
         let mut lost = 0u64;
         for t in tickets {
             match t.wait() {
-                Some(_) => resolved += 1,
-                None => lost += 1,
+                Ok(_) => resolved += 1,
+                Err(VerdictError::Lost) => lost += 1,
+                Err(e) => panic!("an in-process verdict is resolved or lost, not {e:?}"),
             }
         }
         (resolved, lost)
     };
 
     // First wave: enough traffic that shard 1 reaches solver round 5 and
-    // panics; its stranded tickets resolve `None`, everyone else's
+    // panics; its stranded tickets resolve `Lost`, everyone else's
     // resolve normally. No wait ever hangs.
     let (resolved, lost) = submit_wave(0, 400);
     assert!(lost > 0, "chaos round was never reached: shard 1 got fewer than 5 rounds");
@@ -408,7 +410,9 @@ fn chaos_slow_solver_during_reshard_conserves() {
         let proto = i as usize % scenario.instance.tasks.len();
         let mut task = scenario.instance.tasks[proto].clone();
         task.id = TaskId(i);
-        tickets.push(service.submit(task, scenario.instance.options[proto].clone()).expect("not draining"));
+        tickets.push(
+            service.submit(task, scenario.instance.options[proto].clone(), None).expect("not draining"),
+        );
         if i == 60 {
             service.scale_to(6).expect("grow mid-stream");
         }

@@ -13,7 +13,7 @@
 
 use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
-use offloadnn_serve::{MetricsSnapshot, Service, ServiceConfig};
+use offloadnn_serve::{Admitter, MetricsSnapshot, Service, ServiceConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -78,9 +78,10 @@ fn snapshots_concurrent_with_reshard_spans_are_consistent() {
                 let proto = i as usize % scenario.instance.tasks.len();
                 let mut task = scenario.instance.tasks[proto].clone();
                 task.id = TaskId(i);
-                let ticket =
-                    service.submit(task, scenario.instance.options[proto].clone()).expect("not draining");
-                if let Some(offloadnn_serve::Outcome::Admitted { .. }) = ticket.wait() {
+                let ticket = service
+                    .submit(task, scenario.instance.options[proto].clone(), None)
+                    .expect("not draining");
+                if let Ok(offloadnn_serve::Outcome::Admitted { .. }) = ticket.wait() {
                     admitted.push(TaskId(i));
                 }
                 if admitted.len() > 32 {

@@ -7,7 +7,7 @@
 
 use offloadnn::core::scenario::small_scenario;
 use offloadnn::core::task::TaskId;
-use offloadnn::serve::{Outcome, Service, ServiceConfig};
+use offloadnn::serve::{Admitter, Outcome, Service, ServiceConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,30 +34,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let proto = (i as usize) % instance.tasks.len();
         let mut task = instance.tasks[proto].clone();
         task.id = TaskId(1000 + i);
-        let ticket = service.submit(task, instance.options[proto].clone())?;
-        tickets.push(ticket);
+        tickets.push(service.submit(task, instance.options[proto].clone(), None)?);
     }
 
     // Redeem the tickets; every request gets exactly one verdict.
     let mut admitted: Vec<TaskId> = Vec::new();
-    for ticket in &tickets {
-        match ticket.wait().expect("workers resolve every ticket") {
+    for ticket in tickets {
+        let task = ticket.task();
+        match ticket.wait()? {
             Outcome::Admitted { admission, rbs, shard } => {
-                println!(
-                    "task {:>4} -> shard {shard}: admitted (z = {admission:.2}, {rbs:.2} RBs)",
-                    ticket.task.0
-                );
-                admitted.push(ticket.task);
+                println!("task {:>4} -> shard {shard}: admitted (z = {admission:.2}, {rbs:.2} RBs)", task.0);
+                admitted.push(task);
             }
-            Outcome::Rejected { shard } => {
-                println!("task {:>4} -> shard {shard}: rejected", ticket.task.0)
-            }
-            Outcome::Shed { shard } => {
-                println!("task {:>4} -> shard {shard}: shed (backpressure)", ticket.task.0)
-            }
-            Outcome::Expired { shard } => {
-                println!("task {:>4} -> shard {shard}: expired in queue", ticket.task.0)
-            }
+            Outcome::Rejected { shard } => println!("task {:>4} -> shard {shard}: rejected", task.0),
+            Outcome::Shed { shard } => println!("task {:>4} -> shard {shard}: shed (backpressure)", task.0),
+            Outcome::Expired { shard } => println!("task {:>4} -> shard {shard}: expired in queue", task.0),
         }
     }
 
