@@ -24,14 +24,15 @@ echo "==> rustdoc gate: no broken or private intra-doc links in the tier crates"
 RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --offline \
     -p offloadnn-serve -p offloadnn-net -p offloadnn-gateway
 
-echo "==> purity gate: the gateway ticket and liveness engines, the serve shard engine, the net client reply table and the one routing rule read no clock, take no lock, block on no channel, touch no socket"
-# ticket.rs, liveness.rs, shard.rs, replies.rs and the serve router.rs
+echo "==> purity gate: the gateway ticket and liveness engines, the serve shard engine, the net client reply table, the net connection's owed-reply bookkeeping and the one routing rule read no clock, take no lock, block on no channel, touch no socket"
+# ticket.rs, liveness.rs, shard.rs, replies.rs, owed.rs (what a net
+# connection owes and when it may write it) and the serve router.rs
 # (the shard and node routing rule of both tiers) are the seams the
 # deterministic simulator (ROADMAP 4(b)) will stand on; clock reads,
 # sleeps, locks, blocking receives, sockets and threads must not grow
 # back into them, their unit tests included.
 for engine in crates/gateway/src/ticket.rs crates/gateway/src/liveness.rs crates/serve/src/shard.rs \
-    crates/net/src/replies.rs crates/serve/src/router.rs; do
+    crates/net/src/replies.rs crates/net/src/owed.rs crates/serve/src/router.rs; do
     if grep -nE 'Instant::now|elapsed\(|sleep\(|\.lock\(\)|\brecv|TcpStream|std::thread' "$engine"; then
         echo "$engine must stay clock-free, lock-free, blocking-free and socket-free" >&2
         exit 1

@@ -55,11 +55,11 @@ use offloadnn_net::{
 };
 use offloadnn_serve::admit::admission_budget;
 use offloadnn_serve::{
-    Admitter, DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, ServiceMetrics, SubmitError,
-    VerdictError, VerdictHandle,
+    Admitter, Bell, DrainReport, MetricsSnapshot, Outcome, ReshardReport, ServeError, ServiceMetrics,
+    SubmitError, VerdictError, VerdictHandle,
 };
 use offloadnn_telemetry::{event, span, Severity};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -236,6 +236,9 @@ struct GwPending {
     /// The handle has one owner (`dyn VerdictHandle` is `Send`, not
     /// `Sync`), so the ticket needs no lock.
     state: RefCell<GwTicket>,
+    /// Rung by every attempt, hedges and failovers included, once a
+    /// polling holder hands it over ([`VerdictHandle::ring_on_resolve`]).
+    bell: OnceCell<Bell>,
 }
 
 /// A ticket whose attempts are wire requests.
@@ -366,7 +369,12 @@ impl GwPending {
                     let attempt = st.abandon(hedge);
                     Self::abandon(inner, st, attempt);
                 }
-                Next::Launch { target, hedge } => Self::launch(inner, st, now, target, hedge),
+                Next::Launch { target, hedge } => {
+                    Self::launch(inner, st, now, target, hedge);
+                    if let (Some(bell), Some(attempt)) = (self.bell.get(), st.slot(hedge).as_ref()) {
+                        attempt.verdict.ring_on_resolve(bell);
+                    }
+                }
                 Next::Settle(outcome) => Self::settle(inner, st, outcome, None),
                 Next::Wait { hedge, until } => {
                     let bounded = limit.filter(|l| *l <= until);
@@ -408,6 +416,17 @@ impl VerdictHandle for GwPending {
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
         self.resolve(Some(timeout)).ok_or(VerdictError::TimedOut)
+    }
+
+    /// Also rings at once, so the holder's next poll takes whatever step
+    /// is due before any reply lands.
+    fn ring_on_resolve(&self, bell: &Bell) {
+        let _ = self.bell.set(Arc::clone(bell));
+        let st = self.state.borrow();
+        for attempt in st.primary.iter().chain(&st.hedge) {
+            attempt.verdict.ring_on_resolve(bell);
+        }
+        bell();
     }
 }
 
@@ -599,7 +618,8 @@ impl Gateway {
         while let Next::Launch { target, hedge } = st.next(Instant::now(), grace, inner) {
             GwPending::launch(inner, &mut st, Instant::now(), target, hedge);
         }
-        let pending = GwPending { inner: Arc::clone(&self.inner), state: RefCell::new(st) };
+        let pending =
+            GwPending { inner: Arc::clone(&self.inner), state: RefCell::new(st), bell: OnceCell::new() };
         Ok(offloadnn_serve::PendingVerdict::new(id, Box::new(pending)))
     }
 

@@ -1,59 +1,43 @@
-//! The readiness-driven (epoll) engine behind
-//! [`crate::Frontend::Reactor`].
-//!
-//! ## Why a second engine
-//!
-//! The threaded engine spends two OS threads per connection, which
-//! serves hundreds of clients well but not the paper's "fleets of
-//! intermittent mobile UEs" shape: at thousands of mostly-idle
-//! connections, stacks and context switches dominate. This one
-//! multiplexes every connection over a **fixed** [`Pool`] — [`EVENT_LOOPS`]
-//! event-loop threads, each with a paired completion thread, however
-//! many connections arrive — on the epoll primitives of
-//! `offloadnn-reactor`.
+//! The one connection engine behind both [`crate::Frontend`]s: an epoll
+//! event loop over nonblocking sockets (`offloadnn-reactor`).
+//! [`crate::Frontend::Reactor`] runs a fixed pool of [`EVENT_LOOPS`]
+//! loops fed connections round-robin, so thousands of mostly idle UEs
+//! cost no thread each; [`crate::Frontend::Threads`] runs one loop per
+//! connection, on a thread that exits with it.
 //!
 //! ```text
-//! event loop: epoll_wait → read nonblocking sockets → decode frames →
-//!             shared dispatcher → queue (token, Action) → write
-//!             replies (partial-write resumption via EPOLLOUT)
-//! completion: redeems Actions in FIFO order (blocking on verdicts,
-//!             running reshards), encodes response frames, hands them
-//!             back to its loop via the done queue + waker
+//! event loop: epoll_wait (1 ms while a reply is owed, else 50 ms) → read
+//!             → decode → dispatcher → write the reply, or owe it (owed.rs)
+//!             → write each owed reply whose bell rang → every 1 ms poll
+//!             every owed reply → flush (partial writes resume on EPOLLOUT)
+//! helper:     one short-lived thread per Scale or drain acknowledgement
 //! ```
 //!
-//! The completion thread exists because redeeming a verdict blocks and
-//! an event loop must never block. Routing **every** reply of a
-//! connection through its loop's FIFO completion channel reproduces the
-//! threaded engine's per-connection writer-queue ordering exactly:
-//! verdicts flush in submit order, a drain's final metrics snapshot is
-//! taken after the connection's earlier verdicts resolved, and the error
-//! frame that closes a misbehaving connection trails everything the
-//! client is still owed.
-//!
-//! ## Parity with the threaded engine
-//!
-//! Backpressure: a connection with `INFLIGHT_WINDOW` replies outstanding
-//! (or an unflushed write backlog past the soft cap) loses read interest
-//! — level-triggered epoll re-reports the readiness when the window
-//! frees, so backpressure propagates through the TCP receive buffer just
-//! like the threaded engine's bounded writer channel. Deadline
-//! propagation, drain-flush, live `Scale` frames and the
-//! incomplete-vs-malformed codec distinction are all inherited from the
-//! same [`Backend`] + [`codec`] layers and the same crate-private
-//! dispatcher (`dispatch.rs`); the loopback suite runs the same
-//! assertions against either engine.
+//! Replies leave in resolution order: a loop never waits on a verdict.
+//! It hands each one a [`Bell`] that notes the reply and wakes the loop
+//! when the verdict resolves, so one slow verdict delays no other, on
+//! its connection or its loop. The poll every [`TURN`] keeps a gateway
+//! ticket's hedge trigger, recheck and deadline firing and resolves a
+//! handle that never rings. What may block — a reshard, or a drain
+//! acknowledgement that dials the gateway to leave — runs on a helper
+//! thread whose reply is owed like a verdict; a loop joins its helpers
+//! before it exits. A connection owing `INFLIGHT_WINDOW` replies, or
+//! with [`WBUF_PAUSE`] bytes unflushed, loses read interest, so
+//! backpressure reaches the client through its TCP window.
 
 use crate::backend::Backend;
 use crate::codec::{self, Frame};
-use crate::dispatch::{dispatch, Action};
+use crate::dispatch::{dispatch, Action, Job, Owe};
+use crate::owed::{Entry, Owed};
 use crate::shared::{Shared, INFLIGHT_WINDOW, WRITE_TIMEOUT};
 use crossbeam::channel::{self, Receiver, Sender};
 use offloadnn_reactor::{Epoll, Event, Events, Interest, Waker};
+use offloadnn_serve::{mailbox, Bell};
 use offloadnn_telemetry::{event, Severity};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,129 +52,99 @@ const MAX_READS_PER_EVENT: usize = 8;
 /// the bound on per-connection write-queue memory.
 const WBUF_PAUSE: usize = 256 * 1024;
 
-/// Event-loop threads (each with one completion thread). The whole
-/// point of the reactor: this stays small and fixed while connection
-/// counts grow into the thousands.
+/// Event loops of [`crate::Frontend::Reactor`]. The whole point of the
+/// shape: this stays small and fixed while connection counts grow into
+/// the thousands.
 const EVENT_LOOPS: usize = 2;
 /// Readiness events drained per `epoll_wait` call.
 const MAX_EVENTS: usize = 256;
-/// `epoll_wait` timeout — the cadence at which an otherwise idle loop
-/// rechecks the shutdown flag and write deadlines.
+/// `epoll_wait` timeout of a loop that owes nothing — the cadence at
+/// which it rechecks the shutdown flag and write deadlines.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(50);
+/// The longest a loop that owes a reply goes between turns, and how
+/// often it polls every reply it owes: epoll's resolution.
+const TURN: Duration = Duration::from_millis(1);
 
-/// What an event loop hands its completion thread: the connection's
-/// token and the dispatcher's [`Action`] for one frame. FIFO per loop,
-/// which gives each connection the threaded frontend's writer-queue
-/// ordering.
-type Completion = (u64, Action);
+/// The connection token and owed key of each reply whose bell rang.
+type Rung = Arc<Mutex<Vec<(u64, u64)>>>;
 
-/// One encoded reply coming back from a completion thread.
-struct Done {
-    token: u64,
-    bytes: Vec<u8>,
-}
-
-/// The acceptor's handle to one event loop.
-struct LoopHandle {
-    incoming: Sender<TcpStream>,
+/// The acceptor's handle to one running event loop.
+pub(crate) struct Loop {
+    /// Where a fixed pool's loop is handed connections; `None` for a loop
+    /// that serves the one connection it started with.
+    incoming: Option<Sender<TcpStream>>,
     waker: Arc<Waker>,
+    thread: JoinHandle<()>,
 }
 
-/// The fixed thread pool: [`EVENT_LOOPS`] event loops and as many
-/// completion threads, fed connections round-robin.
+/// The running event loops of one server.
 pub(crate) struct Pool {
-    handles: Vec<LoopHandle>,
-    next_loop: usize,
-    loops: Vec<JoinHandle<()>>,
-    completions: Vec<JoinHandle<()>>,
+    /// Every loop started and not yet seen finished.
+    pub(crate) loops: Vec<Loop>,
+    /// [`EVENT_LOOPS`] loops fed round-robin, or one loop per connection.
+    fixed: bool,
+    /// Connections adopted so far (the next connection's id).
+    pub(crate) adopted: usize,
 }
 
 impl Pool {
-    /// Sets up the epoll instances and spawns every pool thread.
-    pub(crate) fn start<B: Backend>(shared: &Arc<Shared<B>>) -> std::io::Result<Self> {
-        let mut pool = Pool { handles: Vec::new(), next_loop: 0, loops: Vec::new(), completions: Vec::new() };
+    /// The [`crate::Frontend::Reactor`] shape: sets up and starts the
+    /// fixed loops.
+    pub(crate) fn fixed<B: Backend>(shared: &Arc<Shared<B>>) -> std::io::Result<Self> {
+        let mut pool = Pool { loops: Vec::new(), fixed: true, adopted: 0 };
         for loop_id in 0..EVENT_LOOPS {
-            let epoll = Epoll::new()?;
-            let waker = Arc::new(Waker::new()?);
-            epoll.add(waker.fd(), WAKE_TOKEN, Interest::READABLE)?;
-            let (incoming_tx, incoming_rx) = channel::unbounded::<TcpStream>();
-            let (comp_tx, comp_rx) = channel::unbounded::<Completion>();
-            let done = Arc::new(Mutex::new(Vec::<Done>::new()));
-
-            pool.completions.push({
-                let shared = Arc::clone(shared);
-                let done = Arc::clone(&done);
-                let waker = Arc::clone(&waker);
-                std::thread::Builder::new()
-                    .name(format!("net-rcomp-{loop_id}"))
-                    .spawn(move || completion_loop(&comp_rx, &shared, &done, &waker))
-                    .expect("spawn completion thread")
-            });
-            pool.loops.push({
-                let mut event_loop = EventLoop {
-                    loop_id,
-                    shared: Arc::clone(shared),
-                    epoll,
-                    waker: Arc::clone(&waker),
-                    incoming: incoming_rx,
-                    comp_tx,
-                    done,
-                    slots: Vec::new(),
-                    free: Vec::new(),
-                    live: 0,
-                };
-                std::thread::Builder::new()
-                    .name(format!("net-rloop-{loop_id}"))
-                    .spawn(move || event_loop.run())
-                    .expect("spawn event loop")
-            });
-            pool.handles.push(LoopHandle { incoming: incoming_tx, waker });
+            let (tx, rx) = channel::unbounded();
+            let (waker, thread) = EventLoop::spawn(shared, format!("net-rloop-{loop_id}"), Some(rx), None)?;
+            pool.loops.push(Loop { incoming: Some(tx), waker, thread });
         }
         Ok(pool)
     }
 
-    /// Hands an accepted connection to the next event loop; `false` if
-    /// that loop is gone (fatal epoll error).
-    pub(crate) fn adopt(&mut self, stream: TcpStream) -> bool {
-        let handle = &self.handles[self.next_loop % self.handles.len()];
-        self.next_loop = self.next_loop.wrapping_add(1);
-        let adopted = handle.incoming.send(stream).is_ok();
-        if adopted {
-            handle.waker.wake();
+    /// The [`crate::Frontend::Threads`] shape: a loop starts with each
+    /// connection.
+    pub(crate) fn per_connection() -> Self {
+        Pool { loops: Vec::new(), fixed: false, adopted: 0 }
+    }
+
+    /// Serves an accepted (and already counted) connection; `false` if
+    /// no loop took it, so the caller undoes the accounting.
+    pub(crate) fn adopt<B: Backend>(&mut self, stream: TcpStream, shared: &Arc<Shared<B>>) -> bool {
+        let conn_id = self.adopted;
+        self.adopted += 1;
+        if self.fixed {
+            let handle = &self.loops[conn_id % self.loops.len()];
+            let adopted = handle.incoming.as_ref().is_some_and(|tx| tx.send(stream).is_ok());
+            if adopted {
+                handle.waker.wake();
+            }
+            return adopted;
         }
-        adopted
+        // Join the loops of connections that closed, so the list holds
+        // live connections only.
+        for done in self.loops.extract_if(.., |l| l.thread.is_finished()) {
+            let _ = done.thread.join();
+        }
+        match EventLoop::spawn(shared, format!("net-conn-{conn_id}"), None, Some(stream)) {
+            Ok((waker, thread)) => {
+                self.loops.push(Loop { incoming: None, waker, thread });
+                true
+            }
+            Err(e) => {
+                event!(Severity::Warn, "net.server", "conn {conn_id}: no event loop: {e}");
+                false
+            }
+        }
     }
 
     /// Wakes the loops so they notice the shutdown flag, flush and exit,
-    /// then joins the whole pool.
+    /// then joins them (each joined its helpers first).
     pub(crate) fn stop(self) {
-        for handle in &self.handles {
-            handle.waker.wake();
+        for l in &self.loops {
+            l.waker.wake();
         }
-        for h in self.loops {
-            let _ = h.join();
+        for l in self.loops {
+            let _ = l.thread.join();
         }
-        // Each loop dropped its completion sender on exit.
-        for h in self.completions {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Redeems actions — blocking on verdicts, running reshards — and
-/// encodes the replies off the event loop, FIFO.
-fn completion_loop<B: Backend>(
-    rx: &Receiver<Completion>,
-    shared: &Arc<Shared<B>>,
-    done: &Mutex<Vec<Done>>,
-    waker: &Waker,
-) {
-    while let Ok((token, action)) = rx.recv() {
-        // Every queued action bumped its connection's pending count, so
-        // every one reports back — with no bytes if it owes no reply.
-        let bytes = shared.redeem(action, || {}).map_or_else(Vec::new, |f| codec::encode(&f));
-        done.lock().expect("done lock").push(Done { token, bytes });
-        waker.wake();
     }
 }
 
@@ -201,21 +155,20 @@ struct Conn {
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written to the socket.
     wpos: usize,
-    /// Replies routed through the completion channel not yet applied —
-    /// the reactor twin of the threaded writer-queue occupancy.
-    pending: usize,
+    /// Replies owed and not yet written.
+    owed: Owed<Owe, Job>,
     /// The socket's read side is finished (EOF or server shutdown);
     /// frames already buffered still get parsed.
     eof: bool,
     /// Protocol violation: parsing stopped, the connection closes once
     /// its owed replies flush.
     aborted: bool,
-    /// The socket is unusable; discard writes, redeem what's pending.
+    /// The socket is unusable; discard writes, settle what is owed.
     dead: bool,
     /// Interest currently registered with epoll.
     interest: Interest,
     /// When the unflushed backlog last made progress (write-timeout
-    /// enforcement, the threaded frontend's `set_write_timeout` twin).
+    /// enforcement).
     stalled_since: Option<Instant>,
 }
 
@@ -224,13 +177,25 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
+    fn paused(&self) -> bool {
+        self.owed.len() >= INFLIGHT_WINDOW || self.backlog() >= WBUF_PAUSE
+    }
+
     fn done_for_good(&self) -> bool {
-        self.pending == 0 && (self.eof || self.aborted) && (self.dead || self.backlog() == 0)
+        self.owed.is_empty() && (self.eof || self.aborted) && (self.dead || self.backlog() == 0)
+    }
+}
+
+/// Appends one reply to a connection's write buffer; a dead socket's
+/// replies are discarded.
+fn queue(wbuf: &mut Vec<u8>, dead: bool, frame: &Frame) {
+    if !dead {
+        wbuf.extend_from_slice(&codec::encode(frame));
     }
 }
 
 /// A connection slot; `gen` survives reuse so stale tokens (epoll events
-/// or completion replies for a closed connection) are recognised.
+/// or bells of a closed connection) are recognised.
 struct Slot {
     gen: u32,
     conn: Option<Conn>,
@@ -240,30 +205,94 @@ fn token_of(gen: u32, idx: usize) -> u64 {
     (u64::from(gen) << 32) | idx as u64
 }
 
+/// The bell of the reply owed under `key` on connection `token`: notes
+/// the pair and wakes the loop. Never blocks the ringing thread beyond
+/// the push.
+fn bell(rung: &Rung, waker: &Arc<Waker>, token: u64, key: u64) -> Bell {
+    let (rung, waker) = (Arc::clone(rung), Arc::clone(waker));
+    Arc::new(move || {
+        rung.lock().unwrap_or_else(PoisonError::into_inner).push((token, key));
+        waker.wake();
+    })
+}
+
+/// Runs `job` on a short-lived helper thread. The returned reply rings
+/// `bell` when the helper answers — or when it dies unanswered, or never
+/// starts, which drops its responder and reads as an error reply.
+fn start_job<B: Backend>(
+    shared: &Arc<Shared<B>>,
+    helpers: &mut Vec<JoinHandle<()>>,
+    job: Job,
+    bell: &Bell,
+) -> Owe {
+    let (responder, reply) = mailbox();
+    reply.ring_on_resolve(bell);
+    let shared = Arc::clone(shared);
+    if let Ok(helper) =
+        std::thread::Builder::new().name("net-helper".into()).spawn(move || responder.send(shared.help(job)))
+    {
+        helpers.push(helper);
+    }
+    Owe::Job { request_id: job.request_id(), reply }
+}
+
 struct EventLoop<B: Backend> {
-    loop_id: usize,
     shared: Arc<Shared<B>>,
     epoll: Epoll,
     waker: Arc<Waker>,
-    incoming: Receiver<TcpStream>,
-    comp_tx: Sender<Completion>,
-    done: Arc<Mutex<Vec<Done>>>,
+    /// A fixed pool's loop takes connections from the acceptor here; a
+    /// loop without it exits with the connection it started with.
+    incoming: Option<Receiver<TcpStream>>,
+    rung: Rung,
+    /// Helper threads not yet seen finished.
+    helpers: Vec<JoinHandle<()>>,
+    /// When every owed reply was last polled.
+    polled_at: Instant,
     slots: Vec<Slot>,
     free: Vec<usize>,
     live: usize,
 }
 
 impl<B: Backend> EventLoop<B> {
+    /// Sets up a loop (serving `first` from the start, if given) and
+    /// runs it on a thread named `name`.
+    fn spawn(
+        shared: &Arc<Shared<B>>,
+        name: String,
+        incoming: Option<Receiver<TcpStream>>,
+        first: Option<TcpStream>,
+    ) -> std::io::Result<(Arc<Waker>, JoinHandle<()>)> {
+        let epoll = Epoll::new()?;
+        let waker = Arc::new(Waker::new()?);
+        epoll.add(waker.fd(), WAKE_TOKEN, Interest::READABLE)?;
+        let mut event_loop = EventLoop {
+            shared: Arc::clone(shared),
+            epoll,
+            waker: Arc::clone(&waker),
+            incoming,
+            rung: Arc::default(),
+            helpers: Vec::new(),
+            polled_at: Instant::now(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        };
+        if let Some(stream) = first {
+            event_loop.register(stream);
+        }
+        let thread = std::thread::Builder::new().name(name).spawn(move || event_loop.run())?;
+        Ok((waker, thread))
+    }
+
     fn run(&mut self) {
         let mut events = Events::with_capacity(MAX_EVENTS);
         let mut ready: Vec<Event> = Vec::with_capacity(MAX_EVENTS);
+        let mut owes = false;
         loop {
-            match self.epoll.wait(&mut events, Some(WAIT_TIMEOUT)) {
-                Ok(_) => {}
-                Err(e) => {
-                    event!(Severity::Warn, "net.async", "loop {}: epoll_wait failed: {e}", self.loop_id);
-                    break;
-                }
+            let timeout = if owes { TURN } else { WAIT_TIMEOUT };
+            if let Err(e) = self.epoll.wait(&mut events, Some(timeout)) {
+                event!(Severity::Warn, "net.async", "epoll_wait failed: {e}");
+                break;
             }
             if let Some(instruments) = &self.shared.instruments {
                 instruments.epoll_wakeups.inc();
@@ -284,18 +313,26 @@ impl<B: Backend> EventLoop<B> {
                 // of being lost.
                 self.waker.drain();
             }
-            while let Ok(stream) = self.incoming.try_recv() {
+            while let Some(stream) = self.incoming.as_ref().and_then(|rx| rx.try_recv().ok()) {
                 self.register(stream);
             }
-            let batch = std::mem::take(&mut *self.done.lock().expect("done lock"));
-            for done in batch {
-                self.apply_done(done);
+            self.ring();
+            let now = Instant::now();
+            let poll_all = now.saturating_duration_since(self.polled_at) >= TURN;
+            if poll_all {
+                self.polled_at = now;
             }
             let shutting_down = self.shared.is_shutting_down();
-            self.sweep(shutting_down);
-            if shutting_down && self.live == 0 {
+            owes = self.sweep(shutting_down, poll_all);
+            for helper in self.helpers.extract_if(.., |h| h.is_finished()) {
+                let _ = helper.join();
+            }
+            if self.live == 0 && (shutting_down || self.incoming.is_none()) {
                 break;
             }
+        }
+        for helper in self.helpers.drain(..) {
+            let _ = helper.join();
         }
     }
 
@@ -325,7 +362,7 @@ impl<B: Backend> EventLoop<B> {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            pending: 0,
+            owed: Owed::new(),
             eof: false,
             aborted: false,
             dead: false,
@@ -350,6 +387,10 @@ impl<B: Backend> EventLoop<B> {
         (slot.gen == gen && slot.conn.is_some()).then_some(idx)
     }
 
+    fn conn(&mut self, idx: usize) -> &mut Conn {
+        self.slots[idx].conn.as_mut().expect("resolved conn")
+    }
+
     /// Handles one readiness event for one connection.
     fn conn_event(&mut self, ev: Event) {
         let Some(idx) = self.resolve(ev.token) else { return };
@@ -372,7 +413,7 @@ impl<B: Backend> EventLoop<B> {
 
     /// Reads until `WouldBlock`/EOF (bounded per event), then parses.
     fn handle_readable(&mut self, idx: usize) {
-        let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
+        let conn = self.conn(idx);
         if conn.eof || conn.aborted || conn.dead {
             // Still consume the readiness so a half-closed peer doesn't
             // spin the loop: read and discard until EOF/WouldBlock.
@@ -408,83 +449,82 @@ impl<B: Backend> EventLoop<B> {
     }
 
     /// Parses every complete buffered frame, stopping at the in-flight
-    /// window (the bytes keep in `rbuf`; parsing resumes as replies
-    /// apply) or on a protocol violation.
+    /// window (the bytes keep in `rbuf`; parsing resumes as owed replies
+    /// are written) or on a protocol violation.
     fn parse_frames(&mut self, idx: usize) {
         loop {
-            let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-            if conn.aborted || conn.dead || conn.rbuf.is_empty() {
+            let conn = self.conn(idx);
+            if conn.aborted || conn.dead || conn.rbuf.is_empty() || conn.paused() {
                 return;
-            }
-            if conn.pending >= INFLIGHT_WINDOW || conn.backlog() >= WBUF_PAUSE {
-                return; // window backpressure: stop consuming
             }
             match codec::decode(&conn.rbuf) {
                 Ok(Some((frame, consumed))) => {
                     conn.rbuf.drain(..consumed);
-                    self.dispatch(idx, frame);
+                    let action = dispatch(&self.shared.service, frame);
+                    self.act(idx, action);
                 }
                 Ok(None) => return, // incomplete: wait for more bytes
                 Err(e) => {
                     event!(Severity::Warn, "net.async", "protocol error, closing: {e}");
-                    self.send_completion(idx, Action::protocol_error(e));
+                    self.act(idx, Action::protocol_error(e));
                     return;
                 }
             }
         }
     }
 
-    /// Queues an action on the completion channel, bumping the
-    /// connection's pending count; a closing action also stops the
-    /// connection's parsing for good.
-    fn send_completion(&mut self, idx: usize, action: Action) {
+    /// Does what one dispatched frame asks: writes its reply, or owes
+    /// it — a verdict rings this loop when it resolves, a job runs on a
+    /// helper thread (a drain acknowledgement once it is due).
+    fn act(&mut self, idx: usize, action: Action) {
         let token = token_of(self.slots[idx].gen, idx);
-        let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-        if matches!(action, Action::ReplyThenClose(_)) {
-            conn.aborted = true;
-            conn.rbuf.clear();
-        }
-        conn.pending += 1;
-        if self.comp_tx.send((token, action)).is_err() {
-            // Unreachable while the completion thread lives (it outlives
-            // the loop); keep accounting sane anyway.
-            let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-            conn.pending -= 1;
-            conn.dead = true;
-        }
+        let Self { slots, shared, helpers, rung, waker, .. } = self;
+        let conn = slots[idx].conn.as_mut().expect("resolved conn");
+        let key = match action {
+            Action::Nothing => return,
+            Action::Reply(frame) => return queue(&mut conn.wbuf, conn.dead, &frame),
+            Action::ReplyThenClose(frame) => {
+                conn.aborted = true;
+                conn.rbuf.clear();
+                conn.owed.owe(|_| Entry::Closing(Box::new(frame)))
+            }
+            Action::Verdict { request_id, ticket } => conn.owed.owe(|key| {
+                ticket.ring_on_resolve(&bell(rung, waker, token, key));
+                Entry::Held(Owe::Verdict { request_id, ticket })
+            }),
+            Action::Help(job @ Job::FinalMetrics { .. }) => conn.owed.owe(|_| Entry::Deferred(job)),
+            Action::Help(job) => conn
+                .owed
+                .owe(|key| Entry::Held(start_job(shared, helpers, job, &bell(rung, waker, token, key)))),
+        };
+        self.settle(idx, Some(key));
     }
 
-    /// Runs one decoded request through the shared dispatcher. Every
-    /// reply — and the reshard of a `Scale`, which takes milliseconds and
-    /// must not stall the connections this loop multiplexes — goes
-    /// through the completion thread.
-    fn dispatch(&mut self, idx: usize, frame: Frame) {
-        match dispatch(&self.shared.service, frame) {
-            Action::Nothing => {}
-            action => self.send_completion(idx, action),
-        }
+    /// Writes the owed replies that resolved — the one under `key`, or
+    /// every one when `None` — and whatever that makes due.
+    fn settle(&mut self, idx: usize, key: Option<u64>) {
+        let token = token_of(self.slots[idx].gen, idx);
+        let Self { slots, shared, helpers, rung, waker, .. } = self;
+        let Conn { owed, wbuf, dead, .. } = slots[idx].conn.as_mut().expect("resolved conn");
+        let start = |key, job| start_job(shared, helpers, job, &bell(rung, waker, token, key));
+        owed.settle(key, Owe::poll, start, |frame| queue(wbuf, *dead, &frame));
     }
 
-    /// Applies one completed reply: append to the write buffer, flush
-    /// opportunistically, resume parsing if the window freed.
-    fn apply_done(&mut self, done: Done) {
-        let Some(idx) = self.resolve(done.token) else { return };
-        let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-        conn.pending -= 1;
-        if !conn.dead {
-            conn.wbuf.extend_from_slice(&done.bytes);
+    /// Writes the replies whose bells rang since the last turn; the
+    /// turn's sweep flushes each connection once.
+    fn ring(&mut self) {
+        let rung = std::mem::take(&mut *self.rung.lock().unwrap_or_else(PoisonError::into_inner));
+        for (token, key) in rung {
+            if let Some(idx) = self.resolve(token) {
+                self.settle(idx, Some(key));
+            }
         }
-        self.try_flush(idx);
-        // The window (or the write backlog) may have freed: frames still
-        // buffered in rbuf become parseable again.
-        self.parse_frames(idx);
-        self.finish_conn_turn(idx);
     }
 
     /// Writes as much of the backlog as the socket absorbs; partial
     /// writes keep their position and resume on `EPOLLOUT`.
     fn try_flush(&mut self, idx: usize) {
-        let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
+        let conn = self.conn(idx);
         if conn.dead {
             conn.wbuf.clear();
             conn.wpos = 0;
@@ -529,20 +569,17 @@ impl<B: Backend> EventLoop<B> {
 
     /// Post-activity bookkeeping: re-register interest, close if done.
     fn finish_conn_turn(&mut self, idx: usize) {
-        let Some(conn) = self.slots[idx].conn.as_ref() else { return };
+        let token = token_of(self.slots[idx].gen, idx);
+        let Some(conn) = self.slots[idx].conn.as_mut() else { return };
         if conn.done_for_good() {
             self.close_conn(idx);
             return;
         }
-        let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
-        let paused = conn.pending >= INFLIGHT_WINDOW || conn.backlog() >= WBUF_PAUSE;
         let desired = Interest {
-            readable: !conn.eof && !conn.aborted && !conn.dead && !paused,
+            readable: !conn.eof && !conn.aborted && !conn.dead && !conn.paused(),
             writable: !conn.dead && conn.backlog() > 0,
         };
         if desired != conn.interest {
-            let token = token_of(self.slots[idx].gen, idx);
-            let conn = self.slots[idx].conn.as_mut().expect("resolved conn");
             if self.epoll.modify(conn.stream.as_raw_fd(), token, desired).is_ok() {
                 conn.interest = desired;
             } else {
@@ -563,25 +600,31 @@ impl<B: Backend> EventLoop<B> {
         self.shared.conn_closed();
     }
 
-    /// Periodic maintenance over live connections: write-deadline
-    /// enforcement, shutdown fencing, deferred closes.
-    fn sweep(&mut self, shutting_down: bool) {
+    /// Maintenance over live connections each turn: shutdown fencing,
+    /// write-deadline enforcement, polling every owed reply when
+    /// `poll_all`, parsing what a freed window lets through, one flush of
+    /// everything the turn wrote, and deferred closes. Returns whether
+    /// any connection still owes a reply.
+    fn sweep(&mut self, shutting_down: bool, poll_all: bool) -> bool {
+        let mut owes = false;
         for idx in 0..self.slots.len() {
             let Some(conn) = self.slots[idx].conn.as_mut() else { continue };
-            if shutting_down && !conn.eof {
-                // Stop reading; buffered frames were already parsed, and
+            if shutting_down {
+                // Stop reading; buffered frames are still parsed, and
                 // everything owed still flushes before the close.
                 conn.eof = true;
             }
-            if let Some(since) = conn.stalled_since {
-                if since.elapsed() >= WRITE_TIMEOUT {
-                    conn.dead = true;
-                }
+            if conn.stalled_since.is_some_and(|since| since.elapsed() >= WRITE_TIMEOUT) {
+                conn.dead = true;
             }
-            if conn.backlog() > 0 && !conn.dead {
-                self.try_flush(idx);
+            if poll_all && !conn.owed.is_empty() {
+                self.settle(idx, None);
             }
+            self.parse_frames(idx);
+            self.try_flush(idx);
             self.finish_conn_turn(idx);
+            owes |= self.slots[idx].conn.as_ref().is_some_and(|conn| !conn.owed.is_empty());
         }
+        owes
     }
 }

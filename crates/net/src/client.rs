@@ -44,10 +44,9 @@ use crate::codec::{
 };
 use crate::error::NetError;
 use crate::replies::{Delivery, Replies};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
-use offloadnn_serve::{Admitter, MetricsSnapshot, Outcome, SubmitError, VerdictError};
+use offloadnn_serve::{Admitter, Bell, Mailbox, MetricsSnapshot, Outcome, SubmitError, VerdictError};
 use offloadnn_telemetry::{event, Histogram, Severity};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -108,7 +107,7 @@ pub struct Client {
 /// [`PendingVerdict::poll_wait`]).
 #[derive(Debug)]
 pub struct PendingVerdict {
-    rx: Receiver<Frame>,
+    rx: Mailbox<Frame>,
     sent_at: Instant,
 }
 
@@ -145,22 +144,15 @@ impl PendingVerdict {
 /// other frame, or a connection that died first, as
 /// [`NetError::Disconnected`] (a late reply is dropped by the reader).
 fn redeem<T>(
-    rx: &Receiver<Frame>,
+    rx: &Mailbox<Frame>,
     bound: Option<Duration>,
     what: &str,
     pick: impl FnOnce(Frame) -> Option<T>,
 ) -> Option<Result<T, NetError>> {
-    let frame = match bound {
-        None => rx.recv().ok(),
-        Some(bound) => match rx.recv_timeout(bound) {
-            Err(RecvTimeoutError::Timeout) => return None,
-            received => received.ok(),
-        },
-    };
-    Some(match frame {
-        None => Err(NetError::Disconnected(format!("connection died waiting for {what}"))),
-        Some(Frame::Error(e)) => Err(NetError::Server(e)),
-        Some(other) => {
+    Some(match rx.take(bound)? {
+        Err(_) => Err(NetError::Disconnected(format!("connection died waiting for {what}"))),
+        Ok(Frame::Error(e)) => Err(NetError::Server(e)),
+        Ok(other) => {
             let got = other.type_name();
             pick(other)
                 .ok_or_else(|| NetError::Disconnected(format!("unexpected {got} frame in place of {what}")))
@@ -227,7 +219,7 @@ impl Client {
 
     /// Sends request `id`: opens its reply slot, then writes its frame.
     /// A failed write cancels the slot.
-    fn request(&self, id: u64, bytes: &[u8]) -> Result<Receiver<Frame>, NetError> {
+    fn request(&self, id: u64, bytes: &[u8]) -> Result<Mailbox<Frame>, NetError> {
         let rx = self.replies.lock().expect("reply table lock").register(id)?;
         self.write(bytes)
             .map(|()| rx)
@@ -471,6 +463,12 @@ impl offloadnn_serve::VerdictHandle for PendingVerdict {
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
         self.redeem(Some(timeout)).map_or(Err(VerdictError::TimedOut), |r| r.map_err(verdict_error))
+    }
+
+    /// Rung by the connection's reader thread when the reply lands, or
+    /// when the connection dies first.
+    fn ring_on_resolve(&self, bell: &Bell) {
+        self.rx.ring_on_resolve(bell);
     }
 }
 

@@ -49,7 +49,7 @@
 //! expects exactly one whole frame.
 
 use crate::error::DecodeError;
-use crate::wire::{field_min, fnv1a32, Reader, Wire, Writer};
+use crate::wire::{capped_seq, field_min, fnv1a32, Reader, Wire, Writer};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{QualityLevel, Task, TaskId};
 use offloadnn_dnn::block::{BlockId, GroupId, ModelId};
@@ -80,6 +80,11 @@ pub const TRAILER_LEN: usize = 4;
 /// hundreds of candidate paths is a few hundred KiB; anything near this
 /// limit is garbage or abuse.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+
+/// Most gateways a [`ForwardRequest::tried`] set may name, checked before
+/// it is allocated: every forwarded ticket stores it, and a legitimate
+/// one names the origin plus one per hop (two at a hop limit of 1).
+pub const MAX_TRIED: u32 = 16;
 
 /// Generates a wire enum's [`Wire`] impl — one tag byte — from one
 /// `Variant = tag` list, so the two directions cannot drift apart. The
@@ -122,16 +127,19 @@ macro_rules! wire_newtype {
 /// Generates each listed struct's [`Wire`] impl from one row naming its
 /// fields *in wire order*: the row is the layout. `MIN` is the sum of the
 /// fields' minimums, and a decode error names the field `Type.field`.
-/// A row that misses or repeats a field does not compile.
+/// A sequence field written `field <= CAP` decodes at most `CAP`
+/// elements. A row that misses or repeats a field does not compile.
 macro_rules! wire_struct {
-    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+    (@get $r:ident, $name:expr) => { Wire::get($r, $name)? };
+    (@get $r:ident, $name:expr, $cap:expr) => { capped_seq($r, $name, $cap)? };
+    ($($ty:ident { $($field:ident $(<= $cap:expr)?),* $(,)? })*) => {$(
         impl Wire for $ty {
             const MIN: usize = 0 $(+ field_min(|s: &$ty| &s.$field))*;
             #[inline]
             fn put(&self, w: &mut Writer) { $(self.$field.put(w);)* }
             #[inline]
             fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
-                $(let $field = Wire::get(r, concat!(stringify!($ty), ".", stringify!($field)))?;)*
+                $(let $field = wire_struct!(@get r, concat!(stringify!($ty), ".", stringify!($field)) $(, $cap)?);)*
                 Ok($ty { $($field),* })
             }
         }
@@ -644,7 +652,7 @@ wire_struct! {
     AnnounceRequest { request_id, addr, incarnation }
     LeaveRequest { request_id, addr, incarnation }
     PeerHelloRequest { request_id, addr, incarnation }
-    ForwardRequest { request_id, deadline_us, hops, origin, tried, task, options }
+    ForwardRequest { request_id, deadline_us, hops, origin, tried <= MAX_TRIED, task, options }
     OutcomeResponse { request_id, outcome }
     MetricsResponse { request_id, is_final, metrics }
     ScaleResponse { request_id, from_shards, to_shards, migrated, generation }

@@ -1,14 +1,12 @@
-//! The one request dispatcher shared by both engines.
+//! The one request dispatcher of the connection engine.
 //!
 //! [`dispatch`] maps a decoded frame onto the backend — data-plane
 //! frames onto its [`offloadnn_serve::Admitter`] half, control-plane
 //! frames onto its [`Backend`] half — and says what the connection owes
-//! in return as an [`Action`]; [`Action::redeem`] turns an action into
-//! the reply frame. The engines own only *where* each step runs: the
-//! threaded one queues actions from its reader to its writer thread, the
-//! reactor from its event loop to its completion thread (paired with the
-//! connection token). The next frame type is one arm here, not one in
-//! every engine.
+//! in return as an [`Action`]: a reply to write now, a verdict owed
+//! until it resolves ([`Owe`]), or a [`Job`] that may block and so runs
+//! on a helper thread. Nothing here blocks. The next frame type is one
+//! arm here, not one in the engine (`async_server.rs`).
 
 use crate::backend::{Backend, ForwardInfo};
 use crate::codec::{
@@ -16,34 +14,89 @@ use crate::codec::{
     ScaleResponse,
 };
 use crate::error::DecodeError;
-use offloadnn_serve::{PendingVerdict, SubmitError};
+use offloadnn_serve::{Mailbox, PendingVerdict, SubmitError};
 use offloadnn_telemetry::{event, Severity};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// What a connection owes after one decoded frame. Also the message both
-/// engines queue towards the thread that builds and sends replies, so
-/// per-connection FIFO order of the queue is the order of the replies.
-#[allow(clippy::large_enum_variant)] // transient, window-bounded queue; see Frame
+/// What a connection owes after one decoded frame.
+#[allow(clippy::large_enum_variant)] // transient and window-bounded; see Frame
 pub(crate) enum Action {
-    /// A submitted request: redeem the ticket (may block), reply with
-    /// the outcome.
+    /// A submitted request: the connection owes its verdict.
     Verdict { request_id: u64, ticket: PendingVerdict },
-    /// An already-built response frame.
+    /// An already-built response frame, written at once.
     Reply(Frame),
-    /// Snapshot the backend *when redeemed* — i.e. after every earlier
-    /// verdict of this connection flushed — and reply with the final
-    /// metrics frame (the drain acknowledgement; an announced node's
-    /// frontend sends its leave first, see `Shared::redeem`).
-    FinalMetrics { request_id: u64 },
-    /// Reshard the backend (milliseconds) and reply with the result. The
-    /// frontend picks the thread: never one that multiplexes connections.
-    Scale { request_id: u64, shards: u32 },
+    /// Work that may block, run on a helper thread; its reply is owed
+    /// like a verdict.
+    Help(Job),
     /// Nothing to send (a departure is fire-and-forget).
     Nothing,
     /// Protocol abuse: send this error frame behind everything the
     /// client is still owed, then close the connection.
     ReplyThenClose(Frame),
+}
+
+/// Work an event loop must not run itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Job {
+    /// The drain acknowledgement: the final metrics, read only once
+    /// every earlier verdict of the connection is written (an announced
+    /// node's frontend fires its leave first, see `Shared::help`).
+    FinalMetrics { request_id: u64 },
+    /// Reshard the backend (milliseconds) and reply with the result.
+    Scale { request_id: u64, shards: u32 },
+}
+
+impl Job {
+    pub(crate) fn request_id(self) -> u64 {
+        match self {
+            Job::FinalMetrics { request_id } | Job::Scale { request_id, .. } => request_id,
+        }
+    }
+
+    /// Runs the job to its reply frame; may block for milliseconds.
+    pub(crate) fn redeem<B: Backend>(self, backend: &B) -> Frame {
+        match self {
+            Job::FinalMetrics { request_id } => {
+                Frame::Metrics(MetricsResponse { request_id, is_final: true, metrics: backend.ledger() })
+            }
+            Job::Scale { request_id, shards } => match backend.scale_to(shards as usize) {
+                Ok(r) => Frame::Scaled(ScaleResponse {
+                    request_id,
+                    from_shards: r.from_shards as u32,
+                    to_shards: r.to_shards as u32,
+                    migrated: r.migrated,
+                    generation: r.generation,
+                }),
+                Err(e) => error_frame(request_id, ErrorCode::InvalidScale, e.to_string()),
+            },
+        }
+    }
+}
+
+/// A reply the connection owes but cannot build yet: a verdict in
+/// flight, or a helper thread's reply to a [`Job`].
+pub(crate) enum Owe {
+    Verdict { request_id: u64, ticket: PendingVerdict },
+    Job { request_id: u64, reply: Mailbox<Frame> },
+}
+
+impl Owe {
+    /// The reply, once it can be built without waiting. A verdict the
+    /// backend lost (e.g. to a chaos-killed shard worker), or a helper
+    /// that died, is answered with an `Internal` error frame.
+    pub(crate) fn poll(&self) -> Option<Frame> {
+        let (request_id, reply) = match self {
+            Owe::Verdict { request_id, ticket } => (
+                *request_id,
+                ticket
+                    .poll()?
+                    .map(|outcome| Frame::Outcome(OutcomeResponse { request_id: *request_id, outcome })),
+            ),
+            Owe::Job { request_id, reply } => (*request_id, reply.take(Some(Duration::ZERO))?),
+        };
+        Some(reply.unwrap_or_else(|e| error_frame(request_id, ErrorCode::Internal, e.to_string())))
+    }
 }
 
 /// Dispatches one decoded frame to the backend. Never blocks on a
@@ -64,8 +117,7 @@ pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action {
             backend.depart(req.task);
             Action::Nothing
         }
-        // The snapshot is taken now; the queue only sequences it behind
-        // this connection's earlier replies.
+        // The snapshot is taken now, at the frame's place in the stream.
         Frame::Snapshot(req) => Action::Reply(Frame::Metrics(MetricsResponse {
             request_id: req.request_id,
             is_final: false,
@@ -74,7 +126,7 @@ pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action {
         Frame::Drain(req) => {
             event!(Severity::Info, "net.dispatch", "drain requested (request {})", req.request_id);
             backend.begin_drain();
-            Action::FinalMetrics { request_id: req.request_id }
+            Action::Help(Job::FinalMetrics { request_id: req.request_id })
         }
         Frame::Scale(req) => {
             event!(
@@ -84,7 +136,7 @@ pub(crate) fn dispatch<B: Backend>(backend: &B, frame: Frame) -> Action {
                 req.shards,
                 req.request_id
             );
-            Action::Scale { request_id: req.request_id, shards: req.shards }
+            Action::Help(Job::Scale { request_id: req.request_id, shards: req.shards })
         }
         // Membership bookkeeping and a load digest are map updates and a
         // couple of atomic reads: cheap enough to answer inline.
@@ -117,42 +169,6 @@ impl Action {
     /// decode: a connection-level (`request_id` 0) `Malformed` error.
     pub(crate) fn protocol_error(e: DecodeError) -> Self {
         Action::ReplyThenClose(error_frame(0, ErrorCode::Malformed, e.to_string()))
-    }
-
-    /// Builds the reply this action owes, blocking on the verdict if it
-    /// has not resolved yet (`before_block` runs first in that case, so
-    /// a writer can flush what earlier requests are owed). `None` only
-    /// for [`Action::Nothing`].
-    pub(crate) fn redeem<B: Backend>(self, backend: &B, before_block: impl FnOnce()) -> Option<Frame> {
-        Some(match self {
-            Action::Verdict { request_id, ticket } => {
-                let verdict = ticket.poll().unwrap_or_else(|| {
-                    before_block();
-                    ticket.wait()
-                });
-                match verdict {
-                    Ok(outcome) => Frame::Outcome(OutcomeResponse { request_id, outcome }),
-                    // The backend lost the request without resolving it
-                    // (e.g. a chaos-killed shard worker).
-                    Err(e) => error_frame(request_id, ErrorCode::Internal, e.to_string()),
-                }
-            }
-            Action::Reply(frame) | Action::ReplyThenClose(frame) => frame,
-            Action::FinalMetrics { request_id } => {
-                Frame::Metrics(MetricsResponse { request_id, is_final: true, metrics: backend.ledger() })
-            }
-            Action::Scale { request_id, shards } => match backend.scale_to(shards as usize) {
-                Ok(r) => Frame::Scaled(ScaleResponse {
-                    request_id,
-                    from_shards: r.from_shards as u32,
-                    to_shards: r.to_shards as u32,
-                    migrated: r.migrated,
-                    generation: r.generation,
-                }),
-                Err(e) => error_frame(request_id, ErrorCode::InvalidScale, e.to_string()),
-            },
-            Action::Nothing => return None,
-        })
     }
 }
 
@@ -209,10 +225,10 @@ mod tests {
     };
     use std::sync::Mutex;
 
-    /// A pending verdict scripted per redemption step.
+    /// A pending verdict that only ever polls `poll`: the engine never
+    /// waits on a verdict.
     struct Scripted {
         poll: Option<Result<Outcome, VerdictError>>,
-        wait: Result<Outcome, VerdictError>,
     }
 
     impl VerdictHandle for Scripted {
@@ -221,19 +237,16 @@ mod tests {
         }
 
         fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
-            self.wait
+            unreachable!("the engine never waits on a verdict")
         }
 
         fn wait_timeout(self: Box<Self>, _: Duration) -> Result<Outcome, VerdictError> {
-            unreachable!("the dispatcher never bounds its wait")
+            unreachable!("the engine never waits on a verdict")
         }
     }
 
-    fn pending(
-        poll: Option<Result<Outcome, VerdictError>>,
-        wait: Result<Outcome, VerdictError>,
-    ) -> PendingVerdict {
-        PendingVerdict::new(TaskId(1), Box::new(Scripted { poll, wait }))
+    fn pending(poll: Option<Result<Outcome, VerdictError>>) -> PendingVerdict {
+        PendingVerdict::new(TaskId(1), Box::new(Scripted { poll }))
     }
 
     /// A scripted backend: records every call the dispatcher makes.
@@ -267,7 +280,7 @@ mod tests {
             budget: Option<Duration>,
         ) -> Result<PendingVerdict, SubmitError> {
             self.log(format!("submit {} {budget:?}", task.id));
-            Ok(pending(Some(Ok(Outcome::Rejected { shard: 7 })), Err(VerdictError::Lost)))
+            Ok(pending(Some(Ok(Outcome::Rejected { shard: 7 }))))
         }
 
         fn depart(&self, task: TaskId) {
@@ -364,8 +377,8 @@ mod tests {
         match action {
             Action::Verdict { request_id, .. } => format!("verdict #{request_id}"),
             Action::Reply(f) => format!("reply {}", describe_frame(f)),
-            Action::FinalMetrics { request_id } => format!("final-metrics #{request_id}"),
-            Action::Scale { request_id, shards } => format!("scale #{request_id} to {shards}"),
+            Action::Help(Job::FinalMetrics { request_id }) => format!("final-metrics #{request_id}"),
+            Action::Help(Job::Scale { request_id, shards }) => format!("scale #{request_id} to {shards}"),
             Action::Nothing => "nothing".to_owned(),
             Action::ReplyThenClose(f) => format!("close after {}", describe_frame(f)),
         }
@@ -429,23 +442,30 @@ mod tests {
         ]);
     }
 
-    /// A verdict the backend lost — found already dead by the poll, or
-    /// dying under the blocking wait — becomes an `Internal` error frame
-    /// on the same request id; the final metrics of a drain are the local
-    /// ledger read at redemption.
+    /// An owed verdict is polled, never waited on: still in flight it
+    /// owes nothing yet, and one the backend lost becomes an `Internal`
+    /// error frame on the same request id. A drain's final metrics are
+    /// the local ledger read when the job runs.
     #[test]
     fn redeem_answers_lost_verdicts_and_the_final_ledger() {
         let backend = Script::<false>::default();
-        let lost = || Err(VerdictError::Lost);
-        for (poll, blocks) in [(Some(lost()), false), (None, true)] {
-            let mut blocked = false;
-            let action = Action::Verdict { request_id: 42, ticket: pending(poll, lost()) };
-            let frame = action.redeem(&backend, || blocked = true).expect("a verdict owes a reply");
-            assert_eq!(describe_frame(&frame), "error Internal #42");
-            assert_eq!(blocked, blocks, "before_block runs only ahead of a blocking wait");
-        }
-        let frame = Action::FinalMetrics { request_id: 9 }.redeem(&backend, || {}).expect("final metrics");
+        let in_flight = Owe::Verdict { request_id: 42, ticket: pending(None) };
+        assert!(in_flight.poll().is_none(), "an in-flight verdict owes nothing yet");
+        let lost = Owe::Verdict { request_id: 42, ticket: pending(Some(Err(VerdictError::Lost))) };
+        assert_eq!(describe_frame(&lost.poll().expect("a lost verdict is answered")), "error Internal #42");
+        let frame = Job::FinalMetrics { request_id: 9 }.redeem(&backend);
         assert_eq!(describe_frame(&frame), "metrics #9");
         assert_eq!(*backend.0.lock().unwrap(), ["ledger"]);
+    }
+
+    /// A helper thread that dies before answering its job answers an
+    /// `Internal` error frame on the job's request id.
+    #[test]
+    fn a_helper_that_dies_unanswered_owes_an_internal_error() {
+        let (responder, reply) = offloadnn_serve::mailbox();
+        let owed = Owe::Job { request_id: 10, reply };
+        assert!(owed.poll().is_none());
+        drop(responder);
+        assert_eq!(describe_frame(&owed.poll().expect("answered")), "error Internal #10");
     }
 }

@@ -56,8 +56,8 @@ pub enum DecodeError {
         /// The claimed string length.
         len: u32,
     },
-    /// A sequence length prefix claims more elements than the remaining
-    /// payload bytes could possibly hold.
+    /// A sequence length prefix claims more elements than its field
+    /// allows or than the remaining payload bytes could possibly hold.
     OversizedSeq {
         /// The claimed element count.
         len: u32,

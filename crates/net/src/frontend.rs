@@ -1,26 +1,26 @@
-//! The TCP server: one handle, one accept loop, two engines.
+//! The TCP server: one handle, one accept loop, one connection engine.
 //!
 //! ## Threading model
 //!
 //! ```text
-//!                       Frontend::Threads       Frontend::Reactor
-//! acceptor thread ──┬── conn-0 reader ⇄ writer  event loop 0 ⇄ completion 0
-//!  (blocking accept,├── conn-1 reader ⇄ writer  event loop 1 ⇄ completion 1
-//!   capped backoff, └── ... one pair per conn   (fixed pool, conns round-robin)
-//!   connection limit)
+//!                       Frontend::Threads          Frontend::Reactor
+//! acceptor thread ──┬── event loop of conn 0       event loop 0 ─┐ conns
+//!  (blocking accept,├── event loop of conn 1       event loop 1 ─┘ round-robin
+//!   capped backoff, └── ... one loop per conn      (fixed pool)
+//!   connection limit)     each loop: + a short-lived helper per Scale / drain ack
 //! ```
 //!
 //! [`AnyServer`] owns the listener's acceptor thread and everything the
 //! two frontends have in common — bind, connection limit, accept
-//! backoff, metrics, reshard, gateway registration, shutdown. What
-//! differs is only *where an accepted connection is served*, which is
-//! the crate-private engine the [`Frontend`] value picks: a reader +
-//! writer thread per connection (`server.rs`) or a fixed pool of epoll
-//! event loops with paired completion threads (`async_server.rs`). Both
-//! decode with the same [`crate::codec`], run every frame through the
-//! same dispatcher and preserve the same per-connection reply order, so
-//! tests, load generators and benches run the identical workload
-//! against either one.
+//! backoff, metrics, reshard, gateway registration, shutdown. Every
+//! accepted connection is served by the same epoll event loop
+//! (`async_server.rs`); the [`Frontend`] value picks only how loops map
+//! to connections: one loop per connection, on a thread that exits with
+//! it, or a fixed pool of loops multiplexing them all. Both decode with
+//! the same [`crate::codec`], run every frame through the same
+//! dispatcher and write each reply the moment it resolves, so tests,
+//! load generators and benches run the identical workload against
+//! either one.
 //!
 //! The server is generic over the [`Backend`] it serves, defaulting to
 //! the in-process [`offloadnn_serve::Service`];
@@ -33,11 +33,11 @@
 //! the ingress via [`offloadnn_serve::Admitter::begin_drain`]:
 //! subsequent submits are answered [`ErrorCode::Draining`], while every
 //! request already inside the backend still resolves and its outcome is
-//! *flushed to the client* before the connection closes — on both
-//! engines the connection's whole reply queue drains first, so drain
-//! never strands an in-flight verdict. A node announced to a gateway
-//! ([`AnyServer::announce_to`]) sends its leave before it acknowledges
-//! the drain.
+//! *flushed to the client* before the connection closes, so drain never
+//! strands an in-flight verdict. A wire drain's acknowledgement follows
+//! every earlier verdict of its connection; a node announced to a
+//! gateway ([`AnyServer::announce_to`]) sends its leave before it
+//! acknowledges the drain.
 
 use crate::async_server::Pool;
 use crate::backend::{fresh_incarnation, Backend};
@@ -45,7 +45,6 @@ use crate::backoff::AcceptBackoff;
 use crate::codec::{self, ErrorCode, MembershipResponse};
 use crate::dispatch::error_frame;
 use crate::error::NetError;
-use crate::server::{spawn_connection, NetConfig};
 use crate::shared::{Shared, WRITE_TIMEOUT};
 use offloadnn_core::instance::DotInstance;
 use offloadnn_serve::{DrainReport, MetricsSnapshot, ReshardReport, ServeError, Service, ServiceConfig};
@@ -55,15 +54,44 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Which TCP frontend serves the connections.
+/// Tuning knobs of the TCP frontend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetConfig {
+    /// Maximum simultaneously served connections; further connects are
+    /// answered [`crate::ErrorCode::TooManyConnections`] and closed.
+    pub max_connections: usize,
+}
+
+impl Default for NetConfig {
+    fn default() -> Self {
+        Self { max_connections: 256 }
+    }
+}
+
+impl NetConfig {
+    /// Validates every field.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::InvalidConfig`] naming the offending field.
+    pub fn validate(&self) -> Result<(), NetError> {
+        if self.max_connections == 0 {
+            return Err(NetError::InvalidConfig("max_connections must be >= 1"));
+        }
+        Ok(())
+    }
+}
+
+/// How the connection engine's event loops map to connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Frontend {
-    /// Thread-per-connection: a reader + writer thread per client, the
-    /// right default up to a few hundred connections.
+    /// Thread-per-connection: each client's connection runs the event
+    /// loop on a thread of its own, the right default up to a few
+    /// hundred connections.
     #[default]
     Threads,
-    /// Readiness-driven: a fixed epoll event-loop pool multiplexing
-    /// every connection, for large client fleets.
+    /// A fixed pool of event loops multiplexing every connection, for
+    /// large client fleets.
     Reactor,
 }
 
@@ -88,72 +116,6 @@ impl std::fmt::Display for Frontend {
     }
 }
 
-/// Where accepted connections are served: the one thing the two
-/// frontends do differently. Owned by the acceptor thread while the
-/// server runs, handed back to [`AnyServer::shutdown`] to be stopped.
-enum Engine {
-    /// One thread per live connection, and how many connections were
-    /// adopted so far (the next connection's id).
-    Threads { conns: Vec<Conn>, adopted: usize },
-    /// The fixed event-loop pool.
-    Reactor(Pool),
-}
-
-/// A connection served by its own thread.
-struct Conn {
-    /// A second handle on the connection's socket: shutting its read
-    /// half wakes the thread's blocked read.
-    stream: TcpStream,
-    thread: JoinHandle<()>,
-}
-
-impl Engine {
-    /// Starts serving one accepted (and already counted) connection.
-    fn adopt<B: Backend>(&mut self, stream: TcpStream, shared: &Arc<Shared<B>>) {
-        match self {
-            Self::Threads { conns, adopted } => {
-                // Forget the threads of connections that closed, so the
-                // list holds live connections only.
-                conns.retain(|conn| !conn.thread.is_finished());
-                match stream.try_clone() {
-                    Ok(handle) => {
-                        conns.push(Conn {
-                            stream: handle,
-                            thread: spawn_connection(*adopted, stream, shared),
-                        });
-                        *adopted += 1;
-                    }
-                    Err(_) => shared.conn_closed(),
-                }
-            }
-            Self::Reactor(pool) => {
-                if !pool.adopt(stream) {
-                    // The loop is gone (fatal epoll error); undo the accounting.
-                    shared.conn_closed();
-                }
-            }
-        }
-    }
-
-    /// Joins every serving thread; each returns once its connections
-    /// flushed what they owed (the shutdown flag is already up). A
-    /// threaded connection's read half is shut first: its blocked read
-    /// returns at once, while its writes still go through.
-    fn stop(self) {
-        match self {
-            Self::Threads { conns, .. } => {
-                for conn in &conns {
-                    let _ = conn.stream.shutdown(Shutdown::Read);
-                }
-                for conn in conns {
-                    let _ = conn.thread.join();
-                }
-            }
-            Self::Reactor(pool) => pool.stop(),
-        }
-    }
-}
-
 /// A running TCP frontend over any [`Backend`] (an in-process
 /// [`Service`] fleet by default). Start with [`AnyServer::start`] (or
 /// [`AnyServer::start_with_backend`]); stop with [`AnyServer::shutdown`],
@@ -161,8 +123,8 @@ impl Engine {
 pub struct AnyServer<B: Backend = Service> {
     local_addr: SocketAddr,
     shared: Arc<Shared<B>>,
-    /// Hands back the engine, with every thread it spawned, on exit.
-    acceptor: JoinHandle<Engine>,
+    /// Hands back the event loops, to be stopped, on exit.
+    acceptor: JoinHandle<Pool>,
 }
 
 impl<B: Backend> std::fmt::Debug for AnyServer<B> {
@@ -217,15 +179,15 @@ impl<B: Backend> AnyServer<B> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Shared::new(backend, net);
-        let engine = match frontend {
-            Frontend::Threads => Engine::Threads { conns: Vec::new(), adopted: 0 },
-            Frontend::Reactor => Engine::Reactor(Pool::start(&shared)?),
+        let pool = match frontend {
+            Frontend::Threads => Pool::per_connection(),
+            Frontend::Reactor => Pool::fixed(&shared)?,
         };
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("net-acceptor".into())
-                .spawn(move || accept_loop(&listener, &shared, engine))
+                .spawn(move || accept_loop(&listener, &shared, pool))
                 .expect("spawn acceptor")
         };
         event!(
@@ -300,21 +262,22 @@ impl<B: Backend> AnyServer<B> {
 
     /// Gracefully stops the frontend: fences the ingress, wakes and joins
     /// the acceptor, lets every connection flush its in-flight outcomes
-    /// to its client, joins the serving threads, then drains the
-    /// underlying backend and returns its final report.
+    /// to its client, joins the event loops (each joins its helper
+    /// threads first), then drains the underlying backend and returns
+    /// its final report.
     pub fn shutdown(self) -> DrainReport {
         self.shared.begin_shutdown(self.local_addr);
-        if let Ok(engine) = self.acceptor.join() {
-            engine.stop();
+        if let Ok(pool) = self.acceptor.join() {
+            pool.stop();
         }
         event!(Severity::Info, "net.server", "frontend stopped on {}", self.local_addr);
         self.shared.finish_shutdown()
     }
 }
 
-/// Accepts until shutdown and hands each connection to the engine;
-/// returns the engine for [`AnyServer::shutdown`] to stop.
-fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, mut engine: Engine) -> Engine {
+/// Accepts until shutdown and hands each connection to an event loop;
+/// returns the loops for [`AnyServer::shutdown`] to stop.
+fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, mut pool: Pool) -> Pool {
     let mut backoff = AcceptBackoff::new();
     while !shared.is_shutting_down() {
         let stream = match listener.accept() {
@@ -345,9 +308,11 @@ fn accept_loop<B: Backend>(listener: &TcpListener, shared: &Arc<Shared<B>>, mut 
         }
         shared.conn_opened();
         event!(Severity::Info, "net.server", "accepted {peer}");
-        engine.adopt(stream, shared);
+        if !pool.adopt(stream, shared) {
+            shared.conn_closed();
+        }
     }
-    engine
+    pool
 }
 
 /// Best-effort "too many connections" notice before dropping the socket.
@@ -371,11 +336,11 @@ mod tests {
         let shared = Shared::new(service, NetConfig::default());
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("local addr");
-        let mut engine = Engine::Threads { conns: Vec::new(), adopted: 0 };
+        let mut pool = Pool::per_connection();
         let mut connect = || {
             let client = TcpStream::connect(addr).expect("connect");
             shared.conn_opened();
-            engine.adopt(listener.accept().expect("accept").0, &shared);
+            assert!(pool.adopt(listener.accept().expect("accept").0, &shared), "a loop serves it");
             client
         };
         for _ in 0..16 {
@@ -385,14 +350,24 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        // Left open and idle: `stop` must still get its thread out.
+        // Left open and idle: `stop` must still get its loop out.
         let _idle = connect();
-        let Engine::Threads { conns, adopted } = &engine else { unreachable!("a threaded engine") };
-        // The last closed connection's thread may still be exiting.
-        assert!(conns.len() <= 2 && *adopted == 17, "{} handles for 1 live connection", conns.len());
+        // The last closed connection's loop may still be exiting.
+        assert!(
+            pool.loops.len() <= 2 && pool.adopted == 17,
+            "{} loops for 1 live connection",
+            pool.loops.len()
+        );
 
         shared.begin_shutdown(addr);
-        engine.stop();
+        pool.stop();
         assert!(shared.finish_shutdown().metrics.is_conserved());
+    }
+
+    #[test]
+    fn a_zero_connection_limit_is_rejected_and_named() {
+        assert!(NetConfig::default().validate().is_ok());
+        let refused = NetConfig { max_connections: 0 }.validate();
+        assert!(matches!(refused, Err(NetError::InvalidConfig(what)) if what.starts_with("max_connections")));
     }
 }

@@ -12,18 +12,19 @@
 //!   streaming and never panics on malformed input: truncation, bad
 //!   magic, version skew, hostile length prefixes and corrupted
 //!   checksums all surface as typed [`DecodeError`]s.
-//! * **Server** ([`AnyServer`]) — one TCP server handle over two
-//!   interchangeable engines with identical wire behaviour, picked by a
-//!   [`Frontend`] value: a reader + writer thread per connection, or a
-//!   fixed pool of epoll event loops built on `offloadnn-reactor`,
-//!   multiplexing hundreds of connections onto a handful of threads.
-//!   Both run every decoded request through the same crate-private
-//!   dispatcher onto the served tier ([`offloadnn_serve::Admitter`]
-//!   plus the control-plane [`Backend`]), and both enforce a bounded
-//!   per-connection in-flight window (backpressure propagates through
-//!   the TCP receive buffer, not server memory), a connection-count
-//!   limit, capped backoff on accept errors, and graceful drain that
-//!   flushes every in-flight verdict to its client before closing.
+//! * **Server** ([`AnyServer`]) — one TCP server handle over one
+//!   connection engine, an epoll event loop built on `offloadnn-reactor`
+//!   that writes each reply the moment it resolves. A [`Frontend`]
+//!   value picks how loops map to connections: one loop per connection,
+//!   or a fixed pool multiplexing hundreds of connections onto a
+//!   handful of threads. Every decoded request runs through the same
+//!   crate-private dispatcher onto the served tier
+//!   ([`offloadnn_serve::Admitter`] plus the control-plane [`Backend`]);
+//!   the engine enforces a bounded per-connection in-flight window
+//!   (backpressure propagates through the TCP receive buffer, not
+//!   server memory), a connection-count limit, capped backoff on accept
+//!   errors, and graceful drain that flushes every in-flight verdict to
+//!   its client before closing.
 //! * **Client** ([`client`]) — a pipelining client library over one
 //!   connection per client, submitted to and redeemed through
 //!   [`offloadnn_serve::Admitter`] like every other tier, with
@@ -74,8 +75,8 @@ mod dispatch;
 pub mod error;
 pub mod frontend;
 mod instruments;
+mod owed;
 mod replies;
-pub mod server;
 mod shared;
 pub mod wire;
 
@@ -83,8 +84,8 @@ pub use backend::{Backend, ForwardInfo, MembershipAck};
 pub use client::{Client, ClientConfig, PendingVerdict};
 pub use codec::{
     decode, decode_exact, encode, ErrorCode, ForwardRequest, Frame, MemberInfo, MemberState,
-    MembershipDecision, PeerDigest, PeerHelloRequest, PeerLoadResponse, MAGIC, MAX_PAYLOAD, VERSION,
+    MembershipDecision, PeerDigest, PeerHelloRequest, PeerLoadResponse, MAGIC, MAX_PAYLOAD, MAX_TRIED,
+    VERSION,
 };
 pub use error::{DecodeError, NetError};
-pub use frontend::{AnyServer, Frontend};
-pub use server::NetConfig;
+pub use frontend::{AnyServer, Frontend, NetConfig};

@@ -1,13 +1,12 @@
 //! The client's reply table: which pending request each response frame
 //! on one connection answers. It reads no clock, takes no lock, blocks
-//! on no channel and touches no socket: each slot is a single-frame
-//! mailbox filled with `try_send`, and the socket, the lock and the
-//! reader thread are the driver's (`client.rs`). `ci.sh` keeps this
-//! file pure.
+//! on nothing and touches no socket: each slot is the write half of a
+//! single-use [`Mailbox`], and the socket, the lock and the reader
+//! thread are the client's (`client.rs`). `ci.sh` keeps this file pure.
 
 use crate::codec::Frame;
 use crate::error::NetError;
-use crossbeam::channel::{self, Receiver, Sender};
+use offloadnn_serve::{mailbox, Mailbox, Responder};
 use std::collections::HashMap;
 
 /// What [`Replies::deliver`] did with one frame.
@@ -28,7 +27,7 @@ pub(crate) enum Delivery {
 pub(crate) struct Replies {
     /// `false` once the connection died: no slot can be opened again.
     open: bool,
-    slots: HashMap<u64, Sender<Frame>>,
+    slots: HashMap<u64, Responder<Frame>>,
 }
 
 impl Replies {
@@ -41,11 +40,11 @@ impl Replies {
     /// # Errors
     ///
     /// [`NetError::Disconnected`] once the table is closed.
-    pub(crate) fn register(&mut self, id: u64) -> Result<Receiver<Frame>, NetError> {
+    pub(crate) fn register(&mut self, id: u64) -> Result<Mailbox<Frame>, NetError> {
         if !self.open {
             return Err(NetError::Disconnected("the connection is closed".into()));
         }
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mailbox();
         self.slots.insert(id, tx);
         Ok(rx)
     }
@@ -65,17 +64,18 @@ impl Replies {
         }
         match self.slots.remove(&id) {
             Some(slot) => {
-                // The receiver may be gone (a timed-out wait); the reply
+                // The reader may be gone (a timed-out wait); the reply
                 // is then simply dropped.
-                let _ = slot.try_send(frame);
+                slot.send(frame);
                 Delivery::Delivered
             }
             None => Delivery::Unknown(id),
         }
     }
 
-    /// Closes the table: every pending slot fails (its receiver sees the
-    /// sender dropped) and later registrations are refused.
+    /// Closes the table: every pending slot resolves lost (its write
+    /// half drops unsent, which rings its bell) and later registrations
+    /// are refused.
     pub(crate) fn close(&mut self) {
         self.open = false;
         self.slots.clear();
@@ -87,10 +87,18 @@ mod tests {
     use super::*;
     use crate::codec::{ErrorCode, SnapshotRequest};
     use crate::dispatch::error_frame;
-    use crossbeam::channel::TryRecvError;
+    use offloadnn_serve::{Bell, VerdictError};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn answer(request_id: u64) -> Frame {
         Frame::Snapshot(SnapshotRequest { request_id })
+    }
+
+    /// What a slot holds right now, without waiting.
+    fn peek(slot: &Mailbox<Frame>) -> Option<Result<Frame, VerdictError>> {
+        slot.take(Some(Duration::ZERO))
     }
 
     #[test]
@@ -99,8 +107,8 @@ mod tests {
         let one = table.register(1).expect("open");
         let two = table.register(2).expect("open");
         assert_eq!(table.deliver(answer(2)), Delivery::Delivered);
-        assert_eq!(two.try_recv(), Ok(answer(2)));
-        assert_eq!(one.try_recv(), Err(TryRecvError::Empty), "slot 1 is still pending");
+        assert_eq!(peek(&two), Some(Ok(answer(2))));
+        assert_eq!(peek(&one), None, "slot 1 is still pending");
     }
 
     #[test]
@@ -109,8 +117,8 @@ mod tests {
         let slot = table.register(7).expect("open");
         assert_eq!(table.deliver(answer(7)), Delivery::Delivered);
         assert_eq!(table.deliver(answer(7)), Delivery::Unknown(7));
-        assert_eq!(slot.try_recv(), Ok(answer(7)));
-        assert_eq!(slot.try_recv(), Err(TryRecvError::Disconnected), "one reply per slot");
+        assert_eq!(peek(&slot), Some(Ok(answer(7))));
+        assert_eq!(peek(&slot), Some(Err(VerdictError::Lost)), "one reply per slot");
     }
 
     #[test]
@@ -120,8 +128,26 @@ mod tests {
         let refusal = error_frame(0, ErrorCode::TooManyConnections, "full");
         assert_eq!(table.deliver(refusal.clone()), Delivery::ConnectionError(Box::new(refusal)));
         for slot in &slots {
-            assert_eq!(slot.try_recv(), Err(TryRecvError::Disconnected));
+            assert_eq!(peek(slot), Some(Err(VerdictError::Lost)));
         }
+    }
+
+    /// A frontend owing a gateway verdict hears of the dead connection
+    /// through the bell, not by waiting on the slot.
+    #[test]
+    fn close_rings_every_pending_slot() {
+        let rings = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&rings);
+        let bell: Bell = Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        let mut table = Replies::new();
+        let slots: Vec<_> = (1..=3).map(|id| table.register(id).expect("open")).collect();
+        for slot in &slots {
+            slot.ring_on_resolve(&bell);
+        }
+        table.close();
+        assert_eq!(rings.load(Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -129,7 +155,7 @@ mod tests {
         let mut table = Replies::new();
         let pending = table.register(1).expect("open");
         table.close();
-        assert_eq!(pending.try_recv(), Err(TryRecvError::Disconnected));
+        assert_eq!(peek(&pending), Some(Err(VerdictError::Lost)));
         assert!(matches!(table.register(2), Err(NetError::Disconnected(_))));
         assert_eq!(table.deliver(answer(1)), Delivery::Unknown(1));
     }
@@ -140,9 +166,9 @@ mod tests {
         let kept = table.register(1).expect("open");
         let cancelled = table.register(2).expect("open");
         table.cancel(2);
-        assert_eq!(cancelled.try_recv(), Err(TryRecvError::Disconnected));
+        assert_eq!(peek(&cancelled), Some(Err(VerdictError::Lost)));
         assert_eq!(table.deliver(answer(2)), Delivery::Unknown(2));
         assert_eq!(table.deliver(answer(1)), Delivery::Delivered);
-        assert_eq!(kept.try_recv(), Ok(answer(1)));
+        assert_eq!(peek(&kept), Some(Ok(answer(1))));
     }
 }

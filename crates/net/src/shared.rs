@@ -1,22 +1,22 @@
-//! What the server handle, its acceptor and both engines share around
-//! the backend they serve: the configuration, the shutdown flag,
+//! What the server handle, its acceptor and every event loop share
+//! around the backend they serve: the configuration, the shutdown flag,
 //! connection accounting, the armed gateway deregistration, the one
-//! place an engine redeems an action, and the begin/finish halves of a
+//! place a helper thread runs a job, and the begin/finish halves of a
 //! shutdown.
 
 use crate::backend::{Backend, LeaveNotice};
 use crate::codec::{Frame, MembershipResponse};
-use crate::dispatch::Action;
+use crate::dispatch::Job;
 use crate::error::NetError;
+use crate::frontend::NetConfig;
 use crate::instruments::NetInstruments;
-use crate::server::NetConfig;
 use offloadnn_serve::DrainReport;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Bound of each connection's submitted-but-unanswered window. A client
+/// Bound of each connection's owed-but-unwritten replies. A client
 /// pipelining past it stops being read until verdicts flush
 /// (backpressure through the socket, not server memory).
 pub(crate) const INFLIGHT_WINDOW: usize = 256;
@@ -78,7 +78,7 @@ impl<B: Backend> Shared<B> {
 
     /// [`crate::AnyServer::announce_to_as`]: announces the node listening on
     /// `local_addr` to `gateway`, and arms the graceful leave that
-    /// [`Shared::redeem`] of a drain or [`Shared::begin_shutdown`] fires.
+    /// [`Shared::help`] with a drain or [`Shared::begin_shutdown`] fires.
     pub(crate) fn announce(
         &self,
         local_addr: SocketAddr,
@@ -98,16 +98,16 @@ impl<B: Backend> Shared<B> {
         }
     }
 
-    /// Builds the reply `action` owes (see [`Action::redeem`]). A wire
-    /// drain's acknowledgement first fires the armed leave, so the
-    /// gateway stops routing here before the drainer hears back. This
-    /// runs on the threaded writer or the reactor's completion thread,
-    /// never on an event loop: the leave dials the gateway.
-    pub(crate) fn redeem(&self, action: Action, before_block: impl FnOnce()) -> Option<Frame> {
-        if matches!(action, Action::FinalMetrics { .. }) {
+    /// Runs `job` to its reply, on a helper thread: never on an event
+    /// loop, since a reshard takes milliseconds and the leave dials the
+    /// gateway. A wire drain's acknowledgement first fires the armed
+    /// leave, so the gateway stops routing here before the drainer hears
+    /// back.
+    pub(crate) fn help(&self, job: Job) -> Frame {
+        if let Job::FinalMetrics { .. } = job {
             self.leave();
         }
-        action.redeem(&self.service, before_block)
+        job.redeem(&self.service)
     }
 
     /// First half of a frontend shutdown: deregisters from the gateway
@@ -122,7 +122,9 @@ impl<B: Backend> Shared<B> {
         let _ = TcpStream::connect(local_addr);
     }
 
-    /// Last half: with every frontend thread joined, drains the backend.
+    /// Last half: with every frontend thread joined — event loops, and
+    /// the helper threads each loop joins before it exits — drains the
+    /// backend.
     pub(crate) fn finish_shutdown(self: Arc<Self>) -> DrainReport {
         let shared = Arc::try_unwrap(self)
             .unwrap_or_else(|_| panic!("all frontend threads joined, no Shared clones remain"));

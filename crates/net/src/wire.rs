@@ -186,16 +186,26 @@ impl<T: Wire> Wire for Vec<T> {
 
     #[inline]
     fn get(r: &mut Reader<'_>, field: &'static str) -> Result<Self, DecodeError> {
-        let len = u32::get(r, field)?;
-        if (len as u64).saturating_mul(T::MIN.max(1) as u64) > r.remaining() as u64 {
-            return Err(DecodeError::OversizedSeq { len });
-        }
-        let mut items = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            items.push(T::get(r, field)?);
-        }
-        Ok(items)
+        capped_seq(r, field, u32::MAX)
     }
+}
+
+/// The [`Vec`] layout holding at most `cap` elements: a longer count is
+/// refused ([`DecodeError::OversizedSeq`]) before anything is allocated.
+pub(crate) fn capped_seq<T: Wire>(
+    r: &mut Reader<'_>,
+    field: &'static str,
+    cap: u32,
+) -> Result<Vec<T>, DecodeError> {
+    let len = u32::get(r, field)?;
+    if len > cap || (len as u64).saturating_mul(T::MIN.max(1) as u64) > r.remaining() as u64 {
+        return Err(DecodeError::OversizedSeq { len });
+    }
+    let mut items = Vec::with_capacity(len as usize);
+    for _ in 0..len {
+        items.push(T::get(r, field)?);
+    }
+    Ok(items)
 }
 
 /// The [`Vec`] layout with a count that must equal `N`

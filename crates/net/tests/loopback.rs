@@ -8,15 +8,24 @@
 //!
 //! The load-bearing assertions are the conservation invariant
 //! (`submitted = admitted + rejected + shed + expired`, end-to-end
-//! through the wire) and the drain guarantee (every in-flight verdict is
-//! flushed to its client before the connection closes).
+//! through the wire), the drain guarantee (every in-flight verdict is
+//! flushed to its client before the connection closes) and resolution
+//! order (a held verdict delays no other).
 
+use offloadnn_core::instance::PathOption;
 use offloadnn_core::scenario::small_scenario;
-use offloadnn_core::task::TaskId;
-use offloadnn_net::codec::ErrorCode;
-use offloadnn_net::{AnyServer, Client, ClientConfig, Frontend, NetConfig, NetError};
-use offloadnn_serve::{Admitter, ChaosConfig, Outcome, ServiceConfig, VerdictError};
-use std::time::Duration;
+use offloadnn_core::task::{Task, TaskId};
+use offloadnn_net::codec::{self, DrainRequest, ErrorCode, Frame, ScaleRequest, SubmitRequest};
+use offloadnn_net::{AnyServer, Backend, Client, ClientConfig, Frontend, NetConfig, NetError};
+use offloadnn_serve::{
+    Admitter, ChaosConfig, DrainReport, MetricsSnapshot, Outcome, PendingVerdict, ReshardReport, ServeError,
+    Service, ServiceConfig, SubmitError, VerdictError, VerdictHandle,
+};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A service tuned for debug-mode CI: tiny batches, short windows.
 fn quick_service() -> ServiceConfig {
@@ -556,4 +565,269 @@ fn dead_client_never_redials() {
 #[test]
 fn dead_client_never_redials_reactor() {
     run_dead_client_never_redials(Frontend::Reactor);
+}
+
+/// A 2-shard service whose handle for one task holds its verdict back
+/// for `hold` after the shard answered: the stand-in for one slow
+/// verdict on a backend. The handle keeps the default
+/// `ring_on_resolve`, so a frontend finds it only by polling.
+struct Holding {
+    service: Service,
+    held: TaskId,
+    hold: Duration,
+    /// Set when a `Scale` reaches the backend; the reshard then takes
+    /// `hold` before it starts.
+    scaling: Arc<AtomicBool>,
+}
+
+impl Holding {
+    fn start(frontend: Frontend, held: TaskId, hold: Duration) -> (AnyServer<Holding>, Arc<AtomicBool>) {
+        let scenario = small_scenario(4);
+        let service = Service::start(quick_service(), &scenario.instance).expect("start service");
+        let scaling = Arc::new(AtomicBool::new(false));
+        let backend = Holding { service, held, hold, scaling: Arc::clone(&scaling) };
+        let server = AnyServer::start_with_backend(frontend, ("127.0.0.1", 0), NetConfig::default(), backend)
+            .expect("start server");
+        (server, scaling)
+    }
+}
+
+/// The held verdict: nothing to poll until `until`.
+struct Held {
+    verdict: PendingVerdict,
+    until: Instant,
+}
+
+impl VerdictHandle for Held {
+    fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
+        (Instant::now() >= self.until).then(|| self.verdict.poll()).flatten()
+    }
+
+    fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
+        std::thread::sleep(self.until.saturating_duration_since(Instant::now()));
+        self.verdict.wait()
+    }
+
+    fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
+        let held = self.until.saturating_duration_since(Instant::now());
+        if held > timeout {
+            std::thread::sleep(timeout);
+            return Err(VerdictError::TimedOut);
+        }
+        std::thread::sleep(held);
+        self.verdict.wait_timeout(timeout - held)
+    }
+}
+
+impl Admitter for Holding {
+    fn submit(
+        &self,
+        task: Task,
+        options: Vec<PathOption>,
+        deadline: Option<Duration>,
+    ) -> Result<PendingVerdict, SubmitError> {
+        let id = task.id;
+        let verdict = self.service.submit(task, options, deadline)?;
+        if id != self.held {
+            return Ok(verdict);
+        }
+        Ok(PendingVerdict::new(id, Box::new(Held { verdict, until: Instant::now() + self.hold })))
+    }
+
+    fn depart(&self, task: TaskId) {
+        Admitter::depart(&self.service, task);
+    }
+
+    fn metrics(&self) -> Option<MetricsSnapshot> {
+        Admitter::metrics(&self.service)
+    }
+
+    fn begin_drain(&self) {
+        Admitter::begin_drain(&self.service);
+    }
+
+    fn tier(&self) -> &'static str {
+        "holding"
+    }
+}
+
+impl Backend for Holding {
+    fn is_draining(&self) -> bool {
+        self.service.is_draining()
+    }
+
+    fn scale_to(&self, shards: usize) -> Result<ReshardReport, ServeError> {
+        self.scaling.store(true, Ordering::SeqCst);
+        std::thread::sleep(self.hold);
+        self.service.scale_to(shards)
+    }
+
+    fn ledger(&self) -> MetricsSnapshot {
+        self.service.metrics()
+    }
+
+    fn drain(self) -> DrainReport {
+        self.service.drain()
+    }
+}
+
+/// Dials `addr` and waits until the server has accepted the connection,
+/// so connections reach the event loops in dial order.
+fn dial_in_order(server: &AnyServer<Holding>) -> Client {
+    let before = server.active_connections();
+    let client = Client::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_connections() == before {
+        assert!(Instant::now() < deadline, "the server never accepted the connection");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    client
+}
+
+/// Submits `id` on `client` and times how long its verdict takes.
+fn timed_verdict(client: &Client, id: u32) -> Duration {
+    let scenario = small_scenario(4);
+    let (mut task, options) = (scenario.instance.tasks[1].clone(), scenario.instance.options[1].clone());
+    task.id = TaskId(id);
+    let sent = Instant::now();
+    let verdict = client.submit(task, options, None).expect("submit").wait_timeout(Duration::from_secs(20));
+    assert!(verdict.is_ok(), "task {id}: {verdict:?}");
+    sent.elapsed()
+}
+
+/// One held verdict delays no other: a connection's next verdict
+/// leaves as soon as it resolves, and so does the verdict of a
+/// connection the fixed pool puts on the held one's loop (the third
+/// connection, round-robin over two loops).
+fn run_a_held_verdict_blocks_nothing(frontend: Frontend) {
+    const HOLD: Duration = Duration::from_millis(500);
+    const PROMPT: Duration = Duration::from_millis(100);
+    let (server, _) = Holding::start(frontend, TaskId(1), HOLD);
+    let same = dial_in_order(&server);
+    let other_loop = dial_in_order(&server);
+    let same_loop = dial_in_order(&server);
+
+    let scenario = small_scenario(4);
+    let (mut task, options) = (scenario.instance.tasks[0].clone(), scenario.instance.options[0].clone());
+    task.id = TaskId(1);
+    let held_at = Instant::now();
+    let held = same.submit(task, options, None).expect("submit the held task");
+
+    // All three at once, so one late verdict cannot delay measuring another.
+    let (next, beside, apart) = std::thread::scope(|scope| {
+        let next = scope.spawn(|| timed_verdict(&same, 2));
+        let beside = scope.spawn(|| timed_verdict(&same_loop, 3));
+        let apart = scope.spawn(|| timed_verdict(&other_loop, 4));
+        let join = |h: std::thread::ScopedJoinHandle<'_, Duration>| h.join().expect("timed verdict");
+        (join(next), join(beside), join(apart))
+    });
+    assert!(next < PROMPT, "the held connection's next verdict took {next:?}");
+    assert!(beside < PROMPT, "a verdict on the held one's loop took {beside:?}");
+    assert!(apart < PROMPT, "a verdict on the other loop took {apart:?}");
+
+    assert!(held.wait_timeout(Duration::from_secs(20)).is_ok(), "the held verdict still arrives");
+    assert!(held_at.elapsed() >= HOLD, "and not before its hold");
+    for client in [same, other_loop, same_loop] {
+        client.close();
+    }
+    let report = server.shutdown();
+    assert!(report.metrics.is_conserved(), "ledger: {:?}", report.metrics);
+    assert_eq!(report.metrics.submitted, 4);
+}
+
+#[test]
+fn a_held_verdict_blocks_nothing() {
+    run_a_held_verdict_blocks_nothing(Frontend::Threads);
+}
+
+#[test]
+fn a_held_verdict_blocks_nothing_reactor() {
+    run_a_held_verdict_blocks_nothing(Frontend::Reactor);
+}
+
+/// Replies leave in resolution order, but a wire drain's final metrics
+/// still follow every earlier verdict of the connection: here the held
+/// verdict, owed long after the drain frame arrived.
+fn run_drain_ack_follows_earlier_verdicts(frontend: Frontend) {
+    const HOLD: Duration = Duration::from_millis(300);
+    let (server, _) = Holding::start(frontend, TaskId(1), HOLD);
+    let scenario = small_scenario(4);
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut wire = Vec::new();
+    for (request_id, id) in [(1, 1), (2, 2)] {
+        let mut task = scenario.instance.tasks[0].clone();
+        task.id = TaskId(id);
+        let options = scenario.instance.options[0].clone();
+        wire.extend(codec::encode(&Frame::Submit(SubmitRequest {
+            request_id,
+            deadline_us: 0,
+            task,
+            options,
+        })));
+    }
+    wire.extend(codec::encode(&Frame::Drain(DrainRequest { request_id: 3 })));
+    sock.write_all(&wire).expect("write");
+
+    sock.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    let mut buf = Vec::new();
+    let mut order = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while order.len() < 3 {
+        while let Some((frame, used)) = codec::decode(&buf).expect("server bytes are never malformed") {
+            buf.drain(..used);
+            order.push(match frame {
+                Frame::Outcome(o) => o.request_id,
+                Frame::Metrics(m) if m.is_final => m.request_id,
+                other => panic!("unexpected reply {other:?}"),
+            });
+        }
+        if order.len() < 3 {
+            let n = sock.read(&mut chunk).expect("read");
+            assert!(n > 0, "the server closed after {order:?}");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+    assert_eq!(order, [2, 1, 3], "the fast verdict first, the drain acknowledgement last");
+    drop(sock);
+    assert!(server.shutdown().metrics.is_conserved());
+}
+
+#[test]
+fn drain_ack_follows_earlier_verdicts() {
+    run_drain_ack_follows_earlier_verdicts(Frontend::Threads);
+}
+
+#[test]
+fn drain_ack_follows_earlier_verdicts_reactor() {
+    run_drain_ack_follows_earlier_verdicts(Frontend::Reactor);
+}
+
+/// A `Scale` still resharding when the server shuts down: its helper
+/// thread is joined before the backend drains, and the report conserves.
+fn run_shutdown_during_a_scale(frontend: Frontend) {
+    const RESHARD: Duration = Duration::from_millis(200);
+    let (server, scaling) = Holding::start(frontend, TaskId(u32::MAX), RESHARD);
+    let client = dial_in_order(&server);
+    assert!(timed_verdict(&client, 1) < Duration::from_secs(20));
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    sock.write_all(&codec::encode(&Frame::Scale(ScaleRequest { request_id: 1, shards: 3 }))).expect("write");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !scaling.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "the scale never reached the backend");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let report = server.shutdown();
+    assert!(report.metrics.is_conserved(), "ledger: {:?}", report.metrics);
+    assert_eq!(report.metrics.submitted, 1);
+    drop((client, sock));
+}
+
+#[test]
+fn shutdown_during_a_scale_conserves() {
+    run_shutdown_during_a_scale(Frontend::Threads);
+}
+
+#[test]
+fn shutdown_during_a_scale_conserves_reactor() {
+    run_shutdown_during_a_scale(Frontend::Reactor);
 }

@@ -10,9 +10,9 @@ use offloadnn_core::scenario::small_scenario;
 use offloadnn_core::task::TaskId;
 use offloadnn_net::codec::{
     self, encode_raw, frame_type, AnnounceRequest, DepartRequest, DrainRequest, ErrorCode, ErrorResponse,
-    Frame, LeaveRequest, MemberInfo, MemberState, MembershipDecision, MembershipResponse, MetricsResponse,
-    OutcomeResponse, ScaleRequest, ScaleResponse, SnapshotRequest, SubmitRequest, HEADER_LEN, MAX_PAYLOAD,
-    TRAILER_LEN,
+    ForwardRequest, Frame, LeaveRequest, MemberInfo, MemberState, MembershipDecision, MembershipResponse,
+    MetricsResponse, OutcomeResponse, ScaleRequest, ScaleResponse, SnapshotRequest, SubmitRequest,
+    HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN,
 };
 use offloadnn_net::wire::fnv1a32;
 use offloadnn_net::{decode, decode_exact, encode, AnyServer, DecodeError, Frontend, NetConfig, VERSION};
@@ -197,6 +197,32 @@ fn oversized_length_prefix_fails_before_any_allocation() {
     // merely incomplete).
     bytes[8..12].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
     assert_eq!(decode(&bytes), Ok(None));
+}
+
+/// A forward's tried-set is stored by every ticket it lands in, and the
+/// payload limit alone would let one frame name about four million
+/// gateways: a set past the codec's cap is refused at decode, while the
+/// two entries a forward carries at a hop limit of 1 decode whole.
+#[test]
+fn a_forward_naming_too_many_gateways_is_refused() {
+    let s = small_scenario(3);
+    let forward = |tried: Vec<String>| {
+        encode(&Frame::Forward(ForwardRequest {
+            request_id: 21,
+            deadline_us: 900,
+            hops: 0,
+            origin: "10.0.0.1:4000".to_owned(),
+            tried,
+            task: s.instance.tasks[0].clone(),
+            options: s.instance.options[0].clone(),
+        }))
+    };
+    let legit = vec!["10.0.0.1:4000".to_owned(), "10.0.0.2:4000".to_owned()];
+    assert!(matches!(decode_exact(&forward(legit)), Ok(Frame::Forward(f)) if f.tried.len() == 2));
+    let hostile = forward(vec![String::new(); 100_000]);
+    assert!(hostile.len() < MAX_PAYLOAD as usize, "within the payload limit");
+    let refused = decode(&hostile).map(|frame| frame.map(|(f, _)| f.type_name()));
+    assert_eq!(refused, Err(DecodeError::OversizedSeq { len: 100_000 }), "refused before allocating");
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! hardest: short reads split across every frame boundary, write
 //! backpressure with partial-write resumption, a malformed byte stream
 //! that must still flush every owed verdict before the close, and rapid
-//! connection churn with abandoned in-flight requests.
+//! connection churn with abandoned in-flight requests. Replies leave in
+//! resolution order, so verdicts are matched by request id.
 //!
 //! Frame contents come from the same proptest strategies as the codec
 //! round-trip properties (`common/`).
@@ -36,9 +37,17 @@ fn quick_service() -> ServiceConfig {
 }
 
 fn start_server(net: NetConfig, service: ServiceConfig) -> (AnyServer, offloadnn_core::scenario::Scenario) {
+    start_frontend(Frontend::Reactor, net, service)
+}
+
+fn start_frontend(
+    frontend: Frontend,
+    net: NetConfig,
+    service: ServiceConfig,
+) -> (AnyServer, offloadnn_core::scenario::Scenario) {
     let scenario = small_scenario(4);
-    let server = AnyServer::start(Frontend::Reactor, ("127.0.0.1", 0), net, service, &scenario.instance)
-        .expect("start reactor server");
+    let server =
+        AnyServer::start(frontend, ("127.0.0.1", 0), net, service, &scenario.instance).expect("start server");
     (server, scenario)
 }
 
@@ -102,21 +111,23 @@ proptest! {
         }
 
         let frames = read_frames_bytewise(&mut sock, submits.len() + 1, Duration::from_secs(30));
-        // Per-connection FIFO: replies arrive in request order.
-        for (i, frame) in frames.iter().take(submits.len()).enumerate() {
+        // Replies leave in resolution order: match them by request id.
+        let mut answered = Vec::new();
+        let mut snapshot = None;
+        for frame in frames {
             match frame {
-                Frame::Outcome(o) => prop_assert_eq!(o.request_id, i as u64),
-                other => prop_assert!(false, "submit {i} answered with {other:?}"),
+                Frame::Outcome(o) => answered.push(o.request_id),
+                Frame::Metrics(m) if snapshot.is_none() => snapshot = Some(m),
+                other => prop_assert!(false, "unexpected reply {other:?}"),
             }
         }
-        match frames.last().expect("snapshot reply") {
-            Frame::Metrics(m) => {
-                prop_assert_eq!(m.request_id, snapshot_id);
-                prop_assert!(!m.is_final);
-                prop_assert_eq!(m.metrics.submitted, submits.len() as u64);
-            }
-            other => prop_assert!(false, "snapshot answered with {other:?}"),
-        }
+        answered.sort_unstable();
+        prop_assert_eq!(answered, (0..submits.len() as u64).collect::<Vec<_>>(), "one verdict per submit");
+        let m = snapshot.expect("snapshot reply");
+        prop_assert_eq!(m.request_id, snapshot_id);
+        prop_assert!(!m.is_final);
+        // The snapshot is taken at its place in the stream, behind every submit.
+        prop_assert_eq!(m.metrics.submitted, submits.len() as u64);
 
         drop(sock);
         let report = server.shutdown();
@@ -127,10 +138,21 @@ proptest! {
 
 /// A malformed byte stream aborts the connection, but only after every
 /// verdict the client is owed has flushed: two valid submits, then
-/// garbage — the reply stream is outcome, outcome, Malformed error, EOF.
+/// garbage — the reply stream is both outcomes (in whichever order they
+/// resolved), the Malformed error, EOF.
 #[test]
 fn malformed_stream_flushes_owed_verdicts_before_closing() {
-    let (server, scenario) = start_server(NetConfig::default(), quick_service());
+    malformed_stream_flushes_owed_verdicts(Frontend::Reactor);
+}
+
+/// The same closing rule on the one-loop-per-connection shape.
+#[test]
+fn malformed_stream_flushes_owed_verdicts_before_closing_threads() {
+    malformed_stream_flushes_owed_verdicts(Frontend::Threads);
+}
+
+fn malformed_stream_flushes_owed_verdicts(frontend: Frontend) {
+    let (server, scenario) = start_frontend(frontend, NetConfig::default(), quick_service());
     let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
     sock.set_nodelay(true).expect("nodelay");
 
@@ -147,8 +169,16 @@ fn malformed_stream_flushes_owed_verdicts_before_closing() {
     sock.write_all(&wire).expect("write");
 
     let frames = read_frames_bytewise(&mut sock, 3, Duration::from_secs(30));
-    assert!(matches!(&frames[0], Frame::Outcome(o) if o.request_id == 0), "first verdict: {frames:?}");
-    assert!(matches!(&frames[1], Frame::Outcome(o) if o.request_id == 1), "second verdict: {frames:?}");
+    // The two verdicts in resolution order, then the closing error.
+    let mut verdicts: Vec<u64> = frames[..2]
+        .iter()
+        .map(|f| match f {
+            Frame::Outcome(o) => o.request_id,
+            other => panic!("an owed verdict must precede the closing error, got {other:?}"),
+        })
+        .collect();
+    verdicts.sort_unstable();
+    assert_eq!(verdicts, [0, 1], "{frames:?}");
     match &frames[2] {
         Frame::Error(e) => assert_eq!(e.code, codec::ErrorCode::Malformed),
         other => panic!("garbage must be answered Malformed, got {other:?}"),

@@ -19,9 +19,9 @@
 //! everywhere.
 
 use crate::error::{validate_request, SubmitError};
+use crate::mailbox::{Bell, Mailbox};
 use crate::metrics::MetricsSnapshot;
 use crate::service::Outcome;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use offloadnn_core::instance::PathOption;
 use offloadnn_core::task::{Task, TaskId};
 use std::fmt;
@@ -59,7 +59,7 @@ impl fmt::Display for VerdictError {
 impl std::error::Error for VerdictError {}
 
 /// The tier-specific half of a [`PendingVerdict`]. Implemented by each
-/// tier's native pending handle (the service's verdict channel,
+/// tier's native pending handle (the service's verdict mailbox,
 /// `net::PendingVerdict`, the gateway's ticket); drivers never see this
 /// trait, only the facade.
 pub trait VerdictHandle: Send {
@@ -74,6 +74,13 @@ pub trait VerdictHandle: Send {
     /// Blocks at most `timeout`; [`VerdictError::TimedOut`] strictly
     /// after the bound elapsed with the request still unresolved.
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError>;
+
+    /// Rings `bell` once [`VerdictHandle::poll`] would find the verdict
+    /// (at once if it would now). The default rings nothing: the TCP
+    /// frontend also polls every millisecond.
+    fn ring_on_resolve(&self, bell: &Bell) {
+        let _ = bell;
+    }
 }
 
 /// A type-erased handle to one in-flight admission, redeemable for its
@@ -122,6 +129,11 @@ impl PendingVerdict {
     /// As [`PendingVerdict::wait`], plus [`VerdictError::TimedOut`].
     pub fn wait_timeout(self, timeout: Duration) -> Result<Outcome, VerdictError> {
         self.inner.wait_timeout(timeout)
+    }
+
+    /// See [`VerdictHandle::ring_on_resolve`].
+    pub fn ring_on_resolve(&self, bell: &Bell) {
+        self.inner.ring_on_resolve(bell);
     }
 }
 
@@ -194,27 +206,24 @@ pub fn admission_budget(
     Ok(asked.map_or(policy, |asked| asked.min(policy)))
 }
 
-/// An in-process verdict is the one message its shard sends back; the
-/// channel disconnecting without it means the shard died (chaos
-/// injection) and the verdict is lost.
-impl VerdictHandle for Receiver<Outcome> {
+/// An in-process verdict is the one answer its shard sends back; the
+/// mailbox resolving without it means the shard died (chaos injection)
+/// and the verdict is lost.
+impl VerdictHandle for Mailbox<Outcome> {
     fn poll(&self) -> Option<Result<Outcome, VerdictError>> {
-        match self.try_recv() {
-            Ok(outcome) => Some(Ok(outcome)),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(VerdictError::Lost)),
-        }
+        self.take(Some(Duration::ZERO))
     }
 
     fn wait(self: Box<Self>) -> Result<Outcome, VerdictError> {
-        self.recv().map_err(|_| VerdictError::Lost)
+        self.take(None).unwrap_or(Err(VerdictError::Lost))
     }
 
     fn wait_timeout(self: Box<Self>, timeout: Duration) -> Result<Outcome, VerdictError> {
-        self.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => VerdictError::TimedOut,
-            RecvTimeoutError::Disconnected => VerdictError::Lost,
-        })
+        self.take(Some(timeout)).unwrap_or(Err(VerdictError::TimedOut))
+    }
+
+    fn ring_on_resolve(&self, bell: &Bell) {
+        Mailbox::ring_on_resolve(self, bell);
     }
 }
 

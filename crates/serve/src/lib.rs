@@ -57,6 +57,7 @@ pub mod admit;
 pub mod config;
 pub mod error;
 pub mod loadgen;
+pub mod mailbox;
 pub mod metrics;
 pub mod router;
 pub mod service;
@@ -66,6 +67,7 @@ pub use admit::{Admitter, PendingVerdict, VerdictError, VerdictHandle};
 pub use config::{ChaosConfig, ServiceConfig};
 pub use error::{validate_request, ServeError, SubmitError};
 pub use loadgen::{drive, DriveConfig, DriveReport, ShapePool, WireTally};
+pub use mailbox::{mailbox, Bell, Mailbox, Responder};
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, ServiceMetrics, HISTOGRAM_BUCKETS};
 pub use service::{DrainReport, Outcome, ReshardReport, Service};
 pub use shard::ShardReport;

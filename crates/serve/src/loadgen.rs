@@ -282,8 +282,9 @@ pub fn drive(
         settle(p, &mut report.tally, &mut active);
     }
     // A metrics round trip fences the fire-and-forget departures: a wire
-    // tier serves a connection's frames in order, so once this answers,
-    // every depart above has reached the tier's ledger.
+    // tier dispatches a connection's frames in order (its replies leave
+    // in resolution order), so once this answers, every depart above has
+    // reached the tier's ledger.
     let _ = admitter.metrics();
     report
 }

@@ -5,6 +5,7 @@
 use crate::admit::{admission_budget, Admitter, PendingVerdict};
 use crate::config::{ChaosConfig, ServiceConfig};
 use crate::error::{ServeError, SubmitError};
+use crate::mailbox::mailbox;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::router::{self, partition_budgets};
 use crate::shard::{Clock, ReshardCmd, ServiceRequest, Shard, ShardMsg, ShardReport, Waiter};
@@ -500,7 +501,7 @@ impl Admitter for Service {
         let shard = router::shard(task.id, senders.len());
         let id = task.id;
         self.metrics.submitted.inc();
-        let (responder, rx) = channel::bounded(1);
+        let (responder, rx) = mailbox();
         let now = Instant::now();
         let request = ServiceRequest {
             task,
@@ -516,7 +517,7 @@ impl Admitter for Service {
             if let ShardMsg::Request(req) = msg {
                 let verdict = Outcome::Shed { shard };
                 self.metrics.book(&verdict, Duration::ZERO);
-                let _ = req.waiter.responder.try_send(verdict);
+                req.waiter.responder.send(verdict);
             }
         }
         Ok(PendingVerdict::new(id, Box::new(rx)))

@@ -7,6 +7,7 @@
 //! (`spawn_worker` in `service.rs`). `ci.sh` keeps this file pure.
 
 use crate::config::ServiceConfig;
+use crate::mailbox::Responder;
 use crate::metrics::ServiceMetrics;
 use crate::router;
 use crate::service::Outcome;
@@ -49,7 +50,7 @@ pub(crate) struct ServiceRequest {
 /// a solver round: whom to answer, and since when they have waited.
 pub(crate) struct Waiter {
     pub enqueued_at: Instant,
-    pub responder: Sender<Outcome>,
+    pub responder: Responder<Outcome>,
 }
 
 /// A reshard order, sent to every shard of the old fleet alike: adopt
@@ -223,7 +224,7 @@ impl Shard {
                 b.task.priority.partial_cmp(&a.task.priority).unwrap_or(std::cmp::Ordering::Equal)
             });
             for req in batch.split_off(self.config.batch_max) {
-                self.resolve(&req.waiter, Outcome::Shed { shard: self.index }, clock);
+                self.resolve(req.waiter, Outcome::Shed { shard: self.index }, clock);
             }
         }
         if self.solve(batch, clock) {
@@ -287,7 +288,7 @@ impl Shard {
         let now = clock.now();
         let (live, stale): (Vec<_>, Vec<_>) = batch.into_iter().partition(|r| r.deadline > now);
         for req in stale {
-            self.resolve(&req.waiter, Outcome::Expired { shard: self.index }, clock);
+            self.resolve(req.waiter, Outcome::Expired { shard: self.index }, clock);
         }
         if live.is_empty() {
             return false;
@@ -361,7 +362,7 @@ impl Shard {
                                 cache.insert(*key, plan, false);
                             }
                         }
-                        self.resolve(&waiter, self.admitted(&grant), clock);
+                        self.resolve(waiter, self.admitted(&grant), clock);
                     } else {
                         debug_assert!(rejected.peek() == Some(&id), "verdict misaligned");
                         rejected.next();
@@ -371,7 +372,7 @@ impl Shard {
                             }
                             self.rejected.insert(key.shape);
                         }
-                        self.resolve(&waiter, Outcome::Rejected { shard: self.index }, clock);
+                        self.resolve(waiter, Outcome::Rejected { shard: self.index }, clock);
                     }
                 }
             }
@@ -381,7 +382,7 @@ impl Shard {
                 // verdict. Solver errors are not memoized as rejections.
                 self.metrics.solver_errors.inc();
                 event!(Severity::Warn, "serve.shard", "shard {} solver round failed: {e}", self.index);
-                for (_, waiter) in &waiting {
+                for (_, waiter) in waiting {
                     self.resolve(waiter, Outcome::Rejected { shard: self.index }, clock);
                 }
             }
@@ -409,7 +410,7 @@ impl Shard {
             let key = PlanKey { shape: shape_fingerprint(&req.task, &req.options), bucket, generation };
             if self.rejected.contains(&key.shape) {
                 cache.note_negative_hit();
-                self.resolve(&req.waiter, Outcome::Rejected { shard: self.index }, clock);
+                self.resolve(req.waiter, Outcome::Rejected { shard: self.index }, clock);
                 continue;
             }
             if let Some(cached) = cache.lookup(&key) {
@@ -417,7 +418,7 @@ impl Shard {
                 match self.controller.try_apply_plan(&req.task, &req.options, option, admission, rbs) {
                     Some(grant) => {
                         self.ledger_moved();
-                        self.resolve(&req.waiter, self.admitted(&grant), clock);
+                        self.resolve(req.waiter, self.admitted(&grant), clock);
                         continue;
                     }
                     None => cache.note_validation_failure(&key),
@@ -444,9 +445,9 @@ impl Shard {
     /// Delivers a verdict: books it with its submit-to-verdict latency
     /// and answers the ticket (a dropped ticket is fine — the verdict is
     /// still accounted).
-    fn resolve(&self, waiter: &Waiter, outcome: Outcome, clock: &impl Clock) {
+    fn resolve(&self, waiter: Waiter, outcome: Outcome, clock: &impl Clock) {
         self.metrics.book(&outcome, clock.now().saturating_duration_since(waiter.enqueued_at));
-        let _ = waiter.responder.try_send(outcome);
+        waiter.responder.send(outcome);
     }
 }
 
@@ -454,9 +455,10 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::config::ChaosConfig;
+    use crate::mailbox::{mailbox, Mailbox};
     use crate::router::partition_budgets;
     use crate::service::WallClock;
-    use crossbeam::channel::{self, Receiver};
+    use crossbeam::channel;
     use offloadnn_core::scenario::small_scenario;
     use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -489,6 +491,11 @@ mod tests {
         }
     }
 
+    /// The verdict the engine has already put in `verdict`.
+    fn answered(verdict: &Mailbox<Outcome>) -> Outcome {
+        verdict.take(Some(Duration::ZERO)).expect("answered").expect("resolved")
+    }
+
     fn shard(s: &DotInstance, index: usize, budgets: Budgets, config: ServiceConfig) -> Shard {
         Shard::new(index, budgets, s, config, Arc::new(ServiceMetrics::new()), None)
     }
@@ -501,12 +508,12 @@ mod tests {
         priority: f64,
         due: Duration,
         clock: &FakeClock,
-    ) -> (ServiceRequest, Receiver<Outcome>) {
+    ) -> (ServiceRequest, Mailbox<Outcome>) {
         let proto = id as usize % s.tasks.len();
         let mut task = s.tasks[proto].clone();
         task.id = TaskId(id);
         task.priority = priority;
-        let (responder, verdict) = channel::bounded(1);
+        let (responder, verdict) = mailbox();
         let now = clock.now();
         let waiter = Waiter { enqueued_at: now, responder };
         (ServiceRequest { task, options: s.options[proto].clone(), deadline: now + due, waiter }, verdict)
@@ -525,7 +532,7 @@ mod tests {
         let shed: Vec<f64> = priorities
             .iter()
             .zip(&verdicts)
-            .filter(|(_, v)| matches!(v.try_recv().expect("answered"), Outcome::Shed { shard: 0 }))
+            .filter(|(_, v)| matches!(answered(v), Outcome::Shed { shard: 0 }))
             .map(|(&p, _)| p)
             .collect();
         assert_eq!(shed, [0.3, 0.1, 0.5], "the two highest priorities reach the solver");
@@ -562,7 +569,7 @@ mod tests {
         let admitted: Vec<TaskId> = ids
             .iter()
             .zip(&verdicts)
-            .filter(|(_, v)| v.try_recv().expect("every verdict precedes the handoff").is_admitted())
+            .filter(|(_, v)| answered(v).is_admitted())
             .map(|(&id, _)| TaskId(id))
             .collect();
         assert_eq!(admitted.len(), ids.len(), "the full budget admits all six");
@@ -588,7 +595,7 @@ mod tests {
         let mut shard = shard(&s, 1, partition, ServiceConfig::default());
         let (batch, verdicts): (Vec<_>, Vec<_>) = (0..3).map(|id| request(&s, id, 0.5, DUE, &clock)).unzip();
         shard.round(batch, &clock);
-        let admitted = verdicts.iter().filter(|v| v.try_recv().expect("answered").is_admitted()).count();
+        let admitted = verdicts.iter().filter(|v| answered(v).is_admitted()).count();
         assert!(admitted > 0);
         let peak = shard.peak;
         assert!(peak.0 > 0.0 && peak.1 > 0.0 && peak.2 > 0.0);
@@ -641,7 +648,7 @@ mod tests {
         // Due inside the stall: live at the expiry check, so still solved.
         let (req, verdict) = request(&s, 1, 0.5, stall / 5, &clock);
         shard.round(vec![req], &clock);
-        assert!(verdict.try_recv().expect("answered").is_admitted());
+        assert!(answered(&verdict).is_admitted());
         assert_eq!(clock.now() - start, stall);
         assert_eq!(shard.metrics.latency.snapshot().sum_us, 50_000, "the stall is part of the latency");
 
@@ -650,7 +657,7 @@ mod tests {
         let (req, verdict) = request(&s, 2, 0.5, stall / 5, &clock);
         clock.advance(stall / 2);
         shard.round(vec![req], &clock);
-        assert_eq!(verdict.try_recv().expect("answered"), Outcome::Expired { shard: 0 });
+        assert_eq!(answered(&verdict), Outcome::Expired { shard: 0 });
         assert_eq!(clock.now() - start, stall + stall / 2);
     }
 
